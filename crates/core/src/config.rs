@@ -123,10 +123,10 @@ pub struct SimConfig {
     /// write bandwidth × period / cache size is scale-invariant).
     /// [`SimConfig::scaled_down`] sets this automatically.
     pub time_scale: u64,
-    /// Number of backend shards in the remote tier. 1 (the default) with
-    /// `replicas == 1` and no `shard*` fault clauses keeps the single-filer
-    /// engine, bit-identical to the pre-remote path (PERF.md invariant 11);
-    /// anything else engages the sharded read-any/write-all tier.
+    /// Number of backend shards. 1 (the default) with `replicas == 1` is
+    /// the paper's single filer, bit-identical to the pre-remote engine
+    /// (PERF.md invariant 11); more spreads blocks across a read-any /
+    /// write-all sharded tier.
     pub shards: u16,
     /// Replication factor of the remote tier (copies per block). Must be
     /// in `1..=shards`.
@@ -253,10 +253,13 @@ impl SimConfig {
             .map(|p| fcache_des::SimTime::from_nanos((p.as_nanos() / self.time_scale).max(1)))
     }
 
-    /// Whether this configuration engages the sharded remote tier. A
-    /// hedge delay alone does not engage it — hedging with one replica is
-    /// a no-op, and engaging would cost the bit-identity of the plain
-    /// filer path (PERF.md invariant 11).
+    /// Whether this configuration engages the sharded remote tier: more
+    /// than one shard or replica, or a shard fault clause. Every run goes
+    /// through the same store either way; engagement decides only whether
+    /// the report carries its `shard` section and whether the timing
+    /// table prints its remote-tier line. A hedge delay alone does not
+    /// engage it — hedging with one replica is a no-op (PERF.md
+    /// invariant 11).
     pub fn remote_engaged(&self) -> bool {
         self.shards > 1 || self.replicas > 1 || self.fault_plan.has_shard_clauses()
     }

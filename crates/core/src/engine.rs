@@ -13,7 +13,7 @@ use std::task::{Context, Poll, Waker};
 use fcache_cache::{InsertOutcome, Medium};
 use fcache_des::SimTime;
 use fcache_net::Direction;
-use fcache_remote::RemoteStore;
+use fcache_remote::ReplicaSet;
 use fcache_types::{BlockAddr, FaultError, FaultKind, OpKind, Phase, TraceOp, BLOCK_SIZE};
 
 use crate::arch::Architecture;
@@ -129,26 +129,7 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
     // (§5) — one request covers every block this op still misses.
     let miss_count = filer_misses.len() as u64;
     if !filer_misses.is_empty() {
-        let fetched = if h.remote.is_some() {
-            remote_fetch(h, &filer_misses, sp).await
-        } else {
-            match &h.fault {
-                None => {
-                    let n = filer_misses.len() as u32;
-                    enter(sp, &h.sim, Phase::Net);
-                    h.segment.transfer(Direction::ToServer, 0).await;
-                    enter(sp, &h.sim, Phase::Filer);
-                    h.filer.read_blocks(&filer_misses).await;
-                    enter(sp, &h.sim, Phase::Net);
-                    h.segment
-                        .transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-                        .await;
-                    true
-                }
-                Some(f) => fetch_from_filer(h, &Rc::clone(f), &filer_misses, sp).await,
-            }
-        };
-        if fetched {
+        if fetch(h, &filer_misses, sp).await {
             if h.has_flash() && h.cfg.populate_flash_on_read {
                 for &b in filer_misses.iter() {
                     flash_insert(h, b, false, sp).await;
@@ -223,25 +204,7 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
         return;
     }
     let miss_count = misses.len() as u64;
-    let fetched = if h.remote.is_some() {
-        remote_fetch(h, &misses, sp).await
-    } else {
-        match &h.fault {
-            None => {
-                let n = misses.len() as u32;
-                enter(sp, &h.sim, Phase::Net);
-                h.segment.transfer(Direction::ToServer, 0).await;
-                enter(sp, &h.sim, Phase::Filer);
-                h.filer.read_blocks(&misses).await;
-                enter(sp, &h.sim, Phase::Net);
-                h.segment
-                    .transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-                    .await;
-                true
-            }
-            Some(f) => fetch_from_filer(h, &Rc::clone(f), &misses, sp).await,
-        }
-    };
+    let fetched = fetch(h, &misses, sp).await;
     if let Some(s) = sp {
         s.note_blocks(
             u64::from(op.nblocks()) - miss_count,
@@ -441,57 +404,108 @@ async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Optio
 // Flush machinery
 // ---------------------------------------------------------------------------
 
-/// Sends one dirty block to the filer: data packet out, buffered filer
-/// write, acknowledgement back. Flushing from flash first pays a flash read
-/// (the data must come off the device) when configured.
+/// Sends one dirty block to the backend, **write-all**: the write
+/// acknowledges only when every *live* replica has accepted it (fanned
+/// out concurrently, so the ack latency is the slowest live replica, not
+/// the sum). If the whole replica set is down the write parks until a
+/// replica returns — dirty data is never dropped. Flushing from flash
+/// first pays a flash read (the data must come off the device) when
+/// configured.
 async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource, sp: Option<&OpSpan>) {
     if src == FlushSource::Flash && h.cfg.charge_flash_read_on_writeback {
         // The data must come off the device before it can be sent.
         h.dev.read(addr, sp).await;
     }
-    if h.remote.is_some() {
-        return remote_write_all(h, addr, sp).await;
+    let mut ring = h.remote.store.router().replica_set(addr);
+    park_until_live(h, ring, sp).await;
+    let first = ring.next().expect("replication factor >= 1");
+    let handles: Vec<_> = ring
+        .map(|shard| {
+            let h2 = Rc::clone(h);
+            h.sim
+                .spawn(async move { write_one_replica(&h2, shard, addr, None).await })
+        })
+        .collect();
+    write_one_replica(h, first, addr, sp).await;
+    // Waiting out the slower replicas' spawned legs is ack fan-in: wire
+    // time from the op's perspective.
+    enter(sp, &h.sim, Phase::Net);
+    for handle in handles {
+        handle.await;
     }
-    let Some(f) = h.fault.as_ref().map(Rc::clone) else {
-        enter(sp, &h.sim, Phase::Net);
-        h.segment.transfer(Direction::ToServer, BLOCK_SIZE).await;
-        enter(sp, &h.sim, Phase::Filer);
-        h.filer.write(1).await;
-        enter(sp, &h.sim, Phase::Net);
-        h.segment.transfer(Direction::FromServer, 0).await;
-        return;
-    };
-    // Dirty data is never dropped: a flush retries without bound (the
-    // backoff exponent is capped), parking through outages regardless of
-    // the degraded policy — durability over latency.
+}
+
+/// Writes one block to one replica, retrying transient failures without
+/// bound (the backoff exponent is capped) regardless of the degraded
+/// policy — durability over latency. A replica that is *down*, initially
+/// or mid-retry, is skipped and its copy recorded as under-replicated
+/// while another replica of the block is live; with none live the write
+/// parks until one returns.
+async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Option<&OpSpan>) {
+    let store = &h.remote.store;
     let mut attempt: u32 = 0;
     loop {
-        if park_through_outage(h, &f, sp).await {
+        let now = h.sim.now().as_nanos();
+        if !store.live_at(shard, now) {
+            let ring = store.router().replica_set(addr);
+            if store.live_in(ring, now).next().is_some() {
+                // A live replica holds the write: ack without this one
+                // and leave the copy for recovery re-replication.
+                store.mark_under_replicated(shard, addr, now);
+                return;
+            }
+            park_until_live(h, ring, sp).await;
             continue;
         }
-        let sent = async {
-            enter(sp, &h.sim, Phase::Net);
-            h.segment
-                .try_transfer(Direction::ToServer, BLOCK_SIZE)
-                .await?;
-            enter(sp, &h.sim, Phase::Filer);
-            h.filer.try_write(1).await?;
-            enter(sp, &h.sim, Phase::Net);
-            h.segment.try_transfer(Direction::FromServer, 0).await
-        }
-        .await;
-        match sent {
+        match write_exchange(h, shard, sp).await {
             Ok(()) => return,
             Err(_) => {
                 attempt += 1;
-                failed_attempt(h, &f, attempt, sp).await;
+                let f = h.fault.as_ref().expect("fault-free exchanges cannot fail");
+                failed_attempt(h, f, attempt, sp).await;
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Fault-mode fetch / retry machinery (see `crate::robust`)
+// Backend exchanges: "each I/O request uses one packet in each direction"
+// (§5). Without a fault plan the `try_*` legs are the plain calls.
+// ---------------------------------------------------------------------------
+
+/// One read exchange with `shard` over this host's segment to it: request
+/// packet out, filer read service, payload packet back. Any leg can fail
+/// transiently under a fault plan; a failed leg consumes no service time.
+async fn read_exchange(
+    h: &HostCtx,
+    shard: u16,
+    blocks: &[BlockAddr],
+    sp: Option<&OpSpan>,
+) -> Result<(), FaultError> {
+    let seg = &h.remote.segments[usize::from(shard)];
+    enter(sp, &h.sim, Phase::Net);
+    seg.try_transfer(Direction::ToServer, 0).await?;
+    enter(sp, &h.sim, Phase::Filer);
+    h.remote.store.filer(shard).try_read_blocks(blocks).await?;
+    enter(sp, &h.sim, Phase::Net);
+    seg.try_transfer(Direction::FromServer, blocks.len() as u64 * BLOCK_SIZE)
+        .await
+}
+
+/// One write exchange with `shard`: data packet out, buffered filer write,
+/// acknowledgement back; fails like [`read_exchange`].
+async fn write_exchange(h: &HostCtx, shard: u16, sp: Option<&OpSpan>) -> Result<(), FaultError> {
+    let seg = &h.remote.segments[usize::from(shard)];
+    enter(sp, &h.sim, Phase::Net);
+    seg.try_transfer(Direction::ToServer, BLOCK_SIZE).await?;
+    enter(sp, &h.sim, Phase::Filer);
+    h.remote.store.filer(shard).try_write(1).await?;
+    enter(sp, &h.sim, Phase::Net);
+    seg.try_transfer(Direction::FromServer, 0).await
+}
+
+// ---------------------------------------------------------------------------
+// Fetch loop, degraded mode, and retries (see `crate::robust`)
 // ---------------------------------------------------------------------------
 
 /// True when the filer fault schedule has an outage open right now. Always
@@ -510,22 +524,26 @@ fn buffered_write(h: &HostCtx) {
     }
 }
 
-/// If the filer is in outage, sleeps until it clears and returns true
-/// (counting the parked op); returns false when the filer is up.
-async fn park_through_outage(h: &Rc<HostCtx>, f: &Rc<FaultCtx>, sp: Option<&OpSpan>) -> bool {
-    let Some(clear_ns) = f.set.filer.outage_until(h.sim.now().as_nanos()) else {
-        return false;
-    };
-    RobustnessState::bump(&f.state.queued_ops);
-    let wait = SimTime::from_nanos(clear_ns).saturating_sub(h.sim.now());
-    enter(sp, &h.sim, Phase::DegradedPark);
-    h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
-    true
+/// While every shard of `ring` is in outage, sleeps until the first of
+/// them clears, counting the op as parked; returns at once when one is
+/// live.
+async fn park_until_live(h: &HostCtx, ring: ReplicaSet, sp: Option<&OpSpan>) {
+    while let Some(clear_ns) = h
+        .remote
+        .store
+        .ring_outage_until(ring, h.sim.now().as_nanos())
+    {
+        let f = h.fault.as_ref().expect("outages require a fault plan");
+        RobustnessState::bump(&f.state.queued_ops);
+        let wait = SimTime::from_nanos(clear_ns).saturating_sub(h.sim.now());
+        enter(sp, &h.sim, Phase::DegradedPark);
+        h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
+    }
 }
 
 /// Charges one failed exchange attempt: the per-op timeout, then the
 /// jittered exponential backoff before the retry.
-async fn failed_attempt(h: &Rc<HostCtx>, f: &Rc<FaultCtx>, attempt: u32, sp: Option<&OpSpan>) {
+async fn failed_attempt(h: &HostCtx, f: &FaultCtx, attempt: u32, sp: Option<&OpSpan>) {
     RobustnessState::bump(&f.state.timeouts);
     enter(sp, &h.sim, Phase::RetryBackoff);
     h.sim.sleep(f.op_timeout).await;
@@ -536,116 +554,36 @@ async fn failed_attempt(h: &Rc<HostCtx>, f: &Rc<FaultCtx>, attempt: u32, sp: Opt
     h.sim.sleep(f.backoff(attempt)).await;
 }
 
-/// The clause text of the filer outage open at `now_ns` (for failure
-/// attribution when a miss fails fast).
-fn outage_clause(f: &FaultCtx, now_ns: u64) -> String {
-    f.set
-        .filer
-        .windows()
-        .iter()
-        .find(|w| w.kind == FaultKind::Outage && w.start_ns <= now_ns && now_ns < w.end_ns)
-        .map(|w| w.clause.clone())
-        .unwrap_or_else(|| "filer:outage".to_string())
-}
-
-/// One full miss exchange against the filer through the fault seams:
-/// request packet out, filer read service, payload packet back. Any leg
-/// can fail transiently; a failed leg consumes no service time.
-async fn try_exchange(
-    h: &Rc<HostCtx>,
-    blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
-) -> Result<(), FaultError> {
-    let n = blocks.len() as u32;
-    enter(sp, &h.sim, Phase::Net);
-    h.segment.try_transfer(Direction::ToServer, 0).await?;
-    enter(sp, &h.sim, Phase::Filer);
-    h.filer.try_read_blocks(blocks).await?;
-    enter(sp, &h.sim, Phase::Net);
-    h.segment
-        .try_transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-        .await
-}
-
-/// Fetches a miss list from the filer under fault injection: outages
-/// degrade per [`DegradedPolicy`] (cache hits keep serving either way),
-/// transient failures retry with timeout + jittered exponential backoff
-/// up to `max_retries`. Returns whether the data ultimately arrived.
-async fn fetch_from_filer(
-    h: &Rc<HostCtx>,
-    f: &Rc<FaultCtx>,
-    blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
-) -> bool {
-    let now = h.sim.now().as_nanos();
-    let widx = f.acct.window_index_at(now);
-    f.state.window_op(widx);
-    let mut attempt: u32 = 0;
-    loop {
-        let now = h.sim.now().as_nanos();
-        if f.set.filer.outage_until(now).is_some() {
-            match f.cfg.degraded {
-                DegradedPolicy::Queue => {
-                    // Availability first: park the miss until the filer
-                    // returns, then fetch. Hits never reach this path.
-                    park_through_outage(h, f, sp).await;
-                    continue;
-                }
-                DegradedPolicy::FailFast | DegradedPolicy::Strict => {
-                    f.state.op_failed(&outage_clause(f, now));
-                    return false;
-                }
-            }
-        }
-        match try_exchange(h, blocks, sp).await {
-            Ok(()) => {
-                f.state.window_ok(widx);
-                return true;
-            }
-            Err(e) => {
-                if attempt >= f.cfg.max_retries {
-                    RobustnessState::bump(&f.state.timeouts);
-                    enter(sp, &h.sim, Phase::RetryBackoff);
-                    h.sim.sleep(f.op_timeout).await;
-                    f.state.op_failed(&e.clause);
-                    return false;
-                }
-                attempt += 1;
-                failed_attempt(h, f, attempt, sp).await;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded remote tier (read-any / write-all, hedging, failover)
-// ---------------------------------------------------------------------------
-
-/// Fetches a miss list through the sharded remote tier: the list is
-/// partitioned by primary shard and each group is served **read-any**
-/// across its replica ring (optionally hedged). Returns whether every
-/// group's data arrived.
-async fn remote_fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bool {
-    let router = h.remote.as_ref().expect("remote engaged").store.router();
-    // Window accounting mirrors `fetch_from_filer`, against the backend
-    // accounting schedule: filer-wide clauses and shard-local clauses each
-    // contribute one distinct window, so availability-per-window covers a
-    // single shard's outage as well as a fleet-wide one.
+/// Fetches a miss list from the backend: the list is partitioned by
+/// primary shard and each group is served **read-any** across its replica
+/// ring (see [`fetch_group`]). Returns whether every group's data arrived.
+async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bool {
+    // Availability accounting against the backend schedule: filer-wide
+    // clauses and shard-local clauses each contribute one distinct window,
+    // so availability-per-window covers a single shard's outage as well as
+    // a fleet-wide one.
     let widx = h.fault.as_ref().map(|f| {
         let w = f.acct.window_index_at(h.sim.now().as_nanos());
         f.state.window_op(w);
         w
     });
-    let mut ok = true;
-    let mut group = h.take_buf();
-    for k in 0..router.shards() {
-        group.clear();
-        group.extend(blocks.iter().copied().filter(|b| router.primary(*b) == k));
-        if !group.is_empty() && !fetch_group(h, k, &group, sp).await {
-            ok = false;
+    let router = h.remote.store.router();
+    let ok = if router.shards() == 1 {
+        // One shard owns every block: no partition copy.
+        fetch_group(h, 0, blocks, sp).await
+    } else {
+        let mut ok = true;
+        let mut group = h.take_buf();
+        for k in 0..router.shards() {
+            group.clear();
+            group.extend(blocks.iter().copied().filter(|b| router.primary(*b) == k));
+            if !group.is_empty() && !fetch_group(h, k, &group, sp).await {
+                ok = false;
+            }
         }
-    }
-    h.put_buf(group);
+        h.put_buf(group);
+        ok
+    };
     if ok {
         if let Some(f) = &h.fault {
             f.state
@@ -658,38 +596,28 @@ async fn remote_fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>
 /// Serves one primary-shard group: pick the first live replica in ring
 /// order (counting a failover when it is not the primary), optionally
 /// hedge against the next live one, and retry with timeout + jittered
-/// backoff on transient failures. A whole-ring outage degrades per
-/// [`DegradedPolicy`], exactly like the single-filer path.
+/// backoff up to `max_retries` on transient failures. A whole-ring outage
+/// degrades per [`DegradedPolicy`]; cache hits keep serving either way.
 async fn fetch_group(
     h: &Rc<HostCtx>,
     primary: u16,
     blocks: &[BlockAddr],
     sp: Option<&OpSpan>,
 ) -> bool {
-    let r = h.remote.as_ref().expect("remote engaged");
-    let router = r.store.router();
-    let ring = |j: u16| (primary + j) % router.shards();
+    let r = &h.remote;
+    let ring = r.store.router().ring(primary);
     let mut attempt: u32 = 0;
     loop {
         let now = h.sim.now().as_nanos();
-        let first = (0..router.replicas())
-            .map(ring)
-            .find(|&s| r.store.live_at(s, now));
-        let Some(first) = first else {
-            // The whole replica set is down: no replica can serve. Outages
-            // only exist under a fault plan, so the fault ctx is present.
+        let mut live = r.store.live_in(ring, now);
+        let Some(first) = live.next() else {
+            // The whole replica set is down: no replica can serve.
             let f = h.fault.as_ref().expect("outages require a fault plan");
             match f.cfg.degraded {
                 DegradedPolicy::Queue => {
-                    RobustnessState::bump(&f.state.queued_ops);
-                    let clear = (0..router.replicas())
-                        .map(ring)
-                        .filter_map(|s| r.store.outage_until(s, now))
-                        .min()
-                        .unwrap_or(now);
-                    let wait = SimTime::from_nanos(clear).saturating_sub(h.sim.now());
-                    enter(sp, &h.sim, Phase::DegradedPark);
-                    h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
+                    // Availability first: park the miss until a replica
+                    // returns, then fetch.
+                    park_until_live(h, ring, sp).await;
                     continue;
                 }
                 DegradedPolicy::FailFast | DegradedPolicy::Strict => {
@@ -699,17 +627,12 @@ async fn fetch_group(
             }
         };
         // Hedge when configured and a second live replica exists to race.
-        let hedge = r.hedge_ns.and_then(|d| {
-            (0..router.replicas())
-                .map(ring)
-                .find(|&s| s != first && r.store.live_at(s, now))
-                .map(|s| (s, d))
-        });
+        let hedge = r.hedge_ns.and_then(|d| live.next().map(|s| (s, d)));
         let served = match hedge {
             Some((second, delay_ns)) => {
                 hedged_exchange(h, first, second, delay_ns, blocks, sp).await
             }
-            None => shard_exchange(h, first, blocks, sp).await.map(|()| first),
+            None => read_exchange(h, first, blocks, sp).await.map(|()| first),
         };
         match served {
             Ok(winner) => {
@@ -728,45 +651,15 @@ async fn fetch_group(
                     return false;
                 }
                 attempt += 1;
-                let f = Rc::clone(f);
-                failed_attempt(h, &f, attempt, sp).await;
+                failed_attempt(h, f, attempt, sp).await;
             }
         }
     }
 }
 
-/// One full miss exchange against shard `shard` over this host's segment
-/// to it. Fault-free hosts use the plain (infallible) legs so the exchange
-/// shape matches the single-filer path exactly.
-async fn shard_exchange(
-    h: &Rc<HostCtx>,
-    shard: u16,
-    blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
-) -> Result<(), FaultError> {
-    let r = h.remote.as_ref().expect("remote engaged");
-    let seg = &r.segments[usize::from(shard)];
-    let filer = r.store.filer(shard);
-    let n = blocks.len() as u32;
-    if h.fault.is_some() {
-        enter(sp, &h.sim, Phase::Net);
-        seg.try_transfer(Direction::ToServer, 0).await?;
-        enter(sp, &h.sim, Phase::Filer);
-        filer.try_read_blocks(blocks).await?;
-        enter(sp, &h.sim, Phase::Net);
-        seg.try_transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-            .await
-    } else {
-        enter(sp, &h.sim, Phase::Net);
-        seg.transfer(Direction::ToServer, 0).await;
-        enter(sp, &h.sim, Phase::Filer);
-        filer.read_blocks(blocks).await;
-        enter(sp, &h.sim, Phase::Net);
-        seg.transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-            .await;
-        Ok(())
-    }
-}
+// ---------------------------------------------------------------------------
+// Hedged reads
+// ---------------------------------------------------------------------------
 
 /// Shared state of one hedged-read race (see [`hedged_exchange`]).
 struct RaceState {
@@ -858,7 +751,7 @@ async fn hedged_exchange(
         let mut buf = h.take_buf();
         buf.extend_from_slice(blocks);
         h.sim.spawn_daemon(async move {
-            let res = shard_exchange(&h2, first, &buf, None).await;
+            let res = read_exchange(&h2, first, &buf, None).await;
             h2.put_buf(buf);
             st.arm_done(first, res);
         });
@@ -878,9 +771,9 @@ async fn hedged_exchange(
                 st.arm_skipped();
                 return;
             }
-            let store = Rc::clone(&h2.remote.as_ref().expect("remote engaged").store);
+            let store = Rc::clone(&h2.remote.store);
             store.note_hedge_launched();
-            let res = shard_exchange(&h2, second, &buf, None).await;
+            let res = read_exchange(&h2, second, &buf, None).await;
             h2.put_buf(buf);
             let arrived = res.is_ok();
             if st.arm_done(second, res) {
@@ -905,7 +798,7 @@ async fn hedged_exchange(
 }
 
 /// The clause text of the outage open on `shard` at `now_ns` (for failure
-/// attribution).
+/// attribution when a miss fails fast).
 fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> String {
     r.store
         .faults(shard)
@@ -914,97 +807,6 @@ fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> String {
         .find(|w| w.kind == FaultKind::Outage && w.start_ns <= now_ns && now_ns < w.end_ns)
         .map(|w| w.clause.clone())
         .unwrap_or_else(|| format!("shard{shard}:outage"))
-}
-
-/// **Write-all** through the sharded tier: the write acknowledges only
-/// when every *live* replica has accepted it (fanned out concurrently, so
-/// the ack latency is the slowest live replica, not the sum); replicas
-/// down at write time are recorded as under-replicated for the recovery
-/// pass. If the whole replica set is down the write parks until a replica
-/// returns — an acknowledged write is never dropped, matching the
-/// single-filer flush path's durability-over-latency stance.
-async fn remote_write_all(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
-    let router = h.remote.as_ref().expect("remote engaged").store.router();
-    loop {
-        let r = h.remote.as_ref().expect("remote engaged");
-        let now = h.sim.now().as_nanos();
-        if router.replica_set(addr).any(|s| r.store.live_at(s, now)) {
-            break;
-        }
-        let f = h.fault.as_ref().expect("outages require a fault plan");
-        RobustnessState::bump(&f.state.queued_ops);
-        let clear = router
-            .replica_set(addr)
-            .filter_map(|s| r.store.outage_until(s, now))
-            .min()
-            .unwrap_or(now);
-        let wait = SimTime::from_nanos(clear).saturating_sub(h.sim.now());
-        enter(sp, &h.sim, Phase::DegradedPark);
-        h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
-    }
-    let mut ring = router.replica_set(addr);
-    let first = ring.next().expect("replication factor >= 1");
-    let mut handles = Vec::with_capacity(ring.len());
-    for shard in ring {
-        let h2 = Rc::clone(h);
-        handles.push(
-            h.sim
-                .spawn(async move { write_one_replica(&h2, shard, addr, None).await }),
-        );
-    }
-    write_one_replica(h, first, addr, sp).await;
-    // Waiting out the slower replicas' spawned legs is ack fan-in: wire
-    // time from the op's perspective.
-    enter(sp, &h.sim, Phase::Net);
-    for handle in handles {
-        handle.await;
-    }
-}
-
-/// Writes one block to one replica: unbounded retries on transient
-/// failures (capped backoff exponent, like the flush path), but a replica
-/// that is *down* — initially or mid-retry — is skipped and the copy is
-/// recorded as under-replicated.
-async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Option<&OpSpan>) {
-    let r = h.remote.as_ref().expect("remote engaged");
-    let mut attempt: u32 = 0;
-    loop {
-        let now = h.sim.now().as_nanos();
-        if !r.store.live_at(shard, now) {
-            // This replica is down: ack without it and leave the copy for
-            // recovery re-replication.
-            r.store.mark_under_replicated(shard, addr, now);
-            return;
-        }
-        let seg = &r.segments[usize::from(shard)];
-        let filer = r.store.filer(shard);
-        if h.fault.is_none() {
-            enter(sp, &h.sim, Phase::Net);
-            seg.transfer(Direction::ToServer, BLOCK_SIZE).await;
-            enter(sp, &h.sim, Phase::Filer);
-            filer.write(1).await;
-            enter(sp, &h.sim, Phase::Net);
-            seg.transfer(Direction::FromServer, 0).await;
-            return;
-        }
-        let sent = async {
-            enter(sp, &h.sim, Phase::Net);
-            seg.try_transfer(Direction::ToServer, BLOCK_SIZE).await?;
-            enter(sp, &h.sim, Phase::Filer);
-            filer.try_write(1).await?;
-            enter(sp, &h.sim, Phase::Net);
-            seg.try_transfer(Direction::FromServer, 0).await
-        }
-        .await;
-        match sent {
-            Ok(()) => return,
-            Err(_) => {
-                attempt += 1;
-                let f = Rc::clone(h.fault.as_ref().expect("checked above"));
-                failed_attempt(h, &f, attempt, sp).await;
-            }
-        }
-    }
 }
 
 /// Flushes one dirty RAM block down a level (the RAM tier's writeback

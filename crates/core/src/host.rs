@@ -6,11 +6,9 @@ use std::rc::{Rc, Weak};
 use fcache_cache::{BlockCache, UnifiedCache};
 use fcache_des::Sim;
 use fcache_device::IoLog;
-use fcache_filer::Filer;
 use fcache_net::Segment;
-use fcache_types::{BlockAddr, FxHashSet, HostId};
-
 use fcache_remote::ShardedStore;
+use fcache_types::{BlockAddr, FxHashSet, HostId};
 
 use crate::config::SimConfig;
 use crate::devsvc::DeviceService;
@@ -19,18 +17,17 @@ use crate::metrics::Metrics;
 use crate::robust::FaultCtx;
 use crate::telemetry::TelemetryCtx;
 
-/// This host's view of the sharded remote tier: the shared store plus one
-/// private segment per shard (the host's network link to that backend).
-/// Present only when [`SimConfig::remote_engaged`] — a single-shard,
-/// replication-1, shard-fault-free run keeps the plain `filer`/`segment`
-/// path bit-identical to the pre-remote engine (PERF.md invariant 11).
+/// This host's view of the backend: the shared store plus one private
+/// segment per shard (the host's network link to that shard). Every run
+/// has one; the paper's single filer is the 1×1 store, whose shard 0 and
+/// `segments[0]` run on the base seeds, so an un-sharded run is the
+/// pre-remote engine bit for bit (PERF.md invariant 11).
 pub(crate) struct RemoteCtx {
-    /// The shared sharded backend (filers, schedules, replication
-    /// bookkeeping); one instance per run.
+    /// The shared backend (filers, schedules, replication bookkeeping);
+    /// one instance per run.
     pub store: Rc<ShardedStore>,
-    /// Per-shard segments, indexed by shard. `segments[0]` is also the
-    /// host's legacy `segment` handle (same `Rc`'d stats cells), so the
-    /// remote aggregation must sum these — not `segment` per host.
+    /// Per-shard segments, indexed by shard (shared across a fan-in
+    /// group).
     pub segments: Vec<Segment>,
     /// Scaled hedge delay in simulated ns (`None` disables hedging).
     pub hedge_ns: Option<u64>,
@@ -53,10 +50,6 @@ pub(crate) struct HostCtx {
     pub flash: RefCell<BlockCache>,
     /// Unified cache (only for [`crate::Architecture::Unified`]).
     pub unified: Option<RefCell<UnifiedCache>>,
-    /// This host's private segment to the filer.
-    pub segment: Segment,
-    /// The shared file server.
-    pub filer: Filer,
     /// Shared metrics sink.
     pub metrics: Metrics,
     /// Flash I/O log (for Figure 1 replay; usually disabled). The device
@@ -89,9 +82,8 @@ pub(crate) struct HostCtx {
     /// fault-aware path collapses to its pre-fault form (see
     /// `crate::robust`).
     pub fault: Option<Rc<FaultCtx>>,
-    /// Sharded remote tier (router, replicas, per-shard segments). `None`
-    /// — the default — keeps the single-filer read/write paths.
-    pub remote: Option<RemoteCtx>,
+    /// The backend (router, replicas, per-shard segments).
+    pub remote: RemoteCtx,
     /// Sim-time telemetry collector (op spans, unified windows, span
     /// stream). `None` — the default — makes every instrumentation hook a
     /// no-op, the literal pre-telemetry code path (PERF.md invariant 12).
@@ -173,10 +165,7 @@ impl HostCtx {
         for peer in self.peers.borrow().iter().filter_map(Weak::upgrade) {
             peer.reset_stats();
         }
-        self.filer.reset_stats();
-        if let Some(remote) = &self.remote {
-            remote.store.reset_service_stats();
-        }
+        self.remote.store.reset_service_stats();
     }
 
     fn reset_stats(&self) {
@@ -189,13 +178,8 @@ impl HostCtx {
         // peers' resets just repeat harmlessly (the whole warmup-end
         // sequence is synchronous); in a fleet each host resets its own.
         self.metrics.reset();
-        self.segment.reset_stats();
-        if let Some(remote) = &self.remote {
-            // Per-shard wires; segments[0] shares cells with `segment`
-            // above, so its reset just repeats harmlessly.
-            for seg in &remote.segments {
-                seg.reset_stats();
-            }
+        for seg in &self.remote.segments {
+            seg.reset_stats();
         }
         self.dev.reset_stats();
         // Robustness counters are NOT reset: like `device_windows` and

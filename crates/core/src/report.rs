@@ -56,8 +56,8 @@ pub struct SimReport {
     pub robustness: RobustnessStats,
     /// Sharded remote-tier counters: topology, per-shard service tallies,
     /// hedged-read and failover counts, and under-replication bookkeeping.
-    /// Disengaged (all zero, `shards == 0`) when the run used the plain
-    /// single-filer backend.
+    /// Disengaged (all zero, `shards == 0`) when the run did not engage
+    /// the remote tier ([`crate::SimConfig::remote_engaged`]).
     pub shard: ShardStats,
     /// Sim-time telemetry: per-phase latency attribution and the unified
     /// window time series, merged across hosts. Default (disengaged) when

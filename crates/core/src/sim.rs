@@ -27,7 +27,7 @@ use fcache_des::{RunError, Sim, SimTime};
 use fcache_device::IoLog;
 use fcache_filer::{Filer, FilerConfig};
 use fcache_net::{Segment, SegmentStats};
-use fcache_remote::{shard_filer_config, shard_net_config, RemoteStore, Router, ShardedStore};
+use fcache_remote::{shard_filer_config, shard_net_config, Router, ShardedStore};
 use fcache_types::{
     mix64, FaultSchedule, FxHashSet, HostId, ResolvedFaultSet, SlotCursor, Trace, TraceOp,
     TraceSource, BLOCK_SIZE, TRACE_CHUNK_OPS,
@@ -118,14 +118,12 @@ struct FaultParts {
 struct SimParts {
     sim: Sim,
     cfg: Rc<SimConfig>,
-    filer: Filer,
     metrics: Metrics,
     hosts: Vec<Rc<HostCtx>>,
     fault: Option<FaultParts>,
-    /// The sharded remote tier, present only when
-    /// [`SimConfig::remote_engaged`]. When present, `filer` above is unused
-    /// (hosts alias shard 0's filer) and the report aggregates the shards.
-    remote: Option<Rc<ShardedStore>>,
+    /// The backend: `cfg.shards` filers behind a router (1×1 for the
+    /// paper's single filer).
+    store: Rc<ShardedStore>,
 }
 
 /// Builds the executor and one [`HostCtx`] per host (no tasks yet).
@@ -137,65 +135,57 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     // `time_scale` (like syncer periods) and stochastic episodes expand
     // against the run seed, so the same configuration always injects the
     // same faults.
+    //
+    // `shard<k>`/`shard*` clauses land on per-shard schedules, and filer
+    // clauses fan out to every shard. An out-of-range `shard<k>` is a
+    // configuration error; `Sweep` catches the panic and reports it as the
+    // job's error.
     let fault = (!cfg.fault_plan.is_empty()).then(|| {
-        let set = if cfg.remote_engaged() {
-            // Shard-aware resolve: `shard<k>`/`shard*` clauses land on
-            // per-shard schedules (and filer clauses fan out to every
-            // shard). An out-of-range `shard<k>` is a configuration error;
-            // `Sweep` catches the panic and reports it as the job's error.
-            cfg.fault_plan
-                .resolve_sharded(cfg.seed, cfg.time_scale, cfg.shards)
-                .unwrap_or_else(|e| panic!("{e}"))
-        } else {
-            cfg.fault_plan.resolve(cfg.seed, cfg.time_scale)
-        };
+        let set = cfg
+            .fault_plan
+            .resolve_sharded(cfg.seed, cfg.time_scale, cfg.shards)
+            .unwrap_or_else(|e| panic!("{e}"));
         let acct = Rc::new(set.backend_accounting());
         let set = Rc::new(set);
         let state = Rc::new(RobustnessState::new(acct.windows().len()));
         FaultParts { set, acct, state }
     });
 
-    // Derive the filer draw seed from both the filer seed and the run seed
-    // so distinct configurations decorrelate.
+    let metrics = Metrics::new();
+    let warmup_over = Rc::new(Cell::new(false));
+
+    // The backend: one filer per shard (each with its own content-hash
+    // luck and fault schedule) behind a shared router. Shard 0 runs on the
+    // base seeds — here the filer's draw and fault-RNG seeds, below each
+    // host's segment fault seed — so the default 1×1 store is the single
+    // filer of the pre-remote engine, bit for bit (PERF.md invariant 11).
+    // The base draw seed mixes in the run seed so distinct configurations
+    // decorrelate.
     let filer_cfg = FilerConfig {
         seed: cfg.filer.seed ^ cfg.seed.rotate_left(17),
         ..cfg.filer
     };
-    let mut filer = Filer::new(sim.clone(), filer_cfg);
-    if let Some(fp) = &fault {
-        filer = filer.with_faults(
-            fp.set.filer.clone(),
-            mix64(cfg.seed ^ 0xf11e_fa17_0000_0001),
-        );
-    }
-    let metrics = Metrics::new();
-    let warmup_over = Rc::new(Cell::new(false));
-
-    // The sharded remote tier: one filer per shard (each with its own
-    // content-hash luck and fault schedule) behind a shared router. Built
-    // only when the topology or a shard clause engages it, so the plain
-    // single-filer object graph stays bit-identical otherwise (PERF.md
-    // invariant 11).
-    let remote_store: Option<Rc<ShardedStore>> = cfg.remote_engaged().then(|| {
-        let router = Router::new(cfg.shards, cfg.replicas);
-        let scheds: Vec<FaultSchedule> = match &fault {
-            Some(fp) => fp.set.shards.clone(),
-            None => vec![FaultSchedule::default(); usize::from(cfg.shards)],
-        };
-        let filers: Vec<Filer> = (0..cfg.shards)
-            .map(|k| {
-                let mut f = Filer::new(sim.clone(), shard_filer_config(filer_cfg, k, cfg.seed));
-                if fault.is_some() {
-                    f = f.with_faults(
-                        scheds[usize::from(k)].clone(),
-                        mix64(cfg.seed ^ (u64::from(k) << 16) ^ 0x51a2_fa17_0000_0012),
-                    );
-                }
-                f
-            })
-            .collect();
-        Rc::new(ShardedStore::new(router, filers, scheds))
-    });
+    let scheds: Vec<FaultSchedule> = match &fault {
+        Some(fp) => fp.set.shards.clone(),
+        None => vec![FaultSchedule::default(); usize::from(cfg.shards)],
+    };
+    let filers: Vec<Filer> = (0..cfg.shards)
+        .map(|k| {
+            let mut f = Filer::new(sim.clone(), shard_filer_config(filer_cfg, k));
+            if fault.is_some() {
+                f = f.with_faults(
+                    scheds[usize::from(k)].clone(),
+                    mix64(cfg.seed ^ (u64::from(k) << 16) ^ 0xf11e_fa17_0000_0001),
+                );
+            }
+            f
+        })
+        .collect();
+    let store = Rc::new(ShardedStore::new(
+        Router::new(cfg.shards, cfg.replicas),
+        filers,
+        scheds,
+    ));
 
     // Telemetry: one span stream per run (shared by every host, so rows
     // land in global completion order) and a per-host collector. Built
@@ -216,159 +206,118 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     // fan-in 1 every host is its own leader, so this is literally the
     // pre-fleet per-host wiring, seeds included (PERF.md invariant 13).
     let fanin = cfg.net_fanin();
-    let mut group_segment: Option<Segment> = None;
-    let mut group_remote_segments: Option<Vec<Segment>> = None;
+    // Hedging needs a second replica to race.
+    let hedge_ns = (cfg.replicas > 1)
+        .then(|| cfg.hedge.map(|d| cfg.scaled_time(d).as_nanos()))
+        .flatten();
+    let mut group_segments: Vec<Segment> = Vec::new();
     let mut hosts: Vec<Rc<HostCtx>> = Vec::with_capacity(usize::from(n_hosts));
     for i in 0..n_hosts {
-        {
-            // This host's view of the remote tier: one segment per shard
-            // (shared across the fan-in group), with a small deterministic
-            // latency skew per shard.
-            let remote = if let Some(store) = &remote_store {
-                if i % fanin == 0 {
-                    let segments: Vec<Segment> = (0..cfg.shards)
-                        .map(|k| {
-                            let net = shard_net_config(cfg.net, k);
-                            let mut seg = if cfg.duplex_network {
-                                Segment::new_duplex(sim.clone(), net)
-                            } else {
-                                Segment::new(sim.clone(), net)
-                            };
-                            if let Some(fp) = &fault {
-                                seg = seg.with_faults(
-                                    fp.set.net_to_server.clone(),
-                                    fp.set.net_from_server.clone(),
-                                    mix64(
-                                        cfg.seed
-                                            ^ (u64::from(i) << 32)
-                                            ^ (u64::from(k) << 16)
-                                            ^ 0x5e97_fa17_0000_0012,
-                                    ),
-                                );
-                            }
-                            seg
-                        })
-                        .collect();
-                    group_remote_segments = Some(segments);
-                }
-                Some(RemoteCtx {
-                    store: Rc::clone(store),
-                    segments: group_remote_segments
-                        .clone()
-                        .expect("fan-in group leader builds the wires"),
-                    // Hedging needs a second replica to race.
-                    hedge_ns: (cfg.replicas > 1)
-                        .then(|| cfg.hedge.map(|d| cfg.scaled_time(d).as_nanos()))
-                        .flatten(),
-                })
-            } else {
-                None
-            };
-            let segment = if let Some(r) = &remote {
-                // Alias shard 0's wire so legacy `segment` consumers (stat
-                // resets, debug) see a live handle; aggregation sums the
-                // per-shard segments instead.
-                r.segments[0].clone()
-            } else {
-                if i % fanin == 0 {
-                    let mut segment = if cfg.duplex_network {
-                        Segment::new_duplex(sim.clone(), cfg.net)
+        // This host's view of the backend: one segment per shard
+        // (shared across the fan-in group), with a small deterministic
+        // latency skew per shard.
+        if i % fanin == 0 {
+            group_segments = (0..cfg.shards)
+                .map(|k| {
+                    let net = shard_net_config(cfg.net, k);
+                    let mut seg = if cfg.duplex_network {
+                        Segment::new_duplex(sim.clone(), net)
                     } else {
-                        Segment::new(sim.clone(), cfg.net)
+                        Segment::new(sim.clone(), net)
                     };
                     if let Some(fp) = &fault {
-                        segment = segment.with_faults(
+                        seg = seg.with_faults(
                             fp.set.net_to_server.clone(),
                             fp.set.net_from_server.clone(),
-                            mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0x5e97_fa17_0000_0002),
+                            mix64(
+                                cfg.seed
+                                    ^ (u64::from(i) << 32)
+                                    ^ (u64::from(k) << 16)
+                                    ^ 0x5e97_fa17_0000_0002,
+                            ),
                         );
                     }
-                    group_segment = Some(segment);
-                }
-                group_segment
-                    .clone()
-                    .expect("fan-in group leader builds the wire")
-            };
-            let host_filer = match &remote {
-                Some(r) => r.store.filer(0).clone(),
-                None => filer.clone(),
-            };
-            let unified = (cfg.arch == Architecture::Unified)
-                .then(|| RefCell::new(UnifiedCache::new(cfg.ram_blocks(), cfg.flash_blocks())));
-            let iolog = if cfg.log_flash_io {
-                IoLog::new()
-            } else {
-                IoLog::disabled()
-            };
-            let mut dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone());
-            if let Some(fp) = &fault {
-                dev = dev.with_faults(
-                    fp.set.device.clone(),
-                    mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
-                    Rc::clone(&fp.state),
-                    cfg.scaled_time(cfg.robustness.retry_base),
-                );
-            }
-            let host_fault = fault.as_ref().map(|fp| {
-                Rc::new(FaultCtx {
-                    set: Rc::clone(&fp.set),
-                    acct: Rc::clone(&fp.acct),
-                    cfg: cfg.robustness,
-                    op_timeout: cfg.scaled_time(cfg.robustness.op_timeout),
-                    retry_base: cfg.scaled_time(cfg.robustness.retry_base),
-                    rng: RefCell::new(SmallRng::seed_from_u64(mix64(
-                        cfg.seed ^ (u64::from(i) << 32) ^ 0x0b0f_fa17_0000_0004,
-                    ))),
-                    state: Rc::clone(&fp.state),
+                    seg
                 })
-            });
-            // Fleet cells give every host a private metrics sink (folded
-            // exactly into one snapshot at collection); outside a fleet
-            // every host shares one sink — the pre-fleet object graph.
-            let host_metrics = if cfg.fleet_engaged() {
-                Metrics::new()
-            } else {
-                metrics.clone()
-            };
-            hosts.push(Rc::new(HostCtx {
-                id: HostId(i),
-                sim: sim.clone(),
-                cfg: Rc::clone(&cfg),
-                ram: RefCell::new(BlockCache::with_policy(
-                    if cfg.arch == Architecture::Unified {
-                        0
-                    } else {
-                        cfg.ram_blocks()
-                    },
-                    cfg.replacement,
-                )),
-                flash: RefCell::new(BlockCache::with_policy(
-                    if cfg.arch == Architecture::Unified {
-                        0
-                    } else {
-                        cfg.flash_blocks()
-                    },
-                    cfg.replacement,
-                )),
-                unified,
-                segment,
-                filer: host_filer,
-                metrics: host_metrics,
-                iolog,
-                dev,
-                ram_flush_pending: RefCell::new(FxHashSet::default()),
-                flash_flush_pending: RefCell::new(FxHashSet::default()),
-                peers: RefCell::new(Vec::new()),
-                warmup_over: Rc::clone(&warmup_over),
-                buf_pool: RefCell::new(Vec::new()),
-                flushq: FlushQueue::new(),
-                fault: host_fault,
-                remote,
-                telemetry: cfg
-                    .telemetry_engaged()
-                    .then(|| Rc::new(TelemetryCtx::new(telemetry_window_ns, span_stream.clone()))),
-            }));
+                .collect();
         }
+        let unified = (cfg.arch == Architecture::Unified)
+            .then(|| RefCell::new(UnifiedCache::new(cfg.ram_blocks(), cfg.flash_blocks())));
+        let iolog = if cfg.log_flash_io {
+            IoLog::new()
+        } else {
+            IoLog::disabled()
+        };
+        let mut dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone());
+        if let Some(fp) = &fault {
+            dev = dev.with_faults(
+                fp.set.device.clone(),
+                mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
+                Rc::clone(&fp.state),
+                cfg.scaled_time(cfg.robustness.retry_base),
+            );
+        }
+        let host_fault = fault.as_ref().map(|fp| {
+            Rc::new(FaultCtx {
+                set: Rc::clone(&fp.set),
+                acct: Rc::clone(&fp.acct),
+                cfg: cfg.robustness,
+                op_timeout: cfg.scaled_time(cfg.robustness.op_timeout),
+                retry_base: cfg.scaled_time(cfg.robustness.retry_base),
+                rng: RefCell::new(SmallRng::seed_from_u64(mix64(
+                    cfg.seed ^ (u64::from(i) << 32) ^ 0x0b0f_fa17_0000_0004,
+                ))),
+                state: Rc::clone(&fp.state),
+            })
+        });
+        // Fleet cells give every host a private metrics sink (folded
+        // exactly into one snapshot at collection); outside a fleet
+        // every host shares one sink — the pre-fleet object graph.
+        let host_metrics = if cfg.fleet_engaged() {
+            Metrics::new()
+        } else {
+            metrics.clone()
+        };
+        hosts.push(Rc::new(HostCtx {
+            id: HostId(i),
+            sim: sim.clone(),
+            cfg: Rc::clone(&cfg),
+            ram: RefCell::new(BlockCache::with_policy(
+                if cfg.arch == Architecture::Unified {
+                    0
+                } else {
+                    cfg.ram_blocks()
+                },
+                cfg.replacement,
+            )),
+            flash: RefCell::new(BlockCache::with_policy(
+                if cfg.arch == Architecture::Unified {
+                    0
+                } else {
+                    cfg.flash_blocks()
+                },
+                cfg.replacement,
+            )),
+            unified,
+            metrics: host_metrics,
+            iolog,
+            dev,
+            ram_flush_pending: RefCell::new(FxHashSet::default()),
+            flash_flush_pending: RefCell::new(FxHashSet::default()),
+            peers: RefCell::new(Vec::new()),
+            warmup_over: Rc::clone(&warmup_over),
+            buf_pool: RefCell::new(Vec::new()),
+            flushq: FlushQueue::new(),
+            fault: host_fault,
+            remote: RemoteCtx {
+                store: Rc::clone(&store),
+                segments: group_segments.clone(),
+                hedge_ns,
+            },
+            telemetry: cfg
+                .telemetry_engaged()
+                .then(|| Rc::new(TelemetryCtx::new(telemetry_window_ns, span_stream.clone()))),
+        }));
     }
     for (i, h) in hosts.iter().enumerate() {
         *h.peers.borrow_mut() = hosts
@@ -382,11 +331,10 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     SimParts {
         sim,
         cfg,
-        filer,
         metrics,
         hosts,
         fault,
-        remote: remote_store,
+        store,
     }
 }
 
@@ -455,9 +403,12 @@ fn spawn_daemons(parts: &SimParts) {
     // backlog before the run ends; a fleet rebuilds in parallel but
     // bounds the streams to protect foreground traffic). One pass per
     // (shard, outage span), so a copy whose only source is itself still
-    // down is requeued for the next pass.
+    // down is requeued for the next pass. At replication 1 no other copy
+    // exists to copy from (a write with its one replica down parks
+    // instead), so no recovery daemon is spawned.
     const REPAIR_STREAMS: usize = 16;
-    if let (Some(store), Some(_)) = (&parts.remote, &parts.fault) {
+    if cfg.replicas > 1 && parts.fault.is_some() {
+        let store = &parts.store;
         for k in 0..store.router().shards() {
             for (_, end_ns) in store.faults(k).outage_spans() {
                 let store = Rc::clone(store);
@@ -515,11 +466,10 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
     let SimParts {
         sim,
         cfg,
-        filer,
         metrics,
         hosts,
         fault,
-        ..
+        store,
     } = parts;
     let run = sim.run().map_err(SimError::from);
 
@@ -538,7 +488,6 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
     // Aggregate before shutdown (shutdown drops the host tasks).
     let mut report = SimReport {
         metrics: metrics.snapshot(),
-        filer: filer.stats(),
         end_time: sim.now(),
         events: sim.events_processed(),
         ..SimReport::default()
@@ -550,14 +499,8 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
             report.unified += *u.borrow().stats();
         }
         if i % usize::from(fanin) == 0 {
-            if let Some(r) = &h.remote {
-                // Per-shard wires; `h.segment` aliases `r.segments[0]`, so
-                // only the per-shard list is summed.
-                for seg in &r.segments {
-                    add_seg(&mut report.net, seg.stats());
-                }
-            } else {
-                add_seg(&mut report.net, h.segment.stats());
+            for seg in &h.remote.segments {
+                add_seg(&mut report.net, seg.stats());
             }
         }
         report.device += h.dev.stats();
@@ -589,33 +532,27 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
             SimTime::from_nanos(fp.set.filer.outage_overlap(report.end_time.as_nanos()));
         report.robustness = rs;
     }
-    if let Some(store) = &parts.remote {
-        // The shared `filer` is bypassed in remote mode: service counters
-        // live in the per-shard filers.
-        let end_ns = report.end_time.as_nanos();
-        let mut total = fcache_filer::FilerStats::default();
-        let mut per_shard = Vec::with_capacity(usize::from(store.router().shards()));
-        for k in 0..store.router().shards() {
-            let fs = store.shard_stats(k);
-            total.fast_reads += fs.fast_reads;
-            total.slow_reads += fs.slow_reads;
-            total.writes += fs.writes;
-            per_shard.push(crate::report::ShardServiceStats {
-                fast_reads: fs.fast_reads,
-                slow_reads: fs.slow_reads,
-                writes: fs.writes,
-                outage_ns: store.faults(k).outage_overlap(end_ns),
-            });
-        }
-        report.filer = total;
+    // Filer service counters are the sum over the shards; only runs that
+    // engage the remote tier carry the per-shard `shard` section.
+    let end_ns = report.end_time.as_nanos();
+    let mut per_shard = Vec::with_capacity(usize::from(store.router().shards()));
+    for k in 0..store.router().shards() {
+        let fs = store.shard_stats(k);
+        report.filer.fast_reads += fs.fast_reads;
+        report.filer.slow_reads += fs.slow_reads;
+        report.filer.writes += fs.writes;
+        per_shard.push(crate::report::ShardServiceStats {
+            fast_reads: fs.fast_reads,
+            slow_reads: fs.slow_reads,
+            writes: fs.writes,
+            outage_ns: store.faults(k).outage_overlap(end_ns),
+        });
+    }
+    if cfg.remote_engaged() {
         report.shard = crate::report::ShardStats {
             shards: store.router().shards(),
             replicas: store.router().replicas(),
-            hedge_ns: hosts
-                .first()
-                .and_then(|h| h.remote.as_ref())
-                .and_then(|r| r.hedge_ns)
-                .unwrap_or(0),
+            hedge_ns: hosts.first().and_then(|h| h.remote.hedge_ns).unwrap_or(0),
             per_shard,
             remote: store.stats(end_ns),
         };
@@ -629,24 +566,22 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
         }
         // Per-window shard availability is global (one fault schedule per
         // shard), filled once at collection rather than summed per host.
-        if telem.window_ns > 0 {
-            if let Some(store) = &parts.remote {
-                let spans: Vec<Vec<(u64, u64)>> = (0..store.router().shards())
-                    .map(|k| store.faults(k).outage_spans())
+        if telem.window_ns > 0 && cfg.remote_engaged() {
+            let spans: Vec<Vec<(u64, u64)>> = (0..store.router().shards())
+                .map(|k| store.faults(k).outage_spans())
+                .collect();
+            for w in &mut telem.windows {
+                let (lo, hi) = (w.start_ns, w.end_ns);
+                w.shard_live_ns = spans
+                    .iter()
+                    .map(|outages| {
+                        let down: u64 = outages
+                            .iter()
+                            .map(|&(s, e)| e.min(hi).saturating_sub(s.max(lo)))
+                            .sum();
+                        (hi - lo).saturating_sub(down)
+                    })
                     .collect();
-                for w in &mut telem.windows {
-                    let (lo, hi) = (w.start_ns, w.end_ns);
-                    w.shard_live_ns = spans
-                        .iter()
-                        .map(|outages| {
-                            let down: u64 = outages
-                                .iter()
-                                .map(|&(s, e)| e.min(hi).saturating_sub(s.max(lo)))
-                                .sum();
-                            (hi - lo).saturating_sub(down)
-                        })
-                        .collect();
-                }
             }
         }
         report.telemetry = telem;
@@ -1041,4 +976,31 @@ fn run_forked<S: TraceSource + ?Sized>(
         return Err(SimError::Source(msg));
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Shard `k`'s filer draw seed in a `shards`-shard run seeded `run_seed`.
+    fn shard_seed(run_seed: u64, shards: u16, k: u16) -> u64 {
+        let cfg = SimConfig {
+            seed: run_seed,
+            shards,
+            ..SimConfig::default()
+        };
+        build_parts(&cfg, 1).store.filer(k).config().seed
+    }
+
+    #[test]
+    fn shard_seeds_follow_the_run_seed_and_shard_zero_is_the_plain_filer() {
+        for run_seed in [1u64, 42, 0xdead_beef] {
+            // The seed the single filer has always drawn from.
+            let plain = SimConfig::default().filer.seed ^ run_seed.rotate_left(17);
+            assert_eq!(shard_seed(run_seed, 1, 0), plain);
+            assert_eq!(shard_seed(run_seed, 2, 0), plain);
+        }
+        assert_ne!(shard_seed(1, 2, 1), shard_seed(42, 2, 1));
+        assert_ne!(shard_seed(42, 2, 1), shard_seed(0xdead_beef, 2, 1));
+    }
 }

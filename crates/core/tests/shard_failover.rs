@@ -27,9 +27,10 @@ fn sharded(shards: u16, replicas: u16) -> SimConfig {
 
 #[test]
 fn single_shard_replication_one_is_the_filer_engine() {
-    // Invariant 11: shards=1 x replicas=1 with no shard fault clauses does
-    // not engage the remote tier at all — the run is the pre-remote filer
-    // path, bit for bit, including the DES event count.
+    // Invariant 11: shards=1 x replicas=1 with no shard fault clauses is
+    // the default store — shard 0 on the base seeds — so the run is the
+    // pre-remote filer engine bit for bit, including the DES event count,
+    // and the report carries no shard section.
     let trace = workbench_trace();
     let plain = run_trace(&SimConfig::baseline().scaled_down(SCALE), &trace).expect("plain");
     let single = run_trace(&sharded(1, 1), &trace).expect("single-shard");
@@ -136,6 +137,28 @@ fn replication_one_fails_where_replication_two_survives() {
         "R=1 has nowhere to fail over to"
     );
     assert_eq!(r2.robustness.failed_ops, 0, "R=2 survives the same outage");
+}
+
+#[test]
+fn replication_one_parks_writes_through_an_outage_instead_of_dropping_them() {
+    // At R=1 a write whose only replica goes down mid-retry (the flaky
+    // wire keeps it retrying into the outage) has no other copy to lean
+    // on: it must park until the shard returns, never ack under-replicated.
+    let trace = workbench_trace();
+    for (shards, spec) in [
+        (2, "net:err0.9@20s-40s;shard*:outage@40s-60s"),
+        (1, "net:err0.9@20s-40s;shard0:outage@40s-60s"),
+    ] {
+        let mut cfg = sharded(shards, 1);
+        cfg.fault_plan = FaultPlan::parse(spec).expect("valid spec");
+        let r = run_trace(&cfg, &trace).expect("faulted run");
+        let rem = &r.shard.remote;
+        assert!(r.robustness.retries > 0, "{spec}: the flaky wire retries");
+        assert!(r.robustness.queued_ops > 0, "{spec}: writes park");
+        assert_eq!(rem.under_peak, 0, "{spec}: no write acked without a copy");
+        assert_eq!(rem.under_now, 0, "{spec}: no write left stored nowhere");
+        assert_eq!(rem.re_replicated_blocks, 0, "{spec}: nothing to repair");
+    }
 }
 
 #[test]

@@ -39,10 +39,10 @@ use std::task::{Context, Poll};
 
 /// A set of in-flight sub-operations awaited together.
 ///
-/// Futures submitted to the set are not polled until [`wait_all`]
-/// (`CompletionSet::wait_all`) is awaited; the first poll then runs them
-/// in submission order, which is what queues their resource acquisitions
-/// FIFO. The set may be reused after `wait_all` completes.
+/// Futures submitted to the set are not polled until
+/// [`wait_all`](CompletionSet::wait_all) is awaited; the first poll then
+/// runs them in submission order, which is what queues their resource
+/// acquisitions FIFO. The set may be reused after `wait_all` completes.
 #[derive(Default)]
 pub struct CompletionSet<'a> {
     pending: Vec<Pin<Box<dyn Future<Output = ()> + 'a>>>,

@@ -12,16 +12,17 @@
 //!   fast) plus each shard's resolved [`FaultSchedule`], and keeps the
 //!   replication bookkeeping the engine's read/write paths drive:
 //!   hedged-read counters, failover counts, and the under-replicated set
-//!   a recovery pass re-replicates when a failed shard returns;
-//! - the [`RemoteStore`] trait is the seam those paths compile against,
-//!   so alternative backends (a real object store, a different placement
-//!   scheme) can slot in without touching the engine.
+//!   a recovery pass re-replicates when a failed shard returns.
+//!
+//! The store is the simulator's only backend: the paper's single filer is
+//! the 1×1 topology, whose shard 0 runs on the base filer seed.
 //!
 //! Replication semantics are **read-any / write-all**: a read is served by
 //! whichever replica answers (optionally hedged after a configurable
 //! delay), a write acknowledges only once every *live* replica has
-//! accepted it, and replicas down at write time are recorded here as
-//! under-replicated so recovery can restore the replication factor.
+//! accepted it, and a replica down at write time while another replica is
+//! live is recorded here as under-replicated so recovery can restore the
+//! replication factor. (With no live replica the write waits instead.)
 //! Everything is deterministic: routing is a pure hash, and all schedule
 //! consultations happen at caller-supplied simulated times.
 
@@ -77,8 +78,13 @@ impl Router {
 
     /// The block's replica ring, primary first.
     pub fn replica_set(&self, addr: BlockAddr) -> ReplicaSet {
+        self.ring(self.primary(addr))
+    }
+
+    /// The replica ring of every block whose primary is `primary`.
+    pub fn ring(&self, primary: u16) -> ReplicaSet {
         ReplicaSet {
-            start: self.primary(addr),
+            start: primary,
             shards: self.shards,
             len: self.replicas,
             next: 0,
@@ -120,13 +126,14 @@ impl ExactSizeIterator for ReplicaSet {}
 /// content-hash seed, so each shard has its own fast/slow luck (two
 /// replicas of one block can disagree — reading from a failover replica
 /// really does change the draw, like a different server's cache would).
-pub fn shard_filer_config(base: FilerConfig, shard: u16, run_seed: u64) -> FilerConfig {
-    FilerConfig {
-        seed: mix64(
-            base.seed ^ run_seed.rotate_left(17) ^ (u64::from(shard) << 16) ^ 0x51a2_fa17_0000_0011,
-        ),
-        ..base
-    }
+/// Shard 0 keeps the base seed, so a one-shard store is the plain filer;
+/// the caller has already mixed its run seed into `base.seed`.
+pub fn shard_filer_config(base: FilerConfig, shard: u16) -> FilerConfig {
+    let seed = match shard {
+        0 => base.seed,
+        k => mix64(base.seed ^ (u64::from(k) << 16) ^ 0x51a2_fa17_0000_0011),
+    };
+    FilerConfig { seed, ..base }
 }
 
 /// Per-shard wire configuration: shard `k`'s per-packet base latency is
@@ -168,24 +175,6 @@ pub struct RemoteStats {
     pub under_now: u64,
     /// Total simulated time some block was under-replicated.
     pub under_time_ns: u64,
-}
-
-/// The seam the engine's sharded read/write paths compile against:
-/// topology, per-shard service handles, per-shard fault schedules, and the
-/// replication bookkeeping. One instance is shared by every host in a run.
-pub trait RemoteStore {
-    /// The placement topology.
-    fn router(&self) -> Router;
-    /// Shard `k`'s service model.
-    fn filer(&self, shard: u16) -> &Filer;
-    /// Shard `k`'s resolved fault schedule (empty when the run injects
-    /// nothing there).
-    fn faults(&self, shard: u16) -> &FaultSchedule;
-    /// Shard `k`'s service counters.
-    fn shard_stats(&self, shard: u16) -> FilerStats;
-    /// Replication-layer counters; an under-replicated interval still open
-    /// at `now_ns` is counted up to `now_ns`.
-    fn stats(&self, now_ns: u64) -> RemoteStats;
 }
 
 #[derive(Default)]
@@ -239,6 +228,49 @@ impl ShardedStore {
         }
     }
 
+    /// The placement topology.
+    pub fn router(&self) -> Router {
+        self.router
+    }
+
+    /// Shard `k`'s service model.
+    pub fn filer(&self, shard: u16) -> &Filer {
+        &self.filers[usize::from(shard)]
+    }
+
+    /// Shard `k`'s resolved fault schedule (empty when the run injects
+    /// nothing there).
+    pub fn faults(&self, shard: u16) -> &FaultSchedule {
+        &self.faults[usize::from(shard)]
+    }
+
+    /// Shard `k`'s service counters.
+    pub fn shard_stats(&self, shard: u16) -> FilerStats {
+        self.filers[usize::from(shard)].stats()
+    }
+
+    /// Replication-layer counters; an under-replicated interval still open
+    /// at `now_ns` is counted up to `now_ns`.
+    pub fn stats(&self, now_ns: u64) -> RemoteStats {
+        let c = &self.counters;
+        let mut under_time_ns = c.under_time_ns.get();
+        if let Some(since) = self.open_since.get() {
+            under_time_ns += now_ns.saturating_sub(since);
+        }
+        RemoteStats {
+            hedges_launched: c.hedges_launched.get(),
+            hedges_won: c.hedges_won.get(),
+            hedges_cancelled: c.hedges_cancelled.get(),
+            failovers: c.failovers.get(),
+            re_replicated_blocks: c.re_replicated_blocks.get(),
+            re_replication_bytes: c.re_replication_bytes.get(),
+            under_intervals: c.under_intervals.get(),
+            under_peak: c.under_peak.get(),
+            under_now: self.under_total.get(),
+            under_time_ns,
+        }
+    }
+
     /// Whether shard `k` is up (no open outage) at `now_ns`.
     pub fn live_at(&self, shard: u16, now_ns: u64) -> bool {
         self.faults[usize::from(shard)]
@@ -249,6 +281,19 @@ impl ShardedStore {
     /// If shard `k` is in an outage at `now_ns`, when it clears.
     pub fn outage_until(&self, shard: u16, now_ns: u64) -> Option<u64> {
         self.faults[usize::from(shard)].outage_until(now_ns)
+    }
+
+    /// The shards of `ring` that are up at `now_ns`, in ring order.
+    pub fn live_in(&self, ring: ReplicaSet, now_ns: u64) -> impl Iterator<Item = u16> + '_ {
+        ring.filter(move |&s| self.live_at(s, now_ns))
+    }
+
+    /// If every shard of `ring` is in an outage at `now_ns`, when the
+    /// first of them clears; `None` while any is up.
+    pub fn ring_outage_until(&self, ring: ReplicaSet, now_ns: u64) -> Option<u64> {
+        // `None` (up) orders below every `Some`, so one live shard makes
+        // the minimum `None`.
+        ring.map(|s| self.outage_until(s, now_ns)).min()?
     }
 
     /// Records that `addr`'s copy on `shard` was skipped by a write-all
@@ -348,44 +393,6 @@ impl ShardedStore {
     }
 }
 
-impl RemoteStore for ShardedStore {
-    fn router(&self) -> Router {
-        self.router
-    }
-
-    fn filer(&self, shard: u16) -> &Filer {
-        &self.filers[usize::from(shard)]
-    }
-
-    fn faults(&self, shard: u16) -> &FaultSchedule {
-        &self.faults[usize::from(shard)]
-    }
-
-    fn shard_stats(&self, shard: u16) -> FilerStats {
-        self.filers[usize::from(shard)].stats()
-    }
-
-    fn stats(&self, now_ns: u64) -> RemoteStats {
-        let c = &self.counters;
-        let mut under_time_ns = c.under_time_ns.get();
-        if let Some(since) = self.open_since.get() {
-            under_time_ns += now_ns.saturating_sub(since);
-        }
-        RemoteStats {
-            hedges_launched: c.hedges_launched.get(),
-            hedges_won: c.hedges_won.get(),
-            hedges_cancelled: c.hedges_cancelled.get(),
-            failovers: c.failovers.get(),
-            re_replicated_blocks: c.re_replicated_blocks.get(),
-            re_replication_bytes: c.re_replication_bytes.get(),
-            under_intervals: c.under_intervals.get(),
-            under_peak: c.under_peak.get(),
-            under_now: self.under_total.get(),
-            under_time_ns,
-        }
-    }
-}
-
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
@@ -446,11 +453,17 @@ mod tests {
     #[test]
     fn shard_configs_skew_deterministically() {
         let base = FilerConfig::default();
-        let a = shard_filer_config(base, 0, 42);
-        let b = shard_filer_config(base, 1, 42);
+        let a = shard_filer_config(base, 0);
+        let b = shard_filer_config(base, 1);
+        assert_eq!(a, base, "shard 0 is the base filer");
         assert_ne!(a.seed, b.seed);
-        assert_eq!(a.seed, shard_filer_config(base, 0, 42).seed);
-        assert_eq!(a.fast_read, base.fast_read);
+        assert_eq!(b.seed, shard_filer_config(base, 1).seed);
+        assert_eq!(b.fast_read, base.fast_read);
+        let reseeded = FilerConfig {
+            seed: base.seed ^ 1,
+            ..base
+        };
+        assert_ne!(shard_filer_config(reseeded, 1).seed, b.seed);
 
         let net = NetConfig::default();
         assert_eq!(shard_net_config(net, 0), net);
@@ -461,12 +474,7 @@ mod tests {
         let sim = Sim::new();
         let router = Router::new(2, 2);
         let filers = (0..2)
-            .map(|k| {
-                Filer::new(
-                    sim.clone(),
-                    shard_filer_config(FilerConfig::default(), k, 1),
-                )
-            })
+            .map(|k| Filer::new(sim.clone(), shard_filer_config(FilerConfig::default(), k)))
             .collect();
         let set = FaultPlan::parse("shard1:outage@10s-20s")
             .unwrap()
@@ -482,6 +490,30 @@ mod tests {
         assert!(!store.live_at(1, 15_000_000_000));
         assert_eq!(store.outage_until(1, 15_000_000_000), Some(20_000_000_000));
         assert!(store.live_at(1, 25_000_000_000));
+    }
+
+    #[test]
+    fn ring_liveness_lists_live_replicas_and_the_first_recovery() {
+        let sim = Sim::new();
+        let filers = (0..2)
+            .map(|k| Filer::new(sim.clone(), shard_filer_config(FilerConfig::default(), k)))
+            .collect();
+        let set = FaultPlan::parse("shard0:outage@10s-30s;shard1:outage@15s-20s")
+            .unwrap()
+            .resolve_sharded(1, 1, 2)
+            .unwrap();
+        let store = ShardedStore::new(Router::new(2, 2), filers, set.shards);
+        let ring = store.router().ring(1);
+        let s = 1_000_000_000u64;
+        assert_eq!(store.live_in(ring, 12 * s).collect::<Vec<_>>(), [1]);
+        assert_eq!(store.ring_outage_until(ring, 12 * s), None);
+        assert_eq!(store.live_in(ring, 17 * s).count(), 0);
+        assert_eq!(
+            store.ring_outage_until(ring, 17 * s),
+            Some(20 * s),
+            "the first replica back ends the wait"
+        );
+        assert_eq!(store.live_in(ring, 40 * s).collect::<Vec<_>>(), [1, 0]);
     }
 
     #[test]

@@ -763,10 +763,9 @@ impl FaultPlan {
     /// full 60 GB workload lands proportionally in a scaled-down run.
     ///
     /// Shard clauses (`shard<k>`/`shard*`) are skipped here — they only
-    /// make sense against a concrete topology, so runs with shard clauses
-    /// go through [`FaultPlan::resolve_sharded`] instead (the engine
-    /// engages its remote tier whenever
-    /// [`FaultPlan::has_shard_clauses`] is true).
+    /// make sense against a concrete topology, which is why the engine
+    /// always resolves through [`FaultPlan::resolve_sharded`] with its
+    /// shard count (the default single filer is one shard).
     pub fn resolve(&self, seed: u64, time_div: u64) -> ResolvedFaultSet {
         self.resolve_inner(seed, time_div, 0)
     }
