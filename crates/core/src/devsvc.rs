@@ -31,9 +31,14 @@
 //! the same device timings (asserted by `tests/sweep_determinism.rs`).
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
-use fcache_des::{CompletionSet, Resource, Sim, SimTime};
+use fcache_des::executor::Sleep;
+use fcache_des::resource::Acquire;
+use fcache_des::{CompletionSet, Resource, ResourceGuard, Sim, SimTime};
 use fcache_device::{IoDirection, IoLog, SsdModel, WindowStat};
 use fcache_types::{BlockAddr, FaultEffect, FaultSchedule, HostId, Phase};
 use rand::rngs::SmallRng;
@@ -470,17 +475,23 @@ impl DeviceService {
                 // One device command per distinct LBA, first-occurrence
                 // order (repeats inside one op would hit the device's
                 // internal cache, and the iolog records each LBA once).
-                let mut lbas: Vec<u64> = Vec::with_capacity(addrs.len());
+                let mut batch = take_batch();
                 for &a in addrs {
                     let lba = self.lba(a);
-                    if !lbas.contains(&lba) {
-                        lbas.push(lba);
+                    let repeat = batch
+                        .pending()
+                        .iter()
+                        .any(|c| matches!(*c, Cmd::New(l) if l == lba));
+                    if !repeat {
+                        batch.submit(Cmd::New(lba));
                     }
                 }
-                for &lba in &lbas {
-                    self.iolog.log_read(lba);
+                for cmd in batch.pending() {
+                    if let Cmd::New(lba) = *cmd {
+                        self.iolog.log_read(lba);
+                    }
                 }
-                q.service_batch(&self.sim, IoDirection::Read, &lbas, m, sp)
+                q.service_batch(&self.sim, IoDirection::Read, batch, m, sp)
                     .await;
             }
         }
@@ -507,7 +518,10 @@ impl DeviceService {
             Some(q) => {
                 self.iolog.log_write(lba);
                 if self.persistent {
-                    q.service_batch(&self.sim, IoDirection::Write, &[lba, lba], m, sp)
+                    let mut batch = take_batch();
+                    batch.submit(Cmd::New(lba));
+                    batch.submit(Cmd::New(lba));
+                    q.service_batch(&self.sim, IoDirection::Write, batch, m, sp)
                         .await;
                 } else {
                     q.service(&self.sim, IoDirection::Write, lba, m, sp).await;
@@ -596,12 +610,14 @@ impl SsdQueue {
     ///
     /// A batch of one is serviced through [`Self::service`] verbatim, so
     /// it stays bit-identical to a single [`DeviceService::read`]. Larger
-    /// batches submit through a [`CompletionSet`]: sub-commands are polled
-    /// in submission order, the NCQ [`Resource`] grants FIFO, so model
-    /// draws still happen in submission order and stay deterministic.
-    /// Per-command stats are exact — each command records its own
-    /// occupancy-at-submit, wait flag, service draw, histogram entry, and
-    /// window sample, exactly as many as serial submission would.
+    /// batches are stepped through their [`CompletionSet`] with
+    /// [`Self::step`]: commands are visited in submission order, the NCQ
+    /// [`Resource`] grants FIFO, so model draws still happen in submission
+    /// order and stay deterministic. Per-command stats are exact — each
+    /// command records its own occupancy-at-submit, wait flag, service
+    /// draw, histogram entry, and window sample, exactly as many as serial
+    /// submission would. The set goes back to the thread's pool, so a
+    /// batch allocates nothing once the pool is warm.
     ///
     /// Span attribution: the op is in `FlashQueue` from batch submission
     /// until its last command is admitted and drawn, then `DeviceService`
@@ -610,46 +626,83 @@ impl SsdQueue {
         &self,
         sim: &Sim,
         dir: IoDirection,
-        lbas: &[u64],
+        mut batch: CompletionSet<Cmd>,
         scale: f64,
         sp: Option<&OpSpan>,
     ) {
-        match lbas {
-            [] => {}
-            [lba] => self.service(sim, dir, *lba, scale, sp).await,
+        match *batch.pending() {
+            [] => put_batch(batch),
+            [Cmd::New(lba)] => {
+                put_batch(batch);
+                self.service(sim, dir, lba, scale, sp).await;
+            }
             _ => {
-                let admitted = Cell::new(0usize);
-                let n = lbas.len();
+                let n = batch.len();
+                let mut admitted = 0usize;
                 enter(sp, sim, Phase::FlashQueue);
-                let mut batch = CompletionSet::new();
-                for &lba in lbas {
-                    let admitted = &admitted;
-                    batch.submit(async move {
-                        let waited = self.slots.available() == 0 || self.slots.queue_len() > 0;
-                        self.stats.note_submit(self.inflight(), waited);
-                        let _slot = self.slots.acquire().await;
-                        let t = {
-                            let mut m = self.model.borrow_mut();
-                            match dir {
-                                IoDirection::Read => m.read(lba),
-                                IoDirection::Write => m.write(lba),
-                            }
-                        };
-                        let t = DeviceService::inflate(t, scale);
-                        self.stats.note_complete(dir, t);
-                        self.window_record(dir, t);
-                        admitted.set(admitted.get() + 1);
-                        if admitted.get() == n {
-                            // The whole batch is in service; the op's
-                            // remaining wait is pure device time.
-                            enter(sp, sim, Phase::DeviceService);
-                        }
-                        sim.sleep(t).await;
-                    });
-                }
-                batch.wait_all().await;
+                batch
+                    .wait_all(|cmd, cx| self.step(cmd, cx, sim, dir, scale, (&mut admitted, n), sp))
+                    .await;
+                put_batch(batch);
             }
         }
+    }
+
+    /// Advances one batch command as far as it can go, exactly as
+    /// [`Self::service`] would: record occupancy and queue for a slot,
+    /// then draw the service time once granted, then hold the slot for
+    /// that long. `admitted` counts the batch's commands drawn so far out
+    /// of its `n`; the last one moves the op's span to `DeviceService`.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &self,
+        cmd: &mut Cmd,
+        cx: &mut Context<'_>,
+        sim: &Sim,
+        dir: IoDirection,
+        scale: f64,
+        (admitted, n): (&mut usize, usize),
+        sp: Option<&OpSpan>,
+    ) -> Poll<()> {
+        if let Cmd::New(lba) = *cmd {
+            let waited = self.slots.available() == 0 || self.slots.queue_len() > 0;
+            self.stats.note_submit(self.inflight(), waited);
+            *cmd = Cmd::Queued(lba, self.slots.acquire());
+        }
+        if let Cmd::Queued(lba, acquire) = cmd {
+            let Poll::Ready(slot) = Pin::new(acquire).poll(cx) else {
+                return Poll::Pending;
+            };
+            let t = {
+                let mut m = self.model.borrow_mut();
+                match dir {
+                    IoDirection::Read => m.read(*lba),
+                    IoDirection::Write => m.write(*lba),
+                }
+            };
+            let t = DeviceService::inflate(t, scale);
+            self.stats.note_complete(dir, t);
+            self.window_record(dir, t);
+            *admitted += 1;
+            if *admitted == n {
+                // The whole batch is in service; the op's remaining wait
+                // is pure device time.
+                enter(sp, sim, Phase::DeviceService);
+            }
+            *cmd = Cmd::InService {
+                _slot: slot,
+                sleep: sim.sleep(t),
+            };
+        }
+        if let Cmd::InService { sleep, .. } = cmd {
+            if Pin::new(sleep).poll(cx).is_pending() {
+                return Poll::Pending;
+            }
+        }
+        // Releasing the slot wakes the next waiter before the batch
+        // visits its next command.
+        *cmd = Cmd::Done;
+        Poll::Ready(())
     }
 
     fn window_record(&self, dir: IoDirection, t: SimTime) {
@@ -674,6 +727,38 @@ impl SsdQueue {
             self.windows.borrow_mut().push(stat);
         }
     }
+}
+
+/// One command of an SSD batch, as [`SsdQueue::step`] advances it.
+enum Cmd {
+    /// Submitted for this LBA, not yet at the queue.
+    New(u64),
+    /// Waiting FIFO for a service slot.
+    Queued(u64, Acquire),
+    /// Holding a slot for its drawn service time.
+    InService { _slot: ResourceGuard, sleep: Sleep },
+    /// Completed; its slot is released.
+    Done,
+}
+
+thread_local! {
+    /// Empty batches with their slot arrays kept.
+    static BATCHES: RefCell<Vec<CompletionSet<Cmd>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes an empty batch from the thread's pool.
+fn take_batch() -> CompletionSet<Cmd> {
+    BATCHES
+        .try_with(|p| p.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+/// Returns a batch to the thread's pool.
+fn put_batch(mut batch: CompletionSet<Cmd>) {
+    batch.clear();
+    let _ = BATCHES.try_with(|p| p.borrow_mut().push(batch));
 }
 
 impl std::fmt::Debug for DeviceService {

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use fcache_cache::{InsertOutcome, Medium};
-use fcache_des::SimTime;
+use fcache_des::{JoinHandle, SimTime};
 use fcache_net::Direction;
 use fcache_remote::ReplicaSet;
 use fcache_types::{BlockAddr, FaultError, FaultKind, OpKind, Phase, TraceOp, BLOCK_SIZE};
@@ -21,6 +21,7 @@ use crate::flush::{self, FlushReq, FlushTarget};
 use crate::host::{HostCtx, RemoteCtx};
 use crate::policy::WritebackPolicy;
 use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState};
+use crate::scratch;
 use crate::telemetry::{enter, OpSpan};
 
 /// Where the data being flushed currently lives, which decides what the
@@ -73,9 +74,9 @@ pub(crate) async fn execute_op(h: &Rc<HostCtx>, op: &TraceOp) -> SimTime {
 /// are "first placed in flash, then into RAM" (§3.2).
 async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
     // RAM stage: hits pay the RAM read latency; misses fall through. The
-    // miss/hit lists live in pooled buffers so the per-op path performs no
-    // heap allocation after pool warmup.
-    let mut ram_misses = h.take_buf();
+    // miss/hit lists live in the thread's pooled buffers, so the per-op
+    // path performs no heap allocation after the thread's first run.
+    let mut ram_misses = scratch::take_buf();
     let mut wait = SimTime::ZERO;
     if h.has_ram() {
         let mut ram = h.ram.borrow_mut();
@@ -101,24 +102,23 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
         if let Some(s) = sp {
             s.note_blocks(u64::from(op.nblocks()), 0);
         }
-        h.put_buf(ram_misses);
+        scratch::put_buf(ram_misses);
         return;
     }
 
-    // Flash stage.
-    let mut flash_hits = h.take_buf();
-    let mut filer_misses = h.take_buf();
+    // Flash stage: hits move to their own list, and what stays in the
+    // miss list goes on to the filer.
+    let mut flash_hits = scratch::take_buf();
+    let mut filer_misses = ram_misses;
     if h.has_flash() {
         let mut flash = h.flash.borrow_mut();
-        for b in &ram_misses {
-            if flash.lookup(*b) {
-                flash_hits.push(*b);
-            } else {
-                filer_misses.push(*b);
+        filer_misses.retain(|&b| {
+            let hit = flash.lookup(b);
+            if hit {
+                flash_hits.push(b);
             }
-        }
-    } else {
-        std::mem::swap(&mut filer_misses, &mut ram_misses);
+            !hit
+        });
     }
     // Device time for the flash hits goes through the timing service:
     // flat mode charges one combined sleep (as the paper's model always
@@ -156,9 +156,8 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
             ram_insert(h, b, false, sp).await;
         }
     }
-    h.put_buf(ram_misses);
-    h.put_buf(flash_hits);
-    h.put_buf(filer_misses);
+    scratch::put_buf(flash_hits);
+    scratch::put_buf(filer_misses);
 }
 
 /// Unified read: one lookup against the single LRU chain; hits pay the
@@ -169,8 +168,8 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
         .as_ref()
         .expect("unified arch has a unified cache");
     let mut wait = SimTime::ZERO;
-    let mut misses = h.take_buf();
-    let mut flash_hits = h.take_buf();
+    let mut misses = scratch::take_buf();
+    let mut flash_hits = scratch::take_buf();
     {
         let mut u = unified.borrow_mut();
         for b in op.blocks() {
@@ -195,12 +194,12 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
     // Queue-aware flash hits overlap through the NCQ as one batch, the
     // same as the layered read path.
     h.dev.read_batch(&flash_hits, sp).await;
-    h.put_buf(flash_hits);
+    scratch::put_buf(flash_hits);
     if misses.is_empty() {
         if let Some(s) = sp {
             s.note_blocks(u64::from(op.nblocks()), 0);
         }
-        h.put_buf(misses);
+        scratch::put_buf(misses);
         return;
     }
     let miss_count = misses.len() as u64;
@@ -216,7 +215,7 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
             unified_insert(h, b, false, sp).await;
         }
     }
-    h.put_buf(misses);
+    scratch::put_buf(misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +287,7 @@ async fn ram_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&O
     enter(sp, &h.sim, Phase::CacheProbe);
     h.sim.sleep(h.cfg.ram_model.write).await;
     let outcome = h.ram.borrow_mut().insert(addr, dirty);
+    h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
         if ev.dirty {
             evicted_ram_writeback(h, ev.addr, sp).await;
@@ -318,6 +318,7 @@ async fn evicted_ram_writeback(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpS
 async fn flash_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&OpSpan>) {
     h.dev.write(addr, sp).await;
     let outcome = h.flash.borrow_mut().insert(addr, dirty);
+    h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
         if ev.dirty {
             flush_to_filer(h, ev.addr, FlushSource::Flash, sp).await;
@@ -359,6 +360,7 @@ async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Optio
         .expect("unified cache")
         .borrow_mut()
         .insert(addr, dirty);
+    h.note_unified_insert(addr, &ins);
     match ins.medium {
         Medium::Ram => {
             enter(sp, &h.sim, Phase::CacheProbe);
@@ -419,20 +421,25 @@ async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource, sp: 
     let mut ring = h.remote.store.router().replica_set(addr);
     park_until_live(h, ring, sp).await;
     let first = ring.next().expect("replication factor >= 1");
-    let handles: Vec<_> = ring
-        .map(|shard| {
-            let h2 = Rc::clone(h);
-            h.sim
-                .spawn(async move { write_one_replica(&h2, shard, addr, None).await })
-        })
-        .collect();
+    // Only a replicated write fans out; the pool's lists stay that small.
+    let mut handles = if ring.len() > 0 {
+        scratch::take_joins()
+    } else {
+        Vec::new()
+    };
+    handles.extend(ring.map(|shard| {
+        let h2 = Rc::clone(h);
+        h.sim
+            .spawn(async move { write_one_replica(&h2, shard, addr, None).await })
+    }));
     write_one_replica(h, first, addr, sp).await;
     // Waiting out the slower replicas' spawned legs is ack fan-in: wire
     // time from the op's perspective.
     enter(sp, &h.sim, Phase::Net);
-    for handle in handles {
+    for handle in handles.drain(..) {
         handle.await;
     }
+    scratch::put_joins(handles);
 }
 
 /// Writes one block to one replica, retrying transient failures without
@@ -573,7 +580,7 @@ async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bo
         fetch_group(h, 0, blocks, sp).await
     } else {
         let mut ok = true;
-        let mut group = h.take_buf();
+        let mut group = scratch::take_buf();
         for k in 0..router.shards() {
             group.clear();
             group.extend(blocks.iter().copied().filter(|b| router.primary(*b) == k));
@@ -581,7 +588,7 @@ async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bo
                 ok = false;
             }
         }
-        h.put_buf(group);
+        scratch::put_buf(group);
         ok
     };
     if ok {
@@ -663,6 +670,8 @@ async fn fetch_group(
 
 /// Shared state of one hedged-read race (see [`hedged_exchange`]).
 struct RaceState {
+    /// The blocks both arms request.
+    blocks: Vec<BlockAddr>,
     winner: Cell<Option<u16>>,
     pending: Cell<u8>,
     error: RefCell<Option<FaultError>>,
@@ -670,6 +679,26 @@ struct RaceState {
 }
 
 impl RaceState {
+    /// A race with both arms still out.
+    fn new() -> Self {
+        Self {
+            blocks: Vec::new(),
+            winner: Cell::new(None),
+            pending: Cell::new(2),
+            error: RefCell::new(None),
+            waker: RefCell::new(None),
+        }
+    }
+
+    /// Makes a finished race new again, keeping the block list's capacity.
+    fn reset(&mut self) {
+        self.blocks.clear();
+        self.winner.set(None);
+        self.pending.set(2);
+        self.error.replace(None);
+        self.waker.replace(None);
+    }
+
     /// Records one arm's result; returns whether this arm won the race.
     fn arm_done(&self, shard: u16, result: Result<(), FaultError>) -> bool {
         self.pending.set(self.pending.get() - 1);
@@ -707,10 +736,55 @@ impl RaceState {
     }
 }
 
+thread_local! {
+    /// Finished race states, reset for the thread's next hedged read.
+    static RACES: RefCell<Vec<Rc<RaceState>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One holder of a pooled race state: the op and each arm hold one. The
+/// loser keeps running after the op moves on, so the state lives until
+/// the last holder drops, which resets it and returns it to the thread's
+/// pool.
+struct Race(Rc<RaceState>);
+
+impl Race {
+    /// A race for `blocks`, from the pool when one is free.
+    fn new(blocks: &[BlockAddr]) -> Self {
+        let pooled = RACES.try_with(|p| p.borrow_mut().pop()).ok().flatten();
+        let mut state = pooled.unwrap_or_else(|| Rc::new(RaceState::new()));
+        Rc::get_mut(&mut state)
+            .expect("a new race has one holder")
+            .blocks
+            .extend_from_slice(blocks);
+        Race(state)
+    }
+
+    fn share(&self) -> Self {
+        Race(Rc::clone(&self.0))
+    }
+}
+
+impl std::ops::Deref for Race {
+    type Target = RaceState;
+
+    fn deref(&self) -> &RaceState {
+        &self.0
+    }
+}
+
+impl Drop for Race {
+    fn drop(&mut self) {
+        if let Some(state) = Rc::get_mut(&mut self.0) {
+            state.reset();
+            let _ = RACES.try_with(|p| p.borrow_mut().push(Rc::clone(&self.0)));
+        }
+    }
+}
+
 /// Resolves at the first arm success — the race's point: the op continues
 /// at the winner's latency while the loser finishes in the background —
 /// or when every arm has finished without one.
-struct RaceDone(Rc<RaceState>);
+struct RaceDone(Race);
 
 impl Future for RaceDone {
     type Output = ();
@@ -737,22 +811,14 @@ async fn hedged_exchange(
     blocks: &[BlockAddr],
     sp: Option<&OpSpan>,
 ) -> Result<u16, FaultError> {
-    let state = Rc::new(RaceState {
-        winner: Cell::new(None),
-        pending: Cell::new(2),
-        error: RefCell::new(None),
-        waker: RefCell::new(None),
-    });
+    let state = Race::new(blocks);
 
     // Primary arm: the ordinary exchange.
     {
         let h2 = Rc::clone(h);
-        let st = Rc::clone(&state);
-        let mut buf = h.take_buf();
-        buf.extend_from_slice(blocks);
+        let st = state.share();
         h.sim.spawn_daemon(async move {
-            let res = read_exchange(&h2, first, &buf, None).await;
-            h2.put_buf(buf);
+            let res = read_exchange(&h2, first, &st.blocks, None).await;
             st.arm_done(first, res);
         });
     }
@@ -760,21 +826,17 @@ async fn hedged_exchange(
     // unless the primary already answered.
     {
         let h2 = Rc::clone(h);
-        let st = Rc::clone(&state);
-        let mut buf = h.take_buf();
-        buf.extend_from_slice(blocks);
+        let st = state.share();
         h.sim.spawn_daemon(async move {
             h2.sim.sleep(SimTime::from_nanos(delay_ns)).await;
             if st.winner.get().is_some() {
                 // Primary answered inside the hedge delay: nothing sent.
-                h2.put_buf(buf);
                 st.arm_skipped();
                 return;
             }
             let store = Rc::clone(&h2.remote.store);
             store.note_hedge_launched();
-            let res = read_exchange(&h2, second, &buf, None).await;
-            h2.put_buf(buf);
+            let res = read_exchange(&h2, second, &st.blocks, None).await;
             let arrived = res.is_ok();
             if st.arm_done(second, res) {
                 store.note_hedge_won();
@@ -788,12 +850,16 @@ async fn hedged_exchange(
     // The op's own time here is the race wait itself — neither arm's legs
     // run on the op task, so the whole interval is failover/hedge wait.
     enter(sp, &h.sim, Phase::Failover);
-    RaceDone(Rc::clone(&state)).await;
+    RaceDone(state.share()).await;
     match state.winner.get() {
         Some(w) => Ok(w),
-        None => Err(state.error.borrow_mut().take().unwrap_or(FaultError {
-            clause: format!("shard{first}:outage"),
-        })),
+        None => Err(state
+            .error
+            .borrow_mut()
+            .take()
+            .unwrap_or_else(|| FaultError {
+                clause: format!("shard{first}:outage"),
+            })),
     }
 }
 
@@ -925,9 +991,16 @@ enum FlushTier {
 /// not the flush loop — is the writeback bottleneck, which is what lets
 /// "any reasonable writeback policy maintain an ample supply of clean
 /// blocks" (§7.1).
-async fn flush_batch(h: &Rc<HostCtx>, blocks: &[BlockAddr], tier: FlushTier) {
+///
+/// `handles` is the syncer's own long-lived join list, empty between
+/// batches.
+async fn flush_batch(
+    h: &Rc<HostCtx>,
+    blocks: &[BlockAddr],
+    tier: FlushTier,
+    handles: &mut Vec<JoinHandle<()>>,
+) {
     let window = h.cfg.syncer_window.max(1);
-    let mut handles = Vec::with_capacity(window.min(blocks.len()));
     for chunk in blocks.chunks(window) {
         handles.extend(chunk.iter().map(|b| {
             let h2 = Rc::clone(h);
@@ -948,32 +1021,33 @@ async fn flush_batch(h: &Rc<HostCtx>, blocks: &[BlockAddr], tier: FlushTier) {
 
 /// Periodic RAM-tier syncer: every `period`, flush every block that is
 /// dirty in RAM ("dirty data remains in the cache until a syncer thread
-/// flushes the data back", §3.5). The dirty-set snapshot reuses one
-/// scratch buffer across ticks instead of allocating per tick.
+/// flushes the data back", §3.5). The dirty-set snapshot and the batch's
+/// join list reuse one buffer each across ticks instead of allocating per
+/// tick.
 pub(crate) async fn ram_syncer(h: Rc<HostCtx>, period: SimTime) {
-    let mut dirty: Vec<BlockAddr> = Vec::new();
+    let (mut dirty, mut handles) = (Vec::new(), Vec::new());
     loop {
         h.sim.sleep(period).await;
         dirty.clear();
         h.ram.borrow().dirty_blocks_into(&mut dirty);
-        flush_batch(&h, &dirty, FlushTier::Ram).await;
+        flush_batch(&h, &dirty, FlushTier::Ram, &mut handles).await;
     }
 }
 
 /// Periodic flash-tier syncer (naive architecture).
 pub(crate) async fn flash_syncer(h: Rc<HostCtx>, period: SimTime) {
-    let mut dirty: Vec<BlockAddr> = Vec::new();
+    let (mut dirty, mut handles) = (Vec::new(), Vec::new());
     loop {
         h.sim.sleep(period).await;
         dirty.clear();
         h.flash.borrow().dirty_blocks_into(&mut dirty);
-        flush_batch(&h, &dirty, FlushTier::Flash).await;
+        flush_batch(&h, &dirty, FlushTier::Flash, &mut handles).await;
     }
 }
 
 /// Periodic unified-tier syncer for one medium.
 pub(crate) async fn unified_syncer(h: Rc<HostCtx>, medium: Medium, period: SimTime) {
-    let mut dirty: Vec<BlockAddr> = Vec::new();
+    let (mut dirty, mut handles) = (Vec::new(), Vec::new());
     loop {
         h.sim.sleep(period).await;
         dirty.clear();
@@ -982,6 +1056,6 @@ pub(crate) async fn unified_syncer(h: Rc<HostCtx>, medium: Medium, period: SimTi
             .expect("unified cache")
             .borrow()
             .dirty_blocks_of_into(medium, &mut dirty);
-        flush_batch(&h, &dirty, FlushTier::Unified).await;
+        flush_batch(&h, &dirty, FlushTier::Unified, &mut handles).await;
     }
 }

@@ -1,9 +1,9 @@
 //! Per-host simulation state.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::{Rc, Weak};
 
-use fcache_cache::{BlockCache, UnifiedCache};
+use fcache_cache::{BlockCache, InsertOutcome, UnifiedCache, UnifiedInsert};
 use fcache_des::Sim;
 use fcache_device::IoLog;
 use fcache_net::Segment;
@@ -15,7 +15,46 @@ use crate::devsvc::DeviceService;
 use crate::flush::FlushQueue;
 use crate::metrics::Metrics;
 use crate::robust::FaultCtx;
+use crate::sharers::SharerFilter;
 use crate::telemetry::TelemetryCtx;
+
+/// The run's hosts, shared by all of them: the warmup reset walks the
+/// list, and instant invalidation (§3.8) probes the hosts the sharer
+/// filter names. One list per run, not one peer list per host.
+pub(crate) struct RunHosts {
+    /// Every host in id order; set once, after the hosts are built.
+    hosts: OnceCell<Vec<Weak<HostCtx>>>,
+    /// Which hosts may cache a block. `None` in a one-host run, which has
+    /// no peers to invalidate and pays nothing.
+    sharers: Option<SharerFilter>,
+}
+
+impl RunHosts {
+    /// The shared state of an `n_hosts`-host run whose hosts cache up to
+    /// `blocks_per_host` blocks each.
+    pub(crate) fn new(n_hosts: usize, blocks_per_host: usize) -> Self {
+        Self {
+            hosts: OnceCell::new(),
+            sharers: (n_hosts > 1).then(|| SharerFilter::new(n_hosts, blocks_per_host)),
+        }
+    }
+
+    /// Records the built hosts, in id order.
+    pub(crate) fn set_hosts(&self, hosts: &[Rc<HostCtx>]) {
+        let list = hosts.iter().map(Rc::downgrade).collect();
+        assert!(self.hosts.set(list).is_ok(), "run hosts are set once");
+    }
+
+    fn hosts(&self) -> &[Weak<HostCtx>] {
+        self.hosts.get().map_or(&[], Vec::as_slice)
+    }
+
+    /// The sharer filter, if the run has one.
+    #[cfg(test)]
+    pub(crate) fn sharers(&self) -> Option<&SharerFilter> {
+        self.sharers.as_ref()
+    }
+}
 
 /// This host's view of the backend: the shared store plus one private
 /// segment per shard (the host's network link to that shard). Every run
@@ -63,16 +102,11 @@ pub(crate) struct HostCtx {
     pub ram_flush_pending: RefCell<FxHashSet<u64>>,
     /// Blocks with an asynchronous flash-tier flush in flight (dedupe).
     pub flash_flush_pending: RefCell<FxHashSet<u64>>,
-    /// Other hosts, for instant cache-consistency invalidation.
-    pub peers: RefCell<Vec<Weak<HostCtx>>>,
+    /// The run's host list and sharer filter.
+    pub run: Rc<RunHosts>,
     /// Set once the first measured (non-warmup) operation issues; flipping
     /// it resets all statistics.
     pub warmup_over: Rc<Cell<bool>>,
-    /// Reusable `Vec<BlockAddr>` pool for per-op scratch (miss lists, hit
-    /// lists) and syncer dirty-set snapshots. Once the pool has warmed up
-    /// to the host's concurrency level, the simulate-one-op path performs
-    /// no heap allocation (see `PERF.md`).
-    pub buf_pool: RefCell<Vec<Vec<BlockAddr>>>,
     /// Asynchronous write-through flush queue, drained by a converging pool
     /// of long-lived worker daemons (see `crate::flush`): policy `a` runs
     /// allocation-free once the pool has grown to the peak concurrency.
@@ -91,17 +125,6 @@ pub(crate) struct HostCtx {
 }
 
 impl HostCtx {
-    /// Takes a cleared scratch buffer from the pool (or allocates the
-    /// pool's first few on a cold start).
-    pub fn take_buf(&self) -> Vec<BlockAddr> {
-        self.buf_pool.borrow_mut().pop().unwrap_or_default()
-    }
-
-    /// Returns a scratch buffer to the pool for reuse.
-    pub fn put_buf(&self, mut buf: Vec<BlockAddr>) {
-        buf.clear();
-        self.buf_pool.borrow_mut().push(buf);
-    }
     /// True if this host has a RAM cache tier.
     pub fn has_ram(&self) -> bool {
         self.cfg.ram_blocks() > 0
@@ -129,27 +152,65 @@ impl HostCtx {
         }
     }
 
+    /// Counts the outcome of inserting `addr` into the RAM or flash tier
+    /// in the sharer filter: a new block joins, an evicted victim leaves.
+    pub fn note_insert(&self, addr: BlockAddr, outcome: InsertOutcome) {
+        let Some(f) = &self.run.sharers else { return };
+        match outcome {
+            InsertOutcome::Inserted => f.add(self.id, addr),
+            InsertOutcome::InsertedEvicting(ev) => {
+                f.add(self.id, addr);
+                f.sub(self.id, ev.addr);
+            }
+            InsertOutcome::AlreadyPresent | InsertOutcome::ZeroCapacity => {}
+        }
+    }
+
+    /// [`Self::note_insert`] for the unified cache.
+    pub fn note_unified_insert(&self, addr: BlockAddr, ins: &UnifiedInsert) {
+        let Some(f) = &self.run.sharers else { return };
+        if !ins.already_present {
+            f.add(self.id, addr);
+        }
+        if let Some(ev) = &ins.evicted {
+            f.sub(self.id, ev.addr);
+        }
+    }
+
     /// Invalidates copies of `addr` held by *other* hosts (instant, global
-    /// knowledge, §3.8); returns how many hosts held a copy.
+    /// knowledge, §3.8); returns how many hosts held a copy. Only the hosts
+    /// the sharer filter names are probed, in host order; the rest hold no
+    /// copy, so the removals, the count and every cache statistic equal a
+    /// scan of every peer (PERF.md invariant 15).
     pub fn invalidate_peers(&self, addr: BlockAddr) -> u64 {
+        let Some(f) = &self.run.sharers else { return 0 };
+        #[cfg(test)]
+        let scan = tests::Scan::before(self, addr);
+        let hosts = self.run.hosts();
         let mut count = 0u64;
-        for peer in self.peers.borrow().iter().filter_map(Weak::upgrade) {
-            let mut held = false;
+        f.for_each_candidate(self.id, addr, |j| {
+            let Some(peer) = hosts[j].upgrade() else {
+                return 0;
+            };
+            let mut removed = 0u8;
             if peer.ram.borrow_mut().remove(addr).is_some() {
-                held = true;
+                removed += 1;
             }
             if peer.flash.borrow_mut().remove(addr).is_some() {
-                held = true;
+                removed += 1;
             }
             if let Some(u) = &peer.unified {
                 if u.borrow_mut().remove(addr).is_some() {
-                    held = true;
+                    removed += 1;
                 }
             }
-            if held {
+            if removed > 0 {
                 count += 1;
             }
-        }
+            removed
+        });
+        #[cfg(test)]
+        scan.check(self, addr, count);
         count
     }
 
@@ -162,8 +223,10 @@ impl HostCtx {
         }
         self.warmup_over.set(true);
         self.reset_stats();
-        for peer in self.peers.borrow().iter().filter_map(Weak::upgrade) {
-            peer.reset_stats();
+        for host in self.run.hosts().iter().filter_map(Weak::upgrade) {
+            if host.id != self.id {
+                host.reset_stats();
+            }
         }
         self.remote.store.reset_service_stats();
     }
@@ -175,7 +238,7 @@ impl HostCtx {
             u.borrow_mut().reset_stats();
         }
         // Outside a fleet every host shares one metrics sink, so the
-        // peers' resets just repeat harmlessly (the whole warmup-end
+        // other hosts' resets just repeat harmlessly (the whole warmup-end
         // sequence is synchronous); in a fleet each host resets its own.
         self.metrics.reset();
         for seg in &self.remote.segments {
@@ -198,5 +261,142 @@ impl std::fmt::Debug for HostCtx {
             .field("ram", &self.ram.borrow())
             .field("flash", &self.flash.borrow())
             .finish()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    use std::cell::Cell;
+
+    use fcache_types::{ByteSize, FileId, OpKind, ThreadId, Trace, TraceMeta, TraceOp};
+    use proptest::prelude::*;
+
+    use crate::{run_trace, Architecture, SimConfig};
+
+    thread_local! {
+        /// Invalidations checked against the scan, and copies they removed.
+        static CHECKED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// The reference: every other host's copies of one block and its
+    /// invalidation counters, found by scanning every peer.
+    pub(super) struct Scan {
+        /// `(copies, invalidations)` per host, in host order.
+        peers: Vec<(u64, u64)>,
+    }
+
+    fn copies_and_invalidations(h: &HostCtx, addr: BlockAddr) -> (u64, u64) {
+        let (ram, flash) = (h.ram.borrow(), h.flash.borrow());
+        let mut copies = u64::from(ram.contains(addr)) + u64::from(flash.contains(addr));
+        let mut inv = ram.stats().invalidations + flash.stats().invalidations;
+        if let Some(u) = &h.unified {
+            let u = u.borrow();
+            copies += u64::from(u.contains(addr));
+            inv += u.stats().invalidations;
+        }
+        (copies, inv)
+    }
+
+    impl Scan {
+        pub(super) fn before(me: &HostCtx, addr: BlockAddr) -> Self {
+            let peers = me
+                .run
+                .hosts()
+                .iter()
+                .filter_map(Weak::upgrade)
+                .map(|p| {
+                    if p.id == me.id {
+                        (0, 0)
+                    } else {
+                        copies_and_invalidations(&p, addr)
+                    }
+                })
+                .collect();
+            Self { peers }
+        }
+
+        /// The filtered invalidation must have removed exactly the copies
+        /// the scan found: every one of them, each counted once.
+        pub(super) fn check(self, me: &HostCtx, addr: BlockAddr, count: u64) {
+            let holders = self.peers.iter().filter(|(c, _)| *c > 0).count() as u64;
+            assert_eq!(count, holders, "hosts invalidated for {addr:?}");
+            let mut removed = 0;
+            for (p, (copies, inv)) in me.run.hosts().iter().zip(&self.peers) {
+                let p = p.upgrade().expect("hosts outlive the run");
+                if p.id == me.id {
+                    continue;
+                }
+                let (left, inv_after) = copies_and_invalidations(&p, addr);
+                assert_eq!(left, 0, "{:?} still holds {addr:?}", p.id);
+                assert_eq!(inv_after - inv, *copies, "{:?} invalidations", p.id);
+                removed += copies;
+            }
+            CHECKED.with(|c| {
+                let (n, r) = c.get();
+                c.set((n + 1, r + removed));
+            });
+        }
+    }
+
+    /// A small random multi-host trace over 24 shared blocks.
+    fn trace(hosts: u16, ops: &[(u16, bool, u32, u32)]) -> Trace {
+        let mut t = Trace::new(TraceMeta {
+            hosts,
+            threads_per_host: 2,
+            ..TraceMeta::default()
+        });
+        for (i, &(host, write, block, n)) in ops.iter().enumerate() {
+            let kind = if write { OpKind::Write } else { OpKind::Read };
+            t.ops.push(TraceOp::new(
+                HostId(host % hosts),
+                ThreadId((i % 2) as u16),
+                kind,
+                FileId(block / 8),
+                block % 8,
+                n,
+                i < ops.len() / 4,
+            ));
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn filtered_invalidation_removes_exactly_what_a_full_scan_finds(
+            hosts in 2u16..7,
+            arch in 0usize..3,
+            ops in proptest::collection::vec((0u16..6, any::<bool>(), 0u32..24, 1u32..4), 20..160),
+        ) {
+            let cfg = SimConfig {
+                arch: [Architecture::Naive, Architecture::Lookaside, Architecture::Unified][arch],
+                ram_size: ByteSize::kib(16),
+                flash_size: ByteSize::kib(48),
+                ..SimConfig::baseline()
+            };
+            let (n0, _) = CHECKED.with(Cell::get);
+            run_trace(&cfg, &trace(hosts, &ops)).expect("run");
+            let (n1, _) = CHECKED.with(Cell::get);
+            let writes: u64 = ops.iter().filter(|o| o.1).map(|o| u64::from(o.3)).sum();
+            prop_assert_eq!(n1 - n0, writes, "every written block was checked");
+        }
+    }
+
+    #[test]
+    fn the_scan_check_is_not_vacuous() {
+        let ops: Vec<_> = (0..200u32)
+            .map(|i| ((i % 3) as u16, i % 2 == 1, i % 5, 1))
+            .collect();
+        let cfg = SimConfig {
+            ram_size: ByteSize::kib(16),
+            flash_size: ByteSize::kib(48),
+            ..SimConfig::baseline()
+        };
+        let (_, r0) = CHECKED.with(Cell::get);
+        run_trace(&cfg, &trace(3, &ops)).expect("run");
+        let (_, r1) = CHECKED.with(Cell::get);
+        assert!(r1 > r0, "writes to shared blocks removed peer copies");
     }
 }

@@ -85,6 +85,8 @@ pub mod report;
 pub mod results;
 pub mod robust;
 pub mod scenario;
+mod scratch;
+mod sharers;
 pub mod sim;
 mod spill;
 pub mod telemetry;

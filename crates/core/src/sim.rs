@@ -40,7 +40,7 @@ use crate::config::SimConfig;
 use crate::devsvc::DeviceService;
 use crate::engine::{self, execute_op};
 use crate::flush::{self, FlushQueue};
-use crate::host::{HostCtx, RemoteCtx};
+use crate::host::{HostCtx, RemoteCtx, RunHosts};
 use crate::metrics::Metrics;
 use crate::report::SimReport;
 use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState};
@@ -212,6 +212,12 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
         .flatten();
     let mut group_segments: Vec<Segment> = Vec::new();
     let mut hosts: Vec<Rc<HostCtx>> = Vec::with_capacity(usize::from(n_hosts));
+    let run = Rc::new(RunHosts::new(
+        usize::from(n_hosts),
+        cfg.ram_blocks() + cfg.flash_blocks(),
+    ));
+    // Appends to a disabled log are no-ops, so every host shares one.
+    let no_iolog = IoLog::disabled();
     for i in 0..n_hosts {
         // This host's view of the backend: one segment per shard
         // (shared across the fan-in group), with a small deterministic
@@ -246,7 +252,7 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
         let iolog = if cfg.log_flash_io {
             IoLog::new()
         } else {
-            IoLog::disabled()
+            no_iolog.clone()
         };
         let mut dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone());
         if let Some(fp) = &fault {
@@ -304,9 +310,8 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
             dev,
             ram_flush_pending: RefCell::new(FxHashSet::default()),
             flash_flush_pending: RefCell::new(FxHashSet::default()),
-            peers: RefCell::new(Vec::new()),
+            run: Rc::clone(&run),
             warmup_over: Rc::clone(&warmup_over),
-            buf_pool: RefCell::new(Vec::new()),
             flushq: FlushQueue::new(),
             fault: host_fault,
             remote: RemoteCtx {
@@ -319,14 +324,7 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
                 .then(|| Rc::new(TelemetryCtx::new(telemetry_window_ns, span_stream.clone()))),
         }));
     }
-    for (i, h) in hosts.iter().enumerate() {
-        *h.peers.borrow_mut() = hosts
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, p)| Rc::downgrade(p))
-            .collect();
-    }
+    run.set_hosts(&hosts);
 
     SimParts {
         sim,
@@ -981,6 +979,7 @@ fn run_forked<S: TraceSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcache_types::{BlockAddr, FileId};
 
     /// Shard `k`'s filer draw seed in a `shards`-shard run seeded `run_seed`.
     fn shard_seed(run_seed: u64, shards: u16, k: u16) -> u64 {
@@ -1002,5 +1001,18 @@ mod tests {
         }
         assert_ne!(shard_seed(1, 2, 1), shard_seed(42, 2, 1));
         assert_ne!(shard_seed(42, 2, 1), shard_seed(0xdead_beef, 2, 1));
+    }
+
+    #[test]
+    fn a_one_host_run_builds_no_sharer_filter() {
+        let cfg = SimConfig::default();
+        let one = build_parts(&cfg, 1);
+        assert!(one.hosts[0].run.sharers().is_none());
+        assert_eq!(
+            one.hosts[0].invalidate_peers(BlockAddr::new(FileId(0), 0)),
+            0
+        );
+        let two = build_parts(&cfg, 2);
+        assert!(two.hosts[1].run.sharers().is_some());
     }
 }

@@ -17,6 +17,7 @@
 //! failure is not recoverable (the ops exist nowhere else) and surfaces as
 //! a source error.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -43,6 +44,16 @@ const FLUSH_BYTES: usize = TRACE_CHUNK_OPS * REC;
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Largest resident window, in ops, a dropped queue hands back for reuse.
+const POOLED_OPS: usize = 64;
+
+thread_local! {
+    /// Emptied resident windows of dropped queues. A fleet cell has
+    /// hundreds of slots that each replay a few ops; reusing the small
+    /// windows spares every new cell growing each slot's from nothing.
+    static FRONTS: RefCell<Vec<VecDeque<TraceOp>>> = const { RefCell::new(Vec::new()) };
+}
+
 /// FIFO op queue whose resident size is capped at roughly
 /// [`SPILL_RESIDENT_OPS`]; overflow lives in an unlinked temp file.
 pub(crate) struct SpillQueue {
@@ -57,7 +68,11 @@ pub(crate) struct SpillQueue {
 impl SpillQueue {
     pub(crate) fn new() -> Self {
         Self {
-            front: VecDeque::new(),
+            front: FRONTS
+                .try_with(|p| p.borrow_mut().pop())
+                .ok()
+                .flatten()
+                .unwrap_or_default(),
             spill: None,
             degraded: false,
             spilled: 0,
@@ -115,6 +130,17 @@ impl SpillQueue {
     #[cfg(test)]
     pub(crate) fn resident(&self) -> usize {
         self.front.len()
+    }
+}
+
+impl Drop for SpillQueue {
+    fn drop(&mut self) {
+        let cap = self.front.capacity();
+        if cap > 0 && cap <= POOLED_OPS {
+            let mut front = std::mem::take(&mut self.front);
+            front.clear();
+            let _ = FRONTS.try_with(|p| p.borrow_mut().push(front));
+        }
     }
 }
 

@@ -1,20 +1,30 @@
-//! Completion handles for overlapped submissions.
+//! Completion sets for overlapped submissions.
 //!
 //! A [`CompletionSet`] lets one task hold several in-flight sub-operations
 //! — e.g. every block of a device batch queued into a bounded NCQ — and
 //! suspend until the *last* of them completes, without spawning executor
-//! tasks. Submissions are polled in submission order on every wake, so a
-//! set draining through a FIFO [`crate::Resource`] admits its entries in
+//! tasks. Entries are stepped in submission order on every wake, so a set
+//! draining through a FIFO [`crate::Resource`] admits its entries in
 //! exactly the order they were submitted: determinism is preserved by
 //! construction.
 //!
 //! Compared to `Sim::spawn` + joining handles, a completion set keeps the
-//! sub-futures inside the owning task: no task slots, no join wakeups, and
-//! the executor's event count grows only with the owning task's own polls.
+//! sub-operations inside the owning task: no task slots, no join wakeups,
+//! and the executor's event count grows only with the owning task's own
+//! polls.
+//!
+//! The set stores entries of one type `S` inline and drives them with a
+//! step function passed to [`CompletionSet::wait_all`], so nothing is boxed
+//! per entry, and a set kept after `wait_all` reuses its slot array: a
+//! caller that pools its sets submits batches without allocating. The step
+//! function borrows whatever the entries need; the entries themselves are
+//! plain data (or `Unpin` futures).
 //!
 //! # Examples
 //!
 //! ```
+//! use std::future::Future;
+//! use std::pin::Pin;
 //! use fcache_des::{CompletionSet, Sim, SimTime};
 //!
 //! let sim = Sim::new();
@@ -22,10 +32,9 @@
 //! let h = sim.spawn(async move {
 //!     let mut batch = CompletionSet::new();
 //!     for us in [7u64, 3, 9] {
-//!         let s = s.clone();
-//!         batch.submit(async move { s.sleep(SimTime::from_micros(us)).await });
+//!         batch.submit(s.sleep(SimTime::from_micros(us)));
 //!     }
-//!     batch.wait_all().await;
+//!     batch.wait_all(|sleep, cx| Pin::new(sleep).poll(cx)).await;
 //!     s.now()
 //! });
 //! sim.run().unwrap();
@@ -39,16 +48,21 @@ use std::task::{Context, Poll};
 
 /// A set of in-flight sub-operations awaited together.
 ///
-/// Futures submitted to the set are not polled until
-/// [`wait_all`](CompletionSet::wait_all) is awaited; the first poll then
-/// runs them in submission order, which is what queues their resource
-/// acquisitions FIFO. The set may be reused after `wait_all` completes.
-#[derive(Default)]
-pub struct CompletionSet<'a> {
-    pending: Vec<Pin<Box<dyn Future<Output = ()> + 'a>>>,
+/// Entries are not stepped until [`wait_all`](CompletionSet::wait_all) is
+/// awaited; the first poll then steps them in submission order, which is
+/// what queues their resource acquisitions FIFO. The set may be reused
+/// after `wait_all` completes, and keeps its capacity.
+pub struct CompletionSet<S> {
+    pending: Vec<S>,
 }
 
-impl<'a> CompletionSet<'a> {
+impl<S> Default for CompletionSet<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S> CompletionSet<S> {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self {
@@ -59,8 +73,13 @@ impl<'a> CompletionSet<'a> {
     /// Submits one sub-operation. It starts executing on the next
     /// [`wait_all`](Self::wait_all) poll, after everything submitted
     /// before it.
-    pub fn submit<F: Future<Output = ()> + 'a>(&mut self, fut: F) {
-        self.pending.push(Box::pin(fut));
+    pub fn submit(&mut self, entry: S) {
+        self.pending.push(entry);
+    }
+
+    /// The submissions still incomplete, in submission order.
+    pub fn pending(&self) -> &[S] {
+        &self.pending
     }
 
     /// Number of submissions still incomplete.
@@ -73,16 +92,25 @@ impl<'a> CompletionSet<'a> {
         self.pending.is_empty()
     }
 
+    /// Drops every submission, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.pending.clear();
+    }
+
     /// Completes when every submission has completed (immediately if the
-    /// set is empty). Sub-futures are polled in submission order on every
-    /// wake; completed ones are retired as they finish, so the last
-    /// completion resolves the whole set.
-    pub fn wait_all(&mut self) -> WaitAll<'_, 'a> {
-        WaitAll { set: self }
+    /// set is empty). On every wake `step` is called on each incomplete
+    /// entry in submission order, with the task's context; an entry is
+    /// retired when its step returns `Ready`, so the last completion
+    /// resolves the whole set.
+    pub fn wait_all<F>(&mut self, step: F) -> WaitAll<'_, S, F>
+    where
+        F: FnMut(&mut S, &mut Context<'_>) -> Poll<()>,
+    {
+        WaitAll { set: self, step }
     }
 }
 
-impl std::fmt::Debug for CompletionSet<'_> {
+impl<S> std::fmt::Debug for CompletionSet<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompletionSet")
             .field("pending", &self.pending.len())
@@ -91,18 +119,26 @@ impl std::fmt::Debug for CompletionSet<'_> {
 }
 
 /// Future returned by [`CompletionSet::wait_all`].
-pub struct WaitAll<'s, 'a> {
-    set: &'s mut CompletionSet<'a>,
+pub struct WaitAll<'s, S, F> {
+    set: &'s mut CompletionSet<S>,
+    step: F,
 }
 
-impl Future for WaitAll<'_, '_> {
+// Nothing is structurally pinned: entries are stepped through `&mut`.
+impl<S, F> Unpin for WaitAll<'_, S, F> {}
+
+impl<S, F> Future for WaitAll<'_, S, F>
+where
+    F: FnMut(&mut S, &mut Context<'_>) -> Poll<()>,
+{
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let pending = &mut self.set.pending;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let pending = &mut this.set.pending;
         let mut i = 0;
         while i < pending.len() {
-            match pending[i].as_mut().poll(cx) {
+            match (this.step)(&mut pending[i], cx) {
                 // `remove` keeps the submission order of the survivors, so
                 // later polls still visit them deterministically in order.
                 Poll::Ready(()) => {
@@ -126,12 +162,19 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// Boxed futures: the general entry type, for tests mixing closures.
+    type Boxed = Pin<Box<dyn Future<Output = ()>>>;
+
+    fn poll_boxed(f: &mut Boxed, cx: &mut Context<'_>) -> Poll<()> {
+        f.as_mut().poll(cx)
+    }
+
     #[test]
     fn empty_set_completes_immediately() {
         let sim = Sim::new();
         let s = sim.clone();
         let h = sim.spawn(async move {
-            CompletionSet::new().wait_all().await;
+            CompletionSet::<Boxed>::new().wait_all(poll_boxed).await;
             s.now()
         });
         sim.run().unwrap();
@@ -143,12 +186,14 @@ mod tests {
         let sim = Sim::new();
         let s = sim.clone();
         let h = sim.spawn(async move {
-            let mut set = CompletionSet::new();
+            let mut set = CompletionSet::<Boxed>::new();
             for us in [5u64, 11, 2, 7] {
                 let s = s.clone();
-                set.submit(async move { s.sleep(SimTime::from_micros(us)).await });
+                set.submit(Box::pin(
+                    async move { s.sleep(SimTime::from_micros(us)).await },
+                ));
             }
-            set.wait_all().await;
+            set.wait_all(poll_boxed).await;
             s.now()
         });
         let report = sim.run().unwrap();
@@ -164,18 +209,18 @@ mod tests {
         let order2 = Rc::clone(&order);
         sim.spawn(async move {
             let res = Rc::new(Resource::new(1));
-            let mut set = CompletionSet::new();
+            let mut set = CompletionSet::<Boxed>::new();
             for i in 0..4u32 {
                 let res = Rc::clone(&res);
                 let s = s.clone();
                 let order = Rc::clone(&order2);
-                set.submit(async move {
+                set.submit(Box::pin(async move {
                     let _g = res.acquire().await;
                     order.borrow_mut().push(i);
                     s.sleep(SimTime::from_micros(1)).await;
-                });
+                }));
             }
-            set.wait_all().await;
+            set.wait_all(poll_boxed).await;
         });
         sim.run().unwrap();
         // One slot: the four submissions serialize in submission order.
@@ -187,14 +232,18 @@ mod tests {
         let sim = Sim::new();
         let s = sim.clone();
         let h = sim.spawn(async move {
-            let mut set = CompletionSet::new();
+            let mut set = CompletionSet::<Boxed>::new();
             let s1 = s.clone();
-            set.submit(async move { s1.sleep(SimTime::from_micros(3)).await });
-            set.wait_all().await;
+            set.submit(Box::pin(
+                async move { s1.sleep(SimTime::from_micros(3)).await },
+            ));
+            set.wait_all(poll_boxed).await;
             assert!(set.is_empty());
             let s2 = s.clone();
-            set.submit(async move { s2.sleep(SimTime::from_micros(4)).await });
-            set.wait_all().await;
+            set.submit(Box::pin(
+                async move { s2.sleep(SimTime::from_micros(4)).await },
+            ));
+            set.wait_all(poll_boxed).await;
             s.now()
         });
         sim.run().unwrap();
@@ -210,10 +259,12 @@ mod tests {
             let s = sim.clone();
             sim.spawn(async move {
                 if wrapped {
-                    let mut set = CompletionSet::new();
+                    let mut set = CompletionSet::<Boxed>::new();
                     let s2 = s.clone();
-                    set.submit(async move { s2.sleep(SimTime::from_micros(9)).await });
-                    set.wait_all().await;
+                    set.submit(Box::pin(
+                        async move { s2.sleep(SimTime::from_micros(9)).await },
+                    ));
+                    set.wait_all(poll_boxed).await;
                 } else {
                     s.sleep(SimTime::from_micros(9)).await;
                 }
@@ -221,5 +272,30 @@ mod tests {
             sim.run().unwrap().end_time
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn plain_entries_step_in_order_and_reuse_the_slot_array() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let mut set = CompletionSet::new();
+            let mut caps = Vec::new();
+            for round in 0..3u64 {
+                for us in [4u64, 1, 6] {
+                    set.submit(s.sleep(SimTime::from_micros(us + round)));
+                }
+                caps.push(set.pending.capacity());
+                set.wait_all(|sleep, cx| Pin::new(sleep).poll(cx)).await;
+            }
+            (s.now(), caps)
+        });
+        sim.run().unwrap();
+        let (now, caps) = h.try_result().unwrap();
+        assert_eq!(now, SimTime::from_micros(6 + 7 + 8));
+        assert!(
+            caps.windows(2).all(|w| w[0] == w[1]),
+            "capacity reused: {caps:?}"
+        );
     }
 }

@@ -236,7 +236,7 @@ static WAKER_VTABLE: RawWakerVTable =
     RawWakerVTable::new(wb_clone, wb_wake, wb_wake_by_ref, wb_drop);
 
 unsafe fn wb_clone(p: *const ()) -> RawWaker {
-    // SAFETY: `p` came from `new_task_waker`'s Box and is kept alive by the
+    // SAFETY: `p` came from `new_task_waker`'s block and is kept alive by the
     // refcount this clone participates in.
     unsafe { &*(p as *const WakerBlock) }
         .refs
@@ -263,20 +263,34 @@ unsafe fn wb_drop(p: *const ()) {
     let b = unsafe { &*(p as *const WakerBlock) };
     if b.refs.fetch_sub(1, Ordering::Release) == 1 {
         fence(Ordering::Acquire);
-        // SAFETY: last reference; reconstruct and drop the Box.
-        let mut boxed = unsafe { Box::from_raw(p as *mut WakerBlock) };
-        unsafe { ManuallyDrop::drop(&mut boxed.ready) };
+        let block = p as *mut WakerBlock;
+        // SAFETY: last reference: release the queue handle, then return
+        // the block (from `palloc` in `new_task_waker`) to the pool.
+        unsafe {
+            ManuallyDrop::drop(&mut (*block).ready);
+            crate::pool::pfree(
+                NonNull::new_unchecked(block.cast()),
+                Layout::new::<WakerBlock>(),
+            );
+        }
     }
 }
 
+/// Builds a slot waker. The block comes from the thread's layout pool, so
+/// the slots of a new simulation reuse the blocks an earlier one released
+/// at shutdown instead of allocating one per slot.
 fn new_task_waker(id: TaskId, ready: Arc<ReadyQueue>) -> Waker {
-    let block = Box::into_raw(Box::new(WakerBlock {
-        refs: AtomicUsize::new(1),
-        id: AtomicU64::new(id.0),
-        ready: ManuallyDrop::new(ready),
-    }));
+    let block = crate::pool::palloc(Layout::new::<WakerBlock>()).cast::<WakerBlock>();
+    // SAFETY: fresh block of `WakerBlock`'s layout.
+    unsafe {
+        block.as_ptr().write(WakerBlock {
+            refs: AtomicUsize::new(1),
+            id: AtomicU64::new(id.0),
+            ready: ManuallyDrop::new(ready),
+        });
+    }
     // SAFETY: vtable functions uphold the RawWaker contract over `block`.
-    unsafe { Waker::from_raw(RawWaker::new(block as *const (), &WAKER_VTABLE)) }
+    unsafe { Waker::from_raw(RawWaker::new(block.as_ptr() as *const (), &WAKER_VTABLE)) }
 }
 
 /// Rebinds `waker` (a slot waker built by [`new_task_waker`]) to a new

@@ -1,19 +1,27 @@
 //! Thread-local size-class recycling for the executor's hot allocations.
 //!
-//! Task futures and oneshot channel blocks are allocated on every spawn and
-//! freed on completion, always on the thread that owns the simulation (both
-//! types are `!Send`). Routing them through a per-thread free list keyed by
-//! layout turns steady-state spawning into pointer pops: the set of distinct
-//! layouts is the set of spawned future types, a small closed set per
-//! program, so a linear scan over the classes beats hashing.
+//! Task futures, task waker blocks and oneshot channel blocks are allocated
+//! on every spawn and freed on completion, nearly always on the thread that
+//! owns the simulation. Routing them through a per-thread free list keyed
+//! by layout turns steady-state spawning into pointer pops: the set of
+//! distinct layouts is the set of spawned future types, a small closed set
+//! per program, so a linear scan over the classes beats hashing.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
 use std::ptr::NonNull;
 
-/// Retention cap per layout class; excess blocks return to the global
-/// allocator so one allocation burst cannot pin memory forever.
-const PER_CLASS: usize = 4096;
+/// Retention cap per layout class, in bytes; excess blocks return to the
+/// global allocator so one allocation burst cannot pin memory forever.
+/// Small classes therefore keep many blocks: a 100-host fleet cell parks
+/// thousands of flush-worker daemons, and every one of their 40-byte
+/// oneshot blocks is freed at once when the cell shuts down. A cap of a
+/// few thousand blocks sent the excess back to the allocator, and the next
+/// cell allocated it all again.
+const PER_CLASS_BYTES: usize = 4 << 20;
+
+/// Every class may keep at least this many blocks, however large.
+const PER_CLASS_MIN: usize = 4096;
 
 /// Cap on distinct pooled layouts; later layouts fall through to the
 /// global allocator (never hit in practice).
@@ -33,13 +41,18 @@ thread_local! {
 /// have non-zero size.
 pub(crate) fn palloc(layout: Layout) -> NonNull<u8> {
     debug_assert!(layout.size() > 0);
-    let reused = POOL.with(|p| {
-        let mut classes = p.borrow_mut();
-        classes
-            .iter_mut()
-            .find(|(l, _)| *l == layout)
-            .and_then(|(_, list)| list.pop())
-    });
+    // `try_with`: a block may be requested or returned while the thread's
+    // locals are being torn down; the global allocator serves it then.
+    let reused = POOL
+        .try_with(|p| {
+            let mut classes = p.borrow_mut();
+            classes
+                .iter_mut()
+                .find(|(l, _)| *l == layout)
+                .and_then(|(_, list)| list.pop())
+        })
+        .ok()
+        .flatten();
     reused.unwrap_or_else(|| {
         // SAFETY: non-zero size asserted above.
         NonNull::new(unsafe { std::alloc::alloc(layout) })
@@ -48,22 +61,25 @@ pub(crate) fn palloc(layout: Layout) -> NonNull<u8> {
 }
 
 /// Returns a block previously obtained from [`palloc`] with the same
-/// `layout`. Must be called on the allocating thread (all users are
-/// `!Send`, so this holds by construction).
+/// `layout`. Any thread may return a block (a task waker can die on a
+/// foreign thread); it joins that thread's pool.
 pub(crate) fn pfree(ptr: NonNull<u8>, layout: Layout) {
-    let pooled = POOL.with(|p| {
-        let mut classes = p.borrow_mut();
-        if let Some((_, list)) = classes.iter_mut().find(|(l, _)| *l == layout) {
-            if list.len() < PER_CLASS {
-                list.push(ptr);
+    let cap = PER_CLASS_MIN.max(PER_CLASS_BYTES / layout.size());
+    let pooled = POOL
+        .try_with(|p| {
+            let mut classes = p.borrow_mut();
+            if let Some((_, list)) = classes.iter_mut().find(|(l, _)| *l == layout) {
+                if list.len() < cap {
+                    list.push(ptr);
+                    return true;
+                }
+            } else if classes.len() < MAX_CLASSES {
+                classes.push((layout, vec![ptr]));
                 return true;
             }
-        } else if classes.len() < MAX_CLASSES {
-            classes.push((layout, vec![ptr]));
-            return true;
-        }
-        false
-    });
+            false
+        })
+        .unwrap_or(false);
     if !pooled {
         // SAFETY: `ptr` came from `palloc` with this exact layout.
         unsafe { std::alloc::dealloc(ptr.as_ptr(), layout) };
@@ -86,6 +102,38 @@ mod tests {
         assert_ne!(p2.as_ptr(), p3.as_ptr());
         pfree(p2, a);
         pfree(p3, b);
+    }
+
+    fn pooled(layout: Layout) -> usize {
+        POOL.with(|p| {
+            p.borrow()
+                .iter()
+                .find(|(l, _)| *l == layout)
+                .map_or(0, |(_, list)| list.len())
+        })
+    }
+
+    #[test]
+    fn small_classes_keep_a_burst_larger_than_the_block_floor() {
+        let small = Layout::from_size_align(40, 8).unwrap();
+        let blocks: Vec<_> = (0..10_000).map(|_| palloc(small)).collect();
+        for &b in &blocks {
+            pfree(b, small);
+        }
+        assert_eq!(pooled(small), 10_000, "a 400 KB burst fits the byte cap");
+        let large = Layout::from_size_align(2048, 8).unwrap();
+        let blocks: Vec<_> = (0..PER_CLASS_MIN + 10).map(|_| palloc(large)).collect();
+        for &b in &blocks {
+            pfree(b, large);
+        }
+        assert_eq!(pooled(large), PER_CLASS_MIN, "large classes keep the floor");
+        // Hand the pooled blocks back to the allocator.
+        for layout in [small, large] {
+            for _ in 0..pooled(layout) {
+                let p = palloc(layout);
+                unsafe { std::alloc::dealloc(p.as_ptr(), layout) };
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`IoLog`] is that log; replaying it against an [`crate::SsdModel`]
 //! regenerates Figure 1.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Direction of a logged flash I/O.
@@ -30,44 +30,47 @@ pub struct IoLogEntry {
 /// A shared, append-only log of flash I/Os.
 ///
 /// Cloning shares the log; the simulator appends while it runs and the
-/// Figure 1 harness drains afterwards.
+/// Figure 1 harness drains afterwards. One allocation holds the whole
+/// log, so a run that logs nothing can hand every host a clone of one
+/// disabled log.
 #[derive(Clone, Default)]
 pub struct IoLog {
-    entries: Rc<RefCell<Vec<IoLogEntry>>>,
-    enabled: Rc<RefCell<bool>>,
+    inner: Rc<Inner>,
+}
+
+#[derive(Default)]
+struct Inner {
+    entries: RefCell<Vec<IoLogEntry>>,
+    enabled: Cell<bool>,
 }
 
 impl IoLog {
     /// Creates an enabled log.
     pub fn new() -> Self {
-        Self {
-            entries: Rc::new(RefCell::new(Vec::new())),
-            enabled: Rc::new(RefCell::new(true)),
-        }
+        let log = Self::disabled();
+        log.set_enabled(true);
+        log
     }
 
     /// Creates a disabled log (appends are no-ops; zero overhead mode).
     pub fn disabled() -> Self {
-        Self {
-            entries: Rc::new(RefCell::new(Vec::new())),
-            enabled: Rc::new(RefCell::new(false)),
-        }
+        Self::default()
     }
 
     /// Enables or disables recording.
     pub fn set_enabled(&self, on: bool) {
-        *self.enabled.borrow_mut() = on;
+        self.inner.enabled.set(on);
     }
 
     /// True if appends are being recorded.
     pub fn is_enabled(&self) -> bool {
-        *self.enabled.borrow()
+        self.inner.enabled.get()
     }
 
     /// Records one read access.
     pub fn log_read(&self, lba: u64) {
         if self.is_enabled() {
-            self.entries.borrow_mut().push(IoLogEntry {
+            self.inner.entries.borrow_mut().push(IoLogEntry {
                 dir: IoDirection::Read,
                 lba,
             });
@@ -77,7 +80,7 @@ impl IoLog {
     /// Records one write access.
     pub fn log_write(&self, lba: u64) {
         if self.is_enabled() {
-            self.entries.borrow_mut().push(IoLogEntry {
+            self.inner.entries.borrow_mut().push(IoLogEntry {
                 dir: IoDirection::Write,
                 lba,
             });
@@ -86,22 +89,22 @@ impl IoLog {
 
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
-        self.entries.borrow().len()
+        self.inner.entries.borrow().len()
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.borrow().is_empty()
+        self.inner.entries.borrow().is_empty()
     }
 
     /// Takes the recorded entries, leaving the log empty.
     pub fn take(&self) -> Vec<IoLogEntry> {
-        std::mem::take(&mut *self.entries.borrow_mut())
+        std::mem::take(&mut *self.inner.entries.borrow_mut())
     }
 
     /// Copies the recorded entries.
     pub fn snapshot(&self) -> Vec<IoLogEntry> {
-        self.entries.borrow().clone()
+        self.inner.entries.borrow().clone()
     }
 }
 
