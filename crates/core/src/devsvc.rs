@@ -637,12 +637,15 @@ impl SsdQueue {
                 self.service(sim, dir, lba, scale, sp).await;
             }
             _ => {
-                let n = batch.len();
-                let mut admitted = 0usize;
+                let mut ctx = BatchCtx {
+                    sim,
+                    dir,
+                    scale,
+                    sp,
+                    left: batch.len(),
+                };
                 enter(sp, sim, Phase::FlashQueue);
-                batch
-                    .wait_all(|cmd, cx| self.step(cmd, cx, sim, dir, scale, (&mut admitted, n), sp))
-                    .await;
+                batch.wait_all(|cmd, cx| self.step(cmd, cx, &mut ctx)).await;
                 put_batch(batch);
             }
         }
@@ -651,19 +654,16 @@ impl SsdQueue {
     /// Advances one batch command as far as it can go, exactly as
     /// [`Self::service`] would: record occupancy and queue for a slot,
     /// then draw the service time once granted, then hold the slot for
-    /// that long. `admitted` counts the batch's commands drawn so far out
-    /// of its `n`; the last one moves the op's span to `DeviceService`.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &self,
-        cmd: &mut Cmd,
-        cx: &mut Context<'_>,
-        sim: &Sim,
-        dir: IoDirection,
-        scale: f64,
-        (admitted, n): (&mut usize, usize),
-        sp: Option<&OpSpan>,
-    ) -> Poll<()> {
+    /// that long. The batch's last draw moves the op's span to
+    /// `DeviceService`.
+    fn step(&self, cmd: &mut Cmd, cx: &mut Context<'_>, ctx: &mut BatchCtx<'_>) -> Poll<()> {
+        let BatchCtx {
+            sim,
+            dir,
+            scale,
+            sp,
+            ..
+        } = *ctx;
         if let Cmd::New(lba) = *cmd {
             let waited = self.slots.available() == 0 || self.slots.queue_len() > 0;
             self.stats.note_submit(self.inflight(), waited);
@@ -683,8 +683,8 @@ impl SsdQueue {
             let t = DeviceService::inflate(t, scale);
             self.stats.note_complete(dir, t);
             self.window_record(dir, t);
-            *admitted += 1;
-            if *admitted == n {
+            ctx.left -= 1;
+            if ctx.left == 0 {
                 // The whole batch is in service; the op's remaining wait
                 // is pure device time.
                 enter(sp, sim, Phase::DeviceService);
@@ -727,6 +727,16 @@ impl SsdQueue {
             self.windows.borrow_mut().push(stat);
         }
     }
+}
+
+/// What every command of one SSD batch shares.
+struct BatchCtx<'a> {
+    sim: &'a Sim,
+    dir: IoDirection,
+    scale: f64,
+    sp: Option<&'a OpSpan>,
+    /// Commands not yet granted a slot and drawn.
+    left: usize,
 }
 
 /// One command of an SSD batch, as [`SsdQueue::step`] advances it.
