@@ -3,9 +3,9 @@
 //! The paper keeps host caches consistent by instant invalidation with
 //! global knowledge (§3.8): a write removes the block from every other
 //! host's caches. Probing every peer's cache maps for every written block
-//! makes a write cost O(hosts) hash probes, so per-op cost grew with the
-//! host count. The filter narrows that scan to the hosts that may hold the
-//! block.
+//! would make a write cost O(hosts) hash probes, so per-op cost would grow
+//! with the host count. The filter narrows that scan to the hosts that may
+//! hold the block.
 //!
 //! It is a counting filter: a `u8` matrix with one row per bucket and one
 //! column per host. A block's bucket is `mix64(addr) & mask`. A column

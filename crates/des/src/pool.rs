@@ -14,10 +14,10 @@ use std::ptr::NonNull;
 /// Retention cap per layout class, in bytes; excess blocks return to the
 /// global allocator so one allocation burst cannot pin memory forever.
 /// Small classes therefore keep many blocks: a 100-host fleet cell parks
-/// thousands of flush-worker daemons, and every one of their 40-byte
-/// oneshot blocks is freed at once when the cell shuts down. A cap of a
-/// few thousand blocks sent the excess back to the allocator, and the next
-/// cell allocated it all again.
+/// thousands of flush-worker daemons, and all their 40-byte oneshot blocks
+/// are freed at once when the cell shuts down. Under a cap of a few
+/// thousand blocks the excess would go back to the allocator, only for the
+/// next cell to allocate it all again.
 const PER_CLASS_BYTES: usize = 4 << 20;
 
 /// Every class may keep at least this many blocks, however large.
