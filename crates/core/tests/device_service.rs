@@ -4,9 +4,11 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use fcache::{
-    run_trace, Architecture, DeviceService, FlashTiming, SimConfig, Workbench, WorkloadSpec,
+    run_trace, Architecture, DeviceService, FlashTiming, SimConfig, SimReport, Workbench,
+    WorkloadSpec,
 };
 use fcache_des::Sim;
 use fcache_device::{IoLog, SsdConfig};
@@ -19,13 +21,14 @@ use fcache_types::{BlockAddr, ByteSize, FileId, HostId};
 /// Report fields captured from the engine *before* the device service
 /// existed (same workload: `Workbench::new(4096, 42)`,
 /// `WorkloadSpec::baseline_60g()`, configs scaled down by 4096). Flat
-/// timing must keep reproducing these numbers bit-for-bit — including the
-/// executor event count, which would move if the service added so much as
-/// one extra poll to the hot path.
+/// timing must keep reproducing these numbers bit-for-bit. The executor
+/// poll count is pinned on its own: it is a cost of the simulator, not
+/// behaviour of the modeled system, and it may only go down.
 struct Golden {
     arch: Architecture,
     zero_flash: bool,
     end_ns: u64,
+    /// Executor polls (`SimReport::events`).
     events: u64,
     read_latency_ns: u64,
     write_latency_ns: u64,
@@ -106,25 +109,41 @@ const GOLDENS: &[Golden] = &[
     },
 ];
 
+/// The golden runs, one report per [`GOLDENS`] row, run once and shared
+/// by the behaviour pin and the poll-count pin.
+fn golden_reports() -> &'static [SimReport] {
+    static REPORTS: OnceLock<Vec<SimReport>> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        let wb = Workbench::new(4096, 42);
+        let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
+        GOLDENS
+            .iter()
+            .map(|g| {
+                let cfg = SimConfig {
+                    arch: g.arch,
+                    flash_size: if g.zero_flash {
+                        ByteSize::ZERO
+                    } else {
+                        SimConfig::baseline().flash_size
+                    },
+                    ..SimConfig::baseline()
+                }
+                .scaled_down(4096);
+                run_trace(&cfg, &trace).expect("flat run")
+            })
+            .collect()
+    })
+}
+
+fn golden_tag(g: &Golden) -> String {
+    format!("{:?} (zero_flash={})", g.arch, g.zero_flash)
+}
+
 #[test]
 fn flat_mode_reports_are_byte_identical_to_pre_service_engine() {
-    let wb = Workbench::new(4096, 42);
-    let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
-    for g in GOLDENS {
-        let cfg = SimConfig {
-            arch: g.arch,
-            flash_size: if g.zero_flash {
-                ByteSize::ZERO
-            } else {
-                SimConfig::baseline().flash_size
-            },
-            ..SimConfig::baseline()
-        }
-        .scaled_down(4096);
-        let r = run_trace(&cfg, &trace).expect("flat run");
-        let tag = format!("{:?} (zero_flash={})", g.arch, g.zero_flash);
+    for (g, r) in GOLDENS.iter().zip(golden_reports()) {
+        let tag = golden_tag(g);
         assert_eq!(r.end_time.as_nanos(), g.end_ns, "end_time drifted: {tag}");
-        assert_eq!(r.events, g.events, "executor event count drifted: {tag}");
         assert_eq!(
             r.metrics.read_latency.as_nanos(),
             g.read_latency_ns,
@@ -146,6 +165,18 @@ fn flat_mode_reports_are_byte_identical_to_pre_service_engine() {
         // And the service itself must have stayed out of the way entirely.
         assert_eq!(r.device.ops(), 0, "flat mode recorded device stats: {tag}");
         assert!(r.device_windows.is_none(), "flat mode built windows: {tag}");
+    }
+}
+
+#[test]
+fn flat_mode_poll_counts_are_pinned() {
+    for (g, r) in GOLDENS.iter().zip(golden_reports()) {
+        assert_eq!(
+            r.events,
+            g.events,
+            "executor poll count moved: {}",
+            golden_tag(g)
+        );
     }
 }
 
