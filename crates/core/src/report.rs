@@ -43,7 +43,10 @@ pub struct SimReport {
     pub device_windows: Option<Vec<WindowStat>>,
     /// Simulated time at completion (includes warmup).
     pub end_time: SimTime,
-    /// Executor polls performed (a proxy for simulation work).
+    /// Executor task polls performed: the simulator's own cost, not
+    /// behaviour of the modeled system. Behaviour pins compare the report
+    /// minus this field and pin it separately. A sleep that resumes
+    /// inline (PERF.md invariant 16) happens inside a poll and adds none.
     pub events: u64,
     /// Flash I/O log (present only when `log_flash_io` was set; covers the
     /// whole run including warmup, since device fill behavior is the point).

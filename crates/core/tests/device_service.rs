@@ -47,7 +47,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Naive,
         zero_flash: false,
         end_ns: 606_001_132,
-        events: 69_584,
+        events: 48_575,
         read_latency_ns: 1_393_239_848,
         write_latency_ns: 1_002_400,
         ram_hits: 692,
@@ -63,7 +63,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Lookaside,
         zero_flash: false,
         end_ns: 598_723_536,
-        events: 62_456,
+        events: 44_107,
         read_latency_ns: 1_425_541_292,
         write_latency_ns: 1_002_400,
         ram_hits: 733,
@@ -79,7 +79,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Unified,
         zero_flash: false,
         end_ns: 598_140_980,
-        events: 48_738,
+        events: 42_190,
         read_latency_ns: 1_290_779_640,
         write_latency_ns: 46_961_000,
         ram_hits: 0,
@@ -95,7 +95,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Naive,
         zero_flash: true,
         end_ns: 1_404_960_820,
-        events: 58_443,
+        events: 39_366,
         read_latency_ns: 4_478_416_996,
         write_latency_ns: 1_002_400,
         ram_hits: 554,
@@ -170,14 +170,17 @@ fn flat_mode_reports_are_byte_identical_to_pre_service_engine() {
 
 #[test]
 fn flat_mode_poll_counts_are_pinned() {
-    for (g, r) in GOLDENS.iter().zip(golden_reports()) {
-        assert_eq!(
-            r.events,
-            g.events,
-            "executor poll count moved: {}",
-            golden_tag(g)
-        );
-    }
+    let moved: Vec<String> = GOLDENS
+        .iter()
+        .zip(golden_reports())
+        .filter(|(g, r)| r.events != g.events)
+        .map(|(g, r)| format!("{}: got {}, want {}", golden_tag(g), r.events, g.events))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "executor poll counts moved:\n{}",
+        moved.join("\n")
+    );
 }
 
 // ---------------------------------------------------------------------------

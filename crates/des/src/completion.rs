@@ -46,6 +46,8 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
+use crate::executor::RunAheadBarrier;
+
 /// A set of in-flight sub-operations awaited together.
 ///
 /// Entries are not stepped until [`wait_all`](CompletionSet::wait_all) is
@@ -134,6 +136,10 @@ where
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // Entries after one that returns `Pending` are still stepped with
+        // this context at this instant, so no entry's sleep may move the
+        // clock ahead inline.
+        let _barrier = RunAheadBarrier::enter();
         let this = self.get_mut();
         let pending = &mut this.set.pending;
         let mut i = 0;

@@ -6,6 +6,16 @@
 //! there. The simulation finishes when every non-daemon task has completed;
 //! daemon tasks (e.g. periodic writeback syncers, which loop forever) do not
 //! keep the simulation alive.
+//!
+//! A sleep whose wake is provably the loop's next event resumes inline:
+//! when the polled task sleeps, nothing else is runnable, and no timer is
+//! due at or before its deadline, the loop's next move would be to advance
+//! the clock to that deadline and poll this task again. [`Sleep`] makes
+//! that move itself — it sets the clock and completes in the same poll —
+//! so no timer is registered and the task is not parked and re-polled.
+//! Every task still runs at the same simulated instants in the same
+//! order; only the poll count ([`RunReport::events`]) drops. The exact
+//! conditions are on [`Sleep`] (and PERF.md invariant 16).
 
 use std::alloc::Layout;
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -192,6 +202,19 @@ impl ReadyQueue {
         debug_assert_eq!(thread_token(), self.owner);
         // SAFETY: owner thread only, as asserted above.
         unsafe { (*self.local.get()).push_back(id) };
+    }
+
+    /// True when no task is waiting to be polled, local or remote. Must be
+    /// called from the owner thread; enforced with a debug assertion.
+    fn is_empty(&self) -> bool {
+        debug_assert_eq!(
+            thread_token(),
+            self.owner,
+            "ReadyQueue::is_empty from non-owner thread"
+        );
+        // SAFETY: owner thread only, as asserted above; the shared borrow
+        // ends before this returns, so no `&mut` from `push`/`pop` overlaps.
+        !self.has_remote.load(Ordering::Acquire) && unsafe { (*self.local.get()).is_empty() }
     }
 
     /// Pops the next ready task. Must be called from the owner thread (the
@@ -414,6 +437,39 @@ struct SimInner {
     /// waker IS this task's waker" without comparing vtables. Cleared on
     /// poll exit so a stale pointer can never match a later registration.
     current_poll: Cell<Option<(TaskId, *const ())>>,
+    /// The active `run_until` limit: a sleep may not run ahead past it.
+    limit: Cell<SimTime>,
+    /// Test-only switch for inline run-ahead, so tests can compare a run
+    /// against the plain park-and-wake schedule.
+    #[cfg(test)]
+    run_ahead: Cell<bool>,
+}
+
+thread_local! {
+    /// Multi-child combinators ([`crate::completion::WaitAll`]) currently
+    /// on this thread's poll stack. Such a combinator keeps polling later
+    /// children with the same context after an earlier one returns
+    /// `Pending`, so a clock moved by one child's sleep would leak into
+    /// the next child's deadline: inside one, no sleep runs ahead.
+    static RUN_AHEAD_BARRIERS: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Bars inline run-ahead on this thread while alive. Held by a combinator
+/// for the duration of each poll that steps several children with one
+/// context.
+pub(crate) struct RunAheadBarrier(());
+
+impl RunAheadBarrier {
+    pub(crate) fn enter() -> Self {
+        RUN_AHEAD_BARRIERS.with(|d| d.set(d.get() + 1));
+        Self(())
+    }
+}
+
+impl Drop for RunAheadBarrier {
+    fn drop(&mut self) {
+        RUN_AHEAD_BARRIERS.with(|d| d.set(d.get() - 1));
+    }
 }
 
 /// Handle to a simulation: clock, spawner, and run loop.
@@ -448,6 +504,9 @@ impl Sim {
                 timer_seq: Cell::new(0),
                 events_processed: Cell::new(0),
                 current_poll: Cell::new(None),
+                limit: Cell::new(SimTime::ZERO),
+                #[cfg(test)]
+                run_ahead: Cell::new(true),
             }),
         }
     }
@@ -457,7 +516,8 @@ impl Sim {
         self.inner.now.get()
     }
 
-    /// Total task polls performed so far (a cheap event-count metric).
+    /// Total task polls performed so far (a cheap event-count metric). A
+    /// sleep that resumes inline happens inside a poll and adds none.
     pub fn events_processed(&self) -> u64 {
         self.inner.events_processed.get()
     }
@@ -576,6 +636,55 @@ impl Sim {
         self.inner.timers.borrow_mut().push(Reverse(entry));
     }
 
+    /// Inline run-ahead for a sleep until `deadline` polled with `waker`:
+    /// if the wake is provably the run loop's next event, sets the clock
+    /// to `deadline` and returns true, and the sleep completes in this
+    /// poll. Otherwise the loop would park the task, find nothing ready,
+    /// advance to `deadline` (the heap minimum, with no earlier-registered
+    /// entry there), wake this task alone, and poll it again: the same
+    /// state at the same instant, one poll later.
+    fn run_ahead(&self, deadline: SimTime, waker: &Waker) -> bool {
+        let inner = &*self.inner;
+        #[cfg(test)]
+        if !inner.run_ahead.get() {
+            return false;
+        }
+        // Only the polled task's own waker is resumed by continuing this
+        // poll (the identity check `register_timer` uses).
+        let own = matches!(
+            inner.current_poll.get(),
+            Some((_, data)) if std::ptr::eq(data, waker.data())
+        );
+        if !own
+            // The loop stops at the limit instead of advancing past it.
+            || deadline > inner.limit.get()
+            // With no live task left (a daemon polled after the last one
+            // finished) the loop stops without advancing the clock.
+            || inner.live_tasks.get() == 0
+            // Every runnable task runs first, at the current instant.
+            || !inner.ready.is_empty()
+        {
+            return false;
+        }
+        // A timer due earlier, or at `deadline` but registered earlier,
+        // fires first.
+        if matches!(inner.timers.borrow().peek(), Some(Reverse(e)) if e.deadline <= deadline) {
+            return false;
+        }
+        if RUN_AHEAD_BARRIERS.with(Cell::get) > 0 {
+            return false;
+        }
+        inner.now.set(deadline);
+        true
+    }
+
+    /// Turns inline run-ahead off or on (on by default), so a test can
+    /// check a run against the park-and-wake schedule.
+    #[cfg(test)]
+    pub(crate) fn set_run_ahead(&self, on: bool) {
+        self.inner.run_ahead.set(on);
+    }
+
     /// Polls one task by id; ignores stale or already-running ids.
     fn poll_task(&self, id: TaskId) {
         // Copy out the raw future pointers and the waker's data pointer,
@@ -658,6 +767,7 @@ impl Sim {
     /// If the time limit stops the run, live tasks stay parked and a later
     /// `run_until` call with a larger limit resumes them.
     pub fn run_until(&self, limit: SimTime) -> Result<RunReport, RunError> {
+        self.inner.limit.set(limit);
         loop {
             // Drain everything runnable at the current instant.
             while let Some(id) = self.inner.ready.pop() {
@@ -764,7 +874,8 @@ impl fmt::Debug for Sim {
 pub struct RunReport {
     /// Clock value when the run stopped.
     pub end_time: SimTime,
-    /// Total task polls performed.
+    /// Total task polls performed: a cost of the simulation, not part of
+    /// its behaviour. A sleep that resumes inline is not a poll.
     pub events: u64,
     /// Non-daemon tasks still alive (nonzero only when a time limit stopped
     /// the run).
@@ -799,6 +910,19 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+///
+/// On its first poll a sleep resumes inline — moves the clock to its
+/// deadline and completes at once, registering no timer — when its wake
+/// would be the run loop's next event anyway:
+/// - it is polled with the polled task's own waker;
+/// - no task is ready (local or remote);
+/// - every pending timer is due strictly after the deadline;
+/// - the deadline is within the active [`Sim::run_until`] limit;
+/// - a live task remains (the loop would otherwise stop, not advance);
+/// - no multi-child combinator ([`crate::CompletionSet::wait_all`]) is
+///   stepping children with this context.
+///
+/// Otherwise it registers a timer and parks, as any sleep did before.
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
@@ -813,8 +937,11 @@ impl Future for Sleep {
             return Poll::Ready(());
         }
         if !self.registered {
-            self.registered = true;
             let deadline = self.deadline;
+            if self.sim.run_ahead(deadline, cx.waker()) {
+                return Poll::Ready(());
+            }
+            self.registered = true;
             self.sim.register_timer(deadline, cx.waker());
         }
         Poll::Pending

@@ -40,6 +40,9 @@ pub mod resource;
 pub mod sync;
 pub mod time;
 
+#[cfg(test)]
+mod run_ahead_tests;
+
 pub use completion::{CompletionSet, WaitAll};
 pub use executor::{JoinHandle, RunError, RunReport, Sim};
 pub use resource::{Resource, ResourceGuard};
