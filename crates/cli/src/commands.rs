@@ -378,7 +378,9 @@ fn cmd_run(args: &[String]) -> CmdResult {
     // One scenario over a streamed workload: generation feeds the
     // simulator in bounded chunks, so run memory is O(cache + chunk)
     // regardless of the trace volume.
+    let t0 = std::time::Instant::now();
     let report = wb.scenario(&cfg, &spec).run()?;
+    let wall = t0.elapsed().as_secs_f64();
     print!("{report}");
     println!(
         "read latency       {:.1} us/block",
@@ -388,7 +390,27 @@ fn cmd_run(args: &[String]) -> CmdResult {
         "write latency      {:.2} us/block",
         report.write_latency_us()
     );
+    // The simulator's own cost goes to stderr, keeping stdout the report
+    // that `fcsim replay` prints for the same ops. The stream is
+    // regenerated to count its ops, outside the timed run.
+    let mut stream = wb.make_stream(&spec);
+    let ops = std::iter::from_fn(|| stream.next_op()).count() as u64;
+    if wall > 0.0 {
+        eprintln!("{}", throughput_line("run", ops, wall, report.events));
+    }
     Ok(())
+}
+
+/// One line of a run's own cost: trace ops per wall second, wall time,
+/// and executor polls, in total and per trace op (warmup included).
+fn throughput_line(what: &str, ops: u64, wall_s: f64, polls: u64) -> String {
+    format!(
+        "{:<19}{:.0} ops/s ({ops} ops in {:.1} ms wall, {polls} polls, {:.2} polls/op)",
+        format!("{what} throughput"),
+        ops as f64 / wall_s,
+        wall_s * 1e3,
+        polls as f64 / ops.max(1) as f64,
+    )
 }
 
 fn ensure_unique<T: PartialEq + std::fmt::Display>(list: &[T], flag: &str) -> Result<(), ArgError> {
@@ -1150,10 +1172,8 @@ fn cmd_replay(args: &[String]) -> CmdResult {
     );
     if wall > 0.0 {
         println!(
-            "replay throughput  {:.0} ops/s ({} ops in {:.1} ms wall)",
-            total_ops as f64 / wall,
-            total_ops,
-            wall * 1e3
+            "{}",
+            throughput_line("replay", total_ops, wall, report.events)
         );
     }
     Ok(())
@@ -1172,6 +1192,17 @@ mod tests {
         assert!(dispatch(&argv(&["help"])).is_ok());
         assert!(dispatch(&argv(&["table1"])).is_ok());
         assert!(dispatch(&argv(&[])).is_ok());
+    }
+
+    #[test]
+    fn throughput_line_reports_polls_per_op() {
+        assert_eq!(
+            throughput_line("replay", 4000, 0.5, 76_000),
+            "replay throughput  8000 ops/s (4000 ops in 500.0 ms wall, 76000 polls, 19.00 polls/op)"
+        );
+        assert!(
+            throughput_line("run", 4000, 0.5, 76_000).starts_with("run throughput     8000 ops/s")
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! Determinism: the executor is single-threaded, the ready queue is FIFO,
 //! timers fire in (deadline, registration order), and resources grant in
 //! strict FIFO order. Two runs of the same program produce identical event
-//! orders and identical clock readings.
+//! orders and identical clock readings. A sleep whose wake is provably the
+//! next event resumes inline, within the poll that slept; that saves the
+//! poll and changes no event order or clock reading.
 //!
 //! # Examples
 //!
