@@ -316,27 +316,6 @@ fn an_earlier_registered_timer_at_the_same_deadline_wakes_first() {
 }
 
 #[test]
-fn overlapped_sleeps_in_wait_all_finish_at_the_longest_not_the_sum() {
-    let sim = Sim::new();
-    let s = sim.clone();
-    let h = sim.spawn(async move {
-        let mut set = CompletionSet::<Boxed>::new();
-        for us in [5u64, 11, 2, 7] {
-            let s = s.clone();
-            // Each sleep starts when its entry is first stepped.
-            set.submit(Box::pin(
-                async move { s.sleep(SimTime::from_micros(us)).await },
-            ));
-        }
-        set.wait_all(|f, cx| f.as_mut().poll(cx)).await;
-        s.now()
-    });
-    let r = sim.run().unwrap();
-    assert_eq!(h.try_result().unwrap(), SimTime::from_micros(11));
-    assert_eq!(r.end_time, SimTime::from_micros(11));
-}
-
-#[test]
 fn a_sleep_polled_with_a_foreign_waker_parks() {
     use std::task::{Context, Waker};
 
