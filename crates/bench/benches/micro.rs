@@ -1,7 +1,8 @@
-//! Micro/throughput benchmarks for the simulator itself (not paper
-//! figures): data-structure op rates, end-to-end simulated-ops/sec for the
-//! baseline layered and unified configurations, and serial-vs-parallel
-//! sweep wall-clock.
+//! Micro/throughput benchmarks for the simulator's components (not paper
+//! figures): data-structure op rates, the device service, and the
+//! whole-engine cost of optional layers (SSD timing, faults, telemetry,
+//! span streaming, streamed sweeps) on the baseline trace. End-to-end
+//! replay throughput, with spreads, is `python3 perfbench/run.py`'s job.
 //!
 //! Emits a human table on stdout and machine-readable JSON to
 //! `BENCH_micro.json` (schema below) so successive PRs can track the
@@ -9,7 +10,7 @@
 //!
 //! ```json
 //! {"bench":"micro","schema":1,"results":[
-//!   {"name":"layered_sim_ops_per_sec","value":123.0,"unit":"blocks/s"}, ...]}
+//!   {"name":"block_cache_insert_evict_per_sec","value":123.0,"unit":"ops/s"}, ...]}
 //! ```
 //!
 //! `FCACHE_SCALE` overrides the workload scale (default 1/1024);
@@ -21,54 +22,12 @@ use std::time::Instant;
 
 use fcache::DeviceService;
 use fcache_bench::{
-    run_sweep, scale_from_env, Architecture, FlashTiming, SimConfig, Sweep, Workbench, Workload,
-    WorkloadSpec,
+    scale_from_env, Architecture, FlashTiming, SimConfig, Sweep, Workbench, Workload, WorkloadSpec,
 };
-use fcache_cache::{BlockCache, LruList, UnifiedCache};
+use fcache_cache::{BlockCache, UnifiedCache};
 use fcache_des::{Sim, SimTime};
 use fcache_device::{IoLog, SsdConfig};
-use fcache_fleet::{Fleet, FleetSpec};
-use fcache_types::{
-    BlockAddr, ByteReader, ByteSize, FaultPlan, FileId, FleetTopology, HostId, TraceOp, TraceReader,
-};
-
-/// The pre-refactor cache hot path, reconstructed for comparison: SipHash
-/// `HashMap` keyed map plus a *separate* SipHash `HashSet` for dirtiness —
-/// two hash probes (and two hash computations) per dirty-tracking insert,
-/// as the seed's `BlockCache` did before the dirty bit was folded into the
-/// LRU entry. Measured under the identical insert/evict workload so
-/// `BENCH_micro.json` records the hot-path multiple this refactor bought.
-struct LegacyCache {
-    map: std::collections::HashMap<u64, fcache_cache::lru::NodeId>,
-    lru: LruList<(BlockAddr, bool)>,
-    dirty: std::collections::HashSet<u64>,
-    capacity: usize,
-}
-
-impl LegacyCache {
-    fn insert(&mut self, addr: BlockAddr, dirty: bool) {
-        let key = addr.to_u64();
-        if let Some(&id) = self.map.get(&key) {
-            self.lru.touch(id);
-            if dirty {
-                self.dirty.insert(key);
-            }
-            return;
-        }
-        if self.lru.len() >= self.capacity {
-            if let Some((victim, _)) = self.lru.pop_back() {
-                let vkey = victim.to_u64();
-                self.map.remove(&vkey);
-                self.dirty.remove(&vkey);
-            }
-        }
-        let id = self.lru.push_front((addr, dirty));
-        self.map.insert(key, id);
-        if dirty {
-            self.dirty.insert(key);
-        }
-    }
-}
+use fcache_types::{BlockAddr, ByteSize, FaultPlan, FileId, HostId, TraceOp};
 
 struct Results {
     entries: Vec<(String, f64, &'static str)>,
@@ -125,28 +84,6 @@ fn bench_block_cache(res: &mut Results) {
         "block_cache_hit_lookup_per_sec",
         f64::from(N) / t0.elapsed().as_secs_f64(),
         "ops/s",
-    );
-
-    let mut legacy = LegacyCache {
-        map: std::collections::HashMap::with_capacity(65_536),
-        lru: LruList::with_capacity(65_536),
-        dirty: std::collections::HashSet::new(),
-        capacity: 65_536,
-    };
-    let t0 = Instant::now();
-    for n in 0..N {
-        legacy.insert(BlockAddr::new(FileId(0), n), n % 3 == 0);
-    }
-    let legacy_rate = f64::from(N) / t0.elapsed().as_secs_f64();
-    res.push("legacy_two_probe_insert_per_sec", legacy_rate, "ops/s");
-    res.push(
-        "cache_hot_path_speedup_vs_legacy",
-        res.entries
-            .iter()
-            .find(|(n, _, _)| n == "block_cache_insert_evict_per_sec")
-            .map(|(_, v, _)| v / legacy_rate)
-            .unwrap_or(0.0),
-        "x",
     );
 
     let mut unified = UnifiedCache::new(8_192, 57_344);
@@ -287,16 +224,16 @@ fn main() {
     let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
     let blocks = trace.stats().blocks as f64;
 
-    let layered = SimConfig::baseline();
+    // The plain layered run, timed only as the reference for the overhead
+    // ratios below (perfbench measures end-to-end throughput).
     let t0 = Instant::now();
-    let r = wb.run_with_trace(&layered, &trace).expect("layered run");
+    let r = wb
+        .run_with_trace(&SimConfig::baseline(), &trace)
+        .expect("layered run");
     let layered_wall = t0.elapsed().as_secs_f64();
     assert!(r.metrics.read_ops > 0);
-    res.push("layered_sim_ops_per_sec", blocks / layered_wall, "blocks/s");
 
-    // The same run under queue-aware SSD timing: the wall-clock ratio to
-    // the flat run is the whole-engine overhead of `flash_timing = ssd`
-    // (recorded in PERF.md invariant 7).
+    // The same run under queue-aware SSD timing.
     let layered_ssd = SimConfig {
         flash_timing: FlashTiming::Ssd(SsdConfig::auto()),
         ..SimConfig::baseline()
@@ -308,11 +245,6 @@ fn main() {
     let ssd_wall = t0.elapsed().as_secs_f64();
     assert!(r.device.ops() > 0);
     res.push("layered_ssd_sim_ops_per_sec", blocks / ssd_wall, "blocks/s");
-    res.push(
-        "ssd_timing_overhead_vs_flat",
-        ssd_wall / layered_wall.max(1e-9),
-        "x",
-    );
 
     // The same run through a mid-run filer outage: the wall-clock ratio to
     // the clean run is the engine cost of the engaged robustness layer
@@ -388,70 +320,6 @@ fn main() {
     );
     res.push("trace_bytes_per_op_seed", 20.0, "B");
 
-    // Streamed replay throughput — the zero-copy fast path: a `ByteReader`
-    // over the raw FCTRACE1 image forks one cursor per (host, thread) slot
-    // and each engine task decodes its records straight out of the archive
-    // bytes, with no chunk queues or op buffering in between. This is what
-    // `fcsim replay` runs over a mapped archive.
-    let mut archive = Vec::new();
-    trace.encode(&mut archive).expect("encode trace");
-    let scaled_layered = layered.clone().scaled_down(wb.scale());
-    // Best-of-3 wall time: the replay engine is deterministic, so repeat
-    // variation is pure measurement noise (scheduler, cache state of a
-    // shared CI core) and the minimum is the least-contaminated sample.
-    let replay_reps = 3;
-    let mut replay_wall = f64::MAX;
-    for _ in 0..replay_reps {
-        let t0 = Instant::now();
-        let mut bytes = ByteReader::new(&archive).expect("trace header");
-        let r = fcache_bench::run_source(&scaled_layered, &mut bytes).expect("forked replay");
-        replay_wall = replay_wall.min(t0.elapsed().as_secs_f64());
-        assert!(r.metrics.read_ops > 0);
-    }
-    res.push(
-        "trace_replay_ops_per_sec",
-        trace.len() as f64 / replay_wall,
-        "ops/s",
-    );
-
-    // The chunk-fed fallback for comparison: buffered `TraceReader` decode
-    // through the per-slot feed (spill-bounded queues, resident op memory
-    // O(chunk)) — the path non-mappable inputs take.
-    let mut chunked_wall = f64::MAX;
-    for _ in 0..replay_reps {
-        let t0 = Instant::now();
-        let mut reader = TraceReader::new(archive.as_slice()).expect("trace header");
-        let r = fcache_bench::run_source(&scaled_layered, &mut reader).expect("chunked replay");
-        chunked_wall = chunked_wall.min(t0.elapsed().as_secs_f64());
-        assert!(r.metrics.read_ops > 0);
-    }
-    res.push(
-        "trace_replay_chunked_ops_per_sec",
-        trace.len() as f64 / chunked_wall,
-        "ops/s",
-    );
-
-    // End-to-end file replay through a real memory mapping: archive on
-    // disk, `Workload::file` (open → mmap → `ByteReader` → forked cursors),
-    // including open/map/header cost.
-    let replay_path = std::env::temp_dir().join("fcache_bench_replay.fctrace");
-    std::fs::write(&replay_path, &archive).expect("write archive");
-    let mut mmap_wall = f64::MAX;
-    for _ in 0..replay_reps {
-        let t0 = Instant::now();
-        let r = fcache_bench::Scenario::new(scaled_layered.clone(), Workload::file(&replay_path))
-            .run()
-            .expect("mmap replay");
-        mmap_wall = mmap_wall.min(t0.elapsed().as_secs_f64());
-        assert!(r.metrics.read_ops > 0);
-    }
-    let _ = std::fs::remove_file(&replay_path);
-    res.push(
-        "replay_mmap_ops_per_sec",
-        trace.len() as f64 / mmap_wall,
-        "ops/s",
-    );
-
     let unified = SimConfig {
         arch: Architecture::Unified,
         ..SimConfig::baseline()
@@ -464,7 +332,10 @@ fn main() {
         "blocks/s",
     );
 
-    // Sweep scaling: the same 4 configurations serial vs parallel.
+    // Fully streamed sweep: 4 flash sizes, each job regenerating its own
+    // `TraceStream` instead of borrowing the resident trace — the
+    // O(chunk × jobs) sweep mode. Throughput counts every job's ops
+    // (generation + simulation per job).
     let cfgs: Vec<SimConfig> = [0u64, 32, 64, 128]
         .iter()
         .map(|g| {
@@ -475,25 +346,6 @@ fn main() {
             .scaled_down(scale)
         })
         .collect();
-    let t0 = Instant::now();
-    for cfg in &cfgs {
-        fcache_bench::run_trace(cfg, &trace).expect("serial sweep");
-    }
-    let serial_wall = t0.elapsed().as_secs_f64();
-    res.push("sweep4_serial_wall_s", serial_wall, "s");
-
-    let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
-    let t0 = Instant::now();
-    let reports = run_sweep(&jobs, None);
-    let parallel_wall = t0.elapsed().as_secs_f64();
-    assert!(reports.iter().all(|r| r.is_ok()));
-    res.push("sweep4_parallel_wall_s", parallel_wall, "s");
-    res.push("sweep4_speedup", serial_wall / parallel_wall.max(1e-9), "x");
-
-    // Fully streamed sweep: the same 4 configurations, but each job
-    // regenerates its own `TraceStream` instead of borrowing the resident
-    // trace — the O(chunk × jobs) sweep mode. Throughput counts every
-    // job's ops (generation + simulation per job).
     let spec = WorkloadSpec::baseline_60g();
     let t0 = Instant::now();
     let streamed = Sweep::over(Workload::stream(|| wb.make_stream(&spec)))
@@ -513,64 +365,6 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1) as f64,
         "threads",
-    );
-
-    // Fleet throughput: 1000 hosts in 100-host cells on shared wires
-    // (fan-in 4), one DES job per cell through the in-process fleet path.
-    // Deeper scaling than the single-host benches keeps this smoke-speed;
-    // the metric is simulated blocks across all cells per wall second.
-    let fleet_scale = scale.max(4096);
-    let fleet = Fleet::new(
-        SimConfig {
-            ram_size: ByteSize::gib(8),
-            flash_size: ByteSize::gib(32),
-            ..SimConfig::baseline()
-        },
-        FleetSpec {
-            hosts: 1000,
-            cell_hosts: 100,
-            hosts_per_segment: 4,
-            workload: WorkloadSpec {
-                working_set: ByteSize::gib(32),
-                seed: 7,
-                ..WorkloadSpec::default()
-            },
-            scale: fleet_scale,
-        },
-    );
-    let t0 = Instant::now();
-    let summary = fleet.run().expect("fleet run").summary();
-    let fleet_wall = t0.elapsed().as_secs_f64();
-    assert!(summary.hosts == 1000 && summary.queue_waits > 0);
-    res.push(
-        "fleet_1k_hosts_ops_per_sec",
-        (summary.metrics.read_blocks + summary.metrics.write_blocks) as f64 / fleet_wall.max(1e-9),
-        "blocks/s",
-    );
-
-    // Invariant 13's price tag: a one-host fleet cell is the pre-fleet
-    // engine plus per-host metric sinks and the fleet fold, so the wall
-    // ratio to the plain run on the same trace should hover near 1.
-    let layered_fleet = SimConfig {
-        fleet: Some(FleetTopology {
-            cell: 0,
-            cells: 1,
-            host_base: 0,
-            fleet_hosts: 1,
-            hosts_per_segment: 1,
-        }),
-        ..SimConfig::baseline()
-    };
-    let t0 = Instant::now();
-    let r = wb
-        .run_with_trace(&layered_fleet, &trace)
-        .expect("fleet-engaged run");
-    let fleet1_wall = t0.elapsed().as_secs_f64();
-    assert!(r.fleet.engaged());
-    res.push(
-        "fleet_overhead_vs_single_host",
-        fleet1_wall / layered_wall.max(1e-9),
-        "x",
     );
 
     let out = std::env::var("FCACHE_BENCH_OUT").unwrap_or_else(|_| "BENCH_micro.json".into());

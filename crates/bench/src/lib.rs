@@ -17,9 +17,9 @@ use std::fs;
 use std::path::PathBuf;
 
 pub use fcache::{
-    read_rows, run_source, run_sweep, run_trace, sink_fn, Architecture, DecodedRow, FlashTiming,
-    JsonlSink, MemorySink, ResultRow, ResultSink, Scenario, SimConfig, SimReport, Sweep,
-    SweepResults, TeeSink, Workbench, Workload, WorkloadSpec, WritebackPolicy, REPORT_SCHEMA,
+    read_rows, run_source, run_trace, sink_fn, Architecture, DecodedRow, FlashTiming, JsonlSink,
+    MemorySink, ResultRow, ResultSink, Scenario, SimConfig, SimReport, Sweep, SweepResults,
+    TeeSink, Workbench, Workload, WorkloadSpec, WritebackPolicy, REPORT_SCHEMA,
 };
 pub use fcache_types::{ByteSize, Json, Trace, TraceReader, TraceSource};
 

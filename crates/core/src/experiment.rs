@@ -23,46 +23,6 @@ use crate::report::SimReport;
 use crate::scenario::{Scenario, Sweep, SweepResults, Workload};
 use crate::sim::SimError;
 
-/// One unit of sweep work: a configuration to run against a trace.
-///
-/// The trace is borrowed so sweeps that replay one workload across many
-/// configurations (every paper figure) share a single copy.
-pub type SweepJob<'a> = (SimConfig, &'a Trace);
-
-/// Runs independent `(SimConfig, Trace)` jobs across threads, returning
-/// results in job order.
-///
-/// Thin shim over the [`Sweep`] builder for callers that want a bare
-/// `Vec<Result>` back: each job becomes a [`Scenario`] over
-/// [`Workload::trace`], so the fan-out, determinism, and job-order
-/// guarantees are exactly [`Sweep::run`]'s (bit-identical to a serial
-/// [`run_trace`](crate::run_trace) loop, asserted by
-/// `tests/sweep_determinism.rs`).
-///
-/// `threads` bounds the worker count; `None` uses the machine's available
-/// parallelism. Prefer [`Sweep`] directly for labeled results, streamed
-/// workloads, or incremental sinks.
-pub fn run_sweep(
-    jobs: &[SweepJob<'_>],
-    threads: Option<usize>,
-) -> Vec<Result<SimReport, SimError>> {
-    let mut sweep = Sweep::new().threads(threads.unwrap_or(0));
-    for (i, (cfg, trace)) in jobs.iter().enumerate() {
-        sweep = sweep.scenario(
-            format!("job{i}"),
-            Scenario::new(cfg.clone(), Workload::trace(trace)),
-        );
-    }
-    sweep
-        .run()
-        .into_iter()
-        .map(|item| match item.error {
-            Some(e) => Err(e),
-            None => Ok(item.report.expect("ok sweep item retains its report")),
-        })
-        .collect()
-}
-
 /// Workload description in paper-scale units.
 #[derive(Clone, Debug)]
 pub struct WorkloadSpec {
@@ -239,18 +199,6 @@ impl Workbench {
         // the trace does.
         let scenario = Scenario::new(scaled, Workload::trace(&trace));
         scenario.run()
-    }
-
-    /// Runs a paper-scale configuration against a *streamed* workload:
-    /// generation feeds the simulator in bounded chunks, so memory stays
-    /// O(cache + chunk) no matter how large the trace volume is. The
-    /// report is bit-identical to [`Workbench::run`] for the same inputs.
-    pub fn run_streamed(
-        &self,
-        cfg: &SimConfig,
-        spec: &WorkloadSpec,
-    ) -> Result<SimReport, SimError> {
-        self.scenario(cfg, spec).run()
     }
 
     /// Runs a paper-scale configuration against a pre-generated trace

@@ -70,6 +70,8 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod arch;
 pub mod config;
 pub mod devsvc;
@@ -94,7 +96,7 @@ pub mod telemetry;
 pub use arch::Architecture;
 pub use config::{FlashTiming, SimConfig};
 pub use devsvc::{DeviceService, DeviceStatsSnapshot};
-pub use experiment::{run_sweep, SweepJob, Workbench, WorkloadSpec};
+pub use experiment::{Workbench, WorkloadSpec};
 pub use fcache_remote::{RemoteStats, Router, ShardedStore};
 pub use fcache_types::FleetTopology;
 pub use fleet::FleetPlan;

@@ -2,11 +2,10 @@
 //! [`Workload`]s.
 //!
 //! Every experiment in this crate is "some configurations × some workload →
-//! reports". Historically that shape was spread over loose entry points
-//! ([`run_trace`], [`run_source`], [`run_sweep`](crate::run_sweep), the
-//! `Workbench` helpers),
-//! each hard-wiring one workload kind. This module is the composable layer
-//! they all route through now:
+//! reports". The engine primitives ([`run_trace`], [`run_source`]) each
+//! take one workload kind; this module is the composable layer over them
+//! that the `Workbench` helpers, the figure benches and `fcsim` route
+//! through:
 //!
 //! - a [`Workload`] names *what* to replay — a shared in-memory trace
 //!   ([`Workload::trace`]), a per-job regenerated stream

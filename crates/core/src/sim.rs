@@ -1,22 +1,23 @@
 //! Building and running a complete simulation from a configuration and a
 //! trace.
 //!
-//! Two replay paths share one engine:
+//! [`run_trace`] (an in-memory [`Trace`]) and [`run_source`] (any
+//! [`TraceSource`]) share one replay loop: one task per `(host, thread)`
+//! slot, spawned in slot order, each pulling its thread's ops in trace
+//! order from a cursor. There are two cursor kinds:
 //!
-//! - [`run_trace`] replays an in-memory [`Trace`] through **per-thread
-//!   cursors**: one counting-sort index pass groups op indices by
-//!   `(host, thread)` slot, and each slot's task walks its span of the
-//!   shared order array. No per-thread `Vec<TraceOp>` clones exist — replay
-//!   memory beyond the shared trace is the 4-byte-per-op index, shared by
-//!   all threads.
-//! - [`run_source`] replays any [`TraceSource`] (streamed generation,
-//!   chunked `FCTRACE1` file reads) through bounded chunks fanned into
-//!   per-thread queues, so replay memory is O(chunk) plus transient
-//!   inter-thread skew — independent of trace length.
+//! - **indexed**: a random-access source (an in-memory trace, a mapped
+//!   `FCTRACE1` archive) forks one cursor per slot over a shared slot
+//!   index, 4 bytes per op, so each thread reads only its own records in
+//!   place;
+//! - **demuxed**: a sequential source (streamed generation, buffered
+//!   `FCTRACE1` reads) is pulled in bounded chunks through one shared
+//!   feed that fans ops into per-slot queues, so replay memory is
+//!   O(chunk) plus transient inter-thread skew — independent of trace
+//!   length.
 //!
-//! Both paths spawn one task per `(host, thread)` slot in slot order and
-//! deliver each thread's ops in trace order, so they produce bit-identical
-//! [`SimReport`]s (asserted by `tests/trace_streaming.rs`).
+//! Both kinds produce bit-identical [`SimReport`]s (asserted by
+//! `tests/trace_streaming.rs`).
 
 use std::cell::{Cell, RefCell};
 use std::io;
@@ -29,8 +30,8 @@ use fcache_filer::{Filer, FilerConfig};
 use fcache_net::{Segment, SegmentStats};
 use fcache_remote::{shard_filer_config, shard_net_config, Router, ShardedStore};
 use fcache_types::{
-    mix64, FaultSchedule, FxHashSet, HostId, ResolvedFaultSet, SlotCursor, Trace, TraceOp,
-    TraceSource, BLOCK_SIZE, TRACE_CHUNK_OPS,
+    mix64, FaultSchedule, FxHashSet, HostId, ResolvedFaultSet, SliceSource, SlotCursor, Trace,
+    TraceMeta, TraceOp, TraceSource, BLOCK_SIZE, TRACE_CHUNK_OPS,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -113,7 +114,7 @@ struct FaultParts {
     state: Rc<RobustnessState>,
 }
 
-/// Everything both replay paths share: the executor, the hosts, and the
+/// Everything a run shares: the executor, the hosts, and the
 /// global sinks that become the report.
 struct SimParts {
     sim: Sim,
@@ -337,7 +338,7 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
 }
 
 /// Spawns the periodic syncer daemons and the optional clock pin. Called
-/// after the per-thread replay tasks so both paths share one spawn order.
+/// after the per-thread replay tasks.
 fn spawn_daemons(parts: &SimParts) {
     let SimParts {
         sim, cfg, hosts, ..
@@ -626,44 +627,18 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
     Ok(report)
 }
 
-/// Immutable raw view of the trace's op slice, handed to replay tasks.
-///
-/// The executor requires `'static` futures, but the ops live in the caller's
-/// `&Trace` borrow. A lifetime-erased pointer is sound here because the ops
-/// are only dereferenced while `Sim::run` executes inside [`run_trace`]'s
-/// borrow of the trace: every replay task is either completed during the run
-/// or dropped by `Sim::shutdown` before `run_trace` returns, and a future
-/// that is never polled again never touches the pointer (even if a panic
-/// leaks the executor, leaked tasks are never polled).
-#[derive(Clone, Copy)]
-struct OpsView {
-    ptr: *const TraceOp,
-    len: usize,
-}
-
-impl OpsView {
-    fn new(ops: &[TraceOp]) -> Self {
-        Self {
-            ptr: ops.as_ptr(),
-            len: ops.len(),
-        }
-    }
-
-    fn get(&self, i: usize) -> &TraceOp {
-        debug_assert!(i < self.len);
-        // SAFETY: `i` is an index produced by the counting sort over the
-        // same slice, and the slice outlives every poll (type-level comment).
-        unsafe { &*self.ptr.add(i) }
-    }
-}
-
 /// Runs `trace` under `config`, returning the aggregated report.
 ///
 /// This is the crate's main entry point. The run is fully deterministic:
 /// the same configuration and trace always produce the same report. The
-/// trace is shared, not copied: replay builds a 4-byte-per-op index once
-/// and every thread cursor walks the caller's buffer in place (sweeps
-/// replaying one trace across many configurations share a single copy).
+/// trace is shared, not copied: replay indexes it by `(host, thread)`
+/// slot once (4 bytes per op) and every thread cursor reads the caller's
+/// buffer in place (sweeps replaying one trace across many configurations
+/// share a single copy).
+///
+/// The host/thread grid is the trace's metadata widened to cover every
+/// op's host and thread, so a trace whose header understates its ids
+/// still replays.
 ///
 /// # Examples
 ///
@@ -692,131 +667,76 @@ impl OpsView {
 /// assert!(report.metrics.read_ops > 0);
 /// ```
 pub fn run_trace(config: &SimConfig, trace: &Trace) -> Result<SimReport, SimError> {
-    // Size the host/thread grid from the metadata, widened by what the ops
-    // actually carry.
-    let (mut max_host, mut max_thread) = (0u16, 0u16);
+    let (mut hosts, mut threads) = trace.meta.grid();
     for op in &trace.ops {
-        max_host = max_host.max(op.host().0);
-        max_thread = max_thread.max(op.thread().0);
+        hosts = hosts.max(op.host().0 + 1);
+        threads = threads.max(op.thread().0 + 1);
     }
-    let n_hosts = u16::max(trace.meta.hosts.max(1), max_host + 1);
-    let n_threads = u16::max(trace.meta.threads_per_host.max(1), max_thread + 1);
-    let n_slots = n_hosts as usize * n_threads as usize;
-
-    assert!(
-        trace.ops.len() <= u32::MAX as usize,
-        "trace exceeds the 4-billion-op cursor index range"
-    );
-
-    // One index pass: counting-sort op indices by (host, thread) slot. The
-    // order array is the only per-run allocation that scales with the
-    // trace, and it is shared read-only by every thread task — the ops
-    // themselves are never copied ("each application thread can have only
-    // one I/O in progress", §5, so per-slot order is all replay needs).
-    let slot_of = |op: &TraceOp| op.host().index() * n_threads as usize + op.thread().index();
-    let mut starts = vec![0u32; n_slots + 1];
-    for op in &trace.ops {
-        starts[slot_of(op) + 1] += 1;
-    }
-    for i in 0..n_slots {
-        starts[i + 1] += starts[i];
-    }
-    let mut next = starts.clone();
-    let mut order = vec![0u32; trace.ops.len()];
-    for (i, op) in trace.ops.iter().enumerate() {
-        let s = slot_of(op);
-        order[next[s] as usize] = i as u32;
-        next[s] += 1;
-    }
-    let order: Rc<[u32]> = order.into();
-
-    let parts = build_parts(config, n_hosts);
-    let ops = OpsView::new(&trace.ops);
-
-    // One cursor task per slot, in slot order (empty slots spawn a task
-    // that completes on its first poll, mirroring the streamed path).
-    for slot in 0..n_slots {
-        let host = Rc::clone(&parts.hosts[slot / n_threads as usize]);
-        let order = Rc::clone(&order);
-        let (lo, hi) = (starts[slot] as usize, starts[slot + 1] as usize);
-        parts.sim.spawn(async move {
-            for &idx in &order[lo..hi] {
-                execute_op(&host, ops.get(idx as usize)).await;
-            }
-        });
-    }
-
-    spawn_daemons(&parts);
-    run_and_collect(&parts)
+    let meta = TraceMeta {
+        hosts,
+        threads_per_host: threads,
+        ..trace.meta.clone()
+    };
+    replay(config, &mut SliceSource::with_meta(meta, &trace.ops))
 }
 
-/// Type-erased handle to the caller's `&mut S` source: a data pointer plus
-/// a monomorphized fill thunk, so the `'static` replay tasks can pull
-/// chunks without naming the source's lifetime. Sound for the same reason
-/// as [`OpsView`]: only dereferenced while `Sim::run` executes inside
-/// [`run_source`]'s borrow of the source.
-struct RawSource {
-    data: *mut (),
-    fill: unsafe fn(*mut (), &mut Vec<TraceOp>, usize) -> io::Result<usize>,
+/// Replays a streamed [`TraceSource`] under `config`.
+///
+/// A random-access source ([`TraceSource::fork_slot`] returns a cursor)
+/// hands every replay thread its own cursor. A sequential one is pulled in
+/// bounded chunks ([`TRACE_CHUNK_OPS`]) and demuxed into per-thread
+/// queues, so replay memory is O(chunk + inter-thread skew) regardless of
+/// trace length — a generated multi-gigabyte workload or an archived
+/// `FCTRACE1` file replays without ever being resident. Either way the
+/// report is bit-identical to materializing the same ops and calling
+/// [`run_trace`].
+///
+/// The host/thread grid comes from [`TraceSource::meta`]; an op outside
+/// that grid, like a corrupt record, fails the run with
+/// [`SimError::Source`].
+pub fn run_source<S: TraceSource>(
+    config: &SimConfig,
+    source: &mut S,
+) -> Result<SimReport, SimError> {
+    replay(config, source)
 }
 
-impl RawSource {
-    fn new<S: TraceSource>(source: &mut S) -> Self {
-        unsafe fn fill_thunk<S: TraceSource>(
-            data: *mut (),
-            out: &mut Vec<TraceOp>,
-            max: usize,
-        ) -> io::Result<usize> {
-            // SAFETY: `data` was produced from `&mut S` by `RawSource::new`
-            // and is only used while that borrow is live (type-level
-            // comment); the feed's `RefCell` serializes access.
-            unsafe { (*data.cast::<S>()).next_chunk(out, max) }
-        }
-        Self {
-            data: (source as *mut S).cast(),
-            fill: fill_thunk::<S>,
-        }
-    }
-
-    fn fill(&mut self, out: &mut Vec<TraceOp>, max: usize) -> io::Result<usize> {
-        // SAFETY: see `RawSource` docs.
-        unsafe { (self.fill)(self.data, out, max) }
-    }
-}
-
-/// Shared chunk feed: per-slot queues refilled from the source on demand.
-/// The queues are [`SpillQueue`]s, so inter-thread skew past a bounded
-/// resident window overflows to disk instead of growing replay memory —
-/// O(chunk) per slot unconditionally, even for a trace whose slots are
-/// laid out back to back.
+/// The shared chunk feed of a sequential source: one queue per slot,
+/// refilled from the source on demand. The queues are [`SpillQueue`]s, so
+/// inter-thread skew past a bounded resident window overflows to disk
+/// instead of growing replay memory — O(chunk) per slot unconditionally,
+/// even for a trace whose slots are laid out back to back.
 struct Feed {
-    source: RawSource,
+    source: &'static mut dyn TraceSource,
     queues: Vec<SpillQueue>,
     chunk: Vec<TraceOp>,
-    n_threads: usize,
     done: bool,
-    error: Option<String>,
+    /// The first failure; every slot returns it once its queue is empty.
+    error: Option<io::Error>,
 }
 
 impl Feed {
     /// Pops the next op for `slot`, pulling chunks from the source until
     /// the slot has one or the stream ends. Refills cost zero simulated
     /// time, matching the materialized path where all ops exist up front.
-    fn next_for(&mut self, slot: usize) -> Option<TraceOp> {
+    fn next_for(&mut self, slot: usize) -> io::Result<Option<TraceOp>> {
         loop {
             match self.queues[slot].pop() {
-                Ok(Some(op)) => return Some(op),
+                Ok(Some(op)) => return Ok(Some(op)),
                 Ok(None) => {}
+                // Spilled backlog that cannot be read back is gone; fail
+                // the run rather than silently dropping ops.
                 Err(e) => {
-                    // Spilled backlog that cannot be read back is gone;
-                    // fail the run rather than silently dropping ops.
-                    self.error = Some(format!("spilled op backlog lost: {e}"));
-                    self.done = true;
-                    return None;
+                    self.error.get_or_insert_with(|| {
+                        io::Error::new(e.kind(), format!("spilled op backlog lost: {e}"))
+                    });
                 }
             }
+            if let Some(e) = &self.error {
+                return Err(io::Error::new(e.kind(), e.to_string()));
+            }
             if self.done {
-                return None;
+                return Ok(None);
             }
             self.refill();
         }
@@ -824,129 +744,96 @@ impl Feed {
 
     fn refill(&mut self) {
         self.chunk.clear();
-        match self.source.fill(&mut self.chunk, TRACE_CHUNK_OPS) {
+        match self.source.next_chunk(&mut self.chunk, TRACE_CHUNK_OPS) {
             Ok(0) => self.done = true,
             Ok(_) => {
+                let meta = self.source.meta();
                 for op in self.chunk.drain(..) {
-                    let slot = op.host().index() * self.n_threads + op.thread().index();
-                    if slot >= self.queues.len() {
-                        self.error = Some(format!(
-                            "op for {} {} outside the {}-host/{}-thread grid its meta promised",
-                            op.host(),
-                            op.thread(),
-                            self.queues.len() / self.n_threads,
-                            self.n_threads,
-                        ));
-                        self.done = true;
-                        return;
+                    match meta.slot_of(&op) {
+                        Ok(slot) => self.queues[slot].push(op),
+                        Err(e) => {
+                            self.error = Some(e);
+                            return;
+                        }
                     }
-                    self.queues[slot].push(op);
                 }
             }
-            Err(e) => {
-                self.error = Some(e.to_string());
-                self.done = true;
-            }
+            Err(e) => self.error = Some(e),
         }
     }
 }
 
-/// Replays a streamed [`TraceSource`] under `config`.
-///
-/// Ops are pulled in bounded chunks ([`TRACE_CHUNK_OPS`]) and fanned into
-/// per-thread queues, so replay memory is O(chunk + inter-thread skew)
-/// regardless of trace length — a generated multi-gigabyte workload or an
-/// archived `FCTRACE1` file replays without ever being resident. Reports
-/// are bit-identical to materializing the same ops and calling
-/// [`run_trace`].
-///
-/// The host/thread grid comes from [`TraceSource::meta`]; an op outside
-/// that grid fails the run with [`SimError::Source`].
-pub fn run_source<S: TraceSource>(
-    config: &SimConfig,
-    source: &mut S,
-) -> Result<SimReport, SimError> {
-    let meta = source.meta();
-    let n_hosts = meta.hosts.max(1);
-    let n_threads = meta.threads_per_host.max(1);
-    let n_slots = n_hosts as usize * n_threads as usize;
-
-    // Zero-copy fast path: a random-access source hands every slot its
-    // own cursor, so ops flow straight from the source to the engine with
-    // no shared chunk buffer or per-slot queues at all.
-    if source.fork_slot(0, 0).is_some() {
-        return run_forked(config, source, n_hosts, n_threads);
-    }
-
-    let parts = build_parts(config, n_hosts);
-    let feed = Rc::new(RefCell::new(Feed {
-        source: RawSource::new(source),
-        queues: (0..n_slots).map(|_| SpillQueue::new()).collect(),
-        chunk: Vec::with_capacity(TRACE_CHUNK_OPS),
-        n_threads: n_threads as usize,
-        done: false,
-        error: None,
-    }));
-
-    for slot in 0..n_slots {
-        let host = Rc::clone(&parts.hosts[slot / n_threads as usize]);
-        let feed = Rc::clone(&feed);
-        parts.sim.spawn(async move {
-            loop {
-                // The borrow must not span the await (a `while let` would
-                // hold the `RefMut` through the body): copy the op out of
-                // the queue, drop the borrow, then run the engine.
-                let next = feed.borrow_mut().next_for(slot);
-                let Some(op) = next else { break };
-                execute_op(&host, &op).await;
-            }
-        });
-    }
-
-    spawn_daemons(&parts);
-    let report = run_and_collect(&parts);
-    if let Some(msg) = feed.borrow_mut().error.take() {
-        return Err(SimError::Source(msg));
-    }
-    report
+/// One slot's supply of ops: a cursor forked from a random-access source,
+/// or the slot's queue in the shared [`Feed`] of a sequential one (an `Rc`
+/// clone, so a many-slot fleet cell allocates nothing per slot).
+enum Cursor {
+    Forked(Box<dyn SlotCursor>),
+    Fed(Rc<RefCell<Feed>>, usize),
 }
 
-/// The forked replay path: one [`SlotCursor`] per `(host, thread)` slot,
-/// each task pulling its own ops straight out of the source.
-///
-/// The task loop has exactly the same shape as the chunk-fed one — a
-/// synchronous pull, then one `execute_op` await per op — so both paths
-/// poll their tasks identically and produce bit-identical reports
-/// (including executor event counts; pinned by `tests/trace_streaming.rs`).
-fn run_forked<S: TraceSource + ?Sized>(
-    config: &SimConfig,
-    source: &S,
-    n_hosts: u16,
-    n_threads: u16,
-) -> Result<SimReport, SimError> {
-    let n_slots = n_hosts as usize * n_threads as usize;
-    let parts = build_parts(config, n_hosts);
-    let error: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
+impl Cursor {
+    fn next(&mut self) -> io::Result<Option<TraceOp>> {
+        match self {
+            Cursor::Forked(cursor) => cursor.next(),
+            Cursor::Fed(feed, slot) => feed.borrow_mut().next_for(*slot),
+        }
+    }
+}
 
-    for slot in 0..n_slots {
-        let host = Rc::clone(&parts.hosts[slot / n_threads as usize]);
-        let cursor = source
-            .fork_slot(
-                (slot / n_threads as usize) as u16,
-                (slot % n_threads as usize) as u16,
-            )
-            .expect("forkable source must fork every slot");
-        // SAFETY: erases the borrow of `source` so the `'static` task can
-        // hold the cursor. Sound for the same reason as `OpsView` and
-        // `RawSource`: the cursor is only used while `Sim::run` executes
-        // inside this function's borrow of the source — every task is
-        // completed or dropped by `Sim::shutdown` before we return, and a
-        // task that is never polled never touches it.
-        let mut cursor: Box<dyn SlotCursor + 'static> =
-            unsafe { std::mem::transmute::<Box<dyn SlotCursor + '_>, _>(cursor) };
+/// The one replay loop behind [`run_trace`] and [`run_source`]: one task
+/// per `(host, thread)` slot of the source's grid, spawned in slot order
+/// before the daemons, each pulling its ops from a [`Cursor`].
+///
+/// Every task has one shape — a synchronous `next()`, then one
+/// `execute_op` await per op — so both cursor kinds poll identically and
+/// produce bit-identical reports, executor event counts included (pinned
+/// by `tests/trace_streaming.rs`). Per-slot order is all replay needs:
+/// "each application thread can have only one I/O in progress" (§5). The
+/// first cursor error fails the run with [`SimError::Source`].
+fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport, SimError> {
+    let (n_hosts, n_threads) = source.meta().grid();
+    let n_slots = usize::from(n_hosts) * usize::from(n_threads);
+    // SAFETY: the executor requires `'static` tasks, but the cursors and
+    // the feed borrow `source`. Erasing that borrow is sound because the
+    // erased reference is only used while `Sim::run` executes inside this
+    // call: every task is completed during the run or dropped by
+    // `Sim::shutdown` in `run_and_collect` before this function returns,
+    // and a task that is never polled again never touches it (even if a
+    // panic leaks the executor, leaked tasks are never polled).
+    #[allow(unsafe_code)]
+    let source = unsafe {
+        std::mem::transmute::<&mut (dyn TraceSource + '_), &'static mut dyn TraceSource>(source)
+    };
+    let parts = build_parts(config, n_hosts);
+    let mut cursors = Vec::with_capacity(n_slots);
+    if source.fork_slot(0, 0).is_some() {
+        let source: &'static dyn TraceSource = source;
+        for slot in 0..n_slots {
+            let (host, thread) = (slot / usize::from(n_threads), slot % usize::from(n_threads));
+            let cursor = source
+                .fork_slot(host as u16, thread as u16)
+                .expect("a forkable source forks every slot");
+            cursors.push(Cursor::Forked(cursor));
+        }
+    } else {
+        let feed = Rc::new(RefCell::new(Feed {
+            source,
+            queues: (0..n_slots).map(|_| SpillQueue::new()).collect(),
+            chunk: Vec::with_capacity(TRACE_CHUNK_OPS),
+            done: false,
+            error: None,
+        }));
+        cursors.extend((0..n_slots).map(|slot| Cursor::Fed(Rc::clone(&feed), slot)));
+    }
+
+    let error: Rc<RefCell<Option<String>>> = Rc::default();
+    for (slot, mut cursor) in cursors.into_iter().enumerate() {
+        let host = Rc::clone(&parts.hosts[slot / usize::from(n_threads)]);
         let error = Rc::clone(&error);
         parts.sim.spawn(async move {
             loop {
+                // Pull before awaiting: the feed's `RefCell` borrow must
+                // not span the engine's await.
                 let next = cursor.next();
                 match next {
                     Ok(Some(op)) => {
@@ -954,13 +841,9 @@ fn run_forked<S: TraceSource + ?Sized>(
                     }
                     Ok(None) => break,
                     Err(e) => {
-                        // First failing slot wins (deterministic: tasks
-                        // run in a deterministic order and every slot
-                        // stops at the same offending record anyway).
-                        let mut err = error.borrow_mut();
-                        if err.is_none() {
-                            *err = Some(e.to_string());
-                        }
+                        // The first failing slot wins (deterministic:
+                        // tasks run in a deterministic order).
+                        error.borrow_mut().get_or_insert_with(|| e.to_string());
                         break;
                     }
                 }

@@ -7,7 +7,7 @@
 use std::sync::Mutex;
 
 use fcache::{
-    run_source, run_sweep, run_trace, Architecture, FlashTiming, SimConfig, Sweep, Workbench,
+    run_source, run_trace, Architecture, FlashTiming, Scenario, SimConfig, Sweep, Workbench,
     Workload, WorkloadSpec,
 };
 use fcache_device::SsdConfig;
@@ -48,11 +48,14 @@ fn parallel_sweep_reports_are_bit_identical_to_serial() {
     // Force real fan-out even on single-core CI machines, and repeat so a
     // racy slot assignment would have chances to surface.
     for round in 0..3 {
-        let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
-        let parallel = run_sweep(&jobs, Some(4));
+        let parallel = Sweep::over(Workload::trace(&trace))
+            .configs(cfgs.iter().cloned())
+            .threads(4)
+            .run()
+            .expect_reports("parallel run");
         assert_eq!(parallel.len(), serial.len());
-        for (i, result) in parallel.into_iter().enumerate() {
-            let got = format!("{:?}", result.expect("parallel run"));
+        for (i, report) in parallel.into_iter().enumerate() {
+            let got = format!("{report:?}");
             assert_eq!(
                 got, serial[i],
                 "round {round}: job {i} diverged between parallel and serial"
@@ -74,19 +77,18 @@ fn sweep_preserves_job_order_not_completion_order() {
         ..WorkloadSpec::default()
     });
     let cfg = SimConfig::baseline().scaled_down(4096);
-    let jobs = vec![
-        (cfg.clone(), &big),
-        (cfg.clone(), &small),
-        (cfg.clone(), &big),
-        (cfg.clone(), &small),
-    ];
-    let results = run_sweep(&jobs, Some(4));
-    let blocks: Vec<u64> = results
+    let mut sweep = Sweep::new().threads(4);
+    for (i, trace) in [&big, &small, &big, &small].into_iter().enumerate() {
+        sweep = sweep.scenario(
+            format!("job{i}"),
+            Scenario::new(cfg.clone(), Workload::trace(trace)),
+        );
+    }
+    let blocks: Vec<u64> = sweep
+        .run()
+        .expect_reports("run")
         .into_iter()
-        .map(|r| {
-            let m = r.expect("run").metrics;
-            m.read_blocks + m.write_blocks
-        })
+        .map(|r| r.metrics.read_blocks + r.metrics.write_blocks)
         .collect();
     assert_eq!(blocks[0], blocks[2], "same job, same slot, same result");
     assert_eq!(blocks[1], blocks[3]);
@@ -108,13 +110,16 @@ fn sweep_results_match_streamed_replay_of_the_same_trace() {
         .into_iter()
         .map(|c| c.scaled_down(4096))
         .collect();
-    let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
-    let swept = run_sweep(&jobs, Some(4));
+    let swept = Sweep::over(Workload::trace(&trace))
+        .configs(cfgs.iter().cloned())
+        .threads(4)
+        .run()
+        .expect_reports("sweep run");
     for (cfg, swept) in cfgs.iter().zip(swept) {
         let mut src = SliceSource::new(&trace);
         let streamed = run_source(cfg, &mut src).expect("streamed run");
         assert_eq!(
-            format!("{:?}", swept.expect("sweep run")),
+            format!("{swept:?}"),
             format!("{streamed:?}"),
             "sweep and streamed replay diverged for {:?}/{}",
             cfg.arch,
@@ -397,11 +402,14 @@ fn faulted_sweeps_are_bit_identical_serial_parallel_and_streamed() {
     }
 
     for round in 0..3 {
-        let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
-        let parallel = run_sweep(&jobs, Some(4));
-        for (i, result) in parallel.into_iter().enumerate() {
+        let parallel = Sweep::over(Workload::trace(&trace))
+            .configs(cfgs.iter().cloned())
+            .threads(4)
+            .run()
+            .expect_reports("parallel faulted run");
+        for (i, report) in parallel.into_iter().enumerate() {
             assert_eq!(
-                format!("{:?}", result.expect("parallel faulted run")),
+                format!("{report:?}"),
                 serial[i],
                 "round {round}: faulted job {i} diverged between parallel and serial"
             );

@@ -7,8 +7,8 @@
 //! format of one span row is pinned against silent drift.
 
 use fcache::{
-    run_sweep, run_trace, FlashTiming, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench,
-    Workload, WorkloadSpec,
+    run_trace, FlashTiming, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench, Workload,
+    WorkloadSpec,
 };
 use fcache_device::{SimTime, SsdConfig};
 use fcache_types::{FaultPlan, OpKind, Phase, Trace};
@@ -168,10 +168,11 @@ fn span_stream_is_byte_identical_across_run_modes() {
     // own stream file.
     let p3 = tmp("fcache_test_spans_par1.jsonl");
     let p4 = tmp("fcache_test_spans_par2.jsonl");
-    let jobs = vec![(telemetered(&p3), &trace), (telemetered(&p4), &trace)];
-    for r in run_sweep(&jobs, Some(2)) {
-        r.expect("parallel job");
-    }
+    Sweep::over(Workload::trace(&trace))
+        .configs([telemetered(&p3), telemetered(&p4)])
+        .threads(2)
+        .run()
+        .expect_reports("parallel job");
     assert_eq!(reference, std::fs::read(&p3).expect("bytes"), "parallel");
     assert_eq!(reference, std::fs::read(&p4).expect("bytes"), "parallel");
 

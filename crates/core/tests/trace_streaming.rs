@@ -53,7 +53,7 @@ fn streamed_generation_matches_materialized_generation() {
     };
     for cfg in configs() {
         let want = format!("{:?}", wb.run(&cfg, &spec).expect("materialized"));
-        let got = format!("{:?}", wb.run_streamed(&cfg, &spec).expect("streamed"));
+        let got = format!("{:?}", wb.scenario(&cfg, &spec).run().expect("streamed"));
         assert_eq!(got, want, "generation stream diverged for {:?}", cfg.arch);
     }
 }
@@ -69,7 +69,7 @@ fn streamed_generation_matches_with_skipped_warmup() {
     };
     let cfg = SimConfig::baseline();
     let want = format!("{:?}", wb.run(&cfg, &spec).expect("materialized"));
-    let got = format!("{:?}", wb.run_streamed(&cfg, &spec).expect("streamed"));
+    let got = format!("{:?}", wb.scenario(&cfg, &spec).run().expect("streamed"));
     assert_eq!(got, want);
 }
 
@@ -193,7 +193,7 @@ fn multi_host_streams_stay_identical() {
     // And the generated stream (paper-scale entry point) agrees too.
     let cfg = SimConfig::baseline();
     let materialized = format!("{:?}", wb.run(&cfg, &spec).expect("materialized"));
-    let streamed = format!("{:?}", wb.run_streamed(&cfg, &spec).expect("generated"));
+    let streamed = format!("{:?}", wb.scenario(&cfg, &spec).run().expect("generated"));
     assert_eq!(streamed, materialized);
 }
 

@@ -19,6 +19,8 @@
 //! identifies a file and a range of blocks within that file. Each operation
 //! also carries a thread ID and host ID." [`TraceOp`] is exactly that record.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod fault;
 pub mod fleet;

@@ -7,8 +7,12 @@
 //! Consumers that do not need the whole trace resident pull ops through a
 //! [`TraceSource`] in bounded chunks: [`TraceReader`] streams an archived
 //! `FCTRACE1` file with O(chunk) memory, and [`SliceSource`] adapts an
-//! in-memory [`Trace`] to the same interface.
+//! in-memory [`Trace`] to the same interface. The random-access sources
+//! ([`SliceSource`], [`ByteReader`]) also fork one cursor per
+//! `(host, thread)` slot over a shared slot index, so each replay thread
+//! visits only its own records.
 
+use std::cell::OnceCell;
 use std::io::{self, Read, Write};
 
 use crate::{
@@ -43,6 +47,36 @@ pub struct TraceMeta {
     pub seed: u64,
 }
 
+impl TraceMeta {
+    /// The `(hosts, threads per host)` grid replay provisions: the
+    /// metadata's counts, with a zero widened to 1.
+    pub fn grid(&self) -> (u16, u16) {
+        (self.hosts.max(1), self.threads_per_host.max(1))
+    }
+
+    /// The op's `(host, thread)` slot number in [`TraceMeta::grid`],
+    /// host-major; `InvalidData` when the op falls outside the grid.
+    pub fn slot_of(&self, op: &TraceOp) -> io::Result<usize> {
+        let (hosts, threads) = self.grid();
+        if op.host().0 >= hosts || op.thread().0 >= threads {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "op for {} {} outside the {hosts}-host/{threads}-thread grid its meta promised",
+                    op.host(),
+                    op.thread(),
+                ),
+            ));
+        }
+        Ok(slot_number(op.host().0, op.thread().0, threads))
+    }
+}
+
+/// Slot number of `(host, thread)` in a grid of `threads` threads per host.
+fn slot_number(host: u16, thread: u16, threads: u16) -> usize {
+    usize::from(host) * usize::from(threads) + usize::from(thread)
+}
+
 /// A pull-based stream of trace operations.
 ///
 /// This is the zero-copy trace pipeline's feeding interface: the replay
@@ -69,10 +103,16 @@ pub trait TraceSource {
     /// sources return `None` (the default) and are drained through
     /// [`TraceSource::next_chunk`] instead.
     ///
+    /// [`SliceSource`] and [`ByteReader`] build one slot index on their
+    /// first fork (one validating pass over every record, 4 bytes per
+    /// record resident); every later fork shares it, and each cursor
+    /// decodes only its own records.
+    ///
     /// Contract: the union of all slots' cursors is exactly the stream
     /// `next_chunk` would deliver, and a cursor must yield the ops *it*
-    /// owns that precede any invalid record, then fail — never an op past
-    /// the corruption point.
+    /// owns that precede any invalid record (corrupt, truncated, or
+    /// outside [`TraceMeta::grid`]), then fail — never an op past the
+    /// corruption point.
     fn fork_slot(&self, host: u16, thread: u16) -> Option<Box<dyn SlotCursor + '_>> {
         let _ = (host, thread);
         None
@@ -121,100 +161,50 @@ impl<S: TraceSource + ?Sized> TraceSource for &mut S {
 /// path as generated or archived ones (and to prove the paths equivalent).
 #[derive(Debug)]
 pub struct SliceSource<'a> {
-    trace: &'a Trace,
+    ops: &'a [TraceOp],
+    meta: TraceMeta,
     pos: usize,
+    /// Built on the first [`TraceSource::fork_slot`].
+    index: OnceCell<SlotIndex>,
 }
 
 impl<'a> SliceSource<'a> {
     /// Wraps a trace, starting at its first op.
     pub fn new(trace: &'a Trace) -> Self {
-        Self { trace, pos: 0 }
+        Self::with_meta(trace.meta.clone(), &trace.ops)
+    }
+
+    /// Wraps `ops` under `meta`, whose grid then bounds the slot cursors
+    /// (`run_trace` widens a trace's grid to its ops this way).
+    pub fn with_meta(meta: TraceMeta, ops: &'a [TraceOp]) -> Self {
+        Self {
+            ops,
+            meta,
+            pos: 0,
+            index: OnceCell::new(),
+        }
     }
 }
 
 impl TraceSource for SliceSource<'_> {
     fn meta(&self) -> &TraceMeta {
-        &self.trace.meta
+        &self.meta
     }
 
     fn next_chunk(&mut self, out: &mut Vec<TraceOp>, max: usize) -> io::Result<usize> {
-        let end = (self.pos + max).min(self.trace.ops.len());
+        let end = (self.pos + max).min(self.ops.len());
         let n = end - self.pos;
-        out.extend_from_slice(&self.trace.ops[self.pos..end]);
+        out.extend_from_slice(&self.ops[self.pos..end]);
         self.pos = end;
         Ok(n)
     }
 
     fn fork_slot(&self, host: u16, thread: u16) -> Option<Box<dyn SlotCursor + '_>> {
-        Some(Box::new(SliceCursor {
-            ops: &self.trace.ops,
-            pos: 0,
-            slot: SlotFilter::new(&self.trace.meta, host, thread),
-        }))
-    }
-}
-
-/// The scan filter every [`SlotCursor`] shares: which slot it owns, plus
-/// the grid its source's metadata promised. Scanned ops outside the grid
-/// fail the cursor (matching the chunk-fed replay path, which fails the
-/// run on the same op).
-struct SlotFilter {
-    host: u16,
-    thread: u16,
-    grid_hosts: u16,
-    grid_threads: u16,
-}
-
-impl SlotFilter {
-    fn new(meta: &TraceMeta, host: u16, thread: u16) -> Self {
-        Self {
-            host,
-            thread,
-            // The replay grid widens zero meta fields to 1; mirror that so
-            // out-of-grid detection agrees with the chunk-fed path.
-            grid_hosts: meta.hosts.max(1),
-            grid_threads: meta.threads_per_host.max(1),
-        }
-    }
-
-    /// `Ok(true)` when the op belongs to this cursor's slot; an error when
-    /// the op falls outside the source's promised grid.
-    fn admit(&self, op: &TraceOp) -> io::Result<bool> {
-        if op.host().0 >= self.grid_hosts || op.thread().0 >= self.grid_threads {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "op for {} {} outside the {}-host/{}-thread grid its meta promised",
-                    op.host(),
-                    op.thread(),
-                    self.grid_hosts,
-                    self.grid_threads,
-                ),
-            ));
-        }
-        Ok(op.host().0 == self.host && op.thread().0 == self.thread)
-    }
-}
-
-/// [`SlotCursor`] over an in-memory trace: scans the op slice, yielding
-/// only the ops of one slot. Always starts from the head of the trace,
-/// independent of any `next_chunk` progress on the parent source.
-struct SliceCursor<'a> {
-    ops: &'a [TraceOp],
-    pos: usize,
-    slot: SlotFilter,
-}
-
-impl SlotCursor for SliceCursor<'_> {
-    fn next(&mut self) -> io::Result<Option<TraceOp>> {
-        while self.pos < self.ops.len() {
-            let op = self.ops[self.pos];
-            self.pos += 1;
-            if self.slot.admit(&op)? {
-                return Ok(Some(op));
-            }
-        }
-        Ok(None)
+        let records = Records::Ops(self.ops);
+        let index = self
+            .index
+            .get_or_init(|| SlotIndex::build(&self.meta, records));
+        Some(Box::new(index.cursor(records, &self.meta, host, thread)))
     }
 }
 
@@ -222,7 +212,7 @@ impl SlotCursor for SliceCursor<'_> {
 /// typically a memory-mapped archive. The header is parsed up front;
 /// records decode straight out of the byte slice with no intermediate read
 /// buffer, and [`TraceSource::fork_slot`] hands every replay thread its
-/// own scanning cursor over the record region.
+/// own cursor over the records of its slot.
 ///
 /// # Examples
 ///
@@ -244,6 +234,8 @@ pub struct ByteReader<'a> {
     pos: usize,
     /// Ops not yet yielded through `next_chunk`.
     remaining: u64,
+    /// Built on the first [`TraceSource::fork_slot`].
+    index: OnceCell<SlotIndex>,
 }
 
 impl<'a> ByteReader<'a> {
@@ -274,6 +266,7 @@ impl<'a> ByteReader<'a> {
             meta,
             pos: 0,
             remaining,
+            index: OnceCell::new(),
         })
     }
 
@@ -316,41 +309,159 @@ impl TraceSource for ByteReader<'_> {
     fn fork_slot(&self, host: u16, thread: u16) -> Option<Box<dyn SlotCursor + '_>> {
         // Count from the header, not `remaining`: cursors always cover the
         // whole stream regardless of `next_chunk` progress.
-        let total = self.remaining + (self.pos / RECORD_BYTES) as u64;
-        Some(Box::new(ByteCursor {
-            records: self.records,
-            pos: 0,
-            remaining: total,
-            slot: SlotFilter::new(&self.meta, host, thread),
-        }))
+        let records = Records::Encoded {
+            bytes: self.records,
+            count: self.remaining + (self.pos / RECORD_BYTES) as u64,
+        };
+        let index = self
+            .index
+            .get_or_init(|| SlotIndex::build(&self.meta, records));
+        Some(Box::new(index.cursor(records, &self.meta, host, thread)))
     }
 }
 
-/// [`SlotCursor`] over a raw `FCTRACE1` record region.
-///
-/// Every record scanned past is fully decoded — not just the ones this
-/// slot owns — so a corrupt, truncated, or out-of-grid record stops the
-/// cursor exactly where the streamed [`TraceReader`] path would stop,
-/// preserving the "every op before the bad record, none after" delivery
-/// contract.
-struct ByteCursor<'a> {
-    records: &'a [u8],
-    pos: usize,
-    remaining: u64,
-    slot: SlotFilter,
+/// The records a [`SlotIndex`] numbers: a decoded op slice, or the record
+/// region of an `FCTRACE1` image and the count its header claims.
+#[derive(Clone, Copy)]
+enum Records<'a> {
+    Ops(&'a [TraceOp]),
+    Encoded { bytes: &'a [u8], count: u64 },
 }
 
-impl SlotCursor for ByteCursor<'_> {
-    fn next(&mut self) -> io::Result<Option<TraceOp>> {
-        while self.remaining > 0 {
-            let op = decode_record(record_at(self.records, self.pos)?)?;
-            self.pos += RECORD_BYTES;
-            self.remaining -= 1;
-            if self.slot.admit(&op)? {
-                return Ok(Some(op));
-            }
+impl Records<'_> {
+    fn count(self) -> u64 {
+        match self {
+            Records::Ops(ops) => ops.len() as u64,
+            Records::Encoded { count, .. } => count,
         }
-        Ok(None)
+    }
+
+    /// Record `i`, decoded and validated.
+    fn op(self, i: usize) -> io::Result<TraceOp> {
+        match self {
+            Records::Ops(ops) => Ok(ops[i]),
+            Records::Encoded { bytes, .. } => decode_record(record_at(bytes, i * RECORD_BYTES)?),
+        }
+    }
+
+    /// The host and thread of record `i`, which the index pass has
+    /// already validated, read without decoding the rest of it.
+    fn ids(self, i: usize) -> (u16, u16) {
+        match self {
+            Records::Ops(ops) => (ops[i].host().0, ops[i].thread().0),
+            Records::Encoded { bytes, .. } => record_ids(&bytes[i * RECORD_BYTES..]),
+        }
+    }
+}
+
+/// Record numbers grouped by `(host, thread)` slot: a counting sort of
+/// the source's records, built once per source on its first
+/// [`TraceSource::fork_slot`] and shared by every slot's cursor. Resident
+/// cost is 4 bytes per record plus 4 per slot.
+#[derive(Debug)]
+struct SlotIndex {
+    /// Slot `s` owns `order[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    /// Record numbers, slot by slot, each slot's in stream order.
+    order: Vec<u32>,
+    /// Why indexing stopped early: the first corrupt or out-of-grid
+    /// record, or a record count past what `u32` can number. Every cursor
+    /// returns it after its own records.
+    error: Option<io::Error>,
+}
+
+impl SlotIndex {
+    /// One validating pass counts each slot's records up to the first bad
+    /// one; a second pass over those records fills the sized order array.
+    fn build(meta: &TraceMeta, records: Records<'_>) -> Self {
+        let (hosts, threads) = meta.grid();
+        let mut starts = vec![0u32; usize::from(hosts) * usize::from(threads) + 1];
+        let mut error = None;
+        let count = records.count();
+        let indexed = if count > u64::from(u32::MAX) {
+            error = Some(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "trace of {count} records exceeds the {}-record slot index",
+                    u32::MAX
+                ),
+            ));
+            0
+        } else {
+            let count = count as usize;
+            (0..count)
+                .position(|i| match records.op(i).and_then(|op| meta.slot_of(&op)) {
+                    Ok(slot) => {
+                        starts[slot + 1] += 1;
+                        false
+                    }
+                    Err(e) => {
+                        error = Some(e);
+                        true
+                    }
+                })
+                .unwrap_or(count)
+        };
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; indexed];
+        for i in 0..indexed {
+            let (host, thread) = records.ids(i);
+            let slot = &mut next[slot_number(host, thread, threads)];
+            order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        Self {
+            starts,
+            order,
+            error,
+        }
+    }
+
+    /// A cursor over the records of one slot (none for a slot outside
+    /// the grid), ending with the index's error if it has one.
+    fn cursor<'a>(
+        &'a self,
+        records: Records<'a>,
+        meta: &TraceMeta,
+        host: u16,
+        thread: u16,
+    ) -> IndexedCursor<'a> {
+        let (hosts, threads) = meta.grid();
+        let span = if host < hosts && thread < threads {
+            let slot = slot_number(host, thread, threads);
+            &self.order[self.starts[slot] as usize..self.starts[slot + 1] as usize]
+        } else {
+            &[]
+        };
+        IndexedCursor {
+            records,
+            span: span.iter(),
+            error: self.error.as_ref(),
+        }
+    }
+}
+
+/// [`SlotCursor`] over one slot's span of a [`SlotIndex`]: it decodes only
+/// its own records, then returns the index's error, if any — so it yields
+/// exactly the slot's ops that precede the first bad record.
+struct IndexedCursor<'a> {
+    records: Records<'a>,
+    span: std::slice::Iter<'a, u32>,
+    error: Option<&'a io::Error>,
+}
+
+impl SlotCursor for IndexedCursor<'_> {
+    fn next(&mut self) -> io::Result<Option<TraceOp>> {
+        match self.span.next() {
+            Some(&i) => self.records.op(i as usize).map(Some),
+            None => match self.error {
+                Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+                None => Ok(None),
+            },
+        }
     }
 }
 
@@ -439,10 +550,17 @@ fn encode_record<W: Write>(op: &TraceOp, w: &mut W) -> io::Result<()> {
     w.write_all(&rec)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `decode_record` calls on this thread, for the decode-count tests.
+    static DECODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Parses one 20-byte `FCTRACE1` record into a packed op.
 fn decode_record(rec: &[u8; RECORD_BYTES]) -> io::Result<TraceOp> {
-    let host = HostId(u16::from_le_bytes([rec[0], rec[1]]));
-    let thread = ThreadId(u16::from_le_bytes([rec[2], rec[3]]));
+    #[cfg(test)]
+    DECODED.with(|d| d.set(d.get() + 1));
+    let (host, thread) = record_ids(rec);
     let kind = if rec[4] & 1 != 0 {
         OpKind::Write
     } else {
@@ -465,14 +583,22 @@ fn decode_record(rec: &[u8; RECORD_BYTES]) -> io::Result<TraceOp> {
         ));
     }
     Ok(TraceOp::new(
-        host,
-        thread,
+        HostId(host),
+        ThreadId(thread),
         kind,
         file,
         start_block,
         nblocks,
         warmup,
     ))
+}
+
+/// The host and thread ids at the head of an `FCTRACE1` record.
+fn record_ids(rec: &[u8]) -> (u16, u16) {
+    (
+        u16::from_le_bytes([rec[0], rec[1]]),
+        u16::from_le_bytes([rec[2], rec[3]]),
+    )
 }
 
 /// Streaming `FCTRACE1` decoder: reads the header eagerly, then yields ops
@@ -834,28 +960,110 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
+    /// What one slot's cursor delivered: its ops, then the kind of the
+    /// error it ended on, if any.
+    type SlotRun = (Vec<TraceOp>, Option<io::ErrorKind>);
+
+    /// Drains every cursor of `src`'s grid, slot by slot.
+    fn drain_cursors(src: &dyn TraceSource) -> Vec<SlotRun> {
+        let (hosts, threads) = src.meta().grid();
+        let mut runs = Vec::new();
+        for host in 0..hosts {
+            for thread in 0..threads {
+                let mut cursor = src.fork_slot(host, thread).expect("forkable");
+                let mut ops = Vec::new();
+                let err = loop {
+                    match cursor.next() {
+                        Ok(Some(op)) => ops.push(op),
+                        Ok(None) => break None,
+                        Err(e) => break Some(e.kind()),
+                    }
+                };
+                runs.push((ops, err));
+            }
+        }
+        runs
+    }
+
+    /// The sequential `next_chunk` stream split by slot: every slot gets
+    /// its ops up to the first bad record, then that record's error.
+    fn split_stream(src: &mut dyn TraceSource) -> Vec<SlotRun> {
+        let meta = src.meta().clone();
+        let (hosts, threads) = meta.grid();
+        let mut runs = vec![(Vec::new(), None); usize::from(hosts) * usize::from(threads)];
+        let mut chunk = Vec::new();
+        let err = loop {
+            chunk.clear();
+            match src.next_chunk(&mut chunk, 1) {
+                Ok(0) => break None,
+                Ok(_) => match meta.slot_of(&chunk[0]) {
+                    Ok(slot) => runs[slot].0.push(chunk[0]),
+                    Err(e) => break Some(e.kind()),
+                },
+                Err(e) => break Some(e.kind()),
+            }
+        };
+        for run in &mut runs {
+            run.1 = err;
+        }
+        runs
+    }
+
     // Every (host, thread) cursor of `src` must yield exactly the ops of
     // that slot, in program order, and the union must cover the trace.
     fn assert_cursors_partition(src: &dyn TraceSource, t: &Trace) {
-        let mut covered = 0usize;
-        for host in 0..t.meta.hosts {
-            for thread in 0..t.meta.threads_per_host {
-                let mut cursor = src.fork_slot(host, thread).expect("forkable");
-                let mut got = Vec::new();
-                while let Some(op) = cursor.next().unwrap() {
-                    got.push(op);
-                }
-                let want: Vec<TraceOp> = t
-                    .ops
-                    .iter()
-                    .copied()
-                    .filter(|op| op.host().0 == host && op.thread().0 == thread)
-                    .collect();
-                assert_eq!(got, want, "slot ({host}, {thread})");
-                covered += got.len();
-            }
-        }
-        assert_eq!(covered, t.len());
+        let runs = drain_cursors(src);
+        assert_eq!(runs, split_stream(&mut SliceSource::new(t)));
+        assert_eq!(runs.iter().map(|r| r.0.len()).sum::<usize>(), t.len());
+    }
+
+    #[test]
+    fn slot_cursors_decode_at_most_two_records_per_op() {
+        // One host, eight threads: the baseline's slot layout. The index
+        // pass decodes each record once and a cursor its own records
+        // once; a cursor that scanned the whole stream would decode up to
+        // eight records per delivered op.
+        let mut t = sample_trace();
+        t.meta.hosts = 1;
+        t.ops = (0..400u32)
+            .map(|i| {
+                TraceOp::new(
+                    HostId(0),
+                    ThreadId((i % 8) as u16),
+                    OpKind::Read,
+                    FileId(i),
+                    i,
+                    1,
+                    false,
+                )
+            })
+            .collect();
+        let mut buf = Vec::new();
+        t.encode(&mut buf).unwrap();
+        let reader = ByteReader::new(&buf).unwrap();
+        let before = DECODED.with(|d| d.get());
+        let delivered: usize = drain_cursors(&reader).iter().map(|r| r.0.len()).sum();
+        let decoded = DECODED.with(|d| d.get()) - before;
+        assert_eq!(delivered, t.len());
+        assert!(
+            decoded <= 2 * delivered as u64,
+            "{decoded} records decoded for {delivered} ops"
+        );
+    }
+
+    #[test]
+    fn an_archive_past_the_index_range_is_invalid_data_not_a_panic() {
+        // A header-only archive claiming 2^32 records: more than the slot
+        // index's u32 record numbers can name.
+        let mut buf = Vec::new();
+        sample_trace().encode(&mut buf).unwrap();
+        buf.truncate(HEADER_BYTES);
+        let claimed = u64::from(u32::MAX) + 1;
+        buf[HEADER_BYTES - 8..].copy_from_slice(&claimed.to_le_bytes());
+        let reader = ByteReader::new(&buf).unwrap();
+        let err = reader.fork_slot(0, 0).unwrap().next().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&claimed.to_string()), "got: {err}");
     }
 
     #[test]
@@ -974,7 +1182,90 @@ mod tests {
                 })
         }
 
+        /// Where a layout puts op `i` (drawn as `draw`) on a grid of
+        /// `slots` slots: `stride` leaves every slot not divisible by it
+        /// empty.
+        fn layout_slot(
+            layout: u8,
+            i: usize,
+            n: usize,
+            draw: u32,
+            slots: usize,
+            stride: usize,
+        ) -> usize {
+            let slot = match layout {
+                // Interleaved: slots drawn at random.
+                0 => draw as usize % slots,
+                // Slot-major: each slot's ops back to back.
+                1 => i * slots / n.max(1),
+                // Skewed: three ops in four go to slot 0.
+                _ if !draw.is_multiple_of(4) => 0,
+                _ => draw as usize % slots,
+            };
+            slot / stride * stride
+        }
+
         proptest! {
+            #[test]
+            fn every_source_partitions_a_layout_and_stops_at_its_bad_record(
+                hosts in 1u16..4,
+                threads in 1u16..5,
+                draws in proptest::collection::vec(any::<u32>(), 0..120),
+                layout in 0u8..3,
+                stride in 1usize..3,
+                // 0: no bad record, 1: a corrupt record, 2: an op outside
+                // the grid.
+                bad in 0u8..3,
+                bad_at in any::<u32>(),
+            ) {
+                let slots = usize::from(hosts) * usize::from(threads);
+                let n = draws.len();
+                let op = |slot: usize, i: u32, draw: u32| TraceOp::new(
+                    HostId((slot / usize::from(threads)) as u16),
+                    ThreadId((slot % usize::from(threads)) as u16),
+                    if draw.is_multiple_of(3) { OpKind::Write } else { OpKind::Read },
+                    FileId(i),
+                    draw % 10_000,
+                    1 + draw % 7,
+                    i.is_multiple_of(2),
+                );
+                let mut t = Trace::new(TraceMeta { hosts, threads_per_host: threads, ..TraceMeta::default() });
+                let mut want = vec![(Vec::new(), None); slots];
+                let bad_at = if bad == 0 { usize::MAX } else { bad_at as usize % (n + 1) };
+                for (i, &draw) in draws.iter().enumerate() {
+                    if i == bad_at {
+                        // The corrupt record is patched to zero length
+                        // after encoding; the stray one names host `hosts`.
+                        t.ops.push(op(slots, i as u32, draw));
+                    }
+                    let slot = layout_slot(layout, i, n, draw, slots, stride);
+                    t.ops.push(op(slot, i as u32, draw));
+                    if i < bad_at {
+                        want[slot].0.push(*t.ops.last().unwrap());
+                    }
+                }
+                if bad_at == n {
+                    t.ops.push(op(slots, n as u32, 0));
+                }
+                if bad != 0 {
+                    for w in &mut want {
+                        w.1 = Some(io::ErrorKind::InvalidData);
+                    }
+                }
+                let mut buf = Vec::new();
+                t.encode(&mut buf).unwrap();
+                if bad == 1 {
+                    buf[record_offset(bad_at) + 16..record_offset(bad_at) + 20].fill(0);
+                } else {
+                    let slice = SliceSource::new(&t);
+                    prop_assert_eq!(drain_cursors(&slice), want.clone());
+                    prop_assert_eq!(split_stream(&mut SliceSource::new(&t)), want.clone());
+                }
+                prop_assert_eq!(drain_cursors(&ByteReader::new(&buf).unwrap()), want.clone());
+                prop_assert_eq!(split_stream(&mut ByteReader::new(&buf).unwrap()), want.clone());
+                prop_assert_eq!(split_stream(&mut TraceReader::new(buf.as_slice()).unwrap()), want);
+            }
+
             #[test]
             fn codec_roundtrips_arbitrary_packed_traces(
                 ops in proptest::collection::vec(op_strategy(), 0..200),
