@@ -17,7 +17,7 @@ use fcache_remote::ReplicaSet;
 use fcache_types::{BlockAddr, FaultError, FaultKind, OpKind, Phase, TraceOp, BLOCK_SIZE};
 
 use crate::arch::Architecture;
-use crate::flush::{self, FlushReq, FlushTarget};
+use crate::flush::{self, Tier};
 use crate::host::{HostCtx, RemoteCtx};
 use crate::policy::WritebackPolicy;
 use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState};
@@ -33,6 +33,16 @@ enum FlushSource {
     InHand,
     /// Data must first be read off the flash device.
     Flash,
+}
+
+impl FlushSource {
+    /// Where a block cached in `medium` is flushed from.
+    fn of(medium: Medium) -> Self {
+        match medium {
+            Medium::Ram => FlushSource::InHand,
+            Medium::Flash => FlushSource::Flash,
+        }
+    }
 }
 
 /// Executes one trace operation, returning its application latency.
@@ -163,15 +173,11 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
 /// Unified read: one lookup against the single LRU chain; hits pay the
 /// latency of whichever medium the frame lives in.
 async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
-    let unified = h
-        .unified
-        .as_ref()
-        .expect("unified arch has a unified cache");
     let mut wait = SimTime::ZERO;
     let mut misses = scratch::take_buf();
     let mut flash_hits = scratch::take_buf();
     {
-        let mut u = unified.borrow_mut();
+        let mut u = h.unified().borrow_mut();
         for b in op.blocks() {
             match u.lookup(b) {
                 Some(Medium::Ram) => wait += h.cfg.ram_model.read,
@@ -231,33 +237,15 @@ async fn write_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
         }
         if h.has_ram() {
             ram_insert(h, b, true, sp).await;
-            match h.cfg.ram_policy {
-                WritebackPolicy::WriteThrough => {
-                    if filer_down(h) {
-                        // Degraded mode: the filer is unreachable, so the
-                        // blocking write-through falls back to writeback-style
-                        // buffering — the flush queue holds the block and
-                        // drains once the outage clears (§ISSUE 6).
-                        buffered_write(h);
-                        spawn_ram_flush(h, b);
-                    } else {
-                        flush_ram_block(h, b, sp).await;
-                    }
-                }
-                WritebackPolicy::AsyncWriteThrough => spawn_ram_flush(h, b),
-                WritebackPolicy::Periodic(_) | WritebackPolicy::None => {}
+            if on_dirtied(h, Tier::Ram, b) {
+                flush_block(h, Tier::Ram, b, sp).await;
             }
-        } else if h.has_flash() && h.cfg.arch == Architecture::Naive {
-            // No RAM tier: writes land directly in flash (§7.5's zero-RAM
-            // configuration) and the flash policy governs.
-            flash_insert(h, b, true, sp).await;
         } else {
-            // No cache at all (or lookaside without RAM): synchronous
-            // write to the filer; lookaside additionally updates flash.
-            flush_to_filer(h, b, FlushSource::InHand, sp).await;
-            if h.has_flash() && h.cfg.arch == Architecture::Lookaside {
-                flash_insert(h, b, false, sp).await;
-            }
+            // No RAM tier: naive writes land directly in flash (§7.5's
+            // zero-RAM configuration) under the flash policy; the others
+            // write to the filer synchronously, and lookaside then updates
+            // its flash.
+            write_below_ram(h, b, sp).await;
         }
     }
 }
@@ -290,24 +278,22 @@ async fn ram_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&O
     h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
         if ev.dirty {
-            evicted_ram_writeback(h, ev.addr, sp).await;
+            write_below_ram(h, ev.addr, sp).await;
         }
     }
 }
 
-/// Writes an evicted dirty RAM block down a level: to flash in the naive
-/// architecture, directly to the filer in lookaside (updating flash after).
-async fn evicted_ram_writeback(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
-    match h.cfg.arch {
-        Architecture::Naive if h.has_flash() => {
-            flash_insert(h, addr, true, sp).await;
-        }
-        _ => {
-            // Lookaside, or naive with no flash tier: straight to the filer.
-            flush_to_filer(h, addr, FlushSource::InHand, sp).await;
-            if h.has_flash() && h.cfg.arch == Architecture::Lookaside {
-                flash_insert(h, addr, false, sp).await;
-            }
+/// Writes a dirty block below the RAM tier: into flash, still dirty, in
+/// the naive architecture; otherwise to the filer, then in lookaside into
+/// flash clean ("the flash is updated after the file server and never
+/// contains dirty data", §3.3).
+async fn write_below_ram(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
+    if h.cfg.arch == Architecture::Naive && h.has_flash() {
+        flash_insert(h, addr, true, sp).await;
+    } else {
+        flush_to_filer(h, addr, FlushSource::InHand, sp).await;
+        if h.cfg.arch == Architecture::Lookaside && h.has_flash() {
+            flash_insert(h, addr, false, sp).await;
         }
     }
 }
@@ -324,29 +310,11 @@ async fn flash_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<
             flush_to_filer(h, ev.addr, FlushSource::Flash, sp).await;
         }
     }
-    if dirty {
-        on_flash_dirtied(h, addr, sp).await;
-    }
-}
-
-/// Applies the flash writeback policy to a block that just became dirty in
-/// flash.
-async fn on_flash_dirtied(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
-    match h.cfg.flash_policy {
-        WritebackPolicy::WriteThrough => {
-            if filer_down(h) {
-                // Degraded mode: keep the block dirty in flash and let the
-                // flush queue drain it after the outage.
-                buffered_write(h);
-                spawn_flash_flush(h, addr);
-                return;
-            }
-            // Blocking write-through; the payload is still in hand.
-            h.flash.borrow_mut().mark_clean(addr);
-            flush_to_filer(h, addr, FlushSource::InHand, sp).await;
-        }
-        WritebackPolicy::AsyncWriteThrough => spawn_flash_flush(h, addr),
-        WritebackPolicy::Periodic(_) | WritebackPolicy::None => {}
+    if dirty && on_dirtied(h, Tier::Flash, addr) {
+        // Blocking write-through; the payload is still in hand, so there
+        // is no flash read.
+        h.flash.borrow_mut().mark_clean(addr);
+        flush_to_filer(h, addr, FlushSource::InHand, sp).await;
     }
 }
 
@@ -354,12 +322,7 @@ async fn on_flash_dirtied(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>)
 /// flushes a dirty victim, and applies the landing tier's policy when the
 /// block is dirty.
 async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&OpSpan>) {
-    let ins = h
-        .unified
-        .as_ref()
-        .expect("unified cache")
-        .borrow_mut()
-        .insert(addr, dirty);
+    let ins = h.unified().borrow_mut().insert(addr, dirty);
     h.note_unified_insert(addr, &ins);
     match ins.medium {
         Medium::Ram => {
@@ -370,35 +333,37 @@ async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Optio
     }
     if let Some(ev) = ins.evicted {
         if ev.dirty {
-            let src = match ev.medium {
-                Medium::Ram => FlushSource::InHand,
-                Medium::Flash => FlushSource::Flash,
-            };
-            flush_to_filer(h, ev.addr, src, sp).await;
+            flush_to_filer(h, ev.addr, FlushSource::of(ev.medium), sp).await;
         }
     }
-    if dirty {
-        let policy = match ins.medium {
-            Medium::Ram => h.cfg.ram_policy,
-            Medium::Flash => h.cfg.flash_policy,
-        };
-        match policy {
-            WritebackPolicy::WriteThrough => {
-                if filer_down(h) {
-                    buffered_write(h);
-                    spawn_unified_flush(h, addr, ins.medium);
-                    return;
-                }
-                h.unified
-                    .as_ref()
-                    .expect("unified cache")
-                    .borrow_mut()
-                    .mark_clean(addr);
-                flush_to_filer(h, addr, FlushSource::InHand, sp).await;
-            }
-            WritebackPolicy::AsyncWriteThrough => spawn_unified_flush(h, addr, ins.medium),
-            WritebackPolicy::Periodic(_) | WritebackPolicy::None => {}
+    if dirty && on_dirtied(h, Tier::Unified(ins.medium), addr) {
+        // Blocking write-through with the payload in hand, as for flash.
+        h.unified().borrow_mut().mark_clean(addr);
+        flush_to_filer(h, addr, FlushSource::InHand, sp).await;
+    }
+}
+
+/// Applies `tier`'s writeback policy to a block that just became dirty
+/// there: queues an asynchronous flush, or returns true when the caller
+/// must write the block through now. Synchronous on purpose: the inline
+/// write differs per tier, and an async step that flushed RAM would
+/// recurse through [`write_below_ram`] and [`flash_insert`] back into it.
+fn on_dirtied(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr) -> bool {
+    match tier.policy(&h.cfg) {
+        WritebackPolicy::WriteThrough if filer_down(h) => {
+            // Degraded mode: the filer is unreachable, so the blocking
+            // write-through falls back to buffering — the block stays
+            // dirty and the flush queue drains it once the outage clears.
+            buffered_write(h);
+            flush::submit(h, tier, addr);
+            false
         }
+        WritebackPolicy::WriteThrough => true,
+        WritebackPolicy::AsyncWriteThrough => {
+            flush::submit(h, tier, addr);
+            false
+        }
+        WritebackPolicy::Periodic(_) | WritebackPolicy::None => false,
     }
 }
 
@@ -875,116 +840,40 @@ fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> String {
         .unwrap_or_else(|| format!("shard{shard}:outage"))
 }
 
-/// Flushes one dirty RAM block down a level (the RAM tier's writeback
-/// unit): naive writes it to flash; lookaside writes it to the filer and
-/// then updates the (never-dirty) flash copy.
-pub(crate) async fn flush_ram_block(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
-    if !h.ram.borrow_mut().mark_clean(addr) {
-        return; // evicted or invalidated since queued
-    }
-    match h.cfg.arch {
-        Architecture::Naive if h.has_flash() => {
-            flash_insert(h, addr, true, sp).await;
-        }
-        _ => {
-            flush_to_filer(h, addr, FlushSource::InHand, sp).await;
-            if h.has_flash() && h.cfg.arch == Architecture::Lookaside {
-                // "The flash is updated after the file server and never
-                // contains dirty data." (§3.3)
-                flash_insert(h, addr, false, sp).await;
+/// Flushes one block from `tier` if it is still dirty there (it may have
+/// been evicted or invalidated since it was queued): RAM writes it below
+/// the RAM tier; flash and unified frames write it to the filer, reading
+/// it off the device first when it lives in flash.
+pub(crate) async fn flush_block(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr, sp: Option<&OpSpan>) {
+    let src = match tier {
+        Tier::Ram => {
+            if h.ram.borrow_mut().mark_clean(addr) {
+                write_below_ram(h, addr, sp).await;
             }
-        }
-    }
-}
-
-/// Flushes one dirty flash block to the filer.
-pub(crate) async fn flush_flash_block(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
-    if !h.flash.borrow_mut().mark_clean(addr) {
-        return;
-    }
-    flush_to_filer(h, addr, FlushSource::Flash, sp).await;
-}
-
-/// Flushes one dirty unified frame to the filer.
-pub(crate) async fn flush_unified_block(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
-    let unified = h.unified.as_ref().expect("unified cache");
-    let medium = {
-        let mut u = unified.borrow_mut();
-        if !u.is_dirty(addr) {
             return;
         }
-        let m = u.medium_of(addr).expect("dirty block is mapped");
-        u.mark_clean(addr);
-        m
-    };
-    let src = match medium {
-        Medium::Ram => FlushSource::InHand,
-        Medium::Flash => FlushSource::Flash,
+        Tier::Flash => {
+            if !h.flash.borrow_mut().mark_clean(addr) {
+                return;
+            }
+            FlushSource::Flash
+        }
+        Tier::Unified(_) => {
+            let mut u = h.unified().borrow_mut();
+            if !u.is_dirty(addr) {
+                return;
+            }
+            let medium = u.medium_of(addr).expect("dirty block is mapped");
+            u.mark_clean(addr);
+            FlushSource::of(medium)
+        }
     };
     flush_to_filer(h, addr, src, sp).await;
-}
-
-/// Queues a detached asynchronous write-through flush for a RAM block.
-/// Duplicate submissions for a block already being flushed are suppressed;
-/// the worker's flush loop re-checks dirtiness so a re-dirty during flight
-/// is not lost. No allocation once the host's worker pool has converged
-/// (see `crate::flush`).
-fn spawn_ram_flush(h: &Rc<HostCtx>, addr: BlockAddr) {
-    if !h.ram_flush_pending.borrow_mut().insert(addr.to_u64()) {
-        return;
-    }
-    flush::submit(
-        h,
-        FlushReq {
-            addr,
-            target: FlushTarget::Ram,
-        },
-    );
-}
-
-/// Queues a detached asynchronous write-through flush for a flash block.
-fn spawn_flash_flush(h: &Rc<HostCtx>, addr: BlockAddr) {
-    if !h.flash_flush_pending.borrow_mut().insert(addr.to_u64()) {
-        return;
-    }
-    flush::submit(
-        h,
-        FlushReq {
-            addr,
-            target: FlushTarget::Flash,
-        },
-    );
-}
-
-/// Queues a detached asynchronous write-through flush for a unified frame.
-fn spawn_unified_flush(h: &Rc<HostCtx>, addr: BlockAddr, medium: Medium) {
-    let pending = match medium {
-        Medium::Ram => &h.ram_flush_pending,
-        Medium::Flash => &h.flash_flush_pending,
-    };
-    if !pending.borrow_mut().insert(addr.to_u64()) {
-        return;
-    }
-    flush::submit(
-        h,
-        FlushReq {
-            addr,
-            target: FlushTarget::Unified(medium),
-        },
-    );
 }
 
 // ---------------------------------------------------------------------------
 // Syncer daemons (periodic policies)
 // ---------------------------------------------------------------------------
-
-/// Which tier a syncer batch flushes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FlushTier {
-    Ram,
-    Flash,
-    Unified,
-}
 
 /// Flushes a batch of dirty blocks keeping up to `syncer_window` I/Os in
 /// flight. The syncer is one thread issuing asynchronous I/O: the wire —
@@ -997,21 +886,15 @@ enum FlushTier {
 async fn flush_batch(
     h: &Rc<HostCtx>,
     blocks: &[BlockAddr],
-    tier: FlushTier,
+    tier: Tier,
     handles: &mut Vec<JoinHandle<()>>,
 ) {
     let window = h.cfg.syncer_window.max(1);
     for chunk in blocks.chunks(window) {
-        handles.extend(chunk.iter().map(|b| {
+        handles.extend(chunk.iter().map(|&b| {
             let h2 = Rc::clone(h);
-            let b = *b;
-            h.sim.spawn(async move {
-                match tier {
-                    FlushTier::Ram => flush_ram_block(&h2, b, None).await,
-                    FlushTier::Flash => flush_flash_block(&h2, b, None).await,
-                    FlushTier::Unified => flush_unified_block(&h2, b, None).await,
-                }
-            })
+            h.sim
+                .spawn(async move { flush_block(&h2, tier, b, None).await })
         }));
         for handle in handles.drain(..) {
             handle.await;
@@ -1019,43 +902,16 @@ async fn flush_batch(
     }
 }
 
-/// Periodic RAM-tier syncer: every `period`, flush every block that is
-/// dirty in RAM ("dirty data remains in the cache until a syncer thread
-/// flushes the data back", §3.5). The dirty-set snapshot and the batch's
-/// join list reuse one buffer each across ticks instead of allocating per
-/// tick.
-pub(crate) async fn ram_syncer(h: Rc<HostCtx>, period: SimTime) {
+/// Periodic syncer for one tier: every `period`, flush every block dirty
+/// in it ("dirty data remains in the cache until a syncer thread flushes
+/// the data back", §3.5). The dirty-set snapshot and the batch's join list
+/// reuse one buffer each across ticks instead of allocating per tick.
+pub(crate) async fn syncer(h: Rc<HostCtx>, tier: Tier, period: SimTime) {
     let (mut dirty, mut handles) = (Vec::new(), Vec::new());
     loop {
         h.sim.sleep(period).await;
         dirty.clear();
-        h.ram.borrow().dirty_blocks_into(&mut dirty);
-        flush_batch(&h, &dirty, FlushTier::Ram, &mut handles).await;
-    }
-}
-
-/// Periodic flash-tier syncer (naive architecture).
-pub(crate) async fn flash_syncer(h: Rc<HostCtx>, period: SimTime) {
-    let (mut dirty, mut handles) = (Vec::new(), Vec::new());
-    loop {
-        h.sim.sleep(period).await;
-        dirty.clear();
-        h.flash.borrow().dirty_blocks_into(&mut dirty);
-        flush_batch(&h, &dirty, FlushTier::Flash, &mut handles).await;
-    }
-}
-
-/// Periodic unified-tier syncer for one medium.
-pub(crate) async fn unified_syncer(h: Rc<HostCtx>, medium: Medium, period: SimTime) {
-    let (mut dirty, mut handles) = (Vec::new(), Vec::new());
-    loop {
-        h.sim.sleep(period).await;
-        dirty.clear();
-        h.unified
-            .as_ref()
-            .expect("unified cache")
-            .borrow()
-            .dirty_blocks_of_into(medium, &mut dirty);
-        flush_batch(&h, &dirty, FlushTier::Unified, &mut handles).await;
+        h.dirty_blocks_into(tier, &mut dirty);
+        flush_batch(&h, &dirty, tier, &mut handles).await;
     }
 }

@@ -1,20 +1,19 @@
-//! Per-host asynchronous flush machinery without per-flush allocation.
+//! Writeback tiers and the per-host asynchronous flush queue.
 //!
-//! The seed spawned one boxed task per asynchronous write-through flush
-//! (`policy a`), making every dirty block under that policy a heap
-//! allocation in the executor's slab. This module replaces those spawns
-//! with a per-host [`FlushQueue`] drained by a pool of long-lived worker
-//! daemons: submitting a flush wakes an idle worker (or grows the pool to
-//! the high-water mark of concurrent flushes, after which no allocation
-//! ever happens again — the same convergence discipline as the host's
-//! scratch-buffer pool, see `PERF.md` invariant 2).
+//! A [`Tier`] names where dirty blocks live and which writeback policy
+//! governs them; the engine's flush step, policy step and syncer all take
+//! one. Asynchronous write-through flushes (`policy a`, and write-through
+//! degraded by a filer outage) go through the host's [`FlushQueue`],
+//! deduped per block on the tier's pending set and drained by a pool of
+//! long-lived worker daemons. Submitting wakes an idle worker, or grows
+//! the pool by one when every worker is busy, so the pool converges to
+//! the peak number of concurrent flushes and then allocates nothing (the
+//! discipline of the host's scratch pools, `PERF.md` invariant 2).
 //!
-//! Timing is preserved: waking an idle worker enqueues it at the executor
-//! ready-queue tail exactly where a fresh spawn would have landed, and the
-//! worker then runs the identical while-dirty flush loop. Because workers
-//! are daemons, a separate *keeper* task (spawned once per busy period, not
-//! per flush) keeps the simulation alive until every submitted flush has
-//! drained, matching the lifetime the per-flush tasks used to provide.
+//! A woken worker lands at the executor ready-queue tail, where a fresh
+//! task would, and loops while the block stays dirty. Workers are daemons,
+//! so a *keeper* task (one per busy period, not per flush) holds the
+//! simulation open until every submitted flush has drained.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -26,26 +25,48 @@ use std::task::{Context, Poll, Waker};
 use fcache_cache::Medium;
 use fcache_types::BlockAddr;
 
+use crate::config::SimConfig;
+use crate::engine::flush_block;
 use crate::host::HostCtx;
+use crate::policy::WritebackPolicy;
 
-/// Which tier's while-dirty loop a queued flush runs.
+/// A cache tier that holds dirty blocks under one writeback policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum FlushTarget {
-    /// RAM tier (naive/lookaside).
+pub(crate) enum Tier {
+    /// The RAM tier (naive/lookaside).
     Ram,
-    /// Flash tier (naive).
+    /// The flash tier (naive; the lookaside flash is never dirty).
     Flash,
-    /// Unified cache; the medium selects the dedupe set.
+    /// One medium of the unified cache.
     Unified(Medium),
+}
+
+impl Tier {
+    /// The medium the tier's blocks live in.
+    pub(crate) fn medium(self) -> Medium {
+        match self {
+            Tier::Ram => Medium::Ram,
+            Tier::Flash => Medium::Flash,
+            Tier::Unified(m) => m,
+        }
+    }
+
+    /// The writeback policy that governs the tier.
+    pub(crate) fn policy(self, cfg: &SimConfig) -> WritebackPolicy {
+        match self.medium() {
+            Medium::Ram => cfg.ram_policy,
+            Medium::Flash => cfg.flash_policy,
+        }
+    }
 }
 
 /// One queued asynchronous flush.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct FlushReq {
+struct FlushReq {
     /// Block to flush.
-    pub addr: BlockAddr,
+    addr: BlockAddr,
     /// Tier to flush it from.
-    pub target: FlushTarget,
+    tier: Tier,
 }
 
 /// Per-host flush queue state (a field of [`HostCtx`]).
@@ -90,13 +111,18 @@ impl FlushQueue {
     }
 }
 
-/// Submits an asynchronous flush for `addr`, waking an idle worker or
-/// growing the pool by one long-lived daemon if all workers are busy.
-pub(crate) fn submit(h: &Rc<HostCtx>, req: FlushReq) {
+/// Queues an asynchronous flush of `addr` from `tier`, waking an idle
+/// worker or growing the pool by one long-lived daemon if all workers are
+/// busy. A block already queued or in flight on the tier is not queued
+/// again: the worker's while-dirty loop picks up a re-dirty in flight.
+pub(crate) fn submit(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr) {
+    if !h.flush_pending(tier).borrow_mut().insert(addr.to_u64()) {
+        return;
+    }
     let q = &h.flushq;
     let was_idle = q.outstanding.get() == 0;
     q.outstanding.set(q.outstanding.get() + 1);
-    q.queue.borrow_mut().push_back(req);
+    q.queue.borrow_mut().push_back(FlushReq { addr, tier });
     if was_idle {
         // First flush of a busy period: spawn the keeper that holds the
         // simulation open until the queue drains again.
@@ -111,46 +137,15 @@ pub(crate) fn submit(h: &Rc<HostCtx>, req: FlushReq) {
     }
 }
 
-/// Long-lived flush worker: parks when the queue is empty, otherwise runs
-/// the same while-dirty loop the per-flush tasks used to run.
+/// Long-lived flush worker: parks when the queue is empty, otherwise
+/// flushes the block until it stays clean.
 async fn flush_worker(h: Rc<HostCtx>) {
     loop {
-        let req = NextFlush { h: Rc::clone(&h) }.await;
-        match req.target {
-            FlushTarget::Ram => {
-                while h.ram.borrow().is_dirty(req.addr) {
-                    crate::engine::flush_ram_block(&h, req.addr, None).await;
-                }
-                h.ram_flush_pending.borrow_mut().remove(&req.addr.to_u64());
-            }
-            FlushTarget::Flash => {
-                while h.flash.borrow().is_dirty(req.addr) {
-                    crate::engine::flush_flash_block(&h, req.addr, None).await;
-                }
-                h.flash_flush_pending
-                    .borrow_mut()
-                    .remove(&req.addr.to_u64());
-            }
-            FlushTarget::Unified(medium) => {
-                loop {
-                    let dirty = h
-                        .unified
-                        .as_ref()
-                        .expect("unified cache")
-                        .borrow()
-                        .is_dirty(req.addr);
-                    if !dirty {
-                        break;
-                    }
-                    crate::engine::flush_unified_block(&h, req.addr, None).await;
-                }
-                let pending = match medium {
-                    Medium::Ram => &h.ram_flush_pending,
-                    Medium::Flash => &h.flash_flush_pending,
-                };
-                pending.borrow_mut().remove(&req.addr.to_u64());
-            }
+        let FlushReq { addr, tier } = NextFlush { h: Rc::clone(&h) }.await;
+        while h.is_dirty(tier, addr) {
+            flush_block(&h, tier, addr, None).await;
         }
+        h.flush_pending(tier).borrow_mut().remove(&addr.to_u64());
         h.flushq.complete_one();
     }
 }

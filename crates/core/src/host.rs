@@ -3,7 +3,7 @@
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::{Rc, Weak};
 
-use fcache_cache::{BlockCache, InsertOutcome, UnifiedCache, UnifiedInsert};
+use fcache_cache::{BlockCache, InsertOutcome, Medium, UnifiedCache, UnifiedInsert};
 use fcache_des::Sim;
 use fcache_device::IoLog;
 use fcache_net::Segment;
@@ -12,7 +12,7 @@ use fcache_types::{BlockAddr, FxHashSet, HostId};
 
 use crate::config::SimConfig;
 use crate::devsvc::DeviceService;
-use crate::flush::FlushQueue;
+use crate::flush::{FlushQueue, Tier};
 use crate::metrics::Metrics;
 use crate::robust::FaultCtx;
 use crate::sharers::SharerFilter;
@@ -98,9 +98,10 @@ pub(crate) struct HostCtx {
     /// performs is charged through it (flat Table 1 latencies by default,
     /// or the queue-aware SSD model — see `crate::devsvc`).
     pub dev: DeviceService,
-    /// Blocks with an asynchronous RAM-tier flush in flight (dedupe).
+    /// Blocks with an asynchronous flush queued or in flight from a RAM
+    /// tier (dedupe; see [`HostCtx::flush_pending`]).
     pub ram_flush_pending: RefCell<FxHashSet<u64>>,
-    /// Blocks with an asynchronous flash-tier flush in flight (dedupe).
+    /// The same for a flash tier.
     pub flash_flush_pending: RefCell<FxHashSet<u64>>,
     /// The run's host list and sharer filter.
     pub run: Rc<RunHosts>,
@@ -133,6 +134,43 @@ impl HostCtx {
     /// True if this host has a flash cache tier.
     pub fn has_flash(&self) -> bool {
         self.cfg.flash_blocks() > 0
+    }
+
+    /// The unified cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside the unified architecture.
+    pub fn unified(&self) -> &RefCell<UnifiedCache> {
+        self.unified.as_ref().expect("unified cache")
+    }
+
+    /// True if `addr` is cached dirty in `tier`. A unified tier checks the
+    /// whole cache: a block never changes medium.
+    pub fn is_dirty(&self, tier: Tier, addr: BlockAddr) -> bool {
+        match tier {
+            Tier::Ram => self.ram.borrow().is_dirty(addr),
+            Tier::Flash => self.flash.borrow().is_dirty(addr),
+            Tier::Unified(_) => self.unified().borrow().is_dirty(addr),
+        }
+    }
+
+    /// Appends the blocks dirty in `tier` to `out`.
+    pub fn dirty_blocks_into(&self, tier: Tier, out: &mut Vec<BlockAddr>) {
+        match tier {
+            Tier::Ram => self.ram.borrow().dirty_blocks_into(out),
+            Tier::Flash => self.flash.borrow().dirty_blocks_into(out),
+            Tier::Unified(m) => self.unified().borrow().dirty_blocks_of_into(m, out),
+        }
+    }
+
+    /// The blocks with an asynchronous flush queued or in flight from
+    /// `tier`'s medium.
+    pub fn flush_pending(&self, tier: Tier) -> &RefCell<FxHashSet<u64>> {
+        match tier.medium() {
+            Medium::Ram => &self.ram_flush_pending,
+            Medium::Flash => &self.flash_flush_pending,
+        }
     }
 
     /// Current cache occupancy as `(dirty blocks, cached blocks)` across

@@ -40,7 +40,7 @@ use crate::arch::Architecture;
 use crate::config::SimConfig;
 use crate::devsvc::DeviceService;
 use crate::engine::{self, execute_op};
-use crate::flush::{self, FlushQueue};
+use crate::flush::{self, FlushQueue, Tier};
 use crate::host::{HostCtx, RemoteCtx, RunHosts};
 use crate::metrics::Metrics;
 use crate::report::SimReport;
@@ -343,29 +343,22 @@ fn spawn_daemons(parts: &SimParts) {
     let SimParts {
         sim, cfg, hosts, ..
     } = parts;
+    // The tiers that can hold dirty blocks, RAM first. The lookaside flash
+    // never does, so it has no syncer.
+    let tiers: &[Tier] = match cfg.arch {
+        Architecture::Naive => &[Tier::Ram, Tier::Flash],
+        Architecture::Lookaside => &[Tier::Ram],
+        Architecture::Unified => &[Tier::Unified(Medium::Ram), Tier::Unified(Medium::Flash)],
+    };
     for h in hosts {
-        match cfg.arch {
-            Architecture::Unified => {
-                if let Some(period) = cfg.scaled_period(cfg.ram_policy) {
-                    sim.spawn_daemon(engine::unified_syncer(Rc::clone(h), Medium::Ram, period));
-                }
-                if let Some(period) = cfg.scaled_period(cfg.flash_policy) {
-                    sim.spawn_daemon(engine::unified_syncer(Rc::clone(h), Medium::Flash, period));
-                }
-            }
-            Architecture::Naive | Architecture::Lookaside => {
-                if h.has_ram() {
-                    if let Some(period) = cfg.scaled_period(cfg.ram_policy) {
-                        sim.spawn_daemon(engine::ram_syncer(Rc::clone(h), period));
-                    }
-                }
-                // The lookaside flash never holds dirty data, so its syncer
-                // would be a no-op; only naive needs one.
-                if cfg.arch == Architecture::Naive && h.has_flash() {
-                    if let Some(period) = cfg.scaled_period(cfg.flash_policy) {
-                        sim.spawn_daemon(engine::flash_syncer(Rc::clone(h), period));
-                    }
-                }
+        for &tier in tiers {
+            let empty = match tier {
+                Tier::Ram => !h.has_ram(),
+                Tier::Flash => !h.has_flash(),
+                Tier::Unified(_) => false,
+            };
+            if let Some(period) = cfg.scaled_period(tier.policy(cfg)).filter(|_| !empty) {
+                sim.spawn_daemon(engine::syncer(Rc::clone(h), tier, period));
             }
         }
     }
