@@ -344,7 +344,8 @@ fn spawn_daemons(parts: &SimParts) {
         sim, cfg, hosts, ..
     } = parts;
     // The tiers that can hold dirty blocks, RAM first. The lookaside flash
-    // never does, so it has no syncer.
+    // never does, and neither does a tier with no capacity, so neither
+    // gets a syncer.
     let tiers: &[Tier] = match cfg.arch {
         Architecture::Naive => &[Tier::Ram, Tier::Flash],
         Architecture::Lookaside => &[Tier::Ram],
@@ -352,12 +353,11 @@ fn spawn_daemons(parts: &SimParts) {
     };
     for h in hosts {
         for &tier in tiers {
-            let empty = match tier {
-                Tier::Ram => !h.has_ram(),
-                Tier::Flash => !h.has_flash(),
-                Tier::Unified(_) => false,
+            let has_blocks = match tier.medium() {
+                Medium::Ram => h.has_ram(),
+                Medium::Flash => h.has_flash(),
             };
-            if let Some(period) = cfg.scaled_period(tier.policy(cfg)).filter(|_| !empty) {
+            if let Some(period) = cfg.scaled_period(tier.policy(cfg)).filter(|_| has_blocks) {
                 sim.spawn_daemon(engine::syncer(Rc::clone(h), tier, period));
             }
         }

@@ -337,18 +337,18 @@ const UNIFIED: &[Pin] = &[
     (Shape::Both, "n", "p15", 0x42947807f3ca0d36, 25093),
     (Shape::Both, "n", "p30", 0x8605a23d4e249fff, 24695),
     (Shape::Both, "n", "n", 0x23bc50d2820152d9, 6226),
-    (Shape::NoRam, "p1", "s", 0x3f562c682685a21d, 19140),
-    (Shape::NoRam, "p1", "a", 0x93c469e64651f669, 34595),
-    (Shape::NoRam, "p1", "p1", 0xcb0c05e2dce942fc, 39989),
-    (Shape::NoRam, "p1", "p5", 0xb022328342ec03c4, 38851),
-    (Shape::NoRam, "p1", "p15", 0xc4a0df9456d5d7c4, 38404),
-    (Shape::NoRam, "p1", "p30", 0x36ef77cead3b6996, 36728),
-    (Shape::NoRam, "p1", "n", 0x34282413be8a7a24, 14537),
-    (Shape::NoFlash, "s", "p1", 0xe3063ded5113cf2d, 16007),
-    (Shape::NoFlash, "a", "p1", 0xf86e4e6fddff7fa2, 28366),
-    (Shape::NoFlash, "p1", "p1", 0xf15817e9ed226317, 33258),
-    (Shape::NoFlash, "p5", "p1", 0x293aeb0eedb4c5f4, 31591),
-    (Shape::NoFlash, "p15", "p1", 0x2eae654aaecd56c7, 30996),
-    (Shape::NoFlash, "p30", "p1", 0x6c0c6cad64073884, 30440),
-    (Shape::NoFlash, "n", "p1", 0xb1e1505866cb56ec, 12182),
+    (Shape::NoRam, "p1", "s", 0x3f562c682685a21d, 16534),
+    (Shape::NoRam, "p1", "a", 0x93c469e64651f669, 32821),
+    (Shape::NoRam, "p1", "p1", 0xcb0c05e2dce942fc, 37625),
+    (Shape::NoRam, "p1", "p5", 0xb022328342ec03c4, 36925),
+    (Shape::NoRam, "p1", "p15", 0xc4a0df9456d5d7c4, 36542),
+    (Shape::NoRam, "p1", "p30", 0x36ef77cead3b6996, 34813),
+    (Shape::NoRam, "p1", "n", 0x34282413be8a7a24, 12206),
+    (Shape::NoFlash, "s", "p1", 0xe3063ded5113cf2d, 13229),
+    (Shape::NoFlash, "a", "p1", 0xf86e4e6fddff7fa2, 26477),
+    (Shape::NoFlash, "p1", "p1", 0xf15817e9ed226317, 30380),
+    (Shape::NoFlash, "p5", "p1", 0x293aeb0eedb4c5f4, 29756),
+    (Shape::NoFlash, "p15", "p1", 0x2eae654aaecd56c7, 29259),
+    (Shape::NoFlash, "p30", "p1", 0x6c0c6cad64073884, 28752),
+    (Shape::NoFlash, "n", "p1", 0xb1e1505866cb56ec, 9728),
 ];
