@@ -15,8 +15,8 @@
 //! deterministic per seed.
 
 use fcache_bench::{
-    f, f2, header, scale_from_env, shape_check, ByteSize, FlashTiming, SimConfig, Table, Workbench,
-    WorkloadSpec,
+    f, f2, header, scale_from_env, shape_check, ByteSize, FlashTiming, Scenario, SimConfig, Table,
+    Workbench, Workload, WorkloadSpec,
 };
 use fcache_device::{IoDirection, IoLogEntry, SsdConfig, SsdModel};
 use rand::rngs::SmallRng;
@@ -41,7 +41,9 @@ fn main() {
         device_window: window,
         ..SimConfig::baseline()
     };
-    let report = wb.run_with_trace(&cfg, &trace).expect("simulation");
+    let report = Scenario::new(cfg.clone().scaled_down(wb.scale()), Workload::trace(&trace))
+        .run()
+        .expect("simulation");
     let windows = report.device_windows.clone().expect("windows enabled");
     println!(
         "# {} device I/Os serviced in-engine across {} windows",
@@ -143,8 +145,8 @@ fn main() {
     );
 
     // Determinism: the same seed regenerates the identical series.
-    let again = wb
-        .run_with_trace(&cfg, &trace)
+    let again = Scenario::new(cfg.scaled_down(wb.scale()), Workload::trace(&trace))
+        .run()
         .expect("repeat simulation")
         .device_windows
         .expect("windows enabled");

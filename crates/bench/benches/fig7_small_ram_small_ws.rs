@@ -6,8 +6,8 @@
 //! cache."
 
 use fcache_bench::{
-    f, f2, header, run_configs, scale_from_env, shape_check, ByteSize, SimConfig, Table, Workbench,
-    WorkloadSpec, WritebackPolicy,
+    f, f2, header, run_configs, scale_from_env, shape_check, ByteSize, Scenario, SimConfig, Table,
+    Workbench, Workload, WorkloadSpec, WritebackPolicy,
 };
 
 fn main() {
@@ -80,8 +80,8 @@ fn main() {
                 ram_policy: WritebackPolicy::AsyncWriteThrough,
                 ..SimConfig::baseline()
             };
-            noflash_tiny_read = wb
-                .run_with_trace(&cfg, &trace)
+            noflash_tiny_read = Scenario::new(cfg.scaled_down(wb.scale()), Workload::trace(&trace))
+                .run()
                 .expect("run")
                 .read_latency_us();
         }

@@ -22,7 +22,8 @@ use std::time::Instant;
 
 use fcache::DeviceService;
 use fcache_bench::{
-    scale_from_env, Architecture, FlashTiming, SimConfig, Sweep, Workbench, Workload, WorkloadSpec,
+    scale_from_env, Architecture, FlashTiming, Scenario, SimConfig, Sweep, Workbench, Workload,
+    WorkloadSpec,
 };
 use fcache_cache::{BlockCache, UnifiedCache};
 use fcache_des::{Sim, SimTime};
@@ -223,13 +224,14 @@ fn main() {
     let wb = Workbench::new(scale, 42);
     let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
     let blocks = trace.stats().blocks as f64;
+    let run = |cfg: &SimConfig| {
+        Scenario::new(cfg.clone().scaled_down(wb.scale()), Workload::trace(&trace)).run()
+    };
 
     // The plain layered run, timed only as the reference for the overhead
     // ratios below (perfbench measures end-to-end throughput).
     let t0 = Instant::now();
-    let r = wb
-        .run_with_trace(&SimConfig::baseline(), &trace)
-        .expect("layered run");
+    let r = run(&SimConfig::baseline()).expect("layered run");
     let layered_wall = t0.elapsed().as_secs_f64();
     assert!(r.metrics.read_ops > 0);
 
@@ -239,9 +241,7 @@ fn main() {
         ..SimConfig::baseline()
     };
     let t0 = Instant::now();
-    let r = wb
-        .run_with_trace(&layered_ssd, &trace)
-        .expect("layered ssd run");
+    let r = run(&layered_ssd).expect("layered ssd run");
     let ssd_wall = t0.elapsed().as_secs_f64();
     assert!(r.device.ops() > 0);
     res.push("layered_ssd_sim_ops_per_sec", blocks / ssd_wall, "blocks/s");
@@ -254,9 +254,7 @@ fn main() {
         ..SimConfig::baseline()
     };
     let t0 = Instant::now();
-    let r = wb
-        .run_with_trace(&layered_faulted, &trace)
-        .expect("faulted run");
+    let r = run(&layered_faulted).expect("faulted run");
     let faulted_wall = t0.elapsed().as_secs_f64();
     assert!(r.robustness.engaged());
     res.push(
@@ -279,9 +277,7 @@ fn main() {
         ..SimConfig::baseline()
     };
     let t0 = Instant::now();
-    let r = wb
-        .run_with_trace(&layered_telemetry, &trace)
-        .expect("telemetry run");
+    let r = run(&layered_telemetry).expect("telemetry run");
     let telemetry_wall = t0.elapsed().as_secs_f64();
     assert!(r.telemetry.engaged() && r.telemetry.spans > 0);
     res.push(
@@ -298,9 +294,7 @@ fn main() {
         ..layered_telemetry
     };
     let t0 = Instant::now();
-    let r = wb
-        .run_with_trace(&layered_streamed, &trace)
-        .expect("span stream run");
+    let r = run(&layered_streamed).expect("span stream run");
     let stream_wall = t0.elapsed().as_secs_f64();
     assert!(r.telemetry.spans > 0);
     res.push(
@@ -325,7 +319,7 @@ fn main() {
         ..SimConfig::baseline()
     };
     let t0 = Instant::now();
-    wb.run_with_trace(&unified, &trace).expect("unified run");
+    run(&unified).expect("unified run");
     res.push(
         "unified_sim_ops_per_sec",
         blocks / t0.elapsed().as_secs_f64(),

@@ -29,14 +29,15 @@ pub use fcache_types::{ByteSize, Json, Trace, TraceReader, TraceSource};
 /// This is the figure harnesses' inner loop: every figure compares several
 /// configurations over the same workload, and the configurations are
 /// independent — exactly the shape a `Sweep` fans out. Results come back
-/// in `cfgs` order and are bit-identical to serial `run_with_trace` calls.
+/// in `cfgs` order and are bit-identical to serial runs of each configuration.
 ///
 /// # Panics
 ///
 /// Panics if any simulation fails, naming the failing configuration's
 /// sweep label (a figure cannot be produced from a partial sweep).
 pub fn run_configs(wb: &Workbench, cfgs: &[SimConfig], trace: &Trace) -> Vec<SimReport> {
-    wb.run_sweep_with_trace(cfgs, trace)
+    wb.sweep(cfgs, Workload::trace(trace))
+        .run()
         .expect_reports("figure sweep")
 }
 

@@ -20,7 +20,7 @@ use fcache_types::{ByteSize, Trace};
 
 use crate::config::SimConfig;
 use crate::report::SimReport;
-use crate::scenario::{Scenario, Sweep, SweepResults, Workload};
+use crate::scenario::{Scenario, Sweep, Workload};
 use crate::sim::SimError;
 
 /// Workload description in paper-scale units.
@@ -199,19 +199,6 @@ impl Workbench {
         // the trace does.
         let scenario = Scenario::new(scaled, Workload::trace(&trace));
         scenario.run()
-    }
-
-    /// Runs a paper-scale configuration against a pre-generated trace
-    /// (for sweeps that reuse one workload across many configurations).
-    pub fn run_with_trace(&self, cfg: &SimConfig, trace: &Trace) -> Result<SimReport, SimError> {
-        let scaled = cfg.clone().scaled_down(self.scale);
-        Scenario::new(scaled, Workload::trace(trace)).run()
-    }
-
-    /// Runs many paper-scale configurations against one pre-generated
-    /// trace in parallel via [`Sweep`], preserving input order.
-    pub fn run_sweep_with_trace(&self, cfgs: &[SimConfig], trace: &Trace) -> SweepResults {
-        self.sweep(cfgs, Workload::trace(trace)).run()
     }
 }
 

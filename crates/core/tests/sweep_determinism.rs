@@ -209,7 +209,7 @@ fn ssd_timing_is_deterministic_across_parallel_serial_and_repeat_runs() {
 }
 
 #[test]
-fn workbench_sweep_matches_run_with_trace() {
+fn workbench_sweep_matches_serial_scenario_runs() {
     let wb = Workbench::new(8192, 11);
     let trace = wb.make_trace(&WorkloadSpec {
         working_set: ByteSize::gib(20),
@@ -217,10 +217,12 @@ fn workbench_sweep_matches_run_with_trace() {
         ..WorkloadSpec::default()
     });
     let cfgs = sweep_configs();
-    let swept = wb.run_sweep_with_trace(&cfgs, &trace);
+    let swept = wb.sweep(&cfgs, Workload::trace(&trace)).run();
     assert_eq!(swept.len(), cfgs.len());
     for (i, (cfg, got)) in cfgs.iter().zip(swept).enumerate() {
-        let want = wb.run_with_trace(cfg, &trace).expect("serial");
+        let want = Scenario::new(cfg.clone().scaled_down(wb.scale()), Workload::trace(&trace))
+            .run()
+            .expect("serial");
         assert!(
             got.label.starts_with(&format!("#{i} ")),
             "auto label keeps job order: {}",
@@ -229,7 +231,7 @@ fn workbench_sweep_matches_run_with_trace() {
         assert_eq!(
             format!("{:?}", got.report.expect("sweep")),
             format!("{want:?}"),
-            "Workbench::run_sweep_with_trace diverged for {:?}",
+            "Workbench::sweep diverged for {:?}",
             cfg.arch
         );
     }
@@ -313,7 +315,7 @@ fn file_workload_sweeps_are_bit_identical_to_materialized_sweeps() {
     std::fs::write(&path, &buf).expect("write archive");
 
     let cfgs = sweep_configs();
-    let materialized = wb.run_sweep_with_trace(&cfgs, &trace);
+    let materialized = wb.sweep(&cfgs, Workload::trace(&trace)).run();
     let filed = wb.sweep(&cfgs, Workload::file(&path)).threads(4).run();
     let _ = std::fs::remove_file(&path);
 
@@ -441,7 +443,7 @@ fn result_sink_spills_every_report_exactly_once() {
     let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
     let cfgs = sweep_configs();
 
-    let collected = wb.run_sweep_with_trace(&cfgs, &trace);
+    let collected = wb.sweep(&cfgs, Workload::trace(&trace)).run();
     let want: Vec<String> = collected
         .into_iter()
         .map(|item| format!("{:?}", item.report.expect("collected run")))

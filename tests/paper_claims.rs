@@ -4,9 +4,12 @@
 //! Each test runs complete simulations through the public API: model
 //! generation → trace generation → simulation → report.
 
-use fcache::{Architecture, SimConfig, Workbench, WorkloadSpec, WritebackPolicy};
+use fcache::{
+    Architecture, Scenario, SimConfig, SimReport, Workbench, Workload, WorkloadSpec,
+    WritebackPolicy,
+};
 use fcache_device::FlashModel;
-use fcache_types::ByteSize;
+use fcache_types::{ByteSize, Trace};
 
 /// Shared scale for these tests: big enough for stable statistics, small
 /// enough to keep the suite fast.
@@ -16,6 +19,13 @@ fn bench() -> Workbench {
     Workbench::new(SCALE, 42)
 }
 
+/// Runs a paper-scale configuration against a pre-generated trace.
+fn run(wb: &Workbench, cfg: &SimConfig, trace: &Trace) -> SimReport {
+    Scenario::new(cfg.clone().scaled_down(wb.scale()), Workload::trace(trace))
+        .run()
+        .unwrap()
+}
+
 #[test]
 fn flash_cache_improves_reads_dramatically_when_ws_fits() {
     // Figure 4's core claim: when the working set fits in flash, read
@@ -23,16 +33,15 @@ fn flash_cache_improves_reads_dramatically_when_ws_fits() {
     let wb = bench();
     let spec = WorkloadSpec::baseline_60g();
     let trace = wb.make_trace(&spec);
-    let no_flash = wb
-        .run_with_trace(
-            &SimConfig {
-                flash_size: ByteSize::ZERO,
-                ..SimConfig::baseline()
-            },
-            &trace,
-        )
-        .unwrap();
-    let with_flash = wb.run_with_trace(&SimConfig::baseline(), &trace).unwrap();
+    let no_flash = run(
+        &wb,
+        &SimConfig {
+            flash_size: ByteSize::ZERO,
+            ..SimConfig::baseline()
+        },
+        &trace,
+    );
+    let with_flash = run(&wb, &SimConfig::baseline(), &trace);
     assert!(
         with_flash.read_latency_us() * 2.0 < no_flash.read_latency_us(),
         "flash {:.0} µs should be far below no-flash {:.0} µs",
@@ -52,16 +61,15 @@ fn flash_helps_even_when_working_set_exceeds_it() {
         ..WorkloadSpec::default()
     };
     let trace = wb.make_trace(&spec);
-    let no_flash = wb
-        .run_with_trace(
-            &SimConfig {
-                flash_size: ByteSize::ZERO,
-                ..SimConfig::baseline()
-            },
-            &trace,
-        )
-        .unwrap();
-    let with_flash = wb.run_with_trace(&SimConfig::baseline(), &trace).unwrap();
+    let no_flash = run(
+        &wb,
+        &SimConfig {
+            flash_size: ByteSize::ZERO,
+            ..SimConfig::baseline()
+        },
+        &trace,
+    );
+    let with_flash = run(&wb, &SimConfig::baseline(), &trace);
     assert!(
         with_flash.read_latency_us() < 0.85 * no_flash.read_latency_us(),
         "flash {:.0} µs vs no-flash {:.0} µs",
@@ -100,7 +108,7 @@ fn writeback_policy_interior_is_flat() {
             flash_policy,
             ..SimConfig::baseline()
         };
-        let r = wb.run_with_trace(&cfg, &trace).unwrap();
+        let r = run(&wb, &cfg, &trace);
         writes.push(r.write_latency_us());
     }
     // All benign combinations write at RAM speed.
@@ -122,7 +130,7 @@ fn synchronous_write_through_to_filer_is_slow() {
         flash_policy: WritebackPolicy::WriteThrough,
         ..SimConfig::baseline()
     };
-    let r = wb.run_with_trace(&cfg, &trace).unwrap();
+    let r = run(&wb, &cfg, &trace);
     assert!(
         r.write_latency_us() > 100.0,
         "s/s writes must expose filer latency, got {:.1} µs",
@@ -141,7 +149,7 @@ fn none_policy_exposes_eviction_stalls() {
         flash_policy: WritebackPolicy::None,
         ..SimConfig::baseline()
     };
-    let r = wb.run_with_trace(&cfg, &trace).unwrap();
+    let r = run(&wb, &cfg, &trace);
     assert!(
         r.write_latency_us() > 2.0,
         "n/n writes must stall on evictions, got {:.2} µs",
@@ -164,7 +172,7 @@ fn unified_wins_reads_when_ws_falls_out_of_flash() {
             arch,
             ..SimConfig::baseline()
         };
-        results.push((arch, wb.run_with_trace(&cfg, &trace).unwrap()));
+        results.push((arch, run(&wb, &cfg, &trace)));
     }
     let read = |a: Architecture| {
         results
@@ -205,7 +213,7 @@ fn lookaside_flash_never_dirty() {
         arch: Architecture::Lookaside,
         ..SimConfig::baseline()
     };
-    let r = wb.run_with_trace(&cfg, &trace).unwrap();
+    let r = run(&wb, &cfg, &trace);
     assert_eq!(
         r.flash.dirty_evictions, 0,
         "lookaside flash must never hold dirty data"
@@ -228,8 +236,8 @@ fn tiny_ram_with_async_writeback_suffices() {
         ram_policy: WritebackPolicy::AsyncWriteThrough,
         ..SimConfig::baseline()
     };
-    let r_full = wb.run_with_trace(&full, &trace).unwrap();
-    let r_tiny = wb.run_with_trace(&tiny, &trace).unwrap();
+    let r_full = run(&wb, &full, &trace);
+    let r_tiny = run(&wb, &tiny, &trace);
     // Writes stay cheap (well under flash latency)…
     assert!(
         r_tiny.write_latency_us() < 10.0,
@@ -256,7 +264,7 @@ fn zero_ram_does_not_work_well() {
         ram_size: ByteSize::ZERO,
         ..SimConfig::baseline()
     };
-    let r = wb.run_with_trace(&cfg, &trace).unwrap();
+    let r = run(&wb, &cfg, &trace);
     assert!(
         r.write_latency_us() > 15.0,
         "no-RAM writes should pay flash latency, got {:.1} µs",
@@ -272,12 +280,12 @@ fn persistence_cost_invisible_benefit_large() {
     let spec = WorkloadSpec::baseline_60g();
     let trace = wb.make_trace(&spec);
 
-    let plain = wb.run_with_trace(&SimConfig::baseline(), &trace).unwrap();
+    let plain = run(&wb, &SimConfig::baseline(), &trace);
     let persistent_cfg = SimConfig {
         flash_model: FlashModel::default().with_persistence(true),
         ..SimConfig::baseline()
     };
-    let persistent = wb.run_with_trace(&persistent_cfg, &trace).unwrap();
+    let persistent = run(&wb, &persistent_cfg, &trace);
     assert!(
         (persistent.write_latency_us() - plain.write_latency_us()).abs() < 0.5,
         "persistence must be invisible: {:.2} vs {:.2}",
@@ -317,16 +325,15 @@ fn shared_working_set_causes_heavy_invalidation_with_flash() {
         ..WorkloadSpec::default()
     };
     let trace = wb.make_trace(&spec);
-    let with_flash = wb.run_with_trace(&SimConfig::baseline(), &trace).unwrap();
-    let no_flash = wb
-        .run_with_trace(
-            &SimConfig {
-                flash_size: ByteSize::ZERO,
-                ..SimConfig::baseline()
-            },
-            &trace,
-        )
-        .unwrap();
+    let with_flash = run(&wb, &SimConfig::baseline(), &trace);
+    let no_flash = run(
+        &wb,
+        &SimConfig {
+            flash_size: ByteSize::ZERO,
+            ..SimConfig::baseline()
+        },
+        &trace,
+    );
     assert!(
         with_flash.invalidation_pct() > 1.5 * no_flash.invalidation_pct(),
         "flash {:.0}% vs no-flash {:.0}%",
@@ -350,7 +357,7 @@ fn flash_timing_scales_read_latency_linearly() {
             )),
             ..SimConfig::baseline()
         };
-        lat.push(wb.run_with_trace(&cfg, &trace).unwrap().read_latency_us());
+        lat.push(run(&wb, &cfg, &trace).read_latency_us());
     }
     assert!(
         lat[0] < lat[1] && lat[1] < lat[2],
@@ -373,7 +380,7 @@ fn prefetch_rate_bounds_latency() {
     for rate in [0.80, 0.95] {
         let mut cfg = SimConfig::baseline();
         cfg.filer.fast_read_rate = rate;
-        lat.push(wb.run_with_trace(&cfg, &trace).unwrap().read_latency_us());
+        lat.push(run(&wb, &cfg, &trace).read_latency_us());
     }
     assert!(
         lat[0] > 1.3 * lat[1],
