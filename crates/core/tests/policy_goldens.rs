@@ -154,201 +154,201 @@ fn unified_policy_grid_is_pinned() {
 
 #[rustfmt::skip]
 const NAIVE: &[Pin] = &[
-    (Shape::Both, "s", "s", 0x1f106394300e0b6c, 19370),
-    (Shape::Both, "s", "a", 0x0ebdddef980f1826, 35946),
-    (Shape::Both, "s", "p1", 0x88c3d76fcaeecca4, 38449),
-    (Shape::Both, "s", "p5", 0x5b310a0a40366c06, 37339),
-    (Shape::Both, "s", "p15", 0x563dd870d5935151, 35887),
-    (Shape::Both, "s", "p30", 0x69730d2023e77e9a, 35136),
-    (Shape::Both, "s", "n", 0x7be7c43d637a8813, 12456),
-    (Shape::Both, "a", "s", 0x2f0c51a73f507805, 31963),
-    (Shape::Both, "a", "a", 0xa42cd0b838eaa822, 40248),
-    (Shape::Both, "a", "p1", 0x4837164d172483b9, 47445),
-    (Shape::Both, "a", "p5", 0x2536389ebe05aa84, 47081),
-    (Shape::Both, "a", "p15", 0xd2cd1a813be33941, 45955),
-    (Shape::Both, "a", "p30", 0xf4f9e336a0ad282c, 44821),
-    (Shape::Both, "a", "n", 0x91c2111d2be3c482, 23776),
-    (Shape::Both, "p1", "s", 0xa7cf22a1290f5659, 35275),
-    (Shape::Both, "p1", "a", 0x741e0168d8ef4fd6, 38222),
-    (Shape::Both, "p1", "p1", 0xfe6c20bd9029156a, 45734),
-    (Shape::Both, "p1", "p5", 0xe9d94560c27d2587, 44262),
-    (Shape::Both, "p1", "p15", 0xef709ec08bb58912, 43402),
-    (Shape::Both, "p1", "p30", 0x299fc068de240e18, 42335),
-    (Shape::Both, "p1", "n", 0xd06bad9c63a3cdb7, 22752),
-    (Shape::Both, "p5", "s", 0xf2b0bb70b45197b2, 34146),
-    (Shape::Both, "p5", "a", 0xc69267a2b9a9512c, 36748),
-    (Shape::Both, "p5", "p1", 0xf13f32c983dd01fc, 44059),
-    (Shape::Both, "p5", "p5", 0xac9579d0f48a241e, 43129),
-    (Shape::Both, "p5", "p15", 0x5aac91aa8f5106e2, 42078),
-    (Shape::Both, "p5", "p30", 0xd78ee9087c0e339b, 41343),
-    (Shape::Both, "p5", "n", 0x150710574b6f4513, 21689),
-    (Shape::Both, "p15", "s", 0x4fe08d12550bbba8, 33304),
-    (Shape::Both, "p15", "a", 0xea1166fdc6f4cfcf, 35519),
-    (Shape::Both, "p15", "p1", 0xb50c9e07bab7f6c2, 43773),
-    (Shape::Both, "p15", "p5", 0xe51554b62e7e82bd, 42947),
-    (Shape::Both, "p15", "p15", 0xc63afc77cceababb, 41757),
-    (Shape::Both, "p15", "p30", 0xc0b4fffd64eb121f, 40965),
-    (Shape::Both, "p15", "n", 0x03fdc79440b9e25c, 21403),
-    (Shape::Both, "p30", "s", 0x43ea25ed47cbe939, 32953),
-    (Shape::Both, "p30", "a", 0x943b1e3ae36b578e, 35194),
-    (Shape::Both, "p30", "p1", 0xb79f0852b6913510, 42407),
-    (Shape::Both, "p30", "p5", 0x619caf7f605cf700, 42097),
-    (Shape::Both, "p30", "p15", 0x7681630348165990, 41706),
-    (Shape::Both, "p30", "p30", 0x823d2b3969118675, 40930),
-    (Shape::Both, "p30", "n", 0x7a859e0428a11209, 21244),
-    (Shape::Both, "n", "s", 0x02244b80546d9b11, 14501),
-    (Shape::Both, "n", "a", 0x5ba6fb88ea78c01b, 28929),
-    (Shape::Both, "n", "p1", 0x8d940842bc6bada8, 30225),
-    (Shape::Both, "n", "p5", 0x57a931d15a827318, 30557),
-    (Shape::Both, "n", "p15", 0xb6f601813b21156a, 29788),
-    (Shape::Both, "n", "p30", 0x49701804fbca5e9e, 29997),
-    (Shape::Both, "n", "n", 0xd858ce688e6007f5, 10741),
-    (Shape::NoRam, "p1", "s", 0x186708ad6d1c8e1c, 16516),
-    (Shape::NoRam, "p1", "a", 0x072424bfb2b666a9, 32821),
-    (Shape::NoRam, "p1", "p1", 0xf77f32b99fd6c4e2, 38078),
-    (Shape::NoRam, "p1", "p5", 0x20c517da77daffd3, 37062),
-    (Shape::NoRam, "p1", "p15", 0x5bc8c6cf6b0e137c, 36287),
-    (Shape::NoRam, "p1", "p30", 0x9a50a7cfd7986fcb, 34879),
-    (Shape::NoRam, "p1", "n", 0xdc3bdf03fee24dd6, 12204),
-    (Shape::NoFlash, "s", "p1", 0x8a03dd42cc9c7bc1, 13229),
-    (Shape::NoFlash, "a", "p1", 0xe0fdfbed2eeb8ed2, 26477),
-    (Shape::NoFlash, "p1", "p1", 0x2afda23ea5ee3096, 30421),
-    (Shape::NoFlash, "p5", "p1", 0x372976f8f9072233, 29992),
-    (Shape::NoFlash, "p15", "p1", 0x5053479a11bfb9bf, 29259),
-    (Shape::NoFlash, "p30", "p1", 0x91f2504409a70010, 28752),
-    (Shape::NoFlash, "n", "p1", 0x59446b61f83a2fec, 9728),
+    (Shape::Both, "s", "s", 0x1f106394300e0b6c, 16262),
+    (Shape::Both, "s", "a", 0x0ebdddef980f1826, 30519),
+    (Shape::Both, "s", "p1", 0x88c3d76fcaeecca4, 30511),
+    (Shape::Both, "s", "p5", 0x5b310a0a40366c06, 29378),
+    (Shape::Both, "s", "p15", 0x563dd870d5935151, 28163),
+    (Shape::Both, "s", "p30", 0x69730d2023e77e9a, 27535),
+    (Shape::Both, "s", "n", 0x7be7c43d637a8813, 11277),
+    (Shape::Both, "a", "s", 0x2f0c51a73f507805, 26878),
+    (Shape::Both, "a", "a", 0xa42cd0b838eaa822, 35130),
+    (Shape::Both, "a", "p1", 0x4837164d172483b9, 39666),
+    (Shape::Both, "a", "p5", 0x2536389ebe05aa84, 39168),
+    (Shape::Both, "a", "p15", 0xd2cd1a813be33941, 38232),
+    (Shape::Both, "a", "p30", 0xf4f9e336a0ad282c, 37299),
+    (Shape::Both, "a", "n", 0x91c2111d2be3c482, 21968),
+    (Shape::Both, "p1", "s", 0xa7cf22a1290f5659, 27375),
+    (Shape::Both, "p1", "a", 0x741e0168d8ef4fd6, 33079),
+    (Shape::Both, "p1", "p1", 0xfe6c20bd9029156a, 37858),
+    (Shape::Both, "p1", "p5", 0xe9d94560c27d2587, 36364),
+    (Shape::Both, "p1", "p15", 0xef709ec08bb58912, 35661),
+    (Shape::Both, "p1", "p30", 0x299fc068de240e18, 34789),
+    (Shape::Both, "p1", "n", 0xd06bad9c63a3cdb7, 20278),
+    (Shape::Both, "p5", "s", 0xf2b0bb70b45197b2, 26317),
+    (Shape::Both, "p5", "a", 0xc69267a2b9a9512c, 31730),
+    (Shape::Both, "p5", "p1", 0xf13f32c983dd01fc, 36141),
+    (Shape::Both, "p5", "p5", 0xac9579d0f48a241e, 35264),
+    (Shape::Both, "p5", "p15", 0x5aac91aa8f5106e2, 34361),
+    (Shape::Both, "p5", "p30", 0xd78ee9087c0e339b, 33738),
+    (Shape::Both, "p5", "n", 0x150710574b6f4513, 19234),
+    (Shape::Both, "p15", "s", 0x4fe08d12550bbba8, 25595),
+    (Shape::Both, "p15", "a", 0xea1166fdc6f4cfcf, 30676),
+    (Shape::Both, "p15", "p1", 0xb50c9e07bab7f6c2, 35718),
+    (Shape::Both, "p15", "p5", 0xe51554b62e7e82bd, 34977),
+    (Shape::Both, "p15", "p15", 0xc63afc77cceababb, 34016),
+    (Shape::Both, "p15", "p30", 0xc0b4fffd64eb121f, 33375),
+    (Shape::Both, "p15", "n", 0x03fdc79440b9e25c, 18800),
+    (Shape::Both, "p30", "s", 0x43ea25ed47cbe939, 25293),
+    (Shape::Both, "p30", "a", 0x943b1e3ae36b578e, 30433),
+    (Shape::Both, "p30", "p1", 0xb79f0852b6913510, 34551),
+    (Shape::Both, "p30", "p5", 0x619caf7f605cf700, 34243),
+    (Shape::Both, "p30", "p15", 0x7681630348165990, 33912),
+    (Shape::Both, "p30", "p30", 0x823d2b3969118675, 33292),
+    (Shape::Both, "p30", "n", 0x7a859e0428a11209, 18612),
+    (Shape::Both, "n", "s", 0x02244b80546d9b11, 12329),
+    (Shape::Both, "n", "a", 0x5ba6fb88ea78c01b, 24517),
+    (Shape::Both, "n", "p1", 0x8d940842bc6bada8, 24193),
+    (Shape::Both, "n", "p5", 0x57a931d15a827318, 24098),
+    (Shape::Both, "n", "p15", 0xb6f601813b21156a, 23365),
+    (Shape::Both, "n", "p30", 0x49701804fbca5e9e, 23460),
+    (Shape::Both, "n", "n", 0xd858ce688e6007f5, 9749),
+    (Shape::NoRam, "p1", "s", 0x186708ad6d1c8e1c, 14394),
+    (Shape::NoRam, "p1", "a", 0x072424bfb2b666a9, 27240),
+    (Shape::NoRam, "p1", "p1", 0xf77f32b99fd6c4e2, 30282),
+    (Shape::NoRam, "p1", "p5", 0x20c517da77daffd3, 29134),
+    (Shape::NoRam, "p1", "p15", 0x5bc8c6cf6b0e137c, 28477),
+    (Shape::NoRam, "p1", "p30", 0x9a50a7cfd7986fcb, 27289),
+    (Shape::NoRam, "p1", "n", 0xdc3bdf03fee24dd6, 11189),
+    (Shape::NoFlash, "s", "p1", 0x8a03dd42cc9c7bc1, 11013),
+    (Shape::NoFlash, "a", "p1", 0xe0fdfbed2eeb8ed2, 22038),
+    (Shape::NoFlash, "p1", "p1", 0x2afda23ea5ee3096, 22503),
+    (Shape::NoFlash, "p5", "p1", 0x372976f8f9072233, 21930),
+    (Shape::NoFlash, "p15", "p1", 0x5053479a11bfb9bf, 21294),
+    (Shape::NoFlash, "p30", "p1", 0x91f2504409a70010, 20877),
+    (Shape::NoFlash, "n", "p1", 0x59446b61f83a2fec, 8271),
 ];
 
 #[rustfmt::skip]
 const LOOKASIDE: &[Pin] = &[
-    (Shape::Both, "s", "s", 0xdd3e6562ca65e984, 17340),
-    (Shape::Both, "s", "a", 0xdd3e6562ca65e984, 17340),
-    (Shape::Both, "s", "p1", 0xdd3e6562ca65e984, 17340),
-    (Shape::Both, "s", "p5", 0xdd3e6562ca65e984, 17340),
-    (Shape::Both, "s", "p15", 0xdd3e6562ca65e984, 17340),
-    (Shape::Both, "s", "p30", 0xdd3e6562ca65e984, 17340),
-    (Shape::Both, "s", "n", 0xdd3e6562ca65e984, 17340),
-    (Shape::Both, "a", "s", 0x6ea1482c414fdc04, 34319),
-    (Shape::Both, "a", "a", 0x6ea1482c414fdc04, 34319),
-    (Shape::Both, "a", "p1", 0x6ea1482c414fdc04, 34319),
-    (Shape::Both, "a", "p5", 0x6ea1482c414fdc04, 34319),
-    (Shape::Both, "a", "p15", 0x6ea1482c414fdc04, 34319),
-    (Shape::Both, "a", "p30", 0x6ea1482c414fdc04, 34319),
-    (Shape::Both, "a", "n", 0x6ea1482c414fdc04, 34319),
-    (Shape::Both, "p1", "s", 0xdecfd76119ea19bb, 35012),
-    (Shape::Both, "p1", "a", 0xdecfd76119ea19bb, 35012),
-    (Shape::Both, "p1", "p1", 0xdecfd76119ea19bb, 35012),
-    (Shape::Both, "p1", "p5", 0xdecfd76119ea19bb, 35012),
-    (Shape::Both, "p1", "p15", 0xdecfd76119ea19bb, 35012),
-    (Shape::Both, "p1", "p30", 0xdecfd76119ea19bb, 35012),
-    (Shape::Both, "p1", "n", 0xdecfd76119ea19bb, 35012),
-    (Shape::Both, "p5", "s", 0x5c62015bd9b64aec, 34080),
-    (Shape::Both, "p5", "a", 0x5c62015bd9b64aec, 34080),
-    (Shape::Both, "p5", "p1", 0x5c62015bd9b64aec, 34080),
-    (Shape::Both, "p5", "p5", 0x5c62015bd9b64aec, 34080),
-    (Shape::Both, "p5", "p15", 0x5c62015bd9b64aec, 34080),
-    (Shape::Both, "p5", "p30", 0x5c62015bd9b64aec, 34080),
-    (Shape::Both, "p5", "n", 0x5c62015bd9b64aec, 34080),
-    (Shape::Both, "p15", "s", 0x7dc04b975579066f, 33469),
-    (Shape::Both, "p15", "a", 0x7dc04b975579066f, 33469),
-    (Shape::Both, "p15", "p1", 0x7dc04b975579066f, 33469),
-    (Shape::Both, "p15", "p5", 0x7dc04b975579066f, 33469),
-    (Shape::Both, "p15", "p15", 0x7dc04b975579066f, 33469),
-    (Shape::Both, "p15", "p30", 0x7dc04b975579066f, 33469),
-    (Shape::Both, "p15", "n", 0x7dc04b975579066f, 33469),
-    (Shape::Both, "p30", "s", 0x612cee87b3b65559, 32806),
-    (Shape::Both, "p30", "a", 0x612cee87b3b65559, 32806),
-    (Shape::Both, "p30", "p1", 0x612cee87b3b65559, 32806),
-    (Shape::Both, "p30", "p5", 0x612cee87b3b65559, 32806),
-    (Shape::Both, "p30", "p15", 0x612cee87b3b65559, 32806),
-    (Shape::Both, "p30", "p30", 0x612cee87b3b65559, 32806),
-    (Shape::Both, "p30", "n", 0x612cee87b3b65559, 32806),
-    (Shape::Both, "n", "s", 0xe04b760bd9ca067a, 13479),
-    (Shape::Both, "n", "a", 0xe04b760bd9ca067a, 13479),
-    (Shape::Both, "n", "p1", 0xe04b760bd9ca067a, 13479),
-    (Shape::Both, "n", "p5", 0xe04b760bd9ca067a, 13479),
-    (Shape::Both, "n", "p15", 0xe04b760bd9ca067a, 13479),
-    (Shape::Both, "n", "p30", 0xe04b760bd9ca067a, 13479),
-    (Shape::Both, "n", "n", 0xe04b760bd9ca067a, 13479),
-    (Shape::NoRam, "p1", "s", 0x81480d8dce7ca558, 16604),
-    (Shape::NoRam, "p1", "a", 0x81480d8dce7ca558, 16604),
-    (Shape::NoRam, "p1", "p1", 0x81480d8dce7ca558, 16604),
-    (Shape::NoRam, "p1", "p5", 0x81480d8dce7ca558, 16604),
-    (Shape::NoRam, "p1", "p15", 0x81480d8dce7ca558, 16604),
-    (Shape::NoRam, "p1", "p30", 0x81480d8dce7ca558, 16604),
-    (Shape::NoRam, "p1", "n", 0x81480d8dce7ca558, 16604),
-    (Shape::NoFlash, "s", "p1", 0x8a03dd42cc9c7bc1, 13229),
-    (Shape::NoFlash, "a", "p1", 0xe0fdfbed2eeb8ed2, 26477),
-    (Shape::NoFlash, "p1", "p1", 0x2afda23ea5ee3096, 30421),
-    (Shape::NoFlash, "p5", "p1", 0x372976f8f9072233, 29992),
-    (Shape::NoFlash, "p15", "p1", 0x5053479a11bfb9bf, 29259),
-    (Shape::NoFlash, "p30", "p1", 0x91f2504409a70010, 28752),
-    (Shape::NoFlash, "n", "p1", 0x59446b61f83a2fec, 9728),
+    (Shape::Both, "s", "s", 0xdd3e6562ca65e984, 14968),
+    (Shape::Both, "s", "a", 0xdd3e6562ca65e984, 14968),
+    (Shape::Both, "s", "p1", 0xdd3e6562ca65e984, 14968),
+    (Shape::Both, "s", "p5", 0xdd3e6562ca65e984, 14968),
+    (Shape::Both, "s", "p15", 0xdd3e6562ca65e984, 14968),
+    (Shape::Both, "s", "p30", 0xdd3e6562ca65e984, 14968),
+    (Shape::Both, "s", "n", 0xdd3e6562ca65e984, 14968),
+    (Shape::Both, "a", "s", 0x6ea1482c414fdc04, 26930),
+    (Shape::Both, "a", "a", 0x6ea1482c414fdc04, 26930),
+    (Shape::Both, "a", "p1", 0x6ea1482c414fdc04, 26930),
+    (Shape::Both, "a", "p5", 0x6ea1482c414fdc04, 26930),
+    (Shape::Both, "a", "p15", 0x6ea1482c414fdc04, 26930),
+    (Shape::Both, "a", "p30", 0x6ea1482c414fdc04, 26930),
+    (Shape::Both, "a", "n", 0x6ea1482c414fdc04, 26930),
+    (Shape::Both, "p1", "s", 0xdecfd76119ea19bb, 27407),
+    (Shape::Both, "p1", "a", 0xdecfd76119ea19bb, 27407),
+    (Shape::Both, "p1", "p1", 0xdecfd76119ea19bb, 27407),
+    (Shape::Both, "p1", "p5", 0xdecfd76119ea19bb, 27407),
+    (Shape::Both, "p1", "p15", 0xdecfd76119ea19bb, 27407),
+    (Shape::Both, "p1", "p30", 0xdecfd76119ea19bb, 27407),
+    (Shape::Both, "p1", "n", 0xdecfd76119ea19bb, 27407),
+    (Shape::Both, "p5", "s", 0x5c62015bd9b64aec, 26461),
+    (Shape::Both, "p5", "a", 0x5c62015bd9b64aec, 26461),
+    (Shape::Both, "p5", "p1", 0x5c62015bd9b64aec, 26461),
+    (Shape::Both, "p5", "p5", 0x5c62015bd9b64aec, 26461),
+    (Shape::Both, "p5", "p15", 0x5c62015bd9b64aec, 26461),
+    (Shape::Both, "p5", "p30", 0x5c62015bd9b64aec, 26461),
+    (Shape::Both, "p5", "n", 0x5c62015bd9b64aec, 26461),
+    (Shape::Both, "p15", "s", 0x7dc04b975579066f, 25899),
+    (Shape::Both, "p15", "a", 0x7dc04b975579066f, 25899),
+    (Shape::Both, "p15", "p1", 0x7dc04b975579066f, 25899),
+    (Shape::Both, "p15", "p5", 0x7dc04b975579066f, 25899),
+    (Shape::Both, "p15", "p15", 0x7dc04b975579066f, 25899),
+    (Shape::Both, "p15", "p30", 0x7dc04b975579066f, 25899),
+    (Shape::Both, "p15", "n", 0x7dc04b975579066f, 25899),
+    (Shape::Both, "p30", "s", 0x612cee87b3b65559, 25349),
+    (Shape::Both, "p30", "a", 0x612cee87b3b65559, 25349),
+    (Shape::Both, "p30", "p1", 0x612cee87b3b65559, 25349),
+    (Shape::Both, "p30", "p5", 0x612cee87b3b65559, 25349),
+    (Shape::Both, "p30", "p15", 0x612cee87b3b65559, 25349),
+    (Shape::Both, "p30", "p30", 0x612cee87b3b65559, 25349),
+    (Shape::Both, "p30", "n", 0x612cee87b3b65559, 25349),
+    (Shape::Both, "n", "s", 0xe04b760bd9ca067a, 11738),
+    (Shape::Both, "n", "a", 0xe04b760bd9ca067a, 11738),
+    (Shape::Both, "n", "p1", 0xe04b760bd9ca067a, 11738),
+    (Shape::Both, "n", "p5", 0xe04b760bd9ca067a, 11738),
+    (Shape::Both, "n", "p15", 0xe04b760bd9ca067a, 11738),
+    (Shape::Both, "n", "p30", 0xe04b760bd9ca067a, 11738),
+    (Shape::Both, "n", "n", 0xe04b760bd9ca067a, 11738),
+    (Shape::NoRam, "p1", "s", 0x81480d8dce7ca558, 14445),
+    (Shape::NoRam, "p1", "a", 0x81480d8dce7ca558, 14445),
+    (Shape::NoRam, "p1", "p1", 0x81480d8dce7ca558, 14445),
+    (Shape::NoRam, "p1", "p5", 0x81480d8dce7ca558, 14445),
+    (Shape::NoRam, "p1", "p15", 0x81480d8dce7ca558, 14445),
+    (Shape::NoRam, "p1", "p30", 0x81480d8dce7ca558, 14445),
+    (Shape::NoRam, "p1", "n", 0x81480d8dce7ca558, 14445),
+    (Shape::NoFlash, "s", "p1", 0x8a03dd42cc9c7bc1, 11013),
+    (Shape::NoFlash, "a", "p1", 0xe0fdfbed2eeb8ed2, 22038),
+    (Shape::NoFlash, "p1", "p1", 0x2afda23ea5ee3096, 22503),
+    (Shape::NoFlash, "p5", "p1", 0x372976f8f9072233, 21930),
+    (Shape::NoFlash, "p15", "p1", 0x5053479a11bfb9bf, 21294),
+    (Shape::NoFlash, "p30", "p1", 0x91f2504409a70010, 20877),
+    (Shape::NoFlash, "n", "p1", 0x59446b61f83a2fec, 8271),
 ];
 
 #[rustfmt::skip]
 const UNIFIED: &[Pin] = &[
-    (Shape::Both, "s", "s", 0xe6f045d6c363ad16, 17089),
-    (Shape::Both, "s", "a", 0x66dd02845a65c2af, 28375),
-    (Shape::Both, "s", "p1", 0x8ff4ffa65ea876da, 30370),
-    (Shape::Both, "s", "p5", 0xe828461da4cb8269, 29456),
-    (Shape::Both, "s", "p15", 0xe7dc9e39016393c5, 29140),
-    (Shape::Both, "s", "p30", 0x6c94b310a2259d83, 28469),
-    (Shape::Both, "s", "n", 0xe227953e1fea7bc5, 9346),
-    (Shape::Both, "a", "s", 0xbcaea39c61d18c67, 21972),
-    (Shape::Both, "a", "a", 0x71ac37d0b610c88c, 30372),
-    (Shape::Both, "a", "p1", 0x771f686fb6228383, 33606),
-    (Shape::Both, "a", "p5", 0x43ee04e7d10507ad, 33136),
-    (Shape::Both, "a", "p15", 0x1ab635b3bf88f33e, 32272),
-    (Shape::Both, "a", "p30", 0x26ea22f25f845751, 31264),
-    (Shape::Both, "a", "n", 0x117139b03ad320fe, 13910),
-    (Shape::Both, "p1", "s", 0x2f2a9f8c81f87329, 23079),
-    (Shape::Both, "p1", "a", 0xf3120d38b2f0a354, 32700),
-    (Shape::Both, "p1", "p1", 0xa9d917cc5c33733f, 35834),
-    (Shape::Both, "p1", "p5", 0x2bb5f5dc7f812f50, 34935),
-    (Shape::Both, "p1", "p15", 0x94825aba5beed58f, 34180),
-    (Shape::Both, "p1", "p30", 0xc6d71e647571cf79, 33443),
-    (Shape::Both, "p1", "n", 0x584129da1356433f, 15246),
-    (Shape::Both, "p5", "s", 0xc3c9702b40c1409c, 22055),
-    (Shape::Both, "p5", "a", 0x0911a70616f42970, 32215),
-    (Shape::Both, "p5", "p1", 0x63cbf0a89dcb2a9d, 35217),
-    (Shape::Both, "p5", "p5", 0x2b3aae576df208c8, 34363),
-    (Shape::Both, "p5", "p15", 0xc1ba0d6f2b83fbed, 33537),
-    (Shape::Both, "p5", "p30", 0xd7583167eb94124a, 32599),
-    (Shape::Both, "p5", "n", 0x2a361954016341b9, 14787),
-    (Shape::Both, "p15", "s", 0x69aa15a6ddea1f58, 21688),
-    (Shape::Both, "p15", "a", 0x54a87478cae916ea, 32261),
-    (Shape::Both, "p15", "p1", 0x5aa8ca41f5e3b6ac, 34793),
-    (Shape::Both, "p15", "p5", 0xe1273eafbf3ada1c, 33905),
-    (Shape::Both, "p15", "p15", 0xcc3cc2aaf0df3e96, 33103),
-    (Shape::Both, "p15", "p30", 0x0059f6f10e6eec43, 32364),
-    (Shape::Both, "p15", "n", 0x715ec846f8c8aea0, 14545),
-    (Shape::Both, "p30", "s", 0x99904dbfe8c4748d, 21907),
-    (Shape::Both, "p30", "a", 0xe3f06cbc9233a44f, 32039),
-    (Shape::Both, "p30", "p1", 0xca704eb2c0a0ace9, 34475),
-    (Shape::Both, "p30", "p5", 0x98ed093a63915f9f, 33862),
-    (Shape::Both, "p30", "p15", 0x2c0e5f2ffdcd444e, 32874),
-    (Shape::Both, "p30", "p30", 0xd9c6b729b39b834b, 32257),
-    (Shape::Both, "p30", "n", 0x57c2bf96288efc09, 14580),
-    (Shape::Both, "n", "s", 0xf2e67005f23e7348, 13001),
-    (Shape::Both, "n", "a", 0x7160c19b321d0609, 24160),
-    (Shape::Both, "n", "p1", 0xf85d889a0ba01edd, 26351),
-    (Shape::Both, "n", "p5", 0x11c3e882bd3524e2, 26177),
-    (Shape::Both, "n", "p15", 0x42947807f3ca0d36, 25093),
-    (Shape::Both, "n", "p30", 0x8605a23d4e249fff, 24695),
-    (Shape::Both, "n", "n", 0x23bc50d2820152d9, 6226),
-    (Shape::NoRam, "p1", "s", 0x3f562c682685a21d, 16534),
-    (Shape::NoRam, "p1", "a", 0x93c469e64651f669, 32821),
-    (Shape::NoRam, "p1", "p1", 0xcb0c05e2dce942fc, 37625),
-    (Shape::NoRam, "p1", "p5", 0xb022328342ec03c4, 36925),
-    (Shape::NoRam, "p1", "p15", 0xc4a0df9456d5d7c4, 36542),
-    (Shape::NoRam, "p1", "p30", 0x36ef77cead3b6996, 34813),
-    (Shape::NoRam, "p1", "n", 0x34282413be8a7a24, 12206),
-    (Shape::NoFlash, "s", "p1", 0xe3063ded5113cf2d, 13229),
-    (Shape::NoFlash, "a", "p1", 0xf86e4e6fddff7fa2, 26477),
-    (Shape::NoFlash, "p1", "p1", 0xf15817e9ed226317, 30380),
-    (Shape::NoFlash, "p5", "p1", 0x293aeb0eedb4c5f4, 29756),
-    (Shape::NoFlash, "p15", "p1", 0x2eae654aaecd56c7, 29259),
-    (Shape::NoFlash, "p30", "p1", 0x6c0c6cad64073884, 28752),
-    (Shape::NoFlash, "n", "p1", 0xb1e1505866cb56ec, 9728),
+    (Shape::Both, "s", "s", 0xe6f045d6c363ad16, 14285),
+    (Shape::Both, "s", "a", 0x66dd02845a65c2af, 23209),
+    (Shape::Both, "s", "p1", 0x8ff4ffa65ea876da, 24344),
+    (Shape::Both, "s", "p5", 0xe828461da4cb8269, 23315),
+    (Shape::Both, "s", "p15", 0xe7dc9e39016393c5, 22921),
+    (Shape::Both, "s", "p30", 0x6c94b310a2259d83, 22373),
+    (Shape::Both, "s", "n", 0xe227953e1fea7bc5, 8224),
+    (Shape::Both, "a", "s", 0xbcaea39c61d18c67, 18485),
+    (Shape::Both, "a", "a", 0x71ac37d0b610c88c, 25068),
+    (Shape::Both, "a", "p1", 0x771f686fb6228383, 26637),
+    (Shape::Both, "a", "p5", 0x43ee04e7d10507ad, 26162),
+    (Shape::Both, "a", "p15", 0x1ab635b3bf88f33e, 25427),
+    (Shape::Both, "a", "p30", 0x26ea22f25f845751, 24741),
+    (Shape::Both, "a", "n", 0x117139b03ad320fe, 11848),
+    (Shape::Both, "p1", "s", 0x2f2a9f8c81f87329, 18994),
+    (Shape::Both, "p1", "a", 0xf3120d38b2f0a354, 26500),
+    (Shape::Both, "p1", "p1", 0xa9d917cc5c33733f, 28012),
+    (Shape::Both, "p1", "p5", 0x2bb5f5dc7f812f50, 27161),
+    (Shape::Both, "p1", "p15", 0x94825aba5beed58f, 26608),
+    (Shape::Both, "p1", "p30", 0xc6d71e647571cf79, 26029),
+    (Shape::Both, "p1", "n", 0x584129da1356433f, 12768),
+    (Shape::Both, "p5", "s", 0xc3c9702b40c1409c, 17739),
+    (Shape::Both, "p5", "a", 0x0911a70616f42970, 26149),
+    (Shape::Both, "p5", "p1", 0x63cbf0a89dcb2a9d, 27379),
+    (Shape::Both, "p5", "p5", 0x2b3aae576df208c8, 26537),
+    (Shape::Both, "p5", "p15", 0xc1ba0d6f2b83fbed, 25888),
+    (Shape::Both, "p5", "p30", 0xd7583167eb94124a, 25131),
+    (Shape::Both, "p5", "n", 0x2a361954016341b9, 12026),
+    (Shape::Both, "p15", "s", 0x69aa15a6ddea1f58, 17340),
+    (Shape::Both, "p15", "a", 0x54a87478cae916ea, 26039),
+    (Shape::Both, "p15", "p1", 0x5aa8ca41f5e3b6ac, 27012),
+    (Shape::Both, "p15", "p5", 0xe1273eafbf3ada1c, 26177),
+    (Shape::Both, "p15", "p15", 0xcc3cc2aaf0df3e96, 25401),
+    (Shape::Both, "p15", "p30", 0x0059f6f10e6eec43, 24833),
+    (Shape::Both, "p15", "n", 0x715ec846f8c8aea0, 11657),
+    (Shape::Both, "p30", "s", 0x99904dbfe8c4748d, 17393),
+    (Shape::Both, "p30", "a", 0xe3f06cbc9233a44f, 25839),
+    (Shape::Both, "p30", "p1", 0xca704eb2c0a0ace9, 26735),
+    (Shape::Both, "p30", "p5", 0x98ed093a63915f9f, 26096),
+    (Shape::Both, "p30", "p15", 0x2c0e5f2ffdcd444e, 25229),
+    (Shape::Both, "p30", "p30", 0xd9c6b729b39b834b, 24683),
+    (Shape::Both, "p30", "n", 0x57c2bf96288efc09, 11579),
+    (Shape::Both, "n", "s", 0xf2e67005f23e7348, 10989),
+    (Shape::Both, "n", "a", 0x7160c19b321d0609, 20158),
+    (Shape::Both, "n", "p1", 0xf85d889a0ba01edd, 21016),
+    (Shape::Both, "n", "p5", 0x11c3e882bd3524e2, 20640),
+    (Shape::Both, "n", "p15", 0x42947807f3ca0d36, 19709),
+    (Shape::Both, "n", "p30", 0x8605a23d4e249fff, 19318),
+    (Shape::Both, "n", "n", 0x23bc50d2820152d9, 5627),
+    (Shape::NoRam, "p1", "s", 0x3f562c682685a21d, 14396),
+    (Shape::NoRam, "p1", "a", 0x93c469e64651f669, 27240),
+    (Shape::NoRam, "p1", "p1", 0xcb0c05e2dce942fc, 29926),
+    (Shape::NoRam, "p1", "p5", 0xb022328342ec03c4, 29032),
+    (Shape::NoRam, "p1", "p15", 0xc4a0df9456d5d7c4, 28694),
+    (Shape::NoRam, "p1", "p30", 0x36ef77cead3b6996, 27243),
+    (Shape::NoRam, "p1", "n", 0x34282413be8a7a24, 11150),
+    (Shape::NoFlash, "s", "p1", 0xe3063ded5113cf2d, 11013),
+    (Shape::NoFlash, "a", "p1", 0xf86e4e6fddff7fa2, 22038),
+    (Shape::NoFlash, "p1", "p1", 0xf15817e9ed226317, 22475),
+    (Shape::NoFlash, "p5", "p1", 0x293aeb0eedb4c5f4, 21758),
+    (Shape::NoFlash, "p15", "p1", 0x2eae654aaecd56c7, 21294),
+    (Shape::NoFlash, "p30", "p1", 0x6c0c6cad64073884, 20877),
+    (Shape::NoFlash, "n", "p1", 0xb1e1505866cb56ec, 8271),
 ];

@@ -16,6 +16,14 @@
 //! Every task still runs at the same simulated instants in the same
 //! order; only the poll count ([`RunReport::events`]) drops. The exact
 //! conditions are on [`Sleep`] (and PERF.md invariant 16).
+//!
+//! A task handed a resource whose hold time is known at the hand-over can
+//! be *armed* instead of woken ([`Sim::wake_at`]): it takes its place in
+//! the ready queue as a wake would, but when the loop reaches it, the loop
+//! registers the task's end-of-hold timer there, with the sequence number
+//! the task's own sleep would have drawn at that point, and does not poll
+//! it. The poll that would only have registered that timer is gone
+//! (PERF.md invariant 17).
 
 use std::alloc::Layout;
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -51,7 +59,24 @@ impl TaskId {
     fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
+
+    /// The ready-queue entry of an armed wake ([`Sim::wake_at`]): the id
+    /// with [`ARMED`] set in its slot half.
+    fn armed(self) -> Self {
+        Self(self.0 | ARMED)
+    }
+
+    fn is_armed(self) -> bool {
+        self.0 & ARMED != 0
+    }
+
+    fn unarmed(self) -> Self {
+        Self(self.0 & !ARMED)
+    }
 }
+
+/// Marks an armed ready-queue entry. Slot indices stay far below 2^31.
+const ARMED: u64 = 1 << 31;
 
 /// A pooled, pinned, type-erased task future: `Pin<Box<dyn Future>>`
 /// semantics with the backing allocation recycled through the thread-local
@@ -130,6 +155,9 @@ struct Slot {
     generation: u32,
     future: Option<TaskFuture>,
     waker: Option<Waker>,
+    /// Deadline of a pending armed wake ([`Sim::wake_at`]) whose timer is
+    /// not registered yet.
+    armed: Option<SimTime>,
 }
 
 /// FIFO ready queue shared with wakers.
@@ -575,6 +603,7 @@ impl Sim {
                     generation: 0,
                     future: None,
                     waker: None,
+                    armed: None,
                 });
                 (slots.len() - 1) as u32
             }
@@ -625,15 +654,96 @@ impl Sim {
     /// — no clone, no refcount. Anything else is cloned and woken
     /// dynamically, exactly as before.
     pub(crate) fn register_timer(&self, deadline: SimTime, waker: &Waker) {
+        match self.inner.current_poll.get() {
+            Some((id, data)) if std::ptr::eq(data, waker.data()) => {
+                self.register_task_timer(deadline, id)
+            }
+            _ => {
+                let seq = self.next_timer_seq();
+                let entry = TimerEntry::foreign(deadline, seq, waker.clone());
+                self.inner.timers.borrow_mut().push(Reverse(entry));
+            }
+        }
+    }
+
+    fn register_task_timer(&self, deadline: SimTime, id: TaskId) {
+        let seq = self.next_timer_seq();
+        let entry = TimerEntry::task(deadline, seq, id);
+        self.inner.timers.borrow_mut().push(Reverse(entry));
+    }
+
+    fn next_timer_seq(&self) -> u64 {
         let seq = self.inner.timer_seq.get();
         self.inner.timer_seq.set(seq + 1);
-        let entry = match self.inner.current_poll.get() {
-            Some((id, data)) if std::ptr::eq(data, waker.data()) => {
-                TimerEntry::task(deadline, seq, id)
-            }
-            _ => TimerEntry::foreign(deadline, seq, waker.clone()),
+        seq
+    }
+
+    /// Arms the task of `waker` to resume at `deadline`: queues it as a
+    /// wake would, but when the run loop reaches that entry it registers
+    /// the task's timer for `deadline` (with the next registration
+    /// sequence number) instead of polling the task. Equivalent to waking
+    /// a task whose next poll would only start a [`Sim::sleep_until`] to
+    /// `deadline`, minus that poll.
+    ///
+    /// Returns false and does nothing when `waker` is not a task waker of
+    /// this simulation, the task is not parked (running, finished, or a
+    /// stale generation), the task is already armed, or `deadline` is not
+    /// after the current instant. The caller then wakes the task normally.
+    ///
+    /// A task polled for another reason before the loop reaches its armed
+    /// entry gets its timer registered just before that poll, and the
+    /// armed entry then counts as a plain wake.
+    pub fn wake_at(&self, waker: &Waker, deadline: SimTime) -> bool {
+        if !std::ptr::eq(waker.vtable(), &WAKER_VTABLE) || deadline <= self.now() {
+            return false;
+        }
+        // SAFETY: every waker with this vtable was built by
+        // `new_task_waker` over a live `WakerBlock` (the waker holds a
+        // reference to it).
+        let b = unsafe { &*(waker.data() as *const WakerBlock) };
+        if !Arc::ptr_eq(&b.ready, &self.inner.ready) {
+            return false;
+        }
+        let id = TaskId(b.id.load(Ordering::Relaxed));
+        // Borrowed while `shutdown` drops task futures: no task is parked
+        // then.
+        let Ok(mut slots) = self.inner.slots.try_borrow_mut() else {
+            return false;
         };
-        self.inner.timers.borrow_mut().push(Reverse(entry));
+        match slots.get_mut(id.slot()) {
+            Some(slot)
+                if slot.state == SlotState::Parked
+                    && slot.generation == id.generation()
+                    && slot.armed.is_none() =>
+            {
+                slot.armed = Some(deadline);
+                self.inner.ready.push_owner(id.armed());
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Handles an armed ready-queue entry: registers the task's timer, or
+    /// polls it as a plain wake when an earlier poll already registered
+    /// that timer.
+    fn fire_arm(&self, id: TaskId) {
+        let armed = {
+            let mut slots = self.inner.slots.borrow_mut();
+            match slots.get_mut(id.slot()) {
+                Some(slot)
+                    if slot.state == SlotState::Parked && slot.generation == id.generation() =>
+                {
+                    slot.armed.take()
+                }
+                // Stale: the task finished or the simulation shut down.
+                _ => return,
+            }
+        };
+        match armed {
+            Some(deadline) => self.register_task_timer(deadline, id),
+            None => self.poll_task(id),
+        }
     }
 
     /// Inline run-ahead for a sleep until `deadline` polled with `waker`:
@@ -702,6 +812,11 @@ impl Sim {
                 return;
             }
             slot.state = SlotState::Running;
+            if let Some(deadline) = slot.armed.take() {
+                // Polled ahead of its armed entry: the timer the arm
+                // stands for must exist before the task looks for it.
+                self.register_task_timer(deadline, id);
+            }
             let f = slot.future.as_ref().expect("parked slot without future");
             let w = slot.waker.as_ref().expect("parked slot without waker");
             (f.ptr, f.poll_fn, w.data(), slot.daemon)
@@ -771,7 +886,11 @@ impl Sim {
         loop {
             // Drain everything runnable at the current instant.
             while let Some(id) = self.inner.ready.pop() {
-                self.poll_task(id);
+                if id.is_armed() {
+                    self.fire_arm(id.unarmed());
+                } else {
+                    self.poll_task(id);
+                }
             }
 
             if self.inner.live_tasks.get() == 0 {
@@ -847,6 +966,7 @@ impl Sim {
                 slot.state = SlotState::Free;
                 slot.future = None;
                 slot.waker = None;
+                slot.armed = None;
             }
         }
         // A task calling `shutdown` from inside its own poll must not free

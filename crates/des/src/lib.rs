@@ -10,15 +10,20 @@
 //! - [`Sim`] — the simulation handle: spawn tasks, read the clock, run.
 //! - [`Sim::sleep`] — model a service latency (device access, wire time).
 //! - [`Resource`] — a FIFO counting semaphore used to model contention
-//!   points such as "each segment can carry one packet at a time".
+//!   points such as the SSD's command-queue slots.
+//! - [`Sim::wake_at`] — hand a parked task a hold whose end is already
+//!   known: the run loop registers its timer where the task sits in the
+//!   ready queue, without polling it.
 //! - [`oneshot`] and [`JoinHandle`] — completion signalling.
 //!
 //! Determinism: the executor is single-threaded, the ready queue is FIFO,
 //! timers fire in (deadline, registration order), and resources grant in
 //! strict FIFO order. Two runs of the same program produce identical event
 //! orders and identical clock readings. A sleep whose wake is provably the
-//! next event resumes inline, within the poll that slept; that saves the
-//! poll and changes no event order or clock reading.
+//! next event resumes inline, within the poll that slept, and an armed
+//! wake registers a timer instead of polling a task that would only have
+//! registered it; both save a poll and change no event order or clock
+//! reading.
 //!
 //! # Examples
 //!
@@ -44,6 +49,8 @@ pub mod time;
 
 #[cfg(test)]
 mod run_ahead_tests;
+#[cfg(test)]
+mod wake_at_tests;
 
 pub use completion::{CompletionSet, WaitAll};
 pub use executor::{JoinHandle, RunError, RunReport, Sim};

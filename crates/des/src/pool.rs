@@ -28,8 +28,26 @@ const PER_CLASS_MIN: usize = 4096;
 const MAX_CLASSES: usize = 64;
 
 thread_local! {
-    static POOL: RefCell<Vec<(Layout, Vec<NonNull<u8>>)>> =
-        RefCell::new(Vec::with_capacity(MAX_CLASSES));
+    static POOL: RefCell<Pool> = RefCell::new(Pool(Vec::with_capacity(MAX_CLASSES)));
+}
+
+/// A thread's retained blocks, by layout class.
+struct Pool(Vec<(Layout, Vec<NonNull<u8>>)>);
+
+impl Drop for Pool {
+    /// At thread exit, returns every retained block to the global
+    /// allocator, so a finished thread leaves nothing behind. Blocks freed
+    /// later in the thread's teardown skip the pool (see [`pfree`]).
+    fn drop(&mut self) {
+        for (layout, blocks) in self.0.drain(..) {
+            for block in blocks {
+                // SAFETY: every pooled block came from the global
+                // allocator with this class's layout (`palloc`) and is
+                // owned by the pool alone.
+                unsafe { std::alloc::dealloc(block.as_ptr(), layout) };
+            }
+        }
+    }
 }
 
 /// Allocates a block of `layout`, reusing a previously freed block of the
@@ -45,7 +63,7 @@ pub(crate) fn palloc(layout: Layout) -> NonNull<u8> {
     // locals are being torn down; the global allocator serves it then.
     let reused = POOL
         .try_with(|p| {
-            let mut classes = p.borrow_mut();
+            let classes = &mut p.borrow_mut().0;
             classes
                 .iter_mut()
                 .find(|(l, _)| *l == layout)
@@ -67,7 +85,7 @@ pub(crate) fn pfree(ptr: NonNull<u8>, layout: Layout) {
     let cap = PER_CLASS_MIN.max(PER_CLASS_BYTES / layout.size());
     let pooled = POOL
         .try_with(|p| {
-            let mut classes = p.borrow_mut();
+            let classes = &mut p.borrow_mut().0;
             if let Some((_, list)) = classes.iter_mut().find(|(l, _)| *l == layout) {
                 if list.len() < cap {
                     list.push(ptr);
@@ -107,6 +125,7 @@ mod tests {
     fn pooled(layout: Layout) -> usize {
         POOL.with(|p| {
             p.borrow()
+                .0
                 .iter()
                 .find(|(l, _)| *l == layout)
                 .map_or(0, |(_, list)| list.len())
@@ -127,13 +146,29 @@ mod tests {
             pfree(b, large);
         }
         assert_eq!(pooled(large), PER_CLASS_MIN, "large classes keep the floor");
-        // Hand the pooled blocks back to the allocator.
-        for layout in [small, large] {
-            for _ in 0..pooled(layout) {
-                let p = palloc(layout);
-                unsafe { std::alloc::dealloc(p.as_ptr(), layout) };
+    }
+
+    #[test]
+    fn a_thread_returns_its_pool_at_exit() {
+        let layout = Layout::from_size_align(96, 16).unwrap();
+        let freed = std::thread::spawn(move || {
+            let blocks: Vec<_> = (0..8).map(|_| palloc(layout)).collect();
+            for &b in &blocks {
+                pfree(b, layout);
             }
-        }
+            assert_eq!(pooled(layout), 8);
+            // A block freed after the pool is gone goes to the allocator.
+            struct Late(NonNull<u8>, Layout);
+            impl Drop for Late {
+                fn drop(&mut self) {
+                    pfree(self.0, self.1);
+                }
+            }
+            thread_local!(static LATE: RefCell<Option<Late>> = const { RefCell::new(None) });
+            LATE.with(|l| *l.borrow_mut() = Some(Late(palloc(layout), layout)));
+        })
+        .join();
+        assert!(freed.is_ok());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! FIFO counting semaphore for modeling contention points.
 //!
-//! The paper models the network as segments where "each segment can carry
-//! one packet at a time" (§5); a [`Resource`] with capacity 1 is exactly
-//! that. Waiters are served in strict FIFO order, which is what produces the
-//! paper's eviction convoys ("multiple threads doing evictions contend for
-//! the network, convoy, and slow down", §7.1).
+//! The simulator uses it for the SSD's command-queue slots: a
+//! [`Resource`] with `queue_depth` permits. Waiters are served in strict
+//! FIFO order, so commands enter service in submission order. (The
+//! network segments keep their own FIFO, which hands the wire over with
+//! an armed timer; see `fcache_net`.)
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -34,8 +34,11 @@ struct WaiterSlot {
 struct ResourceState {
     capacity: usize,
     available: usize,
-    /// FIFO of indices into `slots`.
+    /// FIFO of indices into `slots`; cancelled entries stay until a
+    /// release skips them.
     queue: VecDeque<u32>,
+    /// Entries of `queue` still waiting (not cancelled).
+    waiting: usize,
     slots: Vec<WaiterSlot>,
     free: Vec<u32>,
     // Statistics.
@@ -70,6 +73,7 @@ impl ResourceState {
                 }
                 WaitState::Waiting => {
                     s.state = WaitState::Granted;
+                    self.waiting -= 1;
                     if let Some(waker) = s.waker.take() {
                         waker.wake();
                     }
@@ -127,6 +131,7 @@ impl Resource {
                 capacity,
                 available: capacity,
                 queue: VecDeque::new(),
+                waiting: 0,
                 slots: Vec::new(),
                 free: Vec::new(),
                 acquires: 0,
@@ -164,11 +169,7 @@ impl Resource {
 
     /// Requests currently queued.
     pub fn queue_len(&self) -> usize {
-        let st = self.state.borrow();
-        st.queue
-            .iter()
-            .filter(|&&i| st.slots[i as usize].state == WaitState::Waiting)
-            .count()
+        self.state.borrow().waiting
     }
 
     /// Total successful acquisitions so far.
@@ -188,7 +189,7 @@ impl fmt::Debug for Resource {
         f.debug_struct("Resource")
             .field("capacity", &st.capacity)
             .field("available", &st.available)
-            .field("queued", &st.queue.len())
+            .field("queued", &st.waiting)
             .finish()
     }
 }
@@ -250,6 +251,7 @@ impl Future for Acquire {
             st.waits += 1;
             let i = st.alloc_slot(cx.waker().clone());
             st.queue.push_back(i);
+            st.waiting += 1;
             drop(st);
             self.waiter = Some(i);
             Poll::Pending
@@ -263,7 +265,10 @@ impl Drop for Acquire {
             let mut st = self.resource.state.borrow_mut();
             match st.slots[i as usize].state {
                 // Still queued: mark for `release` to skip and recycle.
-                WaitState::Waiting => st.slots[i as usize].state = WaitState::Cancelled,
+                WaitState::Waiting => {
+                    st.slots[i as usize].state = WaitState::Cancelled;
+                    st.waiting -= 1;
+                }
                 WaitState::Granted => {
                     // We were handed a permit but never observed it: give
                     // it back so it is not leaked.
@@ -421,6 +426,41 @@ mod tests {
             Poll::Ready(())
         })
         .await;
+    }
+
+    #[test]
+    fn queue_len_counts_waiters_through_grants_and_cancels() {
+        let sim = Sim::new();
+        let r = Resource::new(1);
+        let held = r.try_acquire().expect("free");
+        let noop = std::task::Waker::noop();
+        let mut cx = Context::from_waker(noop);
+        let mut acqs: Vec<_> = (0..4).map(|_| Box::pin(r.acquire())).collect();
+        for a in &mut acqs {
+            assert!(a.as_mut().poll(&mut cx).is_pending());
+        }
+        assert_eq!(r.queue_len(), 4);
+        // Cancel the second and the last while they wait.
+        drop(acqs.remove(3));
+        drop(acqs.remove(1));
+        assert_eq!(r.queue_len(), 2);
+        // The release skips nothing it should not: the first waiter gets
+        // the permit and leaves the queue.
+        drop(held);
+        assert_eq!(r.queue_len(), 1);
+        let g = match acqs[0].as_mut().poll(&mut cx) {
+            Poll::Ready(g) => g,
+            Poll::Pending => panic!("granted waiter still pending"),
+        };
+        // Its release skips the cancelled second waiter and grants the
+        // third.
+        drop(g);
+        assert_eq!((r.queue_len(), r.available()), (0, 0));
+        // A granted waiter dropped before it observed the permit gives it
+        // back.
+        drop(acqs.remove(1));
+        assert_eq!((r.queue_len(), r.available()), (0, 1));
+        drop(sim);
     }
 
     #[test]

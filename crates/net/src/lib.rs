@@ -6,13 +6,28 @@
 //! block information, and so forth) plus a small amount of additional time
 //! per bit of block data transferred."
 //!
-//! A [`Segment`] is therefore a capacity-1 [`fcache_des::Resource`] plus a
-//! timing rule: holding the segment for `base + bits × per_bit` models one
-//! packet on the wire. Hosts connect to the filer "by private network
-//! segments" (§3), i.e. one `Segment` per host with no cross-host
-//! contention — but full contention among the threads, syncers, and
-//! evictions of a single host, which is what produces the paper's eviction
-//! convoys.
+//! A [`Segment`] is therefore a FIFO wire plus a timing rule: a packet
+//! holds the wire for `base + bits × per_bit`, and packets that find it
+//! busy queue behind each other in request order. Hosts connect to the
+//! filer "by private network segments" (§3), i.e. one `Segment` per host
+//! with no cross-host contention — but full contention among the threads,
+//! syncers, and evictions of a single host, which is what produces the
+//! paper's eviction convoys.
+//!
+//! **Hand-over.** The packet that ends its hold hands the wire to the next
+//! queued packet at that instant. On a half-duplex wire the grantee holds
+//! the only channel until its packet ends, so no other fault draw on the
+//! segment's RNG can come between the hand-over and the grantee's next
+//! poll: the hand-over draws the grantee's fault effect itself and arms
+//! the grantee with [`Sim::wake_at`] for the end of its packet, instead of
+//! waking it to start a sleep (PERF.md invariant 17). A dropped packet (an
+//! outage or an error draw) wakes the grantee normally, and it releases
+//! the wire in its own poll. The two channels of a full-duplex segment
+//! share one fault RNG, so there a packet on the other channel could draw
+//! in between: a full-duplex grantee whose effect takes a variate (an
+//! error-rate window is open in its direction) is woken normally and draws
+//! in its own poll. An effect that takes no variate depends on the instant
+//! alone, so the hand-over may compute it.
 //!
 //! **Shared wires.** Cloning a `Segment` shares its channel *and* its
 //! traffic counters: handing the same segment to several hosts models a
@@ -23,9 +38,14 @@
 //! time as [`SegmentStats::queue_wait`].
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
-use fcache_des::{Resource, Sim, SimTime};
+use fcache_des::executor::Sleep;
+use fcache_des::{Sim, SimTime};
 use fcache_types::{FaultEffect, FaultError, FaultSchedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -107,6 +127,98 @@ struct SegmentFaults {
     rng: RefCell<SmallRng>,
 }
 
+impl SegmentFaults {
+    fn schedule(&self, dir: Direction) -> &FaultSchedule {
+        match dir {
+            Direction::ToServer => &self.to_server,
+            Direction::FromServer => &self.from_server,
+        }
+    }
+}
+
+/// One channel of a wire: whether a packet holds it, and the packets
+/// waiting for it, oldest first (indices into [`Wire::waiters`]).
+#[derive(Default)]
+struct Channel {
+    busy: bool,
+    queue: VecDeque<u32>,
+}
+
+/// A packet waiting for, or just handed, a channel.
+struct Waiter {
+    state: WaitState,
+    waker: Option<Waker>,
+    dir: Direction,
+    payload_bytes: u64,
+    /// Draws a fault effect when it takes the wire.
+    faulted: bool,
+}
+
+enum WaitState {
+    Waiting,
+    Granted(Grant),
+    /// Dropped while queued: the hand-over skips and recycles it.
+    Cancelled,
+}
+
+/// What the hand-over decided for the packet it granted the wire to.
+enum Grant {
+    /// Carry the packet from the hand-over until `until`. `armed` when the
+    /// executor registers the grantee's timer for `until`; otherwise the
+    /// grantee sleeps until then itself.
+    Carry {
+        wire_time: SimTime,
+        until: SimTime,
+        armed: bool,
+    },
+    /// The fault draw dropped the packet.
+    Fail(FaultError),
+    /// The grantee draws its fault effect in its own poll (a full-duplex
+    /// grantee whose draw takes a variate).
+    Draw,
+}
+
+/// The shared state of a wire: its channels (a half-duplex wire uses the
+/// first for both directions) and a slab of waiters recycled through a
+/// free list, so steady-state queueing allocates nothing.
+struct Wire {
+    duplex: bool,
+    channels: [Channel; 2],
+    waiters: Vec<Waiter>,
+    free: Vec<u32>,
+}
+
+impl Wire {
+    fn new(duplex: bool) -> Self {
+        Self {
+            duplex,
+            channels: Default::default(),
+            waiters: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn channel(&self, dir: Direction) -> usize {
+        match dir {
+            Direction::FromServer if self.duplex => 1,
+            _ => 0,
+        }
+    }
+
+    fn alloc(&mut self, waiter: Waiter) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.waiters[i as usize] = waiter;
+                i
+            }
+            None => {
+                self.waiters.push(waiter);
+                (self.waiters.len() - 1) as u32
+            }
+        }
+    }
+}
+
 /// A network segment between hosts and the filer.
 ///
 /// Half-duplex by default (one packet at a time in either direction, as the
@@ -118,8 +230,7 @@ struct SegmentFaults {
 pub struct Segment {
     sim: Sim,
     cfg: NetConfig,
-    to_server: Resource,
-    from_server: Resource,
+    wire: Rc<RefCell<Wire>>,
     stats: Rc<Cell<SegmentStats>>,
     faults: Option<Rc<SegmentFaults>>,
 }
@@ -127,24 +238,19 @@ pub struct Segment {
 impl Segment {
     /// Creates a half-duplex segment: both directions share one channel.
     pub fn new(sim: Sim, cfg: NetConfig) -> Self {
-        let chan = Resource::new(1);
-        Self {
-            sim,
-            cfg,
-            to_server: chan.clone(),
-            from_server: chan,
-            stats: Rc::new(Cell::new(SegmentStats::default())),
-            faults: None,
-        }
+        Self::with_wire(sim, cfg, false)
     }
 
     /// Creates a full-duplex segment: each direction has its own channel.
     pub fn new_duplex(sim: Sim, cfg: NetConfig) -> Self {
+        Self::with_wire(sim, cfg, true)
+    }
+
+    fn with_wire(sim: Sim, cfg: NetConfig, duplex: bool) -> Self {
         Self {
             sim,
             cfg,
-            to_server: Resource::new(1),
-            from_server: Resource::new(1),
+            wire: Rc::new(RefCell::new(Wire::new(duplex))),
             stats: Rc::new(Cell::new(SegmentStats::default())),
             faults: None,
         }
@@ -186,68 +292,289 @@ impl Segment {
     /// direction, waiting FIFO for the wire and holding it for the packet's
     /// wire time.
     pub async fn transfer(&self, dir: Direction, payload_bytes: u64) {
-        let chan = match dir {
-            Direction::ToServer => &self.to_server,
-            Direction::FromServer => &self.from_server,
-        };
-        let queued_at = self.sim.now();
-        let _guard = chan.acquire().await;
-        let waited = self.sim.now() - queued_at;
+        self.packet(dir, payload_bytes, false)
+            .await
+            .expect("a packet without a fault draw is never dropped");
+    }
+
+    /// Fault-aware [`Segment::transfer`]: on taking the wire, consults the
+    /// direction's schedule at `sim.now()` and either drops the packet
+    /// (no wire time, no stats), carries it with inflated wire time, or
+    /// carries it normally.
+    pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
+        self.packet(dir, payload_bytes, self.faults.is_some()).await
+    }
+
+    fn packet(&self, dir: Direction, payload_bytes: u64, faulted: bool) -> Packet<'_> {
+        Packet {
+            seg: self,
+            dir,
+            channel: self.wire.borrow().channel(dir),
+            payload_bytes,
+            faulted,
+            queued_at: SimTime::ZERO,
+            state: PacketState::Start,
+        }
+    }
+
+    /// Whether a faulted packet taking the wire now in direction `dir`
+    /// would take a variate from the segment's fault RNG.
+    fn draws_at(&self, dir: Direction) -> bool {
+        self.faults
+            .as_deref()
+            .is_some_and(|f| f.schedule(dir).draws_at(self.sim.now().as_nanos()))
+    }
+
+    /// Wire time of a packet taking the wire now, or the fault that drops
+    /// it. Draws on the segment's fault RNG when `faulted`.
+    fn wire_time(
+        &self,
+        dir: Direction,
+        payload_bytes: u64,
+        faulted: bool,
+    ) -> Result<SimTime, FaultError> {
         let t = self.cfg.packet_time(payload_bytes);
-        self.sim.sleep(t).await;
+        let Some(f) = self.faults.as_deref().filter(|_| faulted) else {
+            return Ok(t);
+        };
+        let effect = {
+            let mut rng = f.rng.borrow_mut();
+            f.schedule(dir)
+                .effect_at(self.sim.now().as_nanos(), &mut || {
+                    rng.gen_range(0.0f64..1.0)
+                })
+        };
+        match effect {
+            FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
+            FaultEffect::SlowBy(factor) => Ok(t.scale(factor)),
+            FaultEffect::None => Ok(t),
+        }
+    }
+
+    /// Releases `channel` at the end of a hold: hands it to the oldest
+    /// waiting packet, or frees it when none waits.
+    fn release(&self, channel: usize) {
+        let mut wire = self.wire.borrow_mut();
+        let i = loop {
+            match wire.channels[channel].queue.pop_front() {
+                None => {
+                    wire.channels[channel].busy = false;
+                    return;
+                }
+                Some(i) if matches!(wire.waiters[i as usize].state, WaitState::Cancelled) => {
+                    wire.free.push(i);
+                }
+                Some(i) => break i as usize,
+            }
+        };
+        let w = &mut wire.waiters[i];
+        let waker = w.waker.take().expect("queued packet without a waker");
+        let (dir, payload_bytes, faulted) = (w.dir, w.payload_bytes, w.faulted);
+        let grant = if faulted && wire.duplex && self.draws_at(dir) {
+            Grant::Draw
+        } else {
+            match self.wire_time(dir, payload_bytes, faulted) {
+                Err(e) => Grant::Fail(e),
+                Ok(wire_time) => {
+                    let until = self.sim.now() + wire_time;
+                    Grant::Carry {
+                        wire_time,
+                        until,
+                        armed: self.sim.wake_at(&waker, until),
+                    }
+                }
+            }
+        };
+        let armed = matches!(grant, Grant::Carry { armed: true, .. });
+        wire.waiters[i].state = WaitState::Granted(grant);
+        drop(wire);
+        if !armed {
+            waker.wake();
+        }
+    }
+
+    /// Counts one carried packet.
+    fn record(&self, payload_bytes: u64, wire_time: SimTime, waited: SimTime) {
         let mut s = self.stats.get();
         s.packets += 1;
         s.payload_bytes += payload_bytes;
-        s.busy += t;
+        s.busy += wire_time;
         if waited > SimTime::ZERO {
             s.queue_wait += waited;
             s.queue_waits += 1;
         }
         self.stats.set(s);
     }
+}
 
-    /// Fault-aware [`Segment::transfer`]: after winning the wire, consults
-    /// the direction's schedule at `sim.now()` and either drops the packet
-    /// (no wire time, no stats), carries it with inflated wire time, or
-    /// carries it normally.
-    pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
-        let Some(f) = &self.faults else {
-            self.transfer(dir, payload_bytes).await;
-            return Ok(());
-        };
-        let chan = match dir {
-            Direction::ToServer => &self.to_server,
-            Direction::FromServer => &self.from_server,
-        };
-        let sched = match dir {
-            Direction::ToServer => &f.to_server,
-            Direction::FromServer => &f.from_server,
-        };
-        let queued_at = self.sim.now();
-        let _guard = chan.acquire().await;
-        let waited = self.sim.now() - queued_at;
-        let effect = {
-            let mut rng = f.rng.borrow_mut();
-            sched.effect_at(self.sim.now().as_nanos(), &mut || {
-                rng.gen_range(0.0f64..1.0)
-            })
-        };
-        let t = match effect {
-            FaultEffect::Fail { clause, .. } => return Err(FaultError { clause }),
-            FaultEffect::SlowBy(factor) => self.cfg.packet_time(payload_bytes).scale(factor),
-            FaultEffect::None => self.cfg.packet_time(payload_bytes),
-        };
-        self.sim.sleep(t).await;
-        let mut s = self.stats.get();
-        s.packets += 1;
-        s.payload_bytes += payload_bytes;
-        s.busy += t;
-        if waited > SimTime::ZERO {
-            s.queue_wait += waited;
-            s.queue_waits += 1;
+/// Future of one packet: take the wire (at once, or FIFO behind the
+/// packets queued before it), hold it for the packet's wire time, release
+/// it to the next packet.
+struct Packet<'a> {
+    seg: &'a Segment,
+    dir: Direction,
+    channel: usize,
+    payload_bytes: u64,
+    faulted: bool,
+    queued_at: SimTime,
+    state: PacketState,
+}
+
+enum PacketState {
+    Start,
+    /// Waiting for the wire as waiter `i`.
+    Queued(u32),
+    /// Holding the wire until `until`; `sleep` is `None` when the
+    /// hand-over armed this task's timer.
+    Carrying {
+        wire_time: SimTime,
+        waited: SimTime,
+        until: SimTime,
+        sleep: Option<Sleep>,
+    },
+    Done,
+}
+
+impl Packet<'_> {
+    /// Starts holding the wire now for `wire_time`, or drops the packet.
+    fn take_wire(&mut self, drawn: Result<SimTime, FaultError>) -> Result<(), FaultError> {
+        let sim = &self.seg.sim;
+        match drawn {
+            Err(e) => {
+                self.state = PacketState::Done;
+                self.seg.release(self.channel);
+                Err(e)
+            }
+            Ok(wire_time) => {
+                let until = sim.now() + wire_time;
+                self.state = PacketState::Carrying {
+                    wire_time,
+                    waited: sim.now() - self.queued_at,
+                    until,
+                    sleep: Some(sim.sleep_until(until)),
+                };
+                Ok(())
+            }
         }
-        self.stats.set(s);
-        Ok(())
+    }
+}
+
+impl Future for Packet<'_> {
+    type Output = Result<(), FaultError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let seg = this.seg;
+        loop {
+            match &mut this.state {
+                PacketState::Start => {
+                    this.queued_at = seg.sim.now();
+                    let mut wire = seg.wire.borrow_mut();
+                    let ch = &mut wire.channels[this.channel];
+                    if !ch.busy && ch.queue.is_empty() {
+                        ch.busy = true;
+                        drop(wire);
+                        let drawn = seg.wire_time(this.dir, this.payload_bytes, this.faulted);
+                        if let Err(e) = this.take_wire(drawn) {
+                            return Poll::Ready(Err(e));
+                        }
+                    } else {
+                        let i = wire.alloc(Waiter {
+                            state: WaitState::Waiting,
+                            waker: Some(cx.waker().clone()),
+                            dir: this.dir,
+                            payload_bytes: this.payload_bytes,
+                            faulted: this.faulted,
+                        });
+                        wire.channels[this.channel].queue.push_back(i);
+                        this.state = PacketState::Queued(i);
+                        return Poll::Pending;
+                    }
+                }
+                PacketState::Queued(i) => {
+                    let i = *i;
+                    let mut wire = seg.wire.borrow_mut();
+                    let w = &mut wire.waiters[i as usize];
+                    if let WaitState::Waiting = w.state {
+                        if !w.waker.as_ref().is_some_and(|k| k.will_wake(cx.waker())) {
+                            w.waker = Some(cx.waker().clone());
+                        }
+                        return Poll::Pending;
+                    }
+                    // Granted: take the grant and recycle the waiter.
+                    let WaitState::Granted(grant) =
+                        std::mem::replace(&mut w.state, WaitState::Cancelled)
+                    else {
+                        unreachable!("polling a dropped packet")
+                    };
+                    wire.free.push(i);
+                    drop(wire);
+                    let drawn = match grant {
+                        Grant::Carry {
+                            wire_time,
+                            until,
+                            armed,
+                        } => {
+                            // The hand-over instant is `until - wire_time`.
+                            this.state = PacketState::Carrying {
+                                wire_time,
+                                waited: until - wire_time - this.queued_at,
+                                until,
+                                sleep: (!armed).then(|| seg.sim.sleep_until(until)),
+                            };
+                            continue;
+                        }
+                        Grant::Fail(e) => Err(e),
+                        Grant::Draw => seg.wire_time(this.dir, this.payload_bytes, this.faulted),
+                    };
+                    if let Err(e) = this.take_wire(drawn) {
+                        return Poll::Ready(Err(e));
+                    }
+                }
+                PacketState::Carrying {
+                    wire_time,
+                    waited,
+                    until,
+                    sleep,
+                } => {
+                    let held = match sleep {
+                        Some(s) => Pin::new(s).poll(cx).is_pending(),
+                        None => seg.sim.now() < *until,
+                    };
+                    if held {
+                        return Poll::Pending;
+                    }
+                    seg.record(this.payload_bytes, *wire_time, *waited);
+                    this.state = PacketState::Done;
+                    seg.release(this.channel);
+                    return Poll::Ready(Ok(()));
+                }
+                PacketState::Done => panic!("packet polled after completion"),
+            }
+        }
+    }
+}
+
+impl Drop for Packet<'_> {
+    fn drop(&mut self) {
+        match self.state {
+            PacketState::Queued(i) => {
+                let mut wire = self.seg.wire.borrow_mut();
+                let w = &mut wire.waiters[i as usize];
+                if matches!(w.state, WaitState::Waiting) {
+                    // Still queued: the hand-over skips and recycles it.
+                    w.state = WaitState::Cancelled;
+                    w.waker = None;
+                    return;
+                }
+                // Handed the wire but never took it: pass it on.
+                wire.free.push(i);
+                drop(wire);
+                self.seg.release(self.channel);
+            }
+            PacketState::Carrying { .. } => self.seg.release(self.channel),
+            PacketState::Start | PacketState::Done => {}
+        }
     }
 }
 

@@ -171,3 +171,52 @@ fn error_rate_draws_are_seed_deterministic() {
     );
     assert_eq!(stats_a.packets as usize, ok, "only carried packets count");
 }
+
+#[test]
+fn a_full_duplex_grantee_draws_after_the_other_channel_at_its_instant() {
+    // The two channels of a full-duplex segment share one fault RNG. At
+    // the instant H's uplink packet ends, H hands the uplink to the
+    // queued T, and U (woken by its timer right after H) starts a
+    // downlink packet. T is polled after U, so U must take the earlier
+    // variate, as it would if T drew in its own poll: a hand-over that
+    // drew for T at once would swap them.
+    let variates = |seed: u64| {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        [0; 3].map(|_| rng.gen_range(0.0f64..1.0) >= 0.5)
+    };
+    // A seed where H's packet passes and the next two draws differ.
+    let seed = (0..)
+        .find(|&s| matches!(variates(s), [true, a, b] if a != b))
+        .unwrap();
+    let [_, first, second] = variates(seed);
+
+    let sim = Sim::new();
+    let set = FaultPlan::parse("net:err0.5@0s-1000s")
+        .unwrap()
+        .resolve(seed, 1);
+    let seg = Segment::new_duplex(sim.clone(), NetConfig::default()).with_faults(
+        set.net_to_server,
+        set.net_from_server,
+        seed,
+    );
+    let t = block_time(&NetConfig::default());
+    let s = seg.clone();
+    let h = sim.spawn(async move { s.try_transfer(Direction::ToServer, BLOCK).await.is_ok() });
+    let s = seg.clone();
+    let granted =
+        sim.spawn(async move { s.try_transfer(Direction::ToServer, BLOCK).await.is_ok() });
+    let (s, sim2) = (seg.clone(), sim.clone());
+    let other = sim.spawn(async move {
+        sim2.sleep(t).await;
+        s.try_transfer(Direction::FromServer, BLOCK).await.is_ok()
+    });
+    sim.run().unwrap();
+    assert_eq!(h.try_result(), Some(true));
+    assert_eq!(other.try_result(), Some(first), "the downlink draws first");
+    assert_eq!(
+        granted.try_result(),
+        Some(second),
+        "the grantee draws second"
+    );
+}
