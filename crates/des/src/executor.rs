@@ -685,6 +685,12 @@ impl Sim {
     /// a task whose next poll would only start a [`Sim::sleep_until`] to
     /// `deadline`, minus that poll.
     ///
+    /// The caller must know that this is all the task's next poll would
+    /// do. That holds when the woken future is the task's one pending
+    /// await. Futures that share the task's waker (as the entries of a
+    /// `WaitAll` do) may have other work at the wake's position, and
+    /// arming the task would skip it.
+    ///
     /// Returns false and does nothing when `waker` is not a task waker of
     /// this simulation, the task is not parked (running, finished, or a
     /// stale generation), the task is already armed, or `deadline` is not

@@ -24,10 +24,10 @@
 //! outage or an error draw) wakes the grantee normally, and it releases
 //! the wire in its own poll. The two channels of a full-duplex segment
 //! share one fault RNG, so there a packet on the other channel could draw
-//! in between: a full-duplex grantee whose effect takes a variate (an
-//! error-rate window is open in its direction) is woken normally and draws
-//! in its own poll. An effect that takes no variate depends on the instant
-//! alone, so the hand-over may compute it.
+//! in between: a full-duplex grantee with fault schedules is woken
+//! normally and draws in its own poll. The hand-over draws from the
+//! grantee's own fault state: schedules belong to a handle, and a clone
+//! made before [`Segment::with_faults`] has none.
 //!
 //! **Shared wires.** Cloning a `Segment` shares its channel *and* its
 //! traffic counters: handing the same segment to several hosts models a
@@ -150,8 +150,8 @@ struct Waiter {
     waker: Option<Waker>,
     dir: Direction,
     payload_bytes: u64,
-    /// Draws a fault effect when it takes the wire.
-    faulted: bool,
+    /// The packet's own fault state, drawn on when it takes the wire.
+    faults: Option<Rc<SegmentFaults>>,
 }
 
 enum WaitState {
@@ -174,7 +174,7 @@ enum Grant {
     /// The fault draw dropped the packet.
     Fail(FaultError),
     /// The grantee draws its fault effect in its own poll (a full-duplex
-    /// grantee whose draw takes a variate).
+    /// grantee with fault schedules).
     Draw,
 }
 
@@ -291,8 +291,16 @@ impl Segment {
     /// Transfers one packet with `payload_bytes` of block data in the given
     /// direction, waiting FIFO for the wire and holding it for the packet's
     /// wire time.
+    ///
+    /// A packet that queues may be handed the wire with an armed timer
+    /// ([`Sim::wake_at`]): its task is not polled at the hand-over. That
+    /// is exact only when the packet is the task's one pending await, as
+    /// in every caller in the simulator. Awaiting it beside other futures
+    /// that share the task's waker (as the entries of a `WaitAll` do)
+    /// would skip the poll those siblings expected at the hand-over
+    /// instant.
     pub async fn transfer(&self, dir: Direction, payload_bytes: u64) {
-        self.packet(dir, payload_bytes, false)
+        self.packet(dir, payload_bytes, None)
             .await
             .expect("a packet without a fault draw is never dropped");
     }
@@ -300,41 +308,39 @@ impl Segment {
     /// Fault-aware [`Segment::transfer`]: on taking the wire, consults the
     /// direction's schedule at `sim.now()` and either drops the packet
     /// (no wire time, no stats), carries it with inflated wire time, or
-    /// carries it normally.
+    /// carries it normally. The same one-pending-await rule as
+    /// [`Segment::transfer`] applies.
     pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
-        self.packet(dir, payload_bytes, self.faults.is_some()).await
+        self.packet(dir, payload_bytes, self.faults.as_ref()).await
     }
 
-    fn packet(&self, dir: Direction, payload_bytes: u64, faulted: bool) -> Packet<'_> {
+    fn packet<'a>(
+        &'a self,
+        dir: Direction,
+        payload_bytes: u64,
+        faults: Option<&'a Rc<SegmentFaults>>,
+    ) -> Packet<'a> {
         Packet {
             seg: self,
             dir,
             channel: self.wire.borrow().channel(dir),
             payload_bytes,
-            faulted,
+            faults,
             queued_at: SimTime::ZERO,
             state: PacketState::Start,
         }
     }
 
-    /// Whether a faulted packet taking the wire now in direction `dir`
-    /// would take a variate from the segment's fault RNG.
-    fn draws_at(&self, dir: Direction) -> bool {
-        self.faults
-            .as_deref()
-            .is_some_and(|f| f.schedule(dir).draws_at(self.sim.now().as_nanos()))
-    }
-
     /// Wire time of a packet taking the wire now, or the fault that drops
-    /// it. Draws on the segment's fault RNG when `faulted`.
+    /// it. Draws on `faults` when the packet has fault state.
     fn wire_time(
         &self,
         dir: Direction,
         payload_bytes: u64,
-        faulted: bool,
+        faults: Option<&Rc<SegmentFaults>>,
     ) -> Result<SimTime, FaultError> {
         let t = self.cfg.packet_time(payload_bytes);
-        let Some(f) = self.faults.as_deref().filter(|_| faulted) else {
+        let Some(f) = faults else {
             return Ok(t);
         };
         let effect = {
@@ -369,11 +375,12 @@ impl Segment {
         };
         let w = &mut wire.waiters[i];
         let waker = w.waker.take().expect("queued packet without a waker");
-        let (dir, payload_bytes, faulted) = (w.dir, w.payload_bytes, w.faulted);
-        let grant = if faulted && wire.duplex && self.draws_at(dir) {
+        let faults = w.faults.take();
+        let (dir, payload_bytes) = (w.dir, w.payload_bytes);
+        let grant = if faults.is_some() && wire.duplex {
             Grant::Draw
         } else {
-            match self.wire_time(dir, payload_bytes, faulted) {
+            match self.wire_time(dir, payload_bytes, faults.as_ref()) {
                 Err(e) => Grant::Fail(e),
                 Ok(wire_time) => {
                     let until = self.sim.now() + wire_time;
@@ -415,7 +422,7 @@ struct Packet<'a> {
     dir: Direction,
     channel: usize,
     payload_bytes: u64,
-    faulted: bool,
+    faults: Option<&'a Rc<SegmentFaults>>,
     queued_at: SimTime,
     state: PacketState,
 }
@@ -474,7 +481,7 @@ impl Future for Packet<'_> {
                     if !ch.busy && ch.queue.is_empty() {
                         ch.busy = true;
                         drop(wire);
-                        let drawn = seg.wire_time(this.dir, this.payload_bytes, this.faulted);
+                        let drawn = seg.wire_time(this.dir, this.payload_bytes, this.faults);
                         if let Err(e) = this.take_wire(drawn) {
                             return Poll::Ready(Err(e));
                         }
@@ -484,7 +491,7 @@ impl Future for Packet<'_> {
                             waker: Some(cx.waker().clone()),
                             dir: this.dir,
                             payload_bytes: this.payload_bytes,
-                            faulted: this.faulted,
+                            faults: this.faults.cloned(),
                         });
                         wire.channels[this.channel].queue.push_back(i);
                         this.state = PacketState::Queued(i);
@@ -525,7 +532,7 @@ impl Future for Packet<'_> {
                             continue;
                         }
                         Grant::Fail(e) => Err(e),
-                        Grant::Draw => seg.wire_time(this.dir, this.payload_bytes, this.faulted),
+                        Grant::Draw => seg.wire_time(this.dir, this.payload_bytes, this.faults),
                     };
                     if let Err(e) = this.take_wire(drawn) {
                         return Poll::Ready(Err(e));

@@ -220,3 +220,33 @@ fn a_full_duplex_grantee_draws_after_the_other_channel_at_its_instant() {
         "the grantee draws second"
     );
 }
+
+#[test]
+fn a_hand_over_draws_from_the_grantees_own_schedule() {
+    // Fault schedules belong to a handle: a clone made before
+    // `with_faults` shares the wire but has none. When its packet hands
+    // the wire to a queued packet of the faulted handle, the grantee
+    // still meets its own outage.
+    let sim = Sim::new();
+    let plain = Segment::new(sim.clone(), NetConfig::default());
+    let set = FaultPlan::parse("net:outage@0s-10s").unwrap().resolve(1, 1);
+    let faulted = plain
+        .clone()
+        .with_faults(set.net_to_server, set.net_from_server, 1);
+    let p = plain.clone();
+    sim.spawn(async move { p.transfer(Direction::ToServer, BLOCK).await });
+    let f = faulted.clone();
+    let dropped =
+        sim.spawn(async move { f.try_transfer(Direction::ToServer, BLOCK).await.is_err() });
+    sim.run().unwrap();
+    assert_eq!(
+        dropped.try_result(),
+        Some(true),
+        "the grantee's outage holds"
+    );
+    assert_eq!(
+        plain.stats().packets,
+        1,
+        "only the unfaulted packet is carried"
+    );
+}

@@ -653,16 +653,6 @@ impl FaultSchedule {
             .max_by_key(|w| w.end_ns)
     }
 
-    /// Whether [`FaultSchedule::effect_at`] at `now_ns` would take a
-    /// variate from its `draw`: no outage is open and an `ErrorRate`
-    /// window is. When false, the effect is a function of `now_ns` alone.
-    pub fn draws_at(&self, now_ns: u64) -> bool {
-        self.open_outage(now_ns).is_none()
-            && self
-                .open(now_ns)
-                .any(|w| matches!(w.kind, FaultKind::ErrorRate(_)))
-    }
-
     /// If an outage is open at `now_ns`, when it clears.
     pub fn outage_until(&self, now_ns: u64) -> Option<u64> {
         self.open_outage(now_ns).map(|w| w.end_ns)
