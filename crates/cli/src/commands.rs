@@ -521,69 +521,28 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     // Every finished job streams through a sink: a durable JSONL file
     // (--out; flushed per row, so a killed sweep resumes with --resume) or
     // an in-memory collector. Reports are never held as a vector. The
-    // sinks — and the resume skip set — are prepared before the workload,
-    // both for borrow ordering and so a fully-resumed sweep never pays
-    // for trace generation.
-    let mut jsonl = None;
+    // sinks are opened before the workload, both for borrow ordering and
+    // so a fully-resumed sweep never pays for trace generation.
     let mut memory = MemorySink::new();
-    let mut skip: Vec<String> = Vec::new();
-    match out {
+    let (mut jsonl, resumed) = match out {
+        // One decode pass: JsonlSink::resume truncates any torn tail and
+        // returns the surviving rows, which Sweep::resume checks against
+        // this sweep's jobs below.
         Some(path) if flags.has("resume") => {
-            // One decode pass: JsonlSink::resume truncates any torn tail
-            // and returns the surviving rows, whose serialized configs
-            // are checked against the jobs they would skip — resuming
-            // against a file produced by different flags is an error, not
-            // a silent pile of stale rows.
             let (sink, rows) = JsonlSink::resume(path)?;
-            for row in &rows {
-                let Some(job) = job_labels
-                    .iter()
-                    .position(|label| *label == row.label)
-                    .map(|i| &cfgs[i])
-                else {
-                    // A label this sweep would never produce means the
-                    // file belongs to a different sweep (other workload
-                    // flags, other grid); appending would mix two runs'
-                    // rows in one artifact.
-                    return Err(format!(
-                        "{path}: row {:?} is not part of this sweep; refusing to \
-                         resume — use a new --out file",
-                        row.label
-                    )
-                    .into());
-                };
-                let want = fcache::results::config_to_json(job);
-                if row.config != want {
-                    return Err(format!(
-                        "{path}: row {:?} was produced by a different configuration \
-                         (file: {}, requested: {}); refusing to resume — use a new \
-                         --out file",
-                        row.label,
-                        row.config.to_string(),
-                        want.to_string(),
-                    )
-                    .into());
-                }
-            }
-            if !rows.is_empty() {
-                eprintln!(
-                    "# resuming: {} of {jobs} rows already in {path}",
-                    rows.len()
-                );
-            }
-            skip = rows.into_iter().map(|r| r.label).collect();
-            jsonl = Some(sink);
+            (Some(sink), rows)
         }
-        Some(path) => jsonl = Some(JsonlSink::create(path)?),
-        None => {}
-    }
+        Some(path) => (Some(JsonlSink::create(path)?), Vec::new()),
+        None => (None, Vec::new()),
+    };
 
     // The workload axis: one shared materialized trace (zero-copy across
     // jobs, O(trace) resident) or a per-job regenerated stream
     // (O(chunk × jobs) resident — nothing is ever materialized). A fully
     // resumed sweep runs nothing, so it takes the lazy streamed form and
-    // skips trace generation entirely.
-    let all_resumed = job_labels.iter().all(|l| skip.contains(l));
+    // skips trace generation entirely. Sweep::resume accepts one row per
+    // job at most, so a file that passes it with `jobs` rows has them all.
+    let all_resumed = resumed.len() == jobs;
     let trace;
     let workload = if flags.has("streamed") || all_resumed {
         wb.workload(&spec)
@@ -591,18 +550,31 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         trace = wb.make_trace(&spec);
         Workload::trace(&trace)
     };
+    let described = workload.describe();
+
+    let t0 = std::time::Instant::now();
+    let mut sweep = Sweep::over(workload).threads(workers);
+    for (label, cfg) in job_labels.iter().zip(cfgs.iter()) {
+        sweep = sweep.config(label.clone(), cfg.clone());
+    }
+    // A file from different flags is an error, not a silent pile of stale
+    // rows.
+    let path = out.unwrap_or_default();
+    let sweep = sweep
+        .resume(path, &resumed)
+        .map_err(|e| format!("{e} — use a new --out file"))?;
     // Diagnostics go to stderr like the timing footer, keeping stdout a
     // clean one-header table for scripts.
+    if !resumed.is_empty() {
+        eprintln!(
+            "# resuming: {} of {jobs} rows already in {path}",
+            resumed.len()
+        );
+    }
     if all_resumed {
         eprintln!("# workload: all jobs resumed; nothing to generate or run");
     } else {
-        eprintln!("# workload: {}", workload.describe());
-    }
-
-    let t0 = std::time::Instant::now();
-    let mut sweep = Sweep::over(workload).threads(workers).skip_labels(skip);
-    for (label, cfg) in job_labels.iter().zip(cfgs.iter()) {
-        sweep = sweep.config(label.clone(), cfg.clone());
+        eprintln!("# workload: {described}");
     }
     let sink: &mut dyn ResultSink = match &mut jsonl {
         Some(sink) => sink,

@@ -39,7 +39,7 @@ use std::task::{Context, Poll};
 use fcache_des::executor::Sleep;
 use fcache_des::resource::Acquire;
 use fcache_des::{CompletionSet, Resource, ResourceGuard, Sim, SimTime};
-use fcache_device::{IoDirection, IoLog, SsdModel, WindowStat};
+use fcache_device::{IoDirection, IoLog, SsdModel, WindowAcc, WindowStat};
 use fcache_types::{BlockAddr, FaultEffect, FaultSchedule, HostId, Phase};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -95,47 +95,9 @@ struct SsdQueue {
     depth: usize,
     model: RefCell<SsdModel>,
     stats: DeviceStats,
-    /// Window size for Figure-1-style per-window averages (0 = off).
-    window: usize,
-    windows: RefCell<Vec<WindowStat>>,
-    acc: RefCell<WindowAcc>,
-}
-
-/// Running accumulator for the current latency window.
-#[derive(Default)]
-struct WindowAcc {
-    start_io: u64,
-    ios: u64,
-    read_ns: u64,
-    reads: u64,
-    write_ns: u64,
-    writes: u64,
-}
-
-impl WindowAcc {
-    fn flush(&mut self) -> WindowStat {
-        let stat = WindowStat {
-            start_io: self.start_io,
-            read_avg_us: if self.reads > 0 {
-                self.read_ns as f64 / self.reads as f64 / 1000.0
-            } else {
-                0.0
-            },
-            write_avg_us: if self.writes > 0 {
-                self.write_ns as f64 / self.writes as f64 / 1000.0
-            } else {
-                0.0
-            },
-            reads: self.reads,
-            writes: self.writes,
-        };
-        let next_start = self.start_io + self.ios;
-        *self = WindowAcc {
-            start_io: next_start,
-            ..WindowAcc::default()
-        };
-        stat
-    }
+    /// Figure-1-style per-window averages; `None` when
+    /// [`crate::SimConfig::device_window`] is 0.
+    windows: Option<RefCell<WindowAcc>>,
 }
 
 /// Device-level counters (SSD mode only; flat mode records nothing so the
@@ -306,9 +268,8 @@ impl DeviceService {
                     depth,
                     model: RefCell::new(SsdModel::new(sc)),
                     stats: DeviceStats::default(),
-                    window: cfg.device_window,
-                    windows: RefCell::new(Vec::new()),
-                    acc: RefCell::new(WindowAcc::default()),
+                    windows: (cfg.device_window > 0)
+                        .then(|| RefCell::new(WindowAcc::new(cfg.device_window))),
                 })
             }
         };
@@ -558,13 +519,7 @@ impl DeviceService {
     /// (including a partial final window). `None` unless SSD mode with a
     /// nonzero [`crate::SimConfig::device_window`].
     pub fn take_windows(&self) -> Option<Vec<WindowStat>> {
-        let q = self.ssd.as_ref().filter(|q| q.window > 0)?;
-        let mut out = std::mem::take(&mut *q.windows.borrow_mut());
-        let mut acc = q.acc.borrow_mut();
-        if acc.ios > 0 {
-            out.push(acc.flush());
-        }
-        Some(out)
+        Some(self.ssd.as_ref()?.windows.as_ref()?.borrow_mut().take())
     }
 }
 
@@ -574,10 +529,12 @@ impl SsdQueue {
         (self.depth - self.slots.available()) as u64 + self.slots.queue_len() as u64
     }
 
-    /// Submits one command: records occupancy, waits FIFO for a service
-    /// slot, draws the service time from the behavioral model (in grant
-    /// order, so draws are deterministic), and holds the slot for exactly
-    /// that long.
+    /// Services one command by polling [`Self::step`] directly: it
+    /// records occupancy, waits FIFO for a service slot, draws the service
+    /// time from the behavioral model (in grant order, so draws are
+    /// deterministic), and holds the slot for exactly that long. Not
+    /// through `wait_all`, whose run-ahead barrier would keep the sleep
+    /// from resuming inline (PERF.md invariant 16).
     async fn service(
         &self,
         sim: &Sim,
@@ -586,31 +543,25 @@ impl SsdQueue {
         scale: f64,
         sp: Option<&OpSpan>,
     ) {
-        let waited = self.slots.available() == 0 || self.slots.queue_len() > 0;
-        self.stats.note_submit(self.inflight(), waited);
-        enter(sp, sim, Phase::FlashQueue);
-        let _slot = self.slots.acquire().await;
-        let t = {
-            let mut m = self.model.borrow_mut();
-            match dir {
-                IoDirection::Read => m.read(lba),
-                IoDirection::Write => m.write(lba),
-            }
+        let mut cmd = Cmd::New(lba);
+        let mut ctx = BatchCtx {
+            sim,
+            dir,
+            scale,
+            sp,
+            left: 1,
         };
-        let t = DeviceService::inflate(t, scale);
-        self.stats.note_complete(dir, t);
-        self.window_record(dir, t);
-        enter(sp, sim, Phase::DeviceService);
-        sim.sleep(t).await;
+        enter(sp, sim, Phase::FlashQueue);
+        std::future::poll_fn(|cx| self.step(&mut cmd, cx, &mut ctx)).await;
     }
 
     /// Submits every command of one op's batch into the NCQ at once and
     /// completes when the *last* command finishes — intra-op NCQ
     /// parallelism instead of `n × serial service`.
     ///
-    /// A batch of one is serviced through [`Self::service`] verbatim, so
-    /// it stays bit-identical to a single [`DeviceService::read`]. Larger
-    /// batches are stepped through their [`CompletionSet`] with
+    /// A batch of one is serviced through [`Self::service`], so it stays
+    /// bit-identical to a single [`DeviceService::read`]. Larger batches
+    /// are stepped through their [`CompletionSet`] with
     /// [`Self::step`]: commands are visited in submission order, the NCQ
     /// [`Resource`] grants FIFO, so model draws still happen in submission
     /// order and stay deterministic. Per-command stats are exact — each
@@ -651,11 +602,10 @@ impl SsdQueue {
         }
     }
 
-    /// Advances one batch command as far as it can go, exactly as
-    /// [`Self::service`] would: record occupancy and queue for a slot,
-    /// then draw the service time once granted, then hold the slot for
-    /// that long. The batch's last draw moves the op's span to
-    /// `DeviceService`.
+    /// Advances one command as far as it can go: record occupancy and
+    /// queue for a slot, then draw the service time once granted, then
+    /// hold the slot for that long. The batch's last draw moves the op's
+    /// span to `DeviceService`.
     fn step(&self, cmd: &mut Cmd, cx: &mut Context<'_>, ctx: &mut BatchCtx<'_>) -> Poll<()> {
         let BatchCtx {
             sim,
@@ -682,7 +632,9 @@ impl SsdQueue {
             };
             let t = DeviceService::inflate(t, scale);
             self.stats.note_complete(dir, t);
-            self.window_record(dir, t);
+            if let Some(acc) = &self.windows {
+                acc.borrow_mut().record(dir, t);
+            }
             ctx.left -= 1;
             if ctx.left == 0 {
                 // The whole batch is in service; the op's remaining wait
@@ -703,29 +655,6 @@ impl SsdQueue {
         // visits its next command.
         *cmd = Cmd::Done;
         Poll::Ready(())
-    }
-
-    fn window_record(&self, dir: IoDirection, t: SimTime) {
-        if self.window == 0 {
-            return;
-        }
-        let mut acc = self.acc.borrow_mut();
-        match dir {
-            IoDirection::Read => {
-                acc.reads += 1;
-                acc.read_ns += t.as_nanos();
-            }
-            IoDirection::Write => {
-                acc.writes += 1;
-                acc.write_ns += t.as_nanos();
-            }
-        }
-        acc.ios += 1;
-        if acc.ios as usize >= self.window {
-            let stat = acc.flush();
-            drop(acc);
-            self.windows.borrow_mut().push(stat);
-        }
     }
 }
 

@@ -65,7 +65,7 @@ impl WorkloadSpec {
     /// (`ws=80G wr=30% seed=42`, plus `hosts=`/`wsc=`/`cold` when
     /// off-baseline). Used as the workload half of a sweep grid's
     /// composite job labels — and label-based resume
-    /// ([`Sweep::resume_from`]) requires distinct specs to get distinct
+    /// ([`Sweep::resume`]) requires distinct specs to get distinct
     /// labels, so every field that commonly forms an axis is included:
     /// the seed always (two specs differing only in seed are different
     /// workloads), and the write percentage at full precision down to

@@ -29,7 +29,7 @@
 //! the same ops. Sweep results stream through [`ResultSink`]s (see
 //! [`results`]): durable, schema-versioned JSONL rows with exact
 //! `SimReport` round-trips, making interrupted sweeps resumable
-//! ([`Sweep::resume_from`]) and every run a diffable artifact.
+//! ([`Sweep::resume`]) and every run a diffable artifact.
 //!
 //! ```
 //! use fcache::{Scenario, SimConfig, Sweep, Workload};
@@ -105,8 +105,9 @@ pub use metrics::{Metrics, MetricsSnapshot};
 pub use policy::WritebackPolicy;
 pub use report::{FleetStats, HostLoadStats, ShardServiceStats, ShardStats, SimReport};
 pub use results::{
-    read_rows, report_from_json, report_to_json, row_from_json, row_to_json, scan_jsonl, sink_fn,
-    DecodedRow, JsonlSink, MemorySink, ResultRow, ResultSink, TeeSink, REPORT_SCHEMA,
+    decode_rows, read_rows, report_from_json, report_to_json, row_from_json, row_to_json,
+    scan_jsonl, sink_fn, DecodedRow, JsonlSink, MemorySink, ResultRow, ResultSink, TeeSink,
+    REPORT_SCHEMA,
 };
 pub use robust::{DegradedPolicy, FaultWindowStat, RobustnessConfig, RobustnessStats};
 pub use scenario::{Scenario, Sweep, SweepError, SweepItem, SweepResults, Workload};

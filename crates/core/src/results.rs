@@ -19,12 +19,16 @@
 //!   behavior, now opt-in), [`JsonlSink`] appends one JSON row per line to
 //!   a file with a flush per row (a killed process loses at most the row
 //!   being written), and [`TeeSink`] / [`sink_fn`] compose.
-//! - **Resume**: [`scan_jsonl`] reads the valid prefix of an existing
-//!   results file — tolerating the torn final line a kill leaves behind —
-//!   so [`Sweep::resume_from`](crate::Sweep::resume_from) can skip
-//!   finished jobs and [`JsonlSink::resume`] can append after them. An
-//!   interrupted-then-resumed sweep produces the same row set as an
-//!   uninterrupted one (pinned by `tests/results_pipeline.rs`).
+//! - **Resume**: [`JsonlSink::resume`] reads the valid prefix of an
+//!   existing results file — tolerating the torn final line a kill leaves
+//!   behind — and appends after it; the rows it returns go to
+//!   [`Sweep::resume`](crate::Sweep::resume), which checks each against
+//!   the sweep's jobs and skips them. An interrupted-then-resumed sweep
+//!   produces the same row set as an uninterrupted one (pinned by
+//!   `tests/results_pipeline.rs`).
+//! - **Reading**: [`scan_jsonl`], [`read_rows`] and the fleet's part-file
+//!   merge all decode through [`decode_rows`], whose errors name
+//!   `path:line`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek as _, Write as _};
@@ -202,10 +206,9 @@ impl JsonlSink {
     /// Opens a results file for resumption: scans its valid row prefix,
     /// truncates the torn final line a killed writer leaves behind (if
     /// any), and positions writes after the last valid row. Returns the
-    /// sink plus the rows already present (their labels are the jobs a
-    /// resumed sweep should skip; their configs let callers cross-check
-    /// identity) — one decode pass serves truncation, skipping, and
-    /// verification.
+    /// sink plus the rows already present, for
+    /// [`Sweep::resume`](crate::Sweep::resume) to check and skip — one
+    /// decode pass serves truncation, skipping, and verification.
     ///
     /// A missing file starts empty, so `resume` on a fresh path behaves
     /// exactly like [`JsonlSink::create`]. A file with a complete but
@@ -255,8 +258,7 @@ impl ResultSink for JsonlSink {
 
 /// Scans a JSONL results file: returns the byte length of the valid row
 /// prefix and the decoded rows it contains. A missing file is an empty
-/// prefix,
-/// not an error.
+/// prefix, not an error.
 ///
 /// Leniency is deliberately narrow: only a torn **final** line — one with
 /// no `\n` terminator, exactly what a killed flush-per-row writer leaves
@@ -274,61 +276,70 @@ pub fn scan_jsonl(path: impl AsRef<Path>) -> io::Result<(u64, Vec<DecodedRow>)> 
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, Vec::new())),
         Err(e) => return Err(e),
     };
-    let corrupt = |line_no: usize, why: &str| {
+    let mut rows = Vec::new();
+    let valid = decode_rows(path, &bytes, true, |_, row| {
+        rows.push(row);
+        Ok(())
+    })
+    .map_err(|e| {
         io::Error::new(
-            io::ErrorKind::InvalidData,
+            e.kind(),
             format!(
-                "{}: line {line_no}: {why} (complete but unreadable — refusing to \
-                 truncate; repair or delete the file to start over)",
-                path.display()
+                "{e} (complete but unreadable — refusing to truncate; repair or \
+                 delete the file to start over)"
             ),
         )
-    };
-    let mut valid = 0usize;
-    let mut rows = Vec::new();
-    let mut line_no = 0usize;
-    while valid < bytes.len() {
-        let rest = &bytes[valid..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            break; // torn final line (no terminator): truncatable tail
-        };
-        line_no += 1;
-        let line =
-            std::str::from_utf8(&rest[..nl]).map_err(|_| corrupt(line_no, "invalid UTF-8"))?;
-        if !line.is_empty() {
-            match decode_row_line(line) {
-                Ok(row) => rows.push(row),
-                Err(e) => return Err(corrupt(line_no, &e)),
-            }
-        }
-        valid += nl + 1;
-    }
-    Ok((valid as u64, rows))
+    })?;
+    Ok((valid, rows))
 }
 
 /// Reads a complete results file strictly: every line must be a valid row
 /// of the current [`REPORT_SCHEMA`]. Errors name the offending line.
 pub fn read_rows(path: impl AsRef<Path>) -> io::Result<Vec<DecodedRow>> {
-    let text = std::fs::read_to_string(path.as_ref())?;
+    let path = path.as_ref();
     let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let row = decode_row_line(line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}:{}: {e}", path.as_ref().display(), i + 1),
-            )
-        })?;
+    decode_rows(path, &std::fs::read(path)?, false, |_, row| {
         rows.push(row);
-    }
+        Ok(())
+    })?;
     Ok(rows)
 }
 
-fn decode_row_line(line: &str) -> Result<DecodedRow, String> {
-    let v = Json::parse(line).map_err(|e| e.to_string())?;
-    row_from_json(&v)
+/// Decodes the rows in the bytes of the results file at `path`, one per
+/// non-empty line, handing each to `each` with its raw line (no `\n`). A
+/// final line without a `\n` — the torn tail a killed writer leaves — is
+/// skipped when `torn_tail` is set and decoded like any other line
+/// otherwise. Every error, `each`'s included, names `path:line`. Returns
+/// the byte length of the lines consumed.
+pub fn decode_rows(
+    path: &Path,
+    bytes: &[u8],
+    torn_tail: bool,
+    mut each: impl FnMut(&[u8], DecodedRow) -> Result<(), String>,
+) -> io::Result<u64> {
+    let mut consumed = 0usize;
+    for (i, chunk) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        let line = match chunk.strip_suffix(b"\n") {
+            Some(line) => line,
+            None if torn_tail => break,
+            None => chunk,
+        };
+        if !line.is_empty() {
+            std::str::from_utf8(line)
+                .map_err(|_| "invalid UTF-8".to_string())
+                .and_then(|text| Json::parse(text).map_err(|e| e.to_string()))
+                .and_then(|v| row_from_json(&v))
+                .and_then(|row| each(line, row))
+                .map_err(|why| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("{}:{}: {why}", path.display(), i + 1),
+                    )
+                })?;
+        }
+        consumed += chunk.len();
+    }
+    Ok(consumed as u64)
 }
 
 // ---------------------------------------------------------------------------

@@ -331,7 +331,8 @@ mod tests {
     fn window_stats_pair_with_schedule() {
         let set = FaultPlan::parse("filer:outage@1s-2s;filer:err0.5@3s-4s")
             .unwrap()
-            .resolve(0, 1);
+            .resolve_sharded(0, 1, 1)
+            .unwrap();
         let st = RobustnessState::new(set.filer.windows().len());
         st.window_op(Some(0));
         st.window_op(Some(1));
@@ -348,7 +349,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_jitters_deterministically() {
-        let set = Rc::new(FaultPlan::default().resolve(0, 1));
+        let set = Rc::new(FaultPlan::default().resolve_sharded(0, 1, 1).unwrap());
         let make = || FaultCtx {
             set: Rc::clone(&set),
             acct: Rc::new(FaultSchedule::default()),

@@ -22,8 +22,9 @@
 //!   label and configuration next to its report or error — no positional
 //!   `expect` chains. Grids over *both* axes — configurations × workloads
 //!   — build with [`Sweep::workloads`] (the Figures 8/10/11 shape), and
-//!   [`Sweep::resume_from`] skips jobs already present in an existing
-//!   results file, making interrupted sweeps restartable.
+//!   [`Sweep::resume`] checks the rows an existing results file already
+//!   holds against the sweep's jobs and skips them, making interrupted
+//!   sweeps restartable.
 //!
 //! Memory: a sweep over [`Workload::trace`] shares one resident trace
 //! across all jobs (O(trace) total). A sweep over [`Workload::stream`]
@@ -71,7 +72,7 @@
 //! assert_eq!(reports.len(), 2);
 //! ```
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::panic::AssertUnwindSafe;
@@ -83,7 +84,7 @@ use fcache_types::{ByteReader, FaultPlan, Trace, TraceReader, TraceSource};
 
 use crate::config::SimConfig;
 use crate::report::SimReport;
-use crate::results::{scan_jsonl, ResultRow, ResultSink};
+use crate::results::{config_to_json, DecodedRow, ResultRow, ResultSink};
 use crate::robust::DegradedPolicy;
 use crate::sim::{run_source, run_trace, SimError};
 
@@ -332,13 +333,13 @@ pub struct SweepItem {
     /// The configuration the job ran.
     pub config: SimConfig,
     /// The job's report. `None` if the job failed, was skipped by
-    /// [`Sweep::resume_from`], *or* if the report was delivered to a
+    /// [`Sweep::resume`], *or* if the report was delivered to a
     /// [`Sweep::sink`] instead of retained.
     pub report: Option<SimReport>,
     /// The job's error, if it failed.
     pub error: Option<SimError>,
-    /// True if the job was skipped because [`Sweep::resume_from`] found
-    /// its label already present in the results file.
+    /// True if the job was skipped because [`Sweep::resume`] found its
+    /// row already in the results file.
     pub skipped: bool,
 }
 
@@ -383,7 +384,7 @@ impl SweepResults {
         self.sink_error.as_ref()
     }
 
-    /// Number of jobs skipped by [`Sweep::resume_from`].
+    /// Number of jobs skipped by [`Sweep::resume`].
     pub fn skipped(&self) -> usize {
         self.items.iter().filter(|i| i.skipped).count()
     }
@@ -415,7 +416,7 @@ impl SweepResults {
     /// # Panics
     ///
     /// Panics if the reports were spilled to a [`Sweep::sink`] (they are
-    /// no longer here to return) or skipped by [`Sweep::resume_from`]
+    /// no longer here to return) or skipped by [`Sweep::resume`]
     /// (they were never run — read the results file).
     pub fn into_reports(self) -> Result<Vec<SimReport>, SweepError> {
         if let Some(err) = self.first_error() {
@@ -474,6 +475,10 @@ struct JobSpec {
     label: String,
     cfg: SimConfig,
     workload: usize,
+    /// The index the job's result row carries.
+    index: usize,
+    /// Set by [`Sweep::resume`]: the results file already holds the row.
+    resumed: bool,
 }
 
 /// A labeled grid of scenarios, fanned out over scoped worker threads.
@@ -501,7 +506,6 @@ pub struct Sweep<'a> {
     config_count: usize,
     threads: usize,
     sink: Option<&'a mut dyn ResultSink>,
-    skip: HashSet<String>,
 }
 
 impl Default for Sweep<'_> {
@@ -522,7 +526,6 @@ impl<'a> Sweep<'a> {
             config_count: 0,
             threads: 0,
             sink: None,
-            skip: HashSet::new(),
         }
     }
 
@@ -594,6 +597,8 @@ impl<'a> Sweep<'a> {
                 label: composite,
                 cfg: cfg.clone(),
                 workload: *workload,
+                index: self.jobs.len(),
+                resumed: false,
             });
         }
         self.config_count += 1;
@@ -623,12 +628,27 @@ impl<'a> Sweep<'a> {
 
     /// Adds a labeled job with its own workload (for grids whose jobs
     /// don't fit a rectangular config × workload product).
-    pub fn scenario(mut self, label: impl Into<String>, scenario: Scenario<'a>) -> Self {
+    pub fn scenario(self, label: impl Into<String>, scenario: Scenario<'a>) -> Self {
+        let index = self.jobs.len();
+        self.scenario_at(index, label, scenario)
+    }
+
+    /// [`Sweep::scenario`] for a sweep that runs one slice of a larger
+    /// grid (e.g. one fleet worker's cells): the job's result row carries
+    /// `index`, its place in the whole grid, instead of its push position.
+    pub fn scenario_at(
+        mut self,
+        index: usize,
+        label: impl Into<String>,
+        scenario: Scenario<'a>,
+    ) -> Self {
         self.workloads.push(scenario.workload);
         self.jobs.push(JobSpec {
             label: label.into(),
             cfg: scenario.cfg,
             workload: self.workloads.len() - 1,
+            index,
+            resumed: false,
         });
         self
     }
@@ -654,35 +674,82 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Skips jobs whose labels already have rows in the JSONL results
-    /// file at `path` (a missing file skips nothing), making interrupted
-    /// sweeps restartable: pair with
-    /// [`JsonlSink::resume`](crate::JsonlSink::resume) writing the same
-    /// file and a killed 16-job sweep picks up where it stopped — the
-    /// resumed file's row *set* is identical to an uninterrupted run's
-    /// (pinned by `tests/results_pipeline.rs`).
+    /// Skips the jobs whose rows the results file at `path` already
+    /// holds: `rows` are the rows [`JsonlSink::resume`](crate::JsonlSink::resume)
+    /// returned when it opened that file for appending. A killed sweep
+    /// rerun this way picks up where it stopped, and the resumed file's
+    /// row *set* is identical to an uninterrupted run's (pinned by
+    /// `tests/results_pipeline.rs`). Call it after adding every job.
     ///
-    /// The scan is lenient about the torn final line a kill leaves behind
-    /// (see [`scan_jsonl`]); labels must be unique across the sweep for
-    /// skipping to be sound — [`Sweep::run`] asserts this whenever a skip
-    /// set is present.
+    /// Every row must be one of this sweep's: its label must name a job,
+    /// its index must be the index that job's row carries, its `config`
+    /// must equal [`config_to_json`] of the job's configuration, and no
+    /// job may have two rows. A file written by another sweep is refused,
+    /// never absorbed as this sweep's results.
     ///
-    /// When the same file is also being opened for appending via
-    /// [`JsonlSink::resume`](crate::JsonlSink::resume), prefer feeding
-    /// the labels it returns to [`Sweep::skip_labels`] — one scan instead
-    /// of two.
-    pub fn resume_from(self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let (_, rows) = scan_jsonl(path)?;
-        Ok(self.skip_labels(rows.into_iter().map(|r| r.label)))
-    }
-
-    /// Skips jobs whose labels are in `labels` (see [`Sweep::resume_from`]
-    /// — this is its scan-free half, for callers that already hold the
-    /// finished-row labels, e.g. from
-    /// [`JsonlSink::resume`](crate::JsonlSink::resume)).
-    pub fn skip_labels(mut self, labels: impl IntoIterator<Item = String>) -> Self {
-        self.skip.extend(labels);
-        self
+    /// # Errors
+    ///
+    /// An [`InvalidData`](std::io::ErrorKind::InvalidData) error naming
+    /// `path`, the first failing row's label and the cause: `not part of
+    /// this sweep`, `has index`, `different configuration` or `appears
+    /// twice`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is non-empty and two jobs share a label: a results
+    /// file cannot tell them apart, so skipping would be blind.
+    pub fn resume(mut self, path: impl AsRef<Path>, rows: &[DecodedRow]) -> std::io::Result<Self> {
+        if rows.is_empty() {
+            return Ok(self);
+        }
+        let mut by_label = HashMap::with_capacity(self.jobs.len());
+        for (i, job) in self.jobs.iter().enumerate() {
+            assert!(
+                by_label.insert(job.label.as_str(), i).is_none(),
+                "resume requires unique job labels; duplicate {:?}",
+                job.label
+            );
+        }
+        let refuse = |row: &DecodedRow, why: String| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{}: row {:?} {why}; refusing to resume",
+                    path.as_ref().display(),
+                    row.label
+                ),
+            )
+        };
+        let mut resumed = vec![false; self.jobs.len()];
+        for row in rows {
+            let Some(&i) = by_label.get(row.label.as_str()) else {
+                return Err(refuse(row, "is not part of this sweep".into()));
+            };
+            let job = &self.jobs[i];
+            if row.index != job.index {
+                let why = format!(
+                    "has index {} but this sweep writes {}",
+                    row.index, job.index
+                );
+                return Err(refuse(row, why));
+            }
+            let want = config_to_json(&job.cfg);
+            if row.config != want {
+                let why = format!(
+                    "was produced by a different configuration (file: {}, requested: {})",
+                    row.config.to_string(),
+                    want.to_string()
+                );
+                return Err(refuse(row, why));
+            }
+            if std::mem::replace(&mut resumed[i], true) {
+                return Err(refuse(row, "appears twice".into()));
+            }
+        }
+        for (job, resumed) in self.jobs.iter_mut().zip(resumed) {
+            job.resumed |= resumed;
+        }
+        Ok(self)
     }
 
     /// Number of jobs added so far.
@@ -704,7 +771,6 @@ impl<'a> Sweep<'a> {
             config_count: _,
             threads,
             sink,
-            skip,
         } = self;
         let spilled = sink.is_some();
         let workers = if threads == 0 {
@@ -715,20 +781,6 @@ impl<'a> Sweep<'a> {
             threads
         }
         .clamp(1, jobs.len().max(1));
-
-        // Label-based skipping is only sound when labels identify jobs
-        // uniquely; with a skip set present, a duplicate label would
-        // silently skip a job that never ran.
-        if !skip.is_empty() {
-            let mut seen = HashSet::new();
-            for job in &jobs {
-                assert!(
-                    seen.insert(job.label.as_str()),
-                    "resume requires unique job labels; duplicate {:?}",
-                    job.label
-                );
-            }
-        }
 
         // What a finished job leaves behind: its retained report (absent
         // when spilled to the sink, failed, or skipped), its error status,
@@ -743,7 +795,7 @@ impl<'a> Sweep<'a> {
         // recorded either way so `SweepResults` keeps the job context.
         let run_job = |i: usize| -> JobOutcome {
             let job = &jobs[i];
-            if skip.contains(&job.label) {
+            if job.resumed {
                 return (None, None, true);
             }
             // One panicking job must not abort the other 15: catch it and
@@ -760,7 +812,7 @@ impl<'a> Sweep<'a> {
                 match result {
                     Ok(report) => {
                         let delivery = s.on_row(ResultRow {
-                            index: i,
+                            index: job.index,
                             label: job.label.clone(),
                             config: job.cfg.clone(),
                             report,
@@ -864,7 +916,7 @@ impl std::fmt::Debug for Sweep<'_> {
             .field("workloads", &self.workloads)
             .field("threads", &self.threads)
             .field("sink", &self.sink.is_some())
-            .field("skip", &self.skip.len())
+            .field("resumed", &self.jobs.iter().filter(|j| j.resumed).count())
             .finish()
     }
 }
@@ -970,6 +1022,53 @@ mod tests {
             .all(|i| i.is_ok() && i.report.is_some()));
         let reports = results.into_reports().expect("all ok");
         assert_eq!(reports.len(), 2);
+    }
+
+    #[test]
+    fn resume_names_the_cause_of_each_refusal() {
+        let trace = tiny_trace();
+        let sweep = || {
+            Sweep::over(Workload::trace(&trace))
+                .config("a", tiny_cfg())
+                .config("b", tiny_cfg())
+        };
+        let row = |index: usize, label: &str, cfg: &SimConfig| DecodedRow {
+            index,
+            label: label.into(),
+            config: config_to_json(cfg),
+            report: SimReport::default(),
+        };
+        let other = SimConfig {
+            seed: tiny_cfg().seed + 1,
+            ..tiny_cfg()
+        };
+        for (rows, cause) in [
+            (
+                vec![row(0, "c", &tiny_cfg())],
+                "row \"c\" is not part of this sweep",
+            ),
+            (vec![row(1, "a", &tiny_cfg())], "row \"a\" has index 1"),
+            (
+                vec![row(0, "a", &other)],
+                "row \"a\" was produced by a different configuration",
+            ),
+            (
+                vec![row(0, "a", &tiny_cfg()), row(0, "a", &tiny_cfg())],
+                "row \"a\" appears twice",
+            ),
+        ] {
+            let err = sweep().resume("r.jsonl", &rows).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.starts_with("r.jsonl: ") && msg.contains(cause), "{msg}");
+        }
+
+        let results = sweep()
+            .resume("r.jsonl", &[row(1, "b", &tiny_cfg())])
+            .expect("b is this sweep's second job")
+            .run();
+        assert_eq!(results.skipped(), 1);
+        assert!(results.items()[1].skipped && results.items()[1].report.is_none());
+        assert!(results.items()[0].report.is_some());
     }
 
     #[test]

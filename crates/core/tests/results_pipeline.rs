@@ -9,16 +9,16 @@
 //!    form itself is pinned by a golden row so any schema drift fails
 //!    loudly instead of silently changing files on disk.
 //! 2. **Resume is lossless.** A 16-job grid sweep killed mid-run (torn
-//!    final line included) and resumed with `Sweep::resume_from` +
-//!    `JsonlSink::resume` produces a results file whose row set is
+//!    final line included) and resumed with `JsonlSink::resume` +
+//!    `Sweep::resume` produces a results file whose row set is
 //!    identical to an uninterrupted run's (PERF.md invariant 9).
 
 use fcache::{
-    read_rows, report_from_json, report_to_json, row_to_json, scan_jsonl, Architecture,
+    read_rows, report_from_json, report_to_json, row_to_json, scan_jsonl, Architecture, DecodedRow,
     DeviceStatsSnapshot, FaultWindowStat, FleetStats, FleetTopology, HistogramSnapshot,
     HostLoadStats, JsonlSink, MemorySink, MetricsSnapshot, RemoteStats, ResultRow, RobustnessStats,
     ShardServiceStats, ShardStats, SimConfig, SimReport, Sweep, TelemetryStats, TelemetryWindow,
-    Workbench, WorkloadSpec, REPORT_SCHEMA,
+    Workbench, WorkloadSpec, WritebackPolicy, REPORT_SCHEMA,
 };
 use fcache_cache::CacheStats;
 use fcache_des::SimTime;
@@ -506,14 +506,14 @@ fn killed_and_resumed_sweep_matches_uninterrupted_row_set() {
         + &torn[..torn.len() / 2];
     std::fs::write(&resumed_path, &partial).expect("write partial");
 
-    // Resume: skip the 7 finished jobs, truncate the torn tail, append
-    // the missing 9.
+    // Resume: one scan truncates the torn tail and returns the 7 finished
+    // rows; the sweep checks and skips them and appends the missing 9.
     let (mut sink, seen) = JsonlSink::resume(&resumed_path).expect("resume sink");
     assert_eq!(seen.len(), 7);
     let (sweep, _) = grid_sweep(&wb);
     let results = sweep
-        .resume_from(&resumed_path)
-        .expect("scan resume file")
+        .resume(&resumed_path, &seen)
+        .expect("rows belong to this sweep")
         .threads(4)
         .sink(&mut sink)
         .run();
@@ -565,14 +565,55 @@ fn resume_with_complete_file_skips_everything() {
     assert_eq!(seen.len(), 16);
     let (sweep, _) = grid_sweep(&wb);
     let results = sweep
-        .resume_from(&path)
-        .expect("scan")
+        .resume(&path, &seen)
+        .expect("rows belong to this sweep")
         .sink(&mut sink)
         .run();
     assert_eq!(results.skipped(), 16);
     drop(sink);
     // Nothing reran, nothing was rewritten: the file is untouched.
     assert_eq!(std::fs::read_to_string(&path).expect("read"), before);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn resume_refuses_rows_from_another_configuration_under_the_same_labels() {
+    // `Sweep::configs` labels name the architecture and sizes, not the
+    // writeback policies: two sweeps that differ only in a policy write
+    // the same labels. The second must not take the first's rows.
+    let path = std::env::temp_dir().join("fcache_results_other_config.jsonl");
+    let wb = Workbench::new(16384, 42);
+    let spec = WorkloadSpec {
+        working_set: ByteSize::gib(16),
+        ..WorkloadSpec::default()
+    };
+    let written = SimConfig::baseline();
+    let asked = SimConfig {
+        flash_policy: WritebackPolicy::WriteThrough,
+        ..SimConfig::baseline()
+    };
+    assert_ne!(written.flash_policy, asked.flash_policy);
+
+    let mut sink = JsonlSink::create(&path).expect("create");
+    let results = wb
+        .sweep(&[written], wb.workload(&spec))
+        .sink(&mut sink)
+        .run();
+    assert!(results.first_error().is_none());
+    drop(sink);
+    let before = std::fs::read(&path).expect("read");
+
+    let (_sink, seen) = JsonlSink::resume(&path).expect("resume sink");
+    assert_eq!(seen.len(), 1);
+    let err = wb
+        .sweep(&[asked], wb.workload(&spec))
+        .resume(&path, &seen)
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("different configuration"), "{msg}");
+    assert!(msg.contains(&format!("row {:?}", seen[0].label)), "{msg}");
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    assert_eq!(std::fs::read(&path).expect("read"), before);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -658,9 +699,14 @@ fn resume_with_duplicate_labels_panics_instead_of_skipping_blind() {
         working_set: ByteSize::gib(16),
         ..WorkloadSpec::default()
     };
-    let sweep = Sweep::new()
+    let row = DecodedRow {
+        index: 0,
+        label: "dup".into(),
+        config: Json::Null,
+        report: SimReport::default(),
+    };
+    let _ = Sweep::new()
         .scenario("dup", wb.scenario(&SimConfig::baseline(), &spec))
         .scenario("dup", wb.scenario(&SimConfig::baseline(), &spec))
-        .skip_labels(["dup".to_string()]);
-    let _ = sweep.run();
+        .resume("dup.jsonl", &[row]);
 }

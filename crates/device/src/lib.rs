@@ -28,7 +28,7 @@ pub use flash::FlashModel;
 pub use ftl::{Ftl, FtlConfig, FtlStats};
 pub use iolog::{IoDirection, IoLog, IoLogEntry};
 pub use ram::RamModel;
-pub use ssd::{SsdConfig, SsdModel, WindowStat};
+pub use ssd::{SsdConfig, SsdModel, WindowAcc, WindowStat};
 
 /// Re-export: simulated time type used by every latency function.
 pub use fcache_des::SimTime;

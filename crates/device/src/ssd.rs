@@ -169,6 +169,95 @@ pub struct WindowStat {
     pub writes: u64,
 }
 
+/// Folds serviced I/Os into one [`WindowStat`] per `window` I/Os: the
+/// accumulator behind both [`SsdModel::replay_windows`] and the engine's
+/// in-run device windows.
+#[derive(Clone, Debug)]
+pub struct WindowAcc {
+    window: u64,
+    start_io: u64,
+    ios: u64,
+    read_ns: u64,
+    reads: u64,
+    write_ns: u64,
+    writes: u64,
+    closed: Vec<WindowStat>,
+}
+
+impl WindowAcc {
+    /// An accumulator closing a window every `window` I/Os.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn new(window: usize) -> Self {
+        assert!(window > 0, "window must be nonzero");
+        Self {
+            window: window as u64,
+            start_io: 0,
+            ios: 0,
+            read_ns: 0,
+            reads: 0,
+            write_ns: 0,
+            writes: 0,
+            closed: Vec::new(),
+        }
+    }
+
+    /// Adds one serviced I/O, closing the window when it is full.
+    pub fn record(&mut self, dir: IoDirection, t: SimTime) {
+        match dir {
+            IoDirection::Read => {
+                self.reads += 1;
+                self.read_ns += t.as_nanos();
+            }
+            IoDirection::Write => {
+                self.writes += 1;
+                self.write_ns += t.as_nanos();
+            }
+        }
+        self.ios += 1;
+        if self.ios >= self.window {
+            self.close();
+        }
+    }
+
+    /// Takes the closed windows plus the partial current one, if any I/O
+    /// landed in it; later I/Os start a new window.
+    pub fn take(&mut self) -> Vec<WindowStat> {
+        if self.ios > 0 {
+            self.close();
+        }
+        std::mem::take(&mut self.closed)
+    }
+
+    fn close(&mut self) {
+        self.closed.push(WindowStat {
+            start_io: self.start_io,
+            read_avg_us: if self.reads > 0 {
+                self.read_ns as f64 / self.reads as f64 / 1000.0
+            } else {
+                0.0
+            },
+            write_avg_us: if self.writes > 0 {
+                self.write_ns as f64 / self.writes as f64 / 1000.0
+            } else {
+                0.0
+            },
+            reads: self.reads,
+            writes: self.writes,
+        });
+        self.start_io += self.ios;
+        (
+            self.ios,
+            self.read_ns,
+            self.reads,
+            self.write_ns,
+            self.writes,
+        ) = (0, 0, 0, 0, 0);
+    }
+}
+
 /// Stateful SSD latency generator.
 pub struct SsdModel {
     cfg: SsdConfig,
@@ -278,62 +367,12 @@ impl SsdModel {
     /// exactly the data behind Figure 1 ("Each point is the average of
     /// 10,000 block I/Os").
     pub fn replay_windows(&mut self, log: &[IoLogEntry], window: usize) -> Vec<WindowStat> {
-        assert!(window > 0, "window must be nonzero");
-        let mut out = Vec::with_capacity(log.len() / window + 1);
-        let mut i = 0u64;
-        let (mut rs, mut rn, mut ws, mut wn) = (0u64, 0u64, 0u64, 0u64);
-        let mut start = 0u64;
+        let mut acc = WindowAcc::new(window);
         for e in log {
             let t = self.service(*e);
-            match e.dir {
-                IoDirection::Read => {
-                    rs += t.as_nanos();
-                    rn += 1;
-                }
-                IoDirection::Write => {
-                    ws += t.as_nanos();
-                    wn += 1;
-                }
-            }
-            i += 1;
-            if i.is_multiple_of(window as u64) {
-                out.push(WindowStat {
-                    start_io: start,
-                    read_avg_us: if rn > 0 {
-                        rs as f64 / rn as f64 / 1000.0
-                    } else {
-                        0.0
-                    },
-                    write_avg_us: if wn > 0 {
-                        ws as f64 / wn as f64 / 1000.0
-                    } else {
-                        0.0
-                    },
-                    reads: rn,
-                    writes: wn,
-                });
-                start = i;
-                (rs, rn, ws, wn) = (0, 0, 0, 0);
-            }
+            acc.record(e.dir, t);
         }
-        if rn + wn > 0 {
-            out.push(WindowStat {
-                start_io: start,
-                read_avg_us: if rn > 0 {
-                    rs as f64 / rn as f64 / 1000.0
-                } else {
-                    0.0
-                },
-                write_avg_us: if wn > 0 {
-                    ws as f64 / wn as f64 / 1000.0
-                } else {
-                    0.0
-                },
-                reads: rn,
-                writes: wn,
-            });
-        }
-        out
+        acc.take()
     }
 }
 

@@ -18,8 +18,8 @@
 //!   `k` of `P` owns cells `cell % P == k` and streams finished rows to
 //!   its own JSONL part file, flushing per row; a killed worker loses at
 //!   most its unflushed final line, and a `--resume` rerun picks up the
-//!   remaining cells ([`JsonlSink::resume`] semantics, with fleet
-//!   identity checks so a part file from a different fleet is refused).
+//!   remaining cells ([`JsonlSink::resume`] + [`Sweep::resume`], whose
+//!   checks refuse a part file from a different fleet).
 //!
 //! Every per-cell input — config, trace seed, label — is a pure function
 //! of the base config and the cell index, and the merge step orders rows
@@ -34,16 +34,13 @@
 //! and p50/p95/p99 of per-host mean latency *across hosts* — the "how bad
 //! is the unluckiest host" view a single-cell report cannot give.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use fcache::results::config_to_json;
 use fcache::{
     DecodedRow, FleetPlan, FleetStats, JsonlSink, MemorySink, MetricsSnapshot, ResultRow,
     ResultSink, SimConfig, SimReport, Sweep, Workbench, WorkloadSpec,
 };
-use fcache_types::Json;
 
 /// What to simulate: the fleet's shape plus the per-cell workload
 /// template, in paper-scale units.
@@ -133,22 +130,14 @@ impl Fleet {
         &self.spec
     }
 
-    /// The serialized configuration cell `cell`'s result row carries
-    /// (scaled, topology attached) — the fleet identity a resumed part
-    /// file is checked against.
-    fn cell_config_json(&self, plan: &FleetPlan, cell: u32) -> Json {
-        let cfg = plan
-            .cell_config(&self.base, cell)
-            .scaled_down(self.spec.scale);
-        config_to_json(&cfg)
-    }
-
-    /// Runs `cells` in-process, streaming each finished row — reindexed
-    /// from sweep push order to its global cell index — into `sink`.
+    /// Runs `cells` in-process, streaming each finished row — indexed by
+    /// its global cell — into `sink`. With `resumed` (a part file and the
+    /// rows it already holds), [`Sweep::resume`] checks those rows and
+    /// skips their cells.
     fn run_cells(
         &self,
         cells: &[u32],
-        skip: Vec<String>,
+        resumed: Option<(&Path, &[DecodedRow])>,
         sink: &mut dyn ResultSink,
     ) -> io::Result<WorkerReport> {
         let plan = self.plan();
@@ -157,13 +146,13 @@ impl Fleet {
         for &cell in cells {
             let cfg = plan.cell_config(&self.base, cell);
             let spec = plan.cell_spec(&self.spec.workload, cell);
-            sweep = sweep.scenario(plan.cell_label(cell), wb.scenario(&cfg, &spec));
+            let scenario = wb.scenario(&cfg, &spec);
+            sweep = sweep.scenario_at(cell as usize, plan.cell_label(cell), scenario);
         }
-        let mut reindex = ReindexSink {
-            map: cells.iter().map(|&c| c as usize).collect(),
-            inner: sink,
-        };
-        let results = sweep.skip_labels(skip).sink(&mut reindex).run();
+        if let Some((part, rows)) = resumed {
+            sweep = sweep.resume(part, rows)?;
+        }
+        let results = sweep.sink(sink).run();
         if let Some(e) = results.sink_error() {
             return Err(io::Error::new(e.kind(), e.to_string()));
         }
@@ -184,7 +173,7 @@ impl Fleet {
     pub fn run(&self) -> io::Result<FleetRun> {
         let cells = self.plan().worker_cells(1, 0);
         let mut sink = MemorySink::new();
-        self.run_cells(&cells, Vec::new(), &mut sink)?;
+        self.run_cells(&cells, None, &mut sink)?;
         Ok(FleetRun {
             rows: sink.into_rows(),
         })
@@ -194,10 +183,11 @@ impl Fleet {
     /// (`cell % procs == worker`) and streams their rows to the worker's
     /// part file ([`worker_part_path`]), one flushed JSONL line per cell.
     ///
-    /// With `resume`, rows already in the part file are verified against
-    /// this fleet's identity (label, cell index, serialized config —
-    /// mismatches are refused, not overwritten) and their cells skipped,
-    /// so a rerun after a kill completes only the missing cells.
+    /// With `resume`, rows already in the part file are checked by
+    /// [`Sweep::resume`] against this worker's cells (label, cell index,
+    /// serialized config — mismatches are refused, not overwritten) and
+    /// their cells skipped, so a rerun after a kill completes only the
+    /// missing cells.
     pub fn run_worker(
         &self,
         out: &Path,
@@ -208,56 +198,12 @@ impl Fleet {
         let plan = self.plan();
         let cells = plan.worker_cells(procs, worker);
         let part = worker_part_path(out, worker);
-        let (mut sink, skip) = if resume {
-            let (sink, rows) = JsonlSink::resume(&part)?;
-            let skip = self.check_resumed(&plan, &cells, &rows, &part)?;
-            (sink, skip)
+        if resume {
+            let (mut sink, rows) = JsonlSink::resume(&part)?;
+            self.run_cells(&cells, Some((&part, &rows)), &mut sink)
         } else {
-            (JsonlSink::create(&part)?, Vec::new())
-        };
-        self.run_cells(&cells, skip, &mut sink)
-    }
-
-    /// Verifies that resumed part-file rows belong to this worker's slice
-    /// of this fleet; returns their labels (the cells to skip).
-    fn check_resumed(
-        &self,
-        plan: &FleetPlan,
-        cells: &[u32],
-        rows: &[DecodedRow],
-        part: &Path,
-    ) -> io::Result<Vec<String>> {
-        let expected: HashMap<String, u32> =
-            cells.iter().map(|&c| (plan.cell_label(c), c)).collect();
-        let refuse = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
-        let mut skip = Vec::with_capacity(rows.len());
-        for row in rows {
-            let Some(&cell) = expected.get(&row.label) else {
-                return Err(refuse(format!(
-                    "{}: row {:?} is not one of this worker's cells; refusing to resume",
-                    part.display(),
-                    row.label
-                )));
-            };
-            if row.index != cell as usize {
-                return Err(refuse(format!(
-                    "{}: row {:?} has index {} but cell {}; refusing to resume",
-                    part.display(),
-                    row.label,
-                    row.index,
-                    cell
-                )));
-            }
-            if row.config != self.cell_config_json(plan, cell) {
-                return Err(refuse(format!(
-                    "{}: row {:?} ran a different configuration; refusing to resume",
-                    part.display(),
-                    row.label
-                )));
-            }
-            skip.push(row.label.clone());
+            self.run_cells(&cells, None, &mut JsonlSink::create(&part)?)
         }
-        Ok(skip)
     }
 
     /// Merges the `procs` worker part files into `out`, ordered by cell
@@ -266,31 +212,20 @@ impl Fleet {
     /// byte-identical to a single-process run of the same fleet.
     pub fn merge_parts(&self, out: &Path, procs: u32) -> io::Result<Vec<DecodedRow>> {
         let cells = self.plan().cells() as usize;
-        let mut slots: Vec<Option<(String, DecodedRow)>> = vec![None; cells];
+        let mut slots: Vec<Option<(Vec<u8>, DecodedRow)>> = vec![None; cells];
         for w in 0..procs {
             let part = worker_part_path(out, w);
-            let text = std::fs::read_to_string(&part)?;
-            for (ln, line) in text.lines().enumerate() {
-                if line.is_empty() {
-                    continue;
-                }
-                let bad = |why: String| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}:{}: {why}", part.display(), ln + 1),
-                    )
-                };
-                let v = Json::parse(line).map_err(|e| bad(e.to_string()))?;
-                let row = fcache::row_from_json(&v).map_err(bad)?;
-                if row.index >= cells {
-                    return Err(bad(format!("cell index {} out of range", row.index)));
-                }
-                if slots[row.index].is_some() {
-                    return Err(bad(format!("cell {} appears twice", row.index)));
-                }
+            fcache::decode_rows(&part, &std::fs::read(&part)?, false, |line, row| {
                 let i = row.index;
-                slots[i] = Some((line.to_string(), row));
-            }
+                if i >= cells {
+                    return Err(format!("cell index {i} out of range"));
+                }
+                if slots[i].is_some() {
+                    return Err(format!("cell {i} appears twice"));
+                }
+                slots[i] = Some((line.to_vec(), row));
+                Ok(())
+            })?;
         }
         let missing: Vec<usize> = slots
             .iter()
@@ -308,15 +243,15 @@ impl Fleet {
                 ),
             ));
         }
-        let mut text = String::new();
+        let mut bytes = Vec::new();
         let mut rows = Vec::with_capacity(cells);
         for slot in slots {
             let (line, row) = slot.expect("missing cells were rejected above");
-            text.push_str(&line);
-            text.push('\n');
+            bytes.extend_from_slice(&line);
+            bytes.push(b'\n');
             rows.push(row);
         }
-        std::fs::write(out, text)?;
+        std::fs::write(out, bytes)?;
         Ok(rows)
     }
 }
@@ -326,26 +261,6 @@ pub fn worker_part_path(out: &Path, worker: u32) -> PathBuf {
     let mut s = out.as_os_str().to_os_string();
     s.push(format!(".{worker}"));
     PathBuf::from(s)
-}
-
-/// Rewrites each row's sweep push index to its global cell index before
-/// forwarding, so part files (and in-process rows) carry fleet-wide
-/// identity no matter which worker — or which subset of cells — produced
-/// them.
-struct ReindexSink<'s> {
-    map: Vec<usize>,
-    inner: &'s mut dyn ResultSink,
-}
-
-impl ResultSink for ReindexSink<'_> {
-    fn on_row(&mut self, mut row: ResultRow) -> io::Result<()> {
-        row.index = self.map[row.index];
-        self.inner.on_row(row)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
 }
 
 /// An in-process fleet run: one row per cell, in cell order.
@@ -463,7 +378,7 @@ impl std::fmt::Display for FleetSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcache_types::ByteSize;
+    use fcache_types::{ByteSize, Json};
 
     /// A small, fast fleet: 24 hosts in 8-host cells, 2 hosts per wire.
     fn tiny_fleet() -> Fleet {
@@ -578,6 +493,34 @@ mod tests {
         other.base.seed = 999;
         let err = other.run_worker(&out, 1, 0, true).unwrap_err();
         assert!(err.to_string().contains("different configuration"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_refuses_a_row_whose_index_is_not_the_workers_cell() {
+        let fleet = tiny_fleet();
+        let dir = std::env::temp_dir().join("fcache_fleet_unit_index");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("fleet.jsonl");
+        fleet.run_worker(&out, 1, 0, false).expect("worker");
+
+        // Keep one row, label and config intact, under the index of a
+        // cell this fleet does not have.
+        let part = worker_part_path(&out, 0);
+        let text = std::fs::read_to_string(&part).unwrap();
+        let line = text.lines().next().unwrap();
+        let row = fcache::row_from_json(&Json::parse(line).unwrap()).unwrap();
+        let moved = line.replacen(&format!("\"index\":{}", row.index), "\"index\":7", 1);
+        assert_ne!(moved, line);
+        std::fs::write(&part, format!("{moved}\n")).unwrap();
+
+        let err = fleet.run_worker(&out, 1, 0, true).unwrap_err();
+        assert!(err.to_string().contains("has index 7"), "{err}");
+        assert_eq!(
+            std::fs::read_to_string(&part).unwrap(),
+            format!("{moved}\n")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -80,7 +80,10 @@ fn stats_conserve_packets_and_bytes_under_contention() {
 
 /// Resolves a spec's net schedules onto a segment (time scale 1).
 fn seg_with_faults(sim: &Sim, spec: &str, seed: u64) -> Segment {
-    let set = FaultPlan::parse(spec).expect("valid spec").resolve(seed, 1);
+    let set = FaultPlan::parse(spec)
+        .expect("valid spec")
+        .resolve_sharded(seed, 1, 1)
+        .expect("no shard clauses");
     Segment::new(sim.clone(), NetConfig::default()).with_faults(
         set.net_to_server,
         set.net_from_server,
@@ -194,7 +197,8 @@ fn a_full_duplex_grantee_draws_after_the_other_channel_at_its_instant() {
     let sim = Sim::new();
     let set = FaultPlan::parse("net:err0.5@0s-1000s")
         .unwrap()
-        .resolve(seed, 1);
+        .resolve_sharded(seed, 1, 1)
+        .unwrap();
     let seg = Segment::new_duplex(sim.clone(), NetConfig::default()).with_faults(
         set.net_to_server,
         set.net_from_server,
@@ -229,7 +233,10 @@ fn a_hand_over_draws_from_the_grantees_own_schedule() {
     // still meets its own outage.
     let sim = Sim::new();
     let plain = Segment::new(sim.clone(), NetConfig::default());
-    let set = FaultPlan::parse("net:outage@0s-10s").unwrap().resolve(1, 1);
+    let set = FaultPlan::parse("net:outage@0s-10s")
+        .unwrap()
+        .resolve_sharded(1, 1, 1)
+        .unwrap();
     let faulted = plain
         .clone()
         .with_faults(set.net_to_server, set.net_from_server, 1);

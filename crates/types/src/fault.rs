@@ -12,7 +12,7 @@
 //! codec so result rows carry the injected faults alongside the config.
 //!
 //! Nothing here consumes wall-clock time or global randomness:
-//! stochastic *episode* windows are expanded by [`FaultPlan::resolve`]
+//! stochastic *episode* windows are expanded by [`FaultPlan::resolve_sharded`]
 //! from a caller-provided seed with a splitmix/mix64 stream, so two runs
 //! with the same seed see bit-identical fault timelines.
 //!
@@ -74,7 +74,7 @@ pub enum FaultKind {
 }
 
 /// When the fault is active, in *paper-scale* nanoseconds of simulated
-/// time. [`FaultPlan::resolve`] divides by the run's time scale, so a
+/// time. [`FaultPlan::resolve_sharded`] divides by the run's time scale, so a
 /// window written for the full-size workload lands proportionally in a
 /// scaled-down one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -755,27 +755,19 @@ fn exp_ns(mean_ns: u64, seed: u64, ctr: &mut u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// Resolves the plan into concrete per-target schedules.
+    /// Resolves the plan into concrete per-target schedules against a
+    /// remote tier of `shard_count` shards (the default single filer is
+    /// one shard).
     ///
     /// `seed` drives the episode expansion (clause-indexed, so adding a
     /// clause does not perturb the others); `time_div` is the run's time
     /// scale — paper-scale windows divide down so a spec written for the
     /// full 60 GB workload lands proportionally in a scaled-down run.
     ///
-    /// Shard clauses (`shard<k>`/`shard*`) are skipped here — they only
-    /// make sense against a concrete topology, which is why the engine
-    /// always resolves through [`FaultPlan::resolve_sharded`] with its
-    /// shard count (the default single filer is one shard).
-    pub fn resolve(&self, seed: u64, time_div: u64) -> ResolvedFaultSet {
-        self.resolve_inner(seed, time_div, 0)
-    }
-
-    /// [`FaultPlan::resolve`] against a sharded remote tier with
-    /// `shard_count` shards: shard clauses land on their shard's schedule
-    /// (`shard*` on every shard), filer clauses land on the whole-backend
-    /// `filer` schedule *and* every shard (the fleet shares the filer's
-    /// fate), and a clause naming a shard outside the topology is an
-    /// error.
+    /// Shard clauses land on their shard's schedule (`shard*` on every
+    /// shard), filer clauses land on the whole-backend `filer` schedule
+    /// *and* every shard (the fleet shares the filer's fate), and a clause
+    /// naming a shard outside the topology is an error.
     pub fn resolve_sharded(
         &self,
         seed: u64,
@@ -977,7 +969,7 @@ mod tests {
     #[test]
     fn resolve_scales_intervals_by_time_div() {
         let plan = FaultPlan::parse("filer:outage@40s-60s").unwrap();
-        let set = plan.resolve(42, 16_384);
+        let set = plan.resolve_sharded(42, 16_384, 1).unwrap();
         assert_eq!(set.filer.windows().len(), 1);
         let w = &set.filer.windows()[0];
         assert_eq!(w.start_ns, 40_000_000_000 / 16_384);
@@ -988,7 +980,7 @@ mod tests {
     #[test]
     fn effect_precedence_and_draw_discipline() {
         let plan = FaultPlan::parse("filer:outage@10s-20s;filer:slowx4@5s-30s").unwrap();
-        let set = plan.resolve(1, 1);
+        let set = plan.resolve_sharded(1, 1, 1).unwrap();
         let mut draws = 0u32;
         let mut draw = || {
             draws += 1;
@@ -1015,7 +1007,7 @@ mod tests {
     #[test]
     fn error_rate_draws_once_per_open_window() {
         let plan = FaultPlan::parse("filer:err0.5@0s-10s").unwrap();
-        let set = plan.resolve(1, 1);
+        let set = plan.resolve_sharded(1, 1, 1).unwrap();
         let mut seq = [0.4, 0.6].into_iter();
         let mut draw = || seq.next().unwrap();
         assert!(matches!(
@@ -1029,7 +1021,7 @@ mod tests {
     fn outage_spans_merge_and_overlap() {
         let plan =
             FaultPlan::parse("filer:outage@1s-3s;filer:outage@2s-4s;filer:outage@10s-11s").unwrap();
-        let set = plan.resolve(0, 1);
+        let set = plan.resolve_sharded(0, 1, 1).unwrap();
         assert_eq!(
             set.filer.outage_spans(),
             vec![
@@ -1124,10 +1116,6 @@ mod tests {
             Some(20_000_000_000)
         );
         assert_eq!(set.shards[0].outage_until(15_000_000_000), None);
-        // Legacy resolve skips shard clauses entirely.
-        let legacy = plan.resolve(42, 1);
-        assert!(legacy.shards.is_empty());
-        assert_eq!(legacy.filer.windows().len(), 1);
     }
 
     #[test]
@@ -1144,9 +1132,9 @@ mod tests {
     #[test]
     fn episode_resolution_is_seed_deterministic() {
         let plan = FaultPlan::parse("device:outage@~4x1ms/5ms").unwrap();
-        let a = plan.resolve(7, 1);
-        let b = plan.resolve(7, 1);
-        let c = plan.resolve(8, 1);
+        let a = plan.resolve_sharded(7, 1, 1).unwrap();
+        let b = plan.resolve_sharded(7, 1, 1).unwrap();
+        let c = plan.resolve_sharded(8, 1, 1).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.device.windows().len(), 4);

@@ -77,12 +77,13 @@ fn main() {
     std::fs::write(&path, partial).expect("truncate");
     println!("simulated crash: 4 complete rows + a torn fifth line");
 
-    // Pass 2: resume. JsonlSink::resume drops the torn tail and appends;
-    // Sweep::resume_from skips the labels already present.
+    // Pass 2: resume. JsonlSink::resume drops the torn tail, appends, and
+    // returns the rows already present; Sweep::resume checks each is one
+    // of this grid's jobs and skips it.
     let (mut sink, seen) = JsonlSink::resume(&path).expect("resume results file");
     let results = grid(&wb, &specs)
-        .resume_from(&path)
-        .expect("scan results file")
+        .resume(&path, &seen)
+        .expect("rows belong to this grid")
         .sink(&mut sink)
         .run();
     assert!(results.first_error().is_none() && results.sink_error().is_none());
