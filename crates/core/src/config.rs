@@ -142,7 +142,7 @@ pub struct SimConfig {
     /// windows are paper-scale and divide by `time_scale` at resolve time.
     pub fault_plan: FaultPlan,
     /// Client robustness parameters (timeouts, retries, degraded-mode
-    /// policy). Consulted only when `fault_plan` is non-empty.
+    /// policy). Consulted only when an injected fault fires.
     pub robustness: RobustnessConfig,
     /// Telemetry window length for the unified time series (paper-scale;
     /// divides by `time_scale`). `None` (default) disables the series.
@@ -151,10 +151,9 @@ pub struct SimConfig {
     pub telemetry_windows: Option<fcache_des::SimTime>,
     /// Fleet placement of this run: which cell of how many, the global
     /// host ids it covers, and the network fan-in (hosts per shared
-    /// segment). `None` — the default — keeps the pre-fleet engine:
-    /// private per-host segments, one shared metrics sink (PERF.md
-    /// invariant 13). `Some` engages per-host metrics, fan-in-grouped
-    /// shared segments, and the report's `fleet` section.
+    /// segment). `None` — the default — gives every host a private
+    /// segment (PERF.md invariant 13). `Some` engages fan-in-grouped
+    /// shared segments and the report's `fleet` section.
     pub fleet: Option<FleetTopology>,
     /// Span-stream output path: one JSONL row per completed measured op,
     /// in completion order (see `crate::telemetry`). `None` (default)
@@ -269,13 +268,6 @@ impl SimConfig {
     /// `None`, the literal pre-telemetry code path.
     pub fn telemetry_engaged(&self) -> bool {
         self.telemetry_windows.is_some() || self.trace_out.is_some()
-    }
-
-    /// Whether this run is a fleet cell: per-host metrics, fan-in-grouped
-    /// shared network segments, and a `fleet` report section. Off — the
-    /// default — is the literal pre-fleet engine (PERF.md invariant 13).
-    pub fn fleet_engaged(&self) -> bool {
-        self.fleet.is_some()
     }
 
     /// Hosts sharing one network segment: the fleet topology's fan-in, or
@@ -496,7 +488,6 @@ mod tests {
     #[test]
     fn fleet_engagement_and_table_line() {
         let base = SimConfig::baseline();
-        assert!(!base.fleet_engaged());
         assert_eq!(base.net_fanin(), 1);
         assert!(!base.timing_table().contains("Fleet cell"));
         let cell = SimConfig {
@@ -509,7 +500,6 @@ mod tests {
             }),
             ..SimConfig::baseline()
         };
-        assert!(cell.fleet_engaged());
         assert_eq!(cell.net_fanin(), 16);
         let t = cell.timing_table();
         assert!(t.contains("Fleet cell") && t.contains("cell 1/4"), "{t}");

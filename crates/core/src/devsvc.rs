@@ -33,7 +33,6 @@
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use fcache_des::executor::Sleep;
@@ -46,7 +45,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{FlashTiming, SimConfig};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use crate::robust::RobustnessState;
 use crate::telemetry::{enter, OpSpan};
 
 /// Per-host flash device timing service. Owned by each
@@ -70,9 +68,9 @@ pub struct DeviceService {
     lba_space: u64,
     /// Queue-aware SSD state; `None` in flat mode.
     ssd: Option<SsdQueue>,
-    /// Fault-injection state; `None` — the default — keeps every dispatch
-    /// path byte-identical to the pre-fault service.
-    faults: Option<DevFaults>,
+    /// Fault-injection state; its schedule is empty unless the run's plan
+    /// targets the device.
+    faults: DevFaults,
 }
 
 /// Device-target fault state (see `fcache_types::fault`).
@@ -81,10 +79,13 @@ struct DevFaults {
     sched: FaultSchedule,
     /// Error-rate draw stream (per host, seeded from the run seed).
     rng: RefCell<SmallRng>,
-    /// Shared robustness counters (queued/retried dispatches).
-    state: Rc<RobustnessState>,
     /// Pause before re-probing after a transient device error.
     retry: SimTime,
+    /// Dispatches parked by an outage; folded into the run's
+    /// `queued_ops` at collection.
+    queued: Cell<u64>,
+    /// Re-probes after a transient error; folded into `retries`.
+    retries: Cell<u64>,
 }
 
 /// The NCQ-style service queue plus the behavioral model behind it.
@@ -281,38 +282,43 @@ impl DeviceService {
             persistent: cfg.flash_model.persistent,
             lba_space: cfg.flash_blocks().max(1) as u64,
             ssd,
-            faults: None,
+            faults: DevFaults {
+                sched: FaultSchedule::default(),
+                rng: RefCell::new(SmallRng::seed_from_u64(0)),
+                retry: SimTime::ZERO,
+                queued: Cell::new(0),
+                retries: Cell::new(0),
+            },
         }
     }
 
-    /// Attaches a device fault schedule (builder style; used only when the
-    /// run has a non-empty fault plan). `retry` is the already-scaled pause
-    /// between dispatch attempts after a transient device error.
-    pub(crate) fn with_faults(
-        mut self,
-        sched: FaultSchedule,
-        seed: u64,
-        state: Rc<RobustnessState>,
-        retry: SimTime,
-    ) -> Self {
-        self.faults = Some(DevFaults {
+    /// Sets the device fault schedule (builder style) and seeds its error
+    /// draws. `retry` is the already-scaled pause between dispatch
+    /// attempts after a transient device error.
+    pub(crate) fn with_faults(mut self, sched: FaultSchedule, seed: u64, retry: SimTime) -> Self {
+        self.faults = DevFaults {
             sched,
             rng: RefCell::new(SmallRng::seed_from_u64(seed)),
-            state,
             retry,
-        });
+            ..self.faults
+        };
         self
     }
 
+    /// Dispatches this device parked for an outage and re-probed after a
+    /// transient error, as `(queued, retries)`.
+    pub(crate) fn fault_counts(&self) -> (u64, u64) {
+        (self.faults.queued.get(), self.faults.retries.get())
+    }
+
     /// Admits one dispatch through the device fault schedule, returning the
-    /// service-time multiplier in force (1.0 when fault-free). Outages park
-    /// the dispatch until the window closes; transient errors pause and
-    /// re-probe (a cache device retries internally — the op never fails up
-    /// the stack, it just takes longer).
+    /// service-time multiplier in force (1.0 under an empty schedule,
+    /// which takes no draw and never sleeps). Outages park the dispatch
+    /// until the window closes; transient errors pause and re-probe (a
+    /// cache device retries internally — the op never fails up the stack,
+    /// it just takes longer).
     async fn fault_admit(&self, sp: Option<&OpSpan>) -> f64 {
-        let Some(f) = &self.faults else {
-            return 1.0;
-        };
+        let f = &self.faults;
         loop {
             let eff = {
                 let mut rng = f.rng.borrow_mut();
@@ -327,13 +333,13 @@ impl DeviceService {
                     until_ns: Some(end),
                     ..
                 } => {
-                    RobustnessState::bump(&f.state.queued_ops);
+                    f.queued.set(f.queued.get() + 1);
                     let wait = SimTime::from_nanos(end).saturating_sub(self.sim.now());
                     enter(sp, &self.sim, Phase::DegradedPark);
                     self.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
                 }
                 FaultEffect::Fail { until_ns: None, .. } => {
-                    RobustnessState::bump(&f.state.retries);
+                    f.retries.set(f.retries.get() + 1);
                     if let Some(s) = sp {
                         s.note_retry();
                     }
@@ -370,10 +376,10 @@ impl DeviceService {
     /// Flat-mode fast path for read hits whose latency the caller
     /// accumulates into one combined sleep (the unified lookup loop):
     /// returns `Some(latency)` after logging the access, or `None` in SSD
-    /// mode, where the caller must collect the block and [`Self::read`]
-    /// it through the queue after the loop.
+    /// mode or when the device schedule has windows, where the caller must
+    /// collect the block and [`Self::read`] it after the loop.
     pub fn try_flat_read(&self, addr: BlockAddr) -> Option<SimTime> {
-        if self.ssd.is_some() || self.faults.is_some() {
+        if self.ssd.is_some() || !self.faults.sched.is_empty() {
             // Fault handling may need to park the dispatch, which cannot
             // happen under the caller's cache borrow — route through
             // [`Self::read`] like an SSD-mode hit.
@@ -388,11 +394,7 @@ impl DeviceService {
     pub async fn read(&self, addr: BlockAddr, sp: Option<&OpSpan>) {
         let lba = self.lba(addr);
         self.iolog.log_read(lba);
-        let m = if self.faults.is_none() {
-            1.0
-        } else {
-            self.fault_admit(sp).await
-        };
+        let m = self.fault_admit(sp).await;
         match &self.ssd {
             None => {
                 enter(sp, &self.sim, Phase::DeviceService);
@@ -417,11 +419,7 @@ impl DeviceService {
         }
         // One batch is one request stream: admit it through the fault
         // schedule once, like one command at the device interface.
-        let m = if self.faults.is_none() {
-            1.0
-        } else {
-            self.fault_admit(sp).await
-        };
+        let m = self.fault_admit(sp).await;
         match &self.ssd {
             None => {
                 for &a in addrs {
@@ -465,11 +463,7 @@ impl DeviceService {
     /// meta-data" — overlapped across the NCQ like any other batch.
     pub async fn write(&self, addr: BlockAddr, sp: Option<&OpSpan>) {
         let lba = self.lba(addr);
-        let m = if self.faults.is_none() {
-            1.0
-        } else {
-            self.fault_admit(sp).await
-        };
+        let m = self.fault_admit(sp).await;
         match &self.ssd {
             None => {
                 enter(sp, &self.sim, Phase::DeviceService);

@@ -20,7 +20,7 @@ use crate::arch::Architecture;
 use crate::flush::{self, Tier};
 use crate::host::{HostCtx, RemoteCtx};
 use crate::policy::WritebackPolicy;
-use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState};
+use crate::robust::{DegradedPolicy, RobustnessState};
 use crate::scratch;
 use crate::telemetry::{enter, OpSpan};
 
@@ -433,8 +433,7 @@ async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Opt
             Ok(()) => return,
             Err(_) => {
                 attempt += 1;
-                let f = h.fault.as_ref().expect("fault-free exchanges cannot fail");
-                failed_attempt(h, f, attempt, sp).await;
+                failed_attempt(h, attempt, sp).await;
             }
         }
     }
@@ -442,7 +441,7 @@ async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Opt
 
 // ---------------------------------------------------------------------------
 // Backend exchanges: "each I/O request uses one packet in each direction"
-// (§5). Without a fault plan the `try_*` legs are the plain calls.
+// (§5). Each leg draws from its schedule; an empty one never fails it.
 // ---------------------------------------------------------------------------
 
 /// One read exchange with `shard` over this host's segment to it: request
@@ -481,19 +480,16 @@ async fn write_exchange(h: &HostCtx, shard: u16, sp: Option<&OpSpan>) -> Result<
 // ---------------------------------------------------------------------------
 
 /// True when the filer fault schedule has an outage open right now. Always
-/// false without a fault plan, so write-through degradation never engages
-/// on fault-free runs.
+/// false under an empty schedule, so write-through degradation never
+/// engages on fault-free runs.
 fn filer_down(h: &HostCtx) -> bool {
-    h.fault
-        .as_ref()
-        .is_some_and(|f| f.set.filer.outage_until(h.sim.now().as_nanos()).is_some())
+    let now = h.sim.now().as_nanos();
+    h.fault.state.filer.outage_until(now).is_some()
 }
 
 /// Counts one write-through write degraded to buffered writeback.
 fn buffered_write(h: &HostCtx) {
-    if let Some(f) = &h.fault {
-        RobustnessState::bump(&f.state.buffered_writes);
-    }
+    RobustnessState::bump(&h.fault.state.buffered_writes);
 }
 
 /// While every shard of `ring` is in outage, sleeps until the first of
@@ -505,8 +501,7 @@ async fn park_until_live(h: &HostCtx, ring: ReplicaSet, sp: Option<&OpSpan>) {
         .store
         .ring_outage_until(ring, h.sim.now().as_nanos())
     {
-        let f = h.fault.as_ref().expect("outages require a fault plan");
-        RobustnessState::bump(&f.state.queued_ops);
+        RobustnessState::bump(&h.fault.state.queued_ops);
         let wait = SimTime::from_nanos(clear_ns).saturating_sub(h.sim.now());
         enter(sp, &h.sim, Phase::DegradedPark);
         h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
@@ -515,7 +510,8 @@ async fn park_until_live(h: &HostCtx, ring: ReplicaSet, sp: Option<&OpSpan>) {
 
 /// Charges one failed exchange attempt: the per-op timeout, then the
 /// jittered exponential backoff before the retry.
-async fn failed_attempt(h: &HostCtx, f: &FaultCtx, attempt: u32, sp: Option<&OpSpan>) {
+async fn failed_attempt(h: &HostCtx, attempt: u32, sp: Option<&OpSpan>) {
+    let f = &h.fault;
     RobustnessState::bump(&f.state.timeouts);
     enter(sp, &h.sim, Phase::RetryBackoff);
     h.sim.sleep(f.op_timeout).await;
@@ -534,11 +530,9 @@ async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bo
     // clauses and shard-local clauses each contribute one distinct window,
     // so availability-per-window covers a single shard's outage as well as
     // a fleet-wide one.
-    let widx = h.fault.as_ref().map(|f| {
-        let w = f.acct.window_index_at(h.sim.now().as_nanos());
-        f.state.window_op(w);
-        w
-    });
+    let state = &h.fault.state;
+    let widx = state.acct.window_index_at(h.sim.now().as_nanos());
+    state.window_op(widx);
     let router = h.remote.store.router();
     let ok = if router.shards() == 1 {
         // One shard owns every block: no partition copy.
@@ -557,10 +551,7 @@ async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bo
         ok
     };
     if ok {
-        if let Some(f) = &h.fault {
-            f.state
-                .window_ok(widx.expect("widx set when fault ctx exists"));
-        }
+        state.window_ok(widx);
     }
     ok
 }
@@ -584,7 +575,7 @@ async fn fetch_group(
         let mut live = r.store.live_in(ring, now);
         let Some(first) = live.next() else {
             // The whole replica set is down: no replica can serve.
-            let f = h.fault.as_ref().expect("outages require a fault plan");
+            let f = &h.fault;
             match f.cfg.degraded {
                 DegradedPolicy::Queue => {
                     // Availability first: park the miss until a replica
@@ -614,7 +605,7 @@ async fn fetch_group(
                 return true;
             }
             Err(e) => {
-                let f = h.fault.as_ref().expect("fault-free exchanges cannot fail");
+                let f = &h.fault;
                 if attempt >= f.cfg.max_retries {
                     RobustnessState::bump(&f.state.timeouts);
                     enter(sp, &h.sim, Phase::RetryBackoff);
@@ -623,7 +614,7 @@ async fn fetch_group(
                     return false;
                 }
                 attempt += 1;
-                failed_attempt(h, f, attempt, sp).await;
+                failed_attempt(h, attempt, sp).await;
             }
         }
     }

@@ -89,7 +89,8 @@ pub(crate) struct HostCtx {
     pub flash: RefCell<BlockCache>,
     /// Unified cache (only for [`crate::Architecture::Unified`]).
     pub unified: Option<RefCell<UnifiedCache>>,
-    /// Shared metrics sink.
+    /// This host's metrics sink, folded with the other hosts' at
+    /// collection.
     pub metrics: Metrics,
     /// Flash I/O log (for Figure 1 replay; usually disabled). The device
     /// service holds a clone and appends every flash access it times.
@@ -112,11 +113,10 @@ pub(crate) struct HostCtx {
     /// of long-lived worker daemons (see `crate::flush`): policy `a` runs
     /// allocation-free once the pool has grown to the peak concurrency.
     pub flushq: FlushQueue,
-    /// Fault-injection context (resolved schedules, retry parameters,
-    /// shared robustness counters). `None` — the default — means every
-    /// fault-aware path collapses to its pre-fault form (see
-    /// `crate::robust`).
-    pub fault: Option<Rc<FaultCtx>>,
+    /// Fault-injection context (jitter RNG, retry parameters, the run's
+    /// shared schedules and counters; see `crate::robust`). A fault-free
+    /// run's schedules are empty.
+    pub fault: FaultCtx,
     /// The backend (router, replicas, per-shard segments).
     pub remote: RemoteCtx,
     /// Sim-time telemetry collector (op spans, unified windows, span
@@ -275,9 +275,6 @@ impl HostCtx {
         if let Some(u) = &self.unified {
             u.borrow_mut().reset_stats();
         }
-        // Outside a fleet every host shares one metrics sink, so the
-        // other hosts' resets just repeat harmlessly (the whole warmup-end
-        // sequence is synchronous); in a fleet each host resets its own.
         self.metrics.reset();
         for seg in &self.remote.segments {
             seg.reset_stats();

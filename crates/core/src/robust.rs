@@ -11,17 +11,18 @@
 //!   governing read misses during a filer outage. All durations are
 //!   simulated time (scaled by the run's `time_scale`); nothing here
 //!   touches the wall clock.
-//! - `FaultCtx` (crate-internal) — the per-host handle: the resolved
-//!   fault set, the host's jitter RNG, and the shared `RobustnessState`
-//!   counters.
+//! - `FaultCtx` (crate-internal) — the per-host handle: the host's
+//!   jitter RNG, the scaled retry parameters, and the run's shared
+//!   `RobustnessState` (the whole-backend schedules and the counters).
 //! - [`RobustnessStats`] — the frozen snapshot that lands in
 //!   `SimReport::robustness`.
 //!
-//! Determinism: jitter draws come from a per-host `SmallRng` seeded from
-//! the run seed, error draws live inside the injection seams, and the
-//! whole layer is absent (no extra draws, sleeps, or tasks) when the
-//! fault plan is empty — fault-free runs stay bit-identical to the
-//! pre-fault engine (PERF.md invariant 10).
+//! Every run builds this layer; an empty fault plan resolves to schedules
+//! with no windows. Determinism: jitter draws come from a per-host
+//! `SmallRng` seeded from the run seed, and error draws live inside the
+//! injection seams. An empty schedule takes no draw and adds no task,
+//! sleep or poll, so a fault-free run is the same engine with nothing to
+//! inject (PERF.md invariant 10).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -176,9 +177,16 @@ impl RobustnessStats {
     }
 }
 
-/// Live robustness counters, shared by every host of a run (the sim is
-/// single-threaded; `Cell`s follow the `DeviceStats` idiom).
+/// The run's shared fault state: the whole-backend schedules the engine
+/// consults and the live robustness counters every host bumps (the sim is
+/// single-threaded; `Cell`s follow the `DeviceStats` idiom). One per run.
 pub(crate) struct RobustnessState {
+    /// Whole-backend filer schedule: write-through degradation, degraded
+    /// time, and the recovery-drain probes key on its outages.
+    pub filer: FaultSchedule,
+    /// Backend accounting schedule (filer plus distinct shard windows);
+    /// per-window availability tallies index into *this*.
+    pub acct: FaultSchedule,
     pub retries: Cell<u64>,
     pub timeouts: Cell<u64>,
     pub failed_ops: Cell<u64>,
@@ -187,15 +195,20 @@ pub(crate) struct RobustnessState {
     pub drain_events: Cell<u64>,
     pub drain_depth_max: Cell<u64>,
     pub drain_time: Cell<u64>, // ns
-    /// `(ops, ok)` per filer-schedule window.
+    /// `(ops, ok)` per accounting window.
     windows: RefCell<Vec<(u64, u64)>>,
     /// First clause whose failure stuck (for `SimError::Faulted`).
     first_fail: RefCell<Option<String>>,
 }
 
 impl RobustnessState {
-    pub fn new(n_windows: usize) -> Self {
+    /// The shared state of a run resolved to `set`.
+    pub fn new(set: &ResolvedFaultSet) -> Self {
+        let acct = set.backend_accounting();
         Self {
+            filer: set.filer.clone(),
+            windows: RefCell::new(vec![(0, 0); acct.windows().len()]),
+            acct,
             retries: Cell::new(0),
             timeouts: Cell::new(0),
             failed_ops: Cell::new(0),
@@ -204,7 +217,6 @@ impl RobustnessState {
             drain_events: Cell::new(0),
             drain_depth_max: Cell::new(0),
             drain_time: Cell::new(0),
-            windows: RefCell::new(vec![(0, 0); n_windows]),
             first_fail: RefCell::new(None),
         }
     }
@@ -213,7 +225,7 @@ impl RobustnessState {
         cell.set(cell.get() + 1);
     }
 
-    /// Records a fetch first attempted inside filer window `idx`.
+    /// Records a fetch first attempted inside accounting window `idx`.
     pub fn window_op(&self, idx: Option<usize>) {
         if let Some(i) = idx {
             self.windows.borrow_mut()[i].0 += 1;
@@ -249,17 +261,16 @@ impl RobustnessState {
         self.drain_time.set(self.drain_time.get() + took.as_nanos());
     }
 
-    /// Freezes the counters, pairing window tallies with the filer
-    /// schedule's window bounds. `degraded_time` is filled by the caller
-    /// (it needs the run's end time).
-    pub fn snapshot(&self, filer: &FaultSchedule) -> RobustnessStats {
+    /// Freezes the counters at `end`, pairing window tallies with the
+    /// accounting schedule's window bounds.
+    pub fn snapshot(&self, end: SimTime) -> RobustnessStats {
         RobustnessStats {
             retries: self.retries.get(),
             timeouts: self.timeouts.get(),
             failed_ops: self.failed_ops.get(),
             queued_ops: self.queued_ops.get(),
             buffered_writes: self.buffered_writes.get(),
-            degraded_time: SimTime::ZERO,
+            degraded_time: SimTime::from_nanos(self.filer.outage_overlap(end.as_nanos())),
             drain_events: self.drain_events.get(),
             drain_depth_max: self.drain_depth_max.get(),
             drain_time: SimTime::from_nanos(self.drain_time.get()),
@@ -267,7 +278,7 @@ impl RobustnessState {
                 .windows
                 .borrow()
                 .iter()
-                .zip(filer.windows())
+                .zip(self.acct.windows())
                 .map(|(&(ops, ok), w)| FaultWindowStat {
                     start: SimTime::from_nanos(w.start_ns),
                     end: SimTime::from_nanos(w.end_ns),
@@ -279,14 +290,9 @@ impl RobustnessState {
     }
 }
 
-/// Per-host fault handle: the resolved set, this host's jitter RNG, the
-/// robustness parameters (pre-scaled to run time), and the shared
-/// counters. Present on `HostCtx` only when the plan is non-empty.
+/// Per-host fault handle: this host's jitter RNG, the robustness
+/// parameters (pre-scaled to run time), and the run's shared state.
 pub(crate) struct FaultCtx {
-    pub set: Rc<ResolvedFaultSet>,
-    /// Backend accounting schedule (filer plus distinct shard windows);
-    /// per-window availability tallies index into *this*.
-    pub acct: Rc<FaultSchedule>,
     pub cfg: RobustnessConfig,
     /// Per-op timeout, already divided by `time_scale`.
     pub op_timeout: SimTime,
@@ -333,12 +339,13 @@ mod tests {
             .unwrap()
             .resolve_sharded(0, 1, 1)
             .unwrap();
-        let st = RobustnessState::new(set.filer.windows().len());
+        let st = RobustnessState::new(&set);
         st.window_op(Some(0));
         st.window_op(Some(1));
         st.window_ok(Some(1));
         st.window_op(None);
-        let snap = st.snapshot(&set.filer);
+        let snap = st.snapshot(SimTime::from_secs(10));
+        assert_eq!(snap.degraded_time, SimTime::from_secs(1));
         assert_eq!(snap.windows.len(), 2);
         assert_eq!(snap.windows[0].ops, 1);
         assert_eq!(snap.windows[0].ok, 0);
@@ -349,15 +356,13 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_jitters_deterministically() {
-        let set = Rc::new(FaultPlan::default().resolve_sharded(0, 1, 1).unwrap());
+        let set = FaultPlan::default().resolve_sharded(0, 1, 1).unwrap();
         let make = || FaultCtx {
-            set: Rc::clone(&set),
-            acct: Rc::new(FaultSchedule::default()),
             cfg: RobustnessConfig::default(),
             op_timeout: SimTime::from_millis(50),
             retry_base: SimTime::from_millis(10),
             rng: RefCell::new(SmallRng::seed_from_u64(9)),
-            state: Rc::new(RobustnessState::new(0)),
+            state: Rc::new(RobustnessState::new(&set)),
         };
         let a = make();
         let b = make();

@@ -80,12 +80,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fcache_types::{ByteReader, FaultPlan, Trace, TraceReader, TraceSource};
+use fcache_types::{ByteReader, Trace, TraceReader, TraceSource};
 
 use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::results::{config_to_json, DecodedRow, ResultRow, ResultSink};
-use crate::robust::DegradedPolicy;
 use crate::sim::{run_source, run_trace, SimError};
 
 /// Boxed per-job source factory: called once per run/job, on the worker
@@ -231,56 +230,6 @@ impl<'a> Scenario<'a> {
     /// The workload this scenario replays.
     pub fn workload(&self) -> &Workload<'a> {
         &self.workload
-    }
-
-    /// Attaches a fault-injection plan (builder style). Windows are
-    /// paper-scale simulated time and scale down with the run's
-    /// `time_scale`, like syncer periods:
-    ///
-    /// ```
-    /// use fcache::{Scenario, SimConfig, Workload};
-    /// use fcache_types::FaultPlan;
-    /// # use fcache_trace::{generate, TraceGenConfig};
-    /// # use fcache_fsmodel::{FsModel, FsModelConfig};
-    /// # let model = FsModel::generate(FsModelConfig::default());
-    /// # let trace = generate(&model, TraceGenConfig::default());
-    /// let plan = FaultPlan::parse("filer:outage@40s-60s").unwrap();
-    /// let s = Scenario::new(SimConfig::default(), Workload::trace(&trace))
-    ///     .fault_plan(plan);
-    /// ```
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault_plan = plan;
-        self
-    }
-
-    /// Sets the degraded-mode policy for read misses during a filer outage
-    /// (builder style; meaningful only with a fault plan).
-    pub fn degraded(mut self, policy: DegradedPolicy) -> Self {
-        self.cfg.robustness.degraded = policy;
-        self
-    }
-
-    /// Shards the remote tier across `n` backends (builder style). With
-    /// `n > 1` blocks are hash-range routed; see
-    /// [`SimConfig::remote_engaged`].
-    pub fn shards(mut self, n: u16) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
-    /// Sets the replication factor (builder style): writes go to all live
-    /// replicas, reads are served by any. Must be `1..=shards` at run time.
-    pub fn replicas(mut self, n: u16) -> Self {
-        self.cfg.replicas = n;
-        self
-    }
-
-    /// Enables hedged reads (builder style): a read not answered within
-    /// `delay` (paper-scale, divided by `time_scale`) is duplicated to a
-    /// second live replica. Needs `replicas >= 2` to have any effect.
-    pub fn hedge(mut self, delay: fcache_des::SimTime) -> Self {
-        self.cfg.hedge = Some(delay);
-        self
     }
 
     /// Runs the scenario. `&self`: a scenario can run any number of times

@@ -30,8 +30,8 @@ use fcache_filer::{Filer, FilerConfig};
 use fcache_net::{Segment, SegmentStats};
 use fcache_remote::{shard_filer_config, shard_net_config, Router, ShardedStore};
 use fcache_types::{
-    mix64, FaultSchedule, FxHashSet, HostId, ResolvedFaultSet, SliceSource, SlotCursor, Trace,
-    TraceMeta, TraceOp, TraceSource, BLOCK_SIZE, TRACE_CHUNK_OPS,
+    mix64, FxHashSet, HostId, ResolvedFaultSet, SliceSource, SlotCursor, Trace, TraceMeta, TraceOp,
+    TraceSource, BLOCK_SIZE, TRACE_CHUNK_OPS,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -102,26 +102,15 @@ impl From<RunError> for SimError {
     }
 }
 
-/// Resolved fault-injection state for one run: the per-target schedules
-/// plus the shared robustness counters. Absent when the plan is empty, so
-/// fault-free runs build exactly the pre-fault object graph.
-struct FaultParts {
-    set: Rc<ResolvedFaultSet>,
-    /// Backend availability-accounting schedule: filer windows plus the
-    /// distinct shard windows (mirrors deduped), so per-window tallies
-    /// cover shard faults too.
-    acct: Rc<FaultSchedule>,
-    state: Rc<RobustnessState>,
-}
-
 /// Everything a run shares: the executor, the hosts, and the
 /// global sinks that become the report.
 struct SimParts {
     sim: Sim,
     cfg: Rc<SimConfig>,
-    metrics: Metrics,
     hosts: Vec<Rc<HostCtx>>,
-    fault: Option<FaultParts>,
+    /// The run's whole-backend schedules and robustness counters (empty
+    /// schedules and zero counters on a fault-free run).
+    fault: Rc<RobustnessState>,
     /// The backend: `cfg.shards` filers behind a router (1×1 for the
     /// paper's single filer).
     store: Rc<ShardedStore>,
@@ -135,24 +124,26 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     // Resolve the fault plan once per run: paper-scale windows divide by
     // `time_scale` (like syncer periods) and stochastic episodes expand
     // against the run seed, so the same configuration always injects the
-    // same faults.
+    // same faults. An empty plan resolves to empty schedules, which take
+    // no draw and add no task, sleep or poll (PERF.md invariant 10).
     //
     // `shard<k>`/`shard*` clauses land on per-shard schedules, and filer
     // clauses fan out to every shard. An out-of-range `shard<k>` is a
     // configuration error; `Sweep` catches the panic and reports it as the
     // job's error.
-    let fault = (!cfg.fault_plan.is_empty()).then(|| {
-        let set = cfg
-            .fault_plan
-            .resolve_sharded(cfg.seed, cfg.time_scale, cfg.shards)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let acct = Rc::new(set.backend_accounting());
-        let set = Rc::new(set);
-        let state = Rc::new(RobustnessState::new(acct.windows().len()));
-        FaultParts { set, acct, state }
-    });
+    let set = cfg
+        .fault_plan
+        .resolve_sharded(cfg.seed, cfg.time_scale, cfg.shards)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let fault = Rc::new(RobustnessState::new(&set));
+    let ResolvedFaultSet {
+        net_to_server,
+        net_from_server,
+        device,
+        shards,
+        ..
+    } = set;
 
-    let metrics = Metrics::new();
     let warmup_over = Rc::new(Cell::new(false));
 
     // The backend: one filer per shard (each with its own content-hash
@@ -166,26 +157,19 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
         seed: cfg.filer.seed ^ cfg.seed.rotate_left(17),
         ..cfg.filer
     };
-    let scheds: Vec<FaultSchedule> = match &fault {
-        Some(fp) => fp.set.shards.clone(),
-        None => vec![FaultSchedule::default(); usize::from(cfg.shards)],
-    };
-    let filers: Vec<Filer> = (0..cfg.shards)
-        .map(|k| {
-            let mut f = Filer::new(sim.clone(), shard_filer_config(filer_cfg, k));
-            if fault.is_some() {
-                f = f.with_faults(
-                    scheds[usize::from(k)].clone(),
-                    mix64(cfg.seed ^ (u64::from(k) << 16) ^ 0xf11e_fa17_0000_0001),
-                );
-            }
-            f
+    let filers: Vec<Filer> = shards
+        .into_iter()
+        .zip(0..)
+        .map(|(sched, k)| {
+            Filer::new(sim.clone(), shard_filer_config(filer_cfg, k)).with_faults(
+                sched,
+                mix64(cfg.seed ^ (u64::from(k) << 16) ^ 0xf11e_fa17_0000_0001),
+            )
         })
         .collect();
     let store = Rc::new(ShardedStore::new(
         Router::new(cfg.shards, cfg.replicas),
         filers,
-        scheds,
     ));
 
     // Telemetry: one span stream per run (shared by every host, so rows
@@ -227,24 +211,21 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
             group_segments = (0..cfg.shards)
                 .map(|k| {
                     let net = shard_net_config(cfg.net, k);
-                    let mut seg = if cfg.duplex_network {
+                    let seg = if cfg.duplex_network {
                         Segment::new_duplex(sim.clone(), net)
                     } else {
                         Segment::new(sim.clone(), net)
                     };
-                    if let Some(fp) = &fault {
-                        seg = seg.with_faults(
-                            fp.set.net_to_server.clone(),
-                            fp.set.net_from_server.clone(),
-                            mix64(
-                                cfg.seed
-                                    ^ (u64::from(i) << 32)
-                                    ^ (u64::from(k) << 16)
-                                    ^ 0x5e97_fa17_0000_0002,
-                            ),
-                        );
-                    }
-                    seg
+                    seg.with_faults(
+                        net_to_server.clone(),
+                        net_from_server.clone(),
+                        mix64(
+                            cfg.seed
+                                ^ (u64::from(i) << 32)
+                                ^ (u64::from(k) << 16)
+                                ^ 0x5e97_fa17_0000_0002,
+                        ),
+                    )
                 })
                 .collect();
         }
@@ -255,36 +236,11 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
         } else {
             no_iolog.clone()
         };
-        let mut dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone());
-        if let Some(fp) = &fault {
-            dev = dev.with_faults(
-                fp.set.device.clone(),
-                mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
-                Rc::clone(&fp.state),
-                cfg.scaled_time(cfg.robustness.retry_base),
-            );
-        }
-        let host_fault = fault.as_ref().map(|fp| {
-            Rc::new(FaultCtx {
-                set: Rc::clone(&fp.set),
-                acct: Rc::clone(&fp.acct),
-                cfg: cfg.robustness,
-                op_timeout: cfg.scaled_time(cfg.robustness.op_timeout),
-                retry_base: cfg.scaled_time(cfg.robustness.retry_base),
-                rng: RefCell::new(SmallRng::seed_from_u64(mix64(
-                    cfg.seed ^ (u64::from(i) << 32) ^ 0x0b0f_fa17_0000_0004,
-                ))),
-                state: Rc::clone(&fp.state),
-            })
-        });
-        // Fleet cells give every host a private metrics sink (folded
-        // exactly into one snapshot at collection); outside a fleet
-        // every host shares one sink — the pre-fleet object graph.
-        let host_metrics = if cfg.fleet_engaged() {
-            Metrics::new()
-        } else {
-            metrics.clone()
-        };
+        let dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone()).with_faults(
+            device.clone(),
+            mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
+            cfg.scaled_time(cfg.robustness.retry_base),
+        );
         hosts.push(Rc::new(HostCtx {
             id: HostId(i),
             sim: sim.clone(),
@@ -306,7 +262,7 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
                 cfg.replacement,
             )),
             unified,
-            metrics: host_metrics,
+            metrics: Metrics::new(),
             iolog,
             dev,
             ram_flush_pending: RefCell::new(FxHashSet::default()),
@@ -314,7 +270,15 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
             run: Rc::clone(&run),
             warmup_over: Rc::clone(&warmup_over),
             flushq: FlushQueue::new(),
-            fault: host_fault,
+            fault: FaultCtx {
+                cfg: cfg.robustness,
+                op_timeout: cfg.scaled_time(cfg.robustness.op_timeout),
+                retry_base: cfg.scaled_time(cfg.robustness.retry_base),
+                rng: RefCell::new(SmallRng::seed_from_u64(mix64(
+                    cfg.seed ^ (u64::from(i) << 32) ^ 0x0b0f_fa17_0000_0004,
+                ))),
+                state: Rc::clone(&fault),
+            },
             remote: RemoteCtx {
                 store: Rc::clone(&store),
                 segments: group_segments.clone(),
@@ -330,7 +294,6 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     SimParts {
         sim,
         cfg,
-        metrics,
         hosts,
         fault,
         store,
@@ -366,24 +329,23 @@ fn spawn_daemons(parts: &SimParts) {
     // Recovery-drain probes: at the close of every filer outage, measure
     // the flush backlog that piled up while write-through was degraded and
     // time how long it takes to drain. Daemons, so they never extend the
-    // run past the workload; spawned only when a plan exists, so fault-free
-    // runs spawn exactly the pre-fault task set.
-    if let Some(fp) = &parts.fault {
-        for h in hosts {
-            for (_, end_ns) in fp.set.filer.outage_spans() {
-                let h = Rc::clone(h);
-                let state = Rc::clone(&fp.state);
-                let s = sim.clone();
-                sim.spawn_daemon(async move {
-                    s.sleep_until(SimTime::from_nanos(end_ns)).await;
-                    let depth = h.flushq.backlog();
-                    if depth > 0 {
-                        let t0 = s.now();
-                        flush::wait_drained(&h).await;
-                        state.note_drain(depth as u64, s.now() - t0);
-                    }
-                });
-            }
+    // run past the workload; an empty filer schedule has no outage, so
+    // fault-free runs spawn none.
+    let outages = parts.fault.filer.outage_spans();
+    for h in hosts {
+        for &(_, end_ns) in &outages {
+            let h = Rc::clone(h);
+            let state = Rc::clone(&parts.fault);
+            let s = sim.clone();
+            sim.spawn_daemon(async move {
+                s.sleep_until(SimTime::from_nanos(end_ns)).await;
+                let depth = h.flushq.backlog();
+                if depth > 0 {
+                    let t0 = s.now();
+                    flush::wait_drained(&h).await;
+                    state.note_drain(depth as u64, s.now() - t0);
+                }
+            });
         }
     }
 
@@ -399,7 +361,7 @@ fn spawn_daemons(parts: &SimParts) {
     // exists to copy from (a write with its one replica down parks
     // instead), so no recovery daemon is spawned.
     const REPAIR_STREAMS: usize = 16;
-    if cfg.replicas > 1 && parts.fault.is_some() {
+    if cfg.replicas > 1 {
         let store = &parts.store;
         for k in 0..store.router().shards() {
             for (_, end_ns) in store.faults(k).outage_spans() {
@@ -458,7 +420,6 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
     let SimParts {
         sim,
         cfg,
-        metrics,
         hosts,
         fault,
         store,
@@ -479,12 +440,30 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
 
     // Aggregate before shutdown (shutdown drops the host tasks).
     let mut report = SimReport {
-        metrics: metrics.snapshot(),
         end_time: sim.now(),
         events: sim.events_processed(),
+        robustness: fault.snapshot(sim.now()),
         ..SimReport::default()
     };
+    // Each host recorded into its own sink; the fold (counters plus
+    // bucket-wise histograms) is exact, so it equals one shared sink. A
+    // fleet cell also reports the per-host rows behind its percentiles.
+    let mut per_host = Vec::with_capacity(cfg.fleet.map_or(0, |_| hosts.len()));
     for (i, h) in hosts.iter().enumerate() {
+        let s = h.metrics.snapshot();
+        report.metrics = report.metrics.merged(&s);
+        if let Some(topo) = cfg.fleet {
+            per_host.push(crate::report::HostLoadStats {
+                host: topo.host_base + i as u32,
+                read_ops: s.read_ops,
+                write_ops: s.write_ops,
+                read_latency_ns: s.read_latency.as_nanos(),
+                write_latency_ns: s.write_latency.as_nanos(),
+            });
+        }
+        let (queued, retries) = h.dev.fault_counts();
+        report.robustness.queued_ops += queued;
+        report.robustness.retries += retries;
         report.ram += *h.ram.borrow().stats();
         report.flash += *h.flash.borrow().stats();
         if let Some(u) = &h.unified {
@@ -517,12 +496,6 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
             log.extend(h.iolog.take());
         }
         report.flash_iolog = Some(log);
-    }
-    if let Some(fp) = fault {
-        let mut rs = fp.state.snapshot(&fp.acct);
-        rs.degraded_time =
-            SimTime::from_nanos(fp.set.filer.outage_overlap(report.end_time.as_nanos()));
-        report.robustness = rs;
     }
     // Filer service counters are the sum over the shards; only runs that
     // engage the remote tier carry the per-shard `shard` section.
@@ -586,24 +559,6 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
         }
     }
     if let Some(topo) = cfg.fleet {
-        // Fleet mode: each host recorded into its own sink; the exact
-        // fold (counters + bucket-wise histograms) reproduces what one
-        // shared sink would have held, and the per-host rows feed the
-        // fleet percentiles.
-        let mut folded = crate::metrics::MetricsSnapshot::default();
-        let mut per_host = Vec::with_capacity(hosts.len());
-        for (i, h) in hosts.iter().enumerate() {
-            let s = h.metrics.snapshot();
-            folded = folded.merged(&s);
-            per_host.push(crate::report::HostLoadStats {
-                host: topo.host_base + i as u32,
-                read_ops: s.read_ops,
-                write_ops: s.write_ops,
-                read_latency_ns: s.read_latency.as_nanos(),
-                write_latency_ns: s.write_latency.as_nanos(),
-            });
-        }
-        report.metrics = folded;
         report.fleet = crate::report::FleetStats {
             topology: Some(topo),
             per_host,
@@ -613,7 +568,7 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
     sim.shutdown();
     run?;
     if cfg.robustness.degraded == DegradedPolicy::Strict {
-        if let Some(clause) = fault.as_ref().and_then(|fp| fp.state.first_fail()) {
+        if let Some(clause) = fault.first_fail() {
             return Err(SimError::Faulted { clause });
         }
     }

@@ -194,7 +194,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::Queue,
         run: [594284112, 1258227152, 46734400],
-        events: 35354,
+        events: 35154,
         backend: [1060, 125, 3295, 7268, 18538496, 207905568, 4197887988, 6883],
         robust: [0, 0, 0, 14, 0, 4882812, 1, 10, 567248],
         windows: &[(3, 3)],
@@ -204,7 +204,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::FailFast,
         run: [566569489, 1406916168, 46919800],
-        events: 35189,
+        events: 34999,
         backend: [1953, 219, 4024, 9137, 25579520, 279559560, 4484469984, 8408],
         robust: [0, 0, 136, 333, 0, 4882812, 1, 336, 21485936],
         windows: &[(136, 0)],
@@ -214,7 +214,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::Queue,
         run: [598474626, 1296316968, 46816800],
-        events: 35475,
+        events: 35269,
         backend: [1078, 129, 3293, 7271, 18640896, 208749368, 4304986032, 6850],
         robust: [39, 39, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],
@@ -224,7 +224,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::FailFast,
         run: [598474626, 1296316968, 46816800],
-        events: 35475,
+        events: 35269,
         backend: [1078, 129, 3293, 7271, 18640896, 208749368, 4304986032, 6850],
         robust: [39, 39, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],

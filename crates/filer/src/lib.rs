@@ -16,7 +16,6 @@
 //! the contention point, not filer service.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 use fcache_des::{Sim, SimTime};
 use fcache_types::{mix64, BlockAddr, FaultEffect, FaultError, FaultSchedule};
@@ -34,7 +33,7 @@ pub struct FilerConfig {
     pub write: SimTime,
     /// Probability a block read is fast (the prefetch success rate).
     pub fast_read_rate: f64,
-    /// RNG seed for the fast/slow draws.
+    /// Seed of the content hash behind the fast/slow draws.
     pub seed: u64,
 }
 
@@ -101,57 +100,59 @@ impl FilerStats {
 }
 
 /// Fault-injection state for a filer: the resolved schedule plus a
-/// dedicated RNG for `ErrorRate` draws. The service-draw RNG is left
-/// untouched so a faulted run's fast/slow luck matches the healthy run's.
+/// dedicated RNG for `ErrorRate` draws. Fast/slow luck comes from the
+/// content hash, so a faulted run's luck matches the healthy run's.
 struct FilerFaults {
     sched: FaultSchedule,
     rng: RefCell<SmallRng>,
 }
 
 /// The shared file server.
-#[derive(Clone)]
 pub struct Filer {
     sim: Sim,
     cfg: FilerConfig,
-    rng: Rc<RefCell<SmallRng>>,
-    stats: Rc<Cell<FilerStats>>,
-    faults: Option<Rc<FilerFaults>>,
+    stats: Cell<FilerStats>,
+    faults: FilerFaults,
 }
 
 impl Filer {
-    /// Creates a filer attached to a simulation.
+    /// Creates a filer attached to a simulation, with an empty fault
+    /// schedule.
     pub fn new(sim: Sim, cfg: FilerConfig) -> Self {
         Self {
             sim,
-            rng: Rc::new(RefCell::new(SmallRng::seed_from_u64(cfg.seed))),
             cfg,
-            stats: Rc::new(Cell::new(FilerStats::default())),
-            faults: None,
+            stats: Cell::new(FilerStats::default()),
+            faults: FilerFaults {
+                sched: FaultSchedule::default(),
+                rng: RefCell::new(SmallRng::seed_from_u64(0)),
+            },
         }
     }
 
-    /// Attaches a resolved fault schedule (seeded error draws). Without
-    /// this, the `try_*` paths behave exactly like their plain
-    /// counterparts.
+    /// Sets the resolved fault schedule and seeds its error draws. Without
+    /// this the schedule is empty and the `try_*` paths never draw.
     pub fn with_faults(mut self, sched: FaultSchedule, seed: u64) -> Self {
-        self.faults = Some(Rc::new(FilerFaults {
+        self.faults = FilerFaults {
             sched,
             rng: RefCell::new(SmallRng::seed_from_u64(seed)),
-        }));
+        };
         self
     }
 
-    /// The fault effect in force right now ([`FaultEffect::None`] when no
-    /// schedule is attached).
-    pub fn fault_effect(&self) -> FaultEffect {
-        match &self.faults {
-            None => FaultEffect::None,
-            Some(f) => {
-                let now = self.sim.now().as_nanos();
-                let mut rng = f.rng.borrow_mut();
-                f.sched.effect_at(now, &mut || rng.gen_range(0.0f64..1.0))
-            }
-        }
+    /// The resolved fault schedule (empty when the run injects nothing
+    /// here).
+    pub fn faults(&self) -> &FaultSchedule {
+        &self.faults.sched
+    }
+
+    /// The fault effect in force right now ([`FaultEffect::None`] under an
+    /// empty schedule, which takes no draw).
+    fn fault_effect(&self) -> FaultEffect {
+        let f = &self.faults;
+        let now = self.sim.now().as_nanos();
+        let mut rng = f.rng.borrow_mut();
+        f.sched.effect_at(now, &mut || rng.gen_range(0.0f64..1.0))
     }
 
     /// Configuration in force.
@@ -212,42 +213,12 @@ impl Filer {
         total
     }
 
-    /// Draws the service time for an `nblocks`-long read: each block is
-    /// independently fast with probability `fast_read_rate`; the request's
-    /// service time is the sum.
-    ///
-    /// This sequence-RNG path serves callers without block addresses; the
-    /// simulator engine uses [`Filer::read_blocks`].
-    pub fn draw_read_service(&self, nblocks: u32) -> SimTime {
-        let mut total = SimTime::ZERO;
-        let mut stats = self.stats.get();
-        let mut rng = self.rng.borrow_mut();
-        for _ in 0..nblocks {
-            if rng.gen_bool(self.cfg.fast_read_rate) {
-                total += self.cfg.fast_read;
-                stats.fast_reads += 1;
-            } else {
-                total += self.cfg.slow_read;
-                stats.slow_reads += 1;
-            }
-        }
-        drop(rng);
-        self.stats.set(stats);
-        total
-    }
-
     /// Service time for an `nblocks`-long (buffered, always fast) write.
     pub fn draw_write_service(&self, nblocks: u32) -> SimTime {
         let mut stats = self.stats.get();
         stats.writes += nblocks as u64;
         self.stats.set(stats);
         self.cfg.write.times(nblocks as u64)
-    }
-
-    /// Services a read request: sleeps for the drawn service time.
-    pub async fn read(&self, nblocks: u32) {
-        let t = self.draw_read_service(nblocks);
-        self.sim.sleep(t).await;
     }
 
     /// Services a read request for specific blocks (content-hashed
@@ -311,6 +282,7 @@ impl std::fmt::Debug for Filer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcache_types::FileId;
 
     #[test]
     fn default_matches_table1() {
@@ -328,14 +300,21 @@ mod tests {
         assert_eq!(e, SimTime::from_nanos(878_000));
     }
 
+    /// `n` distinct block addresses.
+    fn distinct_blocks(n: u32) -> Vec<BlockAddr> {
+        (0..n)
+            .map(|i| BlockAddr::new(FileId(i >> 10), i & 0x3ff))
+            .collect()
+    }
+
     #[test]
     fn fast_fraction_converges_to_rate() {
         let sim = Sim::new();
         let filer = Filer::new(sim, FilerConfig::default());
         let mut total = SimTime::ZERO;
         let n = 50_000;
-        for _ in 0..n {
-            total += filer.draw_read_service(1);
+        for b in distinct_blocks(n) {
+            total += filer.draw_read_service_for(&[b]);
         }
         let frac = filer.stats().fast_fraction();
         assert!((frac - 0.9).abs() < 0.01, "observed fast fraction {frac}");
@@ -358,7 +337,7 @@ mod tests {
         let filer = Filer::new(sim.clone(), FilerConfig::default().with_fast_read_rate(1.0));
         let s = sim.clone();
         let h = sim.spawn(async move {
-            filer.read(2).await;
+            filer.read_blocks(&distinct_blocks(2)).await;
             s.now()
         });
         sim.run().unwrap();
@@ -369,9 +348,15 @@ mod tests {
     fn rate_extremes() {
         let sim = Sim::new();
         let always_fast = Filer::new(sim.clone(), FilerConfig::default().with_fast_read_rate(1.0));
-        assert_eq!(always_fast.draw_read_service(3), SimTime::from_micros(276));
+        assert_eq!(
+            always_fast.draw_read_service_for(&distinct_blocks(3)),
+            SimTime::from_micros(276)
+        );
         let always_slow = Filer::new(sim, FilerConfig::default().with_fast_read_rate(0.0));
-        assert_eq!(always_slow.draw_read_service(1), SimTime::from_micros(7952));
+        assert_eq!(
+            always_slow.draw_read_service_for(&distinct_blocks(1)),
+            SimTime::from_micros(7952)
+        );
     }
 
     #[test]
@@ -382,12 +367,9 @@ mod tests {
 
     #[test]
     fn content_hashed_draws_converge_and_pair() {
-        use fcache_types::FileId;
         let sim = Sim::new();
         let filer = Filer::new(sim.clone(), FilerConfig::default());
-        let addrs: Vec<BlockAddr> = (0..50_000u32)
-            .map(|i| BlockAddr::new(FileId(i >> 10), i & 0x3ff))
-            .collect();
+        let addrs = distinct_blocks(50_000);
         let t1 = filer.draw_read_service_for(&addrs);
         let frac = filer.stats().fast_fraction();
         assert!((frac - 0.9).abs() < 0.01, "observed fast fraction {frac}");
@@ -408,24 +390,5 @@ mod tests {
             assert!(always.block_is_fast(a));
             assert!(!never.block_is_fast(a));
         }
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let a = {
-            let sim = Sim::new();
-            let f = Filer::new(sim, FilerConfig::default());
-            (0..100)
-                .map(|_| f.draw_read_service(1).as_nanos())
-                .collect::<Vec<_>>()
-        };
-        let b = {
-            let sim = Sim::new();
-            let f = Filer::new(sim, FilerConfig::default());
-            (0..100)
-                .map(|_| f.draw_read_service(1).as_nanos())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(a, b);
     }
 }

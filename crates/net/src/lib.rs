@@ -24,10 +24,14 @@
 //! outage or an error draw) wakes the grantee normally, and it releases
 //! the wire in its own poll. The two channels of a full-duplex segment
 //! share one fault RNG, so there a packet on the other channel could draw
-//! in between: a full-duplex grantee with fault schedules is woken
-//! normally and draws in its own poll. The hand-over draws from the
-//! grantee's own fault state: schedules belong to a handle, and a clone
-//! made before [`Segment::with_faults`] has none.
+//! in between: on a full-duplex segment with net fault windows the
+//! grantee is woken normally and draws in its own poll.
+//!
+//! **Faults.** Fault state belongs to the wire: every segment has one
+//! schedule per direction and one error-draw RNG, shared by all its
+//! clones, including clones made before [`Segment::with_faults`]. A new
+//! segment's schedules are empty, and an empty schedule takes no draw,
+//! so a fault-free wire is the same wire with nothing to inject.
 //!
 //! **Shared wires.** Cloning a `Segment` shares its channel *and* its
 //! traffic counters: handing the same segment to several hosts models a
@@ -119,20 +123,36 @@ pub struct SegmentStats {
     pub queue_waits: u64,
 }
 
-/// Fault-injection state for a segment: one resolved schedule per
-/// direction plus a dedicated RNG for `ErrorRate` draws.
+/// Fault-injection state for a wire: one resolved schedule per direction
+/// plus a dedicated RNG for `ErrorRate` draws.
 struct SegmentFaults {
     to_server: FaultSchedule,
     from_server: FaultSchedule,
-    rng: RefCell<SmallRng>,
+    rng: SmallRng,
 }
 
 impl SegmentFaults {
-    fn schedule(&self, dir: Direction) -> &FaultSchedule {
-        match dir {
+    fn new(to_server: FaultSchedule, from_server: FaultSchedule, seed: u64) -> Self {
+        Self {
+            to_server,
+            from_server,
+            rng: SmallRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Whether either direction has a window.
+    fn has_windows(&self) -> bool {
+        !self.to_server.is_empty() || !self.from_server.is_empty()
+    }
+
+    /// The effect in force on a `dir` packet taking the wire at `now_ns`.
+    fn effect_at(&mut self, dir: Direction, now_ns: u64) -> FaultEffect {
+        let sched = match dir {
             Direction::ToServer => &self.to_server,
             Direction::FromServer => &self.from_server,
-        }
+        };
+        let rng = &mut self.rng;
+        sched.effect_at(now_ns, &mut || rng.gen_range(0.0f64..1.0))
     }
 }
 
@@ -150,8 +170,6 @@ struct Waiter {
     waker: Option<Waker>,
     dir: Direction,
     payload_bytes: u64,
-    /// The packet's own fault state, drawn on when it takes the wire.
-    faults: Option<Rc<SegmentFaults>>,
 }
 
 enum WaitState {
@@ -174,16 +192,18 @@ enum Grant {
     /// The fault draw dropped the packet.
     Fail(FaultError),
     /// The grantee draws its fault effect in its own poll (a full-duplex
-    /// grantee with fault schedules).
+    /// grantee on a wire with net fault windows).
     Draw,
 }
 
 /// The shared state of a wire: its channels (a half-duplex wire uses the
-/// first for both directions) and a slab of waiters recycled through a
-/// free list, so steady-state queueing allocates nothing.
+/// first for both directions), its fault state, and a slab of waiters
+/// recycled through a free list, so steady-state queueing allocates
+/// nothing.
 struct Wire {
     duplex: bool,
     channels: [Channel; 2],
+    faults: SegmentFaults,
     waiters: Vec<Waiter>,
     free: Vec<u32>,
 }
@@ -193,6 +213,7 @@ impl Wire {
         Self {
             duplex,
             channels: Default::default(),
+            faults: SegmentFaults::new(FaultSchedule::default(), FaultSchedule::default(), 0),
             waiters: Vec::new(),
             free: Vec::new(),
         }
@@ -223,16 +244,16 @@ impl Wire {
 ///
 /// Half-duplex by default (one packet at a time in either direction, as the
 /// paper specifies); [`Segment::new_duplex`] provides a full-duplex variant
-/// used by the ablation benches. A clone shares the wire and the counters
-/// with its original — private per-host wiring uses one `Segment` per
-/// host, shared (fleet) wiring clones one `Segment` across a host group.
+/// used by the ablation benches. A clone shares the wire, its fault
+/// state and the counters with its original — private per-host wiring
+/// uses one `Segment` per host, shared (fleet) wiring clones one
+/// `Segment` across a host group.
 #[derive(Clone)]
 pub struct Segment {
     sim: Sim,
     cfg: NetConfig,
     wire: Rc<RefCell<Wire>>,
     stats: Rc<Cell<SegmentStats>>,
-    faults: Option<Rc<SegmentFaults>>,
 }
 
 impl Segment {
@@ -252,24 +273,20 @@ impl Segment {
             cfg,
             wire: Rc::new(RefCell::new(Wire::new(duplex))),
             stats: Rc::new(Cell::new(SegmentStats::default())),
-            faults: None,
         }
     }
 
-    /// Attaches per-direction fault schedules (seeded error draws).
-    /// Without this, [`Segment::try_transfer`] behaves exactly like
-    /// [`Segment::transfer`].
+    /// Sets the wire's per-direction fault schedules and seeds its error
+    /// draws. The state belongs to the wire, so every clone of this
+    /// segment, earlier or later, draws from it. Without this the
+    /// schedules are empty and no packet draws.
     pub fn with_faults(
-        mut self,
+        self,
         to_server: FaultSchedule,
         from_server: FaultSchedule,
         seed: u64,
     ) -> Self {
-        self.faults = Some(Rc::new(SegmentFaults {
-            to_server,
-            from_server,
-            rng: RefCell::new(SmallRng::seed_from_u64(seed)),
-        }));
+        self.wire.borrow_mut().faults = SegmentFaults::new(to_server, from_server, seed);
         self
     }
 
@@ -290,7 +307,9 @@ impl Segment {
 
     /// Transfers one packet with `payload_bytes` of block data in the given
     /// direction, waiting FIFO for the wire and holding it for the packet's
-    /// wire time.
+    /// wire time. On taking the wire the packet consults the direction's
+    /// fault schedule at `sim.now()` and is dropped (no wire time, no
+    /// stats), carried with inflated wire time, or carried normally.
     ///
     /// A packet that queues may be handed the wire with an armed timer
     /// ([`Sim::wake_at`]): its task is not polled at the hand-over. That
@@ -299,58 +318,29 @@ impl Segment {
     /// that share the task's waker (as the entries of a `WaitAll` do)
     /// would skip the poll those siblings expected at the hand-over
     /// instant.
-    pub async fn transfer(&self, dir: Direction, payload_bytes: u64) {
-        self.packet(dir, payload_bytes, None)
-            .await
-            .expect("a packet without a fault draw is never dropped");
-    }
-
-    /// Fault-aware [`Segment::transfer`]: on taking the wire, consults the
-    /// direction's schedule at `sim.now()` and either drops the packet
-    /// (no wire time, no stats), carries it with inflated wire time, or
-    /// carries it normally. The same one-pending-await rule as
-    /// [`Segment::transfer`] applies.
     pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
-        self.packet(dir, payload_bytes, self.faults.as_ref()).await
-    }
-
-    fn packet<'a>(
-        &'a self,
-        dir: Direction,
-        payload_bytes: u64,
-        faults: Option<&'a Rc<SegmentFaults>>,
-    ) -> Packet<'a> {
+        let channel = self.wire.borrow().channel(dir);
         Packet {
             seg: self,
             dir,
-            channel: self.wire.borrow().channel(dir),
+            channel,
             payload_bytes,
-            faults,
             queued_at: SimTime::ZERO,
             state: PacketState::Start,
         }
+        .await
     }
 
-    /// Wire time of a packet taking the wire now, or the fault that drops
-    /// it. Draws on `faults` when the packet has fault state.
+    /// Wire time of a packet taking `wire` now, or the fault that drops
+    /// it.
     fn wire_time(
         &self,
+        wire: &mut Wire,
         dir: Direction,
         payload_bytes: u64,
-        faults: Option<&Rc<SegmentFaults>>,
     ) -> Result<SimTime, FaultError> {
         let t = self.cfg.packet_time(payload_bytes);
-        let Some(f) = faults else {
-            return Ok(t);
-        };
-        let effect = {
-            let mut rng = f.rng.borrow_mut();
-            f.schedule(dir)
-                .effect_at(self.sim.now().as_nanos(), &mut || {
-                    rng.gen_range(0.0f64..1.0)
-                })
-        };
-        match effect {
+        match wire.faults.effect_at(dir, self.sim.now().as_nanos()) {
             FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
             FaultEffect::SlowBy(factor) => Ok(t.scale(factor)),
             FaultEffect::None => Ok(t),
@@ -375,12 +365,11 @@ impl Segment {
         };
         let w = &mut wire.waiters[i];
         let waker = w.waker.take().expect("queued packet without a waker");
-        let faults = w.faults.take();
         let (dir, payload_bytes) = (w.dir, w.payload_bytes);
-        let grant = if faults.is_some() && wire.duplex {
+        let grant = if wire.duplex && wire.faults.has_windows() {
             Grant::Draw
         } else {
-            match self.wire_time(dir, payload_bytes, faults.as_ref()) {
+            match self.wire_time(&mut wire, dir, payload_bytes) {
                 Err(e) => Grant::Fail(e),
                 Ok(wire_time) => {
                     let until = self.sim.now() + wire_time;
@@ -422,7 +411,6 @@ struct Packet<'a> {
     dir: Direction,
     channel: usize,
     payload_bytes: u64,
-    faults: Option<&'a Rc<SegmentFaults>>,
     queued_at: SimTime,
     state: PacketState,
 }
@@ -480,8 +468,8 @@ impl Future for Packet<'_> {
                     let ch = &mut wire.channels[this.channel];
                     if !ch.busy && ch.queue.is_empty() {
                         ch.busy = true;
+                        let drawn = seg.wire_time(&mut wire, this.dir, this.payload_bytes);
                         drop(wire);
-                        let drawn = seg.wire_time(this.dir, this.payload_bytes, this.faults);
                         if let Err(e) = this.take_wire(drawn) {
                             return Poll::Ready(Err(e));
                         }
@@ -491,7 +479,6 @@ impl Future for Packet<'_> {
                             waker: Some(cx.waker().clone()),
                             dir: this.dir,
                             payload_bytes: this.payload_bytes,
-                            faults: this.faults.cloned(),
                         });
                         wire.channels[this.channel].queue.push_back(i);
                         this.state = PacketState::Queued(i);
@@ -532,7 +519,9 @@ impl Future for Packet<'_> {
                             continue;
                         }
                         Grant::Fail(e) => Err(e),
-                        Grant::Draw => seg.wire_time(this.dir, this.payload_bytes, this.faults),
+                        Grant::Draw => {
+                            seg.wire_time(&mut seg.wire.borrow_mut(), this.dir, this.payload_bytes)
+                        }
                     };
                     if let Err(e) = this.take_wire(drawn) {
                         return Poll::Ready(Err(e));
@@ -613,7 +602,7 @@ mod tests {
         let s = sim.clone();
         let seg2 = seg.clone();
         let h = sim.spawn(async move {
-            seg2.transfer(Direction::ToServer, 4096).await;
+            seg2.try_transfer(Direction::ToServer, 4096).await.unwrap();
             s.now()
         });
         sim.run().unwrap();
@@ -629,7 +618,7 @@ mod tests {
         for dir in [Direction::ToServer, Direction::FromServer] {
             let seg = seg.clone();
             sim.spawn(async move {
-                seg.transfer(dir, 0).await;
+                seg.try_transfer(dir, 0).await.unwrap();
             });
         }
         let report = sim.run().unwrap();
@@ -644,7 +633,7 @@ mod tests {
         for dir in [Direction::ToServer, Direction::FromServer] {
             let seg = seg.clone();
             sim.spawn(async move {
-                seg.transfer(dir, 0).await;
+                seg.try_transfer(dir, 0).await.unwrap();
             });
         }
         let report = sim.run().unwrap();
@@ -659,7 +648,7 @@ mod tests {
         for _ in 0..n {
             let seg = seg.clone();
             sim.spawn(async move {
-                seg.transfer(Direction::ToServer, 4096).await;
+                seg.try_transfer(Direction::ToServer, 4096).await.unwrap();
             });
         }
         let report = sim.run().unwrap();
@@ -678,7 +667,7 @@ mod tests {
         for _host in 0..2 {
             let seg = seg.clone();
             sim.spawn(async move {
-                seg.transfer(Direction::ToServer, 4096).await;
+                seg.try_transfer(Direction::ToServer, 4096).await.unwrap();
             });
         }
         let report = sim.run().unwrap();
@@ -695,8 +684,8 @@ mod tests {
         let seg = Segment::new(sim.clone(), NetConfig::default());
         let seg2 = seg.clone();
         sim.spawn(async move {
-            seg2.transfer(Direction::ToServer, 4096).await;
-            seg2.transfer(Direction::FromServer, 0).await;
+            seg2.try_transfer(Direction::ToServer, 4096).await.unwrap();
+            seg2.try_transfer(Direction::FromServer, 0).await.unwrap();
         });
         sim.run().unwrap();
         let s = seg.stats();
@@ -710,7 +699,7 @@ mod tests {
         let seg = Segment::new(sim.clone(), NetConfig::default());
         let seg2 = seg.clone();
         sim.spawn(async move {
-            seg2.transfer(Direction::ToServer, 4096).await;
+            seg2.try_transfer(Direction::ToServer, 4096).await.unwrap();
         });
         sim.run().unwrap();
         assert_ne!(seg.stats(), SegmentStats::default());

@@ -1,7 +1,8 @@
 //! Segment contention and accounting, including the fault seam: FIFO
 //! convoys on the half-duplex wire, direction overlap on `new_duplex`,
 //! `SegmentStats` conservation under mixed traffic, and `try_transfer`
-//! behavior across outage / slowdown / error-rate windows.
+//! behavior across outage / slowdown / error-rate windows and across
+//! clones of one wire.
 
 use fcache_des::{Sim, SimTime};
 use fcache_net::{Direction, NetConfig, Segment, SegmentStats};
@@ -30,7 +31,7 @@ fn mixed_direction_traffic_convoys_on_half_duplex_but_overlaps_on_duplex() {
             for _ in 0..4 {
                 let seg = seg.clone();
                 sim.spawn(async move {
-                    seg.transfer(dir, BLOCK).await;
+                    seg.try_transfer(dir, BLOCK).await.unwrap();
                 });
             }
         }
@@ -62,7 +63,7 @@ fn stats_conserve_packets_and_bytes_under_contention() {
     for &bytes in &sizes {
         let seg = seg.clone();
         sim.spawn(async move {
-            seg.transfer(Direction::ToServer, bytes).await;
+            seg.try_transfer(Direction::ToServer, bytes).await.unwrap();
         });
     }
     sim.run().unwrap();
@@ -226,34 +227,51 @@ fn a_full_duplex_grantee_draws_after_the_other_channel_at_its_instant() {
 }
 
 #[test]
-fn a_hand_over_draws_from_the_grantees_own_schedule() {
-    // Fault schedules belong to a handle: a clone made before
-    // `with_faults` shares the wire but has none. When its packet hands
-    // the wire to a queued packet of the faulted handle, the grantee
-    // still meets its own outage.
+fn a_clone_made_before_with_faults_draws_from_the_wires_schedule() {
+    // Fault state belongs to the wire: a clone made before `with_faults`
+    // shares it. Its packet meets the outage at once, and a packet it
+    // queued behind the faulted handle's carried one meets it at the
+    // hand-over.
     let sim = Sim::new();
-    let plain = Segment::new(sim.clone(), NetConfig::default());
-    let set = FaultPlan::parse("net:outage@0s-10s")
+    let early = Segment::new(sim.clone(), NetConfig::default());
+    let set = FaultPlan::parse("net-up:outage@0s-10s")
         .unwrap()
         .resolve_sharded(1, 1, 1)
         .unwrap();
-    let faulted = plain
+    let faulted = early
         .clone()
         .with_faults(set.net_to_server, set.net_from_server, 1);
-    let p = plain.clone();
-    sim.spawn(async move { p.transfer(Direction::ToServer, BLOCK).await });
     let f = faulted.clone();
-    let dropped =
-        sim.spawn(async move { f.try_transfer(Direction::ToServer, BLOCK).await.is_err() });
+    let carried =
+        sim.spawn(async move { f.try_transfer(Direction::FromServer, BLOCK).await.is_ok() });
+    let e = early.clone();
+    let granted =
+        sim.spawn(async move { e.try_transfer(Direction::ToServer, BLOCK).await.is_err() });
+    let e = early.clone();
+    let sim2 = sim.clone();
+    let direct = sim.spawn(async move {
+        sim2.sleep(block_time(&NetConfig::default()).times(2)).await;
+        e.try_transfer(Direction::ToServer, BLOCK).await.is_err()
+    });
     sim.run().unwrap();
     assert_eq!(
-        dropped.try_result(),
+        carried.try_result(),
         Some(true),
-        "the grantee's outage holds"
+        "the downlink has no window"
     );
     assert_eq!(
-        plain.stats().packets,
+        granted.try_result(),
+        Some(true),
+        "the hand-over meets the outage"
+    );
+    assert_eq!(
+        direct.try_result(),
+        Some(true),
+        "an idle wire meets the outage"
+    );
+    assert_eq!(
+        early.stats().packets,
         1,
-        "only the unfaulted packet is carried"
+        "only the downlink packet is carried"
     );
 }

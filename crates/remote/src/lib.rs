@@ -9,7 +9,7 @@
 //!   (`primary, primary+1, …` mod K);
 //! - a [`ShardedStore`] holds one [`Filer`] per shard (each with its own
 //!   content-hash seed, so two shards disagree about which blocks read
-//!   fast) plus each shard's resolved [`FaultSchedule`], and keeps the
+//!   fast, and its own resolved [`FaultSchedule`]), and keeps the
 //!   replication bookkeeping the engine's read/write paths drive:
 //!   hedged-read counters, failover counts, and the under-replicated set
 //!   a recovery pass re-replicates when a failed shard returns.
@@ -196,7 +196,6 @@ struct Counters {
 pub struct ShardedStore {
     router: Router,
     filers: Vec<Filer>,
-    faults: Vec<FaultSchedule>,
     counters: Counters,
     /// Per shard: block addresses whose copy on that shard is missing
     /// (the shard was down when the write acknowledged).
@@ -207,20 +206,18 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Builds the store from per-shard service models and fault schedules
-    /// (one of each per shard; pass empty schedules for a fault-free run).
+    /// Builds the store from per-shard service models, one per shard, each
+    /// carrying its shard's fault schedule.
     ///
     /// # Panics
     ///
-    /// Panics if the vector lengths disagree with the router's topology.
-    pub fn new(router: Router, filers: Vec<Filer>, faults: Vec<FaultSchedule>) -> Self {
+    /// Panics if the filer count disagrees with the router's topology.
+    pub fn new(router: Router, filers: Vec<Filer>) -> Self {
         assert_eq!(filers.len(), usize::from(router.shards()));
-        assert_eq!(faults.len(), usize::from(router.shards()));
         let under = RefCell::new(vec![HashSet::new(); filers.len()]);
         Self {
             router,
             filers,
-            faults,
             counters: Counters::default(),
             under,
             under_total: Cell::new(0),
@@ -238,10 +235,10 @@ impl ShardedStore {
         &self.filers[usize::from(shard)]
     }
 
-    /// Shard `k`'s resolved fault schedule (empty when the run injects
-    /// nothing there).
+    /// Shard `k`'s resolved fault schedule, read from its filer (empty
+    /// when the run injects nothing there).
     pub fn faults(&self, shard: u16) -> &FaultSchedule {
-        &self.faults[usize::from(shard)]
+        self.filer(shard).faults()
     }
 
     /// Shard `k`'s service counters.
@@ -273,14 +270,12 @@ impl ShardedStore {
 
     /// Whether shard `k` is up (no open outage) at `now_ns`.
     pub fn live_at(&self, shard: u16, now_ns: u64) -> bool {
-        self.faults[usize::from(shard)]
-            .outage_until(now_ns)
-            .is_none()
+        self.outage_until(shard, now_ns).is_none()
     }
 
     /// If shard `k` is in an outage at `now_ns`, when it clears.
     pub fn outage_until(&self, shard: u16, now_ns: u64) -> Option<u64> {
-        self.faults[usize::from(shard)].outage_until(now_ns)
+        self.faults(shard).outage_until(now_ns)
     }
 
     /// The shards of `ring` that are up at `now_ns`, in ring order.
@@ -470,17 +465,27 @@ mod tests {
         assert!(shard_net_config(net, 3).base_latency > net.base_latency);
     }
 
-    fn store_with_outage() -> ShardedStore {
+    /// A 2×2 store whose shards run the resolved `spec`.
+    fn store_with(spec: &str) -> ShardedStore {
         let sim = Sim::new();
-        let router = Router::new(2, 2);
-        let filers = (0..2)
-            .map(|k| Filer::new(sim.clone(), shard_filer_config(FilerConfig::default(), k)))
-            .collect();
-        let set = FaultPlan::parse("shard1:outage@10s-20s")
+        let set = FaultPlan::parse(spec)
             .unwrap()
             .resolve_sharded(1, 1, 2)
             .unwrap();
-        ShardedStore::new(router, filers, set.shards)
+        let filers = set
+            .shards
+            .into_iter()
+            .zip(0..)
+            .map(|(sched, k)| {
+                Filer::new(sim.clone(), shard_filer_config(FilerConfig::default(), k))
+                    .with_faults(sched, 1)
+            })
+            .collect();
+        ShardedStore::new(Router::new(2, 2), filers)
+    }
+
+    fn store_with_outage() -> ShardedStore {
+        store_with("shard1:outage@10s-20s")
     }
 
     #[test]
@@ -494,15 +499,7 @@ mod tests {
 
     #[test]
     fn ring_liveness_lists_live_replicas_and_the_first_recovery() {
-        let sim = Sim::new();
-        let filers = (0..2)
-            .map(|k| Filer::new(sim.clone(), shard_filer_config(FilerConfig::default(), k)))
-            .collect();
-        let set = FaultPlan::parse("shard0:outage@10s-30s;shard1:outage@15s-20s")
-            .unwrap()
-            .resolve_sharded(1, 1, 2)
-            .unwrap();
-        let store = ShardedStore::new(Router::new(2, 2), filers, set.shards);
+        let store = store_with("shard0:outage@10s-30s;shard1:outage@15s-20s");
         let ring = store.router().ring(1);
         let s = 1_000_000_000u64;
         assert_eq!(store.live_in(ring, 12 * s).collect::<Vec<_>>(), [1]);

@@ -715,15 +715,6 @@ pub struct ResolvedFaultSet {
 }
 
 impl ResolvedFaultSet {
-    /// Whether any target has windows.
-    pub fn is_empty(&self) -> bool {
-        self.filer.is_empty()
-            && self.net_to_server.is_empty()
-            && self.net_from_server.is_empty()
-            && self.device.is_empty()
-            && self.shards.iter().all(FaultSchedule::is_empty)
-    }
-
     /// The union of all backend-side windows (filer and per-shard), for
     /// per-window availability accounting: one entry per *distinct* window
     /// a clause produced. Filer clauses are mirrored into every shard and

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example filer_outage [scale]`
 
-use fcache::{DegradedPolicy, SimConfig, Workbench, WorkloadSpec};
+use fcache::{DegradedPolicy, RobustnessConfig, SimConfig, Workbench, WorkloadSpec};
 use fcache_types::{ByteSize, FaultPlan};
 
 fn main() {
@@ -26,6 +26,14 @@ fn main() {
     // Paper-scale clause: the window divides by the time scale with the
     // rest of the run, so the outage lands mid-run at any scale.
     let plan = FaultPlan::parse("filer:outage@40s-60s").expect("spec");
+    let faulted = |degraded| SimConfig {
+        fault_plan: plan.clone(),
+        robustness: RobustnessConfig {
+            degraded,
+            ..RobustnessConfig::default()
+        },
+        ..SimConfig::baseline()
+    };
 
     println!("60 GB working set, 20 s filer outage at t=40 s, scale 1/{scale}\n");
     println!(
@@ -50,9 +58,7 @@ fn main() {
 
     for policy in [DegradedPolicy::Queue, DegradedPolicy::FailFast] {
         let report = wb
-            .scenario(&SimConfig::baseline(), &spec)
-            .fault_plan(plan.clone())
-            .degraded(policy)
+            .scenario(&faulted(policy), &spec)
             .run()
             .expect("faulted run");
         let r = &report.robustness;
@@ -70,9 +76,7 @@ fn main() {
 
     // Strict: the same outage is a hard failure naming the clause.
     let err = wb
-        .scenario(&SimConfig::baseline(), &spec)
-        .fault_plan(plan)
-        .degraded(DegradedPolicy::Strict)
+        .scenario(&faulted(DegradedPolicy::Strict), &spec)
         .run()
         .expect_err("strict must fail");
     println!("\nstrict: {err}");

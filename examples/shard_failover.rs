@@ -29,6 +29,12 @@ fn main() {
     // Paper-scale clause: the window divides by the time scale with the
     // rest of the run, so the outage lands mid-run at any scale.
     let plan = FaultPlan::parse("shard1:outage@40s-60s").expect("spec");
+    let sharded = |replicas| SimConfig {
+        shards: 4,
+        replicas,
+        fault_plan: plan.clone(),
+        ..SimConfig::baseline()
+    };
 
     println!("60 GB working set, 4 shards, 20 s shard-1 outage at t=40 s, scale 1/{scale}\n");
     println!(
@@ -38,10 +44,7 @@ fn main() {
 
     for replicas in 1u16..=3 {
         let report = wb
-            .scenario(&SimConfig::baseline(), &spec)
-            .shards(4)
-            .replicas(replicas)
-            .fault_plan(plan.clone())
+            .scenario(&sharded(replicas), &spec)
             .run()
             .expect("faulted sharded run");
         let rs = &report.robustness;
@@ -62,14 +65,11 @@ fn main() {
     // Hedged reads on top of replication 2: race a second replica when
     // the first is silent for 500 µs. The hedge also masks the outage —
     // a dead primary simply loses the race.
-    let hedged = wb
-        .scenario(&SimConfig::baseline(), &spec)
-        .shards(4)
-        .replicas(2)
-        .hedge(SimTime::from_micros(500))
-        .fault_plan(plan)
-        .run()
-        .expect("hedged run");
+    let hedged_cfg = SimConfig {
+        hedge: Some(SimTime::from_micros(500)),
+        ..sharded(2)
+    };
+    let hedged = wb.scenario(&hedged_cfg, &spec).run().expect("hedged run");
     let rem = &hedged.shard.remote;
     println!(
         "\nhedged (R=2, 500 us): read {:.1} us/block, {} hedges launched, {} won, {} cancelled",
