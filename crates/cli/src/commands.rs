@@ -1119,7 +1119,7 @@ fn cmd_replay(args: &[String]) -> CmdResult {
     let t0 = std::time::Instant::now();
     let report = match Scenario::new(cfg.clone(), Workload::file(path)).run() {
         Ok(report) => report,
-        Err(fcache::SimError::Source(msg)) => {
+        Err(fcache::SimError::Source(fcache::SourceError::OutsideGrid(msg))) => {
             // Streamed replay sizes the host/thread grid from the file
             // header; an archive whose header understates its op ids (the
             // encoder never validated this) still replays the slow way,
@@ -1816,5 +1816,54 @@ mod tests {
         ]))
         .unwrap();
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn replay_fails_at_once_on_a_corrupt_record() {
+        // Only an understated grid falls back to a full decode. A corrupt
+        // record fails the streamed run itself: the error is the run's
+        // `SimError`, not the full decode's `io::Error`.
+        use fcache::{SimError, SourceError};
+        use fcache_types::{FileId, HostId, OpKind, ThreadId, Trace, TraceMeta, TraceOp};
+        let mut trace = Trace::new(TraceMeta {
+            hosts: 1,
+            threads_per_host: 1,
+            ..TraceMeta::default()
+        });
+        for block in 0..6 {
+            trace.ops.push(TraceOp::new(
+                HostId(0),
+                ThreadId(0),
+                OpKind::Read,
+                FileId(1),
+                block * 4,
+                4,
+                false,
+            ));
+        }
+        let mut bytes = Vec::new();
+        trace.encode(&mut bytes).unwrap();
+        // Zero the block count, the last 4 bytes of each 20-byte record,
+        // of the fourth of six records.
+        let end = bytes.len() - 2 * 20;
+        bytes[end - 4..end].fill(0);
+        let path = std::env::temp_dir().join("fcsim_test_corrupt_record.bin");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = dispatch(&argv(&[
+            "replay",
+            "--in",
+            path.to_str().unwrap(),
+            "--scale",
+            "16384",
+        ]))
+        .unwrap_err();
+        let _ = std::fs::remove_file(path);
+        assert!(
+            matches!(
+                err.downcast_ref::<SimError>(),
+                Some(SimError::Source(SourceError::Unreadable(_)))
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -614,7 +614,7 @@ impl SsdQueue {
             *cmd = Cmd::Queued(lba, self.slots.acquire());
         }
         if let Cmd::Queued(lba, acquire) = cmd {
-            let Poll::Ready(slot) = Pin::new(acquire).poll(cx) else {
+            let Poll::Ready((slot, ())) = Pin::new(acquire).poll(cx) else {
                 return Poll::Pending;
             };
             let t = {

@@ -111,7 +111,7 @@ pub use results::{
 };
 pub use robust::{DegradedPolicy, FaultWindowStat, RobustnessConfig, RobustnessStats};
 pub use scenario::{Scenario, Sweep, SweepError, SweepItem, SweepResults, Workload};
-pub use sim::{run_source, run_trace, SimError};
+pub use sim::{run_source, run_trace, SimError, SourceError};
 pub use telemetry::{
     chrome_trace, read_span_rows, OpSpan, SpanRow, TelemetryStats, TelemetryWindow,
 };

@@ -85,7 +85,7 @@ use fcache_types::{ByteReader, Trace, TraceReader, TraceSource};
 use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::results::{config_to_json, DecodedRow, ResultRow, ResultSink};
-use crate::sim::{run_source, run_trace, SimError};
+use crate::sim::{run_source, run_trace, SimError, SourceError};
 
 /// Boxed per-job source factory: called once per run/job, on the worker
 /// thread that consumes the stream.
@@ -175,7 +175,9 @@ impl<'a> Workload<'a> {
                 run_source(cfg, &mut source)
             }
             WorkloadKind::File(path) => {
-                let open = |e| SimError::Source(format!("{}: {e}", path.display()));
+                let open = |e| {
+                    SimError::Source(SourceError::Unreadable(format!("{}: {e}", path.display())))
+                };
                 let file = File::open(path).map_err(open)?;
                 // Zero-copy fast path: map the archive and replay through
                 // per-slot cursors decoding records straight out of the

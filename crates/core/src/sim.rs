@@ -31,7 +31,7 @@ use fcache_net::{Segment, SegmentStats};
 use fcache_remote::{shard_filer_config, shard_net_config, Router, ShardedStore};
 use fcache_types::{
     mix64, FxHashSet, HostId, ResolvedFaultSet, SliceSource, SlotCursor, Trace, TraceMeta, TraceOp,
-    TraceSource, BLOCK_SIZE, TRACE_CHUNK_OPS,
+    TraceSource, BLOCK_SIZE, OUTSIDE_GRID, TRACE_CHUNK_OPS,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -56,9 +56,8 @@ pub enum SimError {
         /// Number of stuck tasks.
         live_tasks: usize,
     },
-    /// The trace source failed mid-stream (I/O error, corrupt record, or an
-    /// op outside the dimensions its metadata promised).
-    Source(String),
+    /// The trace source failed mid-stream.
+    Source(SourceError),
     /// The run panicked. Produced only by [`crate::Sweep`], which catches
     /// per-job panics so one hostile job cannot abort a whole sweep; the
     /// payload is the panic message.
@@ -80,7 +79,7 @@ impl std::fmt::Display for SimError {
             SimError::Deadlock { live_tasks } => {
                 write!(f, "simulation deadlocked with {live_tasks} task(s) blocked")
             }
-            SimError::Source(msg) => write!(f, "trace source failed: {msg}"),
+            SimError::Source(e) => write!(f, "trace source failed: {e}"),
             SimError::Panic(msg) => write!(f, "simulation panicked: {msg}"),
             SimError::Faulted { clause } => {
                 write!(
@@ -93,6 +92,35 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// Why a trace source failed a run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SourceError {
+    /// An I/O error or a corrupt record.
+    Unreadable(String),
+    /// An op outside the host/thread grid the source's metadata promised
+    /// ([`fcache_types::OUTSIDE_GRID`]). The records decode; only the
+    /// metadata understates them.
+    OutsideGrid(String),
+}
+
+impl From<&io::Error> for SourceError {
+    fn from(e: &io::Error) -> Self {
+        if e.kind() == OUTSIDE_GRID {
+            SourceError::OutsideGrid(e.to_string())
+        } else {
+            SourceError::Unreadable(e.to_string())
+        }
+    }
+}
+
+impl std::fmt::Display for SourceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SourceError::Unreadable(msg) | SourceError::OutsideGrid(msg) => f.write_str(msg),
+        }
+    }
+}
 
 impl From<RunError> for SimError {
     fn from(e: RunError) -> Self {
@@ -640,8 +668,8 @@ pub fn run_trace(config: &SimConfig, trace: &Trace) -> Result<SimReport, SimErro
 /// [`run_trace`].
 ///
 /// The host/thread grid comes from [`TraceSource::meta`]; an op outside
-/// that grid, like a corrupt record, fails the run with
-/// [`SimError::Source`].
+/// that grid fails the run with [`SourceError::OutsideGrid`], and a
+/// corrupt record with [`SourceError::Unreadable`].
 pub fn run_source<S: TraceSource>(
     config: &SimConfig,
     source: &mut S,
@@ -774,7 +802,7 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
         cursors.extend((0..n_slots).map(|slot| Cursor::Fed(Rc::clone(&feed), slot)));
     }
 
-    let error: Rc<RefCell<Option<String>>> = Rc::default();
+    let error: Rc<RefCell<Option<SourceError>>> = Rc::default();
     for (slot, mut cursor) in cursors.into_iter().enumerate() {
         let host = Rc::clone(&parts.hosts[slot / usize::from(n_threads)]);
         let error = Rc::clone(&error);
@@ -791,7 +819,7 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
                     Err(e) => {
                         // The first failing slot wins (deterministic:
                         // tasks run in a deterministic order).
-                        error.borrow_mut().get_or_insert_with(|| e.to_string());
+                        error.borrow_mut().get_or_insert_with(|| (&e).into());
                         break;
                     }
                 }
@@ -801,8 +829,8 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
 
     spawn_daemons(&parts);
     let report = run_and_collect(&parts);
-    if let Some(msg) = error.borrow_mut().take() {
-        return Err(SimError::Source(msg));
+    if let Some(e) = error.borrow_mut().take() {
+        return Err(SimError::Source(e));
     }
     report
 }

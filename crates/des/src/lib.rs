@@ -10,7 +10,9 @@
 //! - [`Sim`] — the simulation handle: spawn tasks, read the clock, run.
 //! - [`Sim::sleep`] — model a service latency (device access, wire time).
 //! - [`Resource`] — a FIFO counting semaphore used to model contention
-//!   points such as the SSD's command-queue slots.
+//!   points: the SSD's command-queue slots and each network channel. A
+//!   [`GrantHook`] runs on the waiter's request in the poll that grants
+//!   it, and may arm the grantee instead of waking it.
 //! - [`Sim::wake_at`] — hand a parked task a hold whose end is already
 //!   known: the run loop registers its timer where the task sits in the
 //!   ready queue, without polling it.
@@ -54,6 +56,6 @@ mod wake_at_tests;
 
 pub use completion::{CompletionSet, WaitAll};
 pub use executor::{JoinHandle, RunError, RunReport, Sim};
-pub use resource::{Resource, ResourceGuard};
+pub use resource::{GrantHook, PlainWake, Resource, ResourceGuard};
 pub use sync::{oneshot, OneshotReceiver, OneshotSender, RecvError};
 pub use time::SimTime;

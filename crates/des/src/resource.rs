@@ -1,37 +1,78 @@
 //! FIFO counting semaphore for modeling contention points.
 //!
-//! The simulator uses it for the SSD's command-queue slots: a
-//! [`Resource`] with `queue_depth` permits. Waiters are served in strict
-//! FIFO order, so commands enter service in submission order. (The
-//! network segments keep their own FIFO, which hands the wire over with
-//! an armed timer; see `fcache_net`.)
+//! The simulator has two: the SSD's command-queue slots (a [`Resource`]
+//! with `queue_depth` permits) and each channel of a network segment (one
+//! permit). Waiters are served in strict FIFO order, so requests enter
+//! service in submission order.
+//!
+//! A waiter carries a request value, and the resource's [`GrantHook`]
+//! runs on it in the poll that grants the permit. The default hook,
+//! [`PlainWake`], carries nothing and wakes the grantee; a network
+//! segment's hook fixes the packet's wire time and arms the grantee's
+//! timer for its end instead (see `fcache_net`).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
+use std::mem;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+/// What a [`Resource`] does with a waiter's request when it grants the
+/// waiter a permit.
+///
+/// [`grant`](GrantHook::grant) runs once per grant, in FIFO order, in the
+/// poll that grants: the acquirer's own poll when a permit is free, or
+/// the releasing poll when the permit is handed to the head waiter. It
+/// returns the outcome the grantee's acquire resolves with, and whether
+/// it armed the grantee with [`Sim::wake_at`](crate::Sim::wake_at). An
+/// armed grantee is not woken; arming is exact only when the acquire is
+/// the grantee task's one pending await. `wake_at` refuses the running
+/// task, so an immediate grant is never armed.
+pub trait GrantHook {
+    /// What a waiter carries.
+    type Request;
+    /// What the grantee receives with its permit.
+    type Outcome;
+
+    /// Grants a permit to the waiter of `req`, whose task `waker` wakes.
+    fn grant(&mut self, req: Self::Request, waker: &Waker) -> (Self::Outcome, bool);
+}
+
+/// The default [`GrantHook`]: no request, no outcome, and the grantee is
+/// woken.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PlainWake;
+
+impl GrantHook for PlainWake {
+    type Request = ();
+    type Outcome = ();
+
+    fn grant(&mut self, (): (), _: &Waker) -> ((), bool) {
+        ((), false)
+    }
+}
+
 /// Internal wait-list entry state.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WaitState {
-    Waiting,
-    Granted,
+enum WaitState<H: GrantHook> {
+    Waiting(H::Request),
+    Granted(H::Outcome),
+    /// Dropped while queued (a release skips and recycles it), or
+    /// consumed.
     Cancelled,
 }
 
 /// One wait-list entry. Slots live in a slab inside [`ResourceState`] and
 /// are recycled through a free list, so steady-state waiting allocates
-/// nothing (the `Rc<RefCell<..>>`-per-wait representation this replaces was
-/// the dominant small-allocation source in contended simulations).
-struct WaiterSlot {
-    state: WaitState,
+/// nothing.
+struct WaiterSlot<H: GrantHook> {
+    state: WaitState<H>,
     waker: Option<Waker>,
 }
 
-struct ResourceState {
+struct ResourceState<H: GrantHook> {
     capacity: usize,
     available: usize,
     /// FIFO of indices into `slots`; cancelled entries stay until a
@@ -39,47 +80,45 @@ struct ResourceState {
     queue: VecDeque<u32>,
     /// Entries of `queue` still waiting (not cancelled).
     waiting: usize,
-    slots: Vec<WaiterSlot>,
+    slots: Vec<WaiterSlot<H>>,
     free: Vec<u32>,
-    // Statistics.
-    acquires: u64,
-    waits: u64,
+    hook: H,
 }
 
-impl ResourceState {
-    fn alloc_slot(&mut self, waker: Waker) -> u32 {
+impl<H: GrantHook> ResourceState<H> {
+    fn alloc_slot(&mut self, req: H::Request, waker: Waker) -> u32 {
+        let slot = WaiterSlot {
+            state: WaitState::Waiting(req),
+            waker: Some(waker),
+        };
         if let Some(i) = self.free.pop() {
-            let s = &mut self.slots[i as usize];
-            s.state = WaitState::Waiting;
-            s.waker = Some(waker);
+            self.slots[i as usize] = slot;
             i
         } else {
-            self.slots.push(WaiterSlot {
-                state: WaitState::Waiting,
-                waker: Some(waker),
-            });
+            self.slots.push(slot);
             (self.slots.len() - 1) as u32
         }
     }
 
-    /// Returns one permit, handing it to the first live waiter if any.
+    /// Returns one permit, handing it to the first live waiter if any:
+    /// the hook runs on its request, and the waiter is woken unless the
+    /// hook armed it.
     fn release(&mut self) {
         while let Some(i) = self.queue.pop_front() {
             let s = &mut self.slots[i as usize];
-            match s.state {
-                WaitState::Cancelled => {
-                    self.free.push(i);
-                    continue;
-                }
-                WaitState::Waiting => {
-                    s.state = WaitState::Granted;
+            match mem::replace(&mut s.state, WaitState::Cancelled) {
+                WaitState::Cancelled => self.free.push(i),
+                WaitState::Waiting(req) => {
+                    let waker = s.waker.take().expect("queued waiter without a waker");
+                    let (outcome, armed) = self.hook.grant(req, &waker);
+                    s.state = WaitState::Granted(outcome);
                     self.waiting -= 1;
-                    if let Some(waker) = s.waker.take() {
+                    if !armed {
                         waker.wake();
                     }
                     return;
                 }
-                WaitState::Granted => unreachable!("granted waiter still queued"),
+                WaitState::Granted(_) => unreachable!("granted waiter still queued"),
             }
         }
         self.available += 1;
@@ -90,7 +129,8 @@ impl ResourceState {
     }
 }
 
-/// A FIFO counting semaphore over simulated time.
+/// A FIFO counting semaphore over simulated time, with a [`GrantHook`]
+/// run on each grant.
 ///
 /// Cloning the handle shares the same underlying permits.
 ///
@@ -113,18 +153,43 @@ impl ResourceState {
 /// // Three holders serialized on one permit: 30 µs total.
 /// assert_eq!(report.end_time, SimTime::from_micros(30));
 /// ```
-#[derive(Clone)]
-pub struct Resource {
-    state: Rc<RefCell<ResourceState>>,
+pub struct Resource<H: GrantHook = PlainWake> {
+    state: Rc<RefCell<ResourceState<H>>>,
+}
+
+impl<H: GrantHook> Clone for Resource<H> {
+    fn clone(&self) -> Self {
+        Self {
+            state: Rc::clone(&self.state),
+        }
+    }
 }
 
 impl Resource {
-    /// Creates a resource with `capacity` permits.
+    /// Creates a resource with `capacity` permits and the plain-wake
+    /// hook.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hook(capacity, PlainWake)
+    }
+
+    /// Acquires one permit, waiting FIFO behind earlier requesters.
+    pub fn acquire(&self) -> Acquire {
+        self.acquire_with(())
+    }
+}
+
+impl<H: GrantHook> Resource<H> {
+    /// Creates a resource with `capacity` permits whose grants run
+    /// `hook`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn with_hook(capacity: usize, hook: H) -> Self {
         assert!(capacity > 0, "resource capacity must be nonzero");
         Self {
             state: Rc::new(RefCell::new(ResourceState {
@@ -134,31 +199,17 @@ impl Resource {
                 waiting: 0,
                 slots: Vec::new(),
                 free: Vec::new(),
-                acquires: 0,
-                waits: 0,
+                hook,
             })),
         }
     }
 
-    /// Acquires one permit, waiting FIFO behind earlier requesters.
-    pub fn acquire(&self) -> Acquire {
+    /// Acquires one permit for `req`, waiting FIFO behind earlier
+    /// requesters; resolves with the permit and the hook's outcome.
+    pub fn acquire_with(&self, req: H::Request) -> Acquire<H> {
         Acquire {
             resource: self.clone(),
-            waiter: None,
-        }
-    }
-
-    /// Attempts to take a permit without waiting.
-    pub fn try_acquire(&self) -> Option<ResourceGuard> {
-        let mut st = self.state.borrow_mut();
-        if st.queue.is_empty() && st.available > 0 {
-            st.available -= 1;
-            st.acquires += 1;
-            Some(ResourceGuard {
-                state: Rc::clone(&self.state),
-            })
-        } else {
-            None
+            state: AcquireState::Start(req),
         }
     }
 
@@ -171,19 +222,9 @@ impl Resource {
     pub fn queue_len(&self) -> usize {
         self.state.borrow().waiting
     }
-
-    /// Total successful acquisitions so far.
-    pub fn total_acquires(&self) -> u64 {
-        self.state.borrow().acquires
-    }
-
-    /// Total acquisitions that had to wait.
-    pub fn total_waits(&self) -> u64 {
-        self.state.borrow().waits
-    }
 }
 
-impl fmt::Debug for Resource {
+impl<H: GrantHook> fmt::Debug for Resource<H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.state.borrow();
         f.debug_struct("Resource")
@@ -195,83 +236,102 @@ impl fmt::Debug for Resource {
 }
 
 /// RAII permit for a [`Resource`]; dropping it releases the permit.
-pub struct ResourceGuard {
-    state: Rc<RefCell<ResourceState>>,
+pub struct ResourceGuard<H: GrantHook = PlainWake> {
+    state: Rc<RefCell<ResourceState<H>>>,
 }
 
-impl Drop for ResourceGuard {
+impl<H: GrantHook> Drop for ResourceGuard<H> {
     fn drop(&mut self) {
         self.state.borrow_mut().release();
     }
 }
 
-impl fmt::Debug for ResourceGuard {
+impl<H: GrantHook> fmt::Debug for ResourceGuard<H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ResourceGuard")
     }
 }
 
-/// Future returned by [`Resource::acquire`].
-pub struct Acquire {
-    resource: Resource,
-    /// Index of this future's waiter slot, once queued.
-    waiter: Option<u32>,
+/// Future returned by [`Resource::acquire`] and [`Resource::acquire_with`]:
+/// resolves with the permit and the hook's outcome.
+pub struct Acquire<H: GrantHook = PlainWake> {
+    resource: Resource<H>,
+    state: AcquireState<H::Request>,
 }
 
-impl Future for Acquire {
-    type Output = ResourceGuard;
+enum AcquireState<R> {
+    /// Not yet polled.
+    Start(R),
+    /// Queued as this waiter slot.
+    Queued(u32),
+    /// Resolved.
+    Done,
+}
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<ResourceGuard> {
-        let mut st = self.resource.state.borrow_mut();
-        if let Some(i) = self.waiter {
-            match st.slots[i as usize].state {
-                WaitState::Granted => {
-                    st.free.push(i); // consumed; drop must not re-release
-                    st.acquires += 1;
-                    drop(st);
-                    self.waiter = None;
-                    Poll::Ready(ResourceGuard {
-                        state: Rc::clone(&self.resource.state),
-                    })
+// Nothing in an `Acquire` is pinned: its request is moved out by value.
+impl<H: GrantHook> Unpin for Acquire<H> {}
+
+impl<H: GrantHook> Future for Acquire<H> {
+    type Output = (ResourceGuard<H>, H::Outcome);
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let mut st = this.resource.state.borrow_mut();
+        let st = &mut *st;
+        let outcome = match mem::replace(&mut this.state, AcquireState::Done) {
+            AcquireState::Queued(i) => {
+                let s = &mut st.slots[i as usize];
+                if let WaitState::Waiting(_) = s.state {
+                    if !s.waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                        s.waker = Some(cx.waker().clone());
+                    }
+                    this.state = AcquireState::Queued(i);
+                    return Poll::Pending;
                 }
-                WaitState::Waiting => {
-                    st.slots[i as usize].waker = Some(cx.waker().clone());
-                    Poll::Pending
-                }
-                WaitState::Cancelled => unreachable!("polling a cancelled acquire"),
+                let WaitState::Granted(outcome) = mem::replace(&mut s.state, WaitState::Cancelled)
+                else {
+                    unreachable!("polling a cancelled acquire")
+                };
+                st.free.push(i);
+                outcome
             }
-        } else {
-            if st.queue.is_empty() && st.available > 0 {
+            AcquireState::Start(req) if st.queue.is_empty() && st.available > 0 => {
                 st.available -= 1;
-                st.acquires += 1;
-                return Poll::Ready(ResourceGuard {
-                    state: Rc::clone(&self.resource.state),
-                });
+                let (outcome, armed) = st.hook.grant(req, cx.waker());
+                debug_assert!(!armed, "an immediate grant armed its own acquirer");
+                outcome
             }
-            st.waits += 1;
-            let i = st.alloc_slot(cx.waker().clone());
-            st.queue.push_back(i);
-            st.waiting += 1;
-            drop(st);
-            self.waiter = Some(i);
-            Poll::Pending
-        }
+            AcquireState::Start(req) => {
+                let i = st.alloc_slot(req, cx.waker().clone());
+                st.queue.push_back(i);
+                st.waiting += 1;
+                this.state = AcquireState::Queued(i);
+                return Poll::Pending;
+            }
+            AcquireState::Done => panic!("acquire polled after completion"),
+        };
+        let guard = ResourceGuard {
+            state: Rc::clone(&this.resource.state),
+        };
+        Poll::Ready((guard, outcome))
     }
 }
 
-impl Drop for Acquire {
+impl<H: GrantHook> Drop for Acquire<H> {
     fn drop(&mut self) {
-        if let Some(i) = self.waiter.take() {
+        if let AcquireState::Queued(i) = self.state {
             let mut st = self.resource.state.borrow_mut();
-            match st.slots[i as usize].state {
-                // Still queued: mark for `release` to skip and recycle.
-                WaitState::Waiting => {
-                    st.slots[i as usize].state = WaitState::Cancelled;
+            let st = &mut *st;
+            let s = &mut st.slots[i as usize];
+            match mem::replace(&mut s.state, WaitState::Cancelled) {
+                // Still queued: left for `release` to skip and recycle.
+                WaitState::Waiting(_) => {
+                    s.waker = None;
                     st.waiting -= 1;
                 }
-                WaitState::Granted => {
-                    // We were handed a permit but never observed it: give
-                    // it back so it is not leaked.
+                // Handed a permit but never observed it: pass it on, so
+                // it is not leaked.
+                WaitState::Granted(_) => {
                     st.free.push(i);
                     st.release();
                 }
@@ -287,6 +347,11 @@ mod tests {
     use crate::{Sim, SimTime};
     use std::cell::RefCell as StdRefCell;
 
+    /// Polls `f` once with a waker that does nothing.
+    fn poll_once<F: Future + Unpin>(f: &mut F) -> Poll<F::Output> {
+        Pin::new(f).poll(&mut Context::from_waker(Waker::noop()))
+    }
+
     #[test]
     fn uncontended_acquire_is_immediate() {
         let sim = Sim::new();
@@ -300,8 +365,6 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(r.available(), 2);
-        assert_eq!(r.total_acquires(), 2);
-        assert_eq!(r.total_waits(), 0);
     }
 
     #[test]
@@ -327,7 +390,6 @@ mod tests {
             assert_eq!(*i as usize, idx);
             assert_eq!(*t, SimTime::from_micros(10 * (idx as u64 + 1)));
         }
-        assert_eq!(r.total_waits(), 3);
     }
 
     #[test]
@@ -348,14 +410,21 @@ mod tests {
     }
 
     #[test]
-    fn try_acquire_respects_queue() {
-        let sim = Sim::new();
+    fn acquire_respects_queue() {
         let r = Resource::new(1);
-        let g = r.try_acquire().unwrap();
-        assert!(r.try_acquire().is_none());
+        let (g, ()) = match poll_once(&mut r.acquire()) {
+            Poll::Ready(granted) => granted,
+            Poll::Pending => panic!("free permit not granted"),
+        };
+        let mut queued = r.acquire();
+        assert!(poll_once(&mut queued).is_pending());
+        // The release hands the permit to the queued waiter, so a later
+        // acquire queues behind it.
         drop(g);
-        assert!(r.try_acquire().is_some());
-        drop(sim);
+        let mut late = r.acquire();
+        assert!(poll_once(&mut late).is_pending());
+        assert!(poll_once(&mut queued).is_ready());
+        assert!(poll_once(&mut late).is_ready());
     }
 
     #[test]
@@ -419,8 +488,6 @@ mod tests {
 
     /// Polls a future exactly once, then drops it.
     async fn futures_poll_once<F: Future + Unpin>(mut f: F) {
-        use std::pin::Pin;
-        use std::task::Poll;
         std::future::poll_fn(move |cx| {
             let _ = Pin::new(&mut f).poll(cx);
             Poll::Ready(())
@@ -430,14 +497,13 @@ mod tests {
 
     #[test]
     fn queue_len_counts_waiters_through_grants_and_cancels() {
-        let sim = Sim::new();
         let r = Resource::new(1);
-        let held = r.try_acquire().expect("free");
-        let noop = std::task::Waker::noop();
-        let mut cx = Context::from_waker(noop);
-        let mut acqs: Vec<_> = (0..4).map(|_| Box::pin(r.acquire())).collect();
+        let Poll::Ready((held, ())) = poll_once(&mut r.acquire()) else {
+            panic!("free permit not granted");
+        };
+        let mut acqs: Vec<_> = (0..4).map(|_| r.acquire()).collect();
         for a in &mut acqs {
-            assert!(a.as_mut().poll(&mut cx).is_pending());
+            assert!(poll_once(a).is_pending());
         }
         assert_eq!(r.queue_len(), 4);
         // Cancel the second and the last while they wait.
@@ -448,9 +514,8 @@ mod tests {
         // the permit and leaves the queue.
         drop(held);
         assert_eq!(r.queue_len(), 1);
-        let g = match acqs[0].as_mut().poll(&mut cx) {
-            Poll::Ready(g) => g,
-            Poll::Pending => panic!("granted waiter still pending"),
+        let Poll::Ready((g, ())) = poll_once(&mut acqs[0]) else {
+            panic!("granted waiter still pending");
         };
         // Its release skips the cancelled second waiter and grants the
         // third.
@@ -460,7 +525,6 @@ mod tests {
         // back.
         drop(acqs.remove(1));
         assert_eq!((r.queue_len(), r.available()), (0, 1));
-        drop(sim);
     }
 
     #[test]
@@ -469,20 +533,142 @@ mod tests {
         let _ = Resource::new(0);
     }
 
+    /// A grant: the waiter's tag, when the hook ran, and whether it armed
+    /// the grantee.
+    type Logged = (u32, SimTime, bool);
+
+    /// A hook that logs each grant and, when `arm_for` is set, arms the
+    /// grantee for that long after the grant.
+    struct LogHook {
+        sim: Sim,
+        arm_for: Option<SimTime>,
+        log: Rc<StdRefCell<Vec<Logged>>>,
+    }
+
+    impl GrantHook for LogHook {
+        type Request = u32;
+        type Outcome = SimTime;
+
+        fn grant(&mut self, tag: u32, waker: &Waker) -> (SimTime, bool) {
+            let now = self.sim.now();
+            let armed = self
+                .arm_for
+                .is_some_and(|d| self.sim.wake_at(waker, now + d));
+            self.log.borrow_mut().push((tag, now, armed));
+            (now, armed)
+        }
+    }
+
+    fn logged(
+        sim: &Sim,
+        arm_for: Option<SimTime>,
+    ) -> (Resource<LogHook>, Rc<StdRefCell<Vec<Logged>>>) {
+        let log = Rc::new(StdRefCell::new(Vec::new()));
+        let hook = LogHook {
+            sim: sim.clone(),
+            arm_for,
+            log: Rc::clone(&log),
+        };
+        (Resource::with_hook(1, hook), log)
+    }
+
     #[test]
-    fn stats_count_waits() {
+    fn the_hook_runs_once_per_grant_in_fifo_order_at_the_release_instant() {
         let sim = Sim::new();
-        let r = Resource::new(1);
-        for _ in 0..3 {
-            let s = sim.clone();
-            let r = r.clone();
+        let (r, log) = logged(&sim, None);
+        let resolved = Rc::new(StdRefCell::new(Vec::new()));
+        for tag in 0..4u32 {
+            let (s, r, resolved) = (sim.clone(), r.clone(), Rc::clone(&resolved));
             sim.spawn(async move {
-                let _g = r.acquire().await;
-                s.sleep(SimTime::from_micros(1)).await;
+                // Later tags ask later, so FIFO order is tag order.
+                s.sleep(SimTime::from_nanos(u64::from(tag))).await;
+                let (_held, granted_at) = r.acquire_with(tag).await;
+                resolved.borrow_mut().push((tag, granted_at, s.now()));
+                s.sleep(SimTime::from_micros(10)).await;
             });
         }
         sim.run().unwrap();
-        assert_eq!(r.total_acquires(), 3);
-        assert_eq!(r.total_waits(), 2);
+        let us = SimTime::from_micros;
+        // The first grant is immediate; each later one runs when the
+        // holder before it releases, every 10 µs.
+        assert_eq!(
+            *log.borrow(),
+            [
+                (0, us(0), false),
+                (1, us(10), false),
+                (2, us(20), false),
+                (3, us(30), false)
+            ]
+        );
+        // Each grantee resolves with its own outcome, at its grant.
+        assert_eq!(
+            *resolved.borrow(),
+            [
+                (0, us(0), us(0)),
+                (1, us(10), us(10)),
+                (2, us(20), us(20)),
+                (3, us(30), us(30))
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cancelled_waiter_is_skipped_without_running_the_hook() {
+        let sim = Sim::new();
+        let (r, log) = logged(&sim, None);
+        let Poll::Ready((held, _)) = poll_once(&mut r.acquire_with(0)) else {
+            panic!("free permit not granted");
+        };
+        let mut waiters: Vec<_> = (1..4).map(|tag| r.acquire_with(tag)).collect();
+        for w in &mut waiters {
+            assert!(poll_once(w).is_pending());
+        }
+        drop(waiters.remove(1));
+        drop(held);
+        let Poll::Ready((g, _)) = poll_once(&mut waiters[0]) else {
+            panic!("granted waiter still pending");
+        };
+        drop(g);
+        let tags: Vec<u32> = log.borrow().iter().map(|&(tag, ..)| tag).collect();
+        assert_eq!(tags, [0, 1, 3]);
+    }
+
+    #[test]
+    fn an_armed_grantee_dropped_before_its_poll_passes_the_permit_on() {
+        let sim = Sim::new();
+        let ns = SimTime::from_nanos;
+        let (r, log) = logged(&sim, Some(ns(10)));
+        // Tag 0 holds the permit until 5.
+        let (s, r0) = (sim.clone(), r.clone());
+        sim.spawn(async move {
+            let _held = r0.acquire_with(0).await;
+            s.sleep(ns(5)).await;
+        });
+        // Tag 1 queues through a cell that another task can empty.
+        let cell = Rc::new(StdRefCell::new(Some(r.acquire_with(1))));
+        let c = Rc::clone(&cell);
+        sim.spawn(std::future::poll_fn(move |cx| match &mut *c.borrow_mut() {
+            Some(acq) => Pin::new(acq).poll(cx).map(drop),
+            None => Poll::Ready(()),
+        }));
+        // Tag 2 queues behind it.
+        let (s, r2) = (sim.clone(), r.clone());
+        let h = sim.spawn(async move {
+            let (_held, granted_at) = r2.acquire_with(2).await;
+            (granted_at, s.now())
+        });
+        // At 5, after tag 0's release armed tag 1, drop tag 1's acquire.
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.sleep(ns(5)).await;
+            drop(cell.borrow_mut().take());
+        });
+        sim.run().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            [(0, ns(0), false), (1, ns(5), true), (2, ns(5), true)]
+        );
+        // Tag 2 was granted at 5 and armed for 15.
+        assert_eq!(h.try_result(), Some((ns(5), ns(15))));
     }
 }

@@ -1,12 +1,10 @@
 //! An armed hand-over ([`Sim::wake_at`]) must change nothing but the poll
-//! count. A FIFO wire local to these tests hands itself to the next
-//! queued sender either by arming it for the end of its packet or by a
-//! plain wake after which the sender sleeps for itself; random senders
-//! must observe the same simulated times in the same global order both
-//! ways, in no more polls.
+//! count. A capacity-1 [`Resource`] models a wire whose grant hook either
+//! arms the next queued sender for the end of its packet, or leaves it to
+//! be woken and sleep for itself; random senders must observe the same
+//! simulated times in the same global order both ways, in no more polls.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::rc::Rc;
@@ -14,82 +12,48 @@ use std::task::{Context, Poll, Waker};
 
 use proptest::prelude::*;
 
-use crate::{Sim, SimTime};
+use crate::{GrantHook, Resource, Sim, SimTime};
 
 fn ns(n: u64) -> SimTime {
     SimTime::from_nanos(n)
 }
 
-/// What the hand-over left a queued sender.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Grant {
-    Waiting,
-    /// Holds the wire until this instant; the executor registers its
-    /// timer.
-    Armed(SimTime),
-    /// Holds the wire; sleeps for its packet itself.
-    Woken,
-}
-
-/// A sender waiting for the wire.
-struct Queued {
-    waker: Waker,
-    /// Packet time.
-    t: u64,
-    grant: Rc<Cell<Grant>>,
-}
-
-/// A capacity-1 FIFO wire.
-struct Wire {
+/// The wire's grant hook: arms a sender granted the wire for the end of
+/// its packet, when `arm` is set and the executor accepts.
+struct Hand {
     sim: Sim,
     arm: bool,
-    busy: Cell<bool>,
-    queue: RefCell<VecDeque<Queued>>,
 }
 
-impl Wire {
-    async fn send(&self, t: u64) {
-        if !self.busy.get() && self.queue.borrow().is_empty() {
-            self.busy.set(true);
-            self.sim.sleep(ns(t)).await;
-        } else {
-            let grant = Rc::new(Cell::new(Grant::Waiting));
-            let mut queued = false;
-            let got = poll_fn(|cx| match grant.get() {
-                Grant::Waiting => {
-                    if !queued {
-                        queued = true;
-                        self.queue.borrow_mut().push_back(Queued {
-                            waker: cx.waker().clone(),
-                            t,
-                            grant: Rc::clone(&grant),
-                        });
-                    }
-                    Poll::Pending
-                }
-                Grant::Armed(until) if self.sim.now() < until => Poll::Pending,
-                g => Poll::Ready(g),
-            })
-            .await;
-            if got == Grant::Woken {
-                self.sim.sleep(ns(t)).await;
-            }
-        }
-        self.release();
-    }
+impl GrantHook for Hand {
+    /// Packet time.
+    type Request = u64;
+    /// The instant the wire is held until, when the grant armed the
+    /// sender; `None` when the sender sleeps for its packet itself.
+    type Outcome = Option<SimTime>;
 
-    fn release(&self) {
-        let Some(Queued { waker, t, grant }) = self.queue.borrow_mut().pop_front() else {
-            self.busy.set(false);
-            return;
-        };
+    fn grant(&mut self, t: u64, waker: &Waker) -> (Option<SimTime>, bool) {
         let until = self.sim.now() + ns(t);
-        if self.arm && self.sim.wake_at(&waker, until) {
-            grant.set(Grant::Armed(until));
-        } else {
-            grant.set(Grant::Woken);
-            waker.wake();
+        let armed = self.arm && self.sim.wake_at(waker, until);
+        (armed.then_some(until), armed)
+    }
+}
+
+/// Sends a packet of wire time `t` on `wire`.
+async fn send(sim: &Sim, wire: &Resource<Hand>, t: u64) {
+    let (_held, armed) = wire.acquire_with(t).await;
+    match armed {
+        Some(until) => {
+            poll_fn(|_| {
+                if sim.now() < until {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            })
+            .await
         }
+        None => sim.sleep(ns(t)).await,
     }
 }
 
@@ -116,11 +80,12 @@ fn program() -> impl Strategy<Value = Vec<Vec<Step>>> {
 /// Runs the senders; returns the `(task, ns)` log and the poll count.
 fn execute(tasks: &[Vec<Step>], arm: bool) -> (Vec<(usize, u64)>, u64) {
     let sim = Sim::new();
-    let wires: Rc<[Wire; 2]> = Rc::new([0, 1].map(|_| Wire {
-        sim: sim.clone(),
-        arm,
-        busy: Cell::new(false),
-        queue: RefCell::new(VecDeque::new()),
+    let wires: Rc<[Resource<Hand>; 2]> = Rc::new([0, 1].map(|_| {
+        let hook = Hand {
+            sim: sim.clone(),
+            arm,
+        };
+        Resource::with_hook(1, hook)
     }));
     let log = Rc::new(RefCell::new(Vec::new()));
     for (tag, steps) in tasks.iter().enumerate() {
@@ -134,7 +99,7 @@ fn execute(tasks: &[Vec<Step>], arm: bool) -> (Vec<(usize, u64)>, u64) {
             for s in steps {
                 match s {
                     Step::Think(d) => sim2.sleep(ns(d)).await,
-                    Step::Send(w, t) => wires[usize::from(w)].send(t).await,
+                    Step::Send(w, t) => send(&sim2, &wires[usize::from(w)], t).await,
                 }
                 log.borrow_mut().push((tag, sim2.now().as_nanos()));
             }

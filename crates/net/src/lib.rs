@@ -8,24 +8,28 @@
 //!
 //! A [`Segment`] is therefore a FIFO wire plus a timing rule: a packet
 //! holds the wire for `base + bits × per_bit`, and packets that find it
-//! busy queue behind each other in request order. Hosts connect to the
-//! filer "by private network segments" (§3), i.e. one `Segment` per host
-//! with no cross-host contention — but full contention among the threads,
-//! syncers, and evictions of a single host, which is what produces the
-//! paper's eviction convoys.
+//! busy queue behind each other in request order. Each channel is a
+//! capacity-1 [`fcache_des::Resource`] (a half-duplex wire has one for
+//! both directions). Hosts connect to the filer "by private network
+//! segments" (§3), i.e. one `Segment` per host with no cross-host
+//! contention — but full contention among the threads, syncers, and
+//! evictions of a single host, which is what produces the paper's
+//! eviction convoys.
 //!
-//! **Hand-over.** The packet that ends its hold hands the wire to the next
-//! queued packet at that instant. On a half-duplex wire the grantee holds
-//! the only channel until its packet ends, so no other fault draw on the
-//! segment's RNG can come between the hand-over and the grantee's next
-//! poll: the hand-over draws the grantee's fault effect itself and arms
-//! the grantee with [`Sim::wake_at`] for the end of its packet, instead of
-//! waking it to start a sleep (PERF.md invariant 17). A dropped packet (an
-//! outage or an error draw) wakes the grantee normally, and it releases
-//! the wire in its own poll. The two channels of a full-duplex segment
-//! share one fault RNG, so there a packet on the other channel could draw
-//! in between: on a full-duplex segment with net fault windows the
-//! grantee is woken normally and draws in its own poll.
+//! **Hand-over.** The channel's grant hook runs in the poll that grants
+//! a packet the wire: the packet's own poll when the wire is free, or the
+//! poll of the packet that ends its hold, at that instant. It draws the
+//! packet's fault effect, which fixes its wire time, and arms a queued
+//! grantee with [`Sim::wake_at`] for the end of its packet instead of
+//! waking it to start a sleep (PERF.md invariant 17). On a half-duplex
+//! wire the grantee holds the only channel until its packet ends, so no
+//! other fault draw on the segment's RNG can come between the grant and
+//! the grantee's next poll. A dropped packet (an outage or an error draw)
+//! wakes the grantee normally, and it releases the wire in its own poll.
+//! The two channels of a full-duplex segment share one fault RNG, so
+//! there a packet on the other channel could draw in between: on a
+//! full-duplex segment with net fault windows the hook leaves the draw to
+//! the grantee, which is woken normally and draws in its own poll.
 //!
 //! **Faults.** Fault state belongs to the wire: every segment has one
 //! schedule per direction and one error-draw RNG, shared by all its
@@ -41,15 +45,14 @@
 //! spend waiting behind other packets is tallied separately from wire
 //! time as [`SegmentStats::queue_wait`].
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+#![forbid(unsafe_code)]
 
-use fcache_des::executor::Sleep;
-use fcache_des::{Sim, SimTime};
+use std::cell::{Cell, RefCell};
+use std::future::poll_fn;
+use std::rc::Rc;
+use std::task::{Poll, Waker};
+
+use fcache_des::{GrantHook, Resource, Sim, SimTime};
 use fcache_types::{FaultEffect, FaultError, FaultSchedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -156,32 +159,27 @@ impl SegmentFaults {
     }
 }
 
-/// One channel of a wire: whether a packet holds it, and the packets
-/// waiting for it, oldest first (indices into [`Wire::waiters`]).
-#[derive(Default)]
-struct Channel {
-    busy: bool,
-    queue: VecDeque<u32>,
+/// What every channel of a wire shares: its fault state and its traffic
+/// counters.
+struct WireState {
+    duplex: bool,
+    faults: RefCell<SegmentFaults>,
+    stats: Cell<SegmentStats>,
 }
 
-/// A packet waiting for, or just handed, a channel.
-struct Waiter {
-    state: WaitState,
-    waker: Option<Waker>,
-    dir: Direction,
-    payload_bytes: u64,
+/// A wire as its channels see it, and the grant hook of each channel's
+/// queue: a packet granted a channel draws its fault effect and learns
+/// its wire time in the poll that grants it.
+#[derive(Clone)]
+struct Wire {
+    sim: Sim,
+    cfg: NetConfig,
+    state: Rc<WireState>,
 }
 
-enum WaitState {
-    Waiting,
-    Granted(Grant),
-    /// Dropped while queued: the hand-over skips and recycles it.
-    Cancelled,
-}
-
-/// What the hand-over decided for the packet it granted the wire to.
+/// What the grant decided for a packet.
 enum Grant {
-    /// Carry the packet from the hand-over until `until`. `armed` when the
+    /// Carry the packet from the grant until `until`. `armed` when the
     /// executor registers the grantee's timer for `until`; otherwise the
     /// grantee sleeps until then itself.
     Carry {
@@ -196,45 +194,45 @@ enum Grant {
     Draw,
 }
 
-/// The shared state of a wire: its channels (a half-duplex wire uses the
-/// first for both directions), its fault state, and a slab of waiters
-/// recycled through a free list, so steady-state queueing allocates
-/// nothing.
-struct Wire {
-    duplex: bool,
-    channels: [Channel; 2],
-    faults: SegmentFaults,
-    waiters: Vec<Waiter>,
-    free: Vec<u32>,
+impl Wire {
+    /// Wire time of a `dir` packet taking the wire now, or the fault that
+    /// drops it.
+    fn wire_time(&self, dir: Direction, payload_bytes: u64) -> Result<SimTime, FaultError> {
+        let t = self.cfg.packet_time(payload_bytes);
+        let effect = self
+            .state
+            .faults
+            .borrow_mut()
+            .effect_at(dir, self.sim.now().as_nanos());
+        match effect {
+            FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
+            FaultEffect::SlowBy(factor) => Ok(t.scale(factor)),
+            FaultEffect::None => Ok(t),
+        }
+    }
 }
 
-impl Wire {
-    fn new(duplex: bool) -> Self {
-        Self {
-            duplex,
-            channels: Default::default(),
-            faults: SegmentFaults::new(FaultSchedule::default(), FaultSchedule::default(), 0),
-            waiters: Vec::new(),
-            free: Vec::new(),
-        }
-    }
+impl GrantHook for Wire {
+    type Request = (Direction, u64);
+    type Outcome = Grant;
 
-    fn channel(&self, dir: Direction) -> usize {
-        match dir {
-            Direction::FromServer if self.duplex => 1,
-            _ => 0,
+    fn grant(&mut self, (dir, payload_bytes): (Direction, u64), waker: &Waker) -> (Grant, bool) {
+        if self.state.duplex && self.state.faults.borrow().has_windows() {
+            return (Grant::Draw, false);
         }
-    }
-
-    fn alloc(&mut self, waiter: Waiter) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.waiters[i as usize] = waiter;
-                i
-            }
-            None => {
-                self.waiters.push(waiter);
-                (self.waiters.len() - 1) as u32
+        match self.wire_time(dir, payload_bytes) {
+            Err(e) => (Grant::Fail(e), false),
+            Ok(wire_time) => {
+                let until = self.sim.now() + wire_time;
+                let armed = self.sim.wake_at(waker, until);
+                (
+                    Grant::Carry {
+                        wire_time,
+                        until,
+                        armed,
+                    },
+                    armed,
+                )
             }
         }
     }
@@ -250,10 +248,10 @@ impl Wire {
 /// `Segment` across a host group.
 #[derive(Clone)]
 pub struct Segment {
-    sim: Sim,
-    cfg: NetConfig,
-    wire: Rc<RefCell<Wire>>,
-    stats: Rc<Cell<SegmentStats>>,
+    wire: Wire,
+    /// One capacity-1 queue per direction, indexed by `Direction as
+    /// usize`; both are the same queue on a half-duplex wire.
+    channels: [Resource<Wire>; 2],
 }
 
 impl Segment {
@@ -268,11 +266,28 @@ impl Segment {
     }
 
     fn with_wire(sim: Sim, cfg: NetConfig, duplex: bool) -> Self {
-        Self {
+        let wire = Wire {
             sim,
             cfg,
-            wire: Rc::new(RefCell::new(Wire::new(duplex))),
-            stats: Rc::new(Cell::new(SegmentStats::default())),
+            state: Rc::new(WireState {
+                duplex,
+                faults: RefCell::new(SegmentFaults::new(
+                    FaultSchedule::default(),
+                    FaultSchedule::default(),
+                    0,
+                )),
+                stats: Cell::new(SegmentStats::default()),
+            }),
+        };
+        let to_server = Resource::with_hook(1, wire.clone());
+        let from_server = if duplex {
+            Resource::with_hook(1, wire.clone())
+        } else {
+            to_server.clone()
+        };
+        Self {
+            wire,
+            channels: [to_server, from_server],
         }
     }
 
@@ -286,23 +301,23 @@ impl Segment {
         from_server: FaultSchedule,
         seed: u64,
     ) -> Self {
-        self.wire.borrow_mut().faults = SegmentFaults::new(to_server, from_server, seed);
+        *self.wire.state.faults.borrow_mut() = SegmentFaults::new(to_server, from_server, seed);
         self
     }
 
     /// Wire configuration.
     pub fn config(&self) -> NetConfig {
-        self.cfg
+        self.wire.cfg
     }
 
     /// Traffic counters so far.
     pub fn stats(&self) -> SegmentStats {
-        self.stats.get()
+        self.wire.state.stats.get()
     }
 
     /// Resets traffic counters (end of warmup).
     pub fn reset_stats(&self) {
-        self.stats.set(SegmentStats::default());
+        self.wire.state.stats.set(SegmentStats::default());
     }
 
     /// Transfers one packet with `payload_bytes` of block data in the given
@@ -319,79 +334,45 @@ impl Segment {
     /// would skip the poll those siblings expected at the hand-over
     /// instant.
     pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
-        let channel = self.wire.borrow().channel(dir);
-        Packet {
-            seg: self,
-            dir,
-            channel,
-            payload_bytes,
-            queued_at: SimTime::ZERO,
-            state: PacketState::Start,
-        }
-        .await
-    }
-
-    /// Wire time of a packet taking `wire` now, or the fault that drops
-    /// it.
-    fn wire_time(
-        &self,
-        wire: &mut Wire,
-        dir: Direction,
-        payload_bytes: u64,
-    ) -> Result<SimTime, FaultError> {
-        let t = self.cfg.packet_time(payload_bytes);
-        match wire.faults.effect_at(dir, self.sim.now().as_nanos()) {
-            FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
-            FaultEffect::SlowBy(factor) => Ok(t.scale(factor)),
-            FaultEffect::None => Ok(t),
-        }
-    }
-
-    /// Releases `channel` at the end of a hold: hands it to the oldest
-    /// waiting packet, or frees it when none waits.
-    fn release(&self, channel: usize) {
-        let mut wire = self.wire.borrow_mut();
-        let i = loop {
-            match wire.channels[channel].queue.pop_front() {
-                None => {
-                    wire.channels[channel].busy = false;
-                    return;
-                }
-                Some(i) if matches!(wire.waiters[i as usize].state, WaitState::Cancelled) => {
-                    wire.free.push(i);
-                }
-                Some(i) => break i as usize,
+        let queued_at = self.wire.sim.now();
+        let (_held, grant) = self.channels[dir as usize]
+            .acquire_with((dir, payload_bytes))
+            .await;
+        let sim = &self.wire.sim;
+        let (wire_time, until, armed) = match grant {
+            Grant::Carry {
+                wire_time,
+                until,
+                armed,
+            } => (wire_time, until, armed),
+            Grant::Fail(e) => return Err(e),
+            Grant::Draw => {
+                let wire_time = self.wire.wire_time(dir, payload_bytes)?;
+                (wire_time, sim.now() + wire_time, false)
             }
         };
-        let w = &mut wire.waiters[i];
-        let waker = w.waker.take().expect("queued packet without a waker");
-        let (dir, payload_bytes) = (w.dir, w.payload_bytes);
-        let grant = if wire.duplex && wire.faults.has_windows() {
-            Grant::Draw
+        if armed {
+            // The grant registered this task's timer for `until`.
+            poll_fn(|_| {
+                if sim.now() < until {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            })
+            .await;
         } else {
-            match self.wire_time(&mut wire, dir, payload_bytes) {
-                Err(e) => Grant::Fail(e),
-                Ok(wire_time) => {
-                    let until = self.sim.now() + wire_time;
-                    Grant::Carry {
-                        wire_time,
-                        until,
-                        armed: self.sim.wake_at(&waker, until),
-                    }
-                }
-            }
-        };
-        let armed = matches!(grant, Grant::Carry { armed: true, .. });
-        wire.waiters[i].state = WaitState::Granted(grant);
-        drop(wire);
-        if !armed {
-            waker.wake();
+            sim.sleep_until(until).await;
         }
+        // The grant instant is `until - wire_time`.
+        self.record(payload_bytes, wire_time, until - wire_time - queued_at);
+        Ok(())
     }
 
     /// Counts one carried packet.
     fn record(&self, payload_bytes: u64, wire_time: SimTime, waited: SimTime) {
-        let mut s = self.stats.get();
+        let stats = &self.wire.state.stats;
+        let mut s = stats.get();
         s.packets += 1;
         s.payload_bytes += payload_bytes;
         s.busy += wire_time;
@@ -399,186 +380,15 @@ impl Segment {
             s.queue_wait += waited;
             s.queue_waits += 1;
         }
-        self.stats.set(s);
-    }
-}
-
-/// Future of one packet: take the wire (at once, or FIFO behind the
-/// packets queued before it), hold it for the packet's wire time, release
-/// it to the next packet.
-struct Packet<'a> {
-    seg: &'a Segment,
-    dir: Direction,
-    channel: usize,
-    payload_bytes: u64,
-    queued_at: SimTime,
-    state: PacketState,
-}
-
-enum PacketState {
-    Start,
-    /// Waiting for the wire as waiter `i`.
-    Queued(u32),
-    /// Holding the wire until `until`; `sleep` is `None` when the
-    /// hand-over armed this task's timer.
-    Carrying {
-        wire_time: SimTime,
-        waited: SimTime,
-        until: SimTime,
-        sleep: Option<Sleep>,
-    },
-    Done,
-}
-
-impl Packet<'_> {
-    /// Starts holding the wire now for `wire_time`, or drops the packet.
-    fn take_wire(&mut self, drawn: Result<SimTime, FaultError>) -> Result<(), FaultError> {
-        let sim = &self.seg.sim;
-        match drawn {
-            Err(e) => {
-                self.state = PacketState::Done;
-                self.seg.release(self.channel);
-                Err(e)
-            }
-            Ok(wire_time) => {
-                let until = sim.now() + wire_time;
-                self.state = PacketState::Carrying {
-                    wire_time,
-                    waited: sim.now() - self.queued_at,
-                    until,
-                    sleep: Some(sim.sleep_until(until)),
-                };
-                Ok(())
-            }
-        }
-    }
-}
-
-impl Future for Packet<'_> {
-    type Output = Result<(), FaultError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let seg = this.seg;
-        loop {
-            match &mut this.state {
-                PacketState::Start => {
-                    this.queued_at = seg.sim.now();
-                    let mut wire = seg.wire.borrow_mut();
-                    let ch = &mut wire.channels[this.channel];
-                    if !ch.busy && ch.queue.is_empty() {
-                        ch.busy = true;
-                        let drawn = seg.wire_time(&mut wire, this.dir, this.payload_bytes);
-                        drop(wire);
-                        if let Err(e) = this.take_wire(drawn) {
-                            return Poll::Ready(Err(e));
-                        }
-                    } else {
-                        let i = wire.alloc(Waiter {
-                            state: WaitState::Waiting,
-                            waker: Some(cx.waker().clone()),
-                            dir: this.dir,
-                            payload_bytes: this.payload_bytes,
-                        });
-                        wire.channels[this.channel].queue.push_back(i);
-                        this.state = PacketState::Queued(i);
-                        return Poll::Pending;
-                    }
-                }
-                PacketState::Queued(i) => {
-                    let i = *i;
-                    let mut wire = seg.wire.borrow_mut();
-                    let w = &mut wire.waiters[i as usize];
-                    if let WaitState::Waiting = w.state {
-                        if !w.waker.as_ref().is_some_and(|k| k.will_wake(cx.waker())) {
-                            w.waker = Some(cx.waker().clone());
-                        }
-                        return Poll::Pending;
-                    }
-                    // Granted: take the grant and recycle the waiter.
-                    let WaitState::Granted(grant) =
-                        std::mem::replace(&mut w.state, WaitState::Cancelled)
-                    else {
-                        unreachable!("polling a dropped packet")
-                    };
-                    wire.free.push(i);
-                    drop(wire);
-                    let drawn = match grant {
-                        Grant::Carry {
-                            wire_time,
-                            until,
-                            armed,
-                        } => {
-                            // The hand-over instant is `until - wire_time`.
-                            this.state = PacketState::Carrying {
-                                wire_time,
-                                waited: until - wire_time - this.queued_at,
-                                until,
-                                sleep: (!armed).then(|| seg.sim.sleep_until(until)),
-                            };
-                            continue;
-                        }
-                        Grant::Fail(e) => Err(e),
-                        Grant::Draw => {
-                            seg.wire_time(&mut seg.wire.borrow_mut(), this.dir, this.payload_bytes)
-                        }
-                    };
-                    if let Err(e) = this.take_wire(drawn) {
-                        return Poll::Ready(Err(e));
-                    }
-                }
-                PacketState::Carrying {
-                    wire_time,
-                    waited,
-                    until,
-                    sleep,
-                } => {
-                    let held = match sleep {
-                        Some(s) => Pin::new(s).poll(cx).is_pending(),
-                        None => seg.sim.now() < *until,
-                    };
-                    if held {
-                        return Poll::Pending;
-                    }
-                    seg.record(this.payload_bytes, *wire_time, *waited);
-                    this.state = PacketState::Done;
-                    seg.release(this.channel);
-                    return Poll::Ready(Ok(()));
-                }
-                PacketState::Done => panic!("packet polled after completion"),
-            }
-        }
-    }
-}
-
-impl Drop for Packet<'_> {
-    fn drop(&mut self) {
-        match self.state {
-            PacketState::Queued(i) => {
-                let mut wire = self.seg.wire.borrow_mut();
-                let w = &mut wire.waiters[i as usize];
-                if matches!(w.state, WaitState::Waiting) {
-                    // Still queued: the hand-over skips and recycles it.
-                    w.state = WaitState::Cancelled;
-                    w.waker = None;
-                    return;
-                }
-                // Handed the wire but never took it: pass it on.
-                wire.free.push(i);
-                drop(wire);
-                self.seg.release(self.channel);
-            }
-            PacketState::Carrying { .. } => self.seg.release(self.channel),
-            PacketState::Start | PacketState::Done => {}
-        }
+        stats.set(s);
     }
 }
 
 impl std::fmt::Debug for Segment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Segment")
-            .field("cfg", &self.cfg)
-            .field("stats", &self.stats.get())
+            .field("cfg", &self.wire.cfg)
+            .field("stats", &self.stats())
             .finish()
     }
 }

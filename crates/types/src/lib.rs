@@ -46,5 +46,5 @@ pub use size::ByteSize;
 pub use telemetry::Phase;
 pub use trace::{
     stream_stats, ByteReader, SliceSource, SlotCursor, Trace, TraceMeta, TraceReader, TraceSource,
-    TraceStats, TRACE_CHUNK_OPS,
+    TraceStats, OUTSIDE_GRID, TRACE_CHUNK_OPS,
 };

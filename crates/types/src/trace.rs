@@ -47,6 +47,11 @@ pub struct TraceMeta {
     pub seed: u64,
 }
 
+/// The error kind of an op outside the grid its [`TraceMeta`] promised
+/// ([`TraceMeta::slot_of`]). The record itself decoded: one that does
+/// not is `InvalidData`, a truncated one `UnexpectedEof`.
+pub const OUTSIDE_GRID: io::ErrorKind = io::ErrorKind::InvalidInput;
+
 impl TraceMeta {
     /// The `(hosts, threads per host)` grid replay provisions: the
     /// metadata's counts, with a zero widened to 1.
@@ -55,12 +60,13 @@ impl TraceMeta {
     }
 
     /// The op's `(host, thread)` slot number in [`TraceMeta::grid`],
-    /// host-major; `InvalidData` when the op falls outside the grid.
+    /// host-major; an [`OUTSIDE_GRID`] error when the op falls outside
+    /// the grid.
     pub fn slot_of(&self, op: &TraceOp) -> io::Result<usize> {
         let (hosts, threads) = self.grid();
         if op.host().0 >= hosts || op.thread().0 >= threads {
             return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
+                OUTSIDE_GRID,
                 format!(
                     "op for {} {} outside the {hosts}-host/{threads}-thread grid its meta promised",
                     op.host(),
@@ -1248,8 +1254,9 @@ mod tests {
                     t.ops.push(op(slots, n as u32, 0));
                 }
                 if bad != 0 {
+                    let kind = if bad == 1 { io::ErrorKind::InvalidData } else { OUTSIDE_GRID };
                     for w in &mut want {
-                        w.1 = Some(io::ErrorKind::InvalidData);
+                        w.1 = Some(kind);
                     }
                 }
                 let mut buf = Vec::new();
