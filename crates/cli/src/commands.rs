@@ -135,7 +135,7 @@ WORKLOAD FLAGS (run / gen-trace):
 
 Sizes accept 4096, 256K, 8G, 1.5G forms. At --scale N every byte size
 (model, working set, caches) is divided by N; latencies are unchanged, so
-curve shapes match paper scale (DESIGN.md §4).";
+curve shapes match paper scale (hit rates depend only on size ratios).";
 
 /// Dispatches a command line.
 pub fn dispatch(argv: &[String]) -> CmdResult {

@@ -9,8 +9,8 @@
 //! - `replay` — run a configuration against a trace file.
 //!
 //! Run `fcsim help` for the full flag list. All sizes accept forms like
-//! `8G`, `256K`; `--scale N` divides every byte quantity by `N` (see
-//! DESIGN.md §4 on linear scaling).
+//! `8G`, `256K`; `--scale N` divides every byte quantity by `N` and keeps
+//! every latency, so curve shapes match paper scale.
 
 use std::process::ExitCode;
 

@@ -209,8 +209,8 @@ impl SimConfig {
     }
 
     /// Divides every byte quantity — and the time-based syncer periods —
-    /// by `factor`, leaving latencies and ratios unchanged (see DESIGN.md
-    /// §4 on linear scaling).
+    /// by `factor`, leaving latencies and ratios unchanged: hit rates
+    /// depend only on size ratios, so curve shapes survive the scaling.
     ///
     /// # Panics
     ///

@@ -6,8 +6,8 @@
 //! quantities — file-server model, working set, RAM, flash — are divided by
 //! the factor while latencies, the 4 KB block size, and all ratios stay
 //! unchanged. Cache hit rates depend only on the size *ratios* and
-//! latencies are per-block constants, so curve shapes are preserved
-//! (DESIGN.md §4). Factor 1 reproduces paper scale exactly.
+//! latencies are per-block constants, so curve shapes are preserved.
+//! Factor 1 reproduces paper scale exactly.
 //!
 //! [`Workbench`] packages a scaled file-server model with helpers that
 //! accept paper-scale quantities and scale them internally, so experiment

@@ -13,7 +13,7 @@
 //! directly." Instead, captured [`crate::IoLog`]s can be replayed through
 //! an [`Ftl`] to measure what the paper's caching workloads would do to a
 //! real device's write amplification and lifetime (see the `ftl_lifetime`
-//! bench target).
+//! figure: `cargo bench --bench figures -- ftl_lifetime`).
 
 use std::collections::HashMap;
 

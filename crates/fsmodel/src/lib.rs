@@ -6,9 +6,9 @@
 //! with Impressions".
 //!
 //! We cannot run the original Impressions C tool, so this crate generates a
-//! statistically equivalent model (see DESIGN.md §5): file sizes drawn from
-//! a lognormal body with a Pareto tail — the hybrid distribution Impressions
-//! itself uses, following Agrawal et al.'s metadata study — and per-file
+//! statistically equivalent model: file sizes drawn from a lognormal body
+//! with a Pareto tail — the hybrid distribution Impressions itself uses,
+//! following Agrawal et al.'s metadata study — and per-file
 //! "small integer popularities … generated from a Zipfian distribution"
 //! (§4) used to weight file selection.
 //!

@@ -3,7 +3,8 @@
 //! Experiment configurations in the paper are stated in sizes like "8 GB of
 //! RAM and 64 GB of flash"; [`ByteSize`] parses and formats such quantities
 //! and supports the exact linear scaling used to run paper-shaped
-//! experiments at laptop scale (see DESIGN.md §4).
+//! experiments at laptop scale: dividing every size by one factor keeps
+//! the size ratios that hit rates depend on.
 
 use core::fmt;
 use core::str::FromStr;

@@ -3,8 +3,8 @@
 //! The authors validated their simulator against NetApp's Mercury hardware
 //! by replaying four days of below-the-buffer-cache block traces "directly
 //! through a 32 GB flash cache. (In our simulator, that means we set the
-//! RAM cache size to zero.)" We have no Mercury hardware or NetApp traces
-//! (see DESIGN.md §5), so this test replays a generated below-the-cache
+//! RAM cache size to zero.)" We have no Mercury hardware and the NetApp
+//! traces are not public, so this test replays a generated below-the-cache
 //! trace through the same configuration and asserts the analytic
 //! properties the validation relied on: component latencies compose
 //! exactly, hit rates match an independent reference cache simulation, and

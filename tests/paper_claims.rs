@@ -1,14 +1,16 @@
 //! End-to-end integration tests asserting the paper's headline claims at
-//! reduced scale (shape, not absolute numbers — see DESIGN.md §4).
+//! reduced scale: shapes, not absolute numbers, since dividing every size
+//! by one factor keeps the size ratios that hit rates depend on.
 //!
 //! Each test runs complete simulations through the public API: model
-//! generation → trace generation → simulation → report.
+//! generation → trace generation → simulation → report. These claims of
+//! Figures 2, 4 and 6 are checked here only; every other claim lives in
+//! the figure table (`fcache_bench::FIGURES`).
 
 use fcache::{
     Architecture, Scenario, SimConfig, SimReport, Workbench, Workload, WorkloadSpec,
     WritebackPolicy,
 };
-use fcache_device::FlashModel;
 use fcache_types::{ByteSize, Trace};
 
 /// Shared scale for these tests: big enough for stable statistics, small
@@ -270,135 +272,4 @@ fn zero_ram_does_not_work_well() {
         "no-RAM writes should pay flash latency, got {:.1} µs",
         r.write_latency_us()
     );
-}
-
-#[test]
-fn persistence_cost_invisible_benefit_large() {
-    // §7.8: doubled flash write latency is "invisible to the application";
-    // skipping warmup (crash at start) costs a lot.
-    let wb = bench();
-    let spec = WorkloadSpec::baseline_60g();
-    let trace = wb.make_trace(&spec);
-
-    let plain = run(&wb, &SimConfig::baseline(), &trace);
-    let persistent_cfg = SimConfig {
-        flash_model: FlashModel::default().with_persistence(true),
-        ..SimConfig::baseline()
-    };
-    let persistent = run(&wb, &persistent_cfg, &trace);
-    assert!(
-        (persistent.write_latency_us() - plain.write_latency_us()).abs() < 0.5,
-        "persistence must be invisible: {:.2} vs {:.2}",
-        persistent.write_latency_us(),
-        plain.write_latency_us()
-    );
-    assert!(
-        persistent.read_latency_us() < 1.1 * plain.read_latency_us(),
-        "persistent reads {:.0} vs plain {:.0}",
-        persistent.read_latency_us(),
-        plain.read_latency_us()
-    );
-
-    // Crash at start (not warmed): markedly worse reads.
-    let cold_spec = WorkloadSpec {
-        skip_warmup: true,
-        ..spec
-    };
-    let cold = wb.run(&SimConfig::baseline(), &cold_spec).unwrap();
-    assert!(
-        cold.read_latency_us() > 1.15 * plain.read_latency_us(),
-        "cold {:.0} µs vs warmed {:.0} µs",
-        cold.read_latency_us(),
-        plain.read_latency_us()
-    );
-}
-
-#[test]
-fn shared_working_set_causes_heavy_invalidation_with_flash() {
-    // §7.9: "for workloads that fit in flash, the percentage of writes
-    // requiring invalidation is high" compared to RAM-only caches.
-    let wb = bench();
-    let spec = WorkloadSpec {
-        working_set: ByteSize::gib(60),
-        hosts: 2,
-        ws_count: 1,
-        ..WorkloadSpec::default()
-    };
-    let trace = wb.make_trace(&spec);
-    let with_flash = run(&wb, &SimConfig::baseline(), &trace);
-    let no_flash = run(
-        &wb,
-        &SimConfig {
-            flash_size: ByteSize::ZERO,
-            ..SimConfig::baseline()
-        },
-        &trace,
-    );
-    assert!(
-        with_flash.invalidation_pct() > 1.5 * no_flash.invalidation_pct(),
-        "flash {:.0}% vs no-flash {:.0}%",
-        with_flash.invalidation_pct(),
-        no_flash.invalidation_pct()
-    );
-    assert!(with_flash.invalidation_pct() > 40.0);
-}
-
-#[test]
-fn flash_timing_scales_read_latency_linearly() {
-    // §7.7 / Figure 9: "application latency scales linearly with the flash
-    // latency". Compare latency deltas for three flash read times.
-    let wb = bench();
-    let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
-    let mut lat = Vec::new();
-    for us in [0u64, 44, 88] {
-        let cfg = SimConfig {
-            flash_model: FlashModel::with_read_time_proportional(fcache_des::SimTime::from_micros(
-                us,
-            )),
-            ..SimConfig::baseline()
-        };
-        lat.push(run(&wb, &cfg, &trace).read_latency_us());
-    }
-    assert!(
-        lat[0] < lat[1] && lat[1] < lat[2],
-        "latency must increase: {lat:?}"
-    );
-    // Midpoint within 15 % of the linear interpolation.
-    let mid = (lat[0] + lat[2]) / 2.0;
-    assert!(
-        (lat[1] - mid).abs() / mid < 0.15,
-        "nonlinear scaling: {lat:?} (midpoint {mid:.0})"
-    );
-}
-
-#[test]
-fn prefetch_rate_bounds_latency() {
-    // Figure 5: the filer prefetch (fast-read) rate dominates read latency.
-    let wb = bench();
-    let trace = wb.make_trace(&WorkloadSpec::baseline_80g());
-    let mut lat = Vec::new();
-    for rate in [0.80, 0.95] {
-        let mut cfg = SimConfig::baseline();
-        cfg.filer.fast_read_rate = rate;
-        lat.push(run(&wb, &cfg, &trace).read_latency_us());
-    }
-    assert!(
-        lat[0] > 1.3 * lat[1],
-        "80% prefetch ({:.0} µs) must be far worse than 95% ({:.0} µs)",
-        lat[0],
-        lat[1]
-    );
-}
-
-#[test]
-fn reports_are_deterministic() {
-    let wb = bench();
-    let spec = WorkloadSpec::baseline_60g();
-    let a = wb.run(&SimConfig::baseline(), &spec).unwrap();
-    let b = wb.run(&SimConfig::baseline(), &spec).unwrap();
-    assert_eq!(a.metrics, b.metrics);
-    assert_eq!(a.end_time, b.end_time);
-    assert_eq!(a.ram, b.ram);
-    assert_eq!(a.flash, b.flash);
-    assert_eq!(a.filer, b.filer);
 }
