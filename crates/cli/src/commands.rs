@@ -328,6 +328,16 @@ fn flash_timing_from(flags: &Flags) -> Result<FlashTiming, ArgError> {
     }
 }
 
+/// The `--scale` divisor of every byte size, `default` when absent. Zero
+/// is refused here, naming the flag, rather than left to panic deep in
+/// the model.
+fn scale_from(flags: &Flags, default: u64) -> Result<u64, ArgError> {
+    match flags.get_parsed("scale", default)? {
+        0 => Err(ArgError("--scale must be at least 1".into())),
+        scale => Ok(scale),
+    }
+}
+
 fn spec_from(flags: &Flags) -> Result<WorkloadSpec, ArgError> {
     let write_pct: u32 = flags.get_parsed("write-pct", 30u32)?;
     if write_pct > 100 {
@@ -345,7 +355,7 @@ fn spec_from(flags: &Flags) -> Result<WorkloadSpec, ArgError> {
 
 fn cmd_run(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
-    let scale: u64 = flags.get_parsed("scale", 64u64)?;
+    let scale = scale_from(&flags, 64)?;
     let cfg = config_from(&flags)?;
     let spec = spec_from(&flags)?;
     let wb = Workbench::new(scale, cfg.seed);
@@ -441,7 +451,7 @@ where
 /// or per-job regenerated streams with `--streamed`.
 fn cmd_sweep(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
-    let scale: u64 = flags.get_parsed("scale", 64u64)?;
+    let scale = scale_from(&flags, 64)?;
     let base = config_from(&flags)?;
     let spec = spec_from(&flags)?;
     let archs: Vec<Architecture> = parse_list(
@@ -654,7 +664,7 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
 fn cmd_fleet(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
     // Paper-scale fleets are huge; default deeper scaling than run/sweep.
-    let scale: u64 = flags.get_parsed("scale", 4096u64)?;
+    let scale = scale_from(&flags, 4096)?;
     let base = config_from(&flags)?;
     // In a fleet, --hosts is the fleet size; the per-cell host count in
     // the workload template is derived by the plan, so reuse spec_from's
@@ -918,7 +928,7 @@ fn cmd_gen_trace(args: &[String]) -> CmdResult {
     let out = flags
         .get("out")
         .ok_or_else(|| ArgError("--out FILE is required".into()))?;
-    let scale: u64 = flags.get_parsed("scale", 64u64)?;
+    let scale = scale_from(&flags, 64)?;
     let spec = spec_from(&flags)?;
     let wb = Workbench::new(scale, flags.get_parsed("seed", 42u64)?);
     let trace = wb.make_trace(&spec);
@@ -1098,7 +1108,7 @@ fn cmd_trace_dump(args: &[String]) -> CmdResult {
 
 fn cmd_replay(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
-    let scale: u64 = flags.get_parsed("scale", 64u64)?;
+    let scale = scale_from(&flags, 64)?;
     let cfg = config_from(&flags)?.scaled_down(scale);
     let path = flags
         .get("in")
@@ -1175,6 +1185,22 @@ mod tests {
         assert!(
             throughput_line("run", 4000, 0.5, 76_000).starts_with("run throughput     8000 ops/s")
         );
+    }
+
+    #[test]
+    fn a_zero_scale_is_an_error_naming_the_flag() {
+        for cmd in [
+            &["run"][..],
+            &["sweep"],
+            &["fleet"],
+            &["replay", "--in", "unread.bin"],
+            &["gen-trace", "--out", "unwritten.bin"],
+        ] {
+            let mut args = argv(cmd);
+            args.extend(argv(&["--scale", "0"]));
+            let err = dispatch(&args).expect_err("--scale 0 accepted");
+            assert!(err.to_string().contains("--scale"), "{cmd:?}: {err}");
+        }
     }
 
     #[test]

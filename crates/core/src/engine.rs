@@ -783,8 +783,8 @@ async fn hedged_exchange(
     {
         let h2 = Rc::clone(h);
         let st = state.share();
-        h.sim.spawn_daemon(async move {
-            h2.sim.sleep(SimTime::from_nanos(delay_ns)).await;
+        let launch = h.sim.now() + SimTime::from_nanos(delay_ns);
+        h.sim.spawn_daemon_at(launch, async move {
             if st.winner.get().is_some() {
                 // Primary answered inside the hedge delay: nothing sent.
                 st.arm_skipped();
@@ -895,12 +895,17 @@ async fn flush_batch(
 
 /// Periodic syncer for one tier: every `period`, flush every block dirty
 /// in it ("dirty data remains in the cache until a syncer thread flushes
-/// the data back", §3.5). The dirty-set snapshot and the batch's join list
-/// reuse one buffer each across ticks instead of allocating per tick.
+/// the data back", §3.5). A tick that finds the tier clean is re-armed by
+/// the executor without a poll (PERF.md invariant 18). The dirty-set
+/// snapshot and the batch's join list reuse one buffer each across ticks
+/// instead of allocating per tick.
 pub(crate) async fn syncer(h: Rc<HostCtx>, tier: Tier, period: SimTime) {
     let (mut dirty, mut handles) = (Vec::new(), Vec::new());
     loop {
-        h.sim.sleep(period).await;
+        let host = Rc::clone(&h);
+        h.sim
+            .idle_ticks(period, move || host.tier_clean(tier))
+            .await;
         dirty.clear();
         h.dirty_blocks_into(tier, &mut dirty);
         flush_batch(&h, &dirty, tier, &mut handles).await;

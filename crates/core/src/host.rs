@@ -164,6 +164,17 @@ impl HostCtx {
         }
     }
 
+    /// True when `tier` holds no dirty block. A unified tier answers for
+    /// the whole cache, so it may say dirty when only the other medium
+    /// is; its syncer then flushes an empty batch, as it did before.
+    pub fn tier_clean(&self, tier: Tier) -> bool {
+        match tier {
+            Tier::Ram => self.ram.borrow().dirty_len() == 0,
+            Tier::Flash => self.flash.borrow().dirty_len() == 0,
+            Tier::Unified(_) => self.unified().borrow().dirty_len() == 0,
+        }
+    }
+
     /// The blocks with an asynchronous flush queued or in flight from
     /// `tier`'s medium.
     pub fn flush_pending(&self, tier: Tier) -> &RefCell<FxHashSet<u64>> {

@@ -365,8 +365,7 @@ fn spawn_daemons(parts: &SimParts) {
             let h = Rc::clone(h);
             let state = Rc::clone(&parts.fault);
             let s = sim.clone();
-            sim.spawn_daemon(async move {
-                s.sleep_until(SimTime::from_nanos(end_ns)).await;
+            sim.spawn_daemon_at(SimTime::from_nanos(end_ns), async move {
                 let depth = h.flushq.backlog();
                 if depth > 0 {
                     let t0 = s.now();
@@ -395,8 +394,7 @@ fn spawn_daemons(parts: &SimParts) {
             for (_, end_ns) in store.faults(k).outage_spans() {
                 let store = Rc::clone(store);
                 let s = sim.clone();
-                sim.spawn_daemon(async move {
-                    s.sleep_until(SimTime::from_nanos(end_ns)).await;
+                sim.spawn_daemon_at(SimTime::from_nanos(end_ns), async move {
                     let queue = Rc::new(RefCell::new(store.take_under_replicated(k)));
                     let drain =
                         |store: Rc<ShardedStore>,
@@ -435,10 +433,7 @@ fn spawn_daemons(parts: &SimParts) {
 
     // Optionally pin the clock past the trace so periodic syncers can run.
     if let Some(t) = cfg.min_runtime {
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.sleep_until(t).await;
-        });
+        sim.spawn_at(t, async {});
     }
 }
 

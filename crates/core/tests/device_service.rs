@@ -47,7 +47,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Naive,
         zero_flash: false,
         end_ns: 606_001_132,
-        events: 42_333,
+        events: 40_763,
         read_latency_ns: 1_393_239_848,
         write_latency_ns: 1_002_400,
         ram_hits: 692,
@@ -63,7 +63,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Lookaside,
         zero_flash: false,
         end_ns: 598_723_536,
-        events: 35_163,
+        events: 34_712,
         read_latency_ns: 1_425_541_292,
         write_latency_ns: 1_002_400,
         ram_hits: 733,
@@ -79,7 +79,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Unified,
         zero_flash: false,
         end_ns: 598_140_980,
-        events: 35_187,
+        events: 34_500,
         read_latency_ns: 1_290_779_640,
         write_latency_ns: 46_961_000,
         ram_hits: 0,
@@ -95,7 +95,7 @@ const GOLDENS: &[Golden] = &[
         arch: Architecture::Naive,
         zero_flash: true,
         end_ns: 1_404_960_820,
-        events: 30_120,
+        events: 29_004,
         read_latency_ns: 4_478_416_996,
         write_latency_ns: 1_002_400,
         ram_hits: 554,

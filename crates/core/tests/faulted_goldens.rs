@@ -74,7 +74,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::Queue,
         run: [615210052, 1432240716, 1002400],
-        events: 42438,
+        events: 40856,
         backend: [1162, 137, 3258, 7259, 18853888, 210354904, 5399048168, 6842],
         robust: [0, 0, 0, 14, 0, 4882812, 1, 11, 704720],
         windows: &[(3, 3)],
@@ -84,7 +84,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::FailFast,
         run: [593681204, 1302697828, 1065400],
-        events: 41626,
+        events: 40080,
         backend: [2372, 253, 4861, 10946, 30859264, 336631312, 59562187575, 10115],
         robust: [0, 0, 324, 1016, 0, 4882812, 1, 1016, 60591299],
         windows: &[(324, 0)],
@@ -94,7 +94,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::Queue,
         run: [606891864, 1448038632, 1002400],
-        events: 42356,
+        events: 40807,
         backend: [1201, 145, 3311, 7395, 19234816, 214517528, 5297878228, 7002],
         robust: [33, 33, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],
@@ -104,7 +104,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::FailFast,
         run: [606891864, 1448038632, 1002400],
-        events: 42356,
+        events: 40807,
         backend: [1201, 145, 3311, 7395, 19234816, 214517528, 5297878228, 7002],
         robust: [33, 33, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],
@@ -114,7 +114,7 @@ const PINS: &[Pin] = &[
         plan: "filer:slowx4@30s-50s;device:err0.1@10s-90s",
         degraded: DegradedPolicy::Queue,
         run: [625880595, 1386881784, 1002400],
-        events: 42275,
+        events: 40701,
         backend: [1216, 144, 3296, 7370, 19214336, 214148688, 5510984084, 6891],
         robust: [13, 0, 0, 0, 0, 0, 0, 0, 0],
         windows: &[(5, 5)],
@@ -124,7 +124,7 @@ const PINS: &[Pin] = &[
         plan: "filer:slowx4@30s-50s;device:err0.1@10s-90s",
         degraded: DegradedPolicy::FailFast,
         run: [625880595, 1386881784, 1002400],
-        events: 42275,
+        events: 40701,
         backend: [1216, 144, 3296, 7370, 19214336, 214148688, 5510984084, 6891],
         robust: [13, 0, 0, 0, 0, 0, 0, 0, 0],
         windows: &[(5, 5)],
@@ -134,7 +134,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::Queue,
         run: [592895865, 1414506756, 1002400],
-        events: 35292,
+        events: 34876,
         backend: [1212, 142, 3369, 7494, 19468288, 217197104, 5115182836, 7062],
         robust: [0, 0, 0, 14, 0, 4882812, 0, 0, 0],
         windows: &[(3, 3)],
@@ -144,7 +144,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::FailFast,
         run: [576618829, 1572001228, 8582261],
-        events: 34993,
+        events: 34591,
         backend: [2859, 312, 4872, 11180, 33140736, 356801888, 6999907197, 10299],
         robust: [0, 0, 140, 67, 0, 4882812, 0, 0, 0],
         windows: &[(140, 0)],
@@ -154,7 +154,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::Queue,
         run: [606456224, 1422173064, 1002400],
-        events: 35352,
+        events: 34893,
         backend: [1173, 137, 3293, 7335, 19075072, 212747576, 4757563276, 6912],
         robust: [33, 33, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],
@@ -164,7 +164,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::FailFast,
         run: [606456224, 1422173064, 1002400],
-        events: 35352,
+        events: 34893,
         backend: [1173, 137, 3293, 7335, 19075072, 212747576, 4757563276, 6912],
         robust: [33, 33, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],
@@ -174,7 +174,7 @@ const PINS: &[Pin] = &[
         plan: "filer:slowx4@30s-50s;device:err0.1@10s-90s",
         degraded: DegradedPolicy::Queue,
         run: [602584728, 1447377272, 1002400],
-        events: 35201,
+        events: 34741,
         backend: [1211, 147, 3308, 7378, 19288064, 214804112, 4968428116, 6891],
         robust: [10, 0, 0, 0, 0, 0, 0, 0, 0],
         windows: &[(5, 5)],
@@ -184,7 +184,7 @@ const PINS: &[Pin] = &[
         plan: "filer:slowx4@30s-50s;device:err0.1@10s-90s",
         degraded: DegradedPolicy::FailFast,
         run: [602584728, 1447377272, 1002400],
-        events: 35201,
+        events: 34741,
         backend: [1211, 147, 3308, 7378, 19288064, 214804112, 4968428116, 6891],
         robust: [10, 0, 0, 0, 0, 0, 0, 0, 0],
         windows: &[(5, 5)],
@@ -194,7 +194,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::Queue,
         run: [594284112, 1258227152, 46734400],
-        events: 35154,
+        events: 34480,
         backend: [1060, 125, 3295, 7268, 18538496, 207905568, 4197887988, 6883],
         robust: [0, 0, 0, 14, 0, 4882812, 1, 10, 567248],
         windows: &[(3, 3)],
@@ -204,7 +204,7 @@ const PINS: &[Pin] = &[
         plan: "filer:outage@40s-60s",
         degraded: DegradedPolicy::FailFast,
         run: [566569489, 1406916168, 46919800],
-        events: 34999,
+        events: 34402,
         backend: [1953, 219, 4024, 9137, 25579520, 279559560, 4484469984, 8408],
         robust: [0, 0, 136, 333, 0, 4882812, 1, 336, 21485936],
         windows: &[(136, 0)],
@@ -214,7 +214,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::Queue,
         run: [598474626, 1296316968, 46816800],
-        events: 35269,
+        events: 34572,
         backend: [1078, 129, 3293, 7271, 18640896, 208749368, 4304986032, 6850],
         robust: [39, 39, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],
@@ -224,7 +224,7 @@ const PINS: &[Pin] = &[
         plan: "net:err0.3@20s-80s",
         degraded: DegradedPolicy::FailFast,
         run: [598474626, 1296316968, 46816800],
-        events: 35269,
+        events: 34572,
         backend: [1078, 129, 3293, 7271, 18640896, 208749368, 4304986032, 6850],
         robust: [39, 39, 0, 0, 0, 0, 0, 0, 0],
         windows: &[],
@@ -234,7 +234,7 @@ const PINS: &[Pin] = &[
         plan: "filer:slowx4@30s-50s;device:err0.1@10s-90s",
         degraded: DegradedPolicy::Queue,
         run: [618347490, 1291981296, 46610800],
-        events: 35410,
+        events: 34697,
         backend: [1100, 132, 3285, 7271, 18739200, 209535800, 4722856544, 6889],
         robust: [12, 0, 0, 0, 0, 0, 0, 0, 0],
         windows: &[(5, 5)],
@@ -244,7 +244,7 @@ const PINS: &[Pin] = &[
         plan: "filer:slowx4@30s-50s;device:err0.1@10s-90s",
         degraded: DegradedPolicy::FailFast,
         run: [618347490, 1291981296, 46610800],
-        events: 35410,
+        events: 34697,
         backend: [1100, 132, 3285, 7271, 18739200, 209535800, 4722856544, 6889],
         robust: [12, 0, 0, 0, 0, 0, 0, 0, 0],
         windows: &[(5, 5)],

@@ -60,36 +60,88 @@ impl TaskId {
         (self.0 >> 32) as u32
     }
 
-    /// The ready-queue entry of an armed wake ([`Sim::wake_at`]): the id
-    /// with [`ARMED`] set in its slot half.
+    /// The ready-queue entry of an armed wake ([`Sim::wake_at`]) or an
+    /// armed spawn ([`Sim::spawn_at`]): the id with [`ARMED`] set in its
+    /// slot half.
     fn armed(self) -> Self {
         Self(self.0 | ARMED)
     }
 
-    fn is_armed(self) -> bool {
-        self.0 & ARMED != 0
+    /// The timer and ready-queue entry of an idle tick
+    /// ([`Sim::idle_ticks`]): the id with [`IDLE_TICK`] set in its slot
+    /// half.
+    fn idle_tick(self) -> Self {
+        Self(self.0 | IDLE_TICK)
     }
 
-    fn unarmed(self) -> Self {
-        Self(self.0 & !ARMED)
+    fn tag(self) -> u64 {
+        self.0 & TAGS
+    }
+
+    fn untagged(self) -> Self {
+        Self(self.0 & !TAGS)
     }
 }
 
-/// Marks an armed ready-queue entry. Slot indices stay far below 2^31.
+/// Marks an armed ready-queue entry.
 const ARMED: u64 = 1 << 31;
+/// Marks an idle tick's timer and ready-queue entry.
+const IDLE_TICK: u64 = 1 << 30;
+/// Every tag bit. Slot indices stay far below 2^30.
+const TAGS: u64 = ARMED | IDLE_TICK;
 
-/// A pooled, pinned, type-erased task future: `Pin<Box<dyn Future>>`
-/// semantics with the backing allocation recycled through the thread-local
-/// layout pool (`pool::palloc`/`pool::pfree`), so steady-state spawning
-/// never touches the global allocator. Spawning used to `Box::pin` every
-/// task future; in flush-heavy simulations that was the dominant allocator
+/// A value of an erased type in a block from the thread-local layout pool
+/// (`pool::palloc`/`pool::pfree`): `Box<dyn …>` semantics without the
+/// global allocator in steady state. The block never moves, so a future
+/// stored in it stays pinned. Spawning used to `Box::pin` every task
+/// future; in flush-heavy simulations that was the dominant allocator
 /// traffic (the engine spawns a ~1 KiB writeback state machine per dirty
 /// block).
-struct TaskFuture {
+struct Pooled {
     ptr: NonNull<u8>,
-    poll_fn: unsafe fn(NonNull<u8>, &mut Context<'_>) -> Poll<()>,
     /// Drops the payload in place *and* returns the block to the pool.
     drop_fn: unsafe fn(NonNull<u8>),
+}
+
+impl Pooled {
+    fn new<T: 'static>(value: T) -> Self {
+        unsafe fn drop_impl<T>(p: NonNull<u8>) {
+            // SAFETY: `p` holds a valid, initialized `T`, from `palloc`
+            // unless `T` is zero-sized.
+            unsafe {
+                std::ptr::drop_in_place(p.cast::<T>().as_ptr());
+                if std::mem::size_of::<T>() > 0 {
+                    crate::pool::pfree(p, Layout::new::<T>());
+                }
+            }
+        }
+        let ptr = if std::mem::size_of::<T>() == 0 {
+            NonNull::dangling()
+        } else {
+            crate::pool::palloc(Layout::new::<T>())
+        };
+        // SAFETY: a fresh block of `T`'s layout (or, for a zero-sized
+        // `T`, a dangling aligned pointer, which a write of it may use).
+        unsafe { ptr.cast::<T>().as_ptr().write(value) };
+        Self {
+            ptr,
+            drop_fn: drop_impl::<T>,
+        }
+    }
+}
+
+impl Drop for Pooled {
+    fn drop(&mut self) {
+        // SAFETY: payload is valid until this first and only drop.
+        unsafe { (self.drop_fn)(self.ptr) };
+    }
+}
+
+/// A pooled, pinned, type-erased task future: `Pin<Box<dyn Future>>`
+/// semantics over a [`Pooled`] block.
+struct TaskFuture {
+    block: Pooled,
+    poll_fn: unsafe fn(NonNull<u8>, &mut Context<'_>) -> Poll<()>,
 }
 
 impl TaskFuture {
@@ -101,34 +153,51 @@ impl TaskFuture {
             p: NonNull<u8>,
             cx: &mut Context<'_>,
         ) -> Poll<()> {
-            // SAFETY: `p` holds a valid `F` that never moves (heap block,
-            // released only on drop), so pinning it is sound.
+            // SAFETY: `p` holds a valid `F` that never moves (pooled
+            // block, released only on drop), so pinning it is sound.
             unsafe { Pin::new_unchecked(&mut *p.cast::<F>().as_ptr()).poll(cx) }
         }
-        unsafe fn drop_impl<F>(p: NonNull<u8>) {
-            // SAFETY: `p` holds a valid, initialized `F` from `palloc`.
-            unsafe {
-                std::ptr::drop_in_place(p.cast::<F>().as_ptr());
-                crate::pool::pfree(p, Layout::new::<F>());
-            }
-        }
-        debug_assert!(std::mem::size_of::<F>() > 0, "spawned future is zero-sized");
-        let ptr = crate::pool::palloc(Layout::new::<F>());
-        // SAFETY: freshly allocated block of `F`'s layout.
-        unsafe { ptr.cast::<F>().as_ptr().write(future) };
         Self {
-            ptr,
+            block: Pooled::new(future),
             poll_fn: poll_impl::<F>,
-            drop_fn: drop_impl::<F>,
         }
     }
 }
 
-impl Drop for TaskFuture {
-    fn drop(&mut self) {
-        // SAFETY: payload is valid until this first and only drop.
-        unsafe { (self.drop_fn)(self.ptr) };
+/// A pooled, type-erased idle predicate of [`Sim::idle_ticks`]:
+/// `Box<dyn Fn() -> bool>` semantics over a [`Pooled`] block.
+struct IdlePred {
+    block: Pooled,
+    call_fn: unsafe fn(NonNull<u8>) -> bool,
+}
+
+impl IdlePred {
+    fn new<P: Fn() -> bool + 'static>(idle: P) -> Self {
+        unsafe fn call_impl<P: Fn() -> bool>(p: NonNull<u8>) -> bool {
+            // SAFETY: `p` holds a valid `P` until the block is dropped.
+            unsafe { (*p.cast::<P>().as_ptr())() }
+        }
+        Self {
+            block: Pooled::new(idle),
+            call_fn: call_impl::<P>,
+        }
     }
+
+    fn is_idle(&self) -> bool {
+        // SAFETY: `call_fn` was built for the type stored in `block`.
+        unsafe { (self.call_fn)(self.block.ptr) }
+    }
+}
+
+/// The run loop's record of a task parked in [`IdleTicks`], read at each
+/// of its ticks.
+struct IdleTick {
+    /// The ticking task; a recycled slot's new task does not match it.
+    task: TaskId,
+    period: SimTime,
+    /// Deadline of the pending tick's timer.
+    next: SimTime,
+    idle: IdlePred,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -155,8 +224,8 @@ struct Slot {
     generation: u32,
     future: Option<TaskFuture>,
     waker: Option<Waker>,
-    /// Deadline of a pending armed wake ([`Sim::wake_at`]) whose timer is
-    /// not registered yet.
+    /// Deadline of a pending armed wake ([`Sim::wake_at`]) or armed
+    /// spawn ([`Sim::spawn_at`]) whose timer is not registered yet.
     armed: Option<SimTime>,
 }
 
@@ -460,6 +529,11 @@ struct SimInner {
     live_tasks: Cell<usize>,
     timer_seq: Cell<u64>,
     events_processed: Cell<u64>,
+    /// Tasks parked in [`IdleTicks`], by slot index. Kept beside the slots
+    /// so a slot stays small: few tasks tick.
+    idle_ticks: RefCell<Vec<Option<IdleTick>>>,
+    /// Ticks re-armed by the run loop without a poll.
+    idle_rearms: Cell<u64>,
     /// Identity of the task currently inside `poll_task`, paired with its
     /// waker's data pointer so `register_timer` can detect "the context
     /// waker IS this task's waker" without comparing vtables. Cleared on
@@ -531,6 +605,8 @@ impl Sim {
                 live_tasks: Cell::new(0),
                 timer_seq: Cell::new(0),
                 events_processed: Cell::new(0),
+                idle_ticks: RefCell::new(Vec::new()),
+                idle_rearms: Cell::new(0),
                 current_poll: Cell::new(None),
                 limit: Cell::new(SimTime::ZERO),
                 #[cfg(test)]
@@ -550,6 +626,13 @@ impl Sim {
         self.inner.events_processed.get()
     }
 
+    /// Idle ticks so far that the run loop re-armed without polling their
+    /// task ([`Sim::idle_ticks`]). Not polls: [`Sim::events_processed`]
+    /// does not count them.
+    pub fn idle_rearms(&self) -> u64 {
+        self.inner.idle_rearms.get()
+    }
+
     /// Number of live (incomplete) non-daemon tasks.
     pub fn live_tasks(&self) -> usize {
         self.inner.live_tasks.get()
@@ -564,7 +647,7 @@ impl Sim {
         F: Future + 'static,
         F::Output: 'static,
     {
-        self.spawn_inner(future, false)
+        self.spawn_inner(future, false, SimTime::ZERO)
     }
 
     /// Spawns a daemon task: it runs like any other task but does not keep
@@ -575,10 +658,36 @@ impl Sim {
         F: Future + 'static,
         F::Output: 'static,
     {
-        self.spawn_inner(future, true)
+        self.spawn_inner(future, true, SimTime::ZERO)
     }
 
-    fn spawn_inner<F>(&self, future: F, daemon: bool) -> JoinHandle<F::Output>
+    /// Spawns a task whose first poll would only start a sleep until
+    /// `deadline`: the same as spawning `async { sim.sleep_until(deadline)
+    /// .await; future.await }`, minus that first poll. The task is queued
+    /// armed, as [`Sim::wake_at`] queues a wake; when the run loop reaches
+    /// the entry it registers the task's timer for `deadline` there, with
+    /// the sequence number the first poll's sleep would have drawn, and
+    /// `future` is first polled when that timer fires. A `deadline` not
+    /// after now spawns the task plainly.
+    pub fn spawn_at<F>(&self, deadline: SimTime, future: F) -> JoinHandle<F::Output>
+    where
+        F: Future + 'static,
+        F::Output: 'static,
+    {
+        self.spawn_inner(future, false, deadline)
+    }
+
+    /// [`Sim::spawn_at`] for a daemon task ([`Sim::spawn_daemon`]).
+    pub fn spawn_daemon_at<F>(&self, deadline: SimTime, future: F) -> JoinHandle<F::Output>
+    where
+        F: Future + 'static,
+        F::Output: 'static,
+    {
+        self.spawn_inner(future, true, deadline)
+    }
+
+    /// Spawns `future`, armed for `at` when that is after now.
+    fn spawn_inner<F>(&self, future: F, daemon: bool, at: SimTime) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
         F::Output: 'static,
@@ -618,12 +727,16 @@ impl Sim {
         slot.state = SlotState::Parked;
         slot.daemon = daemon;
         slot.future = Some(wrapped);
+        let armed = at > self.now();
+        slot.armed = armed.then_some(at);
         drop(slots);
 
         if !daemon {
             self.inner.live_tasks.set(self.inner.live_tasks.get() + 1);
         }
-        self.inner.ready.push_owner(id);
+        self.inner
+            .ready
+            .push_owner(if armed { id.armed() } else { id });
         JoinHandle { rx }
     }
 
@@ -700,34 +813,59 @@ impl Sim {
     /// entry gets its timer registered just before that poll, and the
     /// armed entry then counts as a plain wake.
     pub fn wake_at(&self, waker: &Waker, deadline: SimTime) -> bool {
-        if !std::ptr::eq(waker.vtable(), &WAKER_VTABLE) || deadline <= self.now() {
+        if deadline <= self.now() {
             return false;
+        }
+        self.with_parked(waker, |id, armed| {
+            if armed.is_some() {
+                return false;
+            }
+            *armed = Some(deadline);
+            self.inner.ready.push_owner(id.armed());
+            true
+        })
+        .unwrap_or(false)
+    }
+
+    /// Takes back an arm of [`Sim::wake_at`] whose reason is gone (the
+    /// grantee dropped the permit it was armed for): the task is woken
+    /// at once at the armed entry's place in the ready queue, as a plain
+    /// wake queued there would have woken it. When the loop has already
+    /// registered the armed timer, or `waker` is not a parked task of
+    /// this simulation, the task is woken now.
+    pub fn disarm(&self, waker: &Waker) {
+        let disarmed = self.with_parked(waker, |_, armed| armed.take().is_some());
+        if disarmed != Some(true) {
+            waker.wake_by_ref();
+        }
+    }
+
+    /// Runs `f` on the id and armed deadline of the parked task `waker`
+    /// wakes; `None` when `waker` is not a task waker of this simulation
+    /// or its task is not parked (running, finished, or a stale
+    /// generation).
+    fn with_parked<R>(
+        &self,
+        waker: &Waker,
+        f: impl FnOnce(TaskId, &mut Option<SimTime>) -> R,
+    ) -> Option<R> {
+        if !std::ptr::eq(waker.vtable(), &WAKER_VTABLE) {
+            return None;
         }
         // SAFETY: every waker with this vtable was built by
         // `new_task_waker` over a live `WakerBlock` (the waker holds a
         // reference to it).
         let b = unsafe { &*(waker.data() as *const WakerBlock) };
         if !Arc::ptr_eq(&b.ready, &self.inner.ready) {
-            return false;
+            return None;
         }
         let id = TaskId(b.id.load(Ordering::Relaxed));
         // Borrowed while `shutdown` drops task futures: no task is parked
         // then.
-        let Ok(mut slots) = self.inner.slots.try_borrow_mut() else {
-            return false;
-        };
-        match slots.get_mut(id.slot()) {
-            Some(slot)
-                if slot.state == SlotState::Parked
-                    && slot.generation == id.generation()
-                    && slot.armed.is_none() =>
-            {
-                slot.armed = Some(deadline);
-                self.inner.ready.push_owner(id.armed());
-                true
-            }
-            _ => false,
-        }
+        let mut slots = self.inner.slots.try_borrow_mut().ok()?;
+        let slot = slots.get_mut(id.slot())?;
+        (slot.state == SlotState::Parked && slot.generation == id.generation())
+            .then(|| f(id, &mut slot.armed))
     }
 
     /// Handles an armed ready-queue entry: registers the task's timer, or
@@ -749,6 +887,101 @@ impl Sim {
         match armed {
             Some(deadline) => self.register_task_timer(deadline, id),
             None => self.poll_task(id),
+        }
+    }
+
+    /// Handles an idle tick's ready-queue entry, at the place where the
+    /// ticking task's poll would have run: while its predicate says idle,
+    /// registers the next tick's timer, with the sequence number the
+    /// task's own sleep would have drawn here, and does not poll the
+    /// task. Otherwise the tick ends the wait, and the task is polled.
+    /// A tick whose [`IdleTicks`] is gone counts as a plain wake, as the
+    /// timer of a dropped sleep does.
+    fn fire_idle_tick(&self, id: TaskId) {
+        let now = self.now();
+        let mut ticks = self.inner.idle_ticks.borrow_mut();
+        let entry = ticks
+            .get_mut(id.slot())
+            .filter(|e| e.as_ref().is_some_and(|t| t.task == id && t.next == now));
+        let done = match entry {
+            Some(Some(t)) if t.idle.is_idle() => {
+                t.next = now + t.period;
+                self.inner.idle_rearms.set(self.inner.idle_rearms.get() + 1);
+                self.register_task_timer(t.next, id.idle_tick());
+                return;
+            }
+            // The wait is over: `IdleTicks` finds its entry gone.
+            Some(e) => e.take(),
+            // Not this task's pending tick: a plain wake (`poll_task`
+            // ignores a task that is gone).
+            None => None,
+        };
+        drop(ticks);
+        drop(done);
+        self.poll_task(id);
+    }
+
+    /// Whether the idle ticks of `task` are still waiting for a tick that
+    /// finds work.
+    fn idle_tick_pending(&self, task: TaskId) -> bool {
+        matches!(
+            self.inner.idle_ticks.borrow().get(task.slot()),
+            Some(Some(t)) if t.task == task
+        )
+    }
+
+    /// Drops the idle-tick record of `task`, if it has one.
+    fn cancel_idle_ticks(&self, task: TaskId) {
+        let Ok(mut ticks) = self.inner.idle_ticks.try_borrow_mut() else {
+            return;
+        };
+        let entry = ticks
+            .get_mut(task.slot())
+            .filter(|e| matches!(e, Some(t) if t.task == task))
+            .and_then(Option::take);
+        drop(ticks);
+        drop(entry);
+    }
+
+    /// The polled task, when `waker` is its own waker and no multi-child
+    /// combinator is stepping children with it: a timer tagged for that
+    /// task then resumes exactly the await that registered it.
+    fn own_task(&self, waker: &Waker) -> Option<TaskId> {
+        match self.inner.current_poll.get() {
+            Some((id, data))
+                if std::ptr::eq(data, waker.data()) && RUN_AHEAD_BARRIERS.with(Cell::get) == 0 =>
+            {
+                Some(id)
+            }
+            _ => None,
+        }
+    }
+
+    /// Returns a future that waits `period` at a time until a wait ends
+    /// with `idle` false: the loop
+    /// `loop { sim.sleep(period).await; if !idle() { break } }`, except
+    /// that a tick that finds the task idle is not a poll. The run loop
+    /// checks `idle` where the task's poll would have run and, while it
+    /// holds, registers the next tick's timer there, with the sequence
+    /// number the task's own sleep would have drawn (PERF.md invariant
+    /// 18). [`Sim::idle_rearms`] counts those ticks.
+    ///
+    /// `idle` must be pure: a read of state, called at those places
+    /// instead of inside the task. Like [`Sim::wake_at`], the ticks must
+    /// be the task's one pending await, since an idle tick skips the
+    /// task's whole poll. Polled with a waker other than the task's own,
+    /// or inside [`crate::CompletionSet::wait_all`], the future runs the
+    /// plain loop instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn idle_ticks<P: Fn() -> bool + 'static>(&self, period: SimTime, idle: P) -> IdleTicks<P> {
+        assert!(period > SimTime::ZERO, "idle ticks need a nonzero period");
+        IdleTicks {
+            sim: self.clone(),
+            period,
+            state: Ticking::Start(idle),
         }
     }
 
@@ -825,7 +1058,7 @@ impl Sim {
             }
             let f = slot.future.as_ref().expect("parked slot without future");
             let w = slot.waker.as_ref().expect("parked slot without waker");
-            (f.ptr, f.poll_fn, w.data(), slot.daemon)
+            (f.block.ptr, f.poll_fn, w.data(), slot.daemon)
         };
 
         self.inner
@@ -892,10 +1125,10 @@ impl Sim {
         loop {
             // Drain everything runnable at the current instant.
             while let Some(id) = self.inner.ready.pop() {
-                if id.is_armed() {
-                    self.fire_arm(id.unarmed());
-                } else {
-                    self.poll_task(id);
+                match id.tag() {
+                    0 => self.poll_task(id),
+                    ARMED => self.fire_arm(id.untagged()),
+                    _ => self.fire_idle_tick(id.untagged()),
                 }
             }
 
@@ -965,6 +1198,10 @@ impl Sim {
     /// executor and task futures that captured `Sim` clones.
     pub fn shutdown(&self) {
         self.inner.timers.borrow_mut().clear();
+        // Idle predicates hold what they read (an engine host): dropped
+        // here, before the futures that registered them.
+        let idle = std::mem::take(&mut *self.inner.idle_ticks.borrow_mut());
+        drop(idle);
         let mut slots = self.inner.slots.borrow_mut();
         let any_running = slots.iter().any(|s| s.state == SlotState::Running);
         for slot in slots.iter_mut() {
@@ -1071,6 +1308,98 @@ impl Future for Sleep {
             self.sim.register_timer(deadline, cx.waker());
         }
         Poll::Pending
+    }
+}
+
+/// Future returned by [`Sim::idle_ticks`].
+pub struct IdleTicks<P> {
+    sim: Sim,
+    period: SimTime,
+    state: Ticking<P>,
+}
+
+enum Ticking<P> {
+    /// Not polled yet.
+    Start(P),
+    /// The run loop checks the predicate at each tick of this task.
+    Parked(TaskId),
+    /// Polled with a foreign waker or inside a multi-child combinator:
+    /// the plain loop.
+    Plain(P, Sleep),
+    Done,
+}
+
+// Nothing in `IdleTicks` is pinned: the predicate is only called by
+// reference, and `Sleep` is `Unpin`.
+impl<P> Unpin for IdleTicks<P> {}
+
+impl<P: Fn() -> bool + 'static> Future for IdleTicks<P> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let (sim, period) = (&this.sim, this.period);
+        match std::mem::replace(&mut this.state, Ticking::Done) {
+            Ticking::Start(idle) => {
+                // The plain loop's first sleeps, as far as they run ahead
+                // inline.
+                let mut deadline = sim.now() + period;
+                while sim.run_ahead(deadline, cx.waker()) {
+                    if !idle() {
+                        return Poll::Ready(());
+                    }
+                    deadline = sim.now() + period;
+                }
+                match sim.own_task(cx.waker()) {
+                    Some(id) if !sim.idle_tick_pending(id) => {
+                        let mut ticks = sim.inner.idle_ticks.borrow_mut();
+                        if ticks.len() <= id.slot() {
+                            ticks.resize_with(id.slot() + 1, || None);
+                        }
+                        ticks[id.slot()] = Some(IdleTick {
+                            task: id,
+                            period,
+                            next: deadline,
+                            idle: IdlePred::new(idle),
+                        });
+                        drop(ticks);
+                        sim.register_task_timer(deadline, id.idle_tick());
+                        this.state = Ticking::Parked(id);
+                        Poll::Pending
+                    }
+                    _ => {
+                        this.state = Ticking::Plain(idle, sim.sleep_until(deadline));
+                        Pin::new(this).poll(cx)
+                    }
+                }
+            }
+            Ticking::Parked(id) => {
+                if sim.idle_tick_pending(id) {
+                    this.state = Ticking::Parked(id);
+                    return Poll::Pending;
+                }
+                Poll::Ready(())
+            }
+            Ticking::Plain(idle, mut sleep) => loop {
+                if Pin::new(&mut sleep).poll(cx).is_pending() {
+                    this.state = Ticking::Plain(idle, sleep);
+                    return Poll::Pending;
+                }
+                if !idle() {
+                    return Poll::Ready(());
+                }
+                sleep = sim.sleep(period);
+            },
+            Ticking::Done => panic!("idle ticks polled after completion"),
+        }
+    }
+}
+
+impl<P> Drop for IdleTicks<P> {
+    fn drop(&mut self) {
+        if let Ticking::Parked(id) = self.state {
+            self.sim.cancel_idle_ticks(id);
+        }
     }
 }
 

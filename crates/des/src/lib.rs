@@ -15,7 +15,11 @@
 //!   it, and may arm the grantee instead of waking it.
 //! - [`Sim::wake_at`] — hand a parked task a hold whose end is already
 //!   known: the run loop registers its timer where the task sits in the
-//!   ready queue, without polling it.
+//!   ready queue, without polling it. [`Sim::spawn_at`] does the same for
+//!   a new task whose first act would be a sleep.
+//! - [`Sim::idle_ticks`] — a periodic wait that ends at the first tick
+//!   with work: the run loop checks for work where the task's poll would
+//!   have run and re-arms an idle tick without polling the task.
 //! - [`oneshot`] and [`JoinHandle`] — completion signalling.
 //!
 //! Determinism: the executor is single-threaded, the ready queue is FIFO,
@@ -50,12 +54,14 @@ pub mod sync;
 pub mod time;
 
 #[cfg(test)]
+mod idle_ticks_tests;
+#[cfg(test)]
 mod run_ahead_tests;
 #[cfg(test)]
 mod wake_at_tests;
 
 pub use completion::{CompletionSet, WaitAll};
-pub use executor::{JoinHandle, RunError, RunReport, Sim};
+pub use executor::{IdleTicks, JoinHandle, RunError, RunReport, Sim};
 pub use resource::{GrantHook, PlainWake, Resource, ResourceGuard};
 pub use sync::{oneshot, OneshotReceiver, OneshotSender, RecvError};
 pub use time::SimTime;

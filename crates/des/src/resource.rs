@@ -39,6 +39,16 @@ pub trait GrantHook {
 
     /// Grants a permit to the waiter of `req`, whose task `waker` wakes.
     fn grant(&mut self, req: Self::Request, waker: &Waker) -> (Self::Outcome, bool);
+
+    /// Takes back an arm of [`grant`](GrantHook::grant) whose grantee
+    /// dropped its acquire before observing the permit (which passes on
+    /// to the next waiter). Its task must then be woken as an unarmed
+    /// grantee was; a hook that arms with `wake_at` calls
+    /// [`Sim::disarm`](crate::Sim::disarm), which keeps the wake at the
+    /// grant's place in the ready queue. The default wakes the task now.
+    fn disarm(&mut self, waker: &Waker) {
+        waker.wake_by_ref();
+    }
 }
 
 /// The default [`GrantHook`]: no request, no outcome, and the grantee is
@@ -69,6 +79,8 @@ enum WaitState<H: GrantHook> {
 /// nothing.
 struct WaiterSlot<H: GrantHook> {
     state: WaitState<H>,
+    /// The waiter's task while it waits, and while it is armed for a
+    /// grant it has not observed yet.
     waker: Option<Waker>,
 }
 
@@ -113,7 +125,9 @@ impl<H: GrantHook> ResourceState<H> {
                     let (outcome, armed) = self.hook.grant(req, &waker);
                     s.state = WaitState::Granted(outcome);
                     self.waiting -= 1;
-                    if !armed {
+                    if armed {
+                        s.waker = Some(waker);
+                    } else {
                         waker.wake();
                     }
                     return;
@@ -292,6 +306,7 @@ impl<H: GrantHook> Future for Acquire<H> {
                 else {
                     unreachable!("polling a cancelled acquire")
                 };
+                s.waker = None;
                 st.free.push(i);
                 outcome
             }
@@ -330,9 +345,14 @@ impl<H: GrantHook> Drop for Acquire<H> {
                     st.waiting -= 1;
                 }
                 // Handed a permit but never observed it: pass it on, so
-                // it is not leaked.
+                // it is not leaked, and wake an armed grantee now rather
+                // than at the end of a hold it no longer has.
                 WaitState::Granted(_) => {
+                    let armed = s.waker.take();
                     st.free.push(i);
+                    if let Some(w) = armed {
+                        st.hook.disarm(&w);
+                    }
                     st.release();
                 }
                 WaitState::Cancelled => unreachable!("dropping a consumed acquire twice"),
@@ -557,6 +577,10 @@ mod tests {
             self.log.borrow_mut().push((tag, now, armed));
             (now, armed)
         }
+
+        fn disarm(&mut self, waker: &Waker) {
+            self.sim.disarm(waker);
+        }
     }
 
     fn logged(
@@ -646,11 +670,15 @@ mod tests {
         });
         // Tag 1 queues through a cell that another task can empty.
         let cell = Rc::new(StdRefCell::new(Some(r.acquire_with(1))));
-        let c = Rc::clone(&cell);
-        sim.spawn(std::future::poll_fn(move |cx| match &mut *c.borrow_mut() {
-            Some(acq) => Pin::new(acq).poll(cx).map(drop),
-            None => Poll::Ready(()),
-        }));
+        let (s, c) = (sim.clone(), Rc::clone(&cell));
+        let dropped = sim.spawn(async move {
+            std::future::poll_fn(|cx| match &mut *c.borrow_mut() {
+                Some(acq) => Pin::new(acq).poll(cx).map(drop),
+                None => Poll::Ready(()),
+            })
+            .await;
+            s.now()
+        });
         // Tag 2 queues behind it.
         let (s, r2) = (sim.clone(), r.clone());
         let h = sim.spawn(async move {
@@ -670,5 +698,8 @@ mod tests {
         );
         // Tag 2 was granted at 5 and armed for 15.
         assert_eq!(h.try_result(), Some((ns(5), ns(15))));
+        // Tag 1's task was disarmed: woken at 5, where its grant queued
+        // it, not at the end of the hold it gave up.
+        assert_eq!(dropped.try_result(), Some(ns(5)));
     }
 }

@@ -37,6 +37,10 @@ impl GrantHook for Hand {
         let armed = self.arm && self.sim.wake_at(waker, until);
         (armed.then_some(until), armed)
     }
+
+    fn disarm(&mut self, waker: &Waker) {
+        self.sim.disarm(waker);
+    }
 }
 
 /// Sends a packet of wire time `t` on `wire`.

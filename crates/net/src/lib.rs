@@ -236,6 +236,10 @@ impl GrantHook for Wire {
             }
         }
     }
+
+    fn disarm(&mut self, waker: &Waker) {
+        self.sim.disarm(waker);
+    }
 }
 
 /// A network segment between hosts and the filer.
