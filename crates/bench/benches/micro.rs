@@ -342,11 +342,17 @@ fn main() {
         .collect();
     let spec = WorkloadSpec::baseline_60g();
     let t0 = Instant::now();
-    let streamed = Sweep::over(Workload::stream(|| wb.make_stream(&spec)))
-        .configs(cfgs.iter().cloned())
-        .run();
+    let streamed = cfgs
+        .iter()
+        .enumerate()
+        .fold(Sweep::new(), |sweep, (i, cfg)| {
+            sweep.scenario(
+                format!("#{i}"),
+                Scenario::new(cfg.clone(), wb.workload(&spec)),
+            )
+        });
+    let reports = streamed.reports().expect("streamed sweep");
     let streamed_wall = t0.elapsed().as_secs_f64();
-    let reports = streamed.into_reports().expect("streamed sweep");
     assert_eq!(reports.len(), cfgs.len());
     res.push(
         "sweep_streamed_ops_per_sec",

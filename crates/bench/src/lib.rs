@@ -428,7 +428,7 @@ pub fn run_figure(fig: &Figure, scale: u64, dir: Option<&Path>) -> Page {
         let sweep = jobs.iter().fold(Sweep::new(), |sweep, job| {
             sweep.scenario(job.label.clone(), wb.scenario(&job.cfg, &job.spec))
         });
-        let results = sweep.sink(&mut sink).run();
+        let results = sweep.run(&mut sink);
         eprintln!();
         reports = sink.finish(&results, fig.name);
     }

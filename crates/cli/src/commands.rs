@@ -46,12 +46,10 @@ USAGE:
 SWEEP FLAGS (in addition to the common/workload flags):
   --arch-list a,b,...              architectures to sweep     [naive]
   --flash-list S1,S2,...           flash sizes to sweep       [0,32G,64G,128G]
-  --threads N                      worker threads (0 = auto)  [0]
-  --jobs N                         alias for --threads
+  --threads N                      worker threads (0 = auto, 1 = serial) [0]
   --streamed                       regenerate the workload per job instead of
                                    sharing one materialized trace: sweep
                                    memory drops to O(chunk x jobs)
-  --serial                         run serially (baseline for timing)
   --out FILE                       stream each finished job to FILE as one
                                    schema-versioned JSON row per line,
                                    flushed per row (durable results)
@@ -178,7 +176,6 @@ const CFG_FLAGS: &[&str] = &[
     "limit",
     "arch-list",
     "flash-list",
-    "jobs",
     "threads",
     "flash-timing",
     "ssd-capacity",
@@ -196,14 +193,7 @@ const CFG_FLAGS: &[&str] = &[
     "procs",
     "worker",
 ];
-const CFG_BOOLS: &[&str] = &[
-    "persistent",
-    "duplex",
-    "skip-warmup",
-    "serial",
-    "streamed",
-    "resume",
-];
+const CFG_BOOLS: &[&str] = &["persistent", "duplex", "skip-warmup", "streamed", "resume"];
 
 fn config_from(flags: &Flags) -> Result<SimConfig, ArgError> {
     let mut cfg = SimConfig::baseline();
@@ -480,12 +470,7 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     // assert); reject them here as ordinary flag errors.
     ensure_unique(&archs, "arch-list")?;
     ensure_unique(&flash_sizes, "flash-list")?;
-    // --threads is the builder-facing name; --jobs stays as an alias.
-    let threads: usize = match flags.get("threads") {
-        Some(_) => flags.get_parsed("threads", 0usize)?,
-        None => flags.get_parsed("jobs", 0usize)?,
-    };
-    let workers = if flags.has("serial") { 1 } else { threads };
+    let threads: usize = flags.get_parsed("threads", 0usize)?;
 
     let wb = Workbench::new(scale, base.seed);
     let mut cfgs: Vec<SimConfig> = Vec::new();
@@ -531,8 +516,8 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     // Every finished job streams through a sink: a durable JSONL file
     // (--out; flushed per row, so a killed sweep resumes with --resume) or
     // an in-memory collector. Reports are never held as a vector. The
-    // sinks are opened before the workload, both for borrow ordering and
-    // so a fully-resumed sweep never pays for trace generation.
+    // sinks are opened before the workload so a fully-resumed sweep never
+    // pays for trace generation.
     let mut memory = MemorySink::new();
     let (mut jsonl, resumed) = match out {
         // One decode pass: JsonlSink::resume truncates any torn tail and
@@ -546,27 +531,28 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         None => (None, Vec::new()),
     };
 
-    // The workload axis: one shared materialized trace (zero-copy across
-    // jobs, O(trace) resident) or a per-job regenerated stream
-    // (O(chunk × jobs) resident — nothing is ever materialized). A fully
-    // resumed sweep runs nothing, so it takes the lazy streamed form and
-    // skips trace generation entirely. Sweep::resume accepts one row per
-    // job at most, so a file that passes it with `jobs` rows has them all.
+    // Every job replays the same workload: one shared materialized trace
+    // (zero-copy across jobs, O(trace) resident) or a per-job regenerated
+    // stream (O(chunk × jobs) resident — nothing is ever materialized). A
+    // fully resumed sweep runs nothing, so it takes the lazy streamed form
+    // and skips trace generation entirely. Sweep::resume accepts one row
+    // per job at most, so a file that passes it with `jobs` rows has them
+    // all.
     let all_resumed = resumed.len() == jobs;
-    let trace;
-    let workload = if flags.has("streamed") || all_resumed {
-        wb.workload(&spec)
-    } else {
-        trace = wb.make_trace(&spec);
-        Workload::trace(&trace)
+    let trace = (!flags.has("streamed") && !all_resumed).then(|| wb.make_trace(&spec));
+    let workload = || match &trace {
+        Some(trace) => Workload::trace(trace),
+        None => wb.workload(&spec),
     };
-    let described = workload.describe();
+    let described = workload().describe();
 
     let t0 = std::time::Instant::now();
-    let mut sweep = Sweep::over(workload).threads(workers);
-    for (label, cfg) in job_labels.iter().zip(cfgs.iter()) {
-        sweep = sweep.config(label.clone(), cfg.clone());
-    }
+    let sweep = job_labels
+        .into_iter()
+        .zip(cfgs)
+        .fold(Sweep::new().threads(threads), |sweep, (label, cfg)| {
+            sweep.scenario(label, Scenario::new(cfg, workload()))
+        });
     // A file from different flags is an error, not a silent pile of stale
     // rows.
     let path = out.unwrap_or_default();
@@ -590,7 +576,7 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         Some(sink) => sink,
         None => &mut memory,
     };
-    let results = sweep.sink(sink).run();
+    let results = sweep.run(sink);
     let wall = t0.elapsed();
     // A failing job names its config (index + label) instead of
     // unwinding through a positional unwrap.
@@ -627,20 +613,9 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         "# {} configs in {:.2}s ({}{})",
         jobs,
         wall.as_secs_f64(),
-        if workers == 1 {
-            "serial".to_string()
-        } else {
-            format!(
-                "parallel, {} workers",
-                if workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    workers
-                }
-                .min(jobs.max(1))
-            )
+        match results.workers() {
+            1 => "serial".to_string(),
+            n => format!("parallel, {n} workers"),
         },
         if skipped > 0 {
             format!("; {skipped} resumed, {} run", jobs - skipped)
@@ -689,10 +664,7 @@ fn cmd_fleet(args: &[String]) -> CmdResult {
     if procs == 0 {
         return Err(Box::new(ArgError("--procs must be at least 1".into())));
     }
-    let threads: usize = match flags.get("threads") {
-        Some(_) => flags.get_parsed("threads", 0usize)?,
-        None => flags.get_parsed("jobs", 0usize)?,
-    };
+    let threads: usize = flags.get_parsed("threads", 0usize)?;
     let out = flags.get("out");
     if flags.has("resume") && out.is_none() {
         return Err(Box::new(ArgError("--resume requires --out FILE".into())));
@@ -1204,6 +1176,25 @@ mod tests {
     }
 
     #[test]
+    fn an_unwritable_trace_out_is_an_error_naming_the_path() {
+        let err = dispatch(&argv(&[
+            "run",
+            "--scale",
+            "16384",
+            "--ws",
+            "16G",
+            "--trace-out",
+            "/nonexistent/dir/x",
+        ]))
+        .expect_err("an unwritable --trace-out must fail the run");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("invalid configuration") && msg.contains("/nonexistent/dir/x"),
+            "{msg}"
+        );
+    }
+
+    #[test]
     fn unknown_command_fails() {
         assert!(dispatch(&argv(&["frobnicate"])).is_err());
     }
@@ -1479,8 +1470,7 @@ mod tests {
     #[test]
     fn sweep_runs_parallel_and_serial() {
         for extra in [
-            &["--serial"][..],
-            &["--jobs", "2"][..],
+            &["--threads", "1"][..],
             &["--threads", "2"][..],
             &["--streamed"][..],
             &["--streamed", "--threads", "2"][..],

@@ -20,7 +20,7 @@ use fcache_types::{ByteSize, Trace};
 
 use crate::config::SimConfig;
 use crate::report::SimReport;
-use crate::scenario::{Scenario, Sweep, Workload};
+use crate::scenario::{Scenario, Workload};
 use crate::sim::SimError;
 
 /// Workload description in paper-scale units.
@@ -65,7 +65,7 @@ impl WorkloadSpec {
     /// (`ws=80G wr=30% seed=42`, plus `hosts=`/`wsc=`/`cold` when
     /// off-baseline). Used as the workload half of a sweep grid's
     /// composite job labels — and label-based resume
-    /// ([`Sweep::resume`]) requires distinct specs to get distinct
+    /// ([`Sweep::resume`](crate::Sweep::resume)) requires distinct specs to get distinct
     /// labels, so every field that commonly forms an axis is included:
     /// the seed always (two specs differing only in seed are different
     /// workloads), and the write percentage at full precision down to
@@ -168,26 +168,6 @@ impl Workbench {
     /// here) against the streamed workload of `spec`.
     pub fn scenario(&self, cfg: &SimConfig, spec: &WorkloadSpec) -> Scenario<'_> {
         Scenario::new(cfg.clone().scaled_down(self.scale), self.workload(spec))
-    }
-
-    /// Builds a [`Sweep`] over `workload` from paper-scale configurations
-    /// (scaled down here), auto-labeled by index, architecture, and cache
-    /// sizes. Chain [`Sweep::threads`] / [`Sweep::sink`] before running.
-    pub fn sweep<'a>(&self, cfgs: &[SimConfig], workload: Workload<'a>) -> Sweep<'a> {
-        Sweep::over(workload).configs(cfgs.iter().map(|cfg| cfg.clone().scaled_down(self.scale)))
-    }
-
-    /// Builds the labeled *workload axis* for a sweep grid from paper-scale
-    /// workload specs: each spec becomes a streamed [`Workload`] (per-job
-    /// regenerated, O(chunk) resident) labeled by [`WorkloadSpec::label`].
-    /// Feed the result to [`Sweep::workloads`] and every configuration
-    /// added afterwards crosses the whole axis — the Figures 8/10/11
-    /// config × workload grid in one call.
-    pub fn workloads(&self, specs: &[WorkloadSpec]) -> Vec<(String, Workload<'_>)> {
-        specs
-            .iter()
-            .map(|spec| (spec.label(), self.workload(spec)))
-            .collect()
     }
 
     /// Runs a paper-scale configuration against a workload: cache sizes in

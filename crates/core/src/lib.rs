@@ -20,19 +20,20 @@
 //!
 //! The run surface is the [`Scenario`]/[`Sweep`] builder pair over a
 //! pluggable [`Workload`] (see [`scenario`]): one configuration × one
-//! workload is a `Scenario`; a labeled grid of configurations is a
-//! `Sweep` (cross a workload axis in with [`Sweep::workloads`]).
+//! workload is a `Scenario`; a `Sweep` is a list of labeled scenarios,
+//! one per cell of a configuration × workload grid.
 //! Workloads replay a shared in-memory trace ([`Workload::trace`]),
 //! regenerate a stream per job ([`Workload::stream`] — sweep memory
 //! O(chunk × jobs) instead of a resident trace), or stream an archived
 //! `FCTRACE1` file ([`Workload::file`]); all three are bit-identical for
-//! the same ops. Sweep results stream through [`ResultSink`]s (see
-//! [`results`]): durable, schema-versioned JSONL rows with exact
-//! `SimReport` round-trips, making interrupted sweeps resumable
-//! ([`Sweep::resume`]) and every run a diffable artifact.
+//! the same ops. [`Sweep::run`] streams every finished row through the
+//! caller's [`ResultSink`] (see [`results`]): in memory, or durable,
+//! schema-versioned JSONL rows with exact `SimReport` round-trips, making
+//! interrupted sweeps resumable ([`Sweep::resume`]) and every run a
+//! diffable artifact.
 //!
 //! ```
-//! use fcache::{Scenario, SimConfig, Sweep, Workload};
+//! use fcache::{MemorySink, Scenario, SimConfig, Sweep, Workload};
 //! use fcache_fsmodel::{FsModel, FsModelConfig};
 //! use fcache_trace::{generate, TraceGenConfig};
 //! use fcache_types::ByteSize;
@@ -59,14 +60,16 @@
 //! println!("read latency: {:.1} µs/block", report.read_latency_us());
 //!
 //! // A labeled sweep over the same trace, fanned out across threads;
-//! // results keep each job's label and config next to its report.
-//! let results = Sweep::over(Workload::trace(&trace))
-//!     .config("no flash", SimConfig { flash_size: ByteSize::ZERO, ..cfg.clone() })
-//!     .config("with flash", cfg)
-//!     .run();
-//! for item in &results {
-//!     let r = item.report.as_ref().unwrap();
-//!     println!("{}: {:.1} µs/block", item.label, r.read_latency_us());
+//! // each finished job's row (label, config, report) goes to the sink.
+//! let no_flash = SimConfig { flash_size: ByteSize::ZERO, ..cfg.clone() };
+//! let mut sink = MemorySink::new();
+//! let results = Sweep::new()
+//!     .scenario("no flash", Scenario::new(no_flash, Workload::trace(&trace)))
+//!     .scenario("with flash", Scenario::new(cfg, Workload::trace(&trace)))
+//!     .run(&mut sink);
+//! assert!(results.first_error().is_none());
+//! for row in sink.into_rows() {
+//!     println!("{}: {:.1} µs/block", row.label, row.report.read_latency_us());
 //! }
 //! ```
 
@@ -106,8 +109,7 @@ pub use policy::WritebackPolicy;
 pub use report::{FleetStats, HostLoadStats, ShardServiceStats, ShardStats, SimReport};
 pub use results::{
     decode_rows, read_rows, report_from_json, report_to_json, row_from_json, row_to_json,
-    scan_jsonl, sink_fn, DecodedRow, JsonlSink, MemorySink, ResultRow, ResultSink, TeeSink,
-    REPORT_SCHEMA,
+    scan_jsonl, DecodedRow, JsonlSink, MemorySink, ResultRow, ResultSink, REPORT_SCHEMA,
 };
 pub use robust::{DegradedPolicy, FaultWindowStat, RobustnessConfig, RobustnessStats};
 pub use scenario::{Scenario, Sweep, SweepError, SweepItem, SweepResults, Workload};

@@ -14,11 +14,11 @@
 //!   through an `f64`; floats use shortest-round-trip formatting). The row
 //!   format is versioned by [`REPORT_SCHEMA`]; a pinned golden row in
 //!   `tests/results_pipeline.rs` makes schema drift fail loudly.
-//! - **Sinks**: a [`ResultSink`] receives each sweep job's [`ResultRow`]
-//!   as the job finishes. [`MemorySink`] retains rows in RAM (the old
-//!   behavior, now opt-in), [`JsonlSink`] appends one JSON row per line to
-//!   a file with a flush per row (a killed process loses at most the row
-//!   being written), and [`TeeSink`] / [`sink_fn`] compose.
+//! - **Sinks**: [`Sweep::run`](crate::Sweep::run) hands each finished
+//!   job's [`ResultRow`] to the caller's [`ResultSink`]. [`MemorySink`]
+//!   retains rows in RAM, and [`JsonlSink`] appends one JSON row per line
+//!   to a file with a flush per row (a killed process loses at most the
+//!   row being written).
 //! - **Resume**: [`JsonlSink::resume`] reads the valid prefix of an
 //!   existing results file — tolerating the torn final line a kill leaves
 //!   behind — and appends after it; the rows it returns go to
@@ -135,49 +135,6 @@ impl ResultSink for MemorySink {
     fn on_row(&mut self, row: ResultRow) -> io::Result<()> {
         self.rows.push(row);
         Ok(())
-    }
-}
-
-/// Streams rows into a plain function — the adapter for harnesses that
-/// extract a few scalars per row and drop the rest (no report vector is
-/// ever materialized).
-pub struct FnSink<F>(F);
-
-impl<F: FnMut(ResultRow) + Send> ResultSink for FnSink<F> {
-    fn on_row(&mut self, row: ResultRow) -> io::Result<()> {
-        (self.0)(row);
-        Ok(())
-    }
-}
-
-/// Wraps a closure as a [`ResultSink`].
-pub fn sink_fn<F: FnMut(ResultRow) + Send>(f: F) -> FnSink<F> {
-    FnSink(f)
-}
-
-/// Duplicates every row to two sinks (e.g. a durable [`JsonlSink`] plus an
-/// in-memory scalar extractor). The first sink's error wins.
-pub struct TeeSink<'s> {
-    a: &'s mut dyn ResultSink,
-    b: &'s mut dyn ResultSink,
-}
-
-impl<'s> TeeSink<'s> {
-    /// Tees rows to `a` then `b`.
-    pub fn new(a: &'s mut dyn ResultSink, b: &'s mut dyn ResultSink) -> Self {
-        Self { a, b }
-    }
-}
-
-impl ResultSink for TeeSink<'_> {
-    fn on_row(&mut self, row: ResultRow) -> io::Result<()> {
-        self.a.on_row(row.clone())?;
-        self.b.on_row(row)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.a.flush()?;
-        self.b.flush()
     }
 }
 
@@ -1191,38 +1148,6 @@ mod tests {
         let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, ["a", "b", "c"]);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tee_sink_duplicates_rows_and_propagates_errors() {
-        let mk = |index: usize| ResultRow {
-            index,
-            label: format!("job{index}"),
-            config: SimConfig::baseline(),
-            report: SimReport::default(),
-        };
-        let mut a = MemorySink::new();
-        let mut b = MemorySink::new();
-        let mut tee = TeeSink::new(&mut a, &mut b);
-        tee.on_row(mk(0)).unwrap();
-        tee.on_row(mk(1)).unwrap();
-        tee.flush().unwrap();
-        assert_eq!(a.rows().len(), 2);
-        assert_eq!(b.rows().len(), 2);
-        assert_eq!(a.rows()[1].label, b.rows()[1].label);
-
-        struct Failing;
-        impl ResultSink for Failing {
-            fn on_row(&mut self, _row: ResultRow) -> io::Result<()> {
-                Err(io::Error::other("nope"))
-            }
-        }
-        let mut failing = Failing;
-        let mut ok = MemorySink::new();
-        let mut tee = TeeSink::new(&mut failing, &mut ok);
-        assert!(tee.on_row(mk(0)).is_err());
-        // First sink's error wins; the second never saw the row.
-        assert!(ok.rows().is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Every experiment in this crate is "some configurations × some workload →
 //! reports". The engine primitives ([`run_trace`], [`run_source`]) each
 //! take one workload kind; this module is the composable layer over them
-//! that the `Workbench` helpers, the figure benches and `fcsim` route
-//! through:
+//! that the `Workbench` helpers, the figure runner, the fleet and `fcsim`
+//! route through:
 //!
 //! - a [`Workload`] names *what* to replay — a shared in-memory trace
 //!   ([`Workload::trace`]), a per-job regenerated stream
@@ -14,17 +14,17 @@
 //!   [`SimReport`]s for the same ops (pinned by
 //!   `tests/trace_streaming.rs` and `tests/sweep_determinism.rs`);
 //! - a [`Scenario`] pairs one [`SimConfig`] with one workload and runs it;
-//! - a [`Sweep`] fans a labeled grid of scenarios out over scoped worker
-//!   threads ([`Sweep::threads`]), optionally streaming each report to a
-//!   [`ResultSink`] as jobs finish ([`Sweep::sink`] — in-memory, durable
-//!   JSONL, or a tee of both) so paper-scale sweeps never hold every
-//!   report resident, and returns [`SweepResults`] that keep each job's
-//!   label and configuration next to its report or error — no positional
-//!   `expect` chains. Grids over *both* axes — configurations × workloads
-//!   — build with [`Sweep::workloads`] (the Figures 8/10/11 shape), and
-//!   [`Sweep::resume`] checks the rows an existing results file already
-//!   holds against the sweep's jobs and skips them, making interrupted
-//!   sweeps restartable.
+//! - a [`Sweep`] is a list of labeled scenarios ([`Sweep::scenario`])
+//!   fanned out over scoped worker threads ([`Sweep::threads`]).
+//!   [`Sweep::run`] delivers each finished job's row to the caller's
+//!   [`ResultSink`] — in memory or a durable JSONL file — as the job
+//!   finishes, so a paper-scale sweep never holds every report resident,
+//!   and returns [`SweepResults`] that keep each job's label,
+//!   configuration and error — no positional `expect` chains.
+//!   [`Sweep::reports`] is the in-memory shorthand for tests and examples,
+//!   and [`Sweep::resume`] checks the rows an existing results file
+//!   already holds against the sweep's jobs and skips them, making
+//!   interrupted sweeps restartable.
 //!
 //! Memory: a sweep over [`Workload::trace`] shares one resident trace
 //! across all jobs (O(trace) total). A sweep over [`Workload::stream`]
@@ -63,12 +63,15 @@
 //!
 //! // A labeled two-point sweep over the same streamed workload: each job
 //! // regenerates its own stream, so nothing is materialized.
-//! let results = Sweep::over(Workload::stream(|| TraceStream::new(&model, gen_cfg.clone())))
-//!     .config("no flash", SimConfig { flash_size: ByteSize::ZERO, ..cfg.clone() })
-//!     .config("8M flash", cfg)
+//! let (model, gen_cfg) = (&model, &gen_cfg);
+//! let streamed = || Workload::stream(move || TraceStream::new(model, gen_cfg.clone()));
+//! let no_flash = SimConfig { flash_size: ByteSize::ZERO, ..cfg.clone() };
+//! let reports = Sweep::new()
+//!     .scenario("no flash", Scenario::new(no_flash, streamed()))
+//!     .scenario("8M flash", Scenario::new(cfg, streamed()))
 //!     .threads(2)
-//!     .run();
-//! let reports = results.into_reports().unwrap();
+//!     .reports()
+//!     .unwrap();
 //! assert_eq!(reports.len(), 2);
 //! ```
 
@@ -84,7 +87,7 @@ use fcache_types::{ByteReader, Trace, TraceReader, TraceSource};
 
 use crate::config::SimConfig;
 use crate::report::SimReport;
-use crate::results::{config_to_json, DecodedRow, ResultRow, ResultSink};
+use crate::results::{config_to_json, DecodedRow, MemorySink, ResultRow, ResultSink};
 use crate::sim::{run_source, run_trace, SimError, SourceError};
 
 /// Boxed per-job source factory: called once per run/job, on the worker
@@ -275,18 +278,15 @@ impl std::error::Error for SweepError {
     }
 }
 
-/// One job of a finished sweep: the label and configuration it ran, plus
-/// its report (unless spilled to a sink) or error.
+/// One job of a finished sweep: the label and configuration it ran, and
+/// its error if it failed. Its report went to the sink [`Sweep::run`] was
+/// given.
 #[derive(Debug)]
 pub struct SweepItem {
     /// The job's label.
     pub label: String,
     /// The configuration the job ran.
     pub config: SimConfig,
-    /// The job's report. `None` if the job failed, was skipped by
-    /// [`Sweep::resume`], *or* if the report was delivered to a
-    /// [`Sweep::sink`] instead of retained.
-    pub report: Option<SimReport>,
     /// The job's error, if it failed.
     pub error: Option<SimError>,
     /// True if the job was skipped because [`Sweep::resume`] found its
@@ -306,7 +306,7 @@ impl SweepItem {
 #[derive(Debug)]
 pub struct SweepResults {
     items: Vec<SweepItem>,
-    spilled: bool,
+    workers: usize,
     sink_error: Option<std::io::Error>,
 }
 
@@ -321,16 +321,17 @@ impl SweepResults {
         self.items.is_empty()
     }
 
-    /// True if reports were streamed to a [`Sweep::sink`] instead of
-    /// retained in the items.
-    pub fn spilled_to_sink(&self) -> bool {
-        self.spilled
+    /// The number of worker threads the sweep ran on: [`Sweep::threads`]
+    /// (or the machine's available parallelism for `0`), capped at the job
+    /// count. `1` means the jobs ran serially on the calling thread.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// The first I/O error the sink raised, if any. Simulations keep
-    /// running after a sink failure (their results are still returned or
-    /// reported as errors), but no further rows are delivered — a durable
-    /// results file is incomplete if this is `Some`.
+    /// running after a sink failure (their errors are still reported), but
+    /// no further rows are delivered — a durable results file is
+    /// incomplete if this is `Some`.
     pub fn sink_error(&self) -> Option<&std::io::Error> {
         self.sink_error.as_ref()
     }
@@ -360,103 +361,37 @@ impl SweepResults {
             })
         })
     }
-
-    /// Unwraps every report in job order, or the first failure with its
-    /// job context ("which config failed", not a positional `expect`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reports were spilled to a [`Sweep::sink`] (they are
-    /// no longer here to return) or skipped by [`Sweep::resume`]
-    /// (they were never run — read the results file).
-    pub fn into_reports(self) -> Result<Vec<SimReport>, SweepError> {
-        if let Some(err) = self.first_error() {
-            return Err(err);
-        }
-        assert!(
-            !self.spilled,
-            "sweep reports were streamed to the sink; read them there"
-        );
-        assert!(
-            self.skipped() == 0,
-            "sweep skipped resumed jobs; their reports live in the results file"
-        );
-        Ok(self
-            .items
-            .into_iter()
-            .map(|item| item.report.expect("ok item retains its report"))
-            .collect())
-    }
-
-    /// [`SweepResults::into_reports`], panicking with `what` plus the
-    /// failing job's label on error (for harnesses that cannot proceed
-    /// from a partial sweep, like the figure benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job failed, naming the job, or if the reports were
-    /// spilled to a sink.
-    pub fn expect_reports(self, what: &str) -> Vec<SimReport> {
-        match self.into_reports() {
-            Ok(reports) => reports,
-            Err(e) => panic!("{what}: {e}"),
-        }
-    }
 }
 
-impl IntoIterator for SweepResults {
-    type Item = SweepItem;
-    type IntoIter = std::vec::IntoIter<SweepItem>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a SweepResults {
-    type Item = &'a SweepItem;
-    type IntoIter = std::slice::Iter<'a, SweepItem>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
-    }
-}
-
-struct JobSpec {
+struct Job<'a> {
     label: String,
-    cfg: SimConfig,
-    workload: usize,
+    scenario: Scenario<'a>,
     /// The index the job's result row carries.
     index: usize,
     /// Set by [`Sweep::resume`]: the results file already holds the row.
     resumed: bool,
 }
 
-/// A labeled grid of scenarios, fanned out over scoped worker threads.
+/// A labeled list of scenarios, fanned out over scoped worker threads.
 ///
-/// Build with [`Sweep::over`] (one shared workload, many configurations —
-/// every paper figure), [`Sweep::workloads`] (a labeled *workload axis*:
-/// each configuration crosses every workload, the Figures 8/10/11 grid
-/// shape), and/or [`Sweep::scenario`] (jobs with their own workloads).
-/// Jobs are independent single-threaded simulations, so the fan-out is
+/// Every job is one labeled [`Scenario`] ([`Sweep::scenario`], or
+/// [`Sweep::scenario_at`] for one slice of a larger grid). Jobs are
+/// independent single-threaded simulations, so the fan-out is
 /// bit-identical to running them serially in push order
-/// (`tests/sweep_determinism.rs`); results come back in push order no
-/// matter the completion order. A per-job panic is caught and surfaced as
-/// [`SimError::Panic`] with the job's index and label — one hostile job
-/// cannot abort the sweep.
+/// (`tests/sweep_determinism.rs`). [`Sweep::run`] hands each finished
+/// job's row to the caller's [`ResultSink`]; the returned
+/// [`SweepResults`] list the jobs in push order no matter the completion
+/// order. A per-job panic is caught and surfaced as [`SimError::Panic`]
+/// with the job's index and label — one hostile job cannot abort the
+/// sweep.
+///
+/// A grid over configurations × workloads is one `scenario` call per
+/// cell: [`Workload::trace`] is a borrow, and streamed and file workloads
+/// regenerate or reopen their ops for each job anyway, so a job per cell
+/// costs no copy.
 pub struct Sweep<'a> {
-    workloads: Vec<Workload<'a>>,
-    /// The shared workload axis: `(label, index into workloads)`. `None`
-    /// labels the single axis entry of [`Sweep::over`], which keeps plain
-    /// config labels ungarbled.
-    axis: Vec<(Option<String>, usize)>,
-    jobs: Vec<JobSpec>,
-    /// Number of [`Sweep::config`]/[`Sweep::configs`] calls so far (the
-    /// config-axis length; used for auto-labels and to reject workload
-    /// additions after the cross product started).
-    config_count: usize,
+    jobs: Vec<Job<'a>>,
     threads: usize,
-    sink: Option<&'a mut dyn ResultSink>,
 }
 
 impl Default for Sweep<'_> {
@@ -466,119 +401,16 @@ impl Default for Sweep<'_> {
 }
 
 impl<'a> Sweep<'a> {
-    /// An empty sweep with no shared workload; add jobs with
-    /// [`Sweep::scenario`] (or add a workload axis first with
-    /// [`Sweep::workloads`]).
+    /// An empty sweep; add jobs with [`Sweep::scenario`].
     pub fn new() -> Self {
         Self {
-            workloads: Vec::new(),
-            axis: Vec::new(),
             jobs: Vec::new(),
-            config_count: 0,
             threads: 0,
-            sink: None,
         }
     }
 
-    /// A sweep whose [`Sweep::config`]/[`Sweep::configs`] jobs all replay
-    /// `workload`.
-    pub fn over(workload: Workload<'a>) -> Self {
-        let mut sweep = Self::new();
-        sweep.workloads.push(workload);
-        sweep.axis.push((None, 0));
-        sweep
-    }
-
-    /// Adds labeled workloads to the shared axis. Every configuration
-    /// added afterwards crosses the whole axis: `.workloads(W).config(c)`
-    /// pushes one job per workload, labeled `<config>/<workload>` — the
-    /// config × workload grid of Figures 8/10/11 in one call. Job order is
-    /// config-major (all of one config's workloads, then the next
-    /// config's).
-    ///
-    /// # Panics
-    ///
-    /// Panics if configurations were already added — the cross product is
-    /// expanded eagerly, so the workload axis must be complete first —
-    /// or if the sweep was built with [`Sweep::over`] (mixing its
-    /// anonymous workload into a labeled axis would give every config a
-    /// phantom unlabeled job; start from [`Sweep::new`]).
-    pub fn workloads<S: Into<String>>(
-        mut self,
-        workloads: impl IntoIterator<Item = (S, Workload<'a>)>,
-    ) -> Self {
-        assert!(
-            self.config_count == 0,
-            "Sweep::workloads must come before config/configs (the grid is expanded eagerly)"
-        );
-        assert!(
-            self.axis.iter().all(|(label, _)| label.is_some()),
-            "Sweep::workloads cannot extend a Sweep::over axis; build with Sweep::new"
-        );
-        for (label, workload) in workloads {
-            self.workloads.push(workload);
-            self.axis
-                .push((Some(label.into()), self.workloads.len() - 1));
-        }
-        self
-    }
-
-    /// Adds one labeled configuration: one job per workload on the shared
-    /// axis (a single job for [`Sweep::over`], the full cross-product row
-    /// for [`Sweep::workloads`], labeled `<config>/<workload>`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep has no shared workload axis (build with
-    /// [`Sweep::over`] or [`Sweep::workloads`], or use
-    /// [`Sweep::scenario`]).
-    pub fn config(mut self, label: impl Into<String>, cfg: SimConfig) -> Self {
-        assert!(
-            !self.axis.is_empty(),
-            "Sweep::config needs a shared workload; build with Sweep::over or Sweep::workloads"
-        );
-        let label = label.into();
-        for ai in 0..self.axis.len() {
-            let (wl_label, workload) = &self.axis[ai];
-            let composite = match wl_label {
-                None => label.clone(),
-                Some(w) => format!("{label}/{w}"),
-            };
-            self.jobs.push(JobSpec {
-                label: composite,
-                cfg: cfg.clone(),
-                workload: *workload,
-                index: self.jobs.len(),
-                resumed: false,
-            });
-        }
-        self.config_count += 1;
-        self
-    }
-
-    /// Adds many configurations against the shared workload axis, each
-    /// labeled `#<index> <arch> ram=<size> flash=<size>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep has no shared workload axis (see
-    /// [`Sweep::config`]).
-    pub fn configs(mut self, cfgs: impl IntoIterator<Item = SimConfig>) -> Self {
-        for cfg in cfgs {
-            let label = format!(
-                "#{} {} ram={} flash={}",
-                self.config_count,
-                cfg.arch.name(),
-                cfg.ram_size,
-                cfg.flash_size
-            );
-            self = self.config(label, cfg);
-        }
-        self
-    }
-
-    /// Adds a labeled job with its own workload (for grids whose jobs
-    /// don't fit a rectangular config × workload product).
+    /// Adds a labeled job. Its result row carries its push position as
+    /// its index.
     pub fn scenario(self, label: impl Into<String>, scenario: Scenario<'a>) -> Self {
         let index = self.jobs.len();
         self.scenario_at(index, label, scenario)
@@ -593,11 +425,9 @@ impl<'a> Sweep<'a> {
         label: impl Into<String>,
         scenario: Scenario<'a>,
     ) -> Self {
-        self.workloads.push(scenario.workload);
-        self.jobs.push(JobSpec {
+        self.jobs.push(Job {
             label: label.into(),
-            cfg: scenario.cfg,
-            workload: self.workloads.len() - 1,
+            scenario,
             index,
             resumed: false,
         });
@@ -609,19 +439,6 @@ impl<'a> Sweep<'a> {
     /// calling thread.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Streams each job's [`ResultRow`] to `sink` as the job finishes
-    /// (completion order; deliveries are serialized across workers). With
-    /// a sink attached the returned [`SweepResults`] keep only each job's
-    /// label, configuration, and error status — reports are moved into the
-    /// sink, so a paper-scale sweep never holds all of them resident.
-    /// Failed jobs produce no row; their error stays in the results. The
-    /// sink is borrowed, so the caller keeps it (and e.g. a
-    /// [`MemorySink`](crate::MemorySink)'s rows) after the run.
-    pub fn sink(mut self, sink: &'a mut dyn ResultSink) -> Self {
-        self.sink = Some(sink);
         self
     }
 
@@ -684,7 +501,7 @@ impl<'a> Sweep<'a> {
                 );
                 return Err(refuse(row, why));
             }
-            let want = config_to_json(&job.cfg);
+            let want = config_to_json(job.scenario.config());
             if row.config != want {
                 let why = format!(
                     "was produced by a different configuration (file: {}, requested: {})",
@@ -713,17 +530,15 @@ impl<'a> Sweep<'a> {
         self.jobs.is_empty()
     }
 
-    /// Runs every job and returns the per-job results in push order.
-    pub fn run(self) -> SweepResults {
-        let Sweep {
-            workloads,
-            axis: _,
-            jobs,
-            config_count: _,
-            threads,
-            sink,
-        } = self;
-        let spilled = sink.is_some();
+    /// Runs every job and delivers each finished job's [`ResultRow`] to
+    /// `sink`, in completion order (deliveries are serialized across
+    /// workers), then flushes the sink. The sink is the only place reports
+    /// go, so a paper-scale sweep into a durable sink never holds all of
+    /// them resident. Failed and resumed jobs deliver no row; the returned
+    /// [`SweepResults`] keep every job's label, configuration and error in
+    /// push order.
+    pub fn run(self, sink: &mut dyn ResultSink) -> SweepResults {
+        let Sweep { jobs, threads } = self;
         let workers = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -733,87 +548,68 @@ impl<'a> Sweep<'a> {
         }
         .clamp(1, jobs.len().max(1));
 
-        // What a finished job leaves behind: its retained report (absent
-        // when spilled to the sink, failed, or skipped), its error status,
-        // and whether it was skipped by resume.
-        type JobOutcome = (Option<SimReport>, Option<SimError>, bool);
-
         // The sink plus the first error it raised; after an error the
         // sink reference is dropped so no further rows are delivered.
-        let sink = Mutex::new((sink, None::<std::io::Error>));
-        // Runs job `i` and delivers its result: the report goes to the
-        // sink (moved) or into the returned slot; the error status is
-        // recorded either way so `SweepResults` keeps the job context.
-        let run_job = |i: usize| -> JobOutcome {
+        let sink = Mutex::new((Some(sink), None::<std::io::Error>));
+        // Runs job `i` and delivers its row; returns its error, if any.
+        let run_job = |i: usize| -> Option<SimError> {
             let job = &jobs[i];
             if job.resumed {
-                return (None, None, true);
+                return None;
             }
-            // One panicking job must not abort the other 15: catch it and
+            // One panicking job must not abort its siblings: catch it and
             // surface it as this job's error, with context. The job's
             // simulator state is fully owned by the run, so unwinding
             // cannot corrupt its siblings.
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                workloads[job.workload].run(&job.cfg)
-            }))
-            .unwrap_or_else(|payload| Err(SimError::Panic(panic_message(payload.as_ref()))));
+            let report = match std::panic::catch_unwind(AssertUnwindSafe(|| job.scenario.run())) {
+                Ok(Ok(report)) => report,
+                Ok(Err(error)) => return Some(error),
+                Err(payload) => return Some(SimError::Panic(panic_message(payload.as_ref()))),
+            };
             let mut guard = sink.lock().expect("sweep sink poisoned");
-            let (sink_slot, sink_err) = &mut *guard;
-            if let Some(s) = sink_slot.as_mut() {
-                match result {
-                    Ok(report) => {
-                        let delivery = s.on_row(ResultRow {
-                            index: job.index,
-                            label: job.label.clone(),
-                            config: job.cfg.clone(),
-                            report,
-                        });
-                        if let Err(e) = delivery {
-                            *sink_err = Some(e);
-                            *sink_slot = None;
-                        }
-                        (None, None, false)
-                    }
-                    Err(error) => (None, Some(error), false),
+            let (slot, sink_err) = &mut *guard;
+            if let Some(s) = slot {
+                let delivery = s.on_row(ResultRow {
+                    index: job.index,
+                    label: job.label.clone(),
+                    config: job.scenario.cfg.clone(),
+                    report,
+                });
+                if let Err(e) = delivery {
+                    *sink_err = Some(e);
+                    *slot = None;
                 }
-            } else {
-                match result {
-                    Ok(report) if !spilled => (Some(report), None, false),
-                    // A broken sink already consumed this sweep's mandate
-                    // to stream; don't silently start retaining.
-                    Ok(_) => (None, None, false),
-                    Err(error) => (None, Some(error), false),
+            }
+            None
+        };
+        // Workers pull jobs from a shared cursor (heterogeneous job
+        // lengths load-balance) and return the jobs that failed; errors
+        // are placed by job index, so completion order never affects the
+        // results.
+        let cursor = AtomicUsize::new(0);
+        let drain = || {
+            let mut failed = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs.len() {
+                    return failed;
+                }
+                if let Some(error) = run_job(i) {
+                    failed.push((i, error));
                 }
             }
         };
-
-        let mut outcomes: Vec<Option<JobOutcome>>;
-        if workers <= 1 || jobs.len() <= 1 {
-            outcomes = (0..jobs.len()).map(|i| Some(run_job(i))).collect();
+        let failed: Vec<(usize, SimError)> = if workers == 1 {
+            drain()
         } else {
-            // Workers pull jobs from a shared cursor (heterogeneous job
-            // lengths load-balance); each result lands in its job's slot,
-            // so completion order never affects output order.
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<JobOutcome>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let outcome = run_job(i);
-                        *slots[i].lock().expect("sweep slot poisoned") = Some(outcome);
-                    });
-                }
-            });
-            outcomes = slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("sweep slot poisoned"))
-                .collect();
-        }
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("sweep worker panicked"))
+                    .collect()
+            })
+        };
 
         let (sink, mut sink_error) = sink.into_inner().expect("sweep sink poisoned");
         if let Some(s) = sink {
@@ -821,30 +617,39 @@ impl<'a> Sweep<'a> {
                 sink_error.get_or_insert(e);
             }
         }
-
+        let mut errors: Vec<Option<SimError>> = vec![None; jobs.len()];
+        for (i, error) in failed {
+            errors[i] = Some(error);
+        }
         let items = jobs
             .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
-                let (report, error, skipped) = outcomes[i].take().unwrap_or_else(|| {
-                    // Scoped workers claim slots monotonically and the
-                    // scope joins them all, so an empty slot means a
-                    // worker died; name the job instead of a bare unwrap.
-                    panic!("sweep job {i} ({}) was never completed", job.label)
-                });
-                SweepItem {
-                    label: job.label,
-                    config: job.cfg,
-                    report,
-                    error,
-                    skipped,
-                }
+            .zip(errors)
+            .map(|(job, error)| SweepItem {
+                label: job.label,
+                config: job.scenario.cfg,
+                error,
+                skipped: job.resumed,
             })
             .collect();
         SweepResults {
             items,
-            spilled,
+            workers,
             sink_error,
+        }
+    }
+
+    /// Runs the sweep into a [`MemorySink`] and returns the reports in
+    /// row-index order — push order for [`Sweep::scenario`] jobs — or the
+    /// first failed job with its index and label. The shorthand for tests
+    /// and examples; a sweep that must not hold every report resident
+    /// runs into its own sink with [`Sweep::run`]. Jobs skipped by
+    /// [`Sweep::resume`] return no report: theirs is in the results file.
+    pub fn reports(self) -> Result<Vec<SimReport>, SweepError> {
+        let mut sink = MemorySink::new();
+        let results = self.run(&mut sink);
+        match results.first_error() {
+            Some(err) => Err(err),
+            None => Ok(sink.into_rows().into_iter().map(|row| row.report).collect()),
         }
     }
 }
@@ -864,9 +669,7 @@ impl std::fmt::Debug for Sweep<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sweep")
             .field("jobs", &self.jobs.len())
-            .field("workloads", &self.workloads)
             .field("threads", &self.threads)
-            .field("sink", &self.sink.is_some())
             .field("resumed", &self.jobs.iter().filter(|j| j.resumed).count())
             .finish()
     }
@@ -952,36 +755,77 @@ mod tests {
     #[test]
     fn sweep_keeps_labels_and_order() {
         let trace = tiny_trace();
-        let results = Sweep::over(Workload::trace(&trace))
-            .config("small", tiny_cfg())
-            .config(
-                "no-flash",
-                SimConfig {
-                    flash_size: fcache_types::ByteSize::ZERO,
-                    ..tiny_cfg()
-                },
-            )
+        let no_flash = SimConfig {
+            flash_size: fcache_types::ByteSize::ZERO,
+            ..tiny_cfg()
+        };
+        let mut sink = MemorySink::new();
+        let results = Sweep::new()
+            .scenario("small", Scenario::new(tiny_cfg(), Workload::trace(&trace)))
+            .scenario("no-flash", Scenario::new(no_flash, Workload::trace(&trace)))
             .threads(2)
-            .run();
+            .run(&mut sink);
         assert_eq!(results.len(), 2);
-        assert!(!results.spilled_to_sink());
+        assert_eq!(results.workers(), 2);
         let labels: Vec<&str> = results.iter().map(|i| i.label.as_str()).collect();
         assert_eq!(labels, ["small", "no-flash"]);
-        assert!(results
-            .items()
-            .iter()
-            .all(|i| i.is_ok() && i.report.is_some()));
-        let reports = results.into_reports().expect("all ok");
-        assert_eq!(reports.len(), 2);
+        assert!(results.items().iter().all(SweepItem::is_ok));
+        let rows: Vec<(usize, String)> = sink
+            .into_rows()
+            .into_iter()
+            .map(|r| (r.index, r.label))
+            .collect();
+        assert_eq!(rows, [(0, "small".into()), (1, "no-flash".into())]);
+    }
+
+    #[test]
+    fn sink_spills_reports_incrementally() {
+        let trace = tiny_trace();
+        let job = || Scenario::new(tiny_cfg(), Workload::trace(&trace));
+        let want = format!("{:?}", job().run().expect("reference"));
+        let mut sink = MemorySink::new();
+        let results = Sweep::new()
+            .scenario("a", job())
+            .scenario("b", job())
+            .threads(2)
+            .run(&mut sink);
+        assert!(results.sink_error().is_none());
+        assert!(results.items().iter().all(SweepItem::is_ok));
+        let rows = sink.into_rows();
+        assert_eq!(rows.len(), 2);
+        for row in &rows {
+            assert_eq!(
+                format!("{:?}", row.report),
+                want,
+                "sink row {} diverged",
+                row.label
+            );
+        }
+    }
+
+    #[test]
+    fn workers_are_capped_at_the_job_count() {
+        let trace = tiny_trace();
+        let one = || Scenario::new(tiny_cfg(), Workload::trace(&trace));
+        let mut sink = MemorySink::new();
+        let results = Sweep::new().scenario("a", one()).threads(4).run(&mut sink);
+        assert_eq!(results.workers(), 1);
+        let results = Sweep::new()
+            .scenario("a", one())
+            .scenario("b", one())
+            .threads(1)
+            .run(&mut sink);
+        assert_eq!(results.workers(), 1);
+        assert_eq!(sink.rows().len(), 3);
     }
 
     #[test]
     fn resume_names_the_cause_of_each_refusal() {
         let trace = tiny_trace();
         let sweep = || {
-            Sweep::over(Workload::trace(&trace))
-                .config("a", tiny_cfg())
-                .config("b", tiny_cfg())
+            Sweep::new()
+                .scenario("a", Scenario::new(tiny_cfg(), Workload::trace(&trace)))
+                .scenario("b", Scenario::new(tiny_cfg(), Workload::trace(&trace)))
         };
         let row = |index: usize, label: &str, cfg: &SimConfig| DecodedRow {
             index,
@@ -1013,105 +857,21 @@ mod tests {
             assert!(msg.starts_with("r.jsonl: ") && msg.contains(cause), "{msg}");
         }
 
+        let mut sink = MemorySink::new();
         let results = sweep()
             .resume("r.jsonl", &[row(1, "b", &tiny_cfg())])
             .expect("b is this sweep's second job")
-            .run();
+            .run(&mut sink);
         assert_eq!(results.skipped(), 1);
-        assert!(results.items()[1].skipped && results.items()[1].report.is_none());
-        assert!(results.items()[0].report.is_some());
-    }
-
-    #[test]
-    fn auto_labels_name_the_configuration() {
-        let trace = tiny_trace();
-        let results = Sweep::over(Workload::trace(&trace))
-            .configs([tiny_cfg()])
-            .run();
-        let label = &results.items()[0].label;
-        assert!(label.contains("#0") && label.contains("naive"), "{label}");
-    }
-
-    #[test]
-    fn sink_spills_reports_incrementally() {
-        let trace = tiny_trace();
-        let want = format!(
-            "{:?}",
-            Scenario::new(tiny_cfg(), Workload::trace(&trace))
-                .run()
-                .expect("reference")
-        );
-        let mut sink = crate::MemorySink::new();
-        let results = Sweep::over(Workload::trace(&trace))
-            .config("a", tiny_cfg())
-            .config("b", tiny_cfg())
-            .threads(2)
-            .sink(&mut sink)
-            .run();
-        assert!(results.spilled_to_sink());
-        assert!(results.sink_error().is_none());
-        assert!(results
-            .items()
-            .iter()
-            .all(|i| i.report.is_none() && i.is_ok()));
-        let rows = sink.into_rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].label, "a");
-        assert_eq!(rows[1].label, "b");
-        for row in &rows {
-            assert_eq!(
-                format!("{:?}", row.report),
-                want,
-                "sink row {} diverged",
-                row.label
-            );
-        }
-    }
-
-    #[test]
-    fn workload_axis_crosses_configs_with_composite_labels() {
-        let trace = tiny_trace();
-        let results = Sweep::new()
-            .workloads([
-                ("w1", Workload::trace(&trace)),
-                ("w2", Workload::trace(&trace)),
-            ])
-            .config("a", tiny_cfg())
-            .config("b", tiny_cfg())
-            .run();
-        let labels: Vec<&str> = results.iter().map(|i| i.label.as_str()).collect();
-        assert_eq!(labels, ["a/w1", "a/w2", "b/w1", "b/w2"]);
-        assert!(results.items().iter().all(SweepItem::is_ok));
-        // Same workload, same config: every cell of the grid agrees.
-        let reports: Vec<String> = results
-            .iter()
-            .map(|i| format!("{:?}", i.report.as_ref().expect("ok")))
-            .collect();
-        assert!(reports.iter().all(|r| r == &reports[0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "before config")]
-    fn workloads_after_configs_panics() {
-        let trace = tiny_trace();
-        let _ = Sweep::new()
-            .workloads([("v", Workload::trace(&trace))])
-            .config("a", tiny_cfg())
-            .workloads([("w", Workload::trace(&trace))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot extend a Sweep::over axis")]
-    fn workloads_on_an_over_sweep_panics() {
-        // Mixing over()'s anonymous workload into a labeled axis would
-        // give every config a phantom unlabeled job.
-        let trace = tiny_trace();
-        let _ = Sweep::over(Workload::trace(&trace)).workloads([("w", Workload::trace(&trace))]);
+        assert!(results.items()[1].skipped);
+        let labels: Vec<String> = sink.into_rows().into_iter().map(|r| r.label).collect();
+        assert_eq!(labels, ["a"]);
     }
 
     #[test]
     fn panicking_job_becomes_an_error_not_an_abort() {
         let trace = tiny_trace();
+        let mut sink = MemorySink::new();
         let results = Sweep::new()
             .scenario("good", Scenario::new(tiny_cfg(), Workload::trace(&trace)))
             .scenario(
@@ -1128,10 +888,11 @@ mod tests {
                 Scenario::new(tiny_cfg(), Workload::trace(&trace)),
             )
             .threads(2)
-            .run();
+            .run(&mut sink);
         assert_eq!(results.len(), 3);
         assert!(results.items()[0].is_ok());
         assert!(results.items()[2].is_ok());
+        assert_eq!(sink.rows().len(), 2, "the hostile job delivers no row");
         let err = results.first_error().expect("hostile job failed");
         assert_eq!(err.index, 1);
         assert_eq!(err.label, "hostile");
@@ -1154,12 +915,11 @@ mod tests {
         }
         let trace = tiny_trace();
         let mut sink = FailingSink { delivered: 0 };
-        let results = Sweep::over(Workload::trace(&trace))
-            .config("a", tiny_cfg())
-            .config("b", tiny_cfg())
+        let results = Sweep::new()
+            .scenario("a", Scenario::new(tiny_cfg(), Workload::trace(&trace)))
+            .scenario("b", Scenario::new(tiny_cfg(), Workload::trace(&trace)))
             .threads(1)
-            .sink(&mut sink)
-            .run();
+            .run(&mut sink);
         let err = results.sink_error().expect("sink error surfaced");
         assert!(err.to_string().contains("disk full"));
         // The sink was dropped after the first failure; the jobs still ran
@@ -1170,15 +930,15 @@ mod tests {
 
     #[test]
     fn failed_jobs_carry_index_and_label_context() {
-        let results = Sweep::over(Workload::file("/nonexistent/fcache-trace.bin"))
-            .config("missing-archive", tiny_cfg())
-            .run();
-        assert!(!results.items()[0].is_ok());
-        let err = results.first_error().expect("job failed");
+        let missing = || Workload::file("/nonexistent/fcache-trace.bin");
+        let err = Sweep::new()
+            .scenario("missing-archive", Scenario::new(tiny_cfg(), missing()))
+            .reports()
+            .unwrap_err();
         assert_eq!(err.index, 0);
         assert_eq!(err.label, "missing-archive");
         assert!(matches!(err.error, SimError::Source(_)));
-        let msg = results.into_reports().unwrap_err().to_string();
+        let msg = err.to_string();
         assert!(
             msg.contains("job 0") && msg.contains("missing-archive"),
             "{msg}"
@@ -1186,15 +946,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a shared workload")]
-    fn config_without_shared_workload_panics() {
-        let _ = Sweep::new().config("x", tiny_cfg());
+    fn bad_configs_fail_with_typed_errors_naming_the_cause() {
+        let trace = tiny_trace();
+        let bad_shard = SimConfig {
+            shards: 2,
+            fault_plan: fcache_types::FaultPlan::parse("shard3:outage@1s-2s").expect("parses"),
+            ..tiny_cfg()
+        };
+        let bad_out = SimConfig {
+            trace_out: Some("/nonexistent/dir/spans.jsonl".into()),
+            ..tiny_cfg()
+        };
+        for (cfg, cause) in [
+            (bad_shard, "shard3:outage"),
+            (bad_out, "/nonexistent/dir/spans.jsonl"),
+        ] {
+            let err = Scenario::new(cfg.clone(), Workload::trace(&trace))
+                .run()
+                .expect_err("a bad config must not run");
+            assert!(
+                matches!(&err, SimError::Config(msg) if msg.contains(cause)),
+                "{err:?}"
+            );
+            let swept = Sweep::new()
+                .scenario("ok", Scenario::new(tiny_cfg(), Workload::trace(&trace)))
+                .scenario("bad", Scenario::new(cfg, Workload::trace(&trace)))
+                .reports()
+                .expect_err("the bad job fails the sweep");
+            assert_eq!((swept.index, swept.label.as_str()), (1, "bad"));
+            assert_eq!(swept.error, err);
+        }
     }
 
     #[test]
     fn empty_sweep_returns_empty_results() {
-        let results = Sweep::new().run();
+        let mut sink = MemorySink::new();
+        let results = Sweep::new().run(&mut sink);
         assert!(results.is_empty());
-        assert_eq!(results.into_reports().expect("empty is ok").len(), 0);
+        assert_eq!(results.workers(), 1);
+        assert_eq!(Sweep::new().reports().expect("empty is ok").len(), 0);
     }
 }

@@ -71,6 +71,10 @@ pub enum SimError {
         /// The fault clause behind the first failed operation.
         clause: String,
     },
+    /// The configuration cannot be run; the payload names the cause (an
+    /// out-of-range `shard<k>` fault clause, or a `trace_out` path that
+    /// cannot be created).
+    Config(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -87,6 +91,7 @@ impl std::fmt::Display for SimError {
                     "operation failed under injected fault ({clause}) with strict degraded policy"
                 )
             }
+            SimError::Config(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
@@ -144,8 +149,10 @@ struct SimParts {
     store: Rc<ShardedStore>,
 }
 
-/// Builds the executor and one [`HostCtx`] per host (no tasks yet).
-fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
+/// Builds the executor and one [`HostCtx`] per host (no tasks yet), or
+/// fails with [`SimError::Config`] naming the clause or path it cannot
+/// build.
+fn build_parts(config: &SimConfig, n_hosts: u16) -> Result<SimParts, SimError> {
     let cfg = Rc::new(config.clone());
     let sim = Sim::new();
 
@@ -157,12 +164,11 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     //
     // `shard<k>`/`shard*` clauses land on per-shard schedules, and filer
     // clauses fan out to every shard. An out-of-range `shard<k>` is a
-    // configuration error; `Sweep` catches the panic and reports it as the
-    // job's error.
+    // configuration error.
     let set = cfg
         .fault_plan
         .resolve_sharded(cfg.seed, cfg.time_scale, cfg.shards)
-        .unwrap_or_else(|e| panic!("{e}"));
+        .map_err(SimError::Config)?;
     let fault = Rc::new(RobustnessState::new(&set));
     let ResolvedFaultSet {
         net_to_server,
@@ -204,12 +210,12 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     // land in global completion order) and a per-host collector. Built
     // only when engaged, so the default run wires exactly the
     // pre-telemetry object graph (PERF.md invariant 12).
-    let span_stream: Option<Rc<SpanStream>> = cfg.trace_out.as_ref().map(|path| {
-        Rc::new(
-            SpanStream::create(path)
-                .unwrap_or_else(|e| panic!("--trace-out {}: {e}", path.display())),
-        )
-    });
+    let span_stream: Option<Rc<SpanStream>> = match &cfg.trace_out {
+        Some(path) => Some(Rc::new(SpanStream::create(path).map_err(|e| {
+            SimError::Config(format!("trace_out {}: {e}", path.display()))
+        })?)),
+        None => None,
+    };
     let telemetry_window_ns = cfg.telemetry_windows.map(|w| cfg.scaled_time(w).as_nanos());
 
     // Network fan-in: hosts share wires in groups of `fanin`. Each group's
@@ -319,13 +325,13 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     }
     run.set_hosts(&hosts);
 
-    SimParts {
+    Ok(SimParts {
         sim,
         cfg,
         hosts,
         fault,
         store,
-    }
+    })
 }
 
 /// Spawns the periodic syncer daemons and the optional clock pin. Called
@@ -775,7 +781,7 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
     let source = unsafe {
         std::mem::transmute::<&mut (dyn TraceSource + '_), &'static mut dyn TraceSource>(source)
     };
-    let parts = build_parts(config, n_hosts);
+    let parts = build_parts(config, n_hosts)?;
     let mut cursors = Vec::with_capacity(n_slots);
     if source.fork_slot(0, 0).is_some() {
         let source: &'static dyn TraceSource = source;
@@ -842,7 +848,12 @@ mod tests {
             shards,
             ..SimConfig::default()
         };
-        build_parts(&cfg, 1).store.filer(k).config().seed
+        build_parts(&cfg, 1)
+            .expect("builds")
+            .store
+            .filer(k)
+            .config()
+            .seed
     }
 
     #[test]
@@ -860,13 +871,13 @@ mod tests {
     #[test]
     fn a_one_host_run_builds_no_sharer_filter() {
         let cfg = SimConfig::default();
-        let one = build_parts(&cfg, 1);
+        let one = build_parts(&cfg, 1).expect("builds");
         assert!(one.hosts[0].run.sharers().is_none());
         assert_eq!(
             one.hosts[0].invalidate_peers(BlockAddr::new(FileId(0), 0)),
             0
         );
-        let two = build_parts(&cfg, 2);
+        let two = build_parts(&cfg, 2).expect("builds");
         assert!(two.hosts[1].run.sharers().is_some());
     }
 }

@@ -443,8 +443,29 @@ fn golden_row_pins_the_schema() {
     assert_eq!(decoded.report, row.report);
 }
 
+/// The labels of [`grid_sweep`]'s 16 jobs, in job order.
+const GRID_LABELS: [&str; 16] = [
+    "noflash/ws=16G wr=10% seed=26",
+    "noflash/ws=16G wr=30% seed=46",
+    "noflash/ws=24G wr=10% seed=34",
+    "noflash/ws=24G wr=30% seed=54",
+    "naive/ws=16G wr=10% seed=26",
+    "naive/ws=16G wr=30% seed=46",
+    "naive/ws=24G wr=10% seed=34",
+    "naive/ws=24G wr=30% seed=54",
+    "lookaside/ws=16G wr=10% seed=26",
+    "lookaside/ws=16G wr=30% seed=46",
+    "lookaside/ws=24G wr=10% seed=34",
+    "lookaside/ws=24G wr=30% seed=54",
+    "unified/ws=16G wr=10% seed=26",
+    "unified/ws=16G wr=30% seed=46",
+    "unified/ws=24G wr=10% seed=34",
+    "unified/ws=24G wr=30% seed=54",
+];
+
 /// The 16-job grid every resume test runs: 4 configurations × 4 workload
-/// specs through the `Sweep::workloads` cross product.
+/// specs, one scenario per cell labeled `<config>/<spec label>`, in
+/// config-major order ([`GRID_LABELS`]).
 fn grid_sweep(wb: &Workbench) -> (Sweep<'_>, usize) {
     let specs: Vec<WorkloadSpec> = [(16u64, 0.1), (16, 0.3), (24, 0.1), (24, 0.3)]
         .into_iter()
@@ -461,18 +482,21 @@ fn grid_sweep(wb: &Workbench) -> (Sweep<'_>, usize) {
         ("lookaside", ByteSize::gib(16), Architecture::Lookaside),
         ("unified", ByteSize::gib(16), Architecture::Unified),
     ];
-    let mut sweep = Sweep::new().workloads(wb.workloads(&specs));
-    for (label, flash, arch) in cfgs {
-        sweep = sweep.config(
-            label,
-            SimConfig {
-                arch,
-                flash_size: flash,
-                ..SimConfig::baseline()
-            }
-            .scaled_down(wb.scale()),
-        );
+    let mut sweep = Sweep::new();
+    let mut labels = Vec::new();
+    for (cfg_label, flash, arch) in cfgs {
+        let cfg = SimConfig {
+            arch,
+            flash_size: flash,
+            ..SimConfig::baseline()
+        };
+        for spec in &specs {
+            let label = format!("{cfg_label}/{}", spec.label());
+            labels.push(label.clone());
+            sweep = sweep.scenario(label, wb.scenario(&cfg, spec));
+        }
     }
+    assert_eq!(labels, GRID_LABELS);
     let jobs = sweep.len();
     (sweep, jobs)
 }
@@ -488,7 +512,7 @@ fn killed_and_resumed_sweep_matches_uninterrupted_row_set() {
     let mut sink = JsonlSink::create(&full_path).expect("create");
     let (sweep, jobs) = grid_sweep(&wb);
     assert_eq!(jobs, 16);
-    let results = sweep.threads(4).sink(&mut sink).run();
+    let results = sweep.threads(4).run(&mut sink);
     assert!(results.first_error().is_none());
     assert!(results.sink_error().is_none());
     drop(sink);
@@ -515,8 +539,7 @@ fn killed_and_resumed_sweep_matches_uninterrupted_row_set() {
         .resume(&resumed_path, &seen)
         .expect("rows belong to this sweep")
         .threads(4)
-        .sink(&mut sink)
-        .run();
+        .run(&mut sink);
     assert!(results.first_error().is_none());
     assert!(results.sink_error().is_none());
     assert_eq!(results.skipped(), 7, "finished jobs must not rerun");
@@ -533,17 +556,13 @@ fn killed_and_resumed_sweep_matches_uninterrupted_row_set() {
     resumed_sorted.sort_unstable();
     assert_eq!(resumed_sorted, full_sorted);
 
-    // And both decode to 16 schema-checked rows covering all 16 labels.
-    let rows = read_rows(&resumed_path).expect("decode resumed");
-    assert_eq!(rows.len(), 16);
-    let mut labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
-    labels.sort_unstable();
-    labels.dedup();
-    assert_eq!(labels.len(), 16, "labels must be unique");
-    assert!(
-        labels.contains(&"unified/ws=24G wr=30% seed=54"),
-        "{labels:?}"
-    );
+    // And both decode to 16 schema-checked rows, one per grid label, each
+    // at its job's index.
+    let mut rows = read_rows(&resumed_path).expect("decode resumed");
+    rows.sort_by_key(|r| r.index);
+    let labels: Vec<(usize, &str)> = rows.iter().map(|r| (r.index, r.label.as_str())).collect();
+    let want: Vec<(usize, &str)> = GRID_LABELS.into_iter().enumerate().collect();
+    assert_eq!(labels, want);
 
     let _ = std::fs::remove_file(&full_path);
     let _ = std::fs::remove_file(&resumed_path);
@@ -557,7 +576,7 @@ fn resume_with_complete_file_skips_everything() {
 
     let mut sink = JsonlSink::create(&path).expect("create");
     let (sweep, _) = grid_sweep(&wb);
-    sweep.threads(4).sink(&mut sink).run();
+    sweep.threads(4).run(&mut sink);
     drop(sink);
     let before = std::fs::read_to_string(&path).expect("read");
 
@@ -567,8 +586,7 @@ fn resume_with_complete_file_skips_everything() {
     let results = sweep
         .resume(&path, &seen)
         .expect("rows belong to this sweep")
-        .sink(&mut sink)
-        .run();
+        .run(&mut sink);
     assert_eq!(results.skipped(), 16);
     drop(sink);
     // Nothing reran, nothing was rewritten: the file is untouched.
@@ -578,9 +596,9 @@ fn resume_with_complete_file_skips_everything() {
 
 #[test]
 fn resume_refuses_rows_from_another_configuration_under_the_same_labels() {
-    // `Sweep::configs` labels name the architecture and sizes, not the
-    // writeback policies: two sweeps that differ only in a policy write
-    // the same labels. The second must not take the first's rows.
+    // A label names what its caller chose, here the architecture alone:
+    // two sweeps that differ only in a writeback policy write the same
+    // labels. The second must not take the first's rows.
     let path = std::env::temp_dir().join("fcache_results_other_config.jsonl");
     let wb = Workbench::new(16384, 42);
     let spec = WorkloadSpec {
@@ -594,21 +612,16 @@ fn resume_refuses_rows_from_another_configuration_under_the_same_labels() {
     };
     assert_ne!(written.flash_policy, asked.flash_policy);
 
+    let sweep = |cfg: &SimConfig| Sweep::new().scenario("naive", wb.scenario(cfg, &spec));
     let mut sink = JsonlSink::create(&path).expect("create");
-    let results = wb
-        .sweep(&[written], wb.workload(&spec))
-        .sink(&mut sink)
-        .run();
+    let results = sweep(&written).run(&mut sink);
     assert!(results.first_error().is_none());
     drop(sink);
     let before = std::fs::read(&path).expect("read");
 
     let (_sink, seen) = JsonlSink::resume(&path).expect("resume sink");
     assert_eq!(seen.len(), 1);
-    let err = wb
-        .sweep(&[asked], wb.workload(&spec))
-        .resume(&path, &seen)
-        .unwrap_err();
+    let err = sweep(&asked).resume(&path, &seen).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("different configuration"), "{msg}");
     assert!(msg.contains(&format!("row {:?}", seen[0].label)), "{msg}");
@@ -622,7 +635,7 @@ fn memory_sink_collects_the_grid_in_job_order() {
     let wb = Workbench::new(16384, 42);
     let mut mem = MemorySink::new();
     let (sweep, jobs) = grid_sweep(&wb);
-    let results = sweep.threads(4).sink(&mut mem).run();
+    let results = sweep.threads(4).run(&mut mem);
     assert!(results.first_error().is_none());
     let rows = mem.into_rows();
     assert_eq!(rows.len(), jobs);

@@ -4,14 +4,22 @@
 //! resident trace for a per-job regenerated stream or a chunked file
 //! replay — may change only wall-clock time and memory, never results.
 
-use std::sync::Mutex;
-
 use fcache::{
-    run_source, run_trace, Architecture, FlashTiming, Scenario, SimConfig, Sweep, Workbench,
-    Workload, WorkloadSpec,
+    run_source, run_trace, Architecture, FlashTiming, MemorySink, Scenario, SimConfig, Sweep,
+    Workbench, Workload, WorkloadSpec,
 };
 use fcache_device::SsdConfig;
 use fcache_types::{ByteSize, FaultPlan, SliceSource};
+
+/// A sweep of one job per configuration, labeled `#<index>`, each
+/// replaying its own `workload()`.
+fn sweep_over<'a>(cfgs: &[SimConfig], workload: impl Fn() -> Workload<'a>) -> Sweep<'a> {
+    cfgs.iter()
+        .enumerate()
+        .fold(Sweep::new(), |sweep, (i, cfg)| {
+            sweep.scenario(format!("#{i}"), Scenario::new(cfg.clone(), workload()))
+        })
+}
 
 fn sweep_configs() -> Vec<SimConfig> {
     vec![
@@ -48,11 +56,10 @@ fn parallel_sweep_reports_are_bit_identical_to_serial() {
     // Force real fan-out even on single-core CI machines, and repeat so a
     // racy slot assignment would have chances to surface.
     for round in 0..3 {
-        let parallel = Sweep::over(Workload::trace(&trace))
-            .configs(cfgs.iter().cloned())
+        let parallel = sweep_over(&cfgs, || Workload::trace(&trace))
             .threads(4)
-            .run()
-            .expect_reports("parallel run");
+            .reports()
+            .expect("parallel run");
         assert_eq!(parallel.len(), serial.len());
         for (i, report) in parallel.into_iter().enumerate() {
             let got = format!("{report:?}");
@@ -85,8 +92,8 @@ fn sweep_preserves_job_order_not_completion_order() {
         );
     }
     let blocks: Vec<u64> = sweep
-        .run()
-        .expect_reports("run")
+        .reports()
+        .expect("run")
         .into_iter()
         .map(|r| r.metrics.read_blocks + r.metrics.write_blocks)
         .collect();
@@ -110,11 +117,10 @@ fn sweep_results_match_streamed_replay_of_the_same_trace() {
         .into_iter()
         .map(|c| c.scaled_down(4096))
         .collect();
-    let swept = Sweep::over(Workload::trace(&trace))
-        .configs(cfgs.iter().cloned())
+    let swept = sweep_over(&cfgs, || Workload::trace(&trace))
         .threads(4)
-        .run()
-        .expect_reports("sweep run");
+        .reports()
+        .expect("sweep run");
     for (cfg, swept) in cfgs.iter().zip(swept) {
         let mut src = SliceSource::new(&trace);
         let streamed = run_source(cfg, &mut src).expect("streamed run");
@@ -186,12 +192,11 @@ fn ssd_timing_is_deterministic_across_parallel_serial_and_repeat_runs() {
     // Parallel fan-out through the builder: bit-identical to the serial
     // loop, thrice.
     for round in 0..3 {
-        let parallel = Sweep::over(Workload::trace(&trace))
-            .configs(cfgs.iter().cloned())
+        let parallel = sweep_over(&cfgs, || Workload::trace(&trace))
             .threads(4)
-            .run();
-        for (i, item) in parallel.into_iter().enumerate() {
-            let report = item.report.expect("parallel ssd run");
+            .reports()
+            .expect("parallel ssd run");
+        for (i, report) in parallel.into_iter().enumerate() {
             assert_eq!(
                 format!("{report:?}"),
                 serial[i],
@@ -210,28 +215,35 @@ fn ssd_timing_is_deterministic_across_parallel_serial_and_repeat_runs() {
 
 #[test]
 fn workbench_sweep_matches_serial_scenario_runs() {
+    // Paper-scale configurations through `Workbench::scenario` (scaled and
+    // streamed by the workbench) in one parallel sweep land on the same
+    // reports as serial runs of the scaled configs over the materialized
+    // trace.
     let wb = Workbench::new(8192, 11);
-    let trace = wb.make_trace(&WorkloadSpec {
+    let spec = WorkloadSpec {
         working_set: ByteSize::gib(20),
         seed: 20,
         ..WorkloadSpec::default()
-    });
+    };
+    let trace = wb.make_trace(&spec);
     let cfgs = sweep_configs();
-    let swept = wb.sweep(&cfgs, Workload::trace(&trace)).run();
+    let swept = cfgs
+        .iter()
+        .enumerate()
+        .fold(Sweep::new().threads(4), |sweep, (i, cfg)| {
+            sweep.scenario(format!("#{i}"), wb.scenario(cfg, &spec))
+        })
+        .reports()
+        .expect("sweep");
     assert_eq!(swept.len(), cfgs.len());
-    for (i, (cfg, got)) in cfgs.iter().zip(swept).enumerate() {
+    for (cfg, got) in cfgs.iter().zip(swept) {
         let want = Scenario::new(cfg.clone().scaled_down(wb.scale()), Workload::trace(&trace))
             .run()
             .expect("serial");
-        assert!(
-            got.label.starts_with(&format!("#{i} ")),
-            "auto label keeps job order: {}",
-            got.label
-        );
         assert_eq!(
-            format!("{:?}", got.report.expect("sweep")),
+            format!("{got:?}"),
             format!("{want:?}"),
-            "Workbench::sweep diverged for {:?}",
+            "workbench sweep diverged for {:?}",
             cfg.arch
         );
     }
@@ -272,28 +284,34 @@ fn streamed_workload_sweeps_are_bit_identical_to_materialized_sweeps() {
                 seed: seed ^ 0x5eed,
                 ..WorkloadSpec::default()
             };
-            let cfgs = grid16(&timing);
+            let cfgs: Vec<SimConfig> = grid16(&timing)
+                .into_iter()
+                .map(|c| c.scaled_down(wb.scale()))
+                .collect();
             assert_eq!(cfgs.len(), 16);
 
             let trace = wb.make_trace(&spec);
-            let materialized = wb.sweep(&cfgs, Workload::trace(&trace)).threads(4).run();
+            let materialized = sweep_over(&cfgs, || Workload::trace(&trace))
+                .threads(4)
+                .reports()
+                .expect("materialized job");
 
-            let streamed_workload = wb.workload(&spec);
             assert!(
-                streamed_workload.is_streamed(),
+                wb.workload(&spec).is_streamed(),
                 "workbench workloads regenerate per job"
             );
-            let streamed = wb.sweep(&cfgs, streamed_workload).threads(4).run();
+            let streamed = sweep_over(&cfgs, || wb.workload(&spec))
+                .threads(4)
+                .reports()
+                .expect("streamed job");
 
             assert_eq!(materialized.len(), 16);
             assert_eq!(streamed.len(), 16);
-            for (m, s) in materialized.into_iter().zip(streamed) {
-                assert_eq!(m.label, s.label);
+            for (i, (m, s)) in materialized.into_iter().zip(streamed).enumerate() {
                 assert_eq!(
-                    format!("{:?}", s.report.expect("streamed job")),
-                    format!("{:?}", m.report.expect("materialized job")),
-                    "streamed sweep diverged from materialized for {} (seed {seed}, {timing:?})",
-                    m.label,
+                    format!("{s:?}"),
+                    format!("{m:?}"),
+                    "streamed sweep diverged from materialized for job {i} (seed {seed}, {timing:?})",
                 );
             }
         }
@@ -314,17 +332,28 @@ fn file_workload_sweeps_are_bit_identical_to_materialized_sweeps() {
     trace.encode(&mut buf).expect("encode");
     std::fs::write(&path, &buf).expect("write archive");
 
-    let cfgs = sweep_configs();
-    let materialized = wb.sweep(&cfgs, Workload::trace(&trace)).run();
-    let filed = wb.sweep(&cfgs, Workload::file(&path)).threads(4).run();
+    let cfgs: Vec<SimConfig> = sweep_configs()
+        .into_iter()
+        .map(|c| c.scaled_down(wb.scale()))
+        .collect();
+    let materialized = sweep_over(&cfgs, || Workload::trace(&trace))
+        .threads(1)
+        .reports()
+        .expect("materialized job");
+    let filed = sweep_over(&cfgs, || Workload::file(&path))
+        .threads(4)
+        .reports();
     let _ = std::fs::remove_file(&path);
 
-    for (m, f) in materialized.into_iter().zip(filed) {
+    for (i, (m, f)) in materialized
+        .iter()
+        .zip(filed.expect("file job"))
+        .enumerate()
+    {
         assert_eq!(
-            format!("{:?}", f.report.expect("file job")),
-            format!("{:?}", m.report.expect("materialized job")),
-            "file-workload sweep diverged for {}",
-            m.label,
+            format!("{f:?}"),
+            format!("{m:?}"),
+            "file-workload sweep diverged for job {i}",
         );
     }
 }
@@ -404,11 +433,10 @@ fn faulted_sweeps_are_bit_identical_serial_parallel_and_streamed() {
     }
 
     for round in 0..3 {
-        let parallel = Sweep::over(Workload::trace(&trace))
-            .configs(cfgs.iter().cloned())
+        let parallel = sweep_over(&cfgs, || Workload::trace(&trace))
             .threads(4)
-            .run()
-            .expect_reports("parallel faulted run");
+            .reports()
+            .expect("parallel faulted run");
         for (i, report) in parallel.into_iter().enumerate() {
             assert_eq!(
                 format!("{report:?}"),
@@ -435,52 +463,45 @@ fn faulted_sweeps_are_bit_identical_serial_parallel_and_streamed() {
 
 #[test]
 fn result_sink_spills_every_report_exactly_once() {
-    // Incremental spilling: with a sink attached, reports stream out as
-    // jobs finish and the returned results retain only job context — and
-    // the spilled reports are the same bit-identical reports a collecting
-    // sweep returns.
+    // Every finished job's row goes to the caller's sink, once, in
+    // completion order; each report is the bit-identical report a serial
+    // `Scenario::run` of the same job returns.
     let wb = Workbench::new(4096, 42);
     let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
-    let cfgs = sweep_configs();
-
-    let collected = wb.sweep(&cfgs, Workload::trace(&trace)).run();
-    let want: Vec<String> = collected
+    let cfgs: Vec<SimConfig> = sweep_configs()
         .into_iter()
-        .map(|item| format!("{:?}", item.report.expect("collected run")))
+        .map(|c| c.scaled_down(wb.scale()))
+        .collect();
+    let want: Vec<String> = cfgs
+        .iter()
+        .map(|cfg| {
+            let report = Scenario::new(cfg.clone(), Workload::trace(&trace)).run();
+            format!("{:?}", report.expect("serial run"))
+        })
         .collect();
 
-    let spilled = Mutex::new(vec![None; cfgs.len()]);
-    let mut sink = fcache::sink_fn(|row: fcache::ResultRow| {
-        let mut slots = spilled.lock().unwrap();
-        assert!(
-            slots[row.index].is_none(),
-            "job {} delivered twice",
-            row.index
-        );
-        slots[row.index] = Some(format!("{:?}", row.report));
-    });
-    let results = wb
-        .sweep(&cfgs, Workload::trace(&trace))
+    let mut sink = MemorySink::new();
+    let results = sweep_over(&cfgs, || Workload::trace(&trace))
         .threads(4)
-        .sink(&mut sink)
-        .run();
-
-    assert!(results.spilled_to_sink());
+        .run(&mut sink);
+    assert_eq!(results.workers(), 4);
     assert!(results.sink_error().is_none());
-    for item in &results {
-        assert!(item.is_ok());
-        assert!(
-            item.report.is_none(),
-            "spilled sweeps must not retain reports ({})",
-            item.label
-        );
+    assert!(results.iter().all(|item| item.is_ok()));
+
+    let mut delivered = vec![0usize; cfgs.len()];
+    for row in sink.rows() {
+        delivered[row.index] += 1;
     }
-    let spilled = spilled.into_inner().unwrap();
-    for (i, got) in spilled.into_iter().enumerate() {
+    assert!(
+        delivered.iter().all(|&n| n == 1),
+        "each job index must arrive exactly once: {delivered:?}"
+    );
+    for row in sink.into_rows() {
         assert_eq!(
-            got.expect("every job delivered"),
-            want[i],
-            "sink row {i} diverged from the collecting sweep"
+            format!("{:?}", row.report),
+            want[row.index],
+            "sink row {} diverged from the serial run",
+            row.label
         );
     }
 }

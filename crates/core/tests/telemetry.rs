@@ -7,8 +7,8 @@
 //! format of one span row is pinned against silent drift.
 
 use fcache::{
-    run_trace, FlashTiming, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench, Workload,
-    WorkloadSpec,
+    run_trace, FlashTiming, Scenario, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench,
+    Workload, WorkloadSpec,
 };
 use fcache_device::{SimTime, SsdConfig};
 use fcache_types::{FaultPlan, OpKind, Phase, Trace};
@@ -168,11 +168,13 @@ fn span_stream_is_byte_identical_across_run_modes() {
     // own stream file.
     let p3 = tmp("fcache_test_spans_par1.jsonl");
     let p4 = tmp("fcache_test_spans_par2.jsonl");
-    Sweep::over(Workload::trace(&trace))
-        .configs([telemetered(&p3), telemetered(&p4)])
+    let job = |p: &std::path::Path| Scenario::new(telemetered(p), Workload::trace(&trace));
+    Sweep::new()
+        .scenario("par1", job(&p3))
+        .scenario("par2", job(&p4))
         .threads(2)
-        .run()
-        .expect_reports("parallel job");
+        .reports()
+        .expect("parallel job");
     assert_eq!(reference, std::fs::read(&p3).expect("bytes"), "parallel");
     assert_eq!(reference, std::fs::read(&p4).expect("bytes"), "parallel");
 
@@ -180,10 +182,12 @@ fn span_stream_is_byte_identical_across_run_modes() {
     // instead of borrowing the resident trace.
     let p5 = tmp("fcache_test_spans_streamed.jsonl");
     let spec = WorkloadSpec::baseline_60g();
-    let results = Sweep::over(Workload::stream(|| wb.make_stream(&spec)))
-        .configs([telemetered(&p5)])
-        .run()
-        .into_reports()
+    let results = Sweep::new()
+        .scenario(
+            "streamed",
+            Scenario::new(telemetered(&p5), wb.workload(&spec)),
+        )
+        .reports()
         .expect("streamed sweep");
     assert_eq!(results.len(), 1);
     assert_eq!(reference, std::fs::read(&p5).expect("bytes"), "streamed");

@@ -152,7 +152,7 @@ impl Fleet {
         if let Some((part, rows)) = resumed {
             sweep = sweep.resume(part, rows)?;
         }
-        let results = sweep.sink(sink).run();
+        let results = sweep.run(sink);
         if let Some(e) = results.sink_error() {
             return Err(io::Error::new(e.kind(), e.to_string()));
         }

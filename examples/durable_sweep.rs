@@ -16,24 +16,24 @@
 use fcache::{read_rows, JsonlSink, SimConfig, Sweep, Workbench, WorkloadSpec};
 use fcache_types::ByteSize;
 
-/// The 3-workload × 4-config grid both passes run: `Sweep::workloads`
-/// sets the workload axis, each `.config` crosses it (composite labels).
-fn grid<'a>(wb: &'a Workbench, specs: &'a [WorkloadSpec]) -> Sweep<'a> {
-    let mut sweep = Sweep::new().workloads(wb.workloads(specs));
+/// The 4-config × 3-workload grid both passes run: one labeled scenario
+/// per cell, `<config>/<workload>`, config-major.
+fn grid<'a>(wb: &'a Workbench, specs: &[WorkloadSpec]) -> Sweep<'a> {
+    let mut sweep = Sweep::new();
     for (label, flash) in [
         ("noflash", ByteSize::ZERO),
         ("8G", ByteSize::gib(8)),
         ("16G", ByteSize::gib(16)),
         ("32G", ByteSize::gib(32)),
     ] {
-        sweep = sweep.config(
-            label,
-            SimConfig {
-                flash_size: flash,
-                ..SimConfig::baseline()
-            }
-            .scaled_down(wb.scale()),
-        );
+        let cfg = SimConfig {
+            flash_size: flash,
+            ..SimConfig::baseline()
+        };
+        for spec in specs {
+            let job = format!("{label}/{}", spec.label());
+            sweep = sweep.scenario(job, wb.scenario(&cfg, spec));
+        }
     }
     sweep
 }
@@ -55,7 +55,7 @@ fn main() {
 
     // Pass 1: the uninterrupted run.
     let mut sink = JsonlSink::create(&path).expect("create results file");
-    let results = grid(&wb, &specs).sink(&mut sink).run();
+    let results = grid(&wb, &specs).run(&mut sink);
     assert!(results.first_error().is_none() && results.sink_error().is_none());
     drop(sink);
     let full = std::fs::read_to_string(&path).expect("read");
@@ -84,8 +84,7 @@ fn main() {
     let results = grid(&wb, &specs)
         .resume(&path, &seen)
         .expect("rows belong to this grid")
-        .sink(&mut sink)
-        .run();
+        .run(&mut sink);
     assert!(results.first_error().is_none() && results.sink_error().is_none());
     drop(sink);
     println!(

@@ -51,8 +51,8 @@ fn main() {
                 "crash not-warmed",
                 wb.scenario(&SimConfig::baseline(), &crash_spec),
             )
-            .run()
-            .expect_reports("persistence sweep")
+            .reports()
+            .expect("persistence sweep")
             .into_iter();
         let warmed = reports.next().expect("warmed report");
         let cold = reports.next().expect("cold report");

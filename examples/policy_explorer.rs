@@ -12,7 +12,9 @@
 //!
 //! Run with: `cargo run --release --example policy_explorer [arch] [scale]`
 
-use fcache::{Architecture, SimConfig, Sweep, Workbench, Workload, WorkloadSpec, WritebackPolicy};
+use fcache::{
+    Architecture, Scenario, SimConfig, Sweep, Workbench, Workload, WorkloadSpec, WritebackPolicy,
+};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -30,7 +32,7 @@ fn main() {
     let spec = WorkloadSpec::baseline_80g();
     let trace = wb.make_trace(&spec);
 
-    let mut sweep = Sweep::over(Workload::trace(&trace));
+    let mut sweep = Sweep::new();
     for ram_policy in WritebackPolicy::ALL {
         for flash_policy in WritebackPolicy::ALL {
             let cfg = SimConfig {
@@ -40,13 +42,13 @@ fn main() {
                 ..SimConfig::baseline()
             }
             .scaled_down(scale);
-            sweep = sweep.config(
+            sweep = sweep.scenario(
                 format!("ram={} flash={}", ram_policy.label(), flash_policy.label()),
-                cfg,
+                Scenario::new(cfg, Workload::trace(&trace)),
             );
         }
     }
-    let results = sweep.run().expect_reports("policy surface");
+    let results = sweep.reports().expect("policy surface");
 
     let mut reads = Vec::new();
     let mut writes = Vec::new();

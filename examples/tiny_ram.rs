@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example tiny_ram [scale]`
 
-use fcache::{SimConfig, Sweep, Workbench, Workload, WorkloadSpec, WritebackPolicy};
+use fcache::{Scenario, SimConfig, Sweep, Workbench, Workload, WorkloadSpec, WritebackPolicy};
 use fcache_types::ByteSize;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
     );
     // One labeled job per (RAM size, policy): 16 configurations fanned
     // out over the shared trace in a single sweep.
-    let mut sweep = Sweep::over(Workload::trace(&trace));
+    let mut sweep = Sweep::new();
     for ram in sizes {
         for policy in [
             WritebackPolicy::AsyncWriteThrough,
@@ -59,10 +59,11 @@ fn main() {
                 ram_policy: policy,
                 ..SimConfig::baseline().scaled_down(scale)
             };
-            sweep = sweep.config(format!("ram={ram} {}", policy.label()), cfg);
+            let job = Scenario::new(cfg, Workload::trace(&trace));
+            sweep = sweep.scenario(format!("ram={ram} {}", policy.label()), job);
         }
     }
-    let mut results = sweep.run().expect_reports("tiny-RAM sweep").into_iter();
+    let mut results = sweep.reports().expect("tiny-RAM sweep").into_iter();
 
     for ram in sizes {
         let row: Vec<(f64, f64)> = (0..2)
