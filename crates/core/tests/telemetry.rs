@@ -7,8 +7,8 @@
 //! format of one span row is pinned against silent drift.
 
 use fcache::{
-    run_trace, FlashTiming, Scenario, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench,
-    Workload, WorkloadSpec,
+    report_to_json, run_trace, Architecture, DegradedPolicy, FlashTiming, RobustnessConfig,
+    Scenario, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench, Workload, WorkloadSpec,
 };
 use fcache_device::{SimTime, SsdConfig};
 use fcache_types::{FaultPlan, OpKind, Phase, Trace};
@@ -229,4 +229,81 @@ fn span_row_wire_format_is_pinned() {
     let parsed = fcache_types::Json::parse(golden).expect("golden parses");
     let back = SpanRow::from_json(&parsed).expect("golden decodes");
     assert_eq!(format!("{back:?}"), format!("{row:?}"));
+}
+
+/// The exact `--trace-out` bytes and the encoded `telemetry` report
+/// section of two small telemetered runs, one layered and one unified,
+/// pinned by hash. Both runs engage every phase the engine attributes:
+/// queue-aware SSD timing (`flash_queue`, `device_service`), transient
+/// device errors (`retry_backoff`), hedged reads around an outage that
+/// takes a whole replica ring down under the `Queue` degraded policy
+/// (`failover`, `degraded_park`), and 4 shards × 2 replicas (`net`,
+/// `filer`). The other telemetry tests compare runs within one build;
+/// this one holds the span stream fixed across changes to the engine.
+#[test]
+fn span_stream_and_telemetry_section_are_pinned() {
+    // (architecture, span-stream hash, telemetry-section hash)
+    const PINS: [(Architecture, u64, u64); 2] = [
+        (
+            Architecture::Naive,
+            0xd11b_f1ab_577e_1f3b,
+            0x8469_7642_a3c7_8135,
+        ),
+        (
+            Architecture::Unified,
+            0x8945_dc7b_2e17_c210,
+            0x529a_dc32_5f57_371f,
+        ),
+    ];
+    let trace = trace();
+    let mut got = Vec::new();
+    for (arch, _, _) in PINS {
+        let path = tmp(&format!("fcache_test_span_pin_{}.jsonl", arch.name()));
+        let cfg = SimConfig {
+            arch,
+            flash_timing: FlashTiming::Ssd(SsdConfig::auto()),
+            shards: 4,
+            replicas: 2,
+            hedge: Some(SimTime::from_micros(200)),
+            fault_plan: FaultPlan::parse(
+                "shard1:outage@700s-800s;shard2:outage@720s-780s;device:err0.1@650s-900s",
+            )
+            .expect("spec"),
+            robustness: RobustnessConfig {
+                degraded: DegradedPolicy::Queue,
+                ..RobustnessConfig::default()
+            },
+            telemetry_windows: Some(SimTime::from_micros(10_000_000)),
+            trace_out: Some(path.clone()),
+            ..SimConfig::baseline()
+        }
+        .scaled_down(SCALE);
+        let r = run_trace(&cfg, &trace).expect("pinned run");
+        let stream = std::fs::read(&path).expect("span stream bytes");
+        let _ = std::fs::remove_file(&path);
+        for p in Phase::ALL {
+            assert!(
+                r.telemetry.phase_ns[p.index()] > 0,
+                "{}: phase {} never entered",
+                arch.name(),
+                p.label()
+            );
+        }
+        let section = report_to_json(&r)
+            .get("telemetry")
+            .expect("engaged telemetry is encoded")
+            .to_string();
+        got.push((arch, fnv(stream), fnv(section.bytes())));
+    }
+    assert_eq!(got, PINS, "span stream or telemetry section moved");
+}
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
