@@ -146,9 +146,9 @@ fn bench_ssd_service(res: &mut Results) {
             for i in 0..OPS / LANES {
                 let addr = BlockAddr::new(FileId(0), (lane * 1_000_003 + i * 17) as u32);
                 if i % 3 == 0 {
-                    dev.write(addr, None).await;
+                    dev.write_block(addr).await;
                 } else {
-                    dev.read(addr, None).await;
+                    dev.read(addr).await;
                 }
             }
         });
@@ -164,7 +164,7 @@ fn bench_ssd_service(res: &mut Results) {
 }
 
 /// Intra-batch NCQ overlap in *simulated* time: one submitter issuing
-/// 16-block `read_batch` calls back to back. With overlapped submission the
+/// 16-block `read_blocks` calls back to back. With overlapped submission the
 /// batch finishes when its last member completes, not after the serial sum
 /// of per-command service times — so summed device busy time divided by
 /// elapsed simulated time is the concurrency the batch path extracts from
@@ -192,7 +192,7 @@ fn bench_ssd_batch_overlap(res: &mut Results) {
                 let addrs: Vec<BlockAddr> = (0..BATCH)
                     .map(|i| BlockAddr::new(FileId(0), b * BATCH + i))
                     .collect();
-                dev.read_batch(&addrs, None).await;
+                dev.read_blocks(&addrs).await;
             }
         });
     }

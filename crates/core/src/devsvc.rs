@@ -31,8 +31,10 @@
 //! the same device timings (asserted by `tests/sweep_determinism.rs`).
 
 use std::cell::{Cell, RefCell};
+use std::convert::Infallible;
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use fcache_des::executor::Sleep;
@@ -45,7 +47,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{FlashTiming, SimConfig};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use crate::telemetry::{enter, OpSpan};
+use crate::telemetry::{OpSpan, TelemetryCtx};
 
 /// Per-host flash device timing service. Owned by each
 /// [`crate::host`]`::HostCtx`; the engine performs no flash sleep outside
@@ -71,6 +73,8 @@ pub struct DeviceService {
     /// Fault-injection state; its schedule is empty unless the run's plan
     /// targets the device.
     faults: DevFaults,
+    /// The host's telemetry collector, when telemetry is on.
+    telemetry: Option<Rc<TelemetryCtx>>,
 }
 
 /// Device-target fault state (see `fcache_types::fault`).
@@ -289,6 +293,20 @@ impl DeviceService {
                 queued: Cell::new(0),
                 retries: Cell::new(0),
             },
+            telemetry: None,
+        }
+    }
+
+    /// Attributes device time to the spans of `telemetry` (builder style).
+    pub(crate) fn with_telemetry(mut self, telemetry: Option<Rc<TelemetryCtx>>) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// Moves the polled op thread's span to `phase` (see `HostCtx::enter`).
+    fn enter(&self, phase: Phase) {
+        if let Some(t) = &self.telemetry {
+            t.update_span(&self.sim, |sp| sp.enter(self.sim.now(), phase));
         }
     }
 
@@ -317,7 +335,7 @@ impl DeviceService {
     /// until the window closes; transient errors pause and re-probe (a
     /// cache device retries internally — the op never fails up the stack,
     /// it just takes longer).
-    async fn fault_admit(&self, sp: Option<&OpSpan>) -> f64 {
+    async fn fault_admit(&self) -> f64 {
         let f = &self.faults;
         loop {
             let eff = {
@@ -335,15 +353,15 @@ impl DeviceService {
                 } => {
                     f.queued.set(f.queued.get() + 1);
                     let wait = SimTime::from_nanos(end).saturating_sub(self.sim.now());
-                    enter(sp, &self.sim, Phase::DegradedPark);
+                    self.enter(Phase::DegradedPark);
                     self.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
                 }
                 FaultEffect::Fail { until_ns: None, .. } => {
                     f.retries.set(f.retries.get() + 1);
-                    if let Some(s) = sp {
-                        s.note_retry();
+                    if let Some(t) = &self.telemetry {
+                        t.update_span(&self.sim, OpSpan::note_retry);
                     }
-                    enter(sp, &self.sim, Phase::RetryBackoff);
+                    self.enter(Phase::RetryBackoff);
                     self.sim.sleep(f.retry).await;
                 }
             }
@@ -391,17 +409,17 @@ impl DeviceService {
 
     /// Services one block read (flash-tier hit in the unified cache, or a
     /// writeback's read off the device).
-    pub async fn read(&self, addr: BlockAddr, sp: Option<&OpSpan>) {
+    pub async fn read(&self, addr: BlockAddr) {
         let lba = self.lba(addr);
         self.iolog.log_read(lba);
-        let m = self.fault_admit(sp).await;
+        let m = self.fault_admit().await;
         match &self.ssd {
             None => {
-                enter(sp, &self.sim, Phase::DeviceService);
+                self.enter(Phase::DeviceService);
                 self.sim.sleep(Self::inflate(self.flat_read, m)).await;
             }
             Some(q) => {
-                q.service(&self.sim, IoDirection::Read, lba, m, sp).await;
+                q.service(self, IoDirection::Read, lba, m).await;
             }
         }
     }
@@ -413,19 +431,19 @@ impl DeviceService {
     /// bounded NCQ at once and completes when the last command finishes:
     /// the batch overlaps across the queue's service slots instead of
     /// paying `n × serial service`.
-    pub async fn read_batch(&self, addrs: &[BlockAddr], sp: Option<&OpSpan>) {
+    pub async fn read_blocks(&self, addrs: &[BlockAddr]) {
         if addrs.is_empty() {
             return;
         }
         // One batch is one request stream: admit it through the fault
         // schedule once, like one command at the device interface.
-        let m = self.fault_admit(sp).await;
+        let m = self.fault_admit().await;
         match &self.ssd {
             None => {
                 for &a in addrs {
                     self.iolog.log_read(self.lba(a));
                 }
-                enter(sp, &self.sim, Phase::DeviceService);
+                self.enter(Phase::DeviceService);
                 self.sim
                     .sleep(Self::inflate(self.flat_read.times(addrs.len() as u64), m))
                     .await;
@@ -450,8 +468,7 @@ impl DeviceService {
                         self.iolog.log_read(lba);
                     }
                 }
-                q.service_batch(&self.sim, IoDirection::Read, batch, m, sp)
-                    .await;
+                q.service_batch(self, IoDirection::Read, batch, m).await;
             }
         }
     }
@@ -461,12 +478,12 @@ impl DeviceService {
     /// queue. When the cache keeps persistent metadata (§7.8), the block
     /// is a two-command batch — "one of the data and one for the
     /// meta-data" — overlapped across the NCQ like any other batch.
-    pub async fn write(&self, addr: BlockAddr, sp: Option<&OpSpan>) {
+    pub async fn write_block(&self, addr: BlockAddr) {
         let lba = self.lba(addr);
-        let m = self.fault_admit(sp).await;
+        let m = self.fault_admit().await;
         match &self.ssd {
             None => {
-                enter(sp, &self.sim, Phase::DeviceService);
+                self.enter(Phase::DeviceService);
                 self.sim.sleep(Self::inflate(self.flat_write, m)).await;
                 self.iolog.log_write(lba);
             }
@@ -476,13 +493,22 @@ impl DeviceService {
                     let mut batch = take_batch();
                     batch.submit(Cmd::New(lba));
                     batch.submit(Cmd::New(lba));
-                    q.service_batch(&self.sim, IoDirection::Write, batch, m, sp)
-                        .await;
+                    q.service_batch(self, IoDirection::Write, batch, m).await;
                 } else {
-                    q.service(&self.sim, IoDirection::Write, lba, m, sp).await;
+                    q.service(self, IoDirection::Write, lba, m).await;
                 }
             }
         }
+    }
+
+    /// [`Self::read_blocks`] with perfbench's always-`None` second argument.
+    pub async fn read_batch(&self, addrs: &[BlockAddr], _: Option<Infallible>) {
+        self.read_blocks(addrs).await;
+    }
+
+    /// [`Self::write_block`] with perfbench's always-`None` second argument.
+    pub async fn write(&self, addr: BlockAddr, _: Option<Infallible>) {
+        self.write_block(addr).await;
     }
 
     /// Current device queue occupancy (in service + waiting); 0 in flat
@@ -529,23 +555,15 @@ impl SsdQueue {
     /// deterministic), and holds the slot for exactly that long. Not
     /// through `wait_all`, whose run-ahead barrier would keep the sleep
     /// from resuming inline (PERF.md invariant 16).
-    async fn service(
-        &self,
-        sim: &Sim,
-        dir: IoDirection,
-        lba: u64,
-        scale: f64,
-        sp: Option<&OpSpan>,
-    ) {
+    async fn service(&self, dev: &DeviceService, dir: IoDirection, lba: u64, scale: f64) {
         let mut cmd = Cmd::New(lba);
         let mut ctx = BatchCtx {
-            sim,
+            dev,
             dir,
             scale,
-            sp,
             left: 1,
         };
-        enter(sp, sim, Phase::FlashQueue);
+        dev.enter(Phase::FlashQueue);
         std::future::poll_fn(|cx| self.step(&mut cmd, cx, &mut ctx)).await;
     }
 
@@ -569,27 +587,25 @@ impl SsdQueue {
     /// until the last completion.
     async fn service_batch(
         &self,
-        sim: &Sim,
+        dev: &DeviceService,
         dir: IoDirection,
         mut batch: CompletionSet<Cmd>,
         scale: f64,
-        sp: Option<&OpSpan>,
     ) {
         match *batch.pending() {
             [] => put_batch(batch),
             [Cmd::New(lba)] => {
                 put_batch(batch);
-                self.service(sim, dir, lba, scale, sp).await;
+                self.service(dev, dir, lba, scale).await;
             }
             _ => {
                 let mut ctx = BatchCtx {
-                    sim,
+                    dev,
                     dir,
                     scale,
-                    sp,
                     left: batch.len(),
                 };
-                enter(sp, sim, Phase::FlashQueue);
+                dev.enter(Phase::FlashQueue);
                 batch.wait_all(|cmd, cx| self.step(cmd, cx, &mut ctx)).await;
                 put_batch(batch);
             }
@@ -601,13 +617,7 @@ impl SsdQueue {
     /// hold the slot for that long. The batch's last draw moves the op's
     /// span to `DeviceService`.
     fn step(&self, cmd: &mut Cmd, cx: &mut Context<'_>, ctx: &mut BatchCtx<'_>) -> Poll<()> {
-        let BatchCtx {
-            sim,
-            dir,
-            scale,
-            sp,
-            ..
-        } = *ctx;
+        let (dev, dir, scale) = (ctx.dev, ctx.dir, ctx.scale);
         if let Cmd::New(lba) = *cmd {
             let waited = self.slots.available() == 0 || self.slots.queue_len() > 0;
             self.stats.note_submit(self.inflight(), waited);
@@ -633,11 +643,11 @@ impl SsdQueue {
             if ctx.left == 0 {
                 // The whole batch is in service; the op's remaining wait
                 // is pure device time.
-                enter(sp, sim, Phase::DeviceService);
+                dev.enter(Phase::DeviceService);
             }
             *cmd = Cmd::InService {
                 _slot: slot,
-                sleep: sim.sleep(t),
+                sleep: dev.sim.sleep(t),
             };
         }
         if let Cmd::InService { sleep, .. } = cmd {
@@ -654,10 +664,9 @@ impl SsdQueue {
 
 /// What every command of one SSD batch shares.
 struct BatchCtx<'a> {
-    sim: &'a Sim,
+    dev: &'a DeviceService,
     dir: IoDirection,
     scale: f64,
-    sp: Option<&'a OpSpan>,
     /// Commands not yet granted a slot and drawn.
     left: usize,
 }

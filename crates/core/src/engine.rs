@@ -18,11 +18,11 @@ use fcache_types::{BlockAddr, FaultError, FaultKind, OpKind, Phase, TraceOp, BLO
 
 use crate::arch::Architecture;
 use crate::flush::{self, Tier};
-use crate::host::{HostCtx, RemoteCtx};
+use crate::host::{HostCtx, RemoteCtx, TaskClass};
 use crate::policy::WritebackPolicy;
 use crate::robust::{DegradedPolicy, RobustnessState};
 use crate::scratch;
-use crate::telemetry::{enter, OpSpan};
+use crate::telemetry::OpSpan;
 
 /// Where the data being flushed currently lives, which decides what the
 /// flush costs before the network leg.
@@ -45,35 +45,31 @@ impl FlushSource {
     }
 }
 
-/// Executes one trace operation, returning its application latency.
-pub(crate) async fn execute_op(h: &Rc<HostCtx>, op: &TraceOp) -> SimTime {
+/// Executes one trace operation and records its application latency.
+pub(crate) async fn execute_op(h: &Rc<HostCtx>, op: &TraceOp) {
     if !op.warmup() {
         h.maybe_end_warmup();
     }
     let t0 = h.sim.now();
-    // A span exists only for measured ops on telemetry-enabled runs; the
-    // default threads `None` through every hook below, which is a no-op —
-    // the literal pre-telemetry path (PERF.md invariant 12).
-    let span = h
-        .telemetry
-        .as_ref()
-        .filter(|_| !op.warmup())
-        .map(|_| OpSpan::new(t0));
-    let sp = span.as_ref();
-    match (op.kind(), h.cfg.arch) {
-        (OpKind::Read, Architecture::Unified) => read_unified(h, op, sp).await,
-        (OpKind::Read, _) => read_layered(h, op, sp).await,
-        (OpKind::Write, Architecture::Unified) => write_unified(h, op, sp).await,
-        (OpKind::Write, _) => write_layered(h, op, sp).await,
+    // Only measured ops are spanned. A warmup op's phase changes land in
+    // the thread's span, which the next measured op replaces.
+    let telemetry = h.telemetry.as_ref().filter(|_| !op.warmup());
+    if let Some(t) = telemetry {
+        t.update_span(&h.sim, |sp| *sp = OpSpan::new(t0));
     }
-    let latency = h.sim.now() - t0;
+    match (op.kind(), h.cfg.arch) {
+        (OpKind::Read, Architecture::Unified) => read_unified(h, op).await,
+        (OpKind::Read, _) => read_layered(h, op).await,
+        (OpKind::Write, Architecture::Unified) => write_unified(h, op).await,
+        (OpKind::Write, _) => write_layered(h, op).await,
+    }
     if !op.warmup() {
-        h.metrics.record_op(op.kind(), latency, op.nblocks());
-        if let (Some(t), Some(sp)) = (&h.telemetry, sp) {
-            t.complete_op(h, op, sp, h.sim.now());
+        h.metrics
+            .record_op(op.kind(), h.sim.now() - t0, op.nblocks());
+        if let Some(t) = telemetry {
+            t.complete_op(h, op);
         }
     }
-    latency
 }
 
 // ---------------------------------------------------------------------------
@@ -82,7 +78,7 @@ pub(crate) async fn execute_op(h: &Rc<HostCtx>, op: &TraceOp) -> SimTime {
 
 /// Naive / lookaside read: RAM, then flash, then the filer; fetched blocks
 /// are "first placed in flash, then into RAM" (§3.2).
-async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
+async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp) {
     // RAM stage: hits pay the RAM read latency; misses fall through. The
     // miss/hit lists live in the thread's pooled buffers, so the per-op
     // path performs no heap allocation after the thread's first run.
@@ -109,9 +105,7 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
         h.sim.sleep(wait).await;
     }
     if ram_misses.is_empty() {
-        if let Some(s) = sp {
-            s.note_blocks(u64::from(op.nblocks()), 0);
-        }
+        h.note_blocks(u64::from(op.nblocks()), 0);
         scratch::put_buf(ram_misses);
         return;
     }
@@ -133,16 +127,16 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
     // Device time for the flash hits goes through the timing service:
     // flat mode charges one combined sleep (as the paper's model always
     // did), SSD mode services each block through the bounded device queue.
-    h.dev.read_batch(&flash_hits, sp).await;
+    h.dev.read_blocks(&flash_hits).await;
 
     // Filer stage: "each I/O request uses one packet in each direction"
     // (§5) — one request covers every block this op still misses.
     let miss_count = filer_misses.len() as u64;
     if !filer_misses.is_empty() {
-        if fetch(h, &filer_misses, sp).await {
+        if fetch(h, &filer_misses).await {
             if h.has_flash() && h.cfg.populate_flash_on_read {
                 for &b in filer_misses.iter() {
-                    flash_insert(h, b, false, sp).await;
+                    flash_insert(h, b, false).await;
                 }
             }
         } else {
@@ -150,20 +144,18 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
             filer_misses.clear();
         }
     }
-    if let Some(s) = sp {
-        // `filer_misses` was cleared on a failed fetch, so its length is
-        // the blocks that actually arrived from the backend; failed blocks
-        // count as neither hit nor fetch.
-        s.note_blocks(
-            u64::from(op.nblocks()) - miss_count,
-            filer_misses.len() as u64,
-        );
-    }
+    // `filer_misses` was cleared on a failed fetch, so its length is the
+    // blocks that actually arrived from the backend; failed blocks count
+    // as neither hit nor fetch.
+    h.note_blocks(
+        u64::from(op.nblocks()) - miss_count,
+        filer_misses.len() as u64,
+    );
 
     // Fill RAM with everything that missed it.
     if h.has_ram() {
         for &b in flash_hits.iter().chain(filer_misses.iter()) {
-            ram_insert(h, b, false, sp).await;
+            ram_insert(h, b, false).await;
         }
     }
     scratch::put_buf(flash_hits);
@@ -172,7 +164,7 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
 
 /// Unified read: one lookup against the single LRU chain; hits pay the
 /// latency of whichever medium the frame lives in.
-async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
+async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp) {
     let mut wait = SimTime::ZERO;
     let mut misses = scratch::take_buf();
     let mut flash_hits = scratch::take_buf();
@@ -199,26 +191,22 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
     }
     // Queue-aware flash hits overlap through the NCQ as one batch, the
     // same as the layered read path.
-    h.dev.read_batch(&flash_hits, sp).await;
+    h.dev.read_blocks(&flash_hits).await;
     scratch::put_buf(flash_hits);
     if misses.is_empty() {
-        if let Some(s) = sp {
-            s.note_blocks(u64::from(op.nblocks()), 0);
-        }
+        h.note_blocks(u64::from(op.nblocks()), 0);
         scratch::put_buf(misses);
         return;
     }
     let miss_count = misses.len() as u64;
-    let fetched = fetch(h, &misses, sp).await;
-    if let Some(s) = sp {
-        s.note_blocks(
-            u64::from(op.nblocks()) - miss_count,
-            if fetched { miss_count } else { 0 },
-        );
-    }
+    let fetched = fetch(h, &misses).await;
+    h.note_blocks(
+        u64::from(op.nblocks()) - miss_count,
+        if fetched { miss_count } else { 0 },
+    );
     if fetched {
         for &b in misses.iter() {
-            unified_insert(h, b, false, sp).await;
+            unified_insert(h, b, false).await;
         }
     }
     scratch::put_buf(misses);
@@ -229,23 +217,23 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
 // ---------------------------------------------------------------------------
 
 /// Naive / lookaside write: into RAM, then onward per the tier policies.
-async fn write_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
+async fn write_layered(h: &Rc<HostCtx>, op: &TraceOp) {
     for b in op.blocks() {
         let invalidated = h.invalidate_peers(b);
         if !op.warmup() {
             h.metrics.record_block_write(invalidated);
         }
         if h.has_ram() {
-            ram_insert(h, b, true, sp).await;
+            ram_insert(h, b, true).await;
             if on_dirtied(h, Tier::Ram, b) {
-                flush_block(h, Tier::Ram, b, sp).await;
+                flush_block(h, Tier::Ram, b).await;
             }
         } else {
             // No RAM tier: naive writes land directly in flash (§7.5's
             // zero-RAM configuration) under the flash policy; the others
             // write to the filer synchronously, and lookaside then updates
             // its flash.
-            write_below_ram(h, b, sp).await;
+            write_below_ram(h, b).await;
         }
     }
 }
@@ -253,13 +241,13 @@ async fn write_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
 /// Unified write: overwrite in place on a hit, else claim the LRU frame;
 /// either way the block's frame medium sets the cost and its tier policy
 /// governs the writeback.
-async fn write_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
+async fn write_unified(h: &Rc<HostCtx>, op: &TraceOp) {
     for b in op.blocks() {
         let invalidated = h.invalidate_peers(b);
         if !op.warmup() {
             h.metrics.record_block_write(invalidated);
         }
-        unified_insert(h, b, true, sp).await;
+        unified_insert(h, b, true).await;
     }
 }
 
@@ -271,14 +259,14 @@ async fn write_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
 /// victim is written back synchronously first — this stall is the source of
 /// the `none`-policy convoys ("synchronous evictions once the cache fills",
 /// §7.1).
-async fn ram_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&OpSpan>) {
-    enter(sp, &h.sim, Phase::CacheProbe);
+async fn ram_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool) {
+    h.enter(Phase::CacheProbe);
     h.sim.sleep(h.cfg.ram_model.write).await;
     let outcome = h.ram.borrow_mut().insert(addr, dirty);
     h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
         if ev.dirty {
-            write_below_ram(h, ev.addr, sp).await;
+            write_below_ram(h, ev.addr).await;
         }
     }
 }
@@ -287,13 +275,13 @@ async fn ram_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&O
 /// the naive architecture; otherwise to the filer, then in lookaside into
 /// flash clean ("the flash is updated after the file server and never
 /// contains dirty data", §3.3).
-async fn write_below_ram(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
+async fn write_below_ram(h: &Rc<HostCtx>, addr: BlockAddr) {
     if h.cfg.arch == Architecture::Naive && h.has_flash() {
-        flash_insert(h, addr, true, sp).await;
+        flash_insert(h, addr, true).await;
     } else {
-        flush_to_filer(h, addr, FlushSource::InHand, sp).await;
+        flush_to_filer(h, addr, FlushSource::InHand).await;
         if h.cfg.arch == Architecture::Lookaside && h.has_flash() {
-            flash_insert(h, addr, false, sp).await;
+            flash_insert(h, addr, false).await;
         }
     }
 }
@@ -301,45 +289,45 @@ async fn write_below_ram(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) 
 /// Inserts a block into flash, paying the flash write latency. Evicting a
 /// dirty flash victim forces a synchronous writeback to the filer. If the
 /// inserted block is dirty, the flash writeback policy reacts.
-async fn flash_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&OpSpan>) {
-    h.dev.write(addr, sp).await;
+async fn flash_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool) {
+    h.dev.write_block(addr).await;
     let outcome = h.flash.borrow_mut().insert(addr, dirty);
     h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
         if ev.dirty {
-            flush_to_filer(h, ev.addr, FlushSource::Flash, sp).await;
+            flush_to_filer(h, ev.addr, FlushSource::Flash).await;
         }
     }
     if dirty && on_dirtied(h, Tier::Flash, addr) {
         // Blocking write-through; the payload is still in hand, so there
         // is no flash read.
         h.flash.borrow_mut().mark_clean(addr);
-        flush_to_filer(h, addr, FlushSource::InHand, sp).await;
+        flush_to_filer(h, addr, FlushSource::InHand).await;
     }
 }
 
 /// Inserts into the unified cache: pays the landing medium's write cost,
 /// flushes a dirty victim, and applies the landing tier's policy when the
 /// block is dirty.
-async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&OpSpan>) {
+async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool) {
     let ins = h.unified().borrow_mut().insert(addr, dirty);
     h.note_unified_insert(addr, &ins);
     match ins.medium {
         Medium::Ram => {
-            enter(sp, &h.sim, Phase::CacheProbe);
+            h.enter(Phase::CacheProbe);
             h.sim.sleep(h.cfg.ram_model.write).await;
         }
-        Medium::Flash => h.dev.write(addr, sp).await,
+        Medium::Flash => h.dev.write_block(addr).await,
     }
     if let Some(ev) = ins.evicted {
         if ev.dirty {
-            flush_to_filer(h, ev.addr, FlushSource::of(ev.medium), sp).await;
+            flush_to_filer(h, ev.addr, FlushSource::of(ev.medium)).await;
         }
     }
     if dirty && on_dirtied(h, Tier::Unified(ins.medium), addr) {
         // Blocking write-through with the payload in hand, as for flash.
         h.unified().borrow_mut().mark_clean(addr);
-        flush_to_filer(h, addr, FlushSource::InHand, sp).await;
+        flush_to_filer(h, addr, FlushSource::InHand).await;
     }
 }
 
@@ -378,13 +366,13 @@ fn on_dirtied(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr) -> bool {
 /// replica returns — dirty data is never dropped. Flushing from flash
 /// first pays a flash read (the data must come off the device) when
 /// configured.
-async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource, sp: Option<&OpSpan>) {
+async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource) {
     if src == FlushSource::Flash && h.cfg.charge_flash_read_on_writeback {
         // The data must come off the device before it can be sent.
-        h.dev.read(addr, sp).await;
+        h.dev.read(addr).await;
     }
     let mut ring = h.remote.store.router().replica_set(addr);
-    park_until_live(h, ring, sp).await;
+    park_until_live(h, ring).await;
     let first = ring.next().expect("replication factor >= 1");
     // Only a replicated write fans out; the pool's lists stay that small.
     let mut handles = if ring.len() > 0 {
@@ -394,13 +382,15 @@ async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource, sp: 
     };
     handles.extend(ring.map(|shard| {
         let h2 = Rc::clone(h);
-        h.sim
-            .spawn(async move { write_one_replica(&h2, shard, addr, None).await })
+        h.sim.spawn(async move {
+            TaskClass::ReplicaLeg.tag(&h2.sim);
+            write_one_replica(&h2, shard, addr).await
+        })
     }));
-    write_one_replica(h, first, addr, sp).await;
+    write_one_replica(h, first, addr).await;
     // Waiting out the slower replicas' spawned legs is ack fan-in: wire
     // time from the op's perspective.
-    enter(sp, &h.sim, Phase::Net);
+    h.enter(Phase::Net);
     for handle in handles.drain(..) {
         handle.await;
     }
@@ -413,7 +403,7 @@ async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource, sp: 
 /// or mid-retry, is skipped and its copy recorded as under-replicated
 /// while another replica of the block is live; with none live the write
 /// parks until one returns.
-async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Option<&OpSpan>) {
+async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr) {
     let store = &h.remote.store;
     let mut attempt: u32 = 0;
     loop {
@@ -426,14 +416,14 @@ async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Opt
                 store.mark_under_replicated(shard, addr, now);
                 return;
             }
-            park_until_live(h, ring, sp).await;
+            park_until_live(h, ring).await;
             continue;
         }
-        match write_exchange(h, shard, sp).await {
+        match write_exchange(h, shard).await {
             Ok(()) => return,
             Err(_) => {
                 attempt += 1;
-                failed_attempt(h, attempt, sp).await;
+                failed_attempt(h, attempt).await;
             }
         }
     }
@@ -447,31 +437,26 @@ async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Opt
 /// One read exchange with `shard` over this host's segment to it: request
 /// packet out, filer read service, payload packet back. Any leg can fail
 /// transiently under a fault plan; a failed leg consumes no service time.
-async fn read_exchange(
-    h: &HostCtx,
-    shard: u16,
-    blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
-) -> Result<(), FaultError> {
+async fn read_exchange(h: &HostCtx, shard: u16, blocks: &[BlockAddr]) -> Result<(), FaultError> {
     let seg = &h.remote.segments[usize::from(shard)];
-    enter(sp, &h.sim, Phase::Net);
+    h.enter(Phase::Net);
     seg.try_transfer(Direction::ToServer, 0).await?;
-    enter(sp, &h.sim, Phase::Filer);
+    h.enter(Phase::Filer);
     h.remote.store.filer(shard).try_read_blocks(blocks).await?;
-    enter(sp, &h.sim, Phase::Net);
+    h.enter(Phase::Net);
     seg.try_transfer(Direction::FromServer, blocks.len() as u64 * BLOCK_SIZE)
         .await
 }
 
 /// One write exchange with `shard`: data packet out, buffered filer write,
 /// acknowledgement back; fails like [`read_exchange`].
-async fn write_exchange(h: &HostCtx, shard: u16, sp: Option<&OpSpan>) -> Result<(), FaultError> {
+async fn write_exchange(h: &HostCtx, shard: u16) -> Result<(), FaultError> {
     let seg = &h.remote.segments[usize::from(shard)];
-    enter(sp, &h.sim, Phase::Net);
+    h.enter(Phase::Net);
     seg.try_transfer(Direction::ToServer, BLOCK_SIZE).await?;
-    enter(sp, &h.sim, Phase::Filer);
+    h.enter(Phase::Filer);
     h.remote.store.filer(shard).try_write(1).await?;
-    enter(sp, &h.sim, Phase::Net);
+    h.enter(Phase::Net);
     seg.try_transfer(Direction::FromServer, 0).await
 }
 
@@ -495,7 +480,7 @@ fn buffered_write(h: &HostCtx) {
 /// While every shard of `ring` is in outage, sleeps until the first of
 /// them clears, counting the op as parked; returns at once when one is
 /// live.
-async fn park_until_live(h: &HostCtx, ring: ReplicaSet, sp: Option<&OpSpan>) {
+async fn park_until_live(h: &HostCtx, ring: ReplicaSet) {
     while let Some(clear_ns) = h
         .remote
         .store
@@ -503,29 +488,27 @@ async fn park_until_live(h: &HostCtx, ring: ReplicaSet, sp: Option<&OpSpan>) {
     {
         RobustnessState::bump(&h.fault.state.queued_ops);
         let wait = SimTime::from_nanos(clear_ns).saturating_sub(h.sim.now());
-        enter(sp, &h.sim, Phase::DegradedPark);
+        h.enter(Phase::DegradedPark);
         h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
     }
 }
 
 /// Charges one failed exchange attempt: the per-op timeout, then the
 /// jittered exponential backoff before the retry.
-async fn failed_attempt(h: &HostCtx, attempt: u32, sp: Option<&OpSpan>) {
+async fn failed_attempt(h: &HostCtx, attempt: u32) {
     let f = &h.fault;
     RobustnessState::bump(&f.state.timeouts);
-    enter(sp, &h.sim, Phase::RetryBackoff);
+    h.enter(Phase::RetryBackoff);
     h.sim.sleep(f.op_timeout).await;
     RobustnessState::bump(&f.state.retries);
-    if let Some(s) = sp {
-        s.note_retry();
-    }
+    h.note_retry();
     h.sim.sleep(f.backoff(attempt)).await;
 }
 
 /// Fetches a miss list from the backend: the list is partitioned by
 /// primary shard and each group is served **read-any** across its replica
 /// ring (see [`fetch_group`]). Returns whether every group's data arrived.
-async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bool {
+async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr]) -> bool {
     // Availability accounting against the backend schedule: filer-wide
     // clauses and shard-local clauses each contribute one distinct window,
     // so availability-per-window covers a single shard's outage as well as
@@ -536,14 +519,14 @@ async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bo
     let router = h.remote.store.router();
     let ok = if router.shards() == 1 {
         // One shard owns every block: no partition copy.
-        fetch_group(h, 0, blocks, sp).await
+        fetch_group(h, 0, blocks).await
     } else {
         let mut ok = true;
         let mut group = scratch::take_buf();
         for k in 0..router.shards() {
             group.clear();
             group.extend(blocks.iter().copied().filter(|b| router.primary(*b) == k));
-            if !group.is_empty() && !fetch_group(h, k, &group, sp).await {
+            if !group.is_empty() && !fetch_group(h, k, &group).await {
                 ok = false;
             }
         }
@@ -561,12 +544,7 @@ async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bo
 /// hedge against the next live one, and retry with timeout + jittered
 /// backoff up to `max_retries` on transient failures. A whole-ring outage
 /// degrades per [`DegradedPolicy`]; cache hits keep serving either way.
-async fn fetch_group(
-    h: &Rc<HostCtx>,
-    primary: u16,
-    blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
-) -> bool {
+async fn fetch_group(h: &Rc<HostCtx>, primary: u16, blocks: &[BlockAddr]) -> bool {
     let r = &h.remote;
     let ring = r.store.router().ring(primary);
     let mut attempt: u32 = 0;
@@ -580,7 +558,7 @@ async fn fetch_group(
                 DegradedPolicy::Queue => {
                     // Availability first: park the miss until a replica
                     // returns, then fetch.
-                    park_until_live(h, ring, sp).await;
+                    park_until_live(h, ring).await;
                     continue;
                 }
                 DegradedPolicy::FailFast | DegradedPolicy::Strict => {
@@ -592,10 +570,8 @@ async fn fetch_group(
         // Hedge when configured and a second live replica exists to race.
         let hedge = r.hedge_ns.and_then(|d| live.next().map(|s| (s, d)));
         let served = match hedge {
-            Some((second, delay_ns)) => {
-                hedged_exchange(h, first, second, delay_ns, blocks, sp).await
-            }
-            None => read_exchange(h, first, blocks, sp).await.map(|()| first),
+            Some((second, delay_ns)) => hedged_exchange(h, first, second, delay_ns, blocks).await,
+            None => read_exchange(h, first, blocks).await.map(|()| first),
         };
         match served {
             Ok(winner) => {
@@ -608,13 +584,13 @@ async fn fetch_group(
                 let f = &h.fault;
                 if attempt >= f.cfg.max_retries {
                     RobustnessState::bump(&f.state.timeouts);
-                    enter(sp, &h.sim, Phase::RetryBackoff);
+                    h.enter(Phase::RetryBackoff);
                     h.sim.sleep(f.op_timeout).await;
                     f.state.op_failed(&e.clause);
                     return false;
                 }
                 attempt += 1;
-                failed_attempt(h, attempt, sp).await;
+                failed_attempt(h, attempt).await;
             }
         }
     }
@@ -765,7 +741,6 @@ async fn hedged_exchange(
     second: u16,
     delay_ns: u64,
     blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
 ) -> Result<u16, FaultError> {
     let state = Race::new(blocks);
 
@@ -774,7 +749,8 @@ async fn hedged_exchange(
         let h2 = Rc::clone(h);
         let st = state.share();
         h.sim.spawn_daemon(async move {
-            let res = read_exchange(&h2, first, &st.blocks, None).await;
+            TaskClass::HedgePrimary.tag(&h2.sim);
+            let res = read_exchange(&h2, first, &st.blocks).await;
             st.arm_done(first, res);
         });
     }
@@ -785,6 +761,7 @@ async fn hedged_exchange(
         let st = state.share();
         let launch = h.sim.now() + SimTime::from_nanos(delay_ns);
         h.sim.spawn_daemon_at(launch, async move {
+            TaskClass::HedgeSecond.tag(&h2.sim);
             if st.winner.get().is_some() {
                 // Primary answered inside the hedge delay: nothing sent.
                 st.arm_skipped();
@@ -792,7 +769,7 @@ async fn hedged_exchange(
             }
             let store = Rc::clone(&h2.remote.store);
             store.note_hedge_launched();
-            let res = read_exchange(&h2, second, &st.blocks, None).await;
+            let res = read_exchange(&h2, second, &st.blocks).await;
             let arrived = res.is_ok();
             if st.arm_done(second, res) {
                 store.note_hedge_won();
@@ -805,7 +782,7 @@ async fn hedged_exchange(
 
     // The op's own time here is the race wait itself — neither arm's legs
     // run on the op task, so the whole interval is failover/hedge wait.
-    enter(sp, &h.sim, Phase::Failover);
+    h.enter(Phase::Failover);
     RaceDone(state.share()).await;
     match state.winner.get() {
         Some(w) => Ok(w),
@@ -835,11 +812,11 @@ fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> String {
 /// been evicted or invalidated since it was queued): RAM writes it below
 /// the RAM tier; flash and unified frames write it to the filer, reading
 /// it off the device first when it lives in flash.
-pub(crate) async fn flush_block(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr, sp: Option<&OpSpan>) {
+pub(crate) async fn flush_block(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr) {
     let src = match tier {
         Tier::Ram => {
             if h.ram.borrow_mut().mark_clean(addr) {
-                write_below_ram(h, addr, sp).await;
+                write_below_ram(h, addr).await;
             }
             return;
         }
@@ -859,7 +836,7 @@ pub(crate) async fn flush_block(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr, sp
             FlushSource::of(medium)
         }
     };
-    flush_to_filer(h, addr, src, sp).await;
+    flush_to_filer(h, addr, src).await;
 }
 
 // ---------------------------------------------------------------------------
@@ -884,8 +861,10 @@ async fn flush_batch(
     for chunk in blocks.chunks(window) {
         handles.extend(chunk.iter().map(|&b| {
             let h2 = Rc::clone(h);
-            h.sim
-                .spawn(async move { flush_block(&h2, tier, b, None).await })
+            h.sim.spawn(async move {
+                TaskClass::SyncerFlush.tag(&h2.sim);
+                flush_block(&h2, tier, b).await
+            })
         }));
         for handle in handles.drain(..) {
             handle.await;
@@ -900,6 +879,7 @@ async fn flush_batch(
 /// snapshot and the batch's join list reuse one buffer each across ticks
 /// instead of allocating per tick.
 pub(crate) async fn syncer(h: Rc<HostCtx>, tier: Tier, period: SimTime) {
+    TaskClass::Syncer.tag(&h.sim);
     let (mut dirty, mut handles) = (Vec::new(), Vec::new());
     loop {
         let host = Rc::clone(&h);

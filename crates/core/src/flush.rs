@@ -27,7 +27,7 @@ use fcache_types::BlockAddr;
 
 use crate::config::SimConfig;
 use crate::engine::flush_block;
-use crate::host::HostCtx;
+use crate::host::{HostCtx, TaskClass};
 use crate::policy::WritebackPolicy;
 
 /// A cache tier that holds dirty blocks under one writeback policy.
@@ -126,7 +126,11 @@ pub(crate) fn submit(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr) {
     if was_idle {
         // First flush of a busy period: spawn the keeper that holds the
         // simulation open until the queue drains again.
-        h.sim.spawn(WaitDrained { h: Rc::clone(h) });
+        let h2 = Rc::clone(h);
+        h.sim.spawn(async move {
+            TaskClass::FlushKeeper.tag(&h2.sim);
+            WaitDrained { h: h2 }.await;
+        });
     }
     let idle_waker = q.idle.borrow_mut().pop();
     match idle_waker {
@@ -140,10 +144,11 @@ pub(crate) fn submit(h: &Rc<HostCtx>, tier: Tier, addr: BlockAddr) {
 /// Long-lived flush worker: parks when the queue is empty, otherwise
 /// flushes the block until it stays clean.
 async fn flush_worker(h: Rc<HostCtx>) {
+    TaskClass::FlushWorker.tag(&h.sim);
     loop {
         let FlushReq { addr, tier } = NextFlush { h: Rc::clone(&h) }.await;
         while h.is_dirty(tier, addr) {
-            flush_block(&h, tier, addr, None).await;
+            flush_block(&h, tier, addr).await;
         }
         h.flush_pending(tier).borrow_mut().remove(&addr.to_u64());
         h.flushq.complete_one();

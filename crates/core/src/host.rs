@@ -4,11 +4,11 @@ use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::{Rc, Weak};
 
 use fcache_cache::{BlockCache, InsertOutcome, Medium, UnifiedCache, UnifiedInsert};
-use fcache_des::Sim;
+use fcache_des::{Sim, TAG_CLASSES};
 use fcache_device::IoLog;
 use fcache_net::Segment;
 use fcache_remote::ShardedStore;
-use fcache_types::{BlockAddr, FxHashSet, HostId};
+use fcache_types::{BlockAddr, FxHashSet, HostId, Phase};
 
 use crate::config::SimConfig;
 use crate::devsvc::DeviceService;
@@ -16,7 +16,7 @@ use crate::flush::{FlushQueue, Tier};
 use crate::metrics::Metrics;
 use crate::robust::FaultCtx;
 use crate::sharers::SharerFilter;
-use crate::telemetry::TelemetryCtx;
+use crate::telemetry::{OpSpan, TelemetryCtx};
 
 /// The run's hosts, shared by all of them: the warmup reset walks the
 /// list, and instant invalidation (§3.8) probes the hosts the sharer
@@ -53,6 +53,58 @@ impl RunHosts {
     #[cfg(test)]
     pub(crate) fn sharers(&self) -> Option<&SharerFilter> {
         self.sharers.as_ref()
+    }
+}
+
+/// The kind of an engine task, as the executor tag class it sets on its
+/// first poll ([`Sim::tag_current`]): the run loop counts polls per class
+/// ([`Sim::polls_by_tag`]). An op thread's tag also carries its thread
+/// index, which finds the thread's telemetry span. A task never inherits
+/// a tag, so a child that does not tag itself counts as class 0.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum TaskClass {
+    /// The replay task of one `(host, thread)` slot (`sim::replay`).
+    OpThread = 1,
+    /// A write-through flush worker (`flush::submit`).
+    FlushWorker,
+    /// The flush-queue keeper (`flush::submit`).
+    FlushKeeper,
+    /// A periodic syncer daemon (`sim::spawn_daemons`).
+    Syncer,
+    /// A syncer pass's per-block flush (`engine::flush_batch`).
+    SyncerFlush,
+    /// A write to a slower replica (`engine::flush_to_filer`).
+    ReplicaLeg,
+    /// A hedged read's primary arm (`engine::hedged_exchange`).
+    HedgePrimary,
+    /// A hedged read's second arm (`engine::hedged_exchange`).
+    HedgeSecond,
+    /// A filer outage's flush-backlog probe (`sim::spawn_daemons`).
+    BacklogProbe,
+    /// A returning shard's recovery pass (`sim::spawn_daemons`).
+    ShardRecovery,
+    /// A recovery pass's extra re-replication streams
+    /// (`sim::spawn_daemons`).
+    ReReplication,
+}
+
+const _: () = assert!((TaskClass::ReReplication as usize) < TAG_CLASSES);
+
+impl TaskClass {
+    /// Tags the polled task with this class.
+    pub(crate) fn tag(self, sim: &Sim) {
+        sim.tag_current(self as u32);
+    }
+
+    /// Tags the polled task as op thread `thread` of its host.
+    pub(crate) fn tag_op_thread(sim: &Sim, thread: u16) {
+        sim.tag_current(TaskClass::OpThread as u32 + u32::from(thread) * TAG_CLASSES as u32);
+    }
+
+    /// The op-thread index `tag` carries, if it is an op thread's tag.
+    pub(crate) fn op_thread(tag: u32) -> Option<usize> {
+        (tag as usize % TAG_CLASSES == TaskClass::OpThread as usize)
+            .then_some(tag as usize / TAG_CLASSES)
     }
 }
 
@@ -120,8 +172,9 @@ pub(crate) struct HostCtx {
     /// The backend (router, replicas, per-shard segments).
     pub remote: RemoteCtx,
     /// Sim-time telemetry collector (op spans, unified windows, span
-    /// stream). `None` — the default — makes every instrumentation hook a
-    /// no-op, the literal pre-telemetry code path (PERF.md invariant 12).
+    /// stream), shared with [`Self::dev`]. `None` — the default — makes
+    /// every instrumentation hook one branch that does nothing (PERF.md
+    /// invariant 12).
     pub telemetry: Option<Rc<TelemetryCtx>>,
 }
 
@@ -198,6 +251,29 @@ impl HostCtx {
                 (ram.dirty_len() + flash.dirty_len()) as u64,
                 (ram.len() + flash.len()) as u64,
             )
+        }
+    }
+
+    /// Attributes the polled op thread's time from now on to `phase`;
+    /// does nothing in any other task or with telemetry off.
+    pub fn enter(&self, phase: Phase) {
+        if let Some(t) = &self.telemetry {
+            t.update_span(&self.sim, |sp| sp.enter(self.sim.now(), phase));
+        }
+    }
+
+    /// Counts one retry attempt on the polled op thread's span.
+    pub fn note_retry(&self) {
+        if let Some(t) = &self.telemetry {
+            t.update_span(&self.sim, OpSpan::note_retry);
+        }
+    }
+
+    /// Records the polled op thread's block fates: `hit` blocks served
+    /// from RAM or flash, `filer` blocks fetched from the backend.
+    pub fn note_blocks(&self, hit: u64, filer: u64) {
+        if let Some(t) = &self.telemetry {
+            t.update_span(&self.sim, |sp| sp.note_blocks(hit, filer));
         }
     }
 

@@ -453,45 +453,39 @@ impl<'a> Sweep<'a> {
     /// its index must be the index that job's row carries, its `config`
     /// must equal [`config_to_json`] of the job's configuration, and no
     /// job may have two rows. A file written by another sweep is refused,
-    /// never absorbed as this sweep's results.
+    /// never absorbed as this sweep's results. Nor is a file resumed into
+    /// a sweep where two jobs share a label: the file cannot tell them
+    /// apart, so skipping would be blind.
     ///
     /// # Errors
     ///
     /// An [`InvalidData`](std::io::ErrorKind::InvalidData) error naming
-    /// `path`, the first failing row's label and the cause: `not part of
+    /// `path`, a label and the cause: the first failing row's `not part of
     /// this sweep`, `has index`, `different configuration` or `appears
-    /// twice`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is non-empty and two jobs share a label: a results
-    /// file cannot tell them apart, so skipping would be blind.
+    /// twice`, or a job label that `names two jobs`.
     pub fn resume(mut self, path: impl AsRef<Path>, rows: &[DecodedRow]) -> std::io::Result<Self> {
         if rows.is_empty() {
             return Ok(self);
         }
-        let mut by_label = HashMap::with_capacity(self.jobs.len());
-        for (i, job) in self.jobs.iter().enumerate() {
-            assert!(
-                by_label.insert(job.label.as_str(), i).is_none(),
-                "resume requires unique job labels; duplicate {:?}",
-                job.label
-            );
-        }
-        let refuse = |row: &DecodedRow, why: String| {
+        let refuse = |what: &str, label: &str, why: &str| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
-                    "{}: row {:?} {why}; refusing to resume",
+                    "{}: {what} {label:?} {why}; refusing to resume",
                     path.as_ref().display(),
-                    row.label
                 ),
             )
         };
+        let mut by_label = HashMap::with_capacity(self.jobs.len());
+        for (i, job) in self.jobs.iter().enumerate() {
+            if by_label.insert(job.label.as_str(), i).is_some() {
+                return Err(refuse("job label", &job.label, "names two jobs"));
+            }
+        }
         let mut resumed = vec![false; self.jobs.len()];
         for row in rows {
             let Some(&i) = by_label.get(row.label.as_str()) else {
-                return Err(refuse(row, "is not part of this sweep".into()));
+                return Err(refuse("row", &row.label, "is not part of this sweep"));
             };
             let job = &self.jobs[i];
             if row.index != job.index {
@@ -499,7 +493,7 @@ impl<'a> Sweep<'a> {
                     "has index {} but this sweep writes {}",
                     row.index, job.index
                 );
-                return Err(refuse(row, why));
+                return Err(refuse("row", &row.label, &why));
             }
             let want = config_to_json(job.scenario.config());
             if row.config != want {
@@ -508,10 +502,10 @@ impl<'a> Sweep<'a> {
                     row.config.to_string(),
                     want.to_string()
                 );
-                return Err(refuse(row, why));
+                return Err(refuse("row", &row.label, &why));
             }
             if std::mem::replace(&mut resumed[i], true) {
-                return Err(refuse(row, "appears twice".into()));
+                return Err(refuse("row", &row.label, "appears twice"));
             }
         }
         for (job, resumed) in self.jobs.iter_mut().zip(resumed) {

@@ -41,7 +41,7 @@ use crate::config::SimConfig;
 use crate::devsvc::DeviceService;
 use crate::engine::{self, execute_op};
 use crate::flush::{self, FlushQueue, Tier};
-use crate::host::{HostCtx, RemoteCtx, RunHosts};
+use crate::host::{HostCtx, RemoteCtx, RunHosts, TaskClass};
 use crate::metrics::Metrics;
 use crate::report::SimReport;
 use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState};
@@ -149,10 +149,10 @@ struct SimParts {
     store: Rc<ShardedStore>,
 }
 
-/// Builds the executor and one [`HostCtx`] per host (no tasks yet), or
-/// fails with [`SimError::Config`] naming the clause or path it cannot
-/// build.
-fn build_parts(config: &SimConfig, n_hosts: u16) -> Result<SimParts, SimError> {
+/// Builds the executor and one [`HostCtx`] per host of the
+/// `(hosts, threads per host)` grid (no tasks yet), or fails with
+/// [`SimError::Config`] naming the clause or path it cannot build.
+fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<SimParts, SimError> {
     let cfg = Rc::new(config.clone());
     let sim = Sim::new();
 
@@ -270,11 +270,20 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> Result<SimParts, SimError> {
         } else {
             no_iolog.clone()
         };
-        let dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone()).with_faults(
-            device.clone(),
-            mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
-            cfg.scaled_time(cfg.robustness.retry_base),
-        );
+        let telemetry = cfg.telemetry_engaged().then(|| {
+            Rc::new(TelemetryCtx::new(
+                telemetry_window_ns,
+                span_stream.clone(),
+                n_threads,
+            ))
+        });
+        let dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone())
+            .with_faults(
+                device.clone(),
+                mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
+                cfg.scaled_time(cfg.robustness.retry_base),
+            )
+            .with_telemetry(telemetry.clone());
         hosts.push(Rc::new(HostCtx {
             id: HostId(i),
             sim: sim.clone(),
@@ -318,9 +327,7 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> Result<SimParts, SimError> {
                 segments: group_segments.clone(),
                 hedge_ns,
             },
-            telemetry: cfg
-                .telemetry_engaged()
-                .then(|| Rc::new(TelemetryCtx::new(telemetry_window_ns, span_stream.clone()))),
+            telemetry,
         }));
     }
     run.set_hosts(&hosts);
@@ -372,6 +379,7 @@ fn spawn_daemons(parts: &SimParts) {
             let state = Rc::clone(&parts.fault);
             let s = sim.clone();
             sim.spawn_daemon_at(SimTime::from_nanos(end_ns), async move {
+                TaskClass::BacklogProbe.tag(&s);
                 let depth = h.flushq.backlog();
                 if depth > 0 {
                     let t0 = s.now();
@@ -402,36 +410,38 @@ fn spawn_daemons(parts: &SimParts) {
                 let s = sim.clone();
                 sim.spawn_daemon_at(SimTime::from_nanos(end_ns), async move {
                     let queue = Rc::new(RefCell::new(store.take_under_replicated(k)));
-                    let drain =
-                        |store: Rc<ShardedStore>,
-                         s: Sim,
-                         queue: Rc<RefCell<Vec<fcache_types::BlockAddr>>>| async move {
-                            loop {
-                                // Scope the borrow: `while let` would hold the
-                                // RefMut across the awaits below.
-                                let popped = queue.borrow_mut().pop();
-                                let Some(addr) = popped else { break };
-                                let now = s.now().as_nanos();
-                                let src = store
-                                    .router()
-                                    .replica_set(addr)
-                                    .find(|&r| r != k && store.live_at(r, now));
-                                match src {
-                                    Some(src) => {
-                                        store.filer(src).read_blocks(&[addr]).await;
-                                        store.filer(k).write(1).await;
-                                        store.note_re_replicated(BLOCK_SIZE, s.now().as_nanos());
-                                    }
-                                    // No live source right now: leave the copy
-                                    // for the next recovery pass.
-                                    None => store.requeue_under_replicated(k, addr),
+                    let drain = |store: Rc<ShardedStore>,
+                                 s: Sim,
+                                 queue: Rc<RefCell<Vec<fcache_types::BlockAddr>>>,
+                                 class: TaskClass| async move {
+                        class.tag(&s);
+                        loop {
+                            // Scope the borrow: `while let` would hold the
+                            // RefMut across the awaits below.
+                            let popped = queue.borrow_mut().pop();
+                            let Some(addr) = popped else { break };
+                            let now = s.now().as_nanos();
+                            let src = store
+                                .router()
+                                .replica_set(addr)
+                                .find(|&r| r != k && store.live_at(r, now));
+                            match src {
+                                Some(src) => {
+                                    store.filer(src).read_blocks(&[addr]).await;
+                                    store.filer(k).write(1).await;
+                                    store.note_re_replicated(BLOCK_SIZE, s.now().as_nanos());
                                 }
+                                // No live source right now: leave the copy
+                                // for the next recovery pass.
+                                None => store.requeue_under_replicated(k, addr),
                             }
-                        };
+                        }
+                    };
                     for _ in 1..REPAIR_STREAMS {
-                        s.spawn_daemon(drain(Rc::clone(&store), s.clone(), Rc::clone(&queue)));
+                        let (store, queue) = (Rc::clone(&store), Rc::clone(&queue));
+                        s.spawn_daemon(drain(store, s.clone(), queue, TaskClass::ReReplication));
                     }
-                    drain(store, s.clone(), queue).await;
+                    drain(store, s.clone(), queue, TaskClass::ShardRecovery).await;
                 });
             }
         }
@@ -768,6 +778,11 @@ impl Cursor {
 /// "each application thread can have only one I/O in progress" (§5). The
 /// first cursor error fails the run with [`SimError::Source`].
 fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport, SimError> {
+    replay_on(&build_parts(config, source.meta().grid())?, source)
+}
+
+/// [`replay`] on parts built for the source's grid.
+fn replay_on(parts: &SimParts, source: &mut dyn TraceSource) -> Result<SimReport, SimError> {
     let (n_hosts, n_threads) = source.meta().grid();
     let n_slots = usize::from(n_hosts) * usize::from(n_threads);
     // SAFETY: the executor requires `'static` tasks, but the cursors and
@@ -781,7 +796,6 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
     let source = unsafe {
         std::mem::transmute::<&mut (dyn TraceSource + '_), &'static mut dyn TraceSource>(source)
     };
-    let parts = build_parts(config, n_hosts)?;
     let mut cursors = Vec::with_capacity(n_slots);
     if source.fork_slot(0, 0).is_some() {
         let source: &'static dyn TraceSource = source;
@@ -806,8 +820,10 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
     let error: Rc<RefCell<Option<SourceError>>> = Rc::default();
     for (slot, mut cursor) in cursors.into_iter().enumerate() {
         let host = Rc::clone(&parts.hosts[slot / usize::from(n_threads)]);
+        let thread = (slot % usize::from(n_threads)) as u16;
         let error = Rc::clone(&error);
         parts.sim.spawn(async move {
+            TaskClass::tag_op_thread(&host.sim, thread);
             loop {
                 // Pull before awaiting: the feed's `RefCell` borrow must
                 // not span the engine's await.
@@ -828,8 +844,8 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
         });
     }
 
-    spawn_daemons(&parts);
-    let report = run_and_collect(&parts);
+    spawn_daemons(parts);
+    let report = run_and_collect(parts);
     if let Some(e) = error.borrow_mut().take() {
         return Err(SimError::Source(e));
     }
@@ -839,7 +855,53 @@ fn replay(config: &SimConfig, source: &mut dyn TraceSource) -> Result<SimReport,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcache_types::{BlockAddr, FileId};
+    use crate::{Workbench, WorkloadSpec};
+    use fcache_des::TAG_CLASSES;
+    use fcache_types::{BlockAddr, FaultPlan, FileId};
+
+    /// Polls per task class of one run of the paper-scale `cfg`, at 1/4096
+    /// scale, over the baseline workload; they sum to the run's polls.
+    fn polls_by_class(cfg: SimConfig) -> [u64; TAG_CLASSES] {
+        let trace = Workbench::new(4096, 42).make_trace(&WorkloadSpec::baseline_60g());
+        let mut source = SliceSource::with_meta(trace.meta.clone(), &trace.ops);
+        let parts = build_parts(&cfg.scaled_down(4096), source.meta().grid()).expect("builds");
+        let report = replay_on(&parts, &mut source).expect("runs");
+        let polls = parts.sim.polls_by_tag();
+        assert_eq!(polls.iter().sum::<u64>(), report.events);
+        polls
+    }
+
+    #[test]
+    fn every_poll_counts_under_its_task_class() {
+        use TaskClass::*;
+        let plain = polls_by_class(SimConfig::baseline());
+        // Replicas, a hedge and outages spawn the classes a plain run
+        // cannot.
+        let remote = polls_by_class(SimConfig {
+            shards: 4,
+            replicas: 2,
+            hedge: Some(SimTime::from_micros(200)),
+            fault_plan: FaultPlan::parse("shard1:outage@700s-800s;filer:outage@900s-920s")
+                .expect("spec"),
+            ..SimConfig::baseline()
+        });
+        // Every engine task tags itself.
+        assert_eq!((plain[0], remote[0]), (0, 0));
+        for class in [OpThread, FlushWorker, FlushKeeper, Syncer, SyncerFlush] {
+            assert!(plain[class as usize] > 0, "{class:?}");
+        }
+        for class in [
+            ReplicaLeg,
+            HedgePrimary,
+            HedgeSecond,
+            BacklogProbe,
+            ShardRecovery,
+            ReReplication,
+        ] {
+            assert_eq!(plain[class as usize], 0, "{class:?} in a plain run");
+            assert!(remote[class as usize] > 0, "{class:?}");
+        }
+    }
 
     /// Shard `k`'s filer draw seed in a `shards`-shard run seeded `run_seed`.
     fn shard_seed(run_seed: u64, shards: u16, k: u16) -> u64 {
@@ -848,7 +910,7 @@ mod tests {
             shards,
             ..SimConfig::default()
         };
-        build_parts(&cfg, 1)
+        build_parts(&cfg, (1, 1))
             .expect("builds")
             .store
             .filer(k)
@@ -871,13 +933,13 @@ mod tests {
     #[test]
     fn a_one_host_run_builds_no_sharer_filter() {
         let cfg = SimConfig::default();
-        let one = build_parts(&cfg, 1).expect("builds");
+        let one = build_parts(&cfg, (1, 1)).expect("builds");
         assert!(one.hosts[0].run.sharers().is_none());
         assert_eq!(
             one.hosts[0].invalidate_peers(BlockAddr::new(FileId(0), 0)),
             0
         );
-        let two = build_parts(&cfg, 2).expect("builds");
+        let two = build_parts(&cfg, (2, 1)).expect("builds");
         assert!(two.hosts[1].run.sharers().is_some());
     }
 }

@@ -2,21 +2,25 @@
 //! time-series windows, the span stream, and the Chrome trace exporter.
 //!
 //! The paper's governing metric is per-block application latency (§7); this
-//! module explains *where* those nanoseconds went. Every measured
-//! application op can carry an [`OpSpan`] that attributes each awaited
-//! interval of the op to exactly one [`Phase`]. Attribution is exact **by
+//! module explains *where* those nanoseconds went. Each op thread's
+//! measured op has an [`OpSpan`] that attributes each awaited interval of
+//! the op to exactly one [`Phase`]. Attribution is exact **by
 //! construction**: the span keeps one open interval (`cur_phase` since
 //! `cur_since`); [`OpSpan::enter`] closes it into the current phase's
-//! bucket and opens the next, and collection closes the last — so
-//! the per-phase durations always sum to `end - start`, the op's reported
-//! latency, no matter how sparsely the engine threads phase changes
+//! bucket and opens the next, and collection closes the last — so the
+//! per-phase durations always sum to `end - start`, the op's reported
+//! latency, no matter how sparsely the engine marks phase changes
 //! (un-annotated awaits simply accrue to the phase that was last entered).
+//!
+//! No span is passed around: `HostCtx::enter(phase)` finds the span by
+//! the polled task's tag ([`fcache_des::Sim::current_tag`]), which only an
+//! op thread's carries; a flush worker, hedge arm or replica leg has no
+//! span, so an op span measures only the op's own timeline.
 //!
 //! Telemetry is strictly opt-in and is pure bookkeeping: it never sleeps,
 //! spawns, or draws randomness, so an instrumented run schedules the exact
 //! same event sequence as an uninstrumented one (PERF.md invariant 12).
-//! With telemetry disabled every hook is an `Option` that is `None` — the
-//! literal pre-telemetry code path.
+//! With telemetry disabled every hook is one branch on a `None`.
 //!
 //! Three sinks consume spans:
 //!
@@ -39,7 +43,7 @@ use fcache_des::{Sim, SimTime};
 use fcache_types::{FxHashMap, Json, OpKind, Phase, TraceOp};
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use crate::host::HostCtx;
+use crate::host::{HostCtx, TaskClass};
 
 /// Rows buffered in the span stream between explicit flushes.
 const FLUSH_EVERY: u32 = 64;
@@ -48,20 +52,18 @@ const FLUSH_EVERY: u32 = 64;
 // Op-lifecycle span
 // ---------------------------------------------------------------------------
 
-/// Phase attribution for one in-flight application op.
-///
-/// Interior-mutable so the engine can thread a shared `Option<&OpSpan>`
-/// through nested async helpers without borrow gymnastics. Created at op
-/// dispatch, finished at op completion; see the module docs for the
-/// exactness argument.
+/// Phase attribution for an op thread's in-flight measured op, kept per
+/// op thread by its host's [`TelemetryCtx`]; see the module docs for how
+/// the engine finds it and for the exactness argument.
+#[derive(Clone, Copy, Debug)]
 pub struct OpSpan {
     start: SimTime,
-    cur_phase: Cell<Phase>,
-    cur_since: Cell<u64>,
-    acc: [Cell<u64>; Phase::COUNT],
-    retries: Cell<u64>,
-    hit_blocks: Cell<u64>,
-    filer_blocks: Cell<u64>,
+    cur_phase: Phase,
+    cur_since: u64,
+    acc: [u64; Phase::COUNT],
+    retries: u64,
+    hit_blocks: u64,
+    filer_blocks: u64,
 }
 
 impl OpSpan {
@@ -70,63 +72,42 @@ impl OpSpan {
     pub fn new(now: SimTime) -> Self {
         OpSpan {
             start: now,
-            cur_phase: Cell::new(Phase::CacheProbe),
-            cur_since: Cell::new(now.as_nanos()),
-            acc: Default::default(),
-            retries: Cell::new(0),
-            hit_blocks: Cell::new(0),
-            filer_blocks: Cell::new(0),
+            cur_phase: Phase::CacheProbe,
+            cur_since: now.as_nanos(),
+            acc: [0; Phase::COUNT],
+            retries: 0,
+            hit_blocks: 0,
+            filer_blocks: 0,
         }
     }
 
     /// Closes the open interval into the current phase's bucket and starts
     /// attributing to `phase` from `now` on.
-    pub fn enter(&self, now: SimTime, phase: Phase) {
+    pub fn enter(&mut self, now: SimTime, phase: Phase) {
         let now = now.as_nanos();
-        let dt = now - self.cur_since.get();
-        if dt > 0 {
-            let slot = &self.acc[self.cur_phase.get().index()];
-            slot.set(slot.get() + dt);
-        }
-        self.cur_phase.set(phase);
-        self.cur_since.set(now);
-    }
-
-    /// Sim time the span was opened at.
-    pub fn start(&self) -> SimTime {
-        self.start
+        self.acc[self.cur_phase.index()] += now - self.cur_since;
+        self.cur_phase = phase;
+        self.cur_since = now;
     }
 
     /// Records one retry attempt (op timeout / transient device failure).
-    pub(crate) fn note_retry(&self) {
-        self.retries.set(self.retries.get() + 1);
+    pub(crate) fn note_retry(&mut self) {
+        self.retries += 1;
     }
 
     /// Records the op's block fates for the window hit-rate series:
     /// `hit` blocks served from RAM/flash, `filer` blocks fetched from the
     /// backend.
-    pub(crate) fn note_blocks(&self, hit: u64, filer: u64) {
-        self.hit_blocks.set(self.hit_blocks.get() + hit);
-        self.filer_blocks.set(self.filer_blocks.get() + filer);
+    pub(crate) fn note_blocks(&mut self, hit: u64, filer: u64) {
+        self.hit_blocks += hit;
+        self.filer_blocks += filer;
     }
 
     /// Closes the last interval at `end` and returns the per-phase
     /// durations. They sum to `end - start` exactly.
-    fn finish(&self, end: SimTime) -> [u64; Phase::COUNT] {
-        self.enter(end, self.cur_phase.get());
-        let mut out = [0u64; Phase::COUNT];
-        for (o, c) in out.iter_mut().zip(self.acc.iter()) {
-            *o = c.get();
-        }
-        out
-    }
-}
-
-/// Terse call-site helper: switch `sp`'s attribution to `phase` at the
-/// sim's current time, if a span is being recorded at all.
-pub(crate) fn enter(sp: Option<&OpSpan>, sim: &Sim, phase: Phase) {
-    if let Some(s) = sp {
-        s.enter(sim.now(), phase);
+    fn finish(mut self, end: SimTime) -> [u64; Phase::COUNT] {
+        self.enter(end, self.cur_phase);
+        self.acc
     }
 }
 
@@ -319,12 +300,19 @@ pub struct TelemetryCtx {
     windows: RefCell<Vec<TelemetryWindow>>,
     /// Span stream shared by all hosts of the run (completion-order rows).
     stream: Option<Rc<SpanStream>>,
+    /// One span per op thread of the host, by thread index.
+    op_spans: Vec<Cell<OpSpan>>,
 }
 
 impl TelemetryCtx {
-    /// New collector. `window_ns` is the already-scaled window length.
-    pub(crate) fn new(window_ns: Option<u64>, stream: Option<Rc<SpanStream>>) -> Self {
+    /// New collector for `threads` op threads; `window_ns` is scaled.
+    pub(crate) fn new(
+        window_ns: Option<u64>,
+        stream: Option<Rc<SpanStream>>,
+        threads: u16,
+    ) -> Self {
         TelemetryCtx {
+            op_spans: vec![Cell::new(OpSpan::new(SimTime::ZERO)); usize::from(threads)],
             window_ns,
             spans: Cell::new(0),
             phase_ns: Default::default(),
@@ -340,9 +328,25 @@ impl TelemetryCtx {
         self.stream.as_ref()
     }
 
-    /// Folds a completed span into the summary, the window series, and the
-    /// span stream. Called once per measured op at completion.
-    pub(crate) fn complete_op(&self, h: &HostCtx, op: &TraceOp, sp: &OpSpan, end: SimTime) {
+    /// The polled op thread's span; `None` in any other task.
+    fn span(&self, sim: &Sim) -> Option<&Cell<OpSpan>> {
+        TaskClass::op_thread(sim.current_tag()).map(|thread| &self.op_spans[thread])
+    }
+
+    /// Applies `f` to the polled op thread's span, if an op thread is polled.
+    pub(crate) fn update_span(&self, sim: &Sim, f: impl FnOnce(&mut OpSpan)) {
+        if let Some(span) = self.span(sim) {
+            let mut sp = span.get();
+            f(&mut sp);
+            span.set(sp);
+        }
+    }
+
+    /// Folds the polled op thread's completed span into the summary, the
+    /// window series, and the span stream, once per measured op.
+    pub(crate) fn complete_op(&self, h: &HostCtx, op: &TraceOp) {
+        let end = h.sim.now();
+        let sp = self.span(&h.sim).expect("ops run on op threads").get();
         let phases = sp.finish(end);
         self.spans.set(self.spans.get() + 1);
         for (i, &ns) in phases.iter().enumerate() {
@@ -367,10 +371,10 @@ impl TelemetryCtx {
             } else {
                 w.read_blocks += blocks;
             }
-            w.hit_blocks += sp.hit_blocks.get();
-            w.filer_blocks += sp.filer_blocks.get();
+            w.hit_blocks += sp.hit_blocks;
+            w.filer_blocks += sp.filer_blocks;
             w.latency_ns += end.as_nanos() - sp.start.as_nanos();
-            w.retries += sp.retries.get();
+            w.retries += sp.retries;
             w.degraded_ns += phases[Phase::DegradedPark.index()];
             let (dirty, total) = h.cache_occupancy();
             w.dirty_num += dirty;
@@ -666,7 +670,7 @@ mod tests {
 
     #[test]
     fn span_phases_sum_to_latency_by_construction() {
-        let sp = OpSpan::new(SimTime::from_nanos(100));
+        let mut sp = OpSpan::new(SimTime::from_nanos(100));
         sp.enter(SimTime::from_nanos(150), Phase::Net);
         sp.enter(SimTime::from_nanos(400), Phase::Filer);
         // A phase re-entered later accumulates, and un-annotated gaps

@@ -222,7 +222,7 @@ fn depth_one_queue_services_concurrent_submitters_in_fifo_order() {
         let dev = Rc::clone(&dev);
         let order = Rc::clone(&order);
         sim.spawn(async move {
-            dev.read(addr(i), None).await;
+            dev.read(addr(i)).await;
             order.borrow_mut().push(i);
         });
     }
@@ -256,7 +256,7 @@ fn bounded_depth_applies_backpressure_and_wider_queues_overlap_service() {
         for i in 0..24u32 {
             let dev = Rc::clone(&dev);
             sim.spawn(async move {
-                dev.write(addr(i), None).await;
+                dev.write_block(addr(i)).await;
             });
         }
         sim.run().expect("run");
@@ -293,7 +293,7 @@ fn read_batch_overlaps_blocks_across_the_ncq() {
     {
         let dev = Rc::clone(&dev);
         sim.spawn(async move {
-            dev.read_batch(&addrs, None).await;
+            dev.read_blocks(&addrs).await;
         });
     }
     sim.run().expect("run");
@@ -331,7 +331,7 @@ fn batch_backpressure_blocks_the_commands_past_the_queue_depth() {
     {
         let dev = Rc::clone(&dev);
         sim.spawn(async move {
-            dev.read_batch(&addrs, None).await;
+            dev.read_blocks(&addrs).await;
         });
     }
     sim.run().expect("run");
@@ -362,7 +362,7 @@ fn batch_submit_preserves_fifo_admission_across_submitters() {
         let dev = Rc::clone(&dev);
         let done = Rc::clone(&done);
         sim.spawn(async move {
-            dev.read_batch(&[addr(0), addr(1), addr(2)], None).await;
+            dev.read_blocks(&[addr(0), addr(1), addr(2)]).await;
             done.borrow_mut().push("batch");
         });
     }
@@ -370,7 +370,7 @@ fn batch_submit_preserves_fifo_admission_across_submitters() {
         let dev = Rc::clone(&dev);
         let done = Rc::clone(&done);
         sim.spawn(async move {
-            dev.read(addr(3), None).await;
+            dev.read(addr(3)).await;
             done.borrow_mut().push("single");
         });
     }
@@ -386,7 +386,7 @@ fn batch_submit_preserves_fifo_admission_across_submitters() {
 
 #[test]
 fn batch_of_one_is_bit_identical_to_a_single_read() {
-    // The same op through `read_batch(&[a])` and `read(a)` on identically
+    // The same op through `read_blocks(&[a])` and `read(a)` on identically
     // seeded devices: same clock, same stats, same executor event count.
     let run = |batched: bool| {
         let sim = Sim::new();
@@ -400,9 +400,9 @@ fn batch_of_one_is_bit_identical_to_a_single_read() {
             let dev = Rc::clone(&dev);
             sim.spawn(async move {
                 if batched {
-                    dev.read_batch(&[addr(5)], None).await;
+                    dev.read_blocks(&[addr(5)]).await;
                 } else {
-                    dev.read(addr(5), None).await;
+                    dev.read(addr(5)).await;
                 }
             });
         }
@@ -432,7 +432,7 @@ fn read_batch_dedups_repeated_addresses_to_one_command_per_lba() {
     {
         let dev = Rc::clone(&dev);
         sim.spawn(async move {
-            dev.read_batch(&[a, b, a, c, b, a], None).await;
+            dev.read_blocks(&[a, b, a, c, b, a]).await;
         });
     }
     sim.run().expect("run");
@@ -474,7 +474,7 @@ fn persistent_writes_enqueue_data_and_metadata_as_a_two_command_batch() {
     {
         let dev = Rc::clone(&dev);
         sim.spawn(async move {
-            dev.write(addr(3), None).await;
+            dev.write_block(addr(3)).await;
         });
     }
     sim.run().expect("run");
@@ -496,7 +496,7 @@ mod batch_conservation {
     use fcache_des::SimTime;
     use proptest::prelude::*;
 
-    /// Runs the same read commands either as one `read_batch` or serially
+    /// Runs the same read commands either as one `read_blocks` or serially
     /// (one `read` per distinct LBA, first-occurrence order) on an
     /// identically seeded device; returns the clock and frozen stats.
     fn run_commands(blocks: &[u32], depth: usize, batched: bool) -> (SimTime, DeviceStatsSnapshot) {
@@ -518,10 +518,10 @@ mod batch_conservation {
             let dev = Rc::clone(&dev);
             sim.spawn(async move {
                 if batched {
-                    dev.read_batch(&addrs, None).await;
+                    dev.read_blocks(&addrs).await;
                 } else {
                     for &a in &distinct {
-                        dev.read(a, None).await;
+                        dev.read(a).await;
                     }
                 }
             });
@@ -577,9 +577,9 @@ fn flat_service_charges_exact_model_latencies_and_no_stats() {
     {
         let dev = Rc::clone(&dev);
         sim.spawn(async move {
-            dev.read(addr(0), None).await;
-            dev.write(addr(1), None).await;
-            dev.read_batch(&[addr(2), addr(3), addr(4)], None).await;
+            dev.read(addr(0)).await;
+            dev.write_block(addr(1)).await;
+            dev.read_blocks(&[addr(2), addr(3), addr(4)]).await;
         });
     }
     sim.run().expect("run");

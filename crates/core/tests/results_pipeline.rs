@@ -703,8 +703,7 @@ fn scan_tolerates_a_tail_torn_mid_utf8_character() {
 }
 
 #[test]
-#[should_panic(expected = "unique job labels")]
-fn resume_with_duplicate_labels_panics_instead_of_skipping_blind() {
+fn resume_with_duplicate_labels_is_refused_instead_of_skipping_blind() {
     // Two jobs with one label cannot be told apart by a results file;
     // resuming such a sweep would silently skip a job that never ran.
     let wb = Workbench::new(16384, 42);
@@ -718,8 +717,14 @@ fn resume_with_duplicate_labels_panics_instead_of_skipping_blind() {
         config: Json::Null,
         report: SimReport::default(),
     };
-    let _ = Sweep::new()
+    let err = Sweep::new()
         .scenario("dup", wb.scenario(&SimConfig::baseline(), &spec))
         .scenario("dup", wb.scenario(&SimConfig::baseline(), &spec))
-        .resume("dup.jsonl", &[row]);
+        .resume("dup.jsonl", &[row])
+        .expect_err("duplicate labels refuse to resume");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(
+        err.to_string(),
+        "dup.jsonl: job label \"dup\" names two jobs; refusing to resume"
+    );
 }

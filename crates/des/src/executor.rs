@@ -24,6 +24,10 @@
 //! the task's own sleep would have drawn at that point, and does not poll
 //! it. The poll that would only have registered that timer is gone
 //! (PERF.md invariant 17).
+//!
+//! Each task carries one tag word ([`Sim::tag_current`]), read during its
+//! polls as [`Sim::current_tag`] and counted per poll by its class
+//! ([`Sim::polls_by_tag`]).
 
 use std::alloc::Layout;
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -74,12 +78,12 @@ impl TaskId {
         Self(self.0 | IDLE_TICK)
     }
 
-    fn tag(self) -> u64 {
-        self.0 & TAGS
+    fn mark(self) -> u64 {
+        self.0 & MARKS
     }
 
-    fn untagged(self) -> Self {
-        Self(self.0 & !TAGS)
+    fn unmarked(self) -> Self {
+        Self(self.0 & !MARKS)
     }
 }
 
@@ -87,8 +91,13 @@ impl TaskId {
 const ARMED: u64 = 1 << 31;
 /// Marks an idle tick's timer and ready-queue entry.
 const IDLE_TICK: u64 = 1 << 30;
-/// Every tag bit. Slot indices stay far below 2^30.
-const TAGS: u64 = ARMED | IDLE_TICK;
+/// Every mark bit. Slot indices stay far below 2^30.
+const MARKS: u64 = ARMED | IDLE_TICK;
+
+/// Number of task tag classes: a tag's class is `tag % TAG_CLASSES`, and
+/// [`Sim::polls_by_tag`] counts polls per class. The bits above the class
+/// are the tagger's own.
+pub const TAG_CLASSES: usize = 16;
 
 /// A value of an erased type in a block from the thread-local layout pool
 /// (`pool::palloc`/`pool::pfree`): `Box<dyn …>` semantics without the
@@ -220,6 +229,8 @@ enum SlotState {
 struct Slot {
     state: SlotState,
     daemon: bool,
+    /// The task's tag ([`Sim::tag_current`]); 0 until the task sets one.
+    tag: u32,
     /// Current generation while Parked/Running; next to assign while Free.
     generation: u32,
     future: Option<TaskFuture>,
@@ -528,23 +539,32 @@ struct SimInner {
     free_slots: RefCell<Vec<u32>>,
     live_tasks: Cell<usize>,
     timer_seq: Cell<u64>,
-    events_processed: Cell<u64>,
+    /// Polls so far, by the polled task's tag class.
+    polls: [Cell<u64>; TAG_CLASSES],
     /// Tasks parked in [`IdleTicks`], by slot index. Kept beside the slots
     /// so a slot stays small: few tasks tick.
     idle_ticks: RefCell<Vec<Option<IdleTick>>>,
     /// Ticks re-armed by the run loop without a poll.
     idle_rearms: Cell<u64>,
-    /// Identity of the task currently inside `poll_task`, paired with its
-    /// waker's data pointer so `register_timer` can detect "the context
-    /// waker IS this task's waker" without comparing vtables. Cleared on
-    /// poll exit so a stale pointer can never match a later registration.
-    current_poll: Cell<Option<(TaskId, *const ())>>,
+    /// The task currently inside `poll_task`, with its waker's data
+    /// pointer so `register_timer` can detect "the context waker IS this
+    /// task's waker" without comparing vtables. Cleared on poll exit so a
+    /// stale pointer can never match a later registration.
+    current_poll: Cell<Option<CurrentPoll>>,
     /// The active `run_until` limit: a sleep may not run ahead past it.
     limit: Cell<SimTime>,
     /// Test-only switch for inline run-ahead, so tests can compare a run
     /// against the plain park-and-wake schedule.
     #[cfg(test)]
     run_ahead: Cell<bool>,
+}
+
+/// What the run loop knows of the task it is polling.
+#[derive(Clone, Copy)]
+struct CurrentPoll {
+    id: TaskId,
+    waker_data: *const (),
+    tag: u32,
 }
 
 thread_local! {
@@ -604,7 +624,7 @@ impl Sim {
                 free_slots: RefCell::new(Vec::with_capacity(256)),
                 live_tasks: Cell::new(0),
                 timer_seq: Cell::new(0),
-                events_processed: Cell::new(0),
+                polls: Default::default(),
                 idle_ticks: RefCell::new(Vec::new()),
                 idle_rearms: Cell::new(0),
                 current_poll: Cell::new(None),
@@ -623,7 +643,38 @@ impl Sim {
     /// Total task polls performed so far (a cheap event-count metric). A
     /// sleep that resumes inline happens inside a poll and adds none.
     pub fn events_processed(&self) -> u64 {
-        self.inner.events_processed.get()
+        self.inner.polls.iter().map(Cell::get).sum()
+    }
+
+    /// Polls so far by tag class (`tag % TAG_CLASSES`; untagged is 0),
+    /// summing to [`Sim::events_processed`]. A poll counts under the tag
+    /// its task holds when the poll returns, the tagging poll included.
+    pub fn polls_by_tag(&self) -> [u64; TAG_CLASSES] {
+        std::array::from_fn(|c| self.inner.polls[c].get())
+    }
+
+    /// The tag of the task being polled; 0 outside any poll and for a
+    /// task that has not tagged itself.
+    ///
+    /// Whatever runs inside a poll reads the polled task's tag. A
+    /// [`crate::GrantHook::grant`] runs in the poll of the task releasing
+    /// the permit, so it reads the *releaser's* tag: a hook must never use
+    /// it to attribute work to the grantee.
+    pub fn current_tag(&self) -> u32 {
+        self.inner.current_poll.get().map_or(0, |p| p.tag)
+    }
+
+    /// Sets the polled task's tag, from this poll on; does nothing outside
+    /// a poll. Tags are never inherited: a task starts untagged and tags
+    /// itself, typically first thing. A tag changes nothing the simulation
+    /// does.
+    pub fn tag_current(&self, tag: u32) {
+        let Some(mut current) = self.inner.current_poll.get() else {
+            return;
+        };
+        self.inner.slots.borrow_mut()[current.id.slot()].tag = tag;
+        current.tag = tag;
+        self.inner.current_poll.set(Some(current));
     }
 
     /// Idle ticks so far that the run loop re-armed without polling their
@@ -709,6 +760,7 @@ impl Sim {
                 slots.push(Slot {
                     state: SlotState::Free,
                     daemon: false,
+                    tag: 0,
                     generation: 0,
                     future: None,
                     waker: None,
@@ -726,6 +778,7 @@ impl Sim {
         }
         slot.state = SlotState::Parked;
         slot.daemon = daemon;
+        slot.tag = 0;
         slot.future = Some(wrapped);
         let armed = at > self.now();
         slot.armed = armed.then_some(at);
@@ -767,16 +820,20 @@ impl Sim {
     /// — no clone, no refcount. Anything else is cloned and woken
     /// dynamically, exactly as before.
     pub(crate) fn register_timer(&self, deadline: SimTime, waker: &Waker) {
-        match self.inner.current_poll.get() {
-            Some((id, data)) if std::ptr::eq(data, waker.data()) => {
-                self.register_task_timer(deadline, id)
-            }
-            _ => {
+        match self.polled_by(waker) {
+            Some(id) => self.register_task_timer(deadline, id),
+            None => {
                 let seq = self.next_timer_seq();
                 let entry = TimerEntry::foreign(deadline, seq, waker.clone());
                 self.inner.timers.borrow_mut().push(Reverse(entry));
             }
         }
+    }
+
+    /// The polled task, when `waker` is its own waker.
+    fn polled_by(&self, waker: &Waker) -> Option<TaskId> {
+        let p = self.inner.current_poll.get()?;
+        std::ptr::eq(p.waker_data, waker.data()).then_some(p.id)
     }
 
     fn register_task_timer(&self, deadline: SimTime, id: TaskId) {
@@ -944,17 +1001,11 @@ impl Sim {
     }
 
     /// The polled task, when `waker` is its own waker and no multi-child
-    /// combinator is stepping children with it: a timer tagged for that
+    /// combinator is stepping children with it: a timer marked for that
     /// task then resumes exactly the await that registered it.
     fn own_task(&self, waker: &Waker) -> Option<TaskId> {
-        match self.inner.current_poll.get() {
-            Some((id, data))
-                if std::ptr::eq(data, waker.data()) && RUN_AHEAD_BARRIERS.with(Cell::get) == 0 =>
-            {
-                Some(id)
-            }
-            _ => None,
-        }
+        self.polled_by(waker)
+            .filter(|_| RUN_AHEAD_BARRIERS.with(Cell::get) == 0)
     }
 
     /// Returns a future that waits `period` at a time until a wait ends
@@ -1000,11 +1051,7 @@ impl Sim {
         }
         // Only the polled task's own waker is resumed by continuing this
         // poll (the identity check `register_timer` uses).
-        let own = matches!(
-            inner.current_poll.get(),
-            Some((_, data)) if std::ptr::eq(data, waker.data())
-        );
-        if !own
+        if self.polled_by(waker).is_none()
             // The loop stops at the limit instead of advancing past it.
             || deadline > inner.limit.get()
             // With no live task left (a daemon polled after the last one
@@ -1039,7 +1086,7 @@ impl Sim {
         // Copy out the raw future pointers and the waker's data pointer,
         // then poll in place: the future payload is heap-pinned, so the
         // slot vector is free to grow (nested spawns) during the poll.
-        let (fut_ptr, poll_fn, waker_data, daemon) = {
+        let (fut_ptr, poll_fn, waker_data, daemon, tag) = {
             let mut slots = self.inner.slots.borrow_mut();
             let slot = match slots.get_mut(id.slot()) {
                 Some(s) => s,
@@ -1058,21 +1105,22 @@ impl Sim {
             }
             let f = slot.future.as_ref().expect("parked slot without future");
             let w = slot.waker.as_ref().expect("parked slot without waker");
-            (f.block.ptr, f.poll_fn, w.data(), slot.daemon)
+            (f.block.ptr, f.poll_fn, w.data(), slot.daemon, slot.tag)
         };
 
-        self.inner
-            .events_processed
-            .set(self.inner.events_processed.get() + 1);
         // Cleared by the guard even if the poll panics, so a dangling data
         // pointer can never match a later registration.
-        struct ClearPoll<'a>(&'a Cell<Option<(TaskId, *const ())>>);
+        struct ClearPoll<'a>(&'a Cell<Option<CurrentPoll>>);
         impl Drop for ClearPoll<'_> {
             fn drop(&mut self) {
                 self.0.set(None);
             }
         }
-        self.inner.current_poll.set(Some((id, waker_data)));
+        self.inner.current_poll.set(Some(CurrentPoll {
+            id,
+            waker_data,
+            tag,
+        }));
         let _clear = ClearPoll(&self.inner.current_poll);
         // A borrowed view of the slot's waker: same block, no refcount
         // traffic, never dropped (the slot keeps the owning reference).
@@ -1092,6 +1140,10 @@ impl Sim {
             slot.state == SlotState::Running && slot.generation == id.generation(),
             "slot changed while task was running"
         );
+        // Counted under the tag the task holds now: a first poll that
+        // tagged the task counts as the tagged task's.
+        let polls = &self.inner.polls[slot.tag as usize % TAG_CLASSES];
+        polls.set(polls.get() + 1);
         if done {
             slot.state = SlotState::Free;
             slot.generation = id.generation().wrapping_add(1);
@@ -1125,10 +1177,10 @@ impl Sim {
         loop {
             // Drain everything runnable at the current instant.
             while let Some(id) = self.inner.ready.pop() {
-                match id.tag() {
+                match id.mark() {
                     0 => self.poll_task(id),
-                    ARMED => self.fire_arm(id.untagged()),
-                    _ => self.fire_idle_tick(id.untagged()),
+                    ARMED => self.fire_arm(id.unmarked()),
+                    _ => self.fire_idle_tick(id.unmarked()),
                 }
             }
 
@@ -1186,7 +1238,7 @@ impl Sim {
     fn report(&self, hit_limit: bool) -> RunReport {
         RunReport {
             end_time: self.now(),
-            events: self.inner.events_processed.get(),
+            events: self.events_processed(),
             live_tasks: self.inner.live_tasks.get(),
             hit_time_limit: hit_limit,
         }

@@ -21,6 +21,9 @@
 //!   with work: the run loop checks for work where the task's poll would
 //!   have run and re-arms an idle tick without polling the task.
 //! - [`oneshot`] and [`JoinHandle`] — completion signalling.
+//! - [`Sim::tag_current`] — one tag word per task, read during its polls
+//!   as [`Sim::current_tag`]; [`Sim::polls_by_tag`] counts polls by the
+//!   tag's class.
 //!
 //! Determinism: the executor is single-threaded, the ready queue is FIFO,
 //! timers fire in (deadline, registration order), and resources grant in
@@ -58,10 +61,12 @@ mod idle_ticks_tests;
 #[cfg(test)]
 mod run_ahead_tests;
 #[cfg(test)]
+mod tag_tests;
+#[cfg(test)]
 mod wake_at_tests;
 
 pub use completion::{CompletionSet, WaitAll};
-pub use executor::{IdleTicks, JoinHandle, RunError, RunReport, Sim};
+pub use executor::{IdleTicks, JoinHandle, RunError, RunReport, Sim, TAG_CLASSES};
 pub use resource::{GrantHook, PlainWake, Resource, ResourceGuard};
 pub use sync::{oneshot, OneshotReceiver, OneshotSender, RecvError};
 pub use time::SimTime;
