@@ -29,6 +29,12 @@
 //! times are drawn in FIFO grant order inside a deterministic DES, and the
 //! queue is strict FIFO — the same configuration and trace always produce
 //! the same device timings (asserted by `tests/sweep_determinism.rs`).
+//!
+//! Hand-over: a single command that waits for a slot draws its service
+//! time in the NCQ's grant hook, at its task's place in the ready queue
+//! (where its own poll would have drawn it), and its task is armed for
+//! the end of the service instead of being polled to start a sleep
+//! (PERF.md invariant 17).
 
 use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
@@ -39,7 +45,7 @@ use std::task::{Context, Poll};
 
 use fcache_des::executor::Sleep;
 use fcache_des::resource::Acquire;
-use fcache_des::{CompletionSet, Resource, ResourceGuard, Sim, SimTime};
+use fcache_des::{CompletionSet, GrantHook, GrantPlace, Resource, ResourceGuard, Sim, SimTime};
 use fcache_device::{IoDirection, IoLog, SsdModel, WindowAcc, WindowStat};
 use fcache_types::{BlockAddr, FaultEffect, FaultSchedule, HostId, Phase};
 use rand::rngs::SmallRng;
@@ -96,13 +102,78 @@ struct DevFaults {
 struct SsdQueue {
     /// Bounded service slots: up to `depth` commands in service at once,
     /// FIFO admission beyond that.
-    slots: Resource,
+    slots: Resource<Ncq>,
     depth: usize,
+    dev: Rc<SsdDevice>,
+}
+
+/// The behavioral model and what its draws feed.
+struct SsdDevice {
     model: RefCell<SsdModel>,
     stats: DeviceStats,
     /// Figure-1-style per-window averages; `None` when
     /// [`crate::SimConfig::device_window`] is 0.
     windows: Option<RefCell<WindowAcc>>,
+}
+
+impl SsdDevice {
+    /// Draws one command's service time, scaled by the fault multiplier,
+    /// and records it.
+    fn serve(&self, dir: IoDirection, lba: u64, scale: f64) -> SimTime {
+        let t = {
+            let mut m = self.model.borrow_mut();
+            match dir {
+                IoDirection::Read => m.read(lba),
+                IoDirection::Write => m.write(lba),
+            }
+        };
+        let t = DeviceService::inflate(t, scale);
+        self.stats.note_complete(dir, t);
+        if let Some(acc) = &self.windows {
+            acc.borrow_mut().record(dir, t);
+        }
+        t
+    }
+}
+
+/// One single command's service, as its grant draws it.
+struct Draw {
+    dir: IoDirection,
+    lba: u64,
+    scale: f64,
+}
+
+/// The NCQ's grant hook. A single command draws its service at its grant,
+/// moves its op's span to `DeviceService` there, and holds its slot until
+/// the service ends, armed when granted by a release. A command of a
+/// batch draws in its task's poll instead ([`SsdQueue::step`]): the
+/// batch's other commands share that poll.
+struct Ncq {
+    dev: Rc<SsdDevice>,
+    telemetry: Option<Rc<TelemetryCtx>>,
+}
+
+impl GrantHook for Ncq {
+    /// A single command's draw; `None` for a command of a batch.
+    type Request = Option<Draw>;
+    /// The single command's sleep to the end of its service.
+    type Outcome = Option<Sleep>;
+
+    fn grant(&mut self, req: Option<Draw>, place: &mut GrantPlace<'_>) -> Option<Sleep> {
+        let Draw { dir, lba, scale } = req?;
+        let t = self.dev.serve(dir, lba, scale);
+        let sim = place.sim();
+        enter(&self.telemetry, sim, Phase::DeviceService);
+        // A zero service time ends at once: the grantee is polled.
+        Some(place.sleep_until(sim.now() + t))
+    }
+}
+
+/// Moves the polled op thread's span to `phase` (see `HostCtx::enter`).
+fn enter(telemetry: &Option<Rc<TelemetryCtx>>, sim: &Sim, phase: Phase) {
+    if let Some(t) = telemetry {
+        t.update_span(sim, |sp| sp.enter(sim.now(), phase));
+    }
 }
 
 /// Device-level counters (SSD mode only; flat mode records nothing so the
@@ -259,6 +330,18 @@ impl DeviceService {
     /// tier and derives the per-host device seed; flat mode stores the two
     /// effective `FlashModel` latencies and nothing else.
     pub fn new(sim: Sim, cfg: &SimConfig, host: HostId, iolog: IoLog) -> Self {
+        Self::with_telemetry(sim, cfg, host, iolog, None)
+    }
+
+    /// [`Self::new`], attributing device time to the spans of
+    /// `telemetry`.
+    pub(crate) fn with_telemetry(
+        sim: Sim,
+        cfg: &SimConfig,
+        host: HostId,
+        iolog: IoLog,
+        telemetry: Option<Rc<TelemetryCtx>>,
+    ) -> Self {
         let ssd = match &cfg.flash_timing {
             FlashTiming::Flat => None,
             FlashTiming::Ssd(sc) => {
@@ -268,13 +351,20 @@ impl DeviceService {
                 }
                 let sc = sc.for_host(cfg.seed, host.0);
                 let depth = sc.queue_depth.max(1);
-                Some(SsdQueue {
-                    slots: Resource::new(depth),
-                    depth,
+                let dev = Rc::new(SsdDevice {
                     model: RefCell::new(SsdModel::new(sc)),
                     stats: DeviceStats::default(),
                     windows: (cfg.device_window > 0)
                         .then(|| RefCell::new(WindowAcc::new(cfg.device_window))),
+                });
+                let ncq = Ncq {
+                    dev: Rc::clone(&dev),
+                    telemetry: telemetry.clone(),
+                };
+                Some(SsdQueue {
+                    slots: Resource::with_hook(&sim, depth, ncq),
+                    depth,
+                    dev,
                 })
             }
         };
@@ -293,21 +383,13 @@ impl DeviceService {
                 queued: Cell::new(0),
                 retries: Cell::new(0),
             },
-            telemetry: None,
+            telemetry,
         }
-    }
-
-    /// Attributes device time to the spans of `telemetry` (builder style).
-    pub(crate) fn with_telemetry(mut self, telemetry: Option<Rc<TelemetryCtx>>) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Moves the polled op thread's span to `phase` (see `HostCtx::enter`).
     fn enter(&self, phase: Phase) {
-        if let Some(t) = &self.telemetry {
-            t.update_span(&self.sim, |sp| sp.enter(self.sim.now(), phase));
-        }
+        enter(&self.telemetry, &self.sim, phase);
     }
 
     /// Sets the device fault schedule (builder style) and seeds its error
@@ -522,8 +604,15 @@ impl DeviceService {
     pub fn stats(&self) -> DeviceStatsSnapshot {
         self.ssd
             .as_ref()
-            .map(|q| q.stats.snapshot())
+            .map(|q| q.dev.stats.snapshot())
             .unwrap_or_default()
+    }
+
+    /// Commands so far whose task the NCQ's grant armed (each a poll it
+    /// did not take); 0 in flat mode. Not reset at warmup's end.
+    #[cfg(test)]
+    pub(crate) fn armed_grants(&self) -> u64 {
+        self.ssd.as_ref().map_or(0, |q| q.slots.armed_grants())
     }
 
     /// Zeroes the service counters (warmup reset). Device *physical* state
@@ -531,7 +620,7 @@ impl DeviceService {
     /// window series: device conditioning is the point of measuring it.
     pub fn reset_stats(&self) {
         if let Some(q) = &self.ssd {
-            q.stats.reset();
+            q.dev.stats.reset();
         }
     }
 
@@ -539,7 +628,7 @@ impl DeviceService {
     /// (including a partial final window). `None` unless SSD mode with a
     /// nonzero [`crate::SimConfig::device_window`].
     pub fn take_windows(&self) -> Option<Vec<WindowStat>> {
-        Some(self.ssd.as_ref()?.windows.as_ref()?.borrow_mut().take())
+        Some(self.ssd.as_ref()?.dev.windows.as_ref()?.borrow_mut().take())
     }
 }
 
@@ -549,22 +638,25 @@ impl SsdQueue {
         (self.depth - self.slots.available()) as u64 + self.slots.queue_len() as u64
     }
 
-    /// Services one command by polling [`Self::step`] directly: it
-    /// records occupancy, waits FIFO for a service slot, draws the service
-    /// time from the behavioral model (in grant order, so draws are
-    /// deterministic), and holds the slot for exactly that long. Not
-    /// through `wait_all`, whose run-ahead barrier would keep the sleep
-    /// from resuming inline (PERF.md invariant 16).
+    /// Services one command: records occupancy, waits FIFO for a service
+    /// slot, and holds it for the service time the grant draws from the
+    /// behavioral model (in grant order, so draws are deterministic).
+    /// Awaited directly, not through `wait_all`, whose run-ahead barrier
+    /// would keep the sleep from resuming inline (PERF.md invariant 16).
     async fn service(&self, dev: &DeviceService, dir: IoDirection, lba: u64, scale: f64) {
-        let mut cmd = Cmd::New(lba);
-        let mut ctx = BatchCtx {
-            dev,
-            dir,
-            scale,
-            left: 1,
-        };
         dev.enter(Phase::FlashQueue);
-        std::future::poll_fn(|cx| self.step(&mut cmd, cx, &mut ctx)).await;
+        self.note_submit();
+        let (_slot, service) = self
+            .slots
+            .acquire_with(Some(Draw { dir, lba, scale }))
+            .await;
+        service.expect("a single command draws at its grant").await;
+    }
+
+    /// Records the queue occupancy a submission finds, before it enters.
+    fn note_submit(&self) {
+        let waited = self.slots.available() == 0 || self.slots.queue_len() > 0;
+        self.dev.stats.note_submit(self.inflight(), waited);
     }
 
     /// Submits every command of one op's batch into the NCQ at once and
@@ -585,6 +677,9 @@ impl SsdQueue {
     /// Span attribution: the op is in `FlashQueue` from batch submission
     /// until its last command is admitted and drawn, then `DeviceService`
     /// until the last completion.
+    ///
+    /// A batch's commands draw in the task's poll, not at their grants:
+    /// one poll steps every command, so the task is never armed.
     async fn service_batch(
         &self,
         dev: &DeviceService,
@@ -612,33 +707,21 @@ impl SsdQueue {
         }
     }
 
-    /// Advances one command as far as it can go: record occupancy and
-    /// queue for a slot, then draw the service time once granted, then
-    /// hold the slot for that long. The batch's last draw moves the op's
-    /// span to `DeviceService`.
+    /// Advances one command of a batch as far as it can go: record
+    /// occupancy and queue for a slot, then draw the service time once
+    /// granted, then hold the slot for that long. The batch's last draw
+    /// moves the op's span to `DeviceService`.
     fn step(&self, cmd: &mut Cmd, cx: &mut Context<'_>, ctx: &mut BatchCtx<'_>) -> Poll<()> {
         let (dev, dir, scale) = (ctx.dev, ctx.dir, ctx.scale);
         if let Cmd::New(lba) = *cmd {
-            let waited = self.slots.available() == 0 || self.slots.queue_len() > 0;
-            self.stats.note_submit(self.inflight(), waited);
-            *cmd = Cmd::Queued(lba, self.slots.acquire());
+            self.note_submit();
+            *cmd = Cmd::Queued(lba, self.slots.acquire_with(None));
         }
         if let Cmd::Queued(lba, acquire) = cmd {
-            let Poll::Ready((slot, ())) = Pin::new(acquire).poll(cx) else {
+            let Poll::Ready((slot, _)) = Pin::new(acquire).poll(cx) else {
                 return Poll::Pending;
             };
-            let t = {
-                let mut m = self.model.borrow_mut();
-                match dir {
-                    IoDirection::Read => m.read(*lba),
-                    IoDirection::Write => m.write(*lba),
-                }
-            };
-            let t = DeviceService::inflate(t, scale);
-            self.stats.note_complete(dir, t);
-            if let Some(acc) = &self.windows {
-                acc.borrow_mut().record(dir, t);
-            }
+            let t = self.dev.serve(dir, *lba, scale);
             ctx.left -= 1;
             if ctx.left == 0 {
                 // The whole batch is in service; the op's remaining wait
@@ -655,7 +738,7 @@ impl SsdQueue {
                 return Poll::Pending;
             }
         }
-        // Releasing the slot wakes the next waiter before the batch
+        // Releasing the slot hands it to the next waiter before the batch
         // visits its next command.
         *cmd = Cmd::Done;
         Poll::Ready(())
@@ -676,9 +759,12 @@ enum Cmd {
     /// Submitted for this LBA, not yet at the queue.
     New(u64),
     /// Waiting FIFO for a service slot.
-    Queued(u64, Acquire),
+    Queued(u64, Acquire<Ncq>),
     /// Holding a slot for its drawn service time.
-    InService { _slot: ResourceGuard, sleep: Sleep },
+    InService {
+        _slot: ResourceGuard<Ncq>,
+        sleep: Sleep,
+    },
     /// Completed; its slot is released.
     Done,
 }
@@ -709,7 +795,7 @@ impl std::fmt::Debug for DeviceService {
         d.field("mode", if self.is_queued() { &"ssd" } else { &"flat" });
         if let Some(q) = &self.ssd {
             d.field("depth", &q.depth)
-                .field("model", &*q.model.borrow());
+                .field("model", &*q.dev.model.borrow());
         }
         d.finish()
     }

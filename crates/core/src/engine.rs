@@ -8,6 +8,7 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use fcache_cache::{InsertOutcome, Medium};
@@ -791,21 +792,21 @@ async fn hedged_exchange(
             .borrow_mut()
             .take()
             .unwrap_or_else(|| FaultError {
-                clause: format!("shard{first}:outage"),
+                clause: format!("shard{first}:outage").into(),
             })),
     }
 }
 
 /// The clause text of the outage open on `shard` at `now_ns` (for failure
 /// attribution when a miss fails fast).
-fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> String {
+fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> Arc<str> {
     r.store
         .faults(shard)
         .windows()
         .iter()
         .find(|w| w.kind == FaultKind::Outage && w.start_ns <= now_ns && now_ns < w.end_ns)
         .map(|w| w.clause.clone())
-        .unwrap_or_else(|| format!("shard{shard}:outage"))
+        .unwrap_or_else(|| format!("shard{shard}:outage").into())
 }
 
 /// Flushes one block from `tier` if it is still dirty there (it may have

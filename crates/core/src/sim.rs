@@ -277,13 +277,18 @@ fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<S
                 n_threads,
             ))
         });
-        let dev = DeviceService::new(sim.clone(), &cfg, HostId(i), iolog.clone())
-            .with_faults(
-                device.clone(),
-                mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
-                cfg.scaled_time(cfg.robustness.retry_base),
-            )
-            .with_telemetry(telemetry.clone());
+        let dev = DeviceService::with_telemetry(
+            sim.clone(),
+            &cfg,
+            HostId(i),
+            iolog.clone(),
+            telemetry.clone(),
+        )
+        .with_faults(
+            device.clone(),
+            mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
+            cfg.scaled_time(cfg.robustness.retry_base),
+        );
         hosts.push(Rc::new(HostCtx {
             id: HostId(i),
             sim: sim.clone(),
@@ -901,6 +906,54 @@ mod tests {
             assert_eq!(plain[class as usize], 0, "{class:?} in a plain run");
             assert!(remote[class as usize] > 0, "{class:?}");
         }
+    }
+
+    /// Replays perfbench's `hosts32-ssd-writes` at `seed` (32 hosts at
+    /// 1/256, each with its own 10 GB working set, 1 GB RAM and 8 GB
+    /// flash, half writes, SSD timing, streamed): the run's polls, its
+    /// armed entries, and the NCQ grants among them.
+    fn hosts32(seed: u64) -> (u64, u64, u64) {
+        use crate::FlashTiming;
+        use fcache_device::SsdConfig;
+        use fcache_types::ByteSize;
+        let cfg = SimConfig {
+            seed,
+            ram_size: ByteSize::gib(1),
+            flash_size: ByteSize::gib(8),
+            flash_timing: FlashTiming::Ssd(SsdConfig::auto()),
+            ..SimConfig::baseline()
+        }
+        .scaled_down(256);
+        let spec = WorkloadSpec {
+            working_set: ByteSize::gib(10),
+            write_fraction: 0.5,
+            hosts: 32,
+            ws_count: 32,
+            seed,
+            ..WorkloadSpec::default()
+        };
+        let wb = Workbench::new(256, seed);
+        let mut source = wb.make_stream(&spec);
+        let parts = build_parts(&cfg, source.meta().grid()).expect("builds");
+        let report = replay_on(&parts, &mut source).expect("runs");
+        let ncq: u64 = parts.hosts.iter().map(|h| h.dev.armed_grants()).sum();
+        (report.events, parts.sim.armed_by_tag().iter().sum(), ncq)
+    }
+
+    #[test]
+    fn hosts32_sheds_one_poll_per_armed_ncq_grant() {
+        // The run's polls while every queued SSD command was polled at its
+        // grant to draw its service and start its sleep (perfbench seed 1:
+        // 38.7575 polls/op over 188,872 ops).
+        const POLLED_GRANTS: u64 = 7_320_203;
+        let (polls, armed, ncq) = hosts32(1);
+        assert_eq!(ncq, 911_530);
+        assert_eq!(polls, POLLED_GRANTS - ncq);
+        // The wires' armed grants and armed spawns count there too.
+        assert!(
+            armed > ncq,
+            "{armed} armed entries, {ncq} of them NCQ grants"
+        );
     }
 
     /// Shard `k`'s filer draw seed in a `shards`-shard run seeded `run_seed`.

@@ -46,7 +46,10 @@ fn phase_sums_equal_latency_across_the_engine_matrix() {
     let trace = trace();
     // Every plane the attribution instrumentation touches: flat vs
     // queue-aware SSD timing, fault-free vs faulted, single-filer vs
-    // sharded with hedged reads.
+    // sharded with hedged reads. Fault windows lie in the measured half of
+    // each run (warmup ops carry no span), so their phases show: at 1/4096
+    // that half spans about 980-1960 s of paper time on a flat single-filer
+    // run and about 470-880 s on a sharded one.
     let cases: &[(&str, Shape)] = &[
         ("flat", |c| c),
         ("ssd", |c| SimConfig {
@@ -54,7 +57,7 @@ fn phase_sums_equal_latency_across_the_engine_matrix() {
             ..c
         }),
         ("faulted", |c| SimConfig {
-            fault_plan: FaultPlan::parse("filer:outage@40s-60s;device:err0.1@100s-200s")
+            fault_plan: FaultPlan::parse("filer:outage@1200s-1300s;device:err0.1@1100s-1500s")
                 .expect("spec"),
             ..c
         }),
@@ -62,7 +65,7 @@ fn phase_sums_equal_latency_across_the_engine_matrix() {
             shards: 4,
             replicas: 2,
             hedge: Some(SimTime::from_micros(200)),
-            fault_plan: FaultPlan::parse("shard1:outage@40s-60s").expect("spec"),
+            fault_plan: FaultPlan::parse("shard1:outage@700s-800s").expect("spec"),
             ..c
         }),
         ("ssd-faulted-sharded", |c| SimConfig {
@@ -70,11 +73,19 @@ fn phase_sums_equal_latency_across_the_engine_matrix() {
             shards: 4,
             replicas: 2,
             hedge: Some(SimTime::from_micros(200)),
-            fault_plan: FaultPlan::parse("shard1:outage@40s-60s;device:err0.1@100s-200s")
+            fault_plan: FaultPlan::parse("shard1:outage@700s-800s;device:err0.1@650s-900s")
                 .expect("spec"),
             ..c
         }),
     ];
+    // The phases each case must show beyond the ones every case does.
+    let shows = |name: &str| -> &[Phase] {
+        match name {
+            "faulted" => &[Phase::RetryBackoff, Phase::DegradedPark],
+            "sharded" | "ssd-faulted-sharded" => &[Phase::Net, Phase::Filer, Phase::Failover],
+            _ => &[],
+        }
+    };
     for (name, shape) in cases {
         let path = tmp(&format!("fcache_test_phases_{name}.jsonl"));
         // Shape the paper-scale config first so its fault windows scale
@@ -109,6 +120,13 @@ fn phase_sums_equal_latency_across_the_engine_matrix() {
         // every span; device service shows up whenever flash is hit.
         assert_eq!(t.phase_ops[Phase::CacheProbe.index()], t.spans, "{name}");
         assert!(t.phase_ns[Phase::DeviceService.index()] > 0, "{name}");
+        for p in shows(name) {
+            assert!(
+                t.phase_ns[p.index()] > 0,
+                "{name}: phase {} never entered",
+                p.label()
+            );
+        }
         // Windows tile the measured interval and tally every span.
         assert!(t.window_ns > 0, "{name}");
         assert_eq!(

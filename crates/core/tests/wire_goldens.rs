@@ -86,18 +86,18 @@ const PINS: &[Pin] = &[
     Pin { duplex: false, plan: OUTAGE, arch: Lookaside, hosts: 4, want: 0x3b316f145bfc1743, events: 55678 },
     Pin { duplex: false, plan: OUTAGE, arch: Unified, hosts: 1, want: 0xbf1b0f5ccab56fb9, events: 48639 },
     Pin { duplex: false, plan: OUTAGE, arch: Unified, hosts: 4, want: 0x37c98d638f3efe95, events: 55110 },
-    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 1, want: 0x87db26bcbe72304b, events: 61142 },
-    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 4, want: 0x501979ddcdab7369, events: 74191 },
-    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 1, want: 0x48a0e0816e1035c6, events: 44913 },
-    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 4, want: 0x5ec47395d92f2f73, events: 64318 },
-    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 1, want: 0xbc51e574649910c6, events: 53274 },
-    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 4, want: 0x8a7930c7b10fefbc, events: 64400 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 1, want: 0x022ef667bc04a0bc, events: 61189 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 4, want: 0x93910af223a56430, events: 73473 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 1, want: 0x29232bad1069ef33, events: 44942 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 4, want: 0x729cf203f7eaa760, events: 64134 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 1, want: 0x29f8406c884c4970, events: 53013 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 4, want: 0x05130e91acbc99a8, events: 64471 },
+    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 1, want: 0x87db26bcbe72304b, events: 52748 },
+    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 4, want: 0x501979ddcdab7369, events: 64411 },
+    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 1, want: 0x48a0e0816e1035c6, events: 36687 },
+    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 4, want: 0x5ec47395d92f2f73, events: 54590 },
+    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 1, want: 0xbc51e574649910c6, events: 44696 },
+    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 4, want: 0x8a7930c7b10fefbc, events: 54665 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 1, want: 0x022ef667bc04a0bc, events: 52762 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 4, want: 0x93910af223a56430, events: 63727 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 1, want: 0x29232bad1069ef33, events: 36774 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 4, want: 0x729cf203f7eaa760, events: 54304 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 1, want: 0x29f8406c884c4970, events: 44472 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 4, want: 0x05130e91acbc99a8, events: 54705 },
     Pin { duplex: true, plan: OUTAGE, arch: Naive, hosts: 1, want: 0x7df26bd942a7e629, events: 52460 },
     Pin { duplex: true, plan: OUTAGE, arch: Naive, hosts: 4, want: 0xb663dbf1dfa91857, events: 63330 },
     Pin { duplex: true, plan: OUTAGE, arch: Lookaside, hosts: 1, want: 0x534f9fc74bf5a88a, events: 36461 },

@@ -214,7 +214,7 @@ mod tests {
         let s = sim.clone();
         let order2 = Rc::clone(&order);
         sim.spawn(async move {
-            let res = Rc::new(Resource::new(1));
+            let res = Rc::new(Resource::new(&s, 1));
             let mut set = CompletionSet::<Boxed>::new();
             for i in 0..4u32 {
                 let res = Rc::clone(&res);

@@ -17,12 +17,14 @@
 //! order; only the poll count ([`RunReport::events`]) drops. The exact
 //! conditions are on [`Sleep`] (and PERF.md invariant 16).
 //!
-//! A task handed a resource whose hold time is known at the hand-over can
-//! be *armed* instead of woken ([`Sim::wake_at`]): it takes its place in
-//! the ready queue as a wake would, but when the loop reaches it, the loop
-//! registers the task's end-of-hold timer there, with the sequence number
-//! the task's own sleep would have drawn at that point, and does not poll
-//! it. The poll that would only have registered that timer is gone
+//! A [`crate::Resource`] that hands a released permit to a queued waiter
+//! queues a *grant entry* for the waiter's task where a wake would go.
+//! When the loop reaches it, it runs the resource's [`crate::GrantHook`]
+//! there, as the task, through a small side table. A hook that knows
+//! the grantee's hold time *arms* the task: the loop registers the task's
+//! end-of-hold timer there, with the sequence number the task's own sleep
+//! would have drawn at that point, and does not poll it. The poll that
+//! would only have drawn the hold and registered that timer is gone
 //! (PERF.md invariant 17).
 //!
 //! Each task carries one tag word ([`Sim::tag_current`]), read during its
@@ -43,6 +45,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
+use crate::resource::{GrantPlace, HandedGrants};
 use crate::sync::{oneshot, OneshotReceiver};
 use crate::time::SimTime;
 
@@ -64,11 +67,16 @@ impl TaskId {
         (self.0 >> 32) as u32
     }
 
-    /// The ready-queue entry of an armed wake ([`Sim::wake_at`]) or an
-    /// armed spawn ([`Sim::spawn_at`]): the id with [`ARMED`] set in its
-    /// slot half.
+    /// The ready-queue entry of an armed spawn ([`Sim::spawn_at`]): the id
+    /// with [`ARMED`] set in its slot half.
     fn armed(self) -> Self {
         Self(self.0 | ARMED)
+    }
+
+    /// The ready-queue entry of a grant handed to the task: the id with
+    /// [`GRANT`] set in its slot half.
+    fn grant(self) -> Self {
+        Self(self.0 | GRANT)
     }
 
     /// The timer and ready-queue entry of an idle tick
@@ -87,16 +95,18 @@ impl TaskId {
     }
 }
 
-/// Marks an armed ready-queue entry.
+/// Marks an armed spawn's ready-queue entry.
 const ARMED: u64 = 1 << 31;
 /// Marks an idle tick's timer and ready-queue entry.
 const IDLE_TICK: u64 = 1 << 30;
-/// Every mark bit. Slot indices stay far below 2^30.
-const MARKS: u64 = ARMED | IDLE_TICK;
+/// Marks a grant entry.
+const GRANT: u64 = 1 << 29;
+/// Every mark bit. Slot indices stay far below 2^29.
+const MARKS: u64 = ARMED | IDLE_TICK | GRANT;
 
 /// Number of task tag classes: a tag's class is `tag % TAG_CLASSES`, and
-/// [`Sim::polls_by_tag`] counts polls per class. The bits above the class
-/// are the tagger's own.
+/// [`Sim::polls_by_tag`] and [`Sim::armed_by_tag`] count per class. The
+/// bits above the class are the tagger's own.
 pub const TAG_CLASSES: usize = 16;
 
 /// A value of an erased type in a block from the thread-local layout pool
@@ -209,6 +219,54 @@ struct IdleTick {
     idle: IdlePred,
 }
 
+/// A grant handed to a task, waiting in [`SimInner::grants`] for the
+/// task's place: the resource that runs its hook, and the waiter slot.
+struct PendingGrant {
+    resource: Rc<dyn HandedGrants>,
+    waiter: u32,
+}
+
+/// The grants waiting for their grantees' places, in a slab whose
+/// entries are recycled: few wait at once, so it stays small however many
+/// tasks the simulation has.
+#[derive(Default)]
+struct Grants {
+    waiting: Vec<Option<PendingGrant>>,
+    free: Vec<u32>,
+}
+
+impl Grants {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            waiting: Vec::with_capacity(n),
+            free: Vec::with_capacity(n),
+        }
+    }
+
+    fn insert(&mut self, grant: PendingGrant) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.waiting[i as usize] = Some(grant);
+                i
+            }
+            None => {
+                self.waiting.push(Some(grant));
+                (self.waiting.len() - 1) as u32
+            }
+        }
+    }
+
+    fn take(&mut self, i: u32) -> PendingGrant {
+        self.free.push(i);
+        self.waiting[i as usize]
+            .take()
+            .expect("a slot's grant index names a waiting grant")
+    }
+}
+
+/// [`Slot::grant`] of a task no grant waits for.
+const NO_GRANT: u32 = u32::MAX;
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum SlotState {
     /// No task; `generation` is the next to assign and `waker` (if any) is
@@ -229,14 +287,17 @@ enum SlotState {
 struct Slot {
     state: SlotState,
     daemon: bool,
+    /// Index of the grant waiting for this task in [`SimInner::grants`],
+    /// or [`NO_GRANT`].
+    grant: u32,
     /// The task's tag ([`Sim::tag_current`]); 0 until the task sets one.
     tag: u32,
     /// Current generation while Parked/Running; next to assign while Free.
     generation: u32,
     future: Option<TaskFuture>,
     waker: Option<Waker>,
-    /// Deadline of a pending armed wake ([`Sim::wake_at`]) or armed
-    /// spawn ([`Sim::spawn_at`]) whose timer is not registered yet.
+    /// Deadline of a pending armed spawn ([`Sim::spawn_at`]) whose timer
+    /// is not registered yet.
     armed: Option<SimTime>,
 }
 
@@ -541,6 +602,11 @@ struct SimInner {
     timer_seq: Cell<u64>,
     /// Polls so far, by the polled task's tag class.
     polls: [Cell<u64>; TAG_CLASSES],
+    /// Armed entries so far, by the task's tag class.
+    armed: [Cell<u64>; TAG_CLASSES],
+    /// Grants waiting for their grantee's place, one per task at most.
+    /// Kept beside the slots so a slot stays small.
+    grants: RefCell<Grants>,
     /// Tasks parked in [`IdleTicks`], by slot index. Kept beside the slots
     /// so a slot stays small: few tasks tick.
     idle_ticks: RefCell<Vec<Option<IdleTick>>>,
@@ -565,6 +631,17 @@ struct CurrentPoll {
     id: TaskId,
     waker_data: *const (),
     tag: u32,
+}
+
+/// Sets the current-poll record back to what it was when dropped, even if
+/// the poll or hook in between panics, so a dangling waker data pointer
+/// can never match a later registration.
+struct RestorePoll<'a>(&'a Cell<Option<CurrentPoll>>, Option<CurrentPoll>);
+
+impl Drop for RestorePoll<'_> {
+    fn drop(&mut self) {
+        self.0.set(self.1);
+    }
 }
 
 thread_local! {
@@ -612,9 +689,9 @@ impl Default for Sim {
 impl Sim {
     /// Creates a fresh simulation with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        // Pre-size the timer heap and task slab: simulations register
-        // thousands of timers and tasks, and growth reallocations would
-        // land mid-run on the hot path.
+        // Pre-size the timer heap, the task slab and the grant table
+        // beside it: simulations register thousands of timers and tasks,
+        // and growth reallocations would land mid-run on the hot path.
         Self {
             inner: Rc::new(SimInner {
                 now: Cell::new(SimTime::ZERO),
@@ -625,6 +702,8 @@ impl Sim {
                 live_tasks: Cell::new(0),
                 timer_seq: Cell::new(0),
                 polls: Default::default(),
+                armed: Default::default(),
+                grants: RefCell::new(Grants::with_capacity(64)),
                 idle_ticks: RefCell::new(Vec::new()),
                 idle_rearms: Cell::new(0),
                 current_poll: Cell::new(None),
@@ -653,13 +732,27 @@ impl Sim {
         std::array::from_fn(|c| self.inner.polls[c].get())
     }
 
+    /// Armed entries so far by tag class, summing to the polls that
+    /// arming saved: grants whose hook armed the grantee
+    /// ([`crate::GrantPlace::sleep_until`]) and armed spawns
+    /// ([`Sim::spawn_at`]). Not polls: [`Sim::events_processed`] does not
+    /// count them. An armed spawn has not run yet, so it counts as
+    /// untagged.
+    pub fn armed_by_tag(&self) -> [u64; TAG_CLASSES] {
+        std::array::from_fn(|c| self.inner.armed[c].get())
+    }
+
+    fn count_armed(&self, tag: u32) {
+        let armed = &self.inner.armed[tag as usize % TAG_CLASSES];
+        armed.set(armed.get() + 1);
+    }
+
     /// The tag of the task being polled; 0 outside any poll and for a
     /// task that has not tagged itself.
     ///
     /// Whatever runs inside a poll reads the polled task's tag. A
-    /// [`crate::GrantHook::grant`] runs in the poll of the task releasing
-    /// the permit, so it reads the *releaser's* tag: a hook must never use
-    /// it to attribute work to the grantee.
+    /// [`crate::GrantHook::grant`] runs as its grantee, so it reads the
+    /// grantee's tag.
     pub fn current_tag(&self) -> u32 {
         self.inner.current_poll.get().map_or(0, |p| p.tag)
     }
@@ -715,9 +808,9 @@ impl Sim {
     /// Spawns a task whose first poll would only start a sleep until
     /// `deadline`: the same as spawning `async { sim.sleep_until(deadline)
     /// .await; future.await }`, minus that first poll. The task is queued
-    /// armed, as [`Sim::wake_at`] queues a wake; when the run loop reaches
-    /// the entry it registers the task's timer for `deadline` there, with
-    /// the sequence number the first poll's sleep would have drawn, and
+    /// armed, where a spawn queues it; when the run loop reaches the entry
+    /// it registers the task's timer for `deadline` there, with the
+    /// sequence number the first poll's sleep would have drawn, and
     /// `future` is first polled when that timer fires. A `deadline` not
     /// after now spawns the task plainly.
     pub fn spawn_at<F>(&self, deadline: SimTime, future: F) -> JoinHandle<F::Output>
@@ -760,6 +853,7 @@ impl Sim {
                 slots.push(Slot {
                     state: SlotState::Free,
                     daemon: false,
+                    grant: NO_GRANT,
                     tag: 0,
                     generation: 0,
                     future: None,
@@ -795,21 +889,14 @@ impl Sim {
 
     /// Returns a future that completes once the clock has advanced by `d`.
     pub fn sleep(&self, d: SimTime) -> Sleep {
-        Sleep {
-            sim: self.clone(),
-            deadline: self.now().checked_add(d).expect("simulated clock overflow"),
-            registered: false,
-        }
+        let deadline = self.now().checked_add(d).expect("simulated clock overflow");
+        Sleep::new(self.clone(), deadline, false)
     }
 
     /// Returns a future that completes when the clock reaches `deadline`
     /// (immediately if it already has).
     pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
-        Sleep {
-            sim: self.clone(),
-            deadline,
-            registered: false,
-        }
+        Sleep::new(self.clone(), deadline, false)
     }
 
     /// Registers `waker` to fire at `deadline`.
@@ -848,64 +935,52 @@ impl Sim {
         seq
     }
 
-    /// Arms the task of `waker` to resume at `deadline`: queues it as a
-    /// wake would, but when the run loop reaches that entry it registers
-    /// the task's timer for `deadline` (with the next registration
-    /// sequence number) instead of polling the task. Equivalent to waking
-    /// a task whose next poll would only start a [`Sim::sleep_until`] to
-    /// `deadline`, minus that poll.
+    /// Queues the grant of waiter slot `waiter` of `resource` for the task
+    /// of `waker`: a grant entry at this place in
+    /// the ready queue, where a wake would have gone. The run loop runs
+    /// the resource's hook there ([`Sim::fire_grant`]), or just before the
+    /// task's poll if something else polls it first.
     ///
-    /// The caller must know that this is all the task's next poll would
-    /// do. That holds when the woken future is the task's one pending
-    /// await. Futures that share the task's waker (as the entries of a
-    /// `WaitAll` do) may have other work at the wake's position, and
-    /// arming the task would skip it.
-    ///
-    /// Returns false and does nothing when `waker` is not a task waker of
-    /// this simulation, the task is not parked (running, finished, or a
-    /// stale generation), the task is already armed, or `deadline` is not
-    /// after the current instant. The caller then wakes the task normally.
-    ///
-    /// A task polled for another reason before the loop reaches its armed
-    /// entry gets its timer registered just before that poll, and the
-    /// armed entry then counts as a plain wake.
-    pub fn wake_at(&self, waker: &Waker, deadline: SimTime) -> bool {
-        if deadline <= self.now() {
-            return false;
-        }
-        self.with_parked(waker, |id, armed| {
-            if armed.is_some() {
-                return false;
-            }
-            *armed = Some(deadline);
-            self.inner.ready.push_owner(id.armed());
-            true
-        })
-        .unwrap_or(false)
-    }
-
-    /// Takes back an arm of [`Sim::wake_at`] whose reason is gone (the
-    /// grantee dropped the permit it was armed for): the task is woken
-    /// at once at the armed entry's place in the ready queue, as a plain
-    /// wake queued there would have woken it. When the loop has already
-    /// registered the armed timer, or `waker` is not a parked task of
-    /// this simulation, the task is woken now.
-    pub fn disarm(&self, waker: &Waker) {
-        let disarmed = self.with_parked(waker, |_, armed| armed.take().is_some());
-        if disarmed != Some(true) {
-            waker.wake_by_ref();
-        }
-    }
-
-    /// Runs `f` on the id and armed deadline of the parked task `waker`
-    /// wakes; `None` when `waker` is not a task waker of this simulation
-    /// or its task is not parked (running, finished, or a stale
-    /// generation).
-    fn with_parked<R>(
+    /// Returns false and queues nothing when `waker` is not a task waker
+    /// of this simulation, its task is not parked (running, finished, or
+    /// a stale generation), or the task already has a grant waiting; the
+    /// caller then wakes the task, and the hook runs in its poll.
+    pub(crate) fn queue_grant(
         &self,
         waker: &Waker,
-        f: impl FnOnce(TaskId, &mut Option<SimTime>) -> R,
-    ) -> Option<R> {
+        resource: Rc<dyn HandedGrants>,
+        waiter: u32,
+    ) -> bool {
+        let Some(id) = self.task_of(waker) else {
+            return false;
+        };
+        // Borrowed while `shutdown` drops task futures: no task is parked
+        // then.
+        let Ok(mut slots) = self.inner.slots.try_borrow_mut() else {
+            return false;
+        };
+        match slots.get_mut(id.slot()) {
+            Some(slot)
+                if slot.state == SlotState::Parked
+                    && slot.generation == id.generation()
+                    && slot.grant == NO_GRANT =>
+            {
+                slot.grant = self
+                    .inner
+                    .grants
+                    .borrow_mut()
+                    .insert(PendingGrant { resource, waiter });
+            }
+            _ => return false,
+        }
+        drop(slots);
+        self.inner.ready.push_owner(id.grant());
+        true
+    }
+
+    /// The task `waker` wakes, when it is a task waker of this
+    /// simulation.
+    fn task_of(&self, waker: &Waker) -> Option<TaskId> {
         if !std::ptr::eq(waker.vtable(), &WAKER_VTABLE) {
             return None;
         }
@@ -913,36 +988,91 @@ impl Sim {
         // `new_task_waker` over a live `WakerBlock` (the waker holds a
         // reference to it).
         let b = unsafe { &*(waker.data() as *const WakerBlock) };
-        if !Arc::ptr_eq(&b.ready, &self.inner.ready) {
-            return None;
-        }
-        let id = TaskId(b.id.load(Ordering::Relaxed));
-        // Borrowed while `shutdown` drops task futures: no task is parked
-        // then.
-        let mut slots = self.inner.slots.try_borrow_mut().ok()?;
-        let slot = slots.get_mut(id.slot())?;
-        (slot.state == SlotState::Parked && slot.generation == id.generation())
-            .then(|| f(id, &mut slot.armed))
+        Arc::ptr_eq(&b.ready, &self.inner.ready).then(|| TaskId(b.id.load(Ordering::Relaxed)))
     }
 
-    /// Handles an armed ready-queue entry: registers the task's timer, or
-    /// polls it as a plain wake when an earlier poll already registered
-    /// that timer.
-    fn fire_arm(&self, id: TaskId) {
-        let armed = {
+    /// Takes the waiting grant at index `grant`.
+    fn take_grant(&self, grant: u32) -> PendingGrant {
+        self.inner.grants.borrow_mut().take(grant)
+    }
+
+    /// Runs the hook of `grant` as the task `current`: returns the
+    /// deadline it armed, which only a place where the loop can register
+    /// the timer instead of a poll (`armable`) allows.
+    fn run_grant(
+        &self,
+        grant: PendingGrant,
+        current: CurrentPoll,
+        armable: bool,
+    ) -> Option<SimTime> {
+        let prev = self.inner.current_poll.replace(Some(current));
+        let _restore = RestorePoll(&self.inner.current_poll, prev);
+        let mut place = GrantPlace::new(self, armable);
+        grant.resource.run_grant(grant.waiter, &mut place);
+        place.armed()
+    }
+
+    /// Handles a grant entry at the grantee's place: runs the hook as the
+    /// task, then registers the task's timer if the hook armed it, and
+    /// polls it otherwise. A grant that an earlier poll already ran leaves
+    /// a plain wake.
+    fn fire_grant(&self, id: TaskId) {
+        let (grant, current) = {
             let mut slots = self.inner.slots.borrow_mut();
             match slots.get_mut(id.slot()) {
                 Some(slot)
                     if slot.state == SlotState::Parked && slot.generation == id.generation() =>
                 {
-                    slot.armed.take()
+                    let grant = std::mem::replace(&mut slot.grant, NO_GRANT);
+                    if grant == NO_GRANT {
+                        drop(slots);
+                        return self.poll_task(id);
+                    }
+                    let current = CurrentPoll {
+                        id,
+                        waker_data: slot
+                            .waker
+                            .as_ref()
+                            .expect("parked slot without waker")
+                            .data(),
+                        tag: slot.tag,
+                    };
+                    (grant, current)
+                }
+                // Stale: the task finished or the simulation shut down.
+                _ => return,
+            }
+        };
+        match self.run_grant(self.take_grant(grant), current, true) {
+            Some(deadline) => {
+                self.register_task_timer(deadline, id);
+                self.count_armed(current.tag);
+            }
+            None => self.poll_task(id),
+        }
+    }
+
+    /// Handles an armed spawn's ready-queue entry: registers the task's
+    /// timer, or polls it as a plain wake when an earlier poll already
+    /// registered that timer.
+    fn fire_arm(&self, id: TaskId) {
+        let (armed, tag) = {
+            let mut slots = self.inner.slots.borrow_mut();
+            match slots.get_mut(id.slot()) {
+                Some(slot)
+                    if slot.state == SlotState::Parked && slot.generation == id.generation() =>
+                {
+                    (slot.armed.take(), slot.tag)
                 }
                 // Stale: the task finished or the simulation shut down.
                 _ => return,
             }
         };
         match armed {
-            Some(deadline) => self.register_task_timer(deadline, id),
+            Some(deadline) => {
+                self.register_task_timer(deadline, id);
+                self.count_armed(tag);
+            }
             None => self.poll_task(id),
         }
     }
@@ -1018,9 +1148,9 @@ impl Sim {
     /// 18). [`Sim::idle_rearms`] counts those ticks.
     ///
     /// `idle` must be pure: a read of state, called at those places
-    /// instead of inside the task. Like [`Sim::wake_at`], the ticks must
-    /// be the task's one pending await, since an idle tick skips the
-    /// task's whole poll. Polled with a waker other than the task's own,
+    /// instead of inside the task. Like an armed grant, the ticks must be
+    /// the task's one pending await, since an idle tick skips the task's
+    /// whole poll. Polled with a waker other than the task's own,
     /// or inside [`crate::CompletionSet::wait_all`], the future runs the
     /// plain loop instead.
     ///
@@ -1086,7 +1216,7 @@ impl Sim {
         // Copy out the raw future pointers and the waker's data pointer,
         // then poll in place: the future payload is heap-pinned, so the
         // slot vector is free to grow (nested spawns) during the poll.
-        let (fut_ptr, poll_fn, waker_data, daemon, tag) = {
+        let (fut_ptr, poll_fn, waker_data, daemon, tag, grant) = {
             let mut slots = self.inner.slots.borrow_mut();
             let slot = match slots.get_mut(id.slot()) {
                 Some(s) => s,
@@ -1103,25 +1233,32 @@ impl Sim {
                 // stands for must exist before the task looks for it.
                 self.register_task_timer(deadline, id);
             }
+            let grant = std::mem::replace(&mut slot.grant, NO_GRANT);
             let f = slot.future.as_ref().expect("parked slot without future");
             let w = slot.waker.as_ref().expect("parked slot without waker");
-            (f.block.ptr, f.poll_fn, w.data(), slot.daemon, slot.tag)
+            (
+                f.block.ptr,
+                f.poll_fn,
+                w.data(),
+                slot.daemon,
+                slot.tag,
+                grant,
+            )
         };
 
-        // Cleared by the guard even if the poll panics, so a dangling data
-        // pointer can never match a later registration.
-        struct ClearPoll<'a>(&'a Cell<Option<CurrentPoll>>);
-        impl Drop for ClearPoll<'_> {
-            fn drop(&mut self) {
-                self.0.set(None);
-            }
-        }
-        self.inner.current_poll.set(Some(CurrentPoll {
+        let current = CurrentPoll {
             id,
             waker_data,
             tag,
-        }));
-        let _clear = ClearPoll(&self.inner.current_poll);
+        };
+        if grant != NO_GRANT {
+            // Polled ahead of its grant entry: the hook runs first, as the
+            // task, and the entry becomes a plain wake. The task is polled
+            // now, so nothing is armed.
+            self.run_grant(self.take_grant(grant), current, false);
+        }
+        self.inner.current_poll.set(Some(current));
+        let _clear = RestorePoll(&self.inner.current_poll, None);
         // A borrowed view of the slot's waker: same block, no refcount
         // traffic, never dropped (the slot keeps the owning reference).
         let waker =
@@ -1179,6 +1316,7 @@ impl Sim {
             while let Some(id) = self.inner.ready.pop() {
                 match id.mark() {
                     0 => self.poll_task(id),
+                    GRANT => self.fire_grant(id.unmarked()),
                     ARMED => self.fire_arm(id.unmarked()),
                     _ => self.fire_idle_tick(id.unmarked()),
                 }
@@ -1250,10 +1388,13 @@ impl Sim {
     /// executor and task futures that captured `Sim` clones.
     pub fn shutdown(&self) {
         self.inner.timers.borrow_mut().clear();
-        // Idle predicates hold what they read (an engine host): dropped
-        // here, before the futures that registered them.
+        // Idle predicates hold what they read (an engine host), and
+        // waiting grants their resource: dropped here, unrun, before the
+        // futures that registered them.
         let idle = std::mem::take(&mut *self.inner.idle_ticks.borrow_mut());
         drop(idle);
+        let grants = std::mem::take(&mut *self.inner.grants.borrow_mut());
+        drop(grants);
         let mut slots = self.inner.slots.borrow_mut();
         let any_running = slots.iter().any(|s| s.state == SlotState::Running);
         for slot in slots.iter_mut() {
@@ -1262,6 +1403,7 @@ impl Sim {
                 slot.future = None;
                 slot.waker = None;
                 slot.armed = None;
+                slot.grant = NO_GRANT;
             }
         }
         // A task calling `shutdown` from inside its own poll must not free
@@ -1338,10 +1480,30 @@ impl std::error::Error for RunError {}
 ///   stepping children with this context.
 ///
 /// Otherwise it registers a timer and parks, as any sleep did before.
+///
+/// A sleep that a grant hook armed ([`crate::GrantPlace::sleep_until`])
+/// starts with its timer already registered, and only waits for it.
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
     registered: bool,
+}
+
+impl Sleep {
+    /// A sleep until `deadline`, whose timer is already registered when
+    /// `registered` is set.
+    pub(crate) fn new(sim: Sim, deadline: SimTime, registered: bool) -> Self {
+        Self {
+            sim,
+            deadline,
+            registered,
+        }
+    }
+
+    /// The instant the sleep ends.
+    pub fn deadline(&self) -> SimTime {
+        self.deadline
+    }
 }
 
 impl Future for Sleep {

@@ -211,7 +211,7 @@ fn execute(p: &Program, mode: Mode) -> (Observed, Cost) {
     let w = World {
         sim: sim.clone(),
         mode,
-        res: Rc::new(Resource::new(1)),
+        res: Rc::new(Resource::new(&sim, 1)),
         work: Rc::new(p.tickers.iter().map(|_| Cell::new(0)).collect()),
         log: Rc::new(RefCell::new(Vec::new())),
         next_tag: Rc::new(Cell::new(0)),

@@ -11,12 +11,11 @@
 //! - [`Sim::sleep`] — model a service latency (device access, wire time).
 //! - [`Resource`] — a FIFO counting semaphore used to model contention
 //!   points: the SSD's command-queue slots and each network channel. A
-//!   [`GrantHook`] runs on the waiter's request in the poll that grants
-//!   it, and may arm the grantee instead of waking it.
-//! - [`Sim::wake_at`] — hand a parked task a hold whose end is already
-//!   known: the run loop registers its timer where the task sits in the
-//!   ready queue, without polling it. [`Sim::spawn_at`] does the same for
-//!   a new task whose first act would be a sleep.
+//!   [`GrantHook`] runs on the waiter's request at the grantee's place in
+//!   the ready queue, as the grantee, and may arm it: when the hold's end
+//!   is known there, the run loop registers the grantee's timer instead
+//!   of polling it. [`Sim::spawn_at`] does the same for a new task whose
+//!   first act would be a sleep; [`Sim::armed_by_tag`] counts both.
 //! - [`Sim::idle_ticks`] — a periodic wait that ends at the first tick
 //!   with work: the run loop checks for work where the task's poll would
 //!   have run and re-arms an idle tick without polling the task.
@@ -30,7 +29,7 @@
 //! strict FIFO order. Two runs of the same program produce identical event
 //! orders and identical clock readings. A sleep whose wake is provably the
 //! next event resumes inline, within the poll that slept, and an armed
-//! wake registers a timer instead of polling a task that would only have
+//! grant registers a timer instead of polling a task that would only have
 //! registered it; both save a poll and change no event order or clock
 //! reading.
 //!
@@ -57,6 +56,8 @@ pub mod sync;
 pub mod time;
 
 #[cfg(test)]
+mod grant_place_tests;
+#[cfg(test)]
 mod idle_ticks_tests;
 #[cfg(test)]
 mod run_ahead_tests;
@@ -67,6 +68,6 @@ mod wake_at_tests;
 
 pub use completion::{CompletionSet, WaitAll};
 pub use executor::{IdleTicks, JoinHandle, RunError, RunReport, Sim, TAG_CLASSES};
-pub use resource::{GrantHook, PlainWake, Resource, ResourceGuard};
+pub use resource::{GrantHook, GrantPlace, PlainWake, Resource, ResourceGuard};
 pub use sync::{oneshot, OneshotReceiver, OneshotSender, RecvError};
 pub use time::SimTime;

@@ -6,10 +6,14 @@
 //! service in submission order.
 //!
 //! A waiter carries a request value, and the resource's [`GrantHook`]
-//! runs on it in the poll that grants the permit. The default hook,
-//! [`PlainWake`], carries nothing and wakes the grantee; a network
-//! segment's hook fixes the packet's wire time and arms the grantee's
-//! timer for its end instead (see `fcache_net`).
+//! runs on it once per grant, at the grantee's place: where a plain wake
+//! would have polled the grantee, as the grantee. There the hook may arm
+//! the grantee's timer for the end of its hold instead of having it
+//! polled ([`GrantPlace::sleep_until`]). The default hook, [`PlainWake`],
+//! carries nothing and has the grantee polled; a network segment's hook
+//! draws the packet's fault effect and arms the end of its wire time, and
+//! the SSD queue's hook draws a command's service time and arms its end
+//! (see `fcache_net` and `fcache::devsvc`).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -20,39 +24,87 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+use crate::executor::Sleep;
+use crate::{Sim, SimTime};
+
 /// What a [`Resource`] does with a waiter's request when it grants the
 /// waiter a permit.
 ///
-/// [`grant`](GrantHook::grant) runs once per grant, in FIFO order, in the
-/// poll that grants: the acquirer's own poll when a permit is free, or
-/// the releasing poll when the permit is handed to the head waiter. It
-/// returns the outcome the grantee's acquire resolves with, and whether
-/// it armed the grantee with [`Sim::wake_at`](crate::Sim::wake_at). An
-/// armed grantee is not woken; arming is exact only when the acquire is
-/// the grantee task's one pending await. `wake_at` refuses the running
-/// task, so an immediate grant is never armed.
-pub trait GrantHook {
+/// [`grant`](GrantHook::grant) runs once per grant, in FIFO grant order
+/// per resource, always as the grantee ([`Sim::current_tag`] reads the
+/// grantee's tag):
+/// - for a free permit, in the acquirer's own poll;
+/// - for a permit a release hands to the head waiter, at the grantee's
+///   place in the ready queue, where the wake the release queued would
+///   have polled it: the run loop runs the hook there, or just before the
+///   grantee's poll when something else polls it first;
+/// - for a handed permit whose grantee cannot take a place (polled with a
+///   foreign waker, running, or with another grant waiting), in the poll
+///   that sees the permit: the release wakes it.
+///
+/// So the hook does what the grantee's poll would have done on seeing its
+/// permit, at the same point of the run. It must not touch its own
+/// resource.
+pub trait GrantHook: 'static {
     /// What a waiter carries.
-    type Request;
+    type Request: 'static;
     /// What the grantee receives with its permit.
-    type Outcome;
+    type Outcome: 'static;
 
-    /// Grants a permit to the waiter of `req`, whose task `waker` wakes.
-    fn grant(&mut self, req: Self::Request, waker: &Waker) -> (Self::Outcome, bool);
+    /// Grants a permit to the waiter of `req` at `place`.
+    fn grant(&mut self, req: Self::Request, place: &mut GrantPlace<'_>) -> Self::Outcome;
+}
 
-    /// Takes back an arm of [`grant`](GrantHook::grant) whose grantee
-    /// dropped its acquire before observing the permit (which passes on
-    /// to the next waiter). Its task must then be woken as an unarmed
-    /// grantee was; a hook that arms with `wake_at` calls
-    /// [`Sim::disarm`](crate::Sim::disarm), which keeps the wake at the
-    /// grant's place in the ready queue. The default wakes the task now.
-    fn disarm(&mut self, waker: &Waker) {
-        waker.wake_by_ref();
+/// Where a [`GrantHook`] runs, and what it may do to its grantee there.
+pub struct GrantPlace<'a> {
+    sim: &'a Sim,
+    /// Whether the run loop reached the grantee's ready-queue entry and
+    /// may register its timer there instead of polling it.
+    armable: bool,
+    armed: Option<SimTime>,
+}
+
+impl<'a> GrantPlace<'a> {
+    pub(crate) fn new(sim: &'a Sim, armable: bool) -> Self {
+        Self {
+            sim,
+            armable,
+            armed: None,
+        }
+    }
+
+    /// The simulation the grant runs in.
+    pub fn sim(&self) -> &'a Sim {
+        self.sim
+    }
+
+    /// The sleep until `until` that ends the grantee's hold, for the
+    /// grantee to await as soon as it sees its permit.
+    ///
+    /// When the run loop is at the grantee's ready-queue entry and `until`
+    /// is after now, the grantee is *armed*: the loop registers its timer
+    /// for `until` here, with the sequence number the grantee's own sleep
+    /// would have drawn in the poll this replaces, and does not poll it
+    /// (PERF.md invariant 17). That is exact only when the acquire is the
+    /// grantee task's one pending await. Otherwise (a free permit, a
+    /// grantee polled before its entry, a deadline not after now, or a
+    /// second call) the sleep is plain, and the grantee's poll starts it.
+    pub fn sleep_until(&mut self, until: SimTime) -> Sleep {
+        let arm = self.armable && self.armed.is_none() && until > self.sim.now();
+        if arm {
+            self.armed = Some(until);
+        }
+        Sleep::new(self.sim.clone(), until, arm)
+    }
+
+    /// The deadline the hook armed, if it did.
+    pub(crate) fn armed(&self) -> Option<SimTime> {
+        self.armed
     }
 }
 
 /// The default [`GrantHook`]: no request, no outcome, and the grantee is
-/// woken.
+/// polled.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlainWake;
 
@@ -60,15 +112,22 @@ impl GrantHook for PlainWake {
     type Request = ();
     type Outcome = ();
 
-    fn grant(&mut self, (): (), _: &Waker) -> ((), bool) {
-        ((), false)
-    }
+    fn grant(&mut self, (): (), _: &mut GrantPlace<'_>) {}
 }
 
 /// Internal wait-list entry state.
 enum WaitState<H: GrantHook> {
     Waiting(H::Request),
+    /// Handed a permit by a release, which queued a grant entry that runs
+    /// the hook.
+    Handed(H::Request),
+    /// Handed a permit by a release that could not queue a grant entry:
+    /// the hook runs in the poll that sees the permit.
+    Woken(H::Request),
     Granted(H::Outcome),
+    /// Done with while its grant entry is still queued: the entry recycles
+    /// the slot.
+    Orphaned,
     /// Dropped while queued (a release skips and recycles it), or
     /// consumed.
     Cancelled,
@@ -79,12 +138,12 @@ enum WaitState<H: GrantHook> {
 /// nothing.
 struct WaiterSlot<H: GrantHook> {
     state: WaitState<H>,
-    /// The waiter's task while it waits, and while it is armed for a
-    /// grant it has not observed yet.
+    /// The waiter's task while it waits.
     waker: Option<Waker>,
 }
 
 struct ResourceState<H: GrantHook> {
+    sim: Sim,
     capacity: usize,
     available: usize,
     /// FIFO of indices into `slots`; cancelled entries stay until a
@@ -94,7 +153,37 @@ struct ResourceState<H: GrantHook> {
     waiting: usize,
     slots: Vec<WaiterSlot<H>>,
     free: Vec<u32>,
+    /// Grants whose hook armed the grantee.
+    armed: u64,
     hook: H,
+}
+
+/// A resource as the run loop sees it: the hook of a grant it handed over
+/// runs through this, at the grantee's place.
+pub(crate) trait HandedGrants {
+    /// Runs the hook of the grant entry queued for waiter slot `waiter`;
+    /// a waiter done with by then only has its slot recycled.
+    fn run_grant(&self, waiter: u32, place: &mut GrantPlace<'_>);
+}
+
+impl<H: GrantHook> HandedGrants for RefCell<ResourceState<H>> {
+    fn run_grant(&self, waiter: u32, place: &mut GrantPlace<'_>) {
+        let mut st = self.borrow_mut();
+        let st = &mut *st;
+        match mem::replace(&mut st.slots[waiter as usize].state, WaitState::Cancelled) {
+            WaitState::Handed(req) => {
+                let outcome = st.hook.grant(req, place);
+                st.slots[waiter as usize].state = WaitState::Granted(outcome);
+                if place.armed().is_some() {
+                    st.armed += 1;
+                }
+            }
+            // The acquire went away (and passed the permit on) or saw the
+            // permit elsewhere first.
+            WaitState::Orphaned => st.free.push(waiter),
+            _ => unreachable!("a grant entry for a waiter not handed a permit"),
+        }
+    }
 }
 
 impl<H: GrantHook> ResourceState<H> {
@@ -112,35 +201,43 @@ impl<H: GrantHook> ResourceState<H> {
         }
     }
 
-    /// Returns one permit, handing it to the first live waiter if any:
-    /// the hook runs on its request, and the waiter is woken unless the
-    /// hook armed it.
-    fn release(&mut self) {
-        while let Some(i) = self.queue.pop_front() {
-            let s = &mut self.slots[i as usize];
-            match mem::replace(&mut s.state, WaitState::Cancelled) {
-                WaitState::Cancelled => self.free.push(i),
-                WaitState::Waiting(req) => {
-                    let waker = s.waker.take().expect("queued waiter without a waker");
-                    let (outcome, armed) = self.hook.grant(req, &waker);
-                    s.state = WaitState::Granted(outcome);
-                    self.waiting -= 1;
-                    if armed {
-                        s.waker = Some(waker);
-                    } else {
-                        waker.wake();
-                    }
-                    return;
-                }
-                WaitState::Granted(_) => unreachable!("granted waiter still queued"),
-            }
-        }
-        self.available += 1;
-        debug_assert!(
-            self.available <= self.capacity,
-            "released more than capacity"
-        );
+    /// Runs the hook on a grant in the grantee's own poll, where nothing
+    /// can be armed.
+    fn grant_in_poll(&mut self, req: H::Request) -> H::Outcome {
+        self.hook.grant(req, &mut GrantPlace::new(&self.sim, false))
     }
+}
+
+/// Returns one permit of `state`, handing it to the first live waiter if
+/// any: the waiter's task gets a grant entry at this place in the ready
+/// queue, where the run loop runs the hook. A waiter whose task cannot
+/// take one (a foreign waker, or a task with a grant entry already
+/// pending) is woken instead, and its hook runs in the poll that sees the
+/// permit.
+fn release<H: GrantHook>(state: &Rc<RefCell<ResourceState<H>>>) {
+    let mut st = state.borrow_mut();
+    let st = &mut *st;
+    while let Some(i) = st.queue.pop_front() {
+        let s = &mut st.slots[i as usize];
+        match mem::replace(&mut s.state, WaitState::Cancelled) {
+            WaitState::Cancelled => st.free.push(i),
+            WaitState::Waiting(req) => {
+                st.waiting -= 1;
+                let waker = s.waker.take().expect("queued waiter without a waker");
+                let runner: Rc<dyn HandedGrants> = state.clone();
+                s.state = if st.sim.queue_grant(&waker, runner, i) {
+                    WaitState::Handed(req)
+                } else {
+                    waker.wake();
+                    WaitState::Woken(req)
+                };
+                return;
+            }
+            _ => unreachable!("granted waiter still queued"),
+        }
+    }
+    st.available += 1;
+    debug_assert!(st.available <= st.capacity, "released more than capacity");
 }
 
 /// A FIFO counting semaphore over simulated time, with a [`GrantHook`]
@@ -154,7 +251,7 @@ impl<H: GrantHook> ResourceState<H> {
 /// use fcache_des::{Resource, Sim, SimTime};
 ///
 /// let sim = Sim::new();
-/// let wire = Resource::new(1);
+/// let wire = Resource::new(&sim, 1);
 /// for _ in 0..3 {
 ///     let s = sim.clone();
 ///     let wire = wire.clone();
@@ -180,14 +277,14 @@ impl<H: GrantHook> Clone for Resource<H> {
 }
 
 impl Resource {
-    /// Creates a resource with `capacity` permits and the plain-wake
-    /// hook.
+    /// Creates a resource of `sim` with `capacity` permits and the
+    /// plain-wake hook.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_hook(capacity, PlainWake)
+    pub fn new(sim: &Sim, capacity: usize) -> Self {
+        Self::with_hook(sim, capacity, PlainWake)
     }
 
     /// Acquires one permit, waiting FIFO behind earlier requesters.
@@ -197,22 +294,24 @@ impl Resource {
 }
 
 impl<H: GrantHook> Resource<H> {
-    /// Creates a resource with `capacity` permits whose grants run
-    /// `hook`.
+    /// Creates a resource of `sim` with `capacity` permits whose grants
+    /// run `hook`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_hook(capacity: usize, hook: H) -> Self {
+    pub fn with_hook(sim: &Sim, capacity: usize, hook: H) -> Self {
         assert!(capacity > 0, "resource capacity must be nonzero");
         Self {
             state: Rc::new(RefCell::new(ResourceState {
+                sim: sim.clone(),
                 capacity,
                 available: capacity,
                 queue: VecDeque::new(),
                 waiting: 0,
                 slots: Vec::new(),
                 free: Vec::new(),
+                armed: 0,
                 hook,
             })),
         }
@@ -236,6 +335,12 @@ impl<H: GrantHook> Resource<H> {
     pub fn queue_len(&self) -> usize {
         self.state.borrow().waiting
     }
+
+    /// Grants so far whose hook armed the grantee, each a poll the
+    /// grantee did not take.
+    pub fn armed_grants(&self) -> u64 {
+        self.state.borrow().armed
+    }
 }
 
 impl<H: GrantHook> fmt::Debug for Resource<H> {
@@ -256,7 +361,7 @@ pub struct ResourceGuard<H: GrantHook = PlainWake> {
 
 impl<H: GrantHook> Drop for ResourceGuard<H> {
     fn drop(&mut self) {
-        self.state.borrow_mut().release();
+        release(&self.state);
     }
 }
 
@@ -295,26 +400,39 @@ impl<H: GrantHook> Future for Acquire<H> {
         let outcome = match mem::replace(&mut this.state, AcquireState::Done) {
             AcquireState::Queued(i) => {
                 let s = &mut st.slots[i as usize];
-                if let WaitState::Waiting(_) = s.state {
-                    if !s.waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
-                        s.waker = Some(cx.waker().clone());
+                match mem::replace(&mut s.state, WaitState::Cancelled) {
+                    WaitState::Waiting(req) => {
+                        s.state = WaitState::Waiting(req);
+                        if !s.waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                            s.waker = Some(cx.waker().clone());
+                        }
+                        this.state = AcquireState::Queued(i);
+                        return Poll::Pending;
                     }
-                    this.state = AcquireState::Queued(i);
-                    return Poll::Pending;
+                    WaitState::Granted(outcome) => {
+                        st.free.push(i);
+                        outcome
+                    }
+                    // Woken without a grant entry: the hook runs here.
+                    WaitState::Woken(req) => {
+                        st.free.push(i);
+                        st.grant_in_poll(req)
+                    }
+                    // Polled from another task than the one whose grant
+                    // entry is queued: the hook runs here, and the entry
+                    // only recycles the slot.
+                    WaitState::Handed(req) => {
+                        s.state = WaitState::Orphaned;
+                        st.grant_in_poll(req)
+                    }
+                    WaitState::Orphaned | WaitState::Cancelled => {
+                        unreachable!("polling a consumed acquire")
+                    }
                 }
-                let WaitState::Granted(outcome) = mem::replace(&mut s.state, WaitState::Cancelled)
-                else {
-                    unreachable!("polling a cancelled acquire")
-                };
-                s.waker = None;
-                st.free.push(i);
-                outcome
             }
             AcquireState::Start(req) if st.queue.is_empty() && st.available > 0 => {
                 st.available -= 1;
-                let (outcome, armed) = st.hook.grant(req, cx.waker());
-                debug_assert!(!armed, "an immediate grant armed its own acquirer");
-                outcome
+                st.grant_in_poll(req)
             }
             AcquireState::Start(req) => {
                 let i = st.alloc_slot(req, cx.waker().clone());
@@ -336,27 +454,28 @@ impl<H: GrantHook> Drop for Acquire<H> {
     fn drop(&mut self) {
         if let AcquireState::Queued(i) = self.state {
             let mut st = self.resource.state.borrow_mut();
-            let st = &mut *st;
             let s = &mut st.slots[i as usize];
+            s.waker = None;
             match mem::replace(&mut s.state, WaitState::Cancelled) {
                 // Still queued: left for `release` to skip and recycle.
                 WaitState::Waiting(_) => {
-                    s.waker = None;
                     st.waiting -= 1;
+                    return;
                 }
-                // Handed a permit but never observed it: pass it on, so
-                // it is not leaked, and wake an armed grantee now rather
-                // than at the end of a hold it no longer has.
-                WaitState::Granted(_) => {
-                    let armed = s.waker.take();
-                    st.free.push(i);
-                    if let Some(w) = armed {
-                        st.hook.disarm(&w);
-                    }
-                    st.release();
+                // Handed a permit it never saw: pass it on, so it is not
+                // leaked. A grant entry still queued for this waiter runs
+                // no hook, recycles the slot and polls the task at its
+                // place.
+                WaitState::Handed(_) => s.state = WaitState::Orphaned,
+                // A grantee the hook armed keeps its timer, which polls it
+                // at the end of the hold it gave up.
+                WaitState::Woken(_) | WaitState::Granted(_) => st.free.push(i),
+                WaitState::Orphaned | WaitState::Cancelled => {
+                    unreachable!("dropping a consumed acquire")
                 }
-                WaitState::Cancelled => unreachable!("dropping a consumed acquire twice"),
             }
+            drop(st);
+            release(&self.resource.state);
         }
     }
 }
@@ -375,7 +494,7 @@ mod tests {
     #[test]
     fn uncontended_acquire_is_immediate() {
         let sim = Sim::new();
-        let r = Resource::new(2);
+        let r = Resource::new(&sim, 2);
         let s = sim.clone();
         let r2 = r.clone();
         sim.spawn(async move {
@@ -390,7 +509,7 @@ mod tests {
     #[test]
     fn capacity_one_serializes_holders() {
         let sim = Sim::new();
-        let r = Resource::new(1);
+        let r = Resource::new(&sim, 1);
         let finish = Rc::new(StdRefCell::new(Vec::new()));
         for i in 0..4u32 {
             let s = sim.clone();
@@ -415,7 +534,7 @@ mod tests {
     #[test]
     fn capacity_n_allows_n_concurrent() {
         let sim = Sim::new();
-        let r = Resource::new(3);
+        let r = Resource::new(&sim, 3);
         for _ in 0..6 {
             let s = sim.clone();
             let r = r.clone();
@@ -431,7 +550,8 @@ mod tests {
 
     #[test]
     fn acquire_respects_queue() {
-        let r = Resource::new(1);
+        let sim = Sim::new();
+        let r = Resource::new(&sim, 1);
         let (g, ()) = match poll_once(&mut r.acquire()) {
             Poll::Ready(granted) => granted,
             Poll::Pending => panic!("free permit not granted"),
@@ -450,7 +570,7 @@ mod tests {
     #[test]
     fn guard_drop_wakes_next_waiter() {
         let sim = Sim::new();
-        let r = Resource::new(1);
+        let r = Resource::new(&sim, 1);
         let s1 = sim.clone();
         let r1 = r.clone();
         sim.spawn(async move {
@@ -471,7 +591,7 @@ mod tests {
     #[test]
     fn dropping_waiting_acquire_does_not_stall_queue() {
         let sim = Sim::new();
-        let r = Resource::new(1);
+        let r = Resource::new(&sim, 1);
         // Holder keeps the permit for 10 µs.
         {
             let s = sim.clone();
@@ -517,7 +637,8 @@ mod tests {
 
     #[test]
     fn queue_len_counts_waiters_through_grants_and_cancels() {
-        let r = Resource::new(1);
+        let sim = Sim::new();
+        let r = Resource::new(&sim, 1);
         let Poll::Ready((held, ())) = poll_once(&mut r.acquire()) else {
             panic!("free permit not granted");
         };
@@ -550,50 +671,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be nonzero")]
     fn zero_capacity_panics() {
-        let _ = Resource::new(0);
+        let _ = Resource::new(&Sim::new(), 0);
     }
 
     /// A grant: the waiter's tag, when the hook ran, and whether it armed
     /// the grantee.
     type Logged = (u32, SimTime, bool);
 
-    /// A hook that logs each grant and, when `arm_for` is set, arms the
-    /// grantee for that long after the grant.
+    /// A hook that logs each grant and, when `hold` is set, ends the
+    /// grantee's hold that long after the grant.
     struct LogHook {
-        sim: Sim,
-        arm_for: Option<SimTime>,
+        hold: Option<SimTime>,
         log: Rc<StdRefCell<Vec<Logged>>>,
     }
 
     impl GrantHook for LogHook {
         type Request = u32;
-        type Outcome = SimTime;
+        /// When the hook ran, and the hold's sleep.
+        type Outcome = (SimTime, Option<Sleep>);
 
-        fn grant(&mut self, tag: u32, waker: &Waker) -> (SimTime, bool) {
-            let now = self.sim.now();
-            let armed = self
-                .arm_for
-                .is_some_and(|d| self.sim.wake_at(waker, now + d));
-            self.log.borrow_mut().push((tag, now, armed));
-            (now, armed)
-        }
-
-        fn disarm(&mut self, waker: &Waker) {
-            self.sim.disarm(waker);
+        fn grant(&mut self, tag: u32, place: &mut GrantPlace<'_>) -> (SimTime, Option<Sleep>) {
+            let now = place.sim().now();
+            let hold = self.hold.map(|d| place.sleep_until(now + d));
+            self.log
+                .borrow_mut()
+                .push((tag, now, place.armed().is_some()));
+            (now, hold)
         }
     }
 
     fn logged(
         sim: &Sim,
-        arm_for: Option<SimTime>,
+        hold: Option<SimTime>,
     ) -> (Resource<LogHook>, Rc<StdRefCell<Vec<Logged>>>) {
         let log = Rc::new(StdRefCell::new(Vec::new()));
         let hook = LogHook {
-            sim: sim.clone(),
-            arm_for,
+            hold,
             log: Rc::clone(&log),
         };
-        (Resource::with_hook(1, hook), log)
+        (Resource::with_hook(sim, 1, hook), log)
     }
 
     #[test]
@@ -606,15 +722,16 @@ mod tests {
             sim.spawn(async move {
                 // Later tags ask later, so FIFO order is tag order.
                 s.sleep(SimTime::from_nanos(u64::from(tag))).await;
-                let (_held, granted_at) = r.acquire_with(tag).await;
+                let (_held, (granted_at, _)) = r.acquire_with(tag).await;
                 resolved.borrow_mut().push((tag, granted_at, s.now()));
                 s.sleep(SimTime::from_micros(10)).await;
             });
         }
         sim.run().unwrap();
         let us = SimTime::from_micros;
-        // The first grant is immediate; each later one runs when the
-        // holder before it releases, every 10 µs.
+        // The first grant is immediate; each later one runs at the
+        // grantee's place, at the instant the holder before it releases,
+        // every 10 µs.
         assert_eq!(
             *log.borrow(),
             [
@@ -634,6 +751,7 @@ mod tests {
                 (3, us(30), us(30))
             ]
         );
+        assert_eq!(r.armed_grants(), 0);
     }
 
     #[test]
@@ -653,6 +771,9 @@ mod tests {
             panic!("granted waiter still pending");
         };
         drop(g);
+        // A waiter polled by hand has no place in a ready queue: its hook
+        // runs in the poll that sees the permit.
+        assert!(poll_once(&mut waiters[1]).is_ready());
         let tags: Vec<u32> = log.borrow().iter().map(|&(tag, ..)| tag).collect();
         assert_eq!(tags, [0, 1, 3]);
     }
@@ -682,24 +803,71 @@ mod tests {
         // Tag 2 queues behind it.
         let (s, r2) = (sim.clone(), r.clone());
         let h = sim.spawn(async move {
-            let (_held, granted_at) = r2.acquire_with(2).await;
+            let (_held, (granted_at, hold)) = r2.acquire_with(2).await;
+            hold.expect("a hold").await;
             (granted_at, s.now())
         });
-        // At 5, after tag 0's release armed tag 1, drop tag 1's acquire.
+        // At 5, after tag 0's release handed tag 1 the permit but before
+        // tag 1's place, drop tag 1's acquire.
         let s = sim.clone();
         sim.spawn(async move {
             s.sleep(ns(5)).await;
             drop(cell.borrow_mut().take());
         });
         sim.run().unwrap();
-        assert_eq!(
-            *log.borrow(),
-            [(0, ns(0), false), (1, ns(5), true), (2, ns(5), true)]
-        );
-        // Tag 2 was granted at 5 and armed for 15.
+        // Tag 1's hook never ran; the permit passed on to tag 2, whose
+        // hook armed it at its place for 15.
+        assert_eq!(*log.borrow(), [(0, ns(0), false), (2, ns(5), true)]);
         assert_eq!(h.try_result(), Some((ns(5), ns(15))));
-        // Tag 1's task was disarmed: woken at 5, where its grant queued
-        // it, not at the end of the hold it gave up.
+        // Tag 1's task was polled at 5, where its grant entry queued it.
         assert_eq!(dropped.try_result(), Some(ns(5)));
+        assert_eq!(r.armed_grants(), 1);
+    }
+
+    #[test]
+    fn a_handed_acquire_polled_from_another_task_runs_its_hook_there() {
+        let sim = Sim::new();
+        let ns = SimTime::from_nanos;
+        let (r, log) = logged(&sim, None);
+        // Tag 0 holds the permit until 5.
+        let (s, r0) = (sim.clone(), r.clone());
+        sim.spawn(async move {
+            let _held = r0.acquire_with(0).await;
+            s.sleep(ns(5)).await;
+        });
+        // Task A queues tag 1 with its own waker, then leaves the acquire
+        // to task B, which wakes at 5 ahead of A's grant entry.
+        let cell = Rc::new(StdRefCell::new(None));
+        let (s, c, r1) = (sim.clone(), Rc::clone(&cell), r.clone());
+        sim.spawn(async move {
+            let mut acq = r1.acquire_with(1);
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut acq).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            *c.borrow_mut() = Some(acq);
+            s.sleep(ns(10)).await;
+        });
+        let s = sim.clone();
+        let b = sim.spawn(async move {
+            s.sleep(ns(5)).await;
+            let acq = cell.borrow_mut().take().expect("left by A");
+            let (_held, (granted_at, _)) = acq.await;
+            (granted_at, s.now())
+        });
+        sim.run().unwrap();
+        assert_eq!(b.try_result(), Some((ns(5), ns(5))));
+        assert_eq!(*log.borrow(), [(0, ns(0), false), (1, ns(5), false)]);
+        // A's grant entry recycled the slot: a new waiter reuses it.
+        assert_eq!((r.available(), r.queue_len()), (1, 0));
+        let Poll::Ready((held, _)) = poll_once(&mut r.acquire_with(2)) else {
+            panic!("free permit not granted");
+        };
+        let mut next = r.acquire_with(3);
+        assert!(poll_once(&mut next).is_pending());
+        assert_eq!(r.state.borrow().slots.len(), 1);
+        drop(held);
+        assert!(poll_once(&mut next).is_ready());
     }
 }

@@ -178,7 +178,7 @@ fn execute(p: &Program, run_ahead: bool) -> (Observed, Option<u64>, u64) {
     sim.set_run_ahead(run_ahead);
     let w = World {
         sim: sim.clone(),
-        res: Rc::new(Resource::new(1)),
+        res: Rc::new(Resource::new(&sim, 1)),
         log: Rc::new(RefCell::new(Vec::new())),
         next_tag: Rc::new(Cell::new(0)),
     };

@@ -1,14 +1,14 @@
 //! Task tags ([`Sim::tag_current`]) label a task's polls and change
 //! nothing else: a tag is read only inside its own task's polls, a child
-//! starts untagged, an armed spawn or an armed wake keeps its task's tag,
-//! a grant hook reads the tag of the task that releases the permit, and
-//! every poll counts under exactly one class.
+//! starts untagged, an armed spawn or an armed grant keeps its task's
+//! tag, a grant hook reads the tag of the grantee it runs as, and every
+//! poll and armed entry counts under exactly one class.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::task::Waker;
 
-use crate::{GrantHook, Resource, Sim, SimTime, TAG_CLASSES};
+use crate::executor::Sleep;
+use crate::{GrantHook, GrantPlace, Resource, Sim, SimTime, TAG_CLASSES};
 
 fn ns(n: u64) -> SimTime {
     SimTime::from_nanos(n)
@@ -102,35 +102,30 @@ fn a_child_starts_untagged_and_the_tagging_poll_counts_as_tagged() {
 /// A wire whose grant hook records the tag it runs under and arms the
 /// grantee for the end of its hold.
 struct Hand {
-    sim: Sim,
     seen: Log,
 }
 
 impl GrantHook for Hand {
     /// Hold time.
     type Request = u64;
-    /// End of the hold.
-    type Outcome = SimTime;
+    /// The sleep to the end of the hold.
+    type Outcome = Sleep;
 
-    fn grant(&mut self, t: u64, waker: &Waker) -> (SimTime, bool) {
-        self.seen.borrow_mut().push(('h', self.sim.current_tag()));
-        let until = self.sim.now() + ns(t);
-        (until, self.sim.wake_at(waker, until))
-    }
-
-    fn disarm(&mut self, waker: &Waker) {
-        self.sim.disarm(waker);
+    fn grant(&mut self, t: u64, place: &mut GrantPlace<'_>) -> Sleep {
+        let sim = place.sim();
+        self.seen.borrow_mut().push(('h', sim.current_tag()));
+        place.sleep_until(sim.now() + ns(t))
     }
 }
 
 #[test]
-fn armed_tasks_keep_their_tag_and_a_grant_hook_reads_the_releasers() {
+fn armed_tasks_keep_their_tag_and_a_grant_hook_reads_the_grantees() {
     let sim = Sim::new();
     let log: Log = Rc::default();
     let wire = Resource::with_hook(
+        &sim,
         1,
         Hand {
-            sim: sim.clone(),
             seen: Rc::clone(&log),
         },
     );
@@ -138,17 +133,17 @@ fn armed_tasks_keep_their_tag_and_a_grant_hook_reads_the_releasers() {
     let (s, l, w) = (sim.clone(), Rc::clone(&log), wire.clone());
     sim.spawn(async move {
         s.tag_current(3);
-        let (held, until) = w.acquire_with(5).await;
-        s.sleep_until(until).await;
+        let (held, hold) = w.acquire_with(5).await;
+        hold.await;
         drop(held);
         l.borrow_mut().push(('r', s.current_tag()));
     });
-    // The grantee queues behind it and is armed by the release.
+    // The grantee queues behind it and is armed at its place.
     let (s, l, w) = (sim.clone(), Rc::clone(&log), wire.clone());
     sim.spawn(async move {
         s.tag_current(6);
-        let (_held, until) = w.acquire_with(4).await;
-        s.sleep_until(until).await;
+        let (_held, hold) = w.acquire_with(4).await;
+        hold.await;
         l.borrow_mut().push(('g', s.current_tag()));
     });
     // An armed spawn: first polled at its deadline, keeping the tag it
@@ -166,11 +161,14 @@ fn armed_tasks_keep_their_tag_and_a_grant_hook_reads_the_releasers() {
         vec![
             ('h', 3), // the releaser's own immediate grant
             ('s', 11),
-            ('h', 3), // the grantee's grant, in the releaser's poll
             ('r', 3),
+            ('h', 6), // the grantee's grant, at its place, as the grantee
             ('g', 6),
             ('s', 11),
         ]
     );
     assert_classes_sum_to_polls(&sim);
+    // The grantee's armed grant and the untagged armed spawn.
+    let armed = sim.armed_by_tag();
+    assert_eq!((armed[6], armed[0], armed.iter().sum::<u64>()), (1, 1, 2));
 }

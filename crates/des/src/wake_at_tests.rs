@@ -1,8 +1,10 @@
-//! An armed hand-over ([`Sim::wake_at`]) must change nothing but the poll
-//! count. A capacity-1 [`Resource`] models a wire whose grant hook either
-//! arms the next queued sender for the end of its packet, or leaves it to
-//! be woken and sleep for itself; random senders must observe the same
-//! simulated times in the same global order both ways, in no more polls.
+//! An armed hand-over must change nothing but the poll count. A
+//! capacity-1 [`Resource`] models a wire whose grant hook, at the
+//! grantee's place, either arms the next queued sender for the end of its
+//! packet ([`GrantPlace::sleep_until`]), or leaves it to be polled and
+//! sleep for itself; random senders must observe the same simulated times
+//! in the same global order both ways, in no more polls. The unit tests
+//! pin where a grant can and cannot be armed.
 
 use std::cell::{Cell, RefCell};
 use std::future::{poll_fn, Future};
@@ -12,53 +14,52 @@ use std::task::{Context, Poll, Waker};
 
 use proptest::prelude::*;
 
-use crate::{GrantHook, Resource, Sim, SimTime};
+use crate::executor::Sleep;
+use crate::{GrantHook, GrantPlace, Resource, Sim, SimTime};
 
 fn ns(n: u64) -> SimTime {
     SimTime::from_nanos(n)
 }
 
-/// The wire's grant hook: arms a sender granted the wire for the end of
-/// its packet, when `arm` is set and the executor accepts.
+/// The wire's grant hook: holds a sender granted the wire for its packet
+/// time, armed when `arm` is set and the place allows it. It logs whether
+/// each grant armed.
 struct Hand {
-    sim: Sim,
     arm: bool,
+    armed: Rc<RefCell<Vec<bool>>>,
 }
 
 impl GrantHook for Hand {
     /// Packet time.
     type Request = u64;
-    /// The instant the wire is held until, when the grant armed the
-    /// sender; `None` when the sender sleeps for its packet itself.
-    type Outcome = Option<SimTime>;
+    /// The sleep to the end of the packet.
+    type Outcome = Sleep;
 
-    fn grant(&mut self, t: u64, waker: &Waker) -> (Option<SimTime>, bool) {
-        let until = self.sim.now() + ns(t);
-        let armed = self.arm && self.sim.wake_at(waker, until);
-        (armed.then_some(until), armed)
-    }
-
-    fn disarm(&mut self, waker: &Waker) {
-        self.sim.disarm(waker);
+    fn grant(&mut self, t: u64, place: &mut GrantPlace<'_>) -> Sleep {
+        let until = place.sim().now() + ns(t);
+        let hold = if self.arm {
+            place.sleep_until(until)
+        } else {
+            place.sim().sleep_until(until)
+        };
+        self.armed.borrow_mut().push(place.armed().is_some());
+        hold
     }
 }
 
+fn wire(sim: &Sim, arm: bool) -> (Resource<Hand>, Rc<RefCell<Vec<bool>>>) {
+    let armed = Rc::new(RefCell::new(Vec::new()));
+    let hook = Hand {
+        arm,
+        armed: Rc::clone(&armed),
+    };
+    (Resource::with_hook(sim, 1, hook), armed)
+}
+
 /// Sends a packet of wire time `t` on `wire`.
-async fn send(sim: &Sim, wire: &Resource<Hand>, t: u64) {
-    let (_held, armed) = wire.acquire_with(t).await;
-    match armed {
-        Some(until) => {
-            poll_fn(|_| {
-                if sim.now() < until {
-                    Poll::Pending
-                } else {
-                    Poll::Ready(())
-                }
-            })
-            .await
-        }
-        None => sim.sleep(ns(t)).await,
-    }
+async fn send(wire: &Resource<Hand>, t: u64) {
+    let (_held, hold) = wire.acquire_with(t).await;
+    hold.await;
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -84,13 +85,7 @@ fn program() -> impl Strategy<Value = Vec<Vec<Step>>> {
 /// Runs the senders; returns the `(task, ns)` log and the poll count.
 fn execute(tasks: &[Vec<Step>], arm: bool) -> (Vec<(usize, u64)>, u64) {
     let sim = Sim::new();
-    let wires: Rc<[Resource<Hand>; 2]> = Rc::new([0, 1].map(|_| {
-        let hook = Hand {
-            sim: sim.clone(),
-            arm,
-        };
-        Resource::with_hook(1, hook)
-    }));
+    let wires: Rc<[Resource<Hand>; 2]> = Rc::new([0, 1].map(|_| wire(&sim, arm).0));
     let log = Rc::new(RefCell::new(Vec::new()));
     for (tag, steps) in tasks.iter().enumerate() {
         let (sim2, wires, log, steps) = (
@@ -103,7 +98,7 @@ fn execute(tasks: &[Vec<Step>], arm: bool) -> (Vec<(usize, u64)>, u64) {
             for s in steps {
                 match s {
                     Step::Think(d) => sim2.sleep(ns(d)).await,
-                    Step::Send(w, t) => send(&sim2, &wires[usize::from(w)], t).await,
+                    Step::Send(w, t) => send(&wires[usize::from(w)], t).await,
                 }
                 log.borrow_mut().push((tag, sim2.now().as_nanos()));
             }
@@ -138,212 +133,237 @@ fn a_queued_sender_is_not_polled_to_start_its_packet() {
     let (woken, woken_polls) = execute(&tasks, false);
     assert_eq!(armed, [(0, 5), (2, 7), (1, 10)]);
     assert_eq!(armed, woken);
-    // Woken: the second sender is polled to queue, on the grant, and at
-    // 10. Armed: the grant is a timer registration, not a poll.
+    // Woken: the second sender is polled to queue, at its place, and at
+    // 10. Armed: its place is a timer registration, not a poll.
     assert_eq!((armed_polls, woken_polls), (6, 7));
 }
 
-/// A future that hands its task's waker out and stays pending until
-/// `done` is set.
-struct Park {
-    stash: Rc<RefCell<Option<Waker>>>,
-    done: Rc<Cell<bool>>,
-}
-
-impl Future for Park {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.done.get() {
-            return Poll::Ready(());
-        }
-        *self.stash.borrow_mut() = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-/// A task parked on a [`Park`]: its waker's stash, its done flag, and
-/// the instant it resumed.
-struct Parked {
-    stash: Rc<RefCell<Option<Waker>>>,
-    done: Rc<Cell<bool>>,
-    resumed: Rc<Cell<Option<SimTime>>>,
-}
-
-fn parked(sim: &Sim) -> Parked {
-    let p = Parked {
-        stash: Rc::new(RefCell::new(None)),
-        done: Rc::new(Cell::new(false)),
-        resumed: Rc::new(Cell::new(None)),
-    };
-    let park = Park {
-        stash: Rc::clone(&p.stash),
-        done: Rc::clone(&p.done),
-    };
-    let (s, r) = (sim.clone(), Rc::clone(&p.resumed));
+/// Spawns a holder that takes `wire` at 0 and lets it go at `release`,
+/// and a sender queued behind it with packet time `t`; returns the
+/// instant the sender's packet ended.
+fn hand_over(sim: &Sim, wire: &Resource<Hand>, release: u64, t: u64) -> Rc<Cell<Option<SimTime>>> {
+    let (s, w) = (sim.clone(), wire.clone());
     sim.spawn(async move {
-        park.await;
-        r.set(Some(s.now()));
+        let _held = w.acquire_with(0).await;
+        s.sleep(ns(release)).await;
     });
-    p
+    let ended = Rc::new(Cell::new(None));
+    let (s, w, e) = (sim.clone(), wire.clone(), Rc::clone(&ended));
+    sim.spawn(async move {
+        send(&w, t).await;
+        e.set(Some(s.now()));
+    });
+    ended
 }
 
 #[test]
 fn an_armed_task_resumes_at_its_deadline_without_a_poll_between() {
     let sim = Sim::new();
-    let Parked {
-        stash,
-        done,
-        resumed,
-    } = parked(&sim);
-    let (s, d) = (sim.clone(), Rc::clone(&done));
-    sim.spawn(async move {
-        s.sleep(ns(3)).await;
-        let w = stash.borrow_mut().take().expect("parked");
-        d.set(true);
-        assert!(s.wake_at(&w, ns(10)));
-    });
+    let (wire, armed) = wire(&sim, true);
+    let ended = hand_over(&sim, &wire, 3, 7);
     let r = sim.run().unwrap();
-    assert_eq!(resumed.get(), Some(ns(10)));
-    // Parked task: its first poll and the poll at 10. Armer: one poll,
-    // its sleep runs ahead.
-    assert_eq!(r.events, 3);
+    assert_eq!(ended.get(), Some(ns(10)));
+    // The holder's immediate grant, then the sender's grant at its place.
+    assert_eq!(*armed.borrow(), [false, true]);
+    assert_eq!((wire.armed_grants(), sim.armed_by_tag()[0]), (1, 1));
+    // Holder: its first poll and the release at 3. Sender: its first poll
+    // and the poll at 10, none at its place.
+    assert_eq!(r.events, 4);
 }
 
 #[test]
 fn a_foreign_waker_is_not_armed() {
+    // Polled by hand: no ready queue to hold a place.
     let sim = Sim::new();
-    assert!(!sim.wake_at(Waker::noop(), ns(5)));
-    // A task waker of another simulation.
+    let (w, armed) = wire(&sim, true);
+    let mut cx = Context::from_waker(Waker::noop());
+    let Poll::Ready(held) = Pin::new(&mut w.acquire_with(0)).poll(&mut cx) else {
+        panic!("free permit not granted");
+    };
+    let mut queued = w.acquire_with(4);
+    assert!(Pin::new(&mut queued).poll(&mut cx).is_pending());
+    drop(held);
+    assert!(Pin::new(&mut queued).poll(&mut cx).is_ready());
+    assert_eq!(*armed.borrow(), [false, false]);
+    // A task waker of another simulation is woken on its own simulation,
+    // not given a place in this one.
+    let plain = Resource::new(&sim, 1);
+    let Poll::Ready(held) = Pin::new(&mut plain.acquire()).poll(&mut cx) else {
+        panic!("free permit not granted");
+    };
     let other = Sim::new();
-    let Parked { stash, done, .. } = parked(&other);
-    assert!(other.run().is_err(), "parked task deadlocks");
-    let w = stash.borrow_mut().take().expect("parked");
-    assert!(!sim.wake_at(&w, ns(5)));
-    done.set(true);
-    other.shutdown();
+    let p = plain.clone();
+    let h = other.spawn(async move { drop(p.acquire().await) });
+    assert!(other.run().is_err(), "the waiter waits on a held permit");
+    drop(held);
+    other.run().unwrap();
+    assert!(h.is_finished());
+    assert_eq!(plain.available(), 1);
 }
 
 #[test]
 fn a_task_that_is_not_parked_is_not_armed() {
     let sim = Sim::new();
-    // Running: a task arming itself from inside its own poll.
-    let s = sim.clone();
+    let (w, armed) = wire(&sim, true);
+    // Running: a task whose release hands the permit to its own queued
+    // acquire, which it then polls in the same poll.
+    let (s, w1) = (sim.clone(), w.clone());
     let h = sim.spawn(async move {
-        let own = poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
-        s.wake_at(&own, ns(5))
-    });
-    // Finished: the waker of a task that has completed.
-    let stash = Rc::new(RefCell::new(None));
-    let st = Rc::clone(&stash);
-    sim.spawn(async move {
-        *st.borrow_mut() = Some(poll_fn(|cx| Poll::Ready(cx.waker().clone())).await);
+        let (held, _) = w1.acquire_with(0).await;
+        let mut mine = w1.acquire_with(4);
+        poll_fn(|cx| {
+            assert!(Pin::new(&mut mine).poll(cx).is_pending());
+            Poll::Ready(())
+        })
+        .await;
+        drop(held);
+        let (_held, hold) = poll_fn(|cx| Pin::new(&mut mine).poll(cx)).await;
+        hold.await;
+        s.now()
     });
     sim.run().unwrap();
-    assert_eq!(h.try_result(), Some(false));
-    let w = stash.borrow_mut().take().expect("stashed");
-    assert!(!sim.wake_at(&w, ns(5)));
+    assert_eq!(h.try_result(), Some(ns(4)));
+    // Finished: an acquire queued by a task that has completed since.
+    let stash = Rc::new(RefCell::new(None));
+    let (st, w2) = (Rc::clone(&stash), w.clone());
+    let held = sim.spawn(async move { w2.acquire_with(0).await });
+    let w3 = w.clone();
+    sim.spawn(async move {
+        let mut acq = w3.acquire_with(4);
+        poll_fn(|cx| {
+            assert!(Pin::new(&mut acq).poll(cx).is_pending());
+            Poll::Ready(())
+        })
+        .await;
+        *st.borrow_mut() = Some(acq);
+    });
+    sim.run().unwrap();
+    drop(held.try_result().expect("granted"));
+    let mut acq = stash.borrow_mut().take().expect("stashed");
+    assert!(Pin::new(&mut acq)
+        .poll(&mut Context::from_waker(Waker::noop()))
+        .is_ready());
+    assert_eq!(*armed.borrow(), [false; 4]);
 }
 
 #[test]
 fn an_armed_task_is_not_armed_again() {
+    // One task granted two wires before its place: its first grant takes
+    // the place and may arm; the second wakes it, and its hook runs in
+    // that poll, unarmed.
     let sim = Sim::new();
-    let Parked {
-        stash,
-        done,
-        resumed,
-    } = parked(&sim);
-    let (s, d) = (sim.clone(), Rc::clone(&done));
-    let h = sim.spawn(async move {
+    let (a, armed_a) = wire(&sim, true);
+    let (b, armed_b) = wire(&sim, true);
+    let (s, a1, b1) = (sim.clone(), a.clone(), b.clone());
+    sim.spawn(async move {
+        let held = (a1.acquire_with(0).await, b1.acquire_with(0).await);
         s.sleep(ns(1)).await;
-        let w = stash.borrow_mut().take().expect("parked");
-        d.set(true);
-        (s.wake_at(&w, ns(10)), s.wake_at(&w, ns(4)))
+        drop(held);
+    });
+    let (s, a2, b2) = (sim.clone(), a.clone(), b.clone());
+    let h = sim.spawn(async move {
+        let (mut x, mut y) = (a2.acquire_with(10), b2.acquire_with(4));
+        let (mut gx, mut gy) = (None, None);
+        poll_fn(|cx| {
+            if gx.is_none() {
+                gx = match Pin::new(&mut x).poll(cx) {
+                    Poll::Ready(g) => Some(g),
+                    Poll::Pending => None,
+                };
+            }
+            if gy.is_none() {
+                gy = match Pin::new(&mut y).poll(cx) {
+                    Poll::Ready(g) => Some(g),
+                    Poll::Pending => None,
+                };
+            }
+            if gx.is_some() && gy.is_some() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await;
+        let ((_gx, hx), (_gy, hy)) = (gx.unwrap(), gy.unwrap());
+        hy.await;
+        let mid = s.now();
+        hx.await;
+        (mid, s.now())
     });
     sim.run().unwrap();
-    assert_eq!(h.try_result(), Some((true, false)));
-    assert_eq!(resumed.get(), Some(ns(10)));
+    assert_eq!(h.try_result(), Some((ns(5), ns(11))));
+    assert_eq!(*armed_a.borrow(), [false, true]);
+    assert_eq!(*armed_b.borrow(), [false, false]);
 }
 
 #[test]
 fn a_deadline_not_after_now_is_not_armed() {
     let sim = Sim::new();
-    let Parked {
-        stash,
-        done,
-        resumed,
-    } = parked(&sim);
-    let (s, d) = (sim.clone(), Rc::clone(&done));
-    let h = sim.spawn(async move {
-        s.sleep(ns(2)).await;
-        let w = stash.borrow_mut().take().expect("parked");
-        d.set(true);
-        let armed = s.wake_at(&w, ns(2));
-        w.wake();
-        armed
-    });
-    sim.run().unwrap();
-    assert_eq!(h.try_result(), Some(false));
-    assert_eq!(resumed.get(), Some(ns(2)));
+    let (w, armed) = wire(&sim, true);
+    let ended = hand_over(&sim, &w, 2, 0);
+    let r = sim.run().unwrap();
+    assert_eq!(ended.get(), Some(ns(2)));
+    assert_eq!(*armed.borrow(), [false, false]);
+    // The sender is polled at its place, and its hold ends in that poll.
+    assert_eq!(r.events, 4);
 }
 
 #[test]
 fn a_task_polled_ahead_of_its_armed_entry_still_gets_its_timer() {
-    // Armed at 1 for 10, then woken by another source while its armed
-    // entry is still queued: the poll that wake causes finds the timer
-    // registered, and the armed entry becomes a plain wake.
+    // Handed the wire at 1 for 9, and woken by another source whose wake
+    // was queued ahead of the grant entry: the poll that wake causes runs
+    // the hook first, unarmed, and the grant entry becomes a plain wake.
     let sim = Sim::new();
+    let (w, armed) = wire(&sim, true);
     let stash = Rc::new(RefCell::new(None));
-    let polls = Rc::new(Cell::new(0u32));
-    let (s, st, p) = (sim.clone(), Rc::clone(&stash), Rc::clone(&polls));
+    let (s, w1, st) = (sim.clone(), w.clone(), Rc::clone(&stash));
+    sim.spawn(async move {
+        let _held = w1.acquire_with(0).await;
+        s.sleep(ns(1)).await;
+        let waker: Waker = st.borrow_mut().take().expect("parked");
+        waker.wake();
+    });
+    let (s, w2, st) = (sim.clone(), w.clone(), Rc::clone(&stash));
     let h = sim.spawn(async move {
-        let until = ns(10);
-        poll_fn(|cx| {
-            p.set(p.get() + 1);
-            if s.now() >= until {
-                return Poll::Ready(());
-            }
+        let mut acq = w2.acquire_with(9);
+        let (_held, hold) = poll_fn(|cx| {
             *st.borrow_mut() = Some(cx.waker().clone());
-            Poll::Pending
+            Pin::new(&mut acq).poll(cx)
         })
         .await;
+        hold.await;
         s.now()
     });
-    let s = sim.clone();
-    sim.spawn(async move {
-        s.sleep(ns(1)).await;
-        let w = stash.borrow_mut().take().expect("parked");
-        // A plain wake queued ahead of the armed entry.
-        w.wake_by_ref();
-        assert!(s.wake_at(&w, ns(10)));
-    });
-    sim.run().unwrap();
+    let r = sim.run().unwrap();
     assert_eq!(h.try_result(), Some(ns(10)));
-    // First poll, the early wake, the armed entry as a plain wake, the
-    // timer at 10.
-    assert_eq!(polls.get(), 4);
+    assert_eq!(*armed.borrow(), [false, false]);
+    // Holder: two polls. Sender: its first poll, the early wake (grant
+    // and sleep), the grant entry as a plain wake, the timer at 10.
+    assert_eq!(r.events, 6);
 }
 
 #[test]
 fn a_sleep_behind_an_armed_entry_does_not_run_ahead() {
-    // The armed entry is still queued when the armer sleeps past the
-    // armed deadline: running ahead would move the clock past the timer
-    // the entry is about to register.
+    // The grant entry is still queued when the releaser sleeps past the
+    // hold's end: running ahead would move the clock past the timer the
+    // entry is about to register.
     let sim = Sim::new();
-    let Parked {
-        stash,
-        done,
-        resumed,
-    } = parked(&sim);
-    let (s, d, r) = (sim.clone(), Rc::clone(&done), Rc::clone(&resumed));
+    let (w, armed) = wire(&sim, true);
+    let ended = Rc::new(Cell::new(None));
+    let (s, w1, e) = (sim.clone(), w.clone(), Rc::clone(&ended));
     let h = sim.spawn(async move {
+        let held = w1.acquire_with(0).await;
         s.sleep(ns(1)).await;
-        let w = stash.borrow_mut().take().expect("parked");
-        d.set(true);
-        assert!(s.wake_at(&w, ns(6)));
+        drop(held);
         s.sleep(ns(7)).await;
-        (r.get(), s.now())
+        (e.get(), s.now())
+    });
+    let (s, w2, e) = (sim.clone(), w.clone(), Rc::clone(&ended));
+    sim.spawn(async move {
+        send(&w2, 5).await;
+        e.set(Some(s.now()));
     });
     sim.run().unwrap();
     assert_eq!(h.try_result(), Some((Some(ns(6)), ns(8))));
+    assert_eq!(*armed.borrow(), [false, true]);
 }

@@ -16,20 +16,16 @@
 //! evictions of a single host, which is what produces the paper's
 //! eviction convoys.
 //!
-//! **Hand-over.** The channel's grant hook runs in the poll that grants
-//! a packet the wire: the packet's own poll when the wire is free, or the
-//! poll of the packet that ends its hold, at that instant. It draws the
-//! packet's fault effect, which fixes its wire time, and arms a queued
-//! grantee with [`Sim::wake_at`] for the end of its packet instead of
-//! waking it to start a sleep (PERF.md invariant 17). On a half-duplex
-//! wire the grantee holds the only channel until its packet ends, so no
-//! other fault draw on the segment's RNG can come between the grant and
-//! the grantee's next poll. A dropped packet (an outage or an error draw)
-//! wakes the grantee normally, and it releases the wire in its own poll.
-//! The two channels of a full-duplex segment share one fault RNG, so
-//! there a packet on the other channel could draw in between: on a
-//! full-duplex segment with net fault windows the hook leaves the draw to
-//! the grantee, which is woken normally and draws in its own poll.
+//! **Hand-over.** The channel's grant hook runs where the packet's task
+//! would first see the wire: in its own poll when the wire is free, or at
+//! its place in the ready queue when the packet that ends its hold hands
+//! the wire over ([`fcache_des::GrantPlace`]). It draws the packet's fault
+//! effect there, which fixes its wire time, and arms a queued grantee for
+//! the end of its packet instead of having it polled to start a sleep
+//! (PERF.md invariant 17). So every packet draws where its own poll would
+//! have, on a half-duplex wire and on the two channels of a full-duplex
+//! one alike, which share one fault RNG. A dropped packet (an outage or
+//! an error draw) is polled at its place, and releases the wire there.
 //!
 //! **Faults.** Fault state belongs to the wire: every segment has one
 //! schedule per direction and one error-draw RNG, shared by all its
@@ -48,11 +44,10 @@
 #![forbid(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
-use std::future::poll_fn;
 use std::rc::Rc;
-use std::task::{Poll, Waker};
 
-use fcache_des::{GrantHook, Resource, Sim, SimTime};
+use fcache_des::executor::Sleep;
+use fcache_des::{GrantHook, GrantPlace, Resource, Sim, SimTime};
 use fcache_types::{FaultEffect, FaultError, FaultSchedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -143,11 +138,6 @@ impl SegmentFaults {
         }
     }
 
-    /// Whether either direction has a window.
-    fn has_windows(&self) -> bool {
-        !self.to_server.is_empty() || !self.from_server.is_empty()
-    }
-
     /// The effect in force on a `dir` packet taking the wire at `now_ns`.
     fn effect_at(&mut self, dir: Direction, now_ns: u64) -> FaultEffect {
         let sched = match dir {
@@ -162,36 +152,18 @@ impl SegmentFaults {
 /// What every channel of a wire shares: its fault state and its traffic
 /// counters.
 struct WireState {
-    duplex: bool,
     faults: RefCell<SegmentFaults>,
     stats: Cell<SegmentStats>,
 }
 
 /// A wire as its channels see it, and the grant hook of each channel's
 /// queue: a packet granted a channel draws its fault effect and learns
-/// its wire time in the poll that grants it.
+/// its wire time where it is granted.
 #[derive(Clone)]
 struct Wire {
     sim: Sim,
     cfg: NetConfig,
     state: Rc<WireState>,
-}
-
-/// What the grant decided for a packet.
-enum Grant {
-    /// Carry the packet from the grant until `until`. `armed` when the
-    /// executor registers the grantee's timer for `until`; otherwise the
-    /// grantee sleeps until then itself.
-    Carry {
-        wire_time: SimTime,
-        until: SimTime,
-        armed: bool,
-    },
-    /// The fault draw dropped the packet.
-    Fail(FaultError),
-    /// The grantee draws its fault effect in its own poll (a full-duplex
-    /// grantee on a wire with net fault windows).
-    Draw,
 }
 
 impl Wire {
@@ -214,31 +186,17 @@ impl Wire {
 
 impl GrantHook for Wire {
     type Request = (Direction, u64);
-    type Outcome = Grant;
+    /// The packet's wire time and the sleep to its end, or the fault that
+    /// dropped it.
+    type Outcome = Result<(SimTime, Sleep), FaultError>;
 
-    fn grant(&mut self, (dir, payload_bytes): (Direction, u64), waker: &Waker) -> (Grant, bool) {
-        if self.state.duplex && self.state.faults.borrow().has_windows() {
-            return (Grant::Draw, false);
-        }
-        match self.wire_time(dir, payload_bytes) {
-            Err(e) => (Grant::Fail(e), false),
-            Ok(wire_time) => {
-                let until = self.sim.now() + wire_time;
-                let armed = self.sim.wake_at(waker, until);
-                (
-                    Grant::Carry {
-                        wire_time,
-                        until,
-                        armed,
-                    },
-                    armed,
-                )
-            }
-        }
-    }
-
-    fn disarm(&mut self, waker: &Waker) {
-        self.sim.disarm(waker);
+    fn grant(
+        &mut self,
+        (dir, payload_bytes): (Direction, u64),
+        place: &mut GrantPlace<'_>,
+    ) -> Self::Outcome {
+        let wire_time = self.wire_time(dir, payload_bytes)?;
+        Ok((wire_time, place.sleep_until(self.sim.now() + wire_time)))
     }
 }
 
@@ -274,7 +232,6 @@ impl Segment {
             sim,
             cfg,
             state: Rc::new(WireState {
-                duplex,
                 faults: RefCell::new(SegmentFaults::new(
                     FaultSchedule::default(),
                     FaultSchedule::default(),
@@ -283,9 +240,9 @@ impl Segment {
                 stats: Cell::new(SegmentStats::default()),
             }),
         };
-        let to_server = Resource::with_hook(1, wire.clone());
+        let to_server = Resource::with_hook(&wire.sim, 1, wire.clone());
         let from_server = if duplex {
-            Resource::with_hook(1, wire.clone())
+            Resource::with_hook(&wire.sim, 1, wire.clone())
         } else {
             to_server.clone()
         };
@@ -330,46 +287,22 @@ impl Segment {
     /// fault schedule at `sim.now()` and is dropped (no wire time, no
     /// stats), carried with inflated wire time, or carried normally.
     ///
-    /// A packet that queues may be handed the wire with an armed timer
-    /// ([`Sim::wake_at`]): its task is not polled at the hand-over. That
-    /// is exact only when the packet is the task's one pending await, as
-    /// in every caller in the simulator. Awaiting it beside other futures
-    /// that share the task's waker (as the entries of a `WaitAll` do)
-    /// would skip the poll those siblings expected at the hand-over
-    /// instant.
+    /// A packet that queues may be handed the wire armed
+    /// ([`GrantPlace::sleep_until`]): its task is not polled at its place.
+    /// That is exact only when the packet is the task's one pending
+    /// await, as in every caller in the simulator. Awaiting it beside
+    /// other futures that share the task's waker (as the entries of a
+    /// `WaitAll` do) would skip the poll those siblings expected at the
+    /// hand-over.
     pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
         let queued_at = self.wire.sim.now();
         let (_held, grant) = self.channels[dir as usize]
             .acquire_with((dir, payload_bytes))
             .await;
-        let sim = &self.wire.sim;
-        let (wire_time, until, armed) = match grant {
-            Grant::Carry {
-                wire_time,
-                until,
-                armed,
-            } => (wire_time, until, armed),
-            Grant::Fail(e) => return Err(e),
-            Grant::Draw => {
-                let wire_time = self.wire.wire_time(dir, payload_bytes)?;
-                (wire_time, sim.now() + wire_time, false)
-            }
-        };
-        if armed {
-            // The grant registered this task's timer for `until`.
-            poll_fn(|_| {
-                if sim.now() < until {
-                    Poll::Pending
-                } else {
-                    Poll::Ready(())
-                }
-            })
-            .await;
-        } else {
-            sim.sleep_until(until).await;
-        }
-        // The grant instant is `until - wire_time`.
-        self.record(payload_bytes, wire_time, until - wire_time - queued_at);
+        let (wire_time, carry) = grant?;
+        let granted_at = carry.deadline() - wire_time;
+        carry.await;
+        self.record(payload_bytes, wire_time, granted_at - queued_at);
         Ok(())
     }
 

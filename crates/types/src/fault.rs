@@ -28,6 +28,7 @@
 //! [`FaultPlan::parse`] rejects it.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::fxhash::mix64;
 use crate::json::Json;
@@ -122,8 +123,9 @@ pub struct FaultPlan {
 /// escalate (e.g. under a strict degraded policy) name their cause.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultError {
-    /// `describe()`-form of the clause that fired.
-    pub clause: String,
+    /// `describe()`-form of the clause that fired, shared with the window
+    /// that fired it.
+    pub clause: Arc<str>,
 }
 
 impl fmt::Display for FaultError {
@@ -565,8 +567,9 @@ pub struct ResolvedWindow {
     pub end_ns: u64,
     /// Misbehavior while open.
     pub kind: FaultKind,
-    /// `describe()`-form of the originating clause.
-    pub clause: String,
+    /// `describe()`-form of the originating clause; a failure it causes
+    /// shares it instead of copying it.
+    pub clause: Arc<str>,
 }
 
 /// The concrete windows a plan injects on one target, sorted by start.
@@ -585,7 +588,7 @@ pub enum FaultEffect {
     /// Fail the operation.
     Fail {
         /// `describe()`-form of the clause that fired.
-        clause: String,
+        clause: Arc<str>,
         /// For outages, when the window closes (retrying before this is
         /// futile); `None` for probabilistic errors.
         until_ns: Option<u64>,
@@ -787,7 +790,7 @@ impl FaultPlan {
         set.shards
             .resize_with(usize::from(shard_count), FaultSchedule::default);
         for (i, c) in self.clauses.iter().enumerate() {
-            let clause = c.describe();
+            let clause: Arc<str> = c.describe().into();
             let mut windows: Vec<ResolvedWindow> = Vec::new();
             match c.window {
                 FaultWindow::Interval { start_ns, end_ns } => windows.push(ResolvedWindow {
