@@ -5,11 +5,12 @@
 //! headline results at the tier-1 test's scale; the rest are the bench's
 //! shape checks.
 
-use fcache::{Architecture, FlashTiming, SimConfig, SimReport, WorkloadSpec, WritebackPolicy};
-use fcache_des::SimTime;
-use fcache_device::{
-    FlashModel, IoDirection, IoLogEntry, RamModel, SsdConfig, SsdModel, WindowStat,
+use fcache::{
+    Architecture, FlashTiming, SimConfig, SimReport, WorkloadSpec, WritebackPolicy, TABLE1_FILER,
+    TABLE1_NET, TABLE1_RAM,
 };
+use fcache_des::SimTime;
+use fcache_device::{FlashModel, IoDirection, IoLogEntry, SsdConfig, SsdModel, WindowStat};
 use fcache_types::ByteSize;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -53,15 +54,15 @@ pub fn table1(_: &Runs, p: &mut Page) {
         &["parameter", "paper", "ours"],
     );
     let rows = [
-        ("RAM read", "400 ns", cfg.ram_model.read),
-        ("RAM write", "400 ns", cfg.ram_model.write),
+        ("RAM read", "400 ns", TABLE1_RAM.read),
+        ("RAM write", "400 ns", TABLE1_RAM.write),
         ("Flash read", "88 us", cfg.flash_model.read_latency()),
         ("Flash write", "21 us", cfg.flash_model.write_latency()),
-        ("Net base/packet", "8.2 us", cfg.net.base_latency),
-        ("Net per bit", "1 ns", cfg.net.per_bit),
-        ("Filer fast read", "92 us", cfg.filer.fast_read),
-        ("Filer slow read", "7952 us", cfg.filer.slow_read),
-        ("Filer write", "92 us", cfg.filer.write),
+        ("Net base/packet", "8.2 us", TABLE1_NET.base_latency),
+        ("Net per bit", "1 ns", TABLE1_NET.per_bit),
+        ("Filer fast read", "92 us", TABLE1_FILER.fast_read),
+        ("Filer slow read", "7952 us", TABLE1_FILER.slow_read),
+        ("Filer write", "92 us", TABLE1_FILER.write),
     ];
     for (name, paper, ours) in rows {
         t.row(vec![name.into(), paper.into(), ours.to_string()]);
@@ -69,18 +70,18 @@ pub fn table1(_: &Runs, p: &mut Page) {
     t.row(vec![
         "Fast read rate".into(),
         "90%".into(),
-        format!("{:.0}%", cfg.filer.fast_read_rate * 100.0),
+        format!("{:.0}%", cfg.prefetch * 100.0),
     ]);
     p.table(&t, "table1");
 
     p.claim(
         Both,
         "table1",
-        cfg.ram_model.read.as_nanos() == 400
+        TABLE1_RAM.read.as_nanos() == 400
             && cfg.flash_model.read_latency().as_nanos() == 88_000
             && cfg.flash_model.write_latency().as_nanos() == 21_000
-            && cfg.net.base_latency.as_nanos() == 8_200
-            && cfg.filer.slow_read.as_nanos() == 7_952_000,
+            && TABLE1_NET.base_latency.as_nanos() == 8_200
+            && TABLE1_FILER.slow_read.as_nanos() == 7_952_000,
         "all defaults equal the published Table 1 values".into(),
     );
 }
@@ -429,11 +430,10 @@ pub fn fig2(runs: &Runs, p: &mut Page) {
 /// structure with RAM-speed flash (isolates the structural effect), and a
 /// 64 GB-effective unified cache at RAM speed.
 pub fn fig3_grid(_: &Lab) -> Vec<Job> {
-    let ram = RamModel::default();
     let ram_speed_flash = SimConfig {
         flash_model: FlashModel {
-            read: ram.read,
-            write: ram.write,
+            read: TABLE1_RAM.read,
+            write: TABLE1_RAM.write,
             persistent: false,
         },
         ..SimConfig::baseline()
@@ -634,11 +634,11 @@ pub fn fig5_grid(_: &Lab) -> Vec<Job> {
         .into_iter()
         .flat_map(|ws| {
             FIG5_LINES.map(|(flash, rate)| {
-                let mut cfg = SimConfig {
+                let cfg = SimConfig {
                     flash_size: ByteSize::gib(flash),
+                    prefetch: rate,
                     ..SimConfig::baseline()
                 };
-                cfg.filer.fast_read_rate = rate;
                 Job::new(format!("ws{ws}/flash{flash}/fast{rate}"), cfg, &ws_spec(ws))
             })
         })

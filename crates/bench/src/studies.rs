@@ -301,7 +301,7 @@ fn outage_jobs(base: SimConfig, fault: &str) -> Vec<Job> {
     let faulted = cfgs.iter().map(|(label, cfg)| {
         let mut cfg = cfg.clone();
         cfg.fault_plan = plan.clone();
-        cfg.robustness.degraded = DegradedPolicy::Queue;
+        cfg.degraded = DegradedPolicy::Queue;
         Job::new(format!("{label} + outage"), cfg, &spec)
     });
     healthy.chain(faulted).collect()

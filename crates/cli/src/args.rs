@@ -71,11 +71,22 @@ impl Flags {
     where
         T::Err: fmt::Display,
     {
+        self.get_with(name, default, str::parse)
+    }
+
+    /// Parses a flag value with `parse`, with a default. The error names
+    /// the flag.
+    pub fn get_with<T, E: fmt::Display>(
+        &self,
+        name: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, ArgError> {
         match self.get(name) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse::<T>()
-                .map_err(|e| ArgError(format!("invalid value for --{name}: {e}"))),
+            Some(raw) => {
+                parse(raw).map_err(|e| ArgError(format!("invalid value for --{name}: {e}")))
+            }
         }
     }
 }

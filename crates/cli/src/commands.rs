@@ -8,9 +8,9 @@ use std::path::Path;
 use fcache::{
     chrome_trace, read_rows, read_span_rows, Architecture, DecodedRow, DegradedPolicy, FlashTiming,
     HistogramSnapshot, JsonlSink, LatencyHistogram, MemorySink, ResultSink, Scenario, SimConfig,
-    SpanRow, Sweep, Workbench, Workload, WorkloadSpec, WritebackPolicy, REPORT_SCHEMA,
+    SimReport, SpanRow, Sweep, Workbench, Workload, WorkloadSpec, REPORT_SCHEMA,
 };
-use fcache_device::{SimTime, SsdConfig};
+use fcache_device::{FlashModel, SimTime, SsdConfig};
 use fcache_fleet::{worker_part_path, Fleet, FleetSpec, FleetSummary};
 use fcache_types::{stream_stats, ByteSize, FaultPlan, Phase, TraceReader, TraceSource};
 
@@ -195,78 +195,54 @@ const CFG_FLAGS: &[&str] = &[
 ];
 const CFG_BOOLS: &[&str] = &["persistent", "duplex", "skip-warmup", "streamed", "resume"];
 
+/// The configuration the flags describe. It only parses: each default is
+/// `SimConfig::baseline()`'s except `--seed`'s documented 42, and the rules
+/// on the parsed values are [`SimConfig::validate`]'s (see
+/// [`valid_config`]).
 fn config_from(flags: &Flags) -> Result<SimConfig, ArgError> {
-    let mut cfg = SimConfig::baseline();
-    cfg.arch = flags.get_parsed("arch", Architecture::Naive)?;
-    cfg.ram_size = flags.get_parsed("ram", ByteSize::gib(8))?;
-    cfg.flash_size = flags.get_parsed("flash", ByteSize::gib(64))?;
-    cfg.ram_policy = flags.get_parsed("ram-policy", WritebackPolicy::Periodic(1))?;
-    cfg.flash_policy = flags.get_parsed("flash-policy", WritebackPolicy::AsyncWriteThrough)?;
-    let prefetch: f64 = flags.get_parsed("prefetch", 0.9)?;
-    if !(0.0..=1.0).contains(&prefetch) {
-        return Err(ArgError("--prefetch must be in [0,1]".into()));
-    }
-    cfg.filer.fast_read_rate = prefetch;
-    cfg.flash_model.persistent = flags.has("persistent");
-    cfg.duplex_network = flags.has("duplex");
-    cfg.seed = flags.get_parsed("seed", 42u64)?;
-    cfg.flash_timing = flash_timing_from(flags)?;
-    if let Some(spec) = flags.get("fault") {
-        cfg.fault_plan = FaultPlan::parse(spec).map_err(|e| ArgError(format!("--fault: {e}")))?;
-    }
-    if let Some(label) = flags.get("degraded") {
-        cfg.robustness.degraded =
-            DegradedPolicy::parse(label).map_err(|e| ArgError(format!("--degraded: {e}")))?;
-    }
-    cfg.shards = flags.get_parsed("shards", 1u16)?;
-    if cfg.shards == 0 {
-        return Err(ArgError("--shards must be at least 1".into()));
-    }
-    // An out-of-range shard clause would only surface as a panic deep in
-    // the run; catch it here as an ordinary flag error.
-    for clause in &cfg.fault_plan.clauses {
-        if let fcache_types::FaultTarget::Shard(Some(k)) = clause.target {
-            if k >= cfg.shards {
-                return Err(ArgError(format!(
-                    "--fault: clause targets shard{k} but --shards is {}",
-                    cfg.shards
-                )));
-            }
-        }
-    }
-    cfg.replicas = flags.get_parsed("replicas", 1u16)?;
-    if cfg.replicas == 0 || cfg.replicas > cfg.shards {
-        return Err(ArgError(format!(
-            "--replicas must be in 1..={} (one per distinct shard), got {}",
-            cfg.shards, cfg.replicas
-        )));
-    }
-    if let Some(raw) = flags.get("hedge") {
-        if cfg.replicas < 2 {
-            return Err(ArgError(
-                "--hedge requires --replicas >= 2 (a hedge needs a second replica)".into(),
-            ));
-        }
-        let us: f64 = raw
-            .parse()
-            .map_err(|e| ArgError(format!("invalid value for --hedge: {e}")))?;
-        if !us.is_finite() || us <= 0.0 {
-            return Err(ArgError("--hedge must be positive microseconds".into()));
-        }
-        cfg.hedge = Some(SimTime::from_nanos((us * 1000.0).round() as u64));
-    }
-    if let Some(raw) = flags.get("windows") {
-        let ns =
-            fcache_types::parse_time_ns(raw).map_err(|e| ArgError(format!("--windows: {e}")))?;
-        if ns == 0 {
-            return Err(ArgError("--windows must be a positive duration".into()));
-        }
-        cfg.telemetry_windows = Some(SimTime::from_nanos(ns));
-    }
-    if let Some(path) = flags.get("trace-out") {
-        cfg.trace_out = Some(path.into());
-    }
+    let base = SimConfig::baseline();
+    Ok(SimConfig {
+        arch: flags.get_parsed("arch", base.arch)?,
+        ram_size: flags.get_parsed("ram", base.ram_size)?,
+        flash_size: flags.get_parsed("flash", base.flash_size)?,
+        ram_policy: flags.get_parsed("ram-policy", base.ram_policy)?,
+        flash_policy: flags.get_parsed("flash-policy", base.flash_policy)?,
+        prefetch: flags.get_parsed("prefetch", base.prefetch)?,
+        flash_model: FlashModel {
+            persistent: flags.has("persistent"),
+            ..base.flash_model
+        },
+        duplex_network: flags.has("duplex"),
+        seed: flags.get_parsed("seed", 42u64)?,
+        flash_timing: flash_timing_from(flags)?,
+        fault_plan: flags.get_with("fault", base.fault_plan, FaultPlan::parse)?,
+        degraded: flags.get_with("degraded", base.degraded, DegradedPolicy::parse)?,
+        shards: flags.get_parsed("shards", base.shards)?,
+        replicas: flags.get_parsed("replicas", base.replicas)?,
+        hedge: flags.get_with("hedge", base.hedge, |raw| micros(raw).map(Some))?,
+        telemetry_windows: flags.get_with("windows", base.telemetry_windows, |raw| {
+            fcache_types::parse_time_ns(raw).map(|ns| Some(SimTime::from_nanos(ns)))
+        })?,
+        trace_out: flags.get("trace-out").map(Into::into),
+        ..base
+    })
+}
+
+/// [`config_from`], refused unless [`SimConfig::validate`] accepts it.
+fn valid_config(flags: &Flags) -> Result<SimConfig, Box<dyn Error>> {
+    let cfg = config_from(flags)?;
+    cfg.validate()?;
     Ok(cfg)
+}
+
+/// Parses a duration in (fractional) microseconds.
+fn micros(raw: &str) -> Result<SimTime, String> {
+    match raw.parse::<f64>() {
+        Ok(us) if us.is_finite() && us >= 0.0 => {
+            Ok(SimTime::from_nanos((us * 1000.0).round() as u64))
+        }
+        _ => Err(format!("{raw:?} is not a duration in microseconds")),
+    }
 }
 
 /// Parses the device timing selector and its `--ssd-*` overrides.
@@ -282,34 +258,19 @@ fn flash_timing_from(flags: &Flags) -> Result<FlashTiming, ArgError> {
         }
         "ssd" => {
             let mut sc = SsdConfig::auto();
-            if let Some(raw) = flags.get("ssd-capacity") {
-                let size: ByteSize = raw
-                    .parse()
-                    .map_err(|e| ArgError(format!("invalid value for --ssd-capacity: {e}")))?;
-                if size.blocks() == 0 {
-                    return Err(ArgError(
-                        "--ssd-capacity must be at least one 4K block".into(),
-                    ));
-                }
+            let blocks =
+                flags.get_with("ssd-capacity", 0, |raw| match raw.parse::<ByteSize>() {
+                    Ok(size) if size.blocks() == 0 => Err("must be at least one 4K block".into()),
+                    parsed => parsed.map(|size| size.blocks()).map_err(|e| e.to_string()),
+                })?;
+            if blocks > 0 {
                 // Fit, don't just set: the FTL region size and map-cache
                 // coverage must follow the device size or locality behavior
                 // silently disappears for small devices.
-                sc = sc.fit_capacity(size.blocks());
+                sc = sc.fit_capacity(blocks);
             }
-            for (flag, slot) in [
-                ("ssd-read-base", &mut sc.read_base),
-                ("ssd-write-base", &mut sc.write_base),
-            ] {
-                if let Some(raw) = flags.get(flag) {
-                    let us: f64 = raw
-                        .parse()
-                        .map_err(|e| ArgError(format!("invalid value for --{flag}: {e}")))?;
-                    if !us.is_finite() || us <= 0.0 {
-                        return Err(ArgError(format!("--{flag} must be positive microseconds")));
-                    }
-                    *slot = SimTime::from_nanos((us * 1000.0).round() as u64);
-                }
-            }
+            sc.read_base = flags.get_with("ssd-read-base", sc.read_base, micros)?;
+            sc.write_base = flags.get_with("ssd-write-base", sc.write_base, micros)?;
             Ok(FlashTiming::Ssd(sc))
         }
         other => Err(ArgError(format!(
@@ -346,7 +307,7 @@ fn spec_from(flags: &Flags) -> Result<WorkloadSpec, ArgError> {
 fn cmd_run(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
     let scale = scale_from(&flags, 64)?;
-    let cfg = config_from(&flags)?;
+    let cfg = valid_config(&flags)?;
     let spec = spec_from(&flags)?;
     let wb = Workbench::new(scale, cfg.seed);
     eprintln!(
@@ -356,40 +317,14 @@ fn cmd_run(args: &[String]) -> CmdResult {
         spec.working_set,
         spec.working_set.scaled_down(scale),
     );
-    eprintln!("flash timing: {}", cfg.flash_timing.describe());
-    if cfg.remote_engaged() {
-        eprintln!(
-            "remote tier: {} shard(s) x {} replica(s){}",
-            cfg.shards,
-            cfg.replicas,
-            match cfg.hedge {
-                Some(d) => format!(", hedged reads after {d}"),
-                None => ", no hedging".into(),
-            }
-        );
-    }
-    if !cfg.fault_plan.is_empty() {
-        eprintln!(
-            "fault plan: {} (degraded: {})",
-            cfg.fault_plan.describe(),
-            cfg.robustness.degraded.label()
-        );
-    }
+    eprint!("{}", cfg.setup_lines());
     // One scenario over a streamed workload: generation feeds the
     // simulator in bounded chunks, so run memory is O(cache + chunk)
     // regardless of the trace volume.
     let t0 = std::time::Instant::now();
     let report = wb.scenario(&cfg, &spec).run()?;
     let wall = t0.elapsed().as_secs_f64();
-    print!("{report}");
-    println!(
-        "read latency       {:.1} us/block",
-        report.read_latency_us()
-    );
-    println!(
-        "write latency      {:.2} us/block",
-        report.write_latency_us()
-    );
+    print_report(&report);
     // The simulator's own cost goes to stderr, keeping stdout the report
     // that `fcsim replay` prints for the same ops. The stream is
     // regenerated to count its ops, outside the timed run.
@@ -399,6 +334,15 @@ fn cmd_run(args: &[String]) -> CmdResult {
         eprintln!("{}", throughput_line("run", ops, wall, report.events));
     }
     Ok(())
+}
+
+/// Prints a run's report and its per-block latencies: `fcsim run` and
+/// `fcsim replay` print the same lines for the same ops.
+fn print_report(report: &SimReport) {
+    let (read, write) = (report.read_latency_us(), report.write_latency_us());
+    print!("{report}");
+    println!("read latency       {read:.1} us/block");
+    println!("write latency      {write:.2} us/block");
 }
 
 /// One line of a run's own cost: trace ops per wall second, wall time,
@@ -442,7 +386,7 @@ where
 fn cmd_sweep(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
     let scale = scale_from(&flags, 64)?;
-    let base = config_from(&flags)?;
+    let base = valid_config(&flags)?;
     let spec = spec_from(&flags)?;
     let archs: Vec<Architecture> = parse_list(
         flags
@@ -465,9 +409,9 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
             "--arch-list / --flash-list must name at least one value".into(),
         )));
     }
-    // Duplicate axis entries would produce duplicate job labels, which
-    // break label-keyed results (resume refuses them with a library
-    // assert); reject them here as ordinary flag errors.
+    // Duplicate axis entries would give two jobs one label, which a
+    // label-keyed results file cannot tell apart (`Sweep::resume` refuses
+    // such a sweep with an error); reject them here as flag errors.
     ensure_unique(&archs, "arch-list")?;
     ensure_unique(&flash_sizes, "flash-list")?;
     let threads: usize = flags.get_parsed("threads", 0usize)?;
@@ -640,7 +584,7 @@ fn cmd_fleet(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
     // Paper-scale fleets are huge; default deeper scaling than run/sweep.
     let scale = scale_from(&flags, 4096)?;
-    let base = config_from(&flags)?;
+    let base = valid_config(&flags)?;
     // In a fleet, --hosts is the fleet size; the per-cell host count in
     // the workload template is derived by the plan, so reuse spec_from's
     // parse and override the default.
@@ -1081,7 +1025,7 @@ fn cmd_trace_dump(args: &[String]) -> CmdResult {
 fn cmd_replay(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args, CFG_FLAGS, CFG_BOOLS)?;
     let scale = scale_from(&flags, 64)?;
-    let cfg = config_from(&flags)?.scaled_down(scale);
+    let cfg = valid_config(&flags)?.scaled_down(scale);
     let path = flags
         .get("in")
         .ok_or_else(|| ArgError("--in FILE is required".into()))?;
@@ -1115,15 +1059,7 @@ fn cmd_replay(args: &[String]) -> CmdResult {
         Err(e) => return Err(e.into()),
     };
     let wall = t0.elapsed().as_secs_f64();
-    print!("{report}");
-    println!(
-        "read latency       {:.1} us/block",
-        report.read_latency_us()
-    );
-    println!(
-        "write latency      {:.2} us/block",
-        report.write_latency_us()
-    );
+    print_report(&report);
     if wall > 0.0 {
         println!(
             "{}",
@@ -1136,6 +1072,7 @@ fn cmd_replay(args: &[String]) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcache::WritebackPolicy;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -1227,7 +1164,7 @@ mod tests {
         assert_eq!(cfg.flash_size, ByteSize::gib(16));
         assert_eq!(cfg.ram_policy, WritebackPolicy::WriteThrough);
         assert_eq!(cfg.flash_policy, WritebackPolicy::Periodic(5));
-        assert!((cfg.filer.fast_read_rate - 0.8).abs() < 1e-9);
+        assert!((cfg.prefetch - 0.8).abs() < 1e-9);
         assert!(cfg.flash_model.persistent);
     }
 
@@ -1284,7 +1221,7 @@ mod tests {
             &["--flash-timing", "ssd", "--ssd-capacity", "1K"][..], // < 1 block
         ] {
             let flags = Flags::parse(&argv(bad), CFG_FLAGS, CFG_BOOLS).unwrap();
-            assert!(config_from(&flags).is_err(), "accepted {bad:?}");
+            assert!(valid_config(&flags).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -1330,12 +1267,12 @@ mod tests {
         .unwrap();
         let cfg = config_from(&flags).unwrap();
         assert_eq!(cfg.fault_plan.clauses.len(), 1);
-        assert_eq!(cfg.robustness.degraded, DegradedPolicy::FailFast);
+        assert_eq!(cfg.degraded, DegradedPolicy::FailFast);
         // The default is fault-free with the queueing policy.
         let bare = Flags::parse(&argv(&[]), CFG_FLAGS, CFG_BOOLS).unwrap();
         let cfg = config_from(&bare).unwrap();
         assert!(cfg.fault_plan.is_empty());
-        assert_eq!(cfg.robustness.degraded, DegradedPolicy::Queue);
+        assert_eq!(cfg.degraded, DegradedPolicy::Queue);
         for bad in [
             &["--fault", "filer:outage"][..],         // missing window
             &["--fault", "gremlin:outage@1s-2s"][..], // unknown target
@@ -1343,7 +1280,7 @@ mod tests {
             &["--degraded", "panic"][..],             // unknown policy
         ] {
             let flags = Flags::parse(&argv(bad), CFG_FLAGS, CFG_BOOLS).unwrap();
-            assert!(config_from(&flags).is_err(), "accepted {bad:?}");
+            assert!(valid_config(&flags).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -1377,7 +1314,7 @@ mod tests {
             &["--fault", "shard0:outage@1s-2s"][..], // shard clause, 1 shard... fine
         ] {
             let flags = Flags::parse(&argv(bad), CFG_FLAGS, CFG_BOOLS).unwrap();
-            let cfg = config_from(&flags);
+            let cfg = valid_config(&flags);
             // `shard0` against the default single shard is legal (it
             // targets the only shard); every other case is a flag error.
             if bad == ["--fault", "shard0:outage@1s-2s"] {
@@ -1385,6 +1322,38 @@ mod tests {
             } else {
                 assert!(cfg.is_err(), "accepted {bad:?}");
             }
+        }
+    }
+
+    #[test]
+    fn range_rules_come_from_validate_and_name_the_field() {
+        for (args, field) in [
+            (&["--prefetch", "1.5"][..], "prefetch"),
+            (&["--shards", "0"], "shards"),
+            (&["--replicas", "2"], "replicas"),
+            (&["--hedge", "100"], "hedge"),
+            (
+                &["--shards", "2", "--replicas", "2", "--hedge", "0"],
+                "hedge",
+            ),
+            (&["--windows", "0s"], "telemetry_windows"),
+            (
+                &["--flash-timing", "ssd", "--ssd-read-base", "0"],
+                "flash_timing.read_base",
+            ),
+            (
+                &["--flash-timing", "ssd", "--ssd-write-base", "0"],
+                "flash_timing.write_base",
+            ),
+            (
+                &["--fault", "shard9:outage@1s-2s", "--shards", "2"],
+                "fault_plan",
+            ),
+        ] {
+            let flags = Flags::parse(&argv(args), CFG_FLAGS, CFG_BOOLS).unwrap();
+            assert!(config_from(&flags).is_ok(), "{args:?} failed to parse");
+            let err = valid_config(&flags).expect_err("accepted").to_string();
+            assert!(err.starts_with(&format!("{field}:")), "{args:?}: {err}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Simulation configuration.
 
 use fcache_cache::EvictionPolicy;
+use fcache_des::SimTime;
 use fcache_device::{FlashModel, RamModel, SsdConfig};
 use fcache_filer::FilerConfig;
 use fcache_net::NetConfig;
@@ -8,7 +9,15 @@ use fcache_types::{ByteSize, FaultPlan, FleetTopology};
 
 use crate::arch::Architecture;
 use crate::policy::WritebackPolicy;
-use crate::robust::RobustnessConfig;
+use crate::robust::DegradedPolicy;
+
+/// Table 1's RAM timing. The paper never varies it, so it is no knob.
+pub const TABLE1_RAM: RamModel = RamModel::paper_default();
+/// Table 1's wire timing, fixed like [`TABLE1_RAM`].
+pub const TABLE1_NET: NetConfig = NetConfig::paper_default();
+/// Table 1's filer timing. Only its prefetch rate varies (Figure 5), so
+/// only that is a knob: [`SimConfig::prefetch`].
+pub const TABLE1_FILER: FilerConfig = FilerConfig::paper_default();
 
 /// How flash device time is charged (see `crate::devsvc`).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -68,8 +77,6 @@ pub struct SimConfig {
     /// Flash-tier writeback policy (§3.5). Ignored by the lookaside
     /// architecture, whose flash never holds dirty data.
     pub flash_policy: WritebackPolicy,
-    /// RAM timing model.
-    pub ram_model: RamModel,
     /// Flash timing model (includes the persistence flag, §7.8).
     pub flash_model: FlashModel,
     /// How flash device time is charged: [`FlashTiming::Flat`] (default —
@@ -81,10 +88,9 @@ pub struct SimConfig {
     /// series, produced inline). 0 (default) disables the series; only
     /// meaningful with [`FlashTiming::Ssd`].
     pub device_window: usize,
-    /// Network timing model.
-    pub net: NetConfig,
-    /// Filer timing model.
-    pub filer: FilerConfig,
+    /// Filer prefetch success rate: the probability that a block read is
+    /// fast. In `[0, 1]`; Table 1's 90% by default, and Figure 5 sweeps it.
+    pub prefetch: f64,
     /// Whether read misses populate the flash tier on their way to RAM
     /// ("Newly referenced blocks are first placed in flash, then into
     /// RAM", §3.2). Ablation knob; the paper's design has it on.
@@ -109,7 +115,7 @@ pub struct SimConfig {
     /// Keep the simulated clock running until at least this time, even if
     /// the trace finishes earlier. Lets periodic syncers drain after a
     /// short trace; `None` (default) ends the run with the last operation.
-    pub min_runtime: Option<fcache_des::SimTime>,
+    pub min_runtime: Option<SimTime>,
     /// How many writebacks a periodic syncer keeps in flight at once. The
     /// syncer is one thread, but it issues asynchronous I/O; a window of 1
     /// degenerates to fully synchronous flushing, which cannot sustain the
@@ -134,21 +140,22 @@ pub struct SimConfig {
     /// Hedge delay for replicated reads: after a miss fetch has been
     /// outstanding this long (paper-scale; divides by `time_scale`), a
     /// second request races on the next replica and the first answer wins.
-    /// `None` (default) disables hedging. Meaningful only with
-    /// `replicas > 1`.
-    pub hedge: Option<fcache_des::SimTime>,
+    /// `None` (default) disables hedging. Needs `replicas > 1`
+    /// ([`SimConfig::validate`]).
+    pub hedge: Option<SimTime>,
     /// Injected faults (see `fcache_types::fault`). Empty — the default —
     /// means a healthy run, bit-identical to the pre-fault engine; clause
     /// windows are paper-scale and divide by `time_scale` at resolve time.
     pub fault_plan: FaultPlan,
-    /// Client robustness parameters (timeouts, retries, degraded-mode
-    /// policy). Consulted only when an injected fault fires.
-    pub robustness: RobustnessConfig,
+    /// What a read miss does while every replica is down. Consulted only
+    /// when an injected fault fires; the client's timeout and retry
+    /// constants live in `crate::robust`.
+    pub degraded: DegradedPolicy,
     /// Telemetry window length for the unified time series (paper-scale;
     /// divides by `time_scale`). `None` (default) disables the series.
     /// Engaging telemetry never changes simulation results (PERF.md
     /// invariant 12) — only what gets observed.
-    pub telemetry_windows: Option<fcache_des::SimTime>,
+    pub telemetry_windows: Option<SimTime>,
     /// Fleet placement of this run: which cell of how many, the global
     /// host ids it covers, and the network fan-in (hosts per shared
     /// segment). `None` — the default — gives every host a private
@@ -174,12 +181,10 @@ impl Default for SimConfig {
             flash_size: ByteSize::gib(64),
             ram_policy: WritebackPolicy::Periodic(1),
             flash_policy: WritebackPolicy::AsyncWriteThrough,
-            ram_model: RamModel::default(),
             flash_model: FlashModel::default(),
             flash_timing: FlashTiming::Flat,
             device_window: 0,
-            net: NetConfig::default(),
-            filer: FilerConfig::default(),
+            prefetch: TABLE1_FILER.fast_read_rate,
             populate_flash_on_read: true,
             inclusive_promotion: true,
             charge_flash_read_on_writeback: true,
@@ -193,7 +198,7 @@ impl Default for SimConfig {
             replicas: 1,
             hedge: None,
             fault_plan: FaultPlan::default(),
-            robustness: RobustnessConfig::default(),
+            degraded: DegradedPolicy::Queue,
             telemetry_windows: None,
             fleet: None,
             trace_out: None,
@@ -238,27 +243,21 @@ impl SimConfig {
     /// A paper-scale duration divided by this configuration's time scale
     /// (never below 1 ns). Robustness timeouts and backoffs go through
     /// this, like syncer periods go through [`SimConfig::scaled_period`].
-    pub fn scaled_time(&self, t: fcache_des::SimTime) -> fcache_des::SimTime {
-        fcache_des::SimTime::from_nanos((t.as_nanos() / self.time_scale).max(1))
+    pub fn scaled_time(&self, t: SimTime) -> SimTime {
+        SimTime::from_nanos((t.as_nanos() / self.time_scale).max(1))
     }
 
     /// Effective period of a policy under this configuration's time scale.
-    pub fn scaled_period(
-        &self,
-        policy: crate::policy::WritebackPolicy,
-    ) -> Option<fcache_des::SimTime> {
-        policy
-            .period()
-            .map(|p| fcache_des::SimTime::from_nanos((p.as_nanos() / self.time_scale).max(1)))
+    pub fn scaled_period(&self, policy: WritebackPolicy) -> Option<SimTime> {
+        policy.period().map(|p| self.scaled_time(p))
     }
 
     /// Whether this configuration engages the sharded remote tier: more
     /// than one shard or replica, or a shard fault clause. Every run goes
     /// through the same store either way; engagement decides only whether
     /// the report carries its `shard` section and whether the timing
-    /// table prints its remote-tier line. A hedge delay alone does not
-    /// engage it — hedging with one replica is a no-op (PERF.md
-    /// invariant 11).
+    /// table prints its remote-tier line. A hedge needs a second replica
+    /// ([`SimConfig::validate`]), so it never engages the tier alone.
     pub fn remote_engaged(&self) -> bool {
         self.shards > 1 || self.replicas > 1 || self.fault_plan.has_shard_clauses()
     }
@@ -286,82 +285,133 @@ impl SimConfig {
         self.flash_size.blocks() as usize
     }
 
-    /// Renders the Table 1 timing parameters of this configuration.
+    /// Renders the Table 1 timing parameters of this configuration,
+    /// followed by its [`SimConfig::setup_lines`].
     pub fn timing_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Parameter                 Value\n");
-        out.push_str(&format!(
-            "RAM read                  {} / 4K block\n",
-            self.ram_model.read
-        ));
-        out.push_str(&format!(
-            "RAM write                 {} / 4K block\n",
-            self.ram_model.write
-        ));
-        out.push_str(&format!(
-            "Flash read                {} / 4K block\n",
-            self.flash_model.read_latency()
-        ));
-        out.push_str(&format!(
-            "Flash write               {} / 4K block\n",
-            self.flash_model.write_latency()
-        ));
-        out.push_str(&format!(
-            "Network base latency      {} / packet\n",
-            self.net.base_latency
-        ));
-        out.push_str(&format!(
-            "Network data latency      {} / bit\n",
-            self.net.per_bit
-        ));
-        out.push_str(&format!(
-            "File server fast read     {} / 4K block\n",
-            self.filer.fast_read
-        ));
-        out.push_str(&format!(
-            "File server slow read     {} / 4K block\n",
-            self.filer.slow_read
-        ));
-        out.push_str(&format!(
-            "File server write         {} / 4K block\n",
-            self.filer.write
-        ));
-        out.push_str(&format!(
-            "File server fast read rate {:.0}%\n",
-            self.filer.fast_read_rate * 100.0
-        ));
-        out.push_str(&format!(
-            "Flash timing model        {}\n",
-            self.flash_timing.describe()
-        ));
+        let mut out = String::from("Parameter                 Value\n");
+        for (name, value, unit) in [
+            ("RAM read", TABLE1_RAM.read, "4K block"),
+            ("RAM write", TABLE1_RAM.write, "4K block"),
+            ("Flash read", self.flash_model.read_latency(), "4K block"),
+            ("Flash write", self.flash_model.write_latency(), "4K block"),
+            ("Network base latency", TABLE1_NET.base_latency, "packet"),
+            ("Network data latency", TABLE1_NET.per_bit, "bit"),
+            ("File server fast read", TABLE1_FILER.fast_read, "4K block"),
+            ("File server slow read", TABLE1_FILER.slow_read, "4K block"),
+            ("File server write", TABLE1_FILER.write, "4K block"),
+        ] {
+            out.push_str(&format!("{name:<26}{value} / {unit}\n"));
+        }
+        let rate = self.prefetch * 100.0;
+        out + &format!("File server fast read rate {rate:.0}%\n") + &self.setup_lines()
+    }
+
+    /// The device and topology this configuration engages, one line each:
+    /// the flash timing model, then the remote tier, the fault plan and the
+    /// fleet cell when engaged. The tail of [`SimConfig::timing_table`],
+    /// and `fcsim run`'s header.
+    pub fn setup_lines(&self) -> String {
+        let timing = self.flash_timing.describe();
+        let mut out = format!("Flash timing model        {timing}\n");
         if self.remote_engaged() {
-            let hedge = match self.hedge {
-                Some(d) => format!("hedge after {d}"),
-                None => "no hedging".to_string(),
-            };
-            out.push_str(&format!(
-                "Remote tier               {} shard(s) x {} replica(s), {hedge}\n",
-                self.shards, self.replicas
-            ));
+            let (shards, replicas) = (self.shards, self.replicas);
+            let hedge = self
+                .hedge
+                .map_or("no hedging".into(), |d| format!("hedge after {d}"));
+            out += &format!(
+                "Remote tier               {shards} shard(s) x {replicas} replica(s), {hedge}\n"
+            );
         }
         if !self.fault_plan.is_empty() {
-            out.push_str(&format!(
-                "Fault plan                {} (degraded: {})\n",
-                self.fault_plan.describe(),
-                self.robustness.degraded.label()
-            ));
+            let (plan, degraded) = (self.fault_plan.describe(), self.degraded.label());
+            out += &format!("Fault plan                {plan} (degraded: {degraded})\n");
         }
         if let Some(fleet) = &self.fleet {
-            out.push_str(&format!("Fleet cell                {fleet}\n"));
+            out += &format!("Fleet cell                {fleet}\n");
         }
         out
     }
+
+    /// Checks every range and cross-field rule a run relies on. Every run
+    /// path calls this before it builds anything, so a bad configuration
+    /// is an error, never a panic deep in the engine.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first field that breaks a rule.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let zero = Some(SimTime::ZERO);
+        let ssd = |base: fn(&SsdConfig) -> SimTime| match &self.flash_timing {
+            FlashTiming::Ssd(sc) => Some(base(sc)),
+            FlashTiming::Flat => None,
+        };
+        let rules = [
+            (
+                !(0.0..=1.0).contains(&self.prefetch),
+                "prefetch",
+                "must be in [0,1]",
+            ),
+            (self.time_scale == 0, "time_scale", "must be at least 1"),
+            (self.shards == 0, "shards", "must be at least 1"),
+            (
+                !(1..=self.shards).contains(&self.replicas),
+                "replicas",
+                "must be in 1..=shards (one per distinct shard)",
+            ),
+            (self.hedge == zero, "hedge", "must be a positive delay"),
+            (
+                self.hedge.is_some() && self.replicas < 2,
+                "hedge",
+                "needs replicas >= 2 (a hedge races a second replica)",
+            ),
+            (
+                self.telemetry_windows == zero,
+                "telemetry_windows",
+                "must be a positive duration",
+            ),
+            (
+                ssd(|sc| sc.read_base) == zero,
+                "flash_timing.read_base",
+                "must be positive",
+            ),
+            (
+                ssd(|sc| sc.write_base) == zero,
+                "flash_timing.write_base",
+                "must be positive",
+            ),
+        ];
+        let refuse = |field, reason| Err(ConfigError { field, reason });
+        match rules.into_iter().find(|rule| rule.0) {
+            Some((_, field, rule)) => refuse(field, rule.to_string()),
+            None => self
+                .fault_plan
+                .check_shards(self.shards)
+                .or_else(|e| refuse("fault_plan", e)),
+        }
+    }
 }
+
+/// Why [`SimConfig::validate`] refused a configuration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending [`SimConfig`] field, e.g. `replicas` or
+    /// `flash_timing.read_base`.
+    pub field: &'static str,
+    /// The rule it breaks.
+    pub reason: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcache_des::SimTime;
 
     #[test]
     fn baseline_matches_paper() {
@@ -371,8 +421,71 @@ mod tests {
         assert_eq!(c.flash_size, ByteSize::gib(64));
         assert_eq!(c.ram_policy, WritebackPolicy::Periodic(1));
         assert_eq!(c.flash_policy, WritebackPolicy::AsyncWriteThrough);
-        assert_eq!(c.ram_model.read, SimTime::from_nanos(400));
+        assert_eq!(TABLE1_RAM.read, SimTime::from_nanos(400));
         assert_eq!(c.flash_model.read, SimTime::from_micros(88));
+        assert_eq!(c.prefetch, 0.9);
+        assert_eq!(c.degraded, DegradedPolicy::Queue);
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_the_field_of_each_rule() {
+        fn with(edit: impl FnOnce(&mut SimConfig)) -> SimConfig {
+            let mut cfg = SimConfig::baseline();
+            edit(&mut cfg);
+            cfg
+        }
+        let ssd = |read_ms, write_ms| {
+            FlashTiming::Ssd(SsdConfig {
+                read_base: SimTime::from_millis(read_ms),
+                write_base: SimTime::from_millis(write_ms),
+                ..SsdConfig::auto()
+            })
+        };
+        let shard2 = || FaultPlan::parse("shard2:outage@1s-2s").unwrap();
+        let (zero, us) = (Some(SimTime::ZERO), SimTime::from_micros);
+        let rows = [
+            ("prefetch", with(|c| c.prefetch = 1.5)),
+            ("prefetch", with(|c| c.prefetch = -0.1)),
+            ("prefetch", with(|c| c.prefetch = f64::NAN)),
+            ("time_scale", with(|c| c.time_scale = 0)),
+            ("shards", with(|c| c.shards = 0)),
+            ("replicas", with(|c| c.replicas = 0)),
+            ("replicas", with(|c| (c.shards, c.replicas) = (2, 3))),
+            ("hedge", with(|c| c.hedge = Some(us(500)))),
+            (
+                "hedge",
+                with(|c| (c.shards, c.replicas, c.hedge) = (2, 2, zero)),
+            ),
+            ("telemetry_windows", with(|c| c.telemetry_windows = zero)),
+            (
+                "flash_timing.read_base",
+                with(|c| c.flash_timing = ssd(0, 1)),
+            ),
+            (
+                "flash_timing.write_base",
+                with(|c| c.flash_timing = ssd(1, 0)),
+            ),
+            (
+                "fault_plan",
+                with(|c| (c.shards, c.fault_plan) = (2, shard2())),
+            ),
+        ];
+        for (field, cfg) in rows {
+            let err = cfg.validate().expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+            assert!(err.to_string().starts_with(&format!("{field}: ")), "{err}");
+        }
+        // The edges of each range are valid.
+        for cfg in [
+            with(|c| c.prefetch = 0.0),
+            with(|c| c.prefetch = 1.0),
+            with(|c| (c.shards, c.replicas, c.hedge) = (2, 2, Some(SimTime::from_nanos(1)))),
+            with(|c| (c.shards, c.fault_plan) = (3, shard2())),
+            with(|c| c.flash_timing = ssd(1, 1)),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
+        }
     }
 
     #[test]
@@ -448,7 +561,8 @@ mod tests {
         let base = SimConfig::baseline();
         assert!(!base.remote_engaged());
         assert!(!base.timing_table().contains("Remote tier"));
-        // A hedge delay alone is a no-op with one replica: stays plain.
+        // A hedge delay alone does not engage the tier (and `validate`
+        // refuses it: a hedge needs a second replica).
         let hedged = SimConfig {
             hedge: Some(SimTime::from_micros(500)),
             ..SimConfig::baseline()

@@ -53,6 +53,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{FlashTiming, SimConfig};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
+use crate::robust::RETRY_BASE;
 use crate::telemetry::{OpSpan, TelemetryCtx};
 
 /// Per-host flash device timing service. Owned by each
@@ -89,7 +90,8 @@ struct DevFaults {
     sched: FaultSchedule,
     /// Error-rate draw stream (per host, seeded from the run seed).
     rng: RefCell<SmallRng>,
-    /// Pause before re-probing after a transient device error.
+    /// Pause before re-probing after a transient device error: the
+    /// client's retry base, scaled to run time.
     retry: SimTime,
     /// Dispatches parked by an outage; folded into the run's
     /// `queued_ops` at collection.
@@ -379,7 +381,7 @@ impl DeviceService {
             faults: DevFaults {
                 sched: FaultSchedule::default(),
                 rng: RefCell::new(SmallRng::seed_from_u64(0)),
-                retry: SimTime::ZERO,
+                retry: cfg.scaled_time(RETRY_BASE),
                 queued: Cell::new(0),
                 retries: Cell::new(0),
             },
@@ -393,13 +395,11 @@ impl DeviceService {
     }
 
     /// Sets the device fault schedule (builder style) and seeds its error
-    /// draws. `retry` is the already-scaled pause between dispatch
-    /// attempts after a transient device error.
-    pub(crate) fn with_faults(mut self, sched: FaultSchedule, seed: u64, retry: SimTime) -> Self {
+    /// draws.
+    pub(crate) fn with_faults(mut self, sched: FaultSchedule, seed: u64) -> Self {
         self.faults = DevFaults {
             sched,
             rng: RefCell::new(SmallRng::seed_from_u64(seed)),
-            retry,
             ..self.faults
         };
         self

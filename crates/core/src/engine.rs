@@ -18,10 +18,11 @@ use fcache_remote::ReplicaSet;
 use fcache_types::{BlockAddr, FaultError, FaultKind, OpKind, Phase, TraceOp, BLOCK_SIZE};
 
 use crate::arch::Architecture;
+use crate::config::TABLE1_RAM;
 use crate::flush::{self, Tier};
 use crate::host::{HostCtx, RemoteCtx, TaskClass};
 use crate::policy::WritebackPolicy;
-use crate::robust::{DegradedPolicy, RobustnessState};
+use crate::robust::{DegradedPolicy, RobustnessState, MAX_RETRIES};
 use crate::scratch;
 use crate::telemetry::OpSpan;
 
@@ -89,7 +90,7 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp) {
         let mut ram = h.ram.borrow_mut();
         for b in op.blocks() {
             if ram.lookup(b) {
-                wait += h.cfg.ram_model.read;
+                wait += TABLE1_RAM.read;
                 if h.cfg.inclusive_promotion && h.has_flash() {
                     // Keep the flash LRU order a superset of RAM recency so
                     // the subset property holds without management (§3.3).
@@ -173,7 +174,7 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp) {
         let mut u = h.unified().borrow_mut();
         for b in op.blocks() {
             match u.lookup(b) {
-                Some(Medium::Ram) => wait += h.cfg.ram_model.read,
+                Some(Medium::Ram) => wait += TABLE1_RAM.read,
                 Some(Medium::Flash) => match h.dev.try_flat_read(b) {
                     // Flat timing folds into the one combined sleep below,
                     // exactly as before the device service existed.
@@ -262,7 +263,7 @@ async fn write_unified(h: &Rc<HostCtx>, op: &TraceOp) {
 /// §7.1).
 async fn ram_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool) {
     h.enter(Phase::CacheProbe);
-    h.sim.sleep(h.cfg.ram_model.write).await;
+    h.sim.sleep(TABLE1_RAM.write).await;
     let outcome = h.ram.borrow_mut().insert(addr, dirty);
     h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
@@ -316,7 +317,7 @@ async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool) {
     match ins.medium {
         Medium::Ram => {
             h.enter(Phase::CacheProbe);
-            h.sim.sleep(h.cfg.ram_model.write).await;
+            h.sim.sleep(TABLE1_RAM.write).await;
         }
         Medium::Flash => h.dev.write_block(addr).await,
     }
@@ -543,7 +544,7 @@ async fn fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr]) -> bool {
 /// Serves one primary-shard group: pick the first live replica in ring
 /// order (counting a failover when it is not the primary), optionally
 /// hedge against the next live one, and retry with timeout + jittered
-/// backoff up to `max_retries` on transient failures. A whole-ring outage
+/// backoff up to [`MAX_RETRIES`] on transient failures. A whole-ring outage
 /// degrades per [`DegradedPolicy`]; cache hits keep serving either way.
 async fn fetch_group(h: &Rc<HostCtx>, primary: u16, blocks: &[BlockAddr]) -> bool {
     let r = &h.remote;
@@ -555,7 +556,7 @@ async fn fetch_group(h: &Rc<HostCtx>, primary: u16, blocks: &[BlockAddr]) -> boo
         let Some(first) = live.next() else {
             // The whole replica set is down: no replica can serve.
             let f = &h.fault;
-            match f.cfg.degraded {
+            match h.cfg.degraded {
                 DegradedPolicy::Queue => {
                     // Availability first: park the miss until a replica
                     // returns, then fetch.
@@ -583,7 +584,7 @@ async fn fetch_group(h: &Rc<HostCtx>, primary: u16, blocks: &[BlockAddr]) -> boo
             }
             Err(e) => {
                 let f = &h.fault;
-                if attempt >= f.cfg.max_retries {
+                if attempt >= MAX_RETRIES {
                     RobustnessState::bump(&f.state.timeouts);
                     h.enter(Phase::RetryBackoff);
                     h.sim.sleep(f.op_timeout).await;

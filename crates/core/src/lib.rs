@@ -97,7 +97,7 @@ mod spill;
 pub mod telemetry;
 
 pub use arch::Architecture;
-pub use config::{FlashTiming, SimConfig};
+pub use config::{ConfigError, FlashTiming, SimConfig, TABLE1_FILER, TABLE1_NET, TABLE1_RAM};
 pub use devsvc::{DeviceService, DeviceStatsSnapshot};
 pub use experiment::{Workbench, WorkloadSpec};
 pub use fcache_remote::{RemoteStats, Router, ShardedStore};
@@ -111,7 +111,7 @@ pub use results::{
     decode_rows, read_rows, report_from_json, report_to_json, row_from_json, row_to_json,
     scan_jsonl, DecodedRow, JsonlSink, MemorySink, ResultRow, ResultSink, REPORT_SCHEMA,
 };
-pub use robust::{DegradedPolicy, FaultWindowStat, RobustnessConfig, RobustnessStats};
+pub use robust::{DegradedPolicy, FaultWindowStat, RobustnessStats};
 pub use scenario::{Scenario, Sweep, SweepError, SweepItem, SweepResults, Workload};
 pub use sim::{run_source, run_trace, SimError, SourceError};
 pub use telemetry::{

@@ -34,14 +34,14 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use fcache_cache::CacheStats;
+use fcache_cache::{CacheStats, EvictionPolicy};
 use fcache_des::SimTime;
-use fcache_device::{IoDirection, IoLogEntry, WindowStat};
+use fcache_device::{FlashModel, IoDirection, IoLogEntry, SsdConfig, WindowStat};
 use fcache_filer::FilerStats;
 use fcache_net::SegmentStats;
 use fcache_types::{FleetTopology, Json};
 
-use crate::config::SimConfig;
+use crate::config::{FlashTiming, SimConfig};
 use crate::devsvc::DeviceStatsSnapshot;
 use crate::histogram::{HistogramSnapshot, BUCKETS};
 use crate::metrics::MetricsSnapshot;
@@ -74,17 +74,16 @@ pub struct ResultRow {
 }
 
 /// A result row read back from a file: everything [`ResultRow`] carries
-/// except the configuration, which is serialized as a human/diff-oriented
-/// summary rather than round-tripped (reconstructing a byte-exact
-/// `SimConfig` is neither needed for resume nor for reporting).
+/// except the configuration, which stays the JSON [`config_to_json`] wrote
+/// rather than a decoded `SimConfig` (resume compares the JSON, and
+/// reporting never needs the struct).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DecodedRow {
     /// Job index recorded in the row.
     pub index: usize,
     /// The job's label.
     pub label: String,
-    /// Summary of the configuration (the serialized `config` object,
-    /// verbatim).
+    /// The configuration (the serialized `config` object, verbatim).
     pub config: Json,
     /// The decoded report, exact to the bit.
     pub report: SimReport,
@@ -302,7 +301,7 @@ pub fn decode_rows(
 // ---------------------------------------------------------------------------
 // Encoding
 
-/// Serializes one result row (schema, identity, config summary, report).
+/// Serializes one result row (schema, identity, config, report).
 pub fn row_to_json(row: &ResultRow) -> Json {
     Json::obj()
         .field("schema", Json::U64(REPORT_SCHEMA))
@@ -312,40 +311,79 @@ pub fn row_to_json(row: &ResultRow) -> Json {
         .field("report", report_to_json(&row.report))
 }
 
-/// Serializes a configuration *summary*: the axes that identify a row
-/// when diffing result files or checking that a resumed sweep matches the
-/// run that produced the file (architecture, sizes, policies, timing
-/// model, prefetch/persistence/duplex knobs, scale, seed). Not
-/// round-tripped — [`row_from_json`] hands it back verbatim.
+/// Serializes a configuration: every field that decides what a run
+/// reports, so [`Sweep::resume`](crate::Sweep::resume) never takes a row
+/// written under one configuration for another's. The axes every row has
+/// always carried come first, then the fault, remote-tier and fleet axes
+/// when engaged. Every other field appears only when it differs from
+/// [`SimConfig::baseline`], so baseline-valued rows keep their bytes and
+/// older results files still resume. `trace_out` is left out: it names
+/// where spans go, not what the run does. Not round-tripped —
+/// [`row_from_json`] hands it back verbatim.
 pub fn config_to_json(cfg: &SimConfig) -> Json {
+    let SimConfig {
+        arch,
+        ram_size,
+        flash_size,
+        ram_policy,
+        flash_policy,
+        flash_model:
+            FlashModel {
+                read: flash_read,
+                write: flash_write,
+                persistent,
+            },
+        flash_timing,
+        device_window,
+        prefetch,
+        populate_flash_on_read,
+        inclusive_promotion,
+        charge_flash_read_on_writeback,
+        duplex_network,
+        log_flash_io,
+        replacement,
+        min_runtime,
+        syncer_window,
+        time_scale,
+        shards,
+        replicas,
+        hedge,
+        fault_plan,
+        degraded,
+        telemetry_windows,
+        fleet,
+        trace_out: _,
+        seed,
+    } = cfg;
+    let base = SimConfig::baseline();
     let mut j = Json::obj()
-        .field("arch", Json::Str(cfg.arch.name().to_string()))
-        .field("ram", Json::Str(cfg.ram_size.to_string()))
-        .field("flash", Json::Str(cfg.flash_size.to_string()))
-        .field("ram_policy", Json::Str(cfg.ram_policy.label()))
-        .field("flash_policy", Json::Str(cfg.flash_policy.label()))
-        .field("flash_timing", Json::Str(cfg.flash_timing.describe()))
-        .field("prefetch", Json::F64(cfg.filer.fast_read_rate))
-        .field("persistent", Json::Bool(cfg.flash_model.persistent))
-        .field("duplex", Json::Bool(cfg.duplex_network))
-        .field("time_scale", Json::U64(cfg.time_scale))
-        .field("seed", Json::U64(cfg.seed));
+        .field("arch", Json::Str(arch.name().to_string()))
+        .field("ram", Json::Str(ram_size.to_string()))
+        .field("flash", Json::Str(flash_size.to_string()))
+        .field("ram_policy", Json::Str(ram_policy.label()))
+        .field("flash_policy", Json::Str(flash_policy.label()))
+        .field("flash_timing", Json::Str(flash_timing.describe()))
+        .field("prefetch", Json::F64(*prefetch))
+        .field("persistent", Json::Bool(*persistent))
+        .field("duplex", Json::Bool(*duplex_network))
+        .field("time_scale", Json::U64(*time_scale))
+        .field("seed", Json::U64(*seed));
     // Fault axes appear only when a plan exists, so fault-free rows keep
     // their exact pre-fault encoding.
-    if !cfg.fault_plan.is_empty() {
-        j = j.field("fault", cfg.fault_plan.to_json()).field(
-            "degraded",
-            Json::Str(cfg.robustness.degraded.label().to_string()),
-        );
+    if !fault_plan.is_empty() {
+        j = j.field("fault", fault_plan.to_json());
+    }
+    if !fault_plan.is_empty() || *degraded != base.degraded {
+        j = j.field("degraded", Json::Str(degraded.label().to_string()));
     }
     // Remote-tier axes, likewise only when non-default.
-    if cfg.shards > 1 || cfg.replicas > 1 || cfg.hedge.is_some() {
+    if *shards > 1 || *replicas > 1 || hedge.is_some() {
         j = j
-            .field("shards", Json::U64(u64::from(cfg.shards)))
-            .field("replicas", Json::U64(u64::from(cfg.replicas)))
+            .field("shards", Json::U64(u64::from(*shards)))
+            .field("replicas", Json::U64(u64::from(*replicas)))
             .field(
                 "hedge_ns",
-                match cfg.hedge {
+                match hedge {
                     Some(d) => Json::U64(d.as_nanos()),
                     None => Json::Null,
                 },
@@ -354,7 +392,7 @@ pub fn config_to_json(cfg: &SimConfig) -> Json {
     // Fleet axes, only for rows that are one cell of a fleet run. The
     // coordinator's resume path cross-checks these, so a fleet results
     // file can't silently absorb rows from a different fleet shape.
-    if let Some(fleet) = &cfg.fleet {
+    if let Some(fleet) = fleet {
         j = j
             .field("fleet_cell", Json::U64(u64::from(fleet.cell)))
             .field("fleet_cells", Json::U64(u64::from(fleet.cells)))
@@ -362,7 +400,116 @@ pub fn config_to_json(cfg: &SimConfig) -> Json {
             .field("fleet_hosts", Json::U64(u64::from(fleet.fleet_hosts)))
             .field("fleet_fanin", Json::U64(u64::from(fleet.fanin())));
     }
+    let nanos = |t: &Option<SimTime>| Json::U64(t.map_or(0, SimTime::as_nanos));
+    let off_baseline = [
+        (
+            "flash_read_ns",
+            *flash_read != base.flash_model.read,
+            Json::U64(flash_read.as_nanos()),
+        ),
+        (
+            "flash_write_ns",
+            *flash_write != base.flash_model.write,
+            Json::U64(flash_write.as_nanos()),
+        ),
+        (
+            "device_window",
+            *device_window != base.device_window,
+            Json::U64(*device_window as u64),
+        ),
+        (
+            "populate_flash_on_read",
+            *populate_flash_on_read != base.populate_flash_on_read,
+            Json::Bool(*populate_flash_on_read),
+        ),
+        (
+            "inclusive_promotion",
+            *inclusive_promotion != base.inclusive_promotion,
+            Json::Bool(*inclusive_promotion),
+        ),
+        (
+            "charge_flash_read_on_writeback",
+            *charge_flash_read_on_writeback != base.charge_flash_read_on_writeback,
+            Json::Bool(*charge_flash_read_on_writeback),
+        ),
+        (
+            "log_flash_io",
+            *log_flash_io != base.log_flash_io,
+            Json::Bool(*log_flash_io),
+        ),
+        (
+            "min_runtime_ns",
+            *min_runtime != base.min_runtime,
+            nanos(min_runtime),
+        ),
+        (
+            "syncer_window",
+            *syncer_window != base.syncer_window,
+            Json::U64(*syncer_window as u64),
+        ),
+        (
+            "telemetry_windows_ns",
+            *telemetry_windows != base.telemetry_windows,
+            nanos(telemetry_windows),
+        ),
+    ];
+    for (key, differs, value) in off_baseline {
+        if differs {
+            j = j.field(key, value);
+        }
+    }
+    if *replacement != base.replacement {
+        let name = match replacement {
+            EvictionPolicy::Lru => "lru",
+            EvictionPolicy::Fifo => "fifo",
+            EvictionPolicy::Clock => "clock",
+        };
+        j = j.field("replacement", Json::Str(name.to_string()));
+    }
+    if let FlashTiming::Ssd(sc) = flash_timing {
+        if let Some(tuning) = ssd_tuning(sc) {
+            j = j.field("ssd_tuning", tuning);
+        }
+    }
     j
+}
+
+/// The SSD parameters [`FlashTiming::describe`] leaves out, or `None` when
+/// they are the ones a device of `sc`'s capacity derives (as every `fcsim`
+/// flag and every scaled configuration leaves them).
+fn ssd_tuning(sc: &SsdConfig) -> Option<Json> {
+    let SsdConfig {
+        capacity_blocks,
+        read_base,
+        write_base,
+        queue_depth,
+        region_shift,
+        map_cache_slots,
+        read_miss_factor,
+        fill_read_penalty,
+        wear_read_penalty,
+        seed,
+    } = *sc;
+    let derived = match capacity_blocks {
+        0 => SsdConfig::auto(),
+        blocks => SsdConfig::auto().fit_capacity(blocks),
+    };
+    let described = SsdConfig {
+        capacity_blocks,
+        read_base,
+        write_base,
+        queue_depth,
+        ..derived
+    };
+    (*sc != described).then(|| {
+        Json::obj()
+            .field("region_shift", Json::U64(u64::from(region_shift)))
+            .field("map_cache_slots", Json::U64(map_cache_slots as u64))
+            .field("read_miss_factor", Json::F64(read_miss_factor))
+            .field("fill_read_penalty", Json::F64(fill_read_penalty))
+            .field("wear_read_penalty", Json::F64(wear_read_penalty))
+            .field("seed", Json::U64(seed))
+    })
 }
 
 /// Serializes a complete report, exactly (see the round-trip property test

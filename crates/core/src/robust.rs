@@ -6,11 +6,11 @@
 //! under *injected* faults (see `fcache_types::fault`). It owns three
 //! things:
 //!
-//! - [`RobustnessConfig`] — per-op timeout, bounded retries with
-//!   exponential backoff and seeded jitter, and the [`DegradedPolicy`]
-//!   governing read misses during a filer outage. All durations are
-//!   simulated time (scaled by the run's `time_scale`); nothing here
-//!   touches the wall clock.
+//! - the client's retry constants — per-op timeout, bounded retries with
+//!   exponential backoff and seeded jitter — and the [`DegradedPolicy`]
+//!   (`SimConfig::degraded`) governing read misses during a filer outage.
+//!   All durations are simulated time (scaled by the run's `time_scale`);
+//!   nothing here touches the wall clock.
 //! - `FaultCtx` (crate-internal) — the per-host handle: the host's
 //!   jitter RNG, the scaled retry parameters, and the run's shared
 //!   `RobustnessState` (the whole-backend schedules and the counters).
@@ -71,36 +71,21 @@ impl DegradedPolicy {
     }
 }
 
-/// Client-side robustness parameters. Durations are paper-scale simulated
-/// time; the engine divides them by the run's `time_scale` at use, like
-/// syncer periods.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RobustnessConfig {
-    /// Retries after the first failed attempt before an op gives up.
-    pub max_retries: u32,
-    /// Time the client waits before declaring a failed attempt (charged
-    /// per failed attempt — the op's timeout clock).
-    pub op_timeout: SimTime,
-    /// Base backoff delay; doubles per retry.
-    pub retry_base: SimTime,
-    /// Jitter fraction in `[0, 1]`: each backoff is multiplied by
-    /// `1 + jitter × u` with `u` drawn from the host's seeded RNG.
-    pub retry_jitter: f64,
-    /// What read misses do while the filer is down.
-    pub degraded: DegradedPolicy,
-}
+/// Retries after the first failed attempt before an op gives up.
+pub(crate) const MAX_RETRIES: u32 = 3;
 
-impl Default for RobustnessConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            op_timeout: SimTime::from_millis(50),
-            retry_base: SimTime::from_millis(10),
-            retry_jitter: 0.5,
-            degraded: DegradedPolicy::Queue,
-        }
-    }
-}
+/// Time the client waits before declaring a failed attempt (charged per
+/// failed attempt — the op's timeout clock). Paper-scale: the engine
+/// divides it by the run's `time_scale`, like syncer periods.
+pub(crate) const OP_TIMEOUT: SimTime = SimTime::from_millis(50);
+
+/// Base backoff delay, doubling per retry. Paper-scale, like
+/// [`OP_TIMEOUT`].
+pub(crate) const RETRY_BASE: SimTime = SimTime::from_millis(10);
+
+/// Jitter fraction: each backoff is multiplied by `1 + RETRY_JITTER × u`
+/// with `u` drawn from the host's seeded RNG.
+const RETRY_JITTER: f64 = 0.5;
 
 /// Availability accounting for one resolved fault window.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -290,10 +275,9 @@ impl RobustnessState {
     }
 }
 
-/// Per-host fault handle: this host's jitter RNG, the robustness
-/// parameters (pre-scaled to run time), and the run's shared state.
+/// Per-host fault handle: this host's jitter RNG, the retry constants
+/// (pre-scaled to run time), and the run's shared state.
 pub(crate) struct FaultCtx {
-    pub cfg: RobustnessConfig,
     /// Per-op timeout, already divided by `time_scale`.
     pub op_timeout: SimTime,
     /// Backoff base, already divided by `time_scale`.
@@ -310,7 +294,7 @@ impl FaultCtx {
     pub fn backoff(&self, attempt: u32) -> SimTime {
         let exp = attempt.saturating_sub(1).min(16);
         let base = self.retry_base.times(1u64 << exp);
-        let jitter = 1.0 + self.cfg.retry_jitter * self.rng.borrow_mut().gen_range(0.0f64..1.0);
+        let jitter = 1.0 + RETRY_JITTER * self.rng.borrow_mut().gen_range(0.0f64..1.0);
         base.scale(jitter).max(SimTime::from_nanos(1))
     }
 }
@@ -358,9 +342,8 @@ mod tests {
     fn backoff_grows_and_jitters_deterministically() {
         let set = FaultPlan::default().resolve_sharded(0, 1, 1).unwrap();
         let make = || FaultCtx {
-            cfg: RobustnessConfig::default(),
-            op_timeout: SimTime::from_millis(50),
-            retry_base: SimTime::from_millis(10),
+            op_timeout: OP_TIMEOUT,
+            retry_base: RETRY_BASE,
             rng: RefCell::new(SmallRng::seed_from_u64(9)),
             state: Rc::new(RobustnessState::new(&set)),
         };

@@ -738,6 +738,31 @@ mod tests {
     }
 
     #[test]
+    fn every_run_path_refuses_an_invalid_config_naming_the_field() {
+        // More replicas than shards would trip the router's assert deep in
+        // the build; every path returns the validation error instead.
+        let trace = tiny_trace();
+        let bad = SimConfig {
+            shards: 2,
+            replicas: 3,
+            ..tiny_cfg()
+        };
+        let refused = |run: Result<SimReport, SimError>| match run {
+            Err(SimError::Config(msg)) => assert!(msg.starts_with("replicas: "), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        };
+        refused(Scenario::new(bad.clone(), Workload::trace(&trace)).run());
+        let stream = || fcache_types::SliceSource::new(&trace);
+        refused(Scenario::new(bad.clone(), Workload::stream(stream)).run());
+        refused(run_trace(&bad, &trace));
+        refused(run_source(&bad, &mut stream()));
+        let results = Sweep::new()
+            .scenario("bad", Scenario::new(bad, Workload::trace(&trace)))
+            .run(&mut MemorySink::new());
+        refused(Err(results.first_error().expect("the job fails").error));
+    }
+
+    #[test]
     fn scenario_is_rerunnable() {
         let trace = tiny_trace();
         let s = Scenario::new(tiny_cfg(), Workload::trace(&trace));

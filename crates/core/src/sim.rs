@@ -37,14 +37,14 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::arch::Architecture;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, TABLE1_FILER, TABLE1_NET};
 use crate::devsvc::DeviceService;
 use crate::engine::{self, execute_op};
 use crate::flush::{self, FlushQueue, Tier};
 use crate::host::{HostCtx, RemoteCtx, RunHosts, TaskClass};
 use crate::metrics::Metrics;
 use crate::report::SimReport;
-use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState};
+use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState, OP_TIMEOUT, RETRY_BASE};
 use crate::spill::SpillQueue;
 use crate::telemetry::{SpanStream, TelemetryCtx, TelemetryStats};
 
@@ -71,8 +71,8 @@ pub enum SimError {
         /// The fault clause behind the first failed operation.
         clause: String,
     },
-    /// The configuration cannot be run; the payload names the cause (an
-    /// out-of-range `shard<k>` fault clause, or a `trace_out` path that
+    /// The configuration cannot be run; the payload names the cause (the
+    /// field [`SimConfig::validate`] refused, or a `trace_out` path that
     /// cannot be created).
     Config(String),
 }
@@ -151,8 +151,12 @@ struct SimParts {
 
 /// Builds the executor and one [`HostCtx`] per host of the
 /// `(hosts, threads per host)` grid (no tasks yet), or fails with
-/// [`SimError::Config`] naming the clause or path it cannot build.
+/// [`SimError::Config`] naming the field [`SimConfig::validate`] refuses
+/// or the path it cannot create.
 fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<SimParts, SimError> {
+    config
+        .validate()
+        .map_err(|e| SimError::Config(e.to_string()))?;
     let cfg = Rc::new(config.clone());
     let sim = Sim::new();
 
@@ -163,8 +167,7 @@ fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<S
     // no draw and add no task, sleep or poll (PERF.md invariant 10).
     //
     // `shard<k>`/`shard*` clauses land on per-shard schedules, and filer
-    // clauses fan out to every shard. An out-of-range `shard<k>` is a
-    // configuration error.
+    // clauses fan out to every shard.
     let set = cfg
         .fault_plan
         .resolve_sharded(cfg.seed, cfg.time_scale, cfg.shards)
@@ -188,8 +191,9 @@ fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<S
     // The base draw seed mixes in the run seed so distinct configurations
     // decorrelate.
     let filer_cfg = FilerConfig {
-        seed: cfg.filer.seed ^ cfg.seed.rotate_left(17),
-        ..cfg.filer
+        fast_read_rate: cfg.prefetch,
+        seed: TABLE1_FILER.seed ^ cfg.seed.rotate_left(17),
+        ..TABLE1_FILER
     };
     let filers: Vec<Filer> = shards
         .into_iter()
@@ -225,10 +229,7 @@ fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<S
     // fan-in 1 every host is its own leader, so this is literally the
     // pre-fleet per-host wiring, seeds included (PERF.md invariant 13).
     let fanin = cfg.net_fanin();
-    // Hedging needs a second replica to race.
-    let hedge_ns = (cfg.replicas > 1)
-        .then(|| cfg.hedge.map(|d| cfg.scaled_time(d).as_nanos()))
-        .flatten();
+    let hedge_ns = cfg.hedge.map(|d| cfg.scaled_time(d).as_nanos());
     let mut group_segments: Vec<Segment> = Vec::new();
     let mut hosts: Vec<Rc<HostCtx>> = Vec::with_capacity(usize::from(n_hosts));
     let run = Rc::new(RunHosts::new(
@@ -244,7 +245,7 @@ fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<S
         if i % fanin == 0 {
             group_segments = (0..cfg.shards)
                 .map(|k| {
-                    let net = shard_net_config(cfg.net, k);
+                    let net = shard_net_config(TABLE1_NET, k);
                     let seg = if cfg.duplex_network {
                         Segment::new_duplex(sim.clone(), net)
                     } else {
@@ -287,7 +288,6 @@ fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<S
         .with_faults(
             device.clone(),
             mix64(cfg.seed ^ (u64::from(i) << 32) ^ 0xde71_fa17_0000_0003),
-            cfg.scaled_time(cfg.robustness.retry_base),
         );
         hosts.push(Rc::new(HostCtx {
             id: HostId(i),
@@ -319,9 +319,8 @@ fn build_parts(config: &SimConfig, (n_hosts, n_threads): (u16, u16)) -> Result<S
             warmup_over: Rc::clone(&warmup_over),
             flushq: FlushQueue::new(),
             fault: FaultCtx {
-                cfg: cfg.robustness,
-                op_timeout: cfg.scaled_time(cfg.robustness.op_timeout),
-                retry_base: cfg.scaled_time(cfg.robustness.retry_base),
+                op_timeout: cfg.scaled_time(OP_TIMEOUT),
+                retry_base: cfg.scaled_time(RETRY_BASE),
                 rng: RefCell::new(SmallRng::seed_from_u64(mix64(
                     cfg.seed ^ (u64::from(i) << 32) ^ 0x0b0f_fa17_0000_0004,
                 ))),
@@ -611,7 +610,7 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
 
     sim.shutdown();
     run?;
-    if cfg.robustness.degraded == DegradedPolicy::Strict {
+    if cfg.degraded == DegradedPolicy::Strict {
         if let Some(clause) = fault.first_fail() {
             return Err(SimError::Faulted { clause });
         }
@@ -975,7 +974,7 @@ mod tests {
     fn shard_seeds_follow_the_run_seed_and_shard_zero_is_the_plain_filer() {
         for run_seed in [1u64, 42, 0xdead_beef] {
             // The seed the single filer has always drawn from.
-            let plain = SimConfig::default().filer.seed ^ run_seed.rotate_left(17);
+            let plain = TABLE1_FILER.seed ^ run_seed.rotate_left(17);
             assert_eq!(shard_seed(run_seed, 1, 0), plain);
             assert_eq!(shard_seed(run_seed, 2, 0), plain);
         }

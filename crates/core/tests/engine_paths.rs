@@ -8,7 +8,6 @@
 
 use fcache::{run_trace, Architecture, SimConfig, WritebackPolicy};
 use fcache_device::FlashModel;
-use fcache_filer::FilerConfig;
 use fcache_types::{ByteSize, FileId, HostId, OpKind, ThreadId, Trace, TraceMeta, TraceOp};
 
 fn op(host: u16, thread: u16, kind: OpKind, file: u32, start: u32, n: u32) -> TraceOp {
@@ -45,10 +44,7 @@ fn cfg() -> SimConfig {
         flash_size: ByteSize::bytes_exact(64 * 4096),
         ram_policy: WritebackPolicy::Periodic(3600),
         flash_policy: WritebackPolicy::Periodic(3600),
-        filer: FilerConfig {
-            fast_read_rate: 1.0,
-            ..FilerConfig::default()
-        },
+        prefetch: 1.0,
         ..SimConfig::default()
     }
 }

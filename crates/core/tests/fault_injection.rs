@@ -75,7 +75,7 @@ fn midrun_filer_outage_parks_misses_and_loses_nothing() {
 fn failfast_fails_misses_during_the_outage() {
     let trace = workbench_trace();
     let mut cfg = faulted("filer:outage@40s-60s");
-    cfg.robustness.degraded = DegradedPolicy::FailFast;
+    cfg.degraded = DegradedPolicy::FailFast;
     let r = run_trace(&cfg, &trace).expect("failfast run");
     let rs = &r.robustness;
     assert!(rs.failed_ops > 0, "misses inside the outage must fail fast");
@@ -93,7 +93,7 @@ fn failfast_fails_misses_during_the_outage() {
 fn strict_policy_surfaces_the_offending_clause() {
     let trace = workbench_trace();
     let mut cfg = faulted("filer:outage@40s-60s");
-    cfg.robustness.degraded = DegradedPolicy::Strict;
+    cfg.degraded = DegradedPolicy::Strict;
     let err = run_trace(&cfg, &trace).expect_err("strict run must fail");
     let SimError::Faulted { clause } = &err else {
         panic!("expected SimError::Faulted, got {err:?}");

@@ -265,7 +265,7 @@ fn pinned_reports() -> &'static [SimReport] {
                     ..SimConfig::baseline()
                 }
                 .scaled_down(4096);
-                cfg.robustness.degraded = p.degraded;
+                cfg.degraded = p.degraded;
                 run_trace(&cfg, &trace).expect("faulted run")
             })
             .collect()

@@ -13,6 +13,7 @@
 //!    `Sweep::resume` produces a results file whose row set is
 //!    identical to an uninterrupted run's (PERF.md invariant 9).
 
+use fcache::results::config_to_json;
 use fcache::{
     read_rows, report_from_json, report_to_json, row_to_json, scan_jsonl, Architecture, DecodedRow,
     DeviceStatsSnapshot, FaultWindowStat, FleetStats, FleetTopology, HistogramSnapshot,
@@ -20,12 +21,14 @@ use fcache::{
     ShardServiceStats, ShardStats, SimConfig, SimReport, Sweep, TelemetryStats, TelemetryWindow,
     Workbench, WorkloadSpec, WritebackPolicy, REPORT_SCHEMA,
 };
+use fcache::{DegradedPolicy, FlashTiming};
 use fcache_cache::CacheStats;
+use fcache_cache::EvictionPolicy;
 use fcache_des::SimTime;
-use fcache_device::{IoDirection, IoLogEntry, WindowStat};
+use fcache_device::{IoDirection, IoLogEntry, SsdConfig, WindowStat};
 use fcache_filer::FilerStats;
 use fcache_net::SegmentStats;
-use fcache_types::{ByteSize, Json};
+use fcache_types::{ByteSize, FaultPlan, Json};
 
 /// Deterministic word stream, cycling so the builder is total for any
 /// non-empty input.
@@ -594,40 +597,175 @@ fn resume_with_complete_file_skips_everything() {
     let _ = std::fs::remove_file(&path);
 }
 
-#[test]
-fn resume_refuses_rows_from_another_configuration_under_the_same_labels() {
-    // A label names what its caller chose, here the architecture alone:
-    // two sweeps that differ only in a writeback policy write the same
-    // labels. The second must not take the first's rows.
-    let path = std::env::temp_dir().join("fcache_results_other_config.jsonl");
+/// Writes a one-job sweep under `written`, then asserts that a sweep of
+/// `asked` under the same label refuses the file's row and leaves the file
+/// untouched.
+fn assert_resume_refused(file: &str, written: &SimConfig, asked: &SimConfig) {
+    let path = std::env::temp_dir().join(file);
     let wb = Workbench::new(16384, 42);
     let spec = WorkloadSpec {
         working_set: ByteSize::gib(16),
         ..WorkloadSpec::default()
     };
-    let written = SimConfig::baseline();
-    let asked = SimConfig {
-        flash_policy: WritebackPolicy::WriteThrough,
-        ..SimConfig::baseline()
-    };
-    assert_ne!(written.flash_policy, asked.flash_policy);
-
     let sweep = |cfg: &SimConfig| Sweep::new().scenario("naive", wb.scenario(cfg, &spec));
     let mut sink = JsonlSink::create(&path).expect("create");
-    let results = sweep(&written).run(&mut sink);
+    let results = sweep(written).run(&mut sink);
     assert!(results.first_error().is_none());
     drop(sink);
     let before = std::fs::read(&path).expect("read");
 
     let (_sink, seen) = JsonlSink::resume(&path).expect("resume sink");
     assert_eq!(seen.len(), 1);
-    let err = sweep(&asked).resume(&path, &seen).unwrap_err();
+    let err = sweep(asked).resume(&path, &seen).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("different configuration"), "{msg}");
     assert!(msg.contains(&format!("row {:?}", seen[0].label)), "{msg}");
     assert!(msg.contains(&path.display().to_string()), "{msg}");
     assert_eq!(std::fs::read(&path).expect("read"), before);
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn resume_refuses_rows_from_another_configuration_under_the_same_labels() {
+    // A label names what its caller chose, here the architecture alone:
+    // two sweeps that differ only in a writeback policy write the same
+    // labels. The second must not take the first's rows.
+    assert_resume_refused(
+        "fcache_results_other_config.jsonl",
+        &SimConfig::baseline(),
+        &SimConfig {
+            flash_policy: WritebackPolicy::WriteThrough,
+            ..SimConfig::baseline()
+        },
+    );
+}
+
+#[test]
+fn resume_refuses_a_fifo_row_for_an_lru_job() {
+    // The replacement policy is part of what a row ran, though no label
+    // of this sweep names it.
+    assert_resume_refused(
+        "fcache_results_fifo_for_lru.jsonl",
+        &SimConfig {
+            replacement: EvictionPolicy::Fifo,
+            ..SimConfig::baseline()
+        },
+        &SimConfig::baseline(),
+    );
+}
+
+#[test]
+fn every_field_off_baseline_changes_the_config_encoding() {
+    // `config_to_json` destructures `SimConfig`, so a new field does not
+    // compile until it is encoded or skipped; this pins that each encoded
+    // field reaches the bytes. One row per field (one per `flash_model`
+    // part), each differing from the baseline in that field alone.
+    fn with(edit: impl FnOnce(&mut SimConfig)) -> SimConfig {
+        let mut cfg = SimConfig::baseline();
+        edit(&mut cfg);
+        cfg
+    }
+    let us = SimTime::from_micros;
+    let fleet = FleetTopology {
+        cell: 0,
+        cells: 1,
+        host_base: 0,
+        fleet_hosts: 1,
+        hosts_per_segment: 1,
+    };
+    let cases = [
+        ("arch", with(|c| c.arch = Architecture::Unified)),
+        ("ram_size", with(|c| c.ram_size = ByteSize::gib(4))),
+        ("flash_size", with(|c| c.flash_size = ByteSize::ZERO)),
+        (
+            "ram_policy",
+            with(|c| c.ram_policy = WritebackPolicy::WriteThrough),
+        ),
+        (
+            "flash_policy",
+            with(|c| c.flash_policy = WritebackPolicy::Periodic(5)),
+        ),
+        ("flash_model.read", with(|c| c.flash_model.read = us(40))),
+        ("flash_model.write", with(|c| c.flash_model.write = us(9))),
+        (
+            "flash_model.persistent",
+            with(|c| c.flash_model.persistent = true),
+        ),
+        (
+            "flash_timing",
+            with(|c| c.flash_timing = FlashTiming::Ssd(SsdConfig::auto())),
+        ),
+        ("device_window", with(|c| c.device_window = 1000)),
+        ("prefetch", with(|c| c.prefetch = 0.8)),
+        (
+            "populate_flash_on_read",
+            with(|c| c.populate_flash_on_read = false),
+        ),
+        (
+            "inclusive_promotion",
+            with(|c| c.inclusive_promotion = false),
+        ),
+        (
+            "charge_flash_read_on_writeback",
+            with(|c| c.charge_flash_read_on_writeback = false),
+        ),
+        ("duplex_network", with(|c| c.duplex_network = true)),
+        ("log_flash_io", with(|c| c.log_flash_io = true)),
+        (
+            "replacement",
+            with(|c| c.replacement = EvictionPolicy::Clock),
+        ),
+        ("min_runtime", with(|c| c.min_runtime = Some(us(5)))),
+        ("syncer_window", with(|c| c.syncer_window = 8)),
+        ("time_scale", with(|c| c.time_scale = 64)),
+        ("shards", with(|c| c.shards = 2)),
+        ("replicas", with(|c| (c.shards, c.replicas) = (2, 2))),
+        ("hedge", with(|c| c.hedge = Some(us(200)))),
+        (
+            "fault_plan",
+            with(|c| c.fault_plan = FaultPlan::parse("filer:outage@1s-2s").unwrap()),
+        ),
+        ("degraded", with(|c| c.degraded = DegradedPolicy::FailFast)),
+        (
+            "telemetry_windows",
+            with(|c| c.telemetry_windows = Some(us(10))),
+        ),
+        ("fleet", with(|c| c.fleet = Some(fleet))),
+        ("seed", with(|c| c.seed = 7)),
+    ];
+    let baseline = config_to_json(&SimConfig::baseline());
+    for (field, cfg) in &cases {
+        assert_ne!(
+            config_to_json(cfg),
+            baseline,
+            "{field} left the encoding unchanged"
+        );
+    }
+    // Each SSD parameter `FlashTiming::describe` leaves out, against the
+    // auto-sized device the flags give.
+    let ssd = |edit: fn(&mut SsdConfig)| {
+        let mut sc = SsdConfig::auto();
+        edit(&mut sc);
+        config_to_json(&with(|c| c.flash_timing = FlashTiming::Ssd(sc)))
+    };
+    let auto = ssd(|_| {});
+    for (field, tuned) in [
+        ("region_shift", ssd(|sc| sc.region_shift = 4)),
+        ("map_cache_slots", ssd(|sc| sc.map_cache_slots = 64)),
+        ("read_miss_factor", ssd(|sc| sc.read_miss_factor = 3.0)),
+        ("fill_read_penalty", ssd(|sc| sc.fill_read_penalty = 0.5)),
+        ("wear_read_penalty", ssd(|sc| sc.wear_read_penalty = 0.5)),
+        ("seed", ssd(|sc| sc.seed = 7)),
+    ] {
+        assert_ne!(tuned, auto, "ssd {field} left the encoding unchanged");
+    }
+    // A fitted or scaled device derives its tuning, which adds no key.
+    let fitted = SsdConfig::auto().fit_capacity(1 << 16);
+    let fitted = config_to_json(&with(|c| c.flash_timing = FlashTiming::Ssd(fitted)));
+    assert!(fitted.get("ssd_tuning").is_none());
+    // Where spans go is not what the run does.
+    let traced = with(|c| c.trace_out = Some("spans.jsonl".into()));
+    assert_eq!(config_to_json(&traced), baseline);
 }
 
 #[test]

@@ -127,7 +127,7 @@ fn replication_one_fails_where_replication_two_survives() {
     let outage = |replicas: u16| {
         let mut cfg = sharded(4, replicas);
         cfg.fault_plan = FaultPlan::parse("shard1:outage@40s-60s").unwrap();
-        cfg.robustness.degraded = DegradedPolicy::FailFast;
+        cfg.degraded = DegradedPolicy::FailFast;
         run_trace(&cfg, &trace).expect("run")
     };
     let r1 = outage(1);
@@ -166,7 +166,7 @@ fn strict_policy_names_the_offending_shard_clause() {
     let trace = workbench_trace();
     let mut cfg = sharded(2, 1);
     cfg.fault_plan = FaultPlan::parse("shard*:outage@40s-60s").unwrap();
-    cfg.robustness.degraded = DegradedPolicy::Strict;
+    cfg.degraded = DegradedPolicy::Strict;
     let err = run_trace(&cfg, &trace).expect_err("strict run must fail");
     assert!(
         err.to_string().contains("shard"),

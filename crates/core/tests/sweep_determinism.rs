@@ -368,7 +368,7 @@ fn faulted_configs() -> Vec<SimConfig> {
         fault_plan: plan("filer:outage@40s-60s;net:err0.2@20s-80s"),
         ..SimConfig::baseline()
     };
-    failfast.robustness.degraded = fcache::DegradedPolicy::FailFast;
+    failfast.degraded = fcache::DegradedPolicy::FailFast;
     vec![
         SimConfig {
             fault_plan: plan("filer:outage@40s-60s"),

@@ -7,8 +7,8 @@
 //! format of one span row is pinned against silent drift.
 
 use fcache::{
-    report_to_json, run_trace, Architecture, DegradedPolicy, FlashTiming, RobustnessConfig,
-    Scenario, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench, Workload, WorkloadSpec,
+    report_to_json, run_trace, Architecture, DegradedPolicy, FlashTiming, Scenario, SimConfig,
+    SpanRow, Sweep, TelemetryStats, Workbench, Workload, WorkloadSpec,
 };
 use fcache_device::{SimTime, SsdConfig};
 use fcache_types::{FaultPlan, OpKind, Phase, Trace};
@@ -287,10 +287,7 @@ fn span_stream_and_telemetry_section_are_pinned() {
                 "shard1:outage@700s-800s;shard2:outage@720s-780s;device:err0.1@650s-900s",
             )
             .expect("spec"),
-            robustness: RobustnessConfig {
-                degraded: DegradedPolicy::Queue,
-                ..RobustnessConfig::default()
-            },
+            degraded: DegradedPolicy::Queue,
             telemetry_windows: Some(SimTime::from_micros(10_000_000)),
             trace_out: Some(path.clone()),
             ..SimConfig::baseline()

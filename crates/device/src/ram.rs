@@ -17,17 +17,17 @@ pub struct RamModel {
 
 impl Default for RamModel {
     fn default() -> Self {
-        Self {
-            read: SimTime::from_nanos(400),
-            write: SimTime::from_nanos(400),
-        }
+        Self::paper_default()
     }
 }
 
 impl RamModel {
     /// Table 1 values.
-    pub fn paper_default() -> Self {
-        Self::default()
+    pub const fn paper_default() -> Self {
+        Self {
+            read: SimTime::from_nanos(400),
+            write: SimTime::from_nanos(400),
+        }
     }
 
     /// A RAM model with both latencies set to `t` (used by Figure 3's

@@ -39,6 +39,13 @@ pub struct FilerConfig {
 
 impl Default for FilerConfig {
     fn default() -> Self {
+        Self::paper_default()
+    }
+}
+
+impl FilerConfig {
+    /// Table 1 values.
+    pub const fn paper_default() -> Self {
         Self {
             fast_read: SimTime::from_micros(92),
             slow_read: SimTime::from_micros(7952),
@@ -46,13 +53,6 @@ impl Default for FilerConfig {
             fast_read_rate: 0.90,
             seed: 0xf11e_5e12,
         }
-    }
-}
-
-impl FilerConfig {
-    /// Table 1 values.
-    pub fn paper_default() -> Self {
-        Self::default()
     }
 
     /// Copy with a different prefetch success rate (Figure 5 sweep).

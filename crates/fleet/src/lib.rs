@@ -408,6 +408,19 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_base_config_fails_the_fleet_naming_the_field() {
+        let fleet = Fleet::new(
+            SimConfig {
+                replicas: 2,
+                ..tiny_fleet().base
+            },
+            tiny_fleet().spec,
+        );
+        let err = fleet.run().expect_err("two replicas on one shard");
+        assert!(err.to_string().contains("replicas: "), "{err}");
+    }
+
+    #[test]
     fn run_yields_one_row_per_cell_with_fleet_sections() {
         let fleet = tiny_fleet();
         let run = fleet.run().expect("fleet run");

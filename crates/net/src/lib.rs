@@ -73,17 +73,17 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self {
-            base_latency: SimTime::from_nanos(8_200),
-            per_bit: SimTime::from_nanos(1),
-        }
+        Self::paper_default()
     }
 }
 
 impl NetConfig {
     /// Table 1 values.
-    pub fn paper_default() -> Self {
-        Self::default()
+    pub const fn paper_default() -> Self {
+        Self {
+            base_latency: SimTime::from_nanos(8_200),
+            per_bit: SimTime::from_nanos(1),
+        }
     }
 
     /// Wire time of one packet carrying `payload_bytes` of block data.

@@ -768,6 +768,13 @@ impl FaultPlan {
         time_div: u64,
         shard_count: u16,
     ) -> Result<ResolvedFaultSet, String> {
+        self.check_shards(shard_count)?;
+        Ok(self.resolve_inner(seed, time_div, shard_count))
+    }
+
+    /// Refuses the first `shard<k>` clause whose `k` is outside a topology
+    /// of `shard_count` shards, naming the clause.
+    pub fn check_shards(&self, shard_count: u16) -> Result<(), String> {
         for c in &self.clauses {
             if let FaultTarget::Shard(Some(k)) = c.target {
                 if k >= shard_count {
@@ -781,7 +788,7 @@ impl FaultPlan {
                 }
             }
         }
-        Ok(self.resolve_inner(seed, time_div, shard_count))
+        Ok(())
     }
 
     fn resolve_inner(&self, seed: u64, time_div: u64, shard_count: u16) -> ResolvedFaultSet {

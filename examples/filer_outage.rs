@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example filer_outage [scale]`
 
-use fcache::{DegradedPolicy, RobustnessConfig, SimConfig, Workbench, WorkloadSpec};
+use fcache::{DegradedPolicy, SimConfig, Workbench, WorkloadSpec};
 use fcache_types::{ByteSize, FaultPlan};
 
 fn main() {
@@ -28,10 +28,7 @@ fn main() {
     let plan = FaultPlan::parse("filer:outage@40s-60s").expect("spec");
     let faulted = |degraded| SimConfig {
         fault_plan: plan.clone(),
-        robustness: RobustnessConfig {
-            degraded,
-            ..RobustnessConfig::default()
-        },
+        degraded,
         ..SimConfig::baseline()
     };
 

@@ -11,7 +11,6 @@
 //! repeated runs agree to the nanosecond.
 
 use fcache::{run_trace, SimConfig, Workbench, WorkloadSpec, WritebackPolicy};
-use fcache_filer::FilerConfig;
 use fcache_types::{ByteSize, OpKind, Trace};
 
 const SCALE: u64 = 1024;
@@ -25,10 +24,7 @@ fn mercury_cfg() -> SimConfig {
         flash_size: ByteSize::gib(32),
         ram_policy: WritebackPolicy::AsyncWriteThrough,
         flash_policy: WritebackPolicy::AsyncWriteThrough,
-        filer: FilerConfig {
-            fast_read_rate: 1.0,
-            ..FilerConfig::default()
-        },
+        prefetch: 1.0,
         ..SimConfig::baseline()
     }
 }
