@@ -527,6 +527,21 @@ mod tests {
     }
 
     #[test]
+    fn an_identity_scale_leaves_the_default_ssd_device_as_it_is() {
+        let cfg = SimConfig {
+            flash_timing: FlashTiming::Ssd(SsdConfig::default()),
+            ..SimConfig::baseline()
+        };
+        let same = cfg.clone().scaled_down(1);
+        // Every field `scaled_down` touches.
+        assert_eq!(same.flash_timing, cfg.flash_timing);
+        assert_eq!(
+            (same.ram_size, same.flash_size, same.time_scale),
+            (cfg.ram_size, cfg.flash_size, cfg.time_scale)
+        );
+    }
+
+    #[test]
     fn block_counts() {
         let c = SimConfig::baseline().scaled_down(64);
         assert_eq!(c.ram_blocks(), (128 << 20) / 4096);

@@ -877,7 +877,7 @@ async fn flush_batch(
 /// Periodic syncer for one tier: every `period`, flush every block dirty
 /// in it ("dirty data remains in the cache until a syncer thread flushes
 /// the data back", §3.5). A tick that finds the tier clean is re-armed by
-/// the executor without a poll (PERF.md invariant 18). The dirty-set
+/// the executor without a poll (PERF.md invariant 17). The dirty-set
 /// snapshot and the batch's join list reuse one buffer each across ticks
 /// instead of allocating per tick.
 pub(crate) async fn syncer(h: Rc<HostCtx>, tier: Tier, period: SimTime) {

@@ -910,7 +910,8 @@ mod tests {
     /// Replays perfbench's `hosts32-ssd-writes` at `seed` (32 hosts at
     /// 1/256, each with its own 10 GB working set, 1 GB RAM and 8 GB
     /// flash, half writes, SSD timing, streamed): the run's polls, its
-    /// armed entries, and the NCQ grants among them.
+    /// place entries that registered a timer, and the armed NCQ grants
+    /// among them.
     fn hosts32(seed: u64) -> (u64, u64, u64) {
         use crate::FlashTiming;
         use fcache_device::SsdConfig;
@@ -948,7 +949,8 @@ mod tests {
         let (polls, armed, ncq) = hosts32(1);
         assert_eq!(ncq, 911_530);
         assert_eq!(polls, POLLED_GRANTS - ncq);
-        // The wires' armed grants and armed spawns count there too.
+        // The wires' armed grants, armed spawns and idle re-arms count
+        // there too.
         assert!(
             armed > ncq,
             "{armed} armed entries, {ncq} of them NCQ grants"

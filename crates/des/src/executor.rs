@@ -17,15 +17,22 @@
 //! order; only the poll count ([`RunReport::events`]) drops. The exact
 //! conditions are on [`Sleep`] (and PERF.md invariant 16).
 //!
-//! A [`crate::Resource`] that hands a released permit to a queued waiter
-//! queues a *grant entry* for the waiter's task where a wake would go.
-//! When the loop reaches it, it runs the resource's [`crate::GrantHook`]
-//! there, as the task, through a small side table. A hook that knows
-//! the grantee's hold time *arms* the task: the loop registers the task's
-//! end-of-hold timer there, with the sequence number the task's own sleep
-//! would have drawn at that point, and does not poll it. The poll that
-//! would only have drawn the hold and registered that timer is gone
-//! (PERF.md invariant 17).
+//! Some of a task's work can be done at its *place* in the ready queue,
+//! where its poll would have run, without polling it: a *place entry*
+//! stands there, and the run loop does that work through a small side
+//! table of kinded records (`Sim::fire_place`). Three kinds exist:
+//! - an armed spawn ([`Sim::spawn_at`]) registers the new task's first
+//!   timer;
+//! - a grant entry, queued by a [`crate::Resource`] that hands a released
+//!   permit to a waiter, runs the resource's [`crate::GrantHook`] as the
+//!   task; a hook that knows the grantee's hold time *arms* it, and the
+//!   loop registers the end-of-hold timer;
+//! - an idle tick ([`Sim::idle_ticks`]) checks the task's predicate and,
+//!   while it finds no work, registers the next tick.
+//!
+//! Each timer takes the sequence number the task's own sleep would have
+//! drawn at that place, so the poll that would only have registered it
+//! is gone and nothing else moves (PERF.md invariant 17).
 //!
 //! Each task carries one tag word ([`Sim::tag_current`]), read during its
 //! polls as [`Sim::current_tag`] and counted per poll by its class
@@ -67,42 +74,23 @@ impl TaskId {
         (self.0 >> 32) as u32
     }
 
-    /// The ready-queue entry of an armed spawn ([`Sim::spawn_at`]): the id
-    /// with [`ARMED`] set in its slot half.
-    fn armed(self) -> Self {
-        Self(self.0 | ARMED)
+    /// The ready-queue or timer entry of the task's place entry: the id
+    /// with [`PLACE`] set in its slot half.
+    fn at_place(self) -> Self {
+        Self(self.0 | PLACE)
     }
 
-    /// The ready-queue entry of a grant handed to the task: the id with
-    /// [`GRANT`] set in its slot half.
-    fn grant(self) -> Self {
-        Self(self.0 | GRANT)
-    }
-
-    /// The timer and ready-queue entry of an idle tick
-    /// ([`Sim::idle_ticks`]): the id with [`IDLE_TICK`] set in its slot
-    /// half.
-    fn idle_tick(self) -> Self {
-        Self(self.0 | IDLE_TICK)
-    }
-
-    fn mark(self) -> u64 {
-        self.0 & MARKS
+    fn is_place(self) -> bool {
+        self.0 & PLACE != 0
     }
 
     fn unmarked(self) -> Self {
-        Self(self.0 & !MARKS)
+        Self(self.0 & !PLACE)
     }
 }
 
-/// Marks an armed spawn's ready-queue entry.
-const ARMED: u64 = 1 << 31;
-/// Marks an idle tick's timer and ready-queue entry.
-const IDLE_TICK: u64 = 1 << 30;
-/// Marks a grant entry.
-const GRANT: u64 = 1 << 29;
-/// Every mark bit. Slot indices stay far below 2^29.
-const MARKS: u64 = ARMED | IDLE_TICK | GRANT;
+/// Marks a place entry. Slot indices stay far below 2^31.
+const PLACE: u64 = 1 << 31;
 
 /// Number of task tag classes: a tag's class is `tag % TAG_CLASSES`, and
 /// [`Sim::polls_by_tag`] and [`Sim::armed_by_tag`] count per class. The
@@ -211,61 +199,79 @@ impl IdlePred {
 /// The run loop's record of a task parked in [`IdleTicks`], read at each
 /// of its ticks.
 struct IdleTick {
-    /// The ticking task; a recycled slot's new task does not match it.
-    task: TaskId,
     period: SimTime,
     /// Deadline of the pending tick's timer.
     next: SimTime,
     idle: IdlePred,
 }
 
-/// A grant handed to a task, waiting in [`SimInner::grants`] for the
-/// task's place: the resource that runs its hook, and the waiter slot.
+/// A grant handed to a task: the resource that runs its hook, and the
+/// waiter slot.
 struct PendingGrant {
     resource: Rc<dyn HandedGrants>,
     waiter: u32,
 }
 
-/// The grants waiting for their grantees' places, in a slab whose
-/// entries are recycled: few wait at once, so it stays small however many
-/// tasks the simulation has.
+/// The work a place entry does instead of polling its task.
+enum Place {
+    /// An armed spawn: register the task's first timer, for this deadline.
+    Armed(SimTime),
+    /// A grant handed to the task: run the resource's hook as the task.
+    Grant(PendingGrant),
+    /// A task parked in idle ticks: check its predicate at each tick.
+    Idle(IdleTick),
+}
+
+/// The place records of the tasks that hold one, in a slab whose entries
+/// are recycled: few tasks hold one at once, so it stays small however
+/// many tasks the simulation has.
 #[derive(Default)]
-struct Grants {
-    waiting: Vec<Option<PendingGrant>>,
+struct Places {
+    records: Vec<Option<Place>>,
     free: Vec<u32>,
 }
 
-impl Grants {
+impl Places {
     fn with_capacity(n: usize) -> Self {
         Self {
-            waiting: Vec::with_capacity(n),
+            records: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
         }
     }
 
-    fn insert(&mut self, grant: PendingGrant) -> u32 {
+    fn insert(&mut self, place: Place) -> u32 {
         match self.free.pop() {
             Some(i) => {
-                self.waiting[i as usize] = Some(grant);
+                self.records[i as usize] = Some(place);
                 i
             }
             None => {
-                self.waiting.push(Some(grant));
-                (self.waiting.len() - 1) as u32
+                self.records.push(Some(place));
+                (self.records.len() - 1) as u32
             }
         }
     }
 
-    fn take(&mut self, i: u32) -> PendingGrant {
+    /// The record at `i`; none for [`NO_PLACE`].
+    fn get_mut(&mut self, i: u32) -> Option<&mut Place> {
+        self.records.get_mut(i as usize)?.as_mut()
+    }
+
+    /// Whether the record at `i` is an idle ticker's.
+    fn is_idle(&self, i: u32) -> bool {
+        matches!(self.records.get(i as usize), Some(Some(Place::Idle(_))))
+    }
+
+    fn take(&mut self, i: u32) -> Place {
         self.free.push(i);
-        self.waiting[i as usize]
+        self.records[i as usize]
             .take()
-            .expect("a slot's grant index names a waiting grant")
+            .expect("a slot's place index names a record")
     }
 }
 
-/// [`Slot::grant`] of a task no grant waits for.
-const NO_GRANT: u32 = u32::MAX;
+/// [`Slot::place`] of a task that holds no place record.
+const NO_PLACE: u32 = u32::MAX;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum SlotState {
@@ -287,18 +293,15 @@ enum SlotState {
 struct Slot {
     state: SlotState,
     daemon: bool,
-    /// Index of the grant waiting for this task in [`SimInner::grants`],
-    /// or [`NO_GRANT`].
-    grant: u32,
+    /// Index of the task's record in [`SimInner::places`], or
+    /// [`NO_PLACE`].
+    place: u32,
     /// The task's tag ([`Sim::tag_current`]); 0 until the task sets one.
     tag: u32,
     /// Current generation while Parked/Running; next to assign while Free.
     generation: u32,
     future: Option<TaskFuture>,
     waker: Option<Waker>,
-    /// Deadline of a pending armed spawn ([`Sim::spawn_at`]) whose timer
-    /// is not registered yet.
-    armed: Option<SimTime>,
 }
 
 /// FIFO ready queue shared with wakers.
@@ -602,16 +605,12 @@ struct SimInner {
     timer_seq: Cell<u64>,
     /// Polls so far, by the polled task's tag class.
     polls: [Cell<u64>; TAG_CLASSES],
-    /// Armed entries so far, by the task's tag class.
+    /// Place entries so far that registered a timer instead of a poll,
+    /// by the task's tag class.
     armed: [Cell<u64>; TAG_CLASSES],
-    /// Grants waiting for their grantee's place, one per task at most.
-    /// Kept beside the slots so a slot stays small.
-    grants: RefCell<Grants>,
-    /// Tasks parked in [`IdleTicks`], by slot index. Kept beside the slots
-    /// so a slot stays small: few tasks tick.
-    idle_ticks: RefCell<Vec<Option<IdleTick>>>,
-    /// Ticks re-armed by the run loop without a poll.
-    idle_rearms: Cell<u64>,
+    /// Place records, one per task at most. Kept beside the slots so a
+    /// slot stays small.
+    places: RefCell<Places>,
     /// The task currently inside `poll_task`, with its waker's data
     /// pointer so `register_timer` can detect "the context waker IS this
     /// task's waker" without comparing vtables. Cleared on poll exit so a
@@ -689,7 +688,7 @@ impl Default for Sim {
 impl Sim {
     /// Creates a fresh simulation with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        // Pre-size the timer heap, the task slab and the grant table
+        // Pre-size the timer heap, the task slab and the place table
         // beside it: simulations register thousands of timers and tasks,
         // and growth reallocations would land mid-run on the hot path.
         Self {
@@ -703,9 +702,7 @@ impl Sim {
                 timer_seq: Cell::new(0),
                 polls: Default::default(),
                 armed: Default::default(),
-                grants: RefCell::new(Grants::with_capacity(64)),
-                idle_ticks: RefCell::new(Vec::new()),
-                idle_rearms: Cell::new(0),
+                places: RefCell::new(Places::with_capacity(64)),
                 current_poll: Cell::new(None),
                 limit: Cell::new(SimTime::ZERO),
                 #[cfg(test)]
@@ -732,12 +729,13 @@ impl Sim {
         std::array::from_fn(|c| self.inner.polls[c].get())
     }
 
-    /// Armed entries so far by tag class, summing to the polls that
-    /// arming saved: grants whose hook armed the grantee
-    /// ([`crate::GrantPlace::sleep_until`]) and armed spawns
-    /// ([`Sim::spawn_at`]). Not polls: [`Sim::events_processed`] does not
-    /// count them. An armed spawn has not run yet, so it counts as
-    /// untagged.
+    /// Place entries so far that registered a timer instead of polling
+    /// their task, by the task's tag class: armed spawns
+    /// ([`Sim::spawn_at`]), grants whose hook armed the grantee
+    /// ([`crate::GrantPlace::sleep_until`]), and idle ticks re-armed
+    /// ([`Sim::idle_ticks`]). Each is a poll the task did not take, and
+    /// not a poll: [`Sim::events_processed`] does not count them. An
+    /// armed spawn has not run yet, so it counts as untagged.
     pub fn armed_by_tag(&self) -> [u64; TAG_CLASSES] {
         std::array::from_fn(|c| self.inner.armed[c].get())
     }
@@ -768,13 +766,6 @@ impl Sim {
         self.inner.slots.borrow_mut()[current.id.slot()].tag = tag;
         current.tag = tag;
         self.inner.current_poll.set(Some(current));
-    }
-
-    /// Idle ticks so far that the run loop re-armed without polling their
-    /// task ([`Sim::idle_ticks`]). Not polls: [`Sim::events_processed`]
-    /// does not count them.
-    pub fn idle_rearms(&self) -> u64 {
-        self.inner.idle_rearms.get()
     }
 
     /// Number of live (incomplete) non-daemon tasks.
@@ -853,12 +844,11 @@ impl Sim {
                 slots.push(Slot {
                     state: SlotState::Free,
                     daemon: false,
-                    grant: NO_GRANT,
+                    place: NO_PLACE,
                     tag: 0,
                     generation: 0,
                     future: None,
                     waker: None,
-                    armed: None,
                 });
                 (slots.len() - 1) as u32
             }
@@ -875,7 +865,11 @@ impl Sim {
         slot.tag = 0;
         slot.future = Some(wrapped);
         let armed = at > self.now();
-        slot.armed = armed.then_some(at);
+        slot.place = if armed {
+            self.inner.places.borrow_mut().insert(Place::Armed(at))
+        } else {
+            NO_PLACE
+        };
         drop(slots);
 
         if !daemon {
@@ -883,7 +877,7 @@ impl Sim {
         }
         self.inner
             .ready
-            .push_owner(if armed { id.armed() } else { id });
+            .push_owner(if armed { id.at_place() } else { id });
         JoinHandle { rx }
     }
 
@@ -936,14 +930,14 @@ impl Sim {
     }
 
     /// Queues the grant of waiter slot `waiter` of `resource` for the task
-    /// of `waker`: a grant entry at this place in
-    /// the ready queue, where a wake would have gone. The run loop runs
-    /// the resource's hook there ([`Sim::fire_grant`]), or just before the
-    /// task's poll if something else polls it first.
+    /// of `waker`: a place entry at this place in the ready queue, where a
+    /// wake would have gone. The run loop runs the resource's hook there
+    /// ([`Sim::fire_place`]), or just before the task's poll if something
+    /// else polls it first.
     ///
     /// Returns false and queues nothing when `waker` is not a task waker
     /// of this simulation, its task is not parked (running, finished, or
-    /// a stale generation), or the task already has a grant waiting; the
+    /// a stale generation), or the task already holds a place record; the
     /// caller then wakes the task, and the hook runs in its poll.
     pub(crate) fn queue_grant(
         &self,
@@ -963,18 +957,15 @@ impl Sim {
             Some(slot)
                 if slot.state == SlotState::Parked
                     && slot.generation == id.generation()
-                    && slot.grant == NO_GRANT =>
+                    && slot.place == NO_PLACE =>
             {
-                slot.grant = self
-                    .inner
-                    .grants
-                    .borrow_mut()
-                    .insert(PendingGrant { resource, waiter });
+                let grant = Place::Grant(PendingGrant { resource, waiter });
+                slot.place = self.inner.places.borrow_mut().insert(grant);
             }
             _ => return false,
         }
         drop(slots);
-        self.inner.ready.push_owner(id.grant());
+        self.inner.ready.push_owner(id.at_place());
         true
     }
 
@@ -991,59 +982,72 @@ impl Sim {
         Arc::ptr_eq(&b.ready, &self.inner.ready).then(|| TaskId(b.id.load(Ordering::Relaxed)))
     }
 
-    /// Takes the waiting grant at index `grant`.
-    fn take_grant(&self, grant: u32) -> PendingGrant {
-        self.inner.grants.borrow_mut().take(grant)
+    /// Does the work of `record` as the task `current`: returns the
+    /// deadline of the timer it asks for, which only a place entry
+    /// (`armable`) allows a grant hook to arm.
+    fn enter(&self, record: Place, current: CurrentPoll, armable: bool) -> Option<SimTime> {
+        match record {
+            Place::Armed(deadline) => Some(deadline),
+            Place::Grant(grant) => {
+                let prev = self.inner.current_poll.replace(Some(current));
+                let _restore = RestorePoll(&self.inner.current_poll, prev);
+                let mut place = GrantPlace::new(self, armable);
+                grant.resource.run_grant(grant.waiter, &mut place);
+                place.armed()
+            }
+            // A tick that found work: the wait is over, and `IdleTicks`
+            // finds its record gone.
+            Place::Idle(_) => None,
+        }
     }
 
-    /// Runs the hook of `grant` as the task `current`: returns the
-    /// deadline it armed, which only a place where the loop can register
-    /// the timer instead of a poll (`armable`) allows.
-    fn run_grant(
-        &self,
-        grant: PendingGrant,
-        current: CurrentPoll,
-        armable: bool,
-    ) -> Option<SimTime> {
-        let prev = self.inner.current_poll.replace(Some(current));
-        let _restore = RestorePoll(&self.inner.current_poll, prev);
-        let mut place = GrantPlace::new(self, armable);
-        grant.resource.run_grant(grant.waiter, &mut place);
-        place.armed()
-    }
-
-    /// Handles a grant entry at the grantee's place: runs the hook as the
-    /// task, then registers the task's timer if the hook armed it, and
-    /// polls it otherwise. A grant that an earlier poll already ran leaves
-    /// a plain wake.
-    fn fire_grant(&self, id: TaskId) {
-        let (grant, current) = {
-            let mut slots = self.inner.slots.borrow_mut();
-            match slots.get_mut(id.slot()) {
+    /// Handles a place entry, where the task's poll would have run. An
+    /// idle tick due now checks the predicate and, while it holds, keeps
+    /// the record and registers the next tick. Any other record is taken
+    /// and entered ([`Sim::enter`]); a timer it asks for is registered
+    /// instead of a poll. Either timer takes the sequence number the
+    /// task's own sleep would have drawn here. An entry whose record an
+    /// earlier poll took, or the tick of a dropped [`IdleTicks`], is a
+    /// plain wake, as the timer of a dropped sleep is.
+    fn fire_place(&self, id: TaskId) {
+        let (place, current) = {
+            let slots = self.inner.slots.borrow();
+            match slots.get(id.slot()) {
                 Some(slot)
                     if slot.state == SlotState::Parked && slot.generation == id.generation() =>
                 {
-                    let grant = std::mem::replace(&mut slot.grant, NO_GRANT);
-                    if grant == NO_GRANT {
-                        drop(slots);
-                        return self.poll_task(id);
-                    }
+                    let waker = slot.waker.as_ref().expect("parked slot without waker");
                     let current = CurrentPoll {
                         id,
-                        waker_data: slot
-                            .waker
-                            .as_ref()
-                            .expect("parked slot without waker")
-                            .data(),
+                        waker_data: waker.data(),
                         tag: slot.tag,
                     };
-                    (grant, current)
+                    (slot.place, current)
                 }
                 // Stale: the task finished or the simulation shut down.
                 _ => return,
             }
         };
-        match self.run_grant(self.take_grant(grant), current, true) {
+        let now = self.now();
+        let record = {
+            let mut places = self.inner.places.borrow_mut();
+            match places.get_mut(place) {
+                Some(Place::Idle(t)) if t.next == now && t.idle.is_idle() => {
+                    t.next = now + t.period;
+                    self.register_task_timer(t.next, id.at_place());
+                    self.count_armed(current.tag);
+                    return;
+                }
+                Some(Place::Idle(t)) if t.next != now => None,
+                Some(_) => Some(places.take(place)),
+                None => None,
+            }
+        };
+        let Some(record) = record else {
+            return self.poll_task(id);
+        };
+        self.inner.slots.borrow_mut()[id.slot()].place = NO_PLACE;
+        match self.enter(record, current, true) {
             Some(deadline) => {
                 self.register_task_timer(deadline, id);
                 self.count_armed(current.tag);
@@ -1052,82 +1056,36 @@ impl Sim {
         }
     }
 
-    /// Handles an armed spawn's ready-queue entry: registers the task's
-    /// timer, or polls it as a plain wake when an earlier poll already
-    /// registered that timer.
-    fn fire_arm(&self, id: TaskId) {
-        let (armed, tag) = {
-            let mut slots = self.inner.slots.borrow_mut();
-            match slots.get_mut(id.slot()) {
-                Some(slot)
-                    if slot.state == SlotState::Parked && slot.generation == id.generation() =>
-                {
-                    (slot.armed.take(), slot.tag)
-                }
-                // Stale: the task finished or the simulation shut down.
-                _ => return,
-            }
-        };
-        match armed {
-            Some(deadline) => {
-                self.register_task_timer(deadline, id);
-                self.count_armed(tag);
-            }
-            None => self.poll_task(id),
-        }
-    }
-
-    /// Handles an idle tick's ready-queue entry, at the place where the
-    /// ticking task's poll would have run: while its predicate says idle,
-    /// registers the next tick's timer, with the sequence number the
-    /// task's own sleep would have drawn here, and does not poll the
-    /// task. Otherwise the tick ends the wait, and the task is polled.
-    /// A tick whose [`IdleTicks`] is gone counts as a plain wake, as the
-    /// timer of a dropped sleep does.
-    fn fire_idle_tick(&self, id: TaskId) {
-        let now = self.now();
-        let mut ticks = self.inner.idle_ticks.borrow_mut();
-        let entry = ticks
-            .get_mut(id.slot())
-            .filter(|e| e.as_ref().is_some_and(|t| t.task == id && t.next == now));
-        let done = match entry {
-            Some(Some(t)) if t.idle.is_idle() => {
-                t.next = now + t.period;
-                self.inner.idle_rearms.set(self.inner.idle_rearms.get() + 1);
-                self.register_task_timer(t.next, id.idle_tick());
-                return;
-            }
-            // The wait is over: `IdleTicks` finds its entry gone.
-            Some(e) => e.take(),
-            // Not this task's pending tick: a plain wake (`poll_task`
-            // ignores a task that is gone).
-            None => None,
-        };
-        drop(ticks);
-        drop(done);
-        self.poll_task(id);
-    }
-
-    /// Whether the idle ticks of `task` are still waiting for a tick that
-    /// finds work.
-    fn idle_tick_pending(&self, task: TaskId) -> bool {
-        matches!(
-            self.inner.idle_ticks.borrow().get(task.slot()),
-            Some(Some(t)) if t.task == task
-        )
+    /// Whether `task` is parked in idle ticks that have not found work.
+    fn idle_pending(&self, task: TaskId) -> bool {
+        let slots = self.inner.slots.borrow();
+        slots.get(task.slot()).is_some_and(|s| {
+            s.generation == task.generation() && self.inner.places.borrow().is_idle(s.place)
+        })
     }
 
     /// Drops the idle-tick record of `task`, if it has one.
-    fn cancel_idle_ticks(&self, task: TaskId) {
-        let Ok(mut ticks) = self.inner.idle_ticks.try_borrow_mut() else {
+    fn cancel_idle(&self, task: TaskId) {
+        // Borrowed while `shutdown` drops task futures, after it dropped
+        // every record.
+        let (Ok(mut slots), Ok(mut places)) = (
+            self.inner.slots.try_borrow_mut(),
+            self.inner.places.try_borrow_mut(),
+        ) else {
             return;
         };
-        let entry = ticks
+        let Some(slot) = slots
             .get_mut(task.slot())
-            .filter(|e| matches!(e, Some(t) if t.task == task))
-            .and_then(Option::take);
-        drop(ticks);
-        drop(entry);
+            .filter(|s| s.generation == task.generation())
+        else {
+            return;
+        };
+        if !places.is_idle(slot.place) {
+            return;
+        }
+        let record = places.take(std::mem::replace(&mut slot.place, NO_PLACE));
+        drop((slots, places));
+        drop(record);
     }
 
     /// The polled task, when `waker` is its own waker and no multi-child
@@ -1145,7 +1103,7 @@ impl Sim {
     /// checks `idle` where the task's poll would have run and, while it
     /// holds, registers the next tick's timer there, with the sequence
     /// number the task's own sleep would have drawn (PERF.md invariant
-    /// 18). [`Sim::idle_rearms`] counts those ticks.
+    /// 17). [`Sim::armed_by_tag`] counts those ticks.
     ///
     /// `idle` must be pure: a read of state, called at those places
     /// instead of inside the task. Like an armed grant, the ticks must be
@@ -1216,7 +1174,7 @@ impl Sim {
         // Copy out the raw future pointers and the waker's data pointer,
         // then poll in place: the future payload is heap-pinned, so the
         // slot vector is free to grow (nested spawns) during the poll.
-        let (fut_ptr, poll_fn, waker_data, daemon, tag, grant) = {
+        let (fut_ptr, poll_fn, waker_data, daemon, tag, ahead) = {
             let mut slots = self.inner.slots.borrow_mut();
             let slot = match slots.get_mut(id.slot()) {
                 Some(s) => s,
@@ -1228,12 +1186,11 @@ impl Sim {
                 return;
             }
             slot.state = SlotState::Running;
-            if let Some(deadline) = slot.armed.take() {
-                // Polled ahead of its armed entry: the timer the arm
-                // stands for must exist before the task looks for it.
-                self.register_task_timer(deadline, id);
-            }
-            let grant = std::mem::replace(&mut slot.grant, NO_GRANT);
+            let ahead = if slot.place == NO_PLACE {
+                None
+            } else {
+                self.take_ahead(&mut slot.place)
+            };
             let f = slot.future.as_ref().expect("parked slot without future");
             let w = slot.waker.as_ref().expect("parked slot without waker");
             (
@@ -1242,7 +1199,7 @@ impl Sim {
                 w.data(),
                 slot.daemon,
                 slot.tag,
-                grant,
+                ahead,
             )
         };
 
@@ -1251,11 +1208,14 @@ impl Sim {
             waker_data,
             tag,
         };
-        if grant != NO_GRANT {
-            // Polled ahead of its grant entry: the hook runs first, as the
-            // task, and the entry becomes a plain wake. The task is polled
-            // now, so nothing is armed.
-            self.run_grant(self.take_grant(grant), current, false);
+        if let Some(record) = ahead {
+            // Polled ahead of its place entry, which becomes a plain wake:
+            // the record's work is done first, as the task. The task is
+            // polled now, so no hook arms, but an armed spawn's timer must
+            // exist before the task looks for it.
+            if let Some(deadline) = self.enter(record, current, false) {
+                self.register_task_timer(deadline, id);
+            }
         }
         self.inner.current_poll.set(Some(current));
         let _clear = RestorePoll(&self.inner.current_poll, None);
@@ -1296,6 +1256,16 @@ impl Sim {
         }
     }
 
+    /// Takes the place record at `place` of a task about to be polled. An
+    /// idle ticker's record stays: its ticks go on until one finds work.
+    fn take_ahead(&self, place: &mut u32) -> Option<Place> {
+        let mut places = self.inner.places.borrow_mut();
+        if places.is_idle(*place) {
+            return None;
+        }
+        Some(places.take(std::mem::replace(place, NO_PLACE)))
+    }
+
     /// Runs the simulation until every non-daemon task completes.
     ///
     /// Returns a [`RunReport`] on success. Fails with [`RunError::Deadlock`]
@@ -1314,11 +1284,10 @@ impl Sim {
         loop {
             // Drain everything runnable at the current instant.
             while let Some(id) = self.inner.ready.pop() {
-                match id.mark() {
-                    0 => self.poll_task(id),
-                    GRANT => self.fire_grant(id.unmarked()),
-                    ARMED => self.fire_arm(id.unmarked()),
-                    _ => self.fire_idle_tick(id.unmarked()),
+                if id.is_place() {
+                    self.fire_place(id.unmarked());
+                } else {
+                    self.poll_task(id);
                 }
             }
 
@@ -1390,20 +1359,17 @@ impl Sim {
         self.inner.timers.borrow_mut().clear();
         // Idle predicates hold what they read (an engine host), and
         // waiting grants their resource: dropped here, unrun, before the
-        // futures that registered them.
-        let idle = std::mem::take(&mut *self.inner.idle_ticks.borrow_mut());
-        drop(idle);
-        let grants = std::mem::take(&mut *self.inner.grants.borrow_mut());
-        drop(grants);
+        // futures that made them.
+        let places = std::mem::take(&mut *self.inner.places.borrow_mut());
+        drop(places);
         let mut slots = self.inner.slots.borrow_mut();
         let any_running = slots.iter().any(|s| s.state == SlotState::Running);
         for slot in slots.iter_mut() {
+            slot.place = NO_PLACE;
             if slot.state == SlotState::Parked {
                 slot.state = SlotState::Free;
                 slot.future = None;
                 slot.waker = None;
-                slot.armed = None;
-                slot.grant = NO_GRANT;
             }
         }
         // A task calling `shutdown` from inside its own poll must not free
@@ -1565,19 +1531,15 @@ impl<P: Fn() -> bool + 'static> Future for IdleTicks<P> {
                     deadline = sim.now() + period;
                 }
                 match sim.own_task(cx.waker()) {
-                    Some(id) if !sim.idle_tick_pending(id) => {
-                        let mut ticks = sim.inner.idle_ticks.borrow_mut();
-                        if ticks.len() <= id.slot() {
-                            ticks.resize_with(id.slot() + 1, || None);
-                        }
-                        ticks[id.slot()] = Some(IdleTick {
-                            task: id,
+                    Some(id) if !sim.idle_pending(id) => {
+                        let tick = Place::Idle(IdleTick {
                             period,
                             next: deadline,
                             idle: IdlePred::new(idle),
                         });
-                        drop(ticks);
-                        sim.register_task_timer(deadline, id.idle_tick());
+                        let place = sim.inner.places.borrow_mut().insert(tick);
+                        sim.inner.slots.borrow_mut()[id.slot()].place = place;
+                        sim.register_task_timer(deadline, id.at_place());
                         this.state = Ticking::Parked(id);
                         Poll::Pending
                     }
@@ -1588,7 +1550,7 @@ impl<P: Fn() -> bool + 'static> Future for IdleTicks<P> {
                 }
             }
             Ticking::Parked(id) => {
-                if sim.idle_tick_pending(id) {
+                if sim.idle_pending(id) {
                     this.state = Ticking::Parked(id);
                     return Poll::Pending;
                 }
@@ -1612,7 +1574,7 @@ impl<P: Fn() -> bool + 'static> Future for IdleTicks<P> {
 impl<P> Drop for IdleTicks<P> {
     fn drop(&mut self) {
         if let Ticking::Parked(id) = self.state {
-            self.sim.cancel_idle_ticks(id);
+            self.sim.cancel_idle(id);
         }
     }
 }

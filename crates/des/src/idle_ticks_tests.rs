@@ -1,8 +1,10 @@
-//! Idle re-arms ([`Sim::idle_ticks`]) and armed spawns ([`Sim::spawn_at`])
-//! must change nothing but the poll count. Random programs run with each
-//! primitive and with the plain code it stands for, with inline run-ahead
-//! on and off: every run must log the same `(task, time)` visits in the
-//! same global order, and a primitive may only lower the polls.
+//! Idle re-arms ([`Sim::idle_ticks`]), armed spawns ([`Sim::spawn_at`])
+//! and armed grants ([`GrantPlace::sleep_until`]) must change nothing but
+//! the poll count, alone or together, though their records share one
+//! table. Random programs run with each primitive, with all three, and
+//! with the plain code they stand for, with inline run-ahead on and off:
+//! every run must log the same `(task, time)` visits in the same global
+//! order, and the primitives may only lower the polls.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -12,8 +14,8 @@ use std::task::Poll;
 
 use proptest::prelude::*;
 
-use crate::executor::yield_now;
-use crate::{CompletionSet, Resource, Sim, SimTime};
+use crate::executor::{yield_now, Sleep};
+use crate::{CompletionSet, GrantHook, GrantPlace, Resource, Sim, SimTime};
 
 type Boxed = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -96,12 +98,28 @@ struct Mode {
     spawn_at: bool,
 }
 
+/// A grant hook that arms the holder for the end of its hold, where the
+/// place allows it.
+struct Hand;
+
+impl GrantHook for Hand {
+    /// Hold time.
+    type Request = u64;
+    type Outcome = Sleep;
+
+    fn grant(&mut self, d: u64, place: &mut GrantPlace<'_>) -> Sleep {
+        place.sleep_until(place.sim().now() + ns(d))
+    }
+}
+
 /// Shared state of one run; every visit logs `(task, now)`.
 #[derive(Clone)]
 struct World {
     sim: Sim,
     mode: Mode,
     res: Rc<Resource>,
+    /// When set, holds take this resource instead, whose hook arms them.
+    armed: Option<Rc<Resource<Hand>>>,
     work: Rc<Vec<Cell<u32>>>,
     log: Rc<RefCell<Vec<(u32, u64)>>>,
     next_tag: Rc<Cell<u32>>,
@@ -164,10 +182,16 @@ fn run_steps(w: World, tag: u32, steps: Rc<Vec<Step>>) -> Boxed {
                     let c = &w.work[k % w.work.len()];
                     c.set(c.get() + 1);
                 }
-                Step::Hold(d) => {
-                    let _held = w.res.acquire().await;
-                    w.sim.sleep(ns(*d)).await;
-                }
+                Step::Hold(d) => match &w.armed {
+                    Some(res) => {
+                        let (_held, hold) = res.acquire_with(*d).await;
+                        hold.await;
+                    }
+                    None => {
+                        let _held = w.res.acquire().await;
+                        w.sim.sleep(ns(*d)).await;
+                    }
+                },
                 Step::Yield => yield_now().await,
                 Step::SpawnAt {
                     delay,
@@ -198,7 +222,8 @@ struct Observed {
     end_time: SimTime,
 }
 
-/// The cost of a run: polls, and idle ticks re-armed without a poll.
+/// The cost of a run: polls, and place entries that registered a timer
+/// instead of a poll.
 #[derive(Debug)]
 struct Cost {
     polls: u64,
@@ -206,12 +231,18 @@ struct Cost {
 }
 
 fn execute(p: &Program, mode: Mode) -> (Observed, Cost) {
+    execute_armed(p, mode, false)
+}
+
+/// [`execute`], with the holds armed at their grants when `arm` is set.
+fn execute_armed(p: &Program, mode: Mode, arm: bool) -> (Observed, Cost) {
     let sim = Sim::new();
     sim.set_run_ahead(mode.run_ahead);
     let w = World {
         sim: sim.clone(),
         mode,
         res: Rc::new(Resource::new(&sim, 1)),
+        armed: arm.then(|| Rc::new(Resource::with_hook(&sim, 1, Hand))),
         work: Rc::new(p.tickers.iter().map(|_| Cell::new(0)).collect()),
         log: Rc::new(RefCell::new(Vec::new())),
         next_tag: Rc::new(Cell::new(0)),
@@ -239,7 +270,7 @@ fn execute(p: &Program, mode: Mode) -> (Observed, Cost) {
     let log = w.log.borrow().clone();
     let cost = Cost {
         polls: r.events,
-        rearms: sim.idle_rearms(),
+        rearms: sim.armed_by_tag()[0],
     };
     sim.shutdown();
     let observed = Observed {
@@ -276,6 +307,19 @@ proptest! {
     }
 
     #[test]
+    fn place_entries_together_change_only_the_poll_count(p in program()) {
+        for run_ahead in [true, false] {
+            let plain = Mode { run_ahead, idle_ticks: false, spawn_at: false };
+            let (want, plain_cost) = execute(&p, plain);
+            let all = Mode { idle_ticks: true, spawn_at: true, ..plain };
+            let (got, cost) = execute_armed(&p, all, true);
+            prop_assert_eq!(&got, &want, "run_ahead={} {:?}", run_ahead, p);
+            prop_assert!(cost.polls <= plain_cost.polls, "{cost:?} > {plain_cost:?} for {p:?}");
+            prop_assert_eq!(plain_cost.rearms, 0);
+        }
+    }
+
+    #[test]
     fn an_always_idle_daemon_costs_one_poll(period in 1u64..50, horizon in 0u64..5_000, run_ahead in any::<bool>()) {
         let sim = Sim::new();
         sim.set_run_ahead(run_ahead);
@@ -300,7 +344,7 @@ proptest! {
         prop_assert_eq!(polls.get(), 1, "period {} horizon {}", period, horizon);
         // Each tick up to the horizon was re-armed without a poll, or
         // ran ahead inside the daemon's one poll.
-        let rearms = sim.idle_rearms();
+        let rearms = sim.armed_by_tag()[0];
         prop_assert!(rearms <= horizon / period);
         if !run_ahead {
             prop_assert_eq!(rearms, horizon / period);
@@ -328,7 +372,7 @@ fn a_ticker_that_finds_work_is_polled_once_at_that_tick() {
     let r = sim.run().unwrap();
     assert_eq!(h.try_result(), Some(ns(40)));
     // Ticks at 10, 20 and 30 found nothing.
-    assert_eq!(sim.idle_rearms(), 3);
+    assert_eq!(sim.armed_by_tag()[0], 3);
     // Daemon: its first poll and the tick at 40. Task: its first poll
     // and its wakes at 35 and 55.
     assert_eq!(r.events, 5);
@@ -373,7 +417,7 @@ fn ticks_inside_wait_all_run_the_plain_loop() {
     sim.run().unwrap();
     // Ticks at 4 and 8 were idle; the one at 12 found the work.
     assert_eq!(h.try_result(), Some(ns(12)));
-    assert_eq!(sim.idle_rearms(), 0, "no tick was re-armed by the loop");
+    assert_eq!(sim.armed_by_tag()[0], 0, "no tick was re-armed by the loop");
 }
 
 #[test]
@@ -420,5 +464,87 @@ fn an_armed_daemon_does_not_keep_the_run_alive() {
     let r = sim.run().unwrap();
     assert_eq!(r.end_time, ns(10));
     assert!(!fired.get());
+    sim.shutdown();
+}
+
+#[test]
+fn a_dropped_tickers_tick_that_meets_a_grant_keeps_every_time() {
+    // The task parks idle ticks (a tick due at 10), drops them, and
+    // queues for the resource, which the holder lets go at 10. At 10 the
+    // old tick's entry stands ahead of the grant's in the ready queue.
+    let sim = Sim::new();
+    let res = Resource::with_hook(&sim, 1, Hand);
+    let (s, r) = (sim.clone(), res.clone());
+    let holder = sim.spawn(async move {
+        let (_held, hold) = r.acquire_with(10).await;
+        hold.await;
+        s.now()
+    });
+    let (s, r) = (sim.clone(), res.clone());
+    let called = Rc::new(Cell::new(0u32));
+    let c = Rc::clone(&called);
+    let task = sim.spawn(async move {
+        let mut ticks = Box::pin(s.idle_ticks(ns(10), move || {
+            c.set(c.get() + 1);
+            true
+        }));
+        std::future::poll_fn(|cx| {
+            assert!(ticks.as_mut().poll(cx).is_pending(), "parked");
+            Poll::Ready(())
+        })
+        .await;
+        drop(ticks);
+        let (_held, hold) = r.acquire_with(5).await;
+        let granted = s.now();
+        hold.await;
+        (granted, s.now())
+    });
+    let r = sim.run().unwrap();
+    assert_eq!(holder.try_result(), Some(ns(10)));
+    assert_eq!(task.try_result(), Some((ns(10), ns(15))));
+    assert_eq!(r.end_time, ns(15));
+    assert_eq!(
+        called.get(),
+        0,
+        "a dropped ticker's predicate is not called"
+    );
+    // Polling the task at the old tick, ahead of its grant entry, took
+    // six polls; the tick's entry may instead run the grant there, armed,
+    // which takes five.
+    assert!(r.events <= 6, "{} polls", r.events);
+    sim.shutdown();
+}
+
+#[test]
+fn a_dropped_tickers_tick_does_not_end_a_later_wait() {
+    // The daemon parks ticks of 10, drops them, and waits in ticks of 7.
+    // The dropped tick at 10 meets the later ticker's record, due at 14.
+    let sim = Sim::new();
+    let work = Rc::new(Cell::new(false));
+    let (s, w) = (sim.clone(), Rc::clone(&work));
+    let h = sim.spawn_daemon(async move {
+        let mut old = Box::pin(s.idle_ticks(ns(10), || true));
+        std::future::poll_fn(|cx| {
+            assert!(old.as_mut().poll(cx).is_pending(), "parked");
+            Poll::Ready(())
+        })
+        .await;
+        drop(old);
+        s.idle_ticks(ns(7), move || !w.get()).await;
+        s.now()
+    });
+    let (s, w) = (sim.clone(), Rc::clone(&work));
+    sim.spawn(async move {
+        s.sleep(ns(12)).await;
+        w.set(true);
+        s.sleep(ns(10)).await;
+    });
+    let r = sim.run().unwrap();
+    // Idle at 7; the work set at 12 is found by the tick at 14.
+    assert_eq!(h.try_result(), Some(ns(14)));
+    assert_eq!(sim.armed_by_tag()[0], 1);
+    // Daemon: its first poll, the dropped tick's plain wake at 10 and the
+    // tick at 14. Task: its first poll and its wakes at 12 and 22.
+    assert!(r.events <= 6, "{} polls", r.events);
     sim.shutdown();
 }

@@ -14,11 +14,18 @@
 //!   [`GrantHook`] runs on the waiter's request at the grantee's place in
 //!   the ready queue, as the grantee, and may arm it: when the hold's end
 //!   is known there, the run loop registers the grantee's timer instead
-//!   of polling it. [`Sim::spawn_at`] does the same for a new task whose
-//!   first act would be a sleep; [`Sim::armed_by_tag`] counts both.
+//!   of polling it.
+//! - [`Sim::spawn_at`] — a spawn whose first act would be a sleep: the
+//!   run loop registers the new task's timer at its place instead of
+//!   polling it.
 //! - [`Sim::idle_ticks`] — a periodic wait that ends at the first tick
 //!   with work: the run loop checks for work where the task's poll would
 //!   have run and re-arms an idle tick without polling the task.
+//!
+//!   These three are one mechanism, the executor's *place entry*: work
+//!   done at a task's place in the ready queue, through one side table,
+//!   that registers the timer the task's own poll would have.
+//!   [`Sim::armed_by_tag`] counts such entries by task class.
 //! - [`oneshot`] and [`JoinHandle`] — completion signalling.
 //! - [`Sim::tag_current`] — one tag word per task, read during its polls
 //!   as [`Sim::current_tag`]; [`Sim::polls_by_tag`] counts polls by the
@@ -28,8 +35,8 @@
 //! timers fire in (deadline, registration order), and resources grant in
 //! strict FIFO order. Two runs of the same program produce identical event
 //! orders and identical clock readings. A sleep whose wake is provably the
-//! next event resumes inline, within the poll that slept, and an armed
-//! grant registers a timer instead of polling a task that would only have
+//! next event resumes inline, within the poll that slept, and a place
+//! entry registers a timer instead of polling a task that would only have
 //! registered it; both save a poll and change no event order or clock
 //! reading.
 //!
@@ -63,7 +70,10 @@ mod idle_ticks_tests;
 mod run_ahead_tests;
 #[cfg(test)]
 mod tag_tests;
+// The module keeps its first name so its tests keep their names in the
+// suite's output.
 #[cfg(test)]
+#[path = "armed_hand_over_tests.rs"]
 mod wake_at_tests;
 
 pub use completion::{CompletionSet, WaitAll};

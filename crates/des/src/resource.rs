@@ -39,8 +39,9 @@ use crate::{Sim, SimTime};
 ///   have polled it: the run loop runs the hook there, or just before the
 ///   grantee's poll when something else polls it first;
 /// - for a handed permit whose grantee cannot take a place (polled with a
-///   foreign waker, running, or with another grant waiting), in the poll
-///   that sees the permit: the release wakes it.
+///   foreign waker, running, or holding another place entry, such as a
+///   grant still waiting), in the poll that sees the permit: the release
+///   wakes it.
 ///
 /// So the hook does what the grantee's poll would have done on seeing its
 /// permit, at the same point of the run. It must not touch its own
@@ -211,8 +212,8 @@ impl<H: GrantHook> ResourceState<H> {
 /// Returns one permit of `state`, handing it to the first live waiter if
 /// any: the waiter's task gets a grant entry at this place in the ready
 /// queue, where the run loop runs the hook. A waiter whose task cannot
-/// take one (a foreign waker, or a task with a grant entry already
-/// pending) is woken instead, and its hook runs in the poll that sees the
+/// take one (a foreign waker, or a task that already holds a place
+/// entry) is woken instead, and its hook runs in the poll that sees the
 /// permit.
 fn release<H: GrantHook>(state: &Rc<RefCell<ResourceState<H>>>) {
     let mut st = state.borrow_mut();

@@ -65,19 +65,10 @@ pub struct SsdConfig {
 }
 
 impl Default for SsdConfig {
+    /// The paper's Figure 1 device (58 GB), with the locality parameters
+    /// its capacity derives ([`SsdConfig::sized`]).
     fn default() -> Self {
-        Self {
-            capacity_blocks: (58u64 << 30) / 4096,
-            read_base: SimTime::from_micros(52),
-            write_base: SimTime::from_micros(21),
-            region_shift: 10, // 4 MB regions
-            map_cache_slots: 4096,
-            read_miss_factor: 2.4,
-            fill_read_penalty: 0.35,
-            wear_read_penalty: 0.15,
-            queue_depth: 32,
-            seed: 0x55d_f1a5,
-        }
+        Self::sized((58u64 << 30) / 4096, 0x55d_f1a5)
     }
 }
 
@@ -98,19 +89,23 @@ impl SsdConfig {
     /// random reads thrash the map cache while cache-shaped access does
     /// not.
     pub fn sized(capacity_blocks: u64, seed: u64) -> Self {
-        let base = Self::default();
-        // Shrink regions until the device holds at least 1024 of them.
-        let mut region_shift = base.region_shift;
+        // Shrink 4 MB regions until the device holds at least 1024 of them.
+        let mut region_shift = 10;
         while region_shift > 0 && (capacity_blocks >> region_shift) < 1024 {
             region_shift -= 1;
         }
         let regions = (capacity_blocks >> region_shift).max(1);
         Self {
             capacity_blocks,
-            seed,
+            read_base: SimTime::from_micros(52),
+            write_base: SimTime::from_micros(21),
             region_shift,
             map_cache_slots: (regions / 16).clamp(16, 1 << 20) as usize,
-            ..base
+            read_miss_factor: 2.4,
+            fill_read_penalty: 0.35,
+            wear_read_penalty: 0.15,
+            queue_depth: 32,
+            seed,
         }
     }
 
@@ -587,6 +582,15 @@ mod tests {
         assert_eq!(fitted.write_base, auto.write_base);
         // Fitting to zero still yields a buildable device.
         assert_eq!(SsdConfig::auto().fit_capacity(0).capacity_blocks, 1);
+    }
+
+    #[test]
+    fn the_default_device_is_fitted_to_its_own_capacity() {
+        let paper = SsdConfig::default();
+        assert_eq!(paper.capacity_blocks, 15_204_352);
+        // 14,848 regions of 4 MB, a sixteenth of them cached.
+        assert_eq!((paper.region_shift, paper.map_cache_slots), (10, 928));
+        assert_eq!(paper.clone().fit_capacity(paper.capacity_blocks), paper);
     }
 
     #[test]
