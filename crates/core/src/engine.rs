@@ -12,8 +12,9 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use fcache_cache::{InsertOutcome, Medium};
-use fcache_des::{JoinHandle, SimTime};
-use fcache_net::Direction;
+use fcache_des::{JoinHandle, Next, SimTime, StepMachine, Stepped};
+use fcache_filer::Service;
+use fcache_net::{Direction, OnWire, Packet};
 use fcache_remote::ReplicaSet;
 use fcache_types::{BlockAddr, FaultError, FaultKind, OpKind, Phase, TraceOp, BLOCK_SIZE};
 
@@ -439,27 +440,130 @@ async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr) {
 /// One read exchange with `shard` over this host's segment to it: request
 /// packet out, filer read service, payload packet back. Any leg can fail
 /// transiently under a fault plan; a failed leg consumes no service time.
-async fn read_exchange(h: &HostCtx, shard: u16, blocks: &[BlockAddr]) -> Result<(), FaultError> {
-    let seg = &h.remote.segments[usize::from(shard)];
-    h.enter(Phase::Net);
-    seg.try_transfer(Direction::ToServer, 0).await?;
-    h.enter(Phase::Filer);
-    h.remote.store.filer(shard).try_read_blocks(blocks).await?;
-    h.enter(Phase::Net);
-    seg.try_transfer(Direction::FromServer, blocks.len() as u64 * BLOCK_SIZE)
-        .await
+fn read_exchange(h: &Rc<HostCtx>, shard: u16, blocks: &[BlockAddr]) -> Stepped<Exchange> {
+    let service = h.remote.store.filer(shard).read_service(blocks);
+    let reply = u32::try_from(blocks.len()).expect("an op's blocks fit in u32");
+    h.sim.stepped(Exchange::new(h, shard, service, [0, reply]))
 }
 
 /// One write exchange with `shard`: data packet out, buffered filer write,
 /// acknowledgement back; fails like [`read_exchange`].
-async fn write_exchange(h: &HostCtx, shard: u16) -> Result<(), FaultError> {
-    let seg = &h.remote.segments[usize::from(shard)];
-    h.enter(Phase::Net);
-    seg.try_transfer(Direction::ToServer, BLOCK_SIZE).await?;
-    h.enter(Phase::Filer);
-    h.remote.store.filer(shard).try_write(1).await?;
-    h.enter(Phase::Net);
-    seg.try_transfer(Direction::FromServer, 0).await
+fn write_exchange(h: &Rc<HostCtx>, shard: u16) -> Stepped<Exchange> {
+    let service = h.remote.store.filer(shard).write_service(1);
+    h.sim.stepped(Exchange::new(h, shard, service, [1, 0]))
+}
+
+/// A backend exchange as a [`StepMachine`]: the run loop runs its two
+/// middle steps at the task's place instead of polling it (PERF.md
+/// invariant 17). At the request packet's end it lands the packet, which
+/// hands the wire on, moves the op's span to `Filer`, draws the filer's
+/// fault effect and service time, and sleeps. At the filer's end it moves
+/// the span to `Net` and sends the reply packet, whose end polls the task.
+/// A dropped packet or a filer fault has the task polled where it
+/// happened, and the exchange yields that fault.
+struct Exchange {
+    h: Rc<HostCtx>,
+    shard: u16,
+    /// The filer service the request asks for.
+    service: Service,
+    /// Blocks of payload in the request and the reply packet.
+    payload: [u32; 2],
+    leg: Leg,
+}
+
+/// Where an [`Exchange`] is.
+enum Leg {
+    Start,
+    /// The request packet waits for the wire.
+    Request(Packet),
+    /// The request packet is on the wire.
+    RequestSent(OnWire),
+    /// The filer serves the request.
+    Filer,
+    /// The reply packet waits for the wire.
+    Reply(Packet),
+    /// The reply packet is on the wire.
+    ReplySent(OnWire),
+    Failed(FaultError),
+    Done,
+}
+
+impl Exchange {
+    fn new(h: &Rc<HostCtx>, shard: u16, service: Service, payload: [u32; 2]) -> Self {
+        Self {
+            h: Rc::clone(h),
+            shard,
+            service,
+            payload,
+            leg: Leg::Start,
+        }
+    }
+}
+
+impl StepMachine for Exchange {
+    type Output = Result<(), FaultError>;
+
+    fn step(&mut self, cx: &mut Context<'_>, at_place: bool) -> Next<Self::Output> {
+        let h = &*self.h;
+        let seg = &h.remote.segments[usize::from(self.shard)];
+        let [request, reply] = self.payload.map(|blocks| u64::from(blocks) * BLOCK_SIZE);
+        loop {
+            self.leg = match std::mem::replace(&mut self.leg, Leg::Done) {
+                Leg::Start => {
+                    h.enter(Phase::Net);
+                    Leg::Request(seg.send(Direction::ToServer, request))
+                }
+                Leg::Request(mut packet) => match packet.poll_wire(cx) {
+                    Poll::Pending => {
+                        self.leg = Leg::Request(packet);
+                        return Next::Wake;
+                    }
+                    Poll::Ready(Ok((on_wire, carry))) => {
+                        self.leg = Leg::RequestSent(on_wire);
+                        return Next::Sleep(carry);
+                    }
+                    Poll::Ready(Err(e)) => Leg::Failed(e),
+                },
+                Leg::RequestSent(on_wire) => {
+                    seg.land(on_wire);
+                    h.enter(Phase::Filer);
+                    match h.remote.store.filer(self.shard).try_start(self.service) {
+                        Ok(t) => {
+                            self.leg = Leg::Filer;
+                            return Next::Sleep(h.sim.sleep(t));
+                        }
+                        Err(e) => Leg::Failed(e),
+                    }
+                }
+                Leg::Filer => {
+                    h.enter(Phase::Net);
+                    Leg::Reply(seg.send(Direction::FromServer, reply))
+                }
+                Leg::Reply(mut packet) => match packet.poll_wire(cx) {
+                    Poll::Pending => {
+                        self.leg = Leg::Reply(packet);
+                        return Next::Wake;
+                    }
+                    Poll::Ready(Ok((on_wire, carry))) => {
+                        self.leg = Leg::ReplySent(on_wire);
+                        return Next::Sleep(carry);
+                    }
+                    Poll::Ready(Err(e)) => Leg::Failed(e),
+                },
+                // The end of the exchange is the task's poll.
+                leg @ (Leg::ReplySent(_) | Leg::Failed(_)) if at_place => {
+                    self.leg = leg;
+                    return Next::Poll;
+                }
+                Leg::ReplySent(on_wire) => {
+                    seg.land(on_wire);
+                    return Next::Ready(Ok(()));
+                }
+                Leg::Failed(e) => return Next::Ready(Err(e)),
+                Leg::Done => panic!("exchange stepped after it finished"),
+            };
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -891,5 +995,19 @@ pub(crate) async fn syncer(h: Rc<HostCtx>, tier: Tier, period: SimTime) {
         dirty.clear();
         h.dirty_blocks_into(tier, &mut dirty);
         flush_batch(&h, &dirty, tier, &mut handles).await;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_exchange_future_is_no_larger_than_a_packet_future() {
+        // A `Segment::try_transfer` future, one of the two packets an
+        // exchange future carries, took 128 bytes when each exchange
+        // awaited two of them and a filer sleep.
+        let size = std::mem::size_of::<Stepped<Exchange>>();
+        assert!(size <= 128, "{size} bytes");
     }
 }

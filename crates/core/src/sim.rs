@@ -907,12 +907,13 @@ mod tests {
         }
     }
 
-    /// Replays perfbench's `hosts32-ssd-writes` at `seed` (32 hosts at
-    /// 1/256, each with its own 10 GB working set, 1 GB RAM and 8 GB
-    /// flash, half writes, SSD timing, streamed): the run's polls, its
-    /// place entries that registered a timer, and the armed NCQ grants
-    /// among them.
-    fn hosts32(seed: u64) -> (u64, u64, u64) {
+    /// Replays perfbench's `hosts32-ssd-writes` configuration at `seed`,
+    /// scaled down by `scale` instead of perfbench's 256 (32 hosts, each
+    /// with its own 10 GB working set, 1 GB RAM and 8 GB flash, half
+    /// writes, SSD timing, streamed): the run's polls, its place entries
+    /// that did a task's work instead of a poll, the armed NCQ grants
+    /// among them, and its placed steps.
+    fn hosts32(scale: u64, seed: u64) -> (u64, u64, u64, u64) {
         use crate::FlashTiming;
         use fcache_device::SsdConfig;
         use fcache_types::ByteSize;
@@ -923,7 +924,7 @@ mod tests {
             flash_timing: FlashTiming::Ssd(SsdConfig::auto()),
             ..SimConfig::baseline()
         }
-        .scaled_down(256);
+        .scaled_down(scale);
         let spec = WorkloadSpec {
             working_set: ByteSize::gib(10),
             write_fraction: 0.5,
@@ -932,29 +933,29 @@ mod tests {
             seed,
             ..WorkloadSpec::default()
         };
-        let wb = Workbench::new(256, seed);
+        let wb = Workbench::new(scale, seed);
         let mut source = wb.make_stream(&spec);
         let parts = build_parts(&cfg, source.meta().grid()).expect("builds");
         let report = replay_on(&parts, &mut source).expect("runs");
         let ncq: u64 = parts.hosts.iter().map(|h| h.dev.armed_grants()).sum();
-        (report.events, parts.sim.armed_by_tag().iter().sum(), ncq)
+        let armed = parts.sim.armed_by_tag().iter().sum();
+        (report.events, armed, ncq, parts.sim.placed_steps())
     }
 
     #[test]
     fn hosts32_sheds_one_poll_per_armed_ncq_grant() {
-        // The run's polls while every queued SSD command was polled at its
-        // grant to draw its service and start its sleep (perfbench seed 1:
-        // 38.7575 polls/op over 188,872 ops).
-        const POLLED_GRANTS: u64 = 7_320_203;
-        let (polls, armed, ncq) = hosts32(1);
-        assert_eq!(ncq, 911_530);
-        assert_eq!(polls, POLLED_GRANTS - ncq);
+        // The run's polls and place entries while every queued SSD command
+        // was polled at its grant to draw its service and start its sleep,
+        // and every exchange's middle legs were polls: the same run with
+        // the NCQ hook's sleep left unarmed and no step record placed.
+        const POLLED: u64 = 412_466;
+        const OTHER_ENTRIES: u64 = 112_310;
+        let (polls, armed, ncq, steps) = hosts32(4096, 1);
+        assert_eq!((ncq, steps), (14_651, 89_916));
+        assert_eq!(polls, POLLED - ncq - steps);
         // The wires' armed grants, armed spawns and idle re-arms count
-        // there too.
-        assert!(
-            armed > ncq,
-            "{armed} armed entries, {ncq} of them NCQ grants"
-        );
+        // there too, as many as before.
+        assert_eq!(armed, OTHER_ENTRIES + ncq + steps);
     }
 
     /// Shard `k`'s filer draw seed in a `shards`-shard run seeded `run_seed`.

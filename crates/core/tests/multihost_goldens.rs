@@ -80,18 +80,18 @@ struct Pin {
 
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    Pin { arch: Architecture::Naive, ssd: false, hosts: 2, want: (385745508, 2292, 0xb37d8e7bb11881f1), events: 61483 },
-    Pin { arch: Architecture::Naive, ssd: false, hosts: 32, want: (117067012, 3177, 0x15f4dfb1e8cbbca8), events: 67980 },
-    Pin { arch: Architecture::Naive, ssd: true, hosts: 2, want: (368667678, 2242, 0xd2ef3fe3638d44bc), events: 64523 },
-    Pin { arch: Architecture::Naive, ssd: true, hosts: 32, want: (116974261, 3175, 0xe6356f77d06668b9), events: 70210 },
-    Pin { arch: Architecture::Lookaside, ssd: false, hosts: 2, want: (359277524, 2273, 0xe687bfc3b4d486fb), events: 52767 },
-    Pin { arch: Architecture::Lookaside, ssd: false, hosts: 32, want: (116101372, 3164, 0x337b461f11937b63), events: 59349 },
-    Pin { arch: Architecture::Lookaside, ssd: true, hosts: 2, want: (370253601, 2247, 0x3ee7bae66f8d8a67), events: 52475 },
-    Pin { arch: Architecture::Lookaside, ssd: true, hosts: 32, want: (116104412, 3169, 0xff4430dccf336a3b), events: 58054 },
-    Pin { arch: Architecture::Unified, ssd: false, hosts: 2, want: (391122444, 2261, 0xc7aea45cdd2a0331), events: 52584 },
-    Pin { arch: Architecture::Unified, ssd: false, hosts: 32, want: (116737336, 3188, 0xb86b7804d67f9faf), events: 56837 },
-    Pin { arch: Architecture::Unified, ssd: true, hosts: 2, want: (392925206, 2238, 0x03c22885da6a978a), events: 55196 },
-    Pin { arch: Architecture::Unified, ssd: true, hosts: 32, want: (116670971, 3178, 0x72244122ad43ec95), events: 57197 },
+    Pin { arch: Architecture::Naive, ssd: false, hosts: 2, want: (385745508, 2292, 0xb37d8e7bb11881f1), events: 44794 },
+    Pin { arch: Architecture::Naive, ssd: false, hosts: 32, want: (117067012, 3177, 0x15f4dfb1e8cbbca8), events: 51774 },
+    Pin { arch: Architecture::Naive, ssd: true, hosts: 2, want: (368667678, 2242, 0xd2ef3fe3638d44bc), events: 47803 },
+    Pin { arch: Architecture::Naive, ssd: true, hosts: 32, want: (116974261, 3175, 0xe6356f77d06668b9), events: 53948 },
+    Pin { arch: Architecture::Lookaside, ssd: false, hosts: 2, want: (359277524, 2273, 0xe687bfc3b4d486fb), events: 36189 },
+    Pin { arch: Architecture::Lookaside, ssd: false, hosts: 32, want: (116101372, 3164, 0x337b461f11937b63), events: 43453 },
+    Pin { arch: Architecture::Lookaside, ssd: true, hosts: 2, want: (370253601, 2247, 0x3ee7bae66f8d8a67), events: 35961 },
+    Pin { arch: Architecture::Lookaside, ssd: true, hosts: 32, want: (116104412, 3169, 0xff4430dccf336a3b), events: 42099 },
+    Pin { arch: Architecture::Unified, ssd: false, hosts: 2, want: (391122444, 2261, 0xc7aea45cdd2a0331), events: 35828 },
+    Pin { arch: Architecture::Unified, ssd: false, hosts: 32, want: (116737336, 3188, 0xb86b7804d67f9faf), events: 39695 },
+    Pin { arch: Architecture::Unified, ssd: true, hosts: 2, want: (392925206, 2238, 0x03c22885da6a978a), events: 38431 },
+    Pin { arch: Architecture::Unified, ssd: true, hosts: 32, want: (116670971, 3178, 0x72244122ad43ec95), events: 39987 },
 ];
 
 /// The table's runs, one report per [`PINS`] row, run once and shared by
@@ -182,4 +182,4 @@ fn hundred_host_sharded_cell_poll_count_is_pinned() {
 const CELL: Observed = (45813228, 2758, 0xb64d50c835ff7cc7);
 
 /// The 100-host cell's executor poll count.
-const CELL_EVENTS: u64 = 123143;
+const CELL_EVENTS: u64 = 85924;

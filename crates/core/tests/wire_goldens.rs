@@ -68,42 +68,42 @@ use Architecture::{Lookaside, Naive, Unified};
 
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    Pin { duplex: false, plan: ERR, arch: Naive, hosts: 1, want: 0x6e1e16cccf0a745e, events: 58317 },
-    Pin { duplex: false, plan: ERR, arch: Naive, hosts: 4, want: 0x12e014f1ad8ba0d2, events: 65896 },
-    Pin { duplex: false, plan: ERR, arch: Lookaside, hosts: 1, want: 0x11fdc819c352cb47, events: 47915 },
-    Pin { duplex: false, plan: ERR, arch: Lookaside, hosts: 4, want: 0x251a4f1dde8dfac9, events: 56650 },
-    Pin { duplex: false, plan: ERR, arch: Unified, hosts: 1, want: 0x22a32b42d9766ef4, events: 48889 },
-    Pin { duplex: false, plan: ERR, arch: Unified, hosts: 4, want: 0x488aa2b40b5cf5ad, events: 56382 },
-    Pin { duplex: false, plan: SLOW_ERR, arch: Naive, hosts: 1, want: 0xc15002b74c70eca6, events: 57959 },
-    Pin { duplex: false, plan: SLOW_ERR, arch: Naive, hosts: 4, want: 0x998460fc723235d4, events: 65797 },
-    Pin { duplex: false, plan: SLOW_ERR, arch: Lookaside, hosts: 1, want: 0x51d5c5c532dbc8be, events: 47612 },
-    Pin { duplex: false, plan: SLOW_ERR, arch: Lookaside, hosts: 4, want: 0x32fe885c9450e709, events: 56059 },
-    Pin { duplex: false, plan: SLOW_ERR, arch: Unified, hosts: 1, want: 0x9d74e1197e3adcf5, events: 48829 },
-    Pin { duplex: false, plan: SLOW_ERR, arch: Unified, hosts: 4, want: 0xe48dcc5490b41c92, events: 55951 },
-    Pin { duplex: false, plan: OUTAGE, arch: Naive, hosts: 1, want: 0xdb1268380080dc34, events: 57871 },
-    Pin { duplex: false, plan: OUTAGE, arch: Naive, hosts: 4, want: 0xe39c680121cf8b28, events: 64995 },
-    Pin { duplex: false, plan: OUTAGE, arch: Lookaside, hosts: 1, want: 0xf1613e34f0465212, events: 47424 },
-    Pin { duplex: false, plan: OUTAGE, arch: Lookaside, hosts: 4, want: 0x3b316f145bfc1743, events: 55678 },
-    Pin { duplex: false, plan: OUTAGE, arch: Unified, hosts: 1, want: 0xbf1b0f5ccab56fb9, events: 48639 },
-    Pin { duplex: false, plan: OUTAGE, arch: Unified, hosts: 4, want: 0x37c98d638f3efe95, events: 55110 },
-    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 1, want: 0x87db26bcbe72304b, events: 52748 },
-    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 4, want: 0x501979ddcdab7369, events: 64411 },
-    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 1, want: 0x48a0e0816e1035c6, events: 36687 },
-    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 4, want: 0x5ec47395d92f2f73, events: 54590 },
-    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 1, want: 0xbc51e574649910c6, events: 44696 },
-    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 4, want: 0x8a7930c7b10fefbc, events: 54665 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 1, want: 0x022ef667bc04a0bc, events: 52762 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 4, want: 0x93910af223a56430, events: 63727 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 1, want: 0x29232bad1069ef33, events: 36774 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 4, want: 0x729cf203f7eaa760, events: 54304 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 1, want: 0x29f8406c884c4970, events: 44472 },
-    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 4, want: 0x05130e91acbc99a8, events: 54705 },
-    Pin { duplex: true, plan: OUTAGE, arch: Naive, hosts: 1, want: 0x7df26bd942a7e629, events: 52460 },
-    Pin { duplex: true, plan: OUTAGE, arch: Naive, hosts: 4, want: 0xb663dbf1dfa91857, events: 63330 },
-    Pin { duplex: true, plan: OUTAGE, arch: Lookaside, hosts: 1, want: 0x534f9fc74bf5a88a, events: 36461 },
-    Pin { duplex: true, plan: OUTAGE, arch: Lookaside, hosts: 4, want: 0x5479dcbf54634a86, events: 53726 },
-    Pin { duplex: true, plan: OUTAGE, arch: Unified, hosts: 1, want: 0xdf187b9a8c4d51bb, events: 44460 },
-    Pin { duplex: true, plan: OUTAGE, arch: Unified, hosts: 4, want: 0x9f619fefa5e3a072, events: 54042 },
+    Pin { duplex: false, plan: ERR, arch: Naive, hosts: 1, want: 0x6e1e16cccf0a745e, events: 42254 },
+    Pin { duplex: false, plan: ERR, arch: Naive, hosts: 4, want: 0x12e014f1ad8ba0d2, events: 48489 },
+    Pin { duplex: false, plan: ERR, arch: Lookaside, hosts: 1, want: 0x11fdc819c352cb47, events: 32485 },
+    Pin { duplex: false, plan: ERR, arch: Lookaside, hosts: 4, want: 0x251a4f1dde8dfac9, events: 39443 },
+    Pin { duplex: false, plan: ERR, arch: Unified, hosts: 1, want: 0x22a32b42d9766ef4, events: 32852 },
+    Pin { duplex: false, plan: ERR, arch: Unified, hosts: 4, want: 0x488aa2b40b5cf5ad, events: 38899 },
+    Pin { duplex: false, plan: SLOW_ERR, arch: Naive, hosts: 1, want: 0xc15002b74c70eca6, events: 41934 },
+    Pin { duplex: false, plan: SLOW_ERR, arch: Naive, hosts: 4, want: 0x998460fc723235d4, events: 48402 },
+    Pin { duplex: false, plan: SLOW_ERR, arch: Lookaside, hosts: 1, want: 0x51d5c5c532dbc8be, events: 32282 },
+    Pin { duplex: false, plan: SLOW_ERR, arch: Lookaside, hosts: 4, want: 0x32fe885c9450e709, events: 38880 },
+    Pin { duplex: false, plan: SLOW_ERR, arch: Unified, hosts: 1, want: 0x9d74e1197e3adcf5, events: 32786 },
+    Pin { duplex: false, plan: SLOW_ERR, arch: Unified, hosts: 4, want: 0xe48dcc5490b41c92, events: 38573 },
+    Pin { duplex: false, plan: OUTAGE, arch: Naive, hosts: 1, want: 0xdb1268380080dc34, events: 41906 },
+    Pin { duplex: false, plan: OUTAGE, arch: Naive, hosts: 4, want: 0xe39c680121cf8b28, events: 47889 },
+    Pin { duplex: false, plan: OUTAGE, arch: Lookaside, hosts: 1, want: 0xf1613e34f0465212, events: 32176 },
+    Pin { duplex: false, plan: OUTAGE, arch: Lookaside, hosts: 4, want: 0x3b316f145bfc1743, events: 38754 },
+    Pin { duplex: false, plan: OUTAGE, arch: Unified, hosts: 1, want: 0xbf1b0f5ccab56fb9, events: 32677 },
+    Pin { duplex: false, plan: OUTAGE, arch: Unified, hosts: 4, want: 0x37c98d638f3efe95, events: 37987 },
+    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 1, want: 0x87db26bcbe72304b, events: 42314 },
+    Pin { duplex: true, plan: ERR, arch: Naive, hosts: 4, want: 0x501979ddcdab7369, events: 48695 },
+    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 1, want: 0x48a0e0816e1035c6, events: 27031 },
+    Pin { duplex: true, plan: ERR, arch: Lookaside, hosts: 4, want: 0x5ec47395d92f2f73, events: 39020 },
+    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 1, want: 0xbc51e574649910c6, events: 33269 },
+    Pin { duplex: true, plan: ERR, arch: Unified, hosts: 4, want: 0x8a7930c7b10fefbc, events: 38787 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 1, want: 0x022ef667bc04a0bc, events: 42312 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Naive, hosts: 4, want: 0x93910af223a56430, events: 48267 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 1, want: 0x29232bad1069ef33, events: 27142 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Lookaside, hosts: 4, want: 0x729cf203f7eaa760, events: 38647 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 1, want: 0x29f8406c884c4970, events: 33057 },
+    Pin { duplex: true, plan: SLOW_ERR, arch: Unified, hosts: 4, want: 0x05130e91acbc99a8, events: 38674 },
+    Pin { duplex: true, plan: OUTAGE, arch: Naive, hosts: 1, want: 0x7df26bd942a7e629, events: 42098 },
+    Pin { duplex: true, plan: OUTAGE, arch: Naive, hosts: 4, want: 0xb663dbf1dfa91857, events: 47888 },
+    Pin { duplex: true, plan: OUTAGE, arch: Lookaside, hosts: 1, want: 0x534f9fc74bf5a88a, events: 26914 },
+    Pin { duplex: true, plan: OUTAGE, arch: Lookaside, hosts: 4, want: 0x5479dcbf54634a86, events: 38447 },
+    Pin { duplex: true, plan: OUTAGE, arch: Unified, hosts: 1, want: 0xdf187b9a8c4d51bb, events: 33058 },
+    Pin { duplex: true, plan: OUTAGE, arch: Unified, hosts: 4, want: 0x9f619fefa5e3a072, events: 38275 },
 ];
 
 /// The table's runs, one report per [`PINS`] row, run once and shared by

@@ -20,7 +20,7 @@
 //! Some of a task's work can be done at its *place* in the ready queue,
 //! where its poll would have run, without polling it: a *place entry*
 //! stands there, and the run loop does that work through a small side
-//! table of kinded records (`Sim::fire_place`). Three kinds exist:
+//! table of kinded records (`Sim::fire_place`). Four kinds exist:
 //! - an armed spawn ([`Sim::spawn_at`]) registers the new task's first
 //!   timer;
 //! - a grant entry, queued by a [`crate::Resource`] that hands a released
@@ -28,7 +28,12 @@
 //!   task; a hook that knows the grantee's hold time *arms* it, and the
 //!   loop registers the end-of-hold timer;
 //! - an idle tick ([`Sim::idle_ticks`]) checks the task's predicate and,
-//!   while it finds no work, registers the next tick.
+//!   while it finds no work, registers the next tick;
+//! - a step ([`Sim::stepped`]) runs the next legs of a task's
+//!   [`StepMachine`], pinned in the task's future, as the task: it arms
+//!   the timer of the next step and keeps its record, parks the task as
+//!   a resource waiter whose grant entry comes to that record, or has the
+//!   task polled.
 //!
 //! Each timer takes the sequence number the task's own sleep would have
 //! drawn at that place, so the poll that would only have registered it
@@ -44,6 +49,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::future::Future;
+use std::marker::PhantomPinned;
 use std::mem::ManuallyDrop;
 use std::pin::Pin;
 use std::ptr::NonNull;
@@ -91,6 +97,9 @@ impl TaskId {
 
 /// Marks a place entry. Slot indices stay far below 2^31.
 const PLACE: u64 = 1 << 31;
+
+/// No task: a marked slot index no task has.
+const NO_TASK: TaskId = TaskId(u64::MAX);
 
 /// Number of task tag classes: a tag's class is `tag % TAG_CLASSES`, and
 /// [`Sim::polls_by_tag`] and [`Sim::armed_by_tag`] count per class. The
@@ -212,6 +221,46 @@ struct PendingGrant {
     waiter: u32,
 }
 
+/// A pinned [`Stepped`] machine, type-erased: the pointer and the
+/// function that runs it at its task's place.
+#[derive(Clone, Copy)]
+struct StepFn {
+    ptr: NonNull<()>,
+    run: unsafe fn(NonNull<()>, &mut Context<'_>) -> StepDone,
+}
+
+/// What a step run at its task's place asks of the run loop.
+enum StepDone {
+    /// Register a timer for this deadline that runs the next step.
+    Arm(SimTime),
+    /// Nothing: the task waits as a resource waiter, whose grant entry
+    /// comes to this record.
+    Park,
+    /// Poll the task.
+    Poll,
+}
+
+/// What a place entry does, read from its task's record.
+enum Work {
+    /// Take the record and do its work ([`Sim::enter`]).
+    Enter(Place),
+    /// Run the grant that joined a step record, which stays.
+    StepGrant(PendingGrant, StepFn),
+    /// Run the step due now.
+    Step(StepFn),
+}
+
+/// The run loop's record of a task whose [`Stepped`] machine waits
+/// between polls.
+struct StepRec {
+    step: StepFn,
+    /// Deadline of the timer that runs the next step; none while the
+    /// task waits as a resource waiter.
+    due: Option<SimTime>,
+    /// A grant handed to that waiter, run first at the record's entry.
+    grant: Option<PendingGrant>,
+}
+
 /// The work a place entry does instead of polling its task.
 enum Place {
     /// An armed spawn: register the task's first timer, for this deadline.
@@ -220,6 +269,8 @@ enum Place {
     Grant(PendingGrant),
     /// A task parked in idle ticks: check its predicate at each tick.
     Idle(IdleTick),
+    /// A task awaiting a [`Stepped`] machine: run its next step.
+    Step(StepRec),
 }
 
 /// The place records of the tasks that hold one, in a slab whose entries
@@ -260,6 +311,14 @@ impl Places {
     /// Whether the record at `i` is an idle ticker's.
     fn is_idle(&self, i: u32) -> bool {
         matches!(self.records.get(i as usize), Some(Some(Place::Idle(_))))
+    }
+
+    /// The step record at `i`, when it runs the machine at `ptr`.
+    fn step_of(&mut self, i: u32, ptr: NonNull<()>) -> Option<&mut StepRec> {
+        match self.get_mut(i)? {
+            Place::Step(s) if s.step.ptr == ptr => Some(s),
+            _ => None,
+        }
     }
 
     fn take(&mut self, i: u32) -> Place {
@@ -608,6 +667,9 @@ struct SimInner {
     /// Place entries so far that registered a timer instead of a poll,
     /// by the task's tag class.
     armed: [Cell<u64>; TAG_CLASSES],
+    /// Steps so far that ran at their task's place and did not end in a
+    /// poll; each also counts in `armed`.
+    placed_steps: Cell<u64>,
     /// Place records, one per task at most. Kept beside the slots so a
     /// slot stays small.
     places: RefCell<Places>,
@@ -691,6 +753,8 @@ impl Sim {
         // Pre-size the timer heap, the task slab and the place table
         // beside it: simulations register thousands of timers and tasks,
         // and growth reallocations would land mid-run on the hot path.
+        // Every task waiting in a step machine holds a place record: a
+        // one-host run's write-through flushes keep hundreds of them.
         Self {
             inner: Rc::new(SimInner {
                 now: Cell::new(SimTime::ZERO),
@@ -702,7 +766,8 @@ impl Sim {
                 timer_seq: Cell::new(0),
                 polls: Default::default(),
                 armed: Default::default(),
-                places: RefCell::new(Places::with_capacity(64)),
+                placed_steps: Cell::new(0),
+                places: RefCell::new(Places::with_capacity(1024)),
                 current_poll: Cell::new(None),
                 limit: Cell::new(SimTime::ZERO),
                 #[cfg(test)]
@@ -729,15 +794,23 @@ impl Sim {
         std::array::from_fn(|c| self.inner.polls[c].get())
     }
 
-    /// Place entries so far that registered a timer instead of polling
-    /// their task, by the task's tag class: armed spawns
-    /// ([`Sim::spawn_at`]), grants whose hook armed the grantee
-    /// ([`crate::GrantPlace::sleep_until`]), and idle ticks re-armed
-    /// ([`Sim::idle_ticks`]). Each is a poll the task did not take, and
-    /// not a poll: [`Sim::events_processed`] does not count them. An
-    /// armed spawn has not run yet, so it counts as untagged.
+    /// Place entries so far that did a task's work instead of polling
+    /// it, by the task's tag class: armed spawns ([`Sim::spawn_at`]),
+    /// grants whose hook armed the grantee
+    /// ([`crate::GrantPlace::sleep_until`]), idle ticks re-armed
+    /// ([`Sim::idle_ticks`]) and placed steps ([`Sim::placed_steps`]).
+    /// Each is a poll the task did not take, and not a poll:
+    /// [`Sim::events_processed`] does not count them. An armed spawn has
+    /// not run yet, so it counts as untagged.
     pub fn armed_by_tag(&self) -> [u64; TAG_CLASSES] {
         std::array::from_fn(|c| self.inner.armed[c].get())
+    }
+
+    /// Steps of [`Stepped`] machines so far that ran at their task's
+    /// place and ended in a timer or a resource wait, not a poll. Each
+    /// also counts in [`Sim::armed_by_tag`].
+    pub fn placed_steps(&self) -> u64 {
+        self.inner.placed_steps.get()
     }
 
     fn count_armed(&self, tag: u32) {
@@ -935,10 +1008,15 @@ impl Sim {
     /// ([`Sim::fire_place`]), or just before the task's poll if something
     /// else polls it first.
     ///
+    /// A task whose [`Stepped`] machine waits as this waiter keeps its
+    /// step record: the grant joins it, and the loop runs the hook at the
+    /// entry and the machine's next step when the hold it arms ends.
+    ///
     /// Returns false and queues nothing when `waker` is not a task waker
     /// of this simulation, its task is not parked (running, finished, or
-    /// a stale generation), or the task already holds a place record; the
-    /// caller then wakes the task, and the hook runs in its poll.
+    /// a stale generation), or the task already holds another place
+    /// record; the caller then wakes the task, and the hook runs in its
+    /// poll.
     pub(crate) fn queue_grant(
         &self,
         waker: &Waker,
@@ -954,13 +1032,16 @@ impl Sim {
             return false;
         };
         match slots.get_mut(id.slot()) {
-            Some(slot)
-                if slot.state == SlotState::Parked
-                    && slot.generation == id.generation()
-                    && slot.place == NO_PLACE =>
-            {
-                let grant = Place::Grant(PendingGrant { resource, waiter });
-                slot.place = self.inner.places.borrow_mut().insert(grant);
+            Some(slot) if slot.state == SlotState::Parked && slot.generation == id.generation() => {
+                let grant = PendingGrant { resource, waiter };
+                let mut places = self.inner.places.borrow_mut();
+                match places.get_mut(slot.place) {
+                    None => slot.place = places.insert(Place::Grant(grant)),
+                    Some(Place::Step(s)) if s.due.is_none() && s.grant.is_none() => {
+                        s.grant = Some(grant);
+                    }
+                    Some(_) => return false,
+                }
             }
             _ => return false,
         }
@@ -984,31 +1065,53 @@ impl Sim {
 
     /// Does the work of `record` as the task `current`: returns the
     /// deadline of the timer it asks for, which only a place entry
-    /// (`armable`) allows a grant hook to arm.
+    /// (`armable`) allows a grant hook to arm. A step record's only work
+    /// here is its grant: the machine's step runs in the poll.
     fn enter(&self, record: Place, current: CurrentPoll, armable: bool) -> Option<SimTime> {
         match record {
             Place::Armed(deadline) => Some(deadline),
-            Place::Grant(grant) => {
-                let prev = self.inner.current_poll.replace(Some(current));
-                let _restore = RestorePoll(&self.inner.current_poll, prev);
+            Place::Grant(grant) => self.as_task(current, |_| {
                 let mut place = GrantPlace::new(self, armable);
                 grant.resource.run_grant(grant.waiter, &mut place);
                 place.armed()
-            }
+            }),
             // A tick that found work: the wait is over, and `IdleTicks`
             // finds its record gone.
             Place::Idle(_) => None,
+            Place::Step(s) => s
+                .grant
+                .and_then(|grant| self.enter(Place::Grant(grant), current, armable)),
         }
+    }
+
+    /// Runs `f` as the task `current`, with its context: what runs reads
+    /// the task's tag, and a sleep or an acquire it polls registers the
+    /// task's own waker.
+    fn as_task<R>(&self, current: CurrentPoll, f: impl FnOnce(&mut Context<'_>) -> R) -> R {
+        let prev = self.inner.current_poll.replace(Some(current));
+        let _restore = RestorePoll(&self.inner.current_poll, prev);
+        // A borrowed view of the slot's waker: same block, no refcount
+        // traffic, never dropped (the slot keeps the owning reference).
+        // SAFETY: the data pointer is that of the task's slot waker, which
+        // outlives the call: a parked or running slot keeps it.
+        let waker = ManuallyDrop::new(unsafe {
+            Waker::from_raw(RawWaker::new(current.waker_data, &WAKER_VTABLE))
+        });
+        f(&mut Context::from_waker(&waker))
     }
 
     /// Handles a place entry, where the task's poll would have run. An
     /// idle tick due now checks the predicate and, while it holds, keeps
-    /// the record and registers the next tick. Any other record is taken
-    /// and entered ([`Sim::enter`]); a timer it asks for is registered
-    /// instead of a poll. Either timer takes the sequence number the
-    /// task's own sleep would have drawn here. An entry whose record an
-    /// earlier poll took, or the tick of a dropped [`IdleTicks`], is a
-    /// plain wake, as the timer of a dropped sleep is.
+    /// the record and registers the next tick. A step record stays while
+    /// its machine runs: its grant runs first, armable, and a step due now
+    /// runs as the task, marked running, and either arms the timer of the
+    /// next step, parks the task as a resource waiter, or has it polled.
+    /// Any other record is taken and entered ([`Sim::enter`]); a timer it
+    /// asks for is registered instead of a poll. Every timer takes the
+    /// sequence number the task's own sleep would have drawn here. An
+    /// entry whose record an earlier poll took, a step not due now, or the
+    /// tick of a dropped [`IdleTicks`] is a plain wake, as the timer of a
+    /// dropped sleep is.
     fn fire_place(&self, id: TaskId) {
         let (place, current) = {
             let slots = self.inner.slots.borrow();
@@ -1029,7 +1132,7 @@ impl Sim {
             }
         };
         let now = self.now();
-        let record = {
+        let work = {
             let mut places = self.inner.places.borrow_mut();
             match places.get_mut(place) {
                 Some(Place::Idle(t)) if t.next == now && t.idle.is_idle() => {
@@ -1039,20 +1142,80 @@ impl Sim {
                     return;
                 }
                 Some(Place::Idle(t)) if t.next != now => None,
-                Some(_) => Some(places.take(place)),
+                Some(Place::Step(s)) => match s.grant.take() {
+                    Some(grant) => Some(Work::StepGrant(grant, s.step)),
+                    None if s.due == Some(now) => Some(Work::Step(s.step)),
+                    None => None,
+                },
+                Some(_) => Some(Work::Enter(places.take(place))),
                 None => None,
             }
         };
-        let Some(record) = record else {
-            return self.poll_task(id);
-        };
-        self.inner.slots.borrow_mut()[id.slot()].place = NO_PLACE;
-        match self.enter(record, current, true) {
-            Some(deadline) => {
-                self.register_task_timer(deadline, id);
-                self.count_armed(current.tag);
-            }
+        match work {
             None => self.poll_task(id),
+            Some(Work::Enter(record)) => {
+                self.inner.slots.borrow_mut()[id.slot()].place = NO_PLACE;
+                match self.enter(record, current, true) {
+                    Some(deadline) => {
+                        self.register_task_timer(deadline, id);
+                        self.count_armed(current.tag);
+                    }
+                    None => self.poll_task(id),
+                }
+            }
+            // The hold a step record's grant arms ends in the next step.
+            Some(Work::StepGrant(grant, step)) => {
+                match self.enter(Place::Grant(grant), current, true) {
+                    Some(deadline) => {
+                        self.count_armed(current.tag);
+                        self.arm_step(id, place, step, deadline);
+                    }
+                    None => self.poll_task(id),
+                }
+            }
+            Some(Work::Step(step)) => {
+                self.set_state(id, SlotState::Running);
+                // SAFETY: a step record names a live, pinned `Stepped`
+                // (its drop removes the record), run only here, while its
+                // task is parked between polls, and marked running so
+                // that nothing polls the task or frees its future.
+                let done = self.as_task(current, |cx| unsafe { (step.run)(step.ptr, cx) });
+                self.set_state(id, SlotState::Parked);
+                match done {
+                    StepDone::Arm(deadline) => {
+                        self.count_step(current.tag);
+                        self.arm_step(id, place, step, deadline);
+                    }
+                    StepDone::Park => {
+                        self.count_step(current.tag);
+                        if let Some(s) = self.inner.places.borrow_mut().step_of(place, step.ptr) {
+                            s.due = None;
+                        }
+                    }
+                    StepDone::Poll => self.poll_task(id),
+                }
+            }
+        }
+    }
+
+    /// Sets the state of the parked task `id`.
+    fn set_state(&self, id: TaskId, state: SlotState) {
+        self.inner.slots.borrow_mut()[id.slot()].state = state;
+    }
+
+    /// Counts a step that ran at its task's place without a poll.
+    fn count_step(&self, tag: u32) {
+        self.count_armed(tag);
+        let steps = &self.inner.placed_steps;
+        steps.set(steps.get() + 1);
+    }
+
+    /// Registers the timer of the next step of `step`, for `deadline`,
+    /// when the task's record at `place` still runs it.
+    fn arm_step(&self, id: TaskId, place: u32, step: StepFn, deadline: SimTime) {
+        if let Some(s) = self.inner.places.borrow_mut().step_of(place, step.ptr) {
+            s.due = Some(deadline);
+            self.register_task_timer(deadline, id.at_place());
         }
     }
 
@@ -1217,19 +1380,13 @@ impl Sim {
                 self.register_task_timer(deadline, id);
             }
         }
-        self.inner.current_poll.set(Some(current));
-        let _clear = RestorePoll(&self.inner.current_poll, None);
-        // A borrowed view of the slot's waker: same block, no refcount
-        // traffic, never dropped (the slot keeps the owning reference).
-        let waker =
-            ManuallyDrop::new(unsafe { Waker::from_raw(RawWaker::new(waker_data, &WAKER_VTABLE)) });
-        let mut cx = Context::from_waker(&waker);
         // SAFETY: `fut_ptr` stays valid for the whole poll — only this
         // function and `shutdown` release task futures, `shutdown` skips
         // Running slots, and re-entrant polls of this task bail on the
         // Running state above.
-        let done = unsafe { (poll_fn)(fut_ptr, &mut cx) }.is_ready();
-        drop(_clear);
+        let done = self
+            .as_task(current, |cx| unsafe { (poll_fn)(fut_ptr, cx) })
+            .is_ready();
 
         let mut slots = self.inner.slots.borrow_mut();
         let slot = &mut slots[id.slot()];
@@ -1576,6 +1733,254 @@ impl<P> Drop for IdleTicks<P> {
         if let Ticking::Parked(id) = self.state {
             self.sim.cancel_idle(id);
         }
+    }
+}
+
+/// What a [`StepMachine`] waits for after a step.
+pub enum Next<T> {
+    /// The end of this sleep; the machine steps again when it ends.
+    Sleep(Sleep),
+    /// A wake it registered with the task's waker (a queued
+    /// [`crate::Resource`] acquire); the machine steps again once woken.
+    Wake,
+    /// Only at the task's place: the next leg must run in the task's poll.
+    Poll,
+    /// The machine is done.
+    Ready(T),
+}
+
+/// A state machine of legs, each ending in a sleep or a resource wait,
+/// whose steps the run loop may run at its task's place instead of
+/// polling the task ([`Sim::stepped`]).
+pub trait StepMachine: 'static {
+    /// What the machine yields when done.
+    type Output;
+
+    /// Runs the machine's legs as far as they go now, as its task and with
+    /// the task's context, and returns what it waits for next. A returned
+    /// sleep that has already ended is stepped past at once.
+    ///
+    /// `at_place` is set when the run loop runs the step at the task's
+    /// place. The machine then returns [`Next::Poll`] instead of running
+    /// a leg that must be the task's poll, at least the one that finishes
+    /// it: at a place it never returns [`Next::Ready`].
+    fn step(&mut self, cx: &mut Context<'_>, at_place: bool) -> Next<Self::Output>;
+}
+
+/// Future returned by [`Sim::stepped`].
+pub struct Stepped<M> {
+    sim: Sim,
+    machine: M,
+    /// The sleep the machine waits for: its deadline, and whether a timer
+    /// for it is registered.
+    wait: Option<(SimTime, bool)>,
+    /// The task whose step record runs this machine, if one may, or
+    /// `NO_TASK`.
+    placed: TaskId,
+    /// A step record points at the machine.
+    _pinned: PhantomPinned,
+}
+
+/// How far [`Stepped::advance`] got.
+enum Advance<T> {
+    /// To a sleep not yet over whose timer is not registered.
+    Sleep(SimTime),
+    /// To a wait whose wake or timer is registered.
+    Wait,
+    /// To a leg that must run in the task's poll.
+    Poll,
+    Ready(T),
+}
+
+impl Sim {
+    /// Wraps `machine` as a future whose steps the run loop may run at
+    /// its task's place (PERF.md invariant 17). Awaited in its task's own
+    /// poll, it steps the machine there as far as it goes, running its
+    /// sleeps ahead inline where invariant 16 allows. When the machine
+    /// then waits for a sleep, the task keeps a *step record* and the loop
+    /// registers the sleep's timer, with the sequence number the sleep
+    /// would have drawn, marked for the task's place; when the timer
+    /// fires, the loop runs the next step there, as the task, without
+    /// polling it. That step may arm the next timer, keeping the record;
+    /// park the task as a resource waiter, whose grant entry runs the
+    /// resource's hook at the record and may arm the next step; or have
+    /// the task polled. [`Sim::placed_steps`] counts the steps that did
+    /// not end in a poll.
+    ///
+    /// Like an armed grant, the machine must be its task's one pending
+    /// await, since a placed step skips the task's whole poll. Polled with
+    /// a waker other than the task's own, inside
+    /// [`crate::CompletionSet::wait_all`], or by a task that holds another
+    /// place record, it steps the machine inside each poll instead, with
+    /// plain sleeps; so does a task polled ahead of its record's entry.
+    pub fn stepped<M: StepMachine>(&self, machine: M) -> Stepped<M> {
+        Stepped {
+            sim: self.clone(),
+            machine,
+            wait: None,
+            placed: NO_TASK,
+            _pinned: PhantomPinned,
+        }
+    }
+
+    /// Gives the task `id`, polled now, a step record for `step`, with a
+    /// timer for its next step at `due` if set. Returns false, and does
+    /// nothing, when the task holds another record.
+    fn place_step(&self, id: TaskId, step: StepFn, due: Option<SimTime>) -> bool {
+        let mut slots = self.inner.slots.borrow_mut();
+        let slot = &mut slots[id.slot()];
+        if slot.place != NO_PLACE {
+            return false;
+        }
+        let record = Place::Step(StepRec {
+            step,
+            due,
+            grant: None,
+        });
+        slot.place = self.inner.places.borrow_mut().insert(record);
+        if let Some(deadline) = due {
+            self.register_task_timer(deadline, id.at_place());
+        }
+        true
+    }
+
+    /// Drops the step record of `task` that runs the machine at `ptr`, if
+    /// it has one. A grant that joined it stays as a plain grant entry,
+    /// which recycles its waiter slot.
+    fn unplace_step(&self, task: TaskId, ptr: NonNull<()>) {
+        // Borrowed while `shutdown` drops task futures, after it dropped
+        // every record.
+        let (Ok(mut slots), Ok(mut places)) = (
+            self.inner.slots.try_borrow_mut(),
+            self.inner.places.try_borrow_mut(),
+        ) else {
+            return;
+        };
+        let Some(slot) = slots
+            .get_mut(task.slot())
+            .filter(|s| s.generation == task.generation())
+        else {
+            return;
+        };
+        let Some(record) = places.step_of(slot.place, ptr) else {
+            return;
+        };
+        match record.grant.take() {
+            Some(grant) => {
+                *places.get_mut(slot.place).expect("a step record") = Place::Grant(grant)
+            }
+            None => drop(places.take(std::mem::replace(&mut slot.place, NO_PLACE))),
+        }
+    }
+}
+
+impl<M: StepMachine> Stepped<M> {
+    /// Steps the machine until it waits for something not over yet,
+    /// running unregistered sleeps ahead inline where invariant 16 allows.
+    fn advance(&mut self, cx: &mut Context<'_>, at_place: bool) -> Advance<M::Output> {
+        loop {
+            if let Some((deadline, registered)) = self.wait {
+                if self.sim.now() < deadline {
+                    if registered {
+                        return Advance::Wait;
+                    }
+                    if !self.sim.run_ahead(deadline, cx.waker()) {
+                        return Advance::Sleep(deadline);
+                    }
+                }
+                self.wait = None;
+            }
+            match self.machine.step(cx, at_place) {
+                Next::Sleep(s) => self.wait = Some((s.deadline, s.registered)),
+                Next::Wake => return Advance::Wait,
+                Next::Poll => return Advance::Poll,
+                Next::Ready(out) => return Advance::Ready(out),
+            }
+        }
+    }
+
+    /// Gives the polled task a step record for this machine, due at `due`
+    /// if set; false when it cannot take one.
+    fn place(&mut self, cx: &Context<'_>, due: Option<SimTime>) -> bool {
+        let Some(id) = self.sim.own_task(cx.waker()) else {
+            return false;
+        };
+        let step = StepFn {
+            ptr: NonNull::from(&mut *self).cast(),
+            run: run_step::<M>,
+        };
+        if !self.sim.place_step(id, step, due) {
+            return false;
+        }
+        self.placed = id;
+        true
+    }
+}
+
+/// Runs the step due of the `Stepped<M>` at `p`, at its task's place.
+///
+/// # Safety
+///
+/// `p` must point to a live, pinned `Stepped<M>` that nothing else
+/// borrows.
+unsafe fn run_step<M: StepMachine>(p: NonNull<()>, cx: &mut Context<'_>) -> StepDone {
+    // SAFETY: as the caller promises.
+    let this = unsafe { p.cast::<Stepped<M>>().as_mut() };
+    match this.advance(cx, true) {
+        Advance::Sleep(deadline) => {
+            this.wait = Some((deadline, true));
+            StepDone::Arm(deadline)
+        }
+        Advance::Wait => StepDone::Park,
+        Advance::Poll => StepDone::Poll,
+        Advance::Ready(_) => unreachable!("a step machine finishes in its task's poll"),
+    }
+}
+
+impl<M: StepMachine> Future for Stepped<M> {
+    type Output = M::Output;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<M::Output> {
+        // SAFETY: nothing is moved out of the pinned value.
+        let this = unsafe { self.get_unchecked_mut() };
+        // The poll does the machine's work from here.
+        this.unplace();
+        match this.advance(cx, false) {
+            Advance::Ready(out) => Poll::Ready(out),
+            Advance::Sleep(deadline) => {
+                this.wait = Some((deadline, true));
+                if !this.place(cx, Some(deadline)) {
+                    this.sim.register_timer(deadline, cx.waker());
+                }
+                Poll::Pending
+            }
+            Advance::Wait => {
+                // A resource waiter: its grant entry may come to the
+                // record. A registered timer needs none.
+                if this.wait.is_none() {
+                    this.place(cx, None);
+                }
+                Poll::Pending
+            }
+            Advance::Poll => unreachable!("a step machine runs every leg in its task's poll"),
+        }
+    }
+}
+
+impl<M> Stepped<M> {
+    /// Drops this machine's step record, if it still has one.
+    fn unplace(&mut self) {
+        let id = std::mem::replace(&mut self.placed, NO_TASK);
+        if id != NO_TASK {
+            let ptr = NonNull::from(&mut *self).cast();
+            self.sim.unplace_step(id, ptr);
+        }
+    }
+}
+
+impl<M> Drop for Stepped<M> {
+    fn drop(&mut self) {
+        self.unplace();
     }
 }
 

@@ -21,8 +21,12 @@
 //! - [`Sim::idle_ticks`] — a periodic wait that ends at the first tick
 //!   with work: the run loop checks for work where the task's poll would
 //!   have run and re-arms an idle tick without polling the task.
+//! - [`Sim::stepped`] — a [`StepMachine`] of legs that end in sleeps or
+//!   resource waits: the run loop runs each step due at the task's place,
+//!   as the task, and arms the next leg's timer, parks the task as a
+//!   resource waiter, or polls it.
 //!
-//!   These three are one mechanism, the executor's *place entry*: work
+//!   These four are one mechanism, the executor's *place entry*: work
 //!   done at a task's place in the ready queue, through one side table,
 //!   that registers the timer the task's own poll would have.
 //!   [`Sim::armed_by_tag`] counts such entries by task class.
@@ -63,21 +67,22 @@ pub mod sync;
 pub mod time;
 
 #[cfg(test)]
+mod armed_hand_over_tests;
+#[cfg(test)]
 mod grant_place_tests;
 #[cfg(test)]
 mod idle_ticks_tests;
 #[cfg(test)]
+mod place_steps_tests;
+#[cfg(test)]
 mod run_ahead_tests;
 #[cfg(test)]
 mod tag_tests;
-// The module keeps its first name so its tests keep their names in the
-// suite's output.
-#[cfg(test)]
-#[path = "armed_hand_over_tests.rs"]
-mod wake_at_tests;
 
 pub use completion::{CompletionSet, WaitAll};
-pub use executor::{IdleTicks, JoinHandle, RunError, RunReport, Sim, TAG_CLASSES};
+pub use executor::{
+    IdleTicks, JoinHandle, Next, RunError, RunReport, Sim, StepMachine, Stepped, TAG_CLASSES,
+};
 pub use resource::{GrantHook, GrantPlace, PlainWake, Resource, ResourceGuard};
 pub use sync::{oneshot, OneshotReceiver, OneshotSender, RecvError};
 pub use time::SimTime;

@@ -322,7 +322,7 @@ impl<H: GrantHook> Resource<H> {
     /// requesters; resolves with the permit and the hook's outcome.
     pub fn acquire_with(&self, req: H::Request) -> Acquire<H> {
         Acquire {
-            resource: self.clone(),
+            resource: Some(Rc::clone(&self.state)),
             state: AcquireState::Start(req),
         }
     }
@@ -375,7 +375,9 @@ impl<H: GrantHook> fmt::Debug for ResourceGuard<H> {
 /// Future returned by [`Resource::acquire`] and [`Resource::acquire_with`]:
 /// resolves with the permit and the hook's outcome.
 pub struct Acquire<H: GrantHook = PlainWake> {
-    resource: Resource<H>,
+    /// The resource, until the permit's guard takes it over: one `Rc`
+    /// clone per acquire.
+    resource: Option<Rc<RefCell<ResourceState<H>>>>,
     state: AcquireState<H::Request>,
 }
 
@@ -396,8 +398,12 @@ impl<H: GrantHook> Future for Acquire<H> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let mut st = this.resource.state.borrow_mut();
-        let st = &mut *st;
+        let resource = this
+            .resource
+            .as_ref()
+            .expect("acquire polled after completion");
+        let mut state = resource.borrow_mut();
+        let st = &mut *state;
         let outcome = match mem::replace(&mut this.state, AcquireState::Done) {
             AcquireState::Queued(i) => {
                 let s = &mut st.slots[i as usize];
@@ -444,8 +450,12 @@ impl<H: GrantHook> Future for Acquire<H> {
             }
             AcquireState::Done => panic!("acquire polled after completion"),
         };
+        drop(state);
         let guard = ResourceGuard {
-            state: Rc::clone(&this.resource.state),
+            state: this
+                .resource
+                .take()
+                .expect("a pending acquire holds its resource"),
         };
         Poll::Ready((guard, outcome))
     }
@@ -453,8 +463,9 @@ impl<H: GrantHook> Future for Acquire<H> {
 
 impl<H: GrantHook> Drop for Acquire<H> {
     fn drop(&mut self) {
-        if let AcquireState::Queued(i) = self.state {
-            let mut st = self.resource.state.borrow_mut();
+        if let (AcquireState::Queued(i), Some(resource)) = (&self.state, &self.resource) {
+            let i = *i;
+            let mut st = resource.borrow_mut();
             let s = &mut st.slots[i as usize];
             s.waker = None;
             match mem::replace(&mut s.state, WaitState::Cancelled) {
@@ -476,7 +487,7 @@ impl<H: GrantHook> Drop for Acquire<H> {
                 }
             }
             drop(st);
-            release(&self.resource.state);
+            release(resource);
         }
     }
 }

@@ -194,31 +194,56 @@ impl Filer {
         mix64(self.cfg.seed ^ addr.to_u64().rotate_left(17)) < threshold
     }
 
-    /// Draws the service time for reading the given blocks: each block is
-    /// fast with probability `fast_read_rate` (content-hashed; see
+    /// The service of reading the given blocks: each block is fast with
+    /// probability `fast_read_rate` (content-hashed; see
     /// [`Filer::block_is_fast`]); the request's service time is the sum.
-    pub fn draw_read_service_for(&self, blocks: &[BlockAddr]) -> SimTime {
-        let mut total = SimTime::ZERO;
-        let mut stats = self.stats.get();
+    /// A pure function of the blocks: nothing is counted until the service
+    /// starts ([`Filer::try_start`]).
+    pub fn read_service(&self, blocks: &[BlockAddr]) -> Service {
+        let mut s = Service::default();
         for &b in blocks {
             if self.block_is_fast(b) {
-                total += self.cfg.fast_read;
-                stats.fast_reads += 1;
+                s.time += self.cfg.fast_read;
+                s.fast_reads += 1;
             } else {
-                total += self.cfg.slow_read;
-                stats.slow_reads += 1;
+                s.time += self.cfg.slow_read;
+                s.slow_reads += 1;
             }
         }
+        s
+    }
+
+    /// The service of an `nblocks`-long (buffered, always fast) write.
+    pub fn write_service(&self, nblocks: u32) -> Service {
+        Service {
+            time: self.cfg.write.times(nblocks as u64),
+            writes: nblocks,
+            ..Service::default()
+        }
+    }
+
+    /// Counts `service` as served.
+    fn count(&self, service: Service) {
+        let mut stats = self.stats.get();
+        stats.fast_reads += u64::from(service.fast_reads);
+        stats.slow_reads += u64::from(service.slow_reads);
+        stats.writes += u64::from(service.writes);
         self.stats.set(stats);
-        total
+    }
+
+    /// Draws and counts the service time for reading the given blocks
+    /// ([`Filer::read_service`]).
+    pub fn draw_read_service_for(&self, blocks: &[BlockAddr]) -> SimTime {
+        let s = self.read_service(blocks);
+        self.count(s);
+        s.time
     }
 
     /// Service time for an `nblocks`-long (buffered, always fast) write.
     pub fn draw_write_service(&self, nblocks: u32) -> SimTime {
-        let mut stats = self.stats.get();
-        stats.writes += nblocks as u64;
-        self.stats.set(stats);
-        self.cfg.write.times(nblocks as u64)
+        let s = self.write_service(nblocks);
+        self.count(s);
+        s.time
     }
 
     /// Services a read request for specific blocks (content-hashed
@@ -234,40 +259,29 @@ impl Filer {
         self.sim.sleep(t).await;
     }
 
-    /// Fault-aware [`Filer::read_blocks`]: consults the attached schedule
-    /// at `sim.now()` and either fails (no service, no stats, no time),
-    /// serves with inflated latency, or serves normally.
-    pub async fn try_read_blocks(&self, blocks: &[BlockAddr]) -> Result<(), FaultError> {
-        match self.fault_effect() {
-            FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
-            FaultEffect::SlowBy(factor) => {
-                let t = self.draw_read_service_for(blocks);
-                self.sim.sleep(t.scale(factor)).await;
-                Ok(())
-            }
-            FaultEffect::None => {
-                self.read_blocks(blocks).await;
-                Ok(())
-            }
-        }
+    /// Starts `service` now, under the attached fault schedule at
+    /// `sim.now()`: either fails it (no service, no stats, no time), or
+    /// counts it and returns its service time, inflated under a slow
+    /// window. The caller waits that long.
+    pub fn try_start(&self, service: Service) -> Result<SimTime, FaultError> {
+        let time = match self.fault_effect() {
+            FaultEffect::Fail { clause, .. } => return Err(FaultError { clause }),
+            FaultEffect::SlowBy(factor) => service.time.scale(factor),
+            FaultEffect::None => service.time,
+        };
+        self.count(service);
+        Ok(time)
     }
+}
 
-    /// Fault-aware [`Filer::write`]; same contract as
-    /// [`Filer::try_read_blocks`].
-    pub async fn try_write(&self, nblocks: u32) -> Result<(), FaultError> {
-        match self.fault_effect() {
-            FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
-            FaultEffect::SlowBy(factor) => {
-                let t = self.draw_write_service(nblocks);
-                self.sim.sleep(t.scale(factor)).await;
-                Ok(())
-            }
-            FaultEffect::None => {
-                self.write(nblocks).await;
-                Ok(())
-            }
-        }
-    }
+/// What one request asks of the filer: its service time at full speed,
+/// and the blocks it counts once started.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Service {
+    time: SimTime,
+    fast_reads: u32,
+    slow_reads: u32,
+    writes: u32,
 }
 
 impl std::fmt::Debug for Filer {

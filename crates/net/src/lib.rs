@@ -27,6 +27,14 @@
 //! one alike, which share one fault RNG. A dropped packet (an outage or
 //! an error draw) is polled at its place, and releases the wire there.
 //!
+//! A packet is also a pair of legs a caller can step itself:
+//! [`Segment::send`] queues it, [`Packet::poll_wire`] yields it on the
+//! wire with the sleep to its end, and [`Segment::land`] counts it and
+//! hands the wire on. The engine's backend exchange steps two of them
+//! and the filer's service between as one `fcache_des::StepMachine`, so
+//! the request packet's end and the filer's end run at the task's place
+//! too, and only the reply packet's end polls the task.
+//!
 //! **Faults.** Fault state belongs to the wire: every segment has one
 //! schedule per direction and one error-draw RNG, shared by all its
 //! clones, including clones made before [`Segment::with_faults`]. A new
@@ -44,10 +52,14 @@
 #![forbid(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use fcache_des::executor::Sleep;
-use fcache_des::{GrantHook, GrantPlace, Resource, Sim, SimTime};
+use fcache_des::resource::Acquire;
+use fcache_des::{GrantHook, GrantPlace, Resource, ResourceGuard, Sim, SimTime};
 use fcache_types::{FaultEffect, FaultError, FaultSchedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -188,7 +200,7 @@ impl GrantHook for Wire {
     type Request = (Direction, u64);
     /// The packet's wire time and the sleep to its end, or the fault that
     /// dropped it.
-    type Outcome = Result<(SimTime, Sleep), FaultError>;
+    type Outcome = Result<(Carried, Sleep), FaultError>;
 
     fn grant(
         &mut self,
@@ -196,8 +208,55 @@ impl GrantHook for Wire {
         place: &mut GrantPlace<'_>,
     ) -> Self::Outcome {
         let wire_time = self.wire_time(dir, payload_bytes)?;
-        Ok((wire_time, place.sleep_until(self.sim.now() + wire_time)))
+        let carried = Carried {
+            payload_bytes,
+            wire_time,
+        };
+        Ok((carried, place.sleep_until(self.sim.now() + wire_time)))
     }
+}
+
+/// What a packet granted the wire carries, and for how long.
+#[derive(Clone, Copy, Debug)]
+struct Carried {
+    payload_bytes: u64,
+    wire_time: SimTime,
+}
+
+/// A packet waiting for its channel ([`Segment::send`]).
+pub struct Packet {
+    acquire: Acquire<Wire>,
+    queued_at: SimTime,
+}
+
+impl Packet {
+    /// Polls for the channel. Once granted, the packet has drawn its
+    /// fault effect: a dropped packet releases the channel and yields the
+    /// fault; a carried one yields the packet on the wire and the sleep
+    /// to its end, after which [`Segment::land`] completes it.
+    pub fn poll_wire(&mut self, cx: &mut Context<'_>) -> Poll<Result<(OnWire, Sleep), FaultError>> {
+        let Poll::Ready((held, grant)) = Pin::new(&mut self.acquire).poll(cx) else {
+            return Poll::Pending;
+        };
+        let (carried, carry) = grant?;
+        let waited = carry.deadline() - carried.wire_time - self.queued_at;
+        Poll::Ready(Ok((
+            OnWire {
+                _held: held,
+                carried,
+                waited,
+            },
+            carry,
+        )))
+    }
+}
+
+/// A packet holding its channel until its wire time is over.
+pub struct OnWire {
+    _held: ResourceGuard<Wire>,
+    carried: Carried,
+    /// How long it queued for the channel.
+    waited: SimTime,
 }
 
 /// A network segment between hosts and the filer.
@@ -295,26 +354,38 @@ impl Segment {
     /// `WaitAll` do) would skip the poll those siblings expected at the
     /// hand-over.
     pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
-        let queued_at = self.wire.sim.now();
-        let (_held, grant) = self.channels[dir as usize]
-            .acquire_with((dir, payload_bytes))
-            .await;
-        let (wire_time, carry) = grant?;
-        let granted_at = carry.deadline() - wire_time;
+        let mut packet = self.send(dir, payload_bytes);
+        let (on_wire, carry) = poll_fn(|cx| packet.poll_wire(cx)).await?;
         carry.await;
-        self.record(payload_bytes, wire_time, granted_at - queued_at);
+        self.land(on_wire);
         Ok(())
     }
 
-    /// Counts one carried packet.
-    fn record(&self, payload_bytes: u64, wire_time: SimTime, waited: SimTime) {
+    /// Queues one packet with `payload_bytes` of block data in the given
+    /// direction: [`try_transfer`](Segment::try_transfer) as a state
+    /// machine's legs. Poll it for the wire ([`Packet::poll_wire`]), await
+    /// the sleep it yields, then [`land`](Segment::land) it.
+    pub fn send(&self, dir: Direction, payload_bytes: u64) -> Packet {
+        Packet {
+            acquire: self.channels[dir as usize].acquire_with((dir, payload_bytes)),
+            queued_at: self.wire.sim.now(),
+        }
+    }
+
+    /// Completes a packet whose wire time is over: counts it and releases
+    /// its channel, which hands it to the next packet.
+    pub fn land(&self, packet: OnWire) {
+        let Carried {
+            payload_bytes,
+            wire_time,
+        } = packet.carried;
         let stats = &self.wire.state.stats;
         let mut s = stats.get();
         s.packets += 1;
         s.payload_bytes += payload_bytes;
         s.busy += wire_time;
-        if waited > SimTime::ZERO {
-            s.queue_wait += waited;
+        if packet.waited > SimTime::ZERO {
+            s.queue_wait += packet.waited;
             s.queue_waits += 1;
         }
         stats.set(s);
