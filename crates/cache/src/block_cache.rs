@@ -9,10 +9,24 @@
 //! but secondary considerations, such as cache replacement policy (we use
 //! LRU)" (§1). [`EvictionPolicy::Lru`] is therefore the default; FIFO and
 //! CLOCK (second chance) are provided for the replacement-policy ablation.
+//!
+//! # Layout
+//!
+//! One open-addressing table is both the index and the LRU chain: a
+//! 16-byte slot holds the block's `u64` key and the `u32` prev/next links
+//! of the chain, and the links' top bits carry the slot's occupied, dirty
+//! and CLOCK bits. An all-zero slot is empty. The table has
+//! `(2 × capacity).next_power_of_two()` slots, so it is at most half full
+//! and a probe always meets an empty slot; the home slot is
+//! `mix64(key) & mask` and probing is linear. Deletion shifts the rest of
+//! the probe run back (no tombstones), relinking each moved slot's
+//! neighbours. Dirty blocks are threaded on a second list whose links live
+//! in a parallel array indexed by slot, so a dirty-set snapshot costs
+//! O(dirty). The table is allocated zeroed: pages of a tier that never
+//! fills are never touched. See `PERF.md` invariant 1.
 
-use fcache_types::{BlockAddr, FxBuildHasher, FxHashMap};
+use fcache_types::{mix64, BlockAddr};
 
-use crate::lru::{LruList, NodeId};
 use crate::stats::CacheStats;
 
 /// Replacement policy of a [`BlockCache`].
@@ -28,19 +42,22 @@ pub enum EvictionPolicy {
     Clock,
 }
 
-/// Per-block cache entry.
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    addr: BlockAddr,
-    dirty: bool,
-    /// CLOCK reference bit (unused by LRU/FIFO).
-    referenced: bool,
-    /// Intrusive dirty-list links: dirty entries form a doubly-linked list
-    /// threaded through the slab, so dirty-set snapshots iterate O(dirty)
-    /// without a second hash structure (links maintained in O(1)).
-    dirty_prev: Option<NodeId>,
-    dirty_next: Option<NodeId>,
-}
+/// Low bits of a link word: a slot index, or [`NIL`].
+const INDEX: u32 = (1 << 30) - 1;
+/// "No slot": the end of a chain.
+const NIL: u32 = INDEX;
+/// Prev-word flag: the slot holds a block. Every other flag implies it.
+const OCCUPIED: u32 = 1 << 31;
+/// Prev-word flag: CLOCK reference bit (unused by LRU/FIFO).
+const REFERENCED: u32 = 1 << 30;
+/// Next-word flag: the block is dirty and on the dirty list.
+const DIRTY: u32 = 1 << 31;
+
+/// One table slot, which is one LRU node: `(key, OCCUPIED | REFERENCED |
+/// prev, DIRTY | next)`. A tuple rather than a struct so `vec!` of the
+/// all-zero slot is a zeroed allocation.
+type Slot = (u64, u32, u32);
+const EMPTY: Slot = (0, 0, 0);
 
 /// What `insert` had to evict, if anything.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,41 +107,66 @@ pub enum InsertOutcome {
 pub struct BlockCache {
     capacity: usize,
     policy: EvictionPolicy,
-    /// One fast-hash probe per lookup; the dirty bit lives inside the LRU
-    /// entry (not a second structure), so every hot-path operation touches
-    /// exactly one hash table. See `PERF.md`.
-    map: FxHashMap<u64, NodeId>,
-    lru: LruList<Entry>,
-    /// Count of entries with `dirty == true` (kept in lockstep with the
-    /// entry bits; the former `HashSet<u64>` second structure is gone).
+    /// The table, whose occupied slots are the LRU chain's nodes (see the
+    /// module docs): one probe finds a block, its links and its bits.
+    slots: Vec<Slot>,
+    /// `slots.len() - 1`.
+    mask: usize,
+    /// Dirty-list `[prev, next]` links by slot; meaningful only for slots
+    /// whose `DIRTY` bit is set.
+    dirty_links: Vec<[u32; 2]>,
+    len: usize,
+    /// MRU end of the chain.
+    head: u32,
+    /// LRU end of the chain: the next victim under LRU and FIFO.
+    tail: u32,
+    /// Count of slots with the `DIRTY` bit set.
     dirty_count: usize,
-    /// Head of the intrusive dirty list (see `Entry::dirty_prev`).
-    dirty_head: Option<NodeId>,
+    dirty_head: u32,
     stats: CacheStats,
 }
 
 impl BlockCache {
+    /// The largest capacity whose table the 30-bit slot links can address.
+    /// [`BlockCache::with_policy`] panics above it, so configurations are
+    /// checked against it before any cache is built.
+    pub const MAX_CAPACITY: usize = 1 << 28;
+
     /// Creates a cache holding at most `capacity_blocks` blocks.
     ///
     /// A capacity of zero models "no cache at this tier": every lookup
     /// misses and inserts are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_blocks` exceeds [`BlockCache::MAX_CAPACITY`].
     pub fn new(capacity_blocks: usize) -> Self {
         Self::with_policy(capacity_blocks, EvictionPolicy::Lru)
     }
 
     /// Creates a cache with an explicit replacement policy (ablation use;
     /// the paper's caches are LRU).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_blocks` exceeds [`BlockCache::MAX_CAPACITY`].
     pub fn with_policy(capacity_blocks: usize, policy: EvictionPolicy) -> Self {
+        assert!(
+            capacity_blocks <= Self::MAX_CAPACITY,
+            "a {capacity_blocks}-block cache exceeds BlockCache::MAX_CAPACITY"
+        );
+        let slots = (2 * capacity_blocks).next_power_of_two();
         Self {
             capacity: capacity_blocks,
             policy,
-            map: FxHashMap::with_capacity_and_hasher(
-                capacity_blocks.min(1 << 22),
-                FxBuildHasher::default(),
-            ),
-            lru: LruList::with_capacity(capacity_blocks.min(1 << 22)),
+            slots: vec![EMPTY; slots],
+            mask: slots - 1,
+            dirty_links: vec![[0; 2]; slots],
+            len: 0,
+            head: NIL,
+            tail: NIL,
             dirty_count: 0,
-            dirty_head: None,
+            dirty_head: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -134,83 +176,208 @@ impl BlockCache {
         self.policy
     }
 
-    /// Applies the policy's on-reference behavior to a resident node.
-    fn reference(&mut self, id: NodeId) {
-        match self.policy {
-            EvictionPolicy::Lru => self.lru.touch(id),
-            EvictionPolicy::Fifo => {}
-            EvictionPolicy::Clock => {
-                self.lru
-                    .get_mut(id)
-                    .expect("mapped node must live")
-                    .referenced = true;
+    fn home(&self, key: u64) -> usize {
+        mix64(key) as usize & self.mask
+    }
+
+    /// Probes for `key`: `Ok(slot)` if resident, else `Err(slot)` with the
+    /// empty slot that ends its probe run.
+    fn find(&self, key: u64) -> Result<u32, u32> {
+        let mut i = self.home(key);
+        loop {
+            let (k, prev, _) = self.slots[i];
+            if prev & OCCUPIED == 0 {
+                return Err(i as u32);
             }
+            if k == key {
+                return Ok(i as u32);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    fn key(&self, i: u32) -> u64 {
+        self.slots[i as usize].0
+    }
+
+    fn prev(&self, i: u32) -> u32 {
+        self.slots[i as usize].1 & INDEX
+    }
+
+    fn next(&self, i: u32) -> u32 {
+        self.slots[i as usize].2 & INDEX
+    }
+
+    fn set_prev(&mut self, i: u32, prev: u32) {
+        let word = &mut self.slots[i as usize].1;
+        *word = (*word & !INDEX) | prev;
+    }
+
+    fn set_next(&mut self, i: u32, next: u32) {
+        let word = &mut self.slots[i as usize].2;
+        *word = (*word & !INDEX) | next;
+    }
+
+    fn slot_dirty(&self, i: u32) -> bool {
+        self.slots[i as usize].2 & DIRTY != 0
+    }
+
+    /// Slot `i`'s block and dirtiness.
+    fn eviction(&self, i: u32) -> Eviction {
+        Eviction {
+            addr: BlockAddr::from_u64(self.key(i)),
+            dirty: self.slot_dirty(i),
+        }
+    }
+
+    /// Links slot `i` at the MRU end of the chain.
+    fn link_front(&mut self, i: u32) {
+        self.set_prev(i, NIL);
+        self.set_next(i, self.head);
+        if self.head != NIL {
+            self.set_prev(self.head, i);
+        } else {
+            self.tail = i;
+        }
+        self.head = i;
+    }
+
+    /// Unlinks slot `i` from the chain (its own links go stale).
+    fn unlink(&mut self, i: u32) {
+        let (prev, next) = (self.prev(i), self.next(i));
+        if prev != NIL {
+            self.set_next(prev, next);
+        } else {
+            self.head = next;
+        }
+        if next != NIL {
+            self.set_prev(next, prev);
+        } else {
+            self.tail = prev;
+        }
+    }
+
+    /// Moves slot `i` to the MRU end.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.link_front(i);
+        }
+    }
+
+    /// Applies the policy's on-reference behavior to a resident slot.
+    fn reference(&mut self, i: u32) {
+        match self.policy {
+            EvictionPolicy::Lru => self.touch(i),
+            EvictionPolicy::Fifo => {}
+            EvictionPolicy::Clock => self.slots[i as usize].1 |= REFERENCED,
         }
     }
 
     /// Selects the eviction victim per the policy without unlinking it.
-    fn select_victim(&mut self) -> NodeId {
-        match self.policy {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => {
-                self.lru.back().expect("full cache has a victim")
-            }
-            EvictionPolicy::Clock => {
-                // Second chance: rotate referenced entries to the front,
-                // clearing their bit; evict the first unreferenced one.
-                // Terminates: each rotation clears one bit.
-                loop {
-                    let id = self.lru.back().expect("full cache has a victim");
-                    let referenced = {
-                        let e = self.lru.get_mut(id).expect("live tail");
-                        let r = e.referenced;
-                        e.referenced = false;
-                        r
-                    };
-                    if referenced {
-                        self.lru.touch(id);
-                    } else {
-                        return id;
-                    }
-                }
+    fn select_victim(&mut self) -> u32 {
+        debug_assert!(self.tail != NIL, "full cache has a victim");
+        if self.policy == EvictionPolicy::Clock {
+            // Second chance: rotate referenced entries to the front,
+            // clearing their bit; evict the first unreferenced one.
+            // Terminates: each rotation clears one bit.
+            while self.slots[self.tail as usize].1 & REFERENCED != 0 {
+                let i = self.tail;
+                self.slots[i as usize].1 &= !REFERENCED;
+                self.touch(i);
             }
         }
+        self.tail
     }
 
-    /// Marks a clean resident entry dirty, pushing it onto the intrusive
-    /// dirty list. Caller ensures the entry is currently clean.
-    fn link_dirty(&mut self, id: NodeId) {
-        let old_head = self.dirty_head;
-        {
-            let e = self.lru.get_mut(id).expect("mapped node must live");
-            debug_assert!(!e.dirty, "link_dirty on dirty entry");
-            e.dirty = true;
-            e.dirty_prev = None;
-            e.dirty_next = old_head;
+    /// Marks a clean resident slot dirty, pushing it onto the dirty list.
+    /// Caller ensures the slot is currently clean.
+    fn link_dirty(&mut self, i: u32) {
+        debug_assert!(!self.slot_dirty(i), "link_dirty on dirty slot");
+        self.slots[i as usize].2 |= DIRTY;
+        self.dirty_links[i as usize] = [NIL, self.dirty_head];
+        if self.dirty_head != NIL {
+            self.dirty_links[self.dirty_head as usize][0] = i;
         }
-        if let Some(h) = old_head {
-            self.lru.get_mut(h).expect("dirty head lives").dirty_prev = Some(id);
-        }
-        self.dirty_head = Some(id);
+        self.dirty_head = i;
         self.dirty_count += 1;
     }
 
-    /// Marks a dirty resident entry clean, unlinking it from the intrusive
-    /// dirty list. Caller ensures the entry is currently dirty.
-    fn unlink_dirty(&mut self, id: NodeId) {
-        let (prev, next) = {
-            let e = self.lru.get_mut(id).expect("mapped node must live");
-            debug_assert!(e.dirty, "unlink_dirty on clean entry");
-            e.dirty = false;
-            (e.dirty_prev.take(), e.dirty_next.take())
-        };
-        match prev {
-            Some(p) => self.lru.get_mut(p).expect("dirty prev lives").dirty_next = next,
-            None => self.dirty_head = next,
+    /// Marks a dirty resident slot clean, unlinking it from the dirty
+    /// list. Caller ensures the slot is currently dirty.
+    fn unlink_dirty(&mut self, i: u32) {
+        debug_assert!(self.slot_dirty(i), "unlink_dirty on clean slot");
+        self.slots[i as usize].2 &= !DIRTY;
+        let [prev, next] = self.dirty_links[i as usize];
+        if prev != NIL {
+            self.dirty_links[prev as usize][1] = next;
+        } else {
+            self.dirty_head = next;
         }
-        if let Some(n) = next {
-            self.lru.get_mut(n).expect("dirty next lives").dirty_prev = prev;
+        if next != NIL {
+            self.dirty_links[next as usize][0] = prev;
         }
         self.dirty_count -= 1;
+    }
+
+    /// Unlinks slot `i` from both lists and empties it. Returns the one
+    /// slot the deletion leaves empty: `i`, or the last slot the shift
+    /// moved out of.
+    fn delete(&mut self, i: u32) -> u32 {
+        if self.slot_dirty(i) {
+            self.unlink_dirty(i);
+        }
+        self.unlink(i);
+        self.len -= 1;
+        // Backward shift: walk the probe run after the hole and pull back
+        // every slot whose home does not lie strictly between the hole and
+        // it, so no probe ever crosses an empty slot before its key.
+        let mut hole = i as usize;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & self.mask;
+            let (key, prev, _) = self.slots[j];
+            if prev & OCCUPIED == 0 {
+                break;
+            }
+            let home = self.home(key);
+            if j.wrapping_sub(home) & self.mask >= j.wrapping_sub(hole) & self.mask {
+                self.move_slot(j as u32, hole as u32);
+                hole = j;
+            }
+        }
+        self.slots[hole] = EMPTY;
+        hole as u32
+    }
+
+    /// Moves occupied slot `from` into the empty slot `to`, relinking its
+    /// chain neighbours (or `head`/`tail`) and, if dirty, its dirty-list
+    /// neighbours (or `dirty_head`).
+    fn move_slot(&mut self, from: u32, to: u32) {
+        self.slots[to as usize] = self.slots[from as usize];
+        let (prev, next) = (self.prev(to), self.next(to));
+        if prev != NIL {
+            self.set_next(prev, to);
+        } else {
+            self.head = to;
+        }
+        if next != NIL {
+            self.set_prev(next, to);
+        } else {
+            self.tail = to;
+        }
+        if self.slot_dirty(to) {
+            let [dprev, dnext] = self.dirty_links[from as usize];
+            self.dirty_links[to as usize] = [dprev, dnext];
+            if dprev != NIL {
+                self.dirty_links[dprev as usize][1] = to;
+            } else {
+                self.dirty_head = to;
+            }
+            if dnext != NIL {
+                self.dirty_links[dnext as usize][0] = to;
+            }
+        }
     }
 
     /// Maximum block count.
@@ -220,12 +387,12 @@ impl BlockCache {
 
     /// Current block count.
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.len
     }
 
     /// True if no blocks are cached.
     pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
+        self.len == 0
     }
 
     /// True when every slot is occupied.
@@ -250,13 +417,13 @@ impl BlockCache {
 
     /// Looks a block up, promoting it to MRU on a hit.
     pub fn lookup(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                self.reference(id);
+        match self.find(addr.to_u64()) {
+            Ok(i) => {
+                self.reference(i);
                 self.stats.hits += 1;
                 true
             }
-            None => {
+            Err(_) => {
                 self.stats.misses += 1;
                 false
             }
@@ -265,7 +432,7 @@ impl BlockCache {
 
     /// True if the block is cached; no promotion, no statistics.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.map.contains_key(&addr.to_u64())
+        self.find(addr.to_u64()).is_ok()
     }
 
     /// Promotes a block *without* counting a hit or miss (the promotion
@@ -275,21 +442,16 @@ impl BlockCache {
     /// copy so the flash LRU order stays a superset of RAM recency and the
     /// naive/lookaside subset property holds. Returns false if absent.
     pub fn promote(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                self.reference(id);
-                true
-            }
-            None => false,
+        let found = self.find(addr.to_u64());
+        if let Ok(i) = found {
+            self.reference(i);
         }
+        found.is_ok()
     }
 
     /// True if the block is cached and dirty.
     pub fn is_dirty(&self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => self.lru.get(id).expect("mapped node must live").dirty,
-            None => false,
-        }
+        self.find(addr.to_u64()).is_ok_and(|i| self.slot_dirty(i))
     }
 
     /// Inserts (or overwrites) a block, promoting it to MRU.
@@ -300,111 +462,93 @@ impl BlockCache {
     /// returned so the caller can write it back if dirty.
     pub fn insert(&mut self, addr: BlockAddr, dirty: bool) -> InsertOutcome {
         let key = addr.to_u64();
-        if let Some(&id) = self.map.get(&key) {
-            self.reference(id);
-            if dirty {
-                self.stats.overwrites += 1;
-                if !self.lru.get(id).expect("mapped node must live").dirty {
-                    self.link_dirty(id);
+        let mut free = match self.find(key) {
+            Ok(i) => {
+                self.reference(i);
+                if dirty {
+                    self.stats.overwrites += 1;
+                    if !self.slot_dirty(i) {
+                        self.link_dirty(i);
+                    }
                 }
+                return InsertOutcome::AlreadyPresent;
             }
-            return InsertOutcome::AlreadyPresent;
-        }
+            Err(free) => free,
+        };
         if self.capacity == 0 {
             return InsertOutcome::ZeroCapacity;
         }
 
-        let entry = Entry {
-            addr,
-            dirty: false,
-            referenced: false,
-            dirty_prev: None,
-            dirty_next: None,
-        };
-        let outcome = if self.lru.len() >= self.capacity {
-            let victim_id = self.select_victim();
-            let was_dirty = self.lru.get(victim_id).expect("victim lives").dirty;
-            if was_dirty {
-                self.unlink_dirty(victim_id);
+        let outcome = if self.len >= self.capacity {
+            let victim = self.select_victim();
+            let ev = self.eviction(victim);
+            if ev.dirty {
                 self.stats.dirty_evictions += 1;
             } else {
                 self.stats.clean_evictions += 1;
             }
-            // Recycle the victim's node in place: same slot `remove` +
-            // `push_front` would reuse, minus the free-list round trip.
-            let victim = self.lru.replace_to_front(victim_id, entry);
-            self.map.remove(&victim.addr.to_u64());
-            self.map.insert(key, victim_id);
-            if dirty {
-                self.link_dirty(victim_id);
+            // The shift never fills `free`, and the one slot it empties
+            // ends the new key's probe run if it lies inside it.
+            let hole = self.delete(victim);
+            let home = self.home(key);
+            let run = |slot: u32| (slot as usize).wrapping_sub(home) & self.mask;
+            if run(hole) < run(free) {
+                free = hole;
             }
-            InsertOutcome::InsertedEvicting(Eviction {
-                addr: victim.addr,
-                dirty: was_dirty,
-            })
+            InsertOutcome::InsertedEvicting(ev)
         } else {
-            let id = self.lru.push_front(entry);
-            self.map.insert(key, id);
-            if dirty {
-                self.link_dirty(id);
-            }
             InsertOutcome::Inserted
         };
+        self.slots[free as usize] = (key, OCCUPIED, 0);
+        self.link_front(free);
+        self.len += 1;
+        if dirty {
+            self.link_dirty(free);
+        }
         self.stats.insertions += 1;
         outcome
     }
 
     /// Marks a cached block dirty (no promotion). Returns false if absent.
     pub fn mark_dirty(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                if !self.lru.get(id).expect("mapped node must live").dirty {
-                    self.link_dirty(id);
+        match self.find(addr.to_u64()) {
+            Ok(i) => {
+                if !self.slot_dirty(i) {
+                    self.link_dirty(i);
                 }
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
     /// Marks a cached block clean (after a completed writeback).
     /// Returns false if the block is absent.
     pub fn mark_clean(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                if self.lru.get(id).expect("mapped node must live").dirty {
-                    self.unlink_dirty(id);
+        match self.find(addr.to_u64()) {
+            Ok(i) => {
+                if self.slot_dirty(i) {
+                    self.unlink_dirty(i);
                 }
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
     /// Removes a block (cache-consistency invalidation or subset
     /// maintenance). Returns whether it was present and whether dirty.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Eviction> {
-        let id = self.map.remove(&addr.to_u64())?;
-        let was_dirty = self.lru.get(id).expect("mapped node must live").dirty;
-        if was_dirty {
-            self.unlink_dirty(id);
-        }
-        let entry = self.lru.remove(id).expect("mapped node must live");
+        let i = self.find(addr.to_u64()).ok()?;
+        let ev = self.eviction(i);
+        self.delete(i);
         self.stats.invalidations += 1;
-        Some(Eviction {
-            addr: entry.addr,
-            dirty: was_dirty,
-        })
+        Some(ev)
     }
 
     /// Address and dirtiness of the current LRU block, if any.
     pub fn peek_lru(&self) -> Option<Eviction> {
-        let id = self.lru.back()?;
-        let e = self.lru.get(id).expect("live tail");
-        Some(Eviction {
-            addr: e.addr,
-            dirty: e.dirty,
-        })
+        (self.tail != NIL).then(|| self.eviction(self.tail))
     }
 
     /// Appends all dirty block addresses to `out`, sorted by address.
@@ -413,15 +557,14 @@ impl BlockCache {
     /// block to the next level and marking it clean on completion. Taking a
     /// caller-owned buffer lets periodic flushers reuse one allocation
     /// across ticks instead of churning the allocator. The sort keeps flush
-    /// order deterministic and independent of hash-map layout.
+    /// order deterministic and independent of the table's layout.
     pub fn dirty_blocks_into(&self, out: &mut Vec<BlockAddr>) {
         let start = out.len();
         out.reserve(self.dirty_count);
         let mut cur = self.dirty_head;
-        while let Some(id) = cur {
-            let e = self.lru.get(id).expect("dirty entry lives");
-            out.push(e.addr);
-            cur = e.dirty_next;
+        while cur != NIL {
+            out.push(BlockAddr::from_u64(self.key(cur)));
+            cur = self.dirty_links[cur as usize][1];
         }
         out[start..].sort_unstable();
     }
@@ -436,42 +579,69 @@ impl BlockCache {
 
     /// Iterates cached blocks from MRU to LRU (test/diagnostic use).
     pub fn iter_mru(&self) -> impl Iterator<Item = (BlockAddr, bool)> + '_ {
-        self.lru.iter().map(|e| (e.addr, e.dirty))
+        let mut cur = self.head;
+        std::iter::from_fn(move || {
+            (cur != NIL).then(|| {
+                let i = cur;
+                cur = self.next(i);
+                (BlockAddr::from_u64(self.key(i)), self.slot_dirty(i))
+            })
+        })
     }
 
     /// Verifies internal invariants; test support.
     ///
     /// # Panics
     ///
-    /// Panics if the map, LRU list, and dirty set disagree.
+    /// Panics if the table, the LRU chain, and the dirty list disagree.
     pub fn check_invariants(&self) {
-        assert_eq!(self.map.len(), self.lru.len(), "map/lru size mismatch");
-        assert!(self.lru.len() <= self.capacity, "over capacity");
-        let mut dirty_seen = 0;
-        for (addr, dirty) in self.iter_mru() {
-            let id = self.map.get(&addr.to_u64()).expect("lru block not in map");
-            assert_eq!(
-                self.lru.get(*id).map(|e| e.addr),
-                Some(addr),
-                "map points at wrong node"
-            );
-            assert_eq!(self.is_dirty(addr), dirty, "dirty bit mismatch");
-            dirty_seen += usize::from(dirty);
+        assert!(self.len <= self.capacity, "over capacity");
+        assert_eq!(
+            self.slots.len(),
+            (2 * self.capacity).next_power_of_two(),
+            "table size"
+        );
+        let mut occupied = 0;
+        for (i, &(key, prev, _)) in self.slots.iter().enumerate() {
+            if prev & OCCUPIED == 0 {
+                assert_eq!(self.slots[i], EMPTY, "empty slot {i} not all-zero");
+            } else {
+                occupied += 1;
+                // Reachable from its home without crossing an empty slot,
+                // and the only slot holding its key.
+                assert_eq!(self.find(key), Ok(i as u32), "slot {i} unreachable");
+            }
         }
+        assert_eq!(occupied, self.len, "occupied slots vs len");
+        // The chain holds every occupied slot once, with consistent
+        // back-links, and ends at `tail`.
+        let (mut walked, mut prev, mut cur) = (0, NIL, self.head);
+        while cur != NIL {
+            assert!(
+                self.slots[cur as usize].1 & OCCUPIED != 0,
+                "chain holds empty slot"
+            );
+            assert_eq!(self.prev(cur), prev, "chain back-link mismatch");
+            walked += 1;
+            assert!(walked <= self.len, "chain cycle");
+            (prev, cur) = (cur, self.next(cur));
+        }
+        assert_eq!(walked, self.len, "chain length mismatch");
+        assert_eq!(self.tail, prev, "tail mismatch");
+        let dirty_seen = self.iter_mru().filter(|&(_, dirty)| dirty).count();
         assert_eq!(dirty_seen, self.dirty_count, "dirty count mismatch");
-        // The intrusive dirty list must contain exactly the dirty entries,
-        // with consistent back-links.
-        let mut walked = 0;
-        let mut prev: Option<NodeId> = None;
-        let mut cur = self.dirty_head;
-        while let Some(id) = cur {
-            let e = self.lru.get(id).expect("dirty entry lives");
-            assert!(e.dirty, "dirty list holds clean entry");
-            assert_eq!(e.dirty_prev, prev, "dirty list back-link mismatch");
+        // The dirty list must contain exactly the dirty slots, with
+        // consistent back-links.
+        let (mut walked, mut prev, mut cur) = (0, NIL, self.dirty_head);
+        while cur != NIL {
+            assert!(self.slot_dirty(cur), "dirty list holds clean slot");
+            assert_eq!(
+                self.dirty_links[cur as usize][0], prev,
+                "dirty list back-link mismatch"
+            );
             walked += 1;
             assert!(walked <= self.dirty_count, "dirty list cycle");
-            prev = cur;
-            cur = e.dirty_next;
+            (prev, cur) = (cur, self.dirty_links[cur as usize][1]);
         }
         assert_eq!(walked, self.dirty_count, "dirty list length mismatch");
     }
@@ -752,6 +922,7 @@ mod tests {
 
     mod properties {
         use super::*;
+        use fcache_types::mix64;
         use proptest::prelude::*;
         use std::collections::VecDeque;
 
@@ -804,6 +975,253 @@ mod tests {
                 };
                 self.q.push_front((k, d));
                 evicted
+            }
+
+            fn set_dirty(&mut self, k: u32, d: bool) -> bool {
+                let entry = self.q.iter_mut().find(|(x, _)| *x == k);
+                entry.map(|e| e.1 = d).is_some()
+            }
+
+            fn remove(&mut self, k: u32) -> Option<(u32, bool)> {
+                let p = self.q.iter().position(|&(x, _)| x == k)?;
+                self.q.remove(p)
+            }
+        }
+
+        /// [`Model`] generalised to all three policies, over addresses:
+        /// `(addr, dirty, referenced)`, front = MRU (LRU) or newest (FIFO,
+        /// CLOCK, where a spared entry re-enters at the front).
+        struct PolicyModel {
+            cap: usize,
+            policy: EvictionPolicy,
+            q: VecDeque<(BlockAddr, bool, bool)>,
+        }
+
+        impl PolicyModel {
+            fn position(&self, a: BlockAddr) -> Option<usize> {
+                self.q.iter().position(|e| e.0 == a)
+            }
+
+            fn reference(&mut self, p: usize) {
+                match self.policy {
+                    EvictionPolicy::Lru => {
+                        let e = self.q.remove(p).unwrap();
+                        self.q.push_front(e);
+                    }
+                    EvictionPolicy::Fifo => {}
+                    EvictionPolicy::Clock => self.q[p].2 = true,
+                }
+            }
+
+            fn lookup(&mut self, a: BlockAddr) -> bool {
+                let p = self.position(a);
+                p.map(|p| self.reference(p)).is_some()
+            }
+
+            fn insert(&mut self, a: BlockAddr, d: bool) -> InsertOutcome {
+                if let Some(p) = self.position(a) {
+                    self.q[p].1 |= d;
+                    self.reference(p);
+                    return InsertOutcome::AlreadyPresent;
+                }
+                if self.cap == 0 {
+                    return InsertOutcome::ZeroCapacity;
+                }
+                let mut outcome = InsertOutcome::Inserted;
+                if self.q.len() >= self.cap {
+                    while self.policy == EvictionPolicy::Clock && self.q.back().unwrap().2 {
+                        let (a, d, _) = self.q.pop_back().unwrap();
+                        self.q.push_front((a, d, false));
+                    }
+                    let (addr, dirty, _) = self.q.pop_back().unwrap();
+                    outcome = InsertOutcome::InsertedEvicting(Eviction { addr, dirty });
+                }
+                self.q.push_front((a, d, false));
+                outcome
+            }
+
+            fn set_dirty(&mut self, a: BlockAddr, d: bool) -> bool {
+                let p = self.position(a);
+                p.map(|p| self.q[p].1 = d).is_some()
+            }
+
+            fn remove(&mut self, a: BlockAddr) -> Option<Eviction> {
+                let (addr, dirty, _) = self.q.remove(self.position(a)?)?;
+                Some(Eviction { addr, dirty })
+            }
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Churn {
+            Lookup,
+            Insert(bool),
+            MarkDirty,
+            MarkClean,
+            Remove,
+        }
+
+        /// Applies `op` on `keys[k]` to the cache and to `model` (and, at a
+        /// nonzero LRU capacity, to the original [`Model`]), then checks
+        /// the cache's invariants and that it agrees with the models.
+        fn churn_step(
+            sut: &mut BlockCache,
+            model: &mut PolicyModel,
+            lru: &mut Model,
+            keys: &[BlockAddr],
+            k: u32,
+            op: Churn,
+        ) {
+            let a = keys[k as usize];
+            let check_lru = model.policy == EvictionPolicy::Lru && model.cap > 0;
+            let as_eviction = |e: Option<(u32, bool)>| {
+                e.map(|(k, dirty)| Eviction {
+                    addr: keys[k as usize],
+                    dirty,
+                })
+            };
+            match op {
+                Churn::Lookup => {
+                    let hit = sut.lookup(a);
+                    assert_eq!(hit, model.lookup(a), "lookup {a:?}");
+                    if check_lru {
+                        assert_eq!(hit, lru.lookup(k));
+                    }
+                }
+                Churn::Insert(d) => {
+                    let got = sut.insert(a, d);
+                    assert_eq!(got, model.insert(a, d), "insert {a:?} {d}");
+                    if check_lru {
+                        let evicted = match got {
+                            InsertOutcome::InsertedEvicting(ev) => Some(ev),
+                            _ => None,
+                        };
+                        assert_eq!(evicted, as_eviction(lru.insert(k, d)));
+                    }
+                }
+                Churn::MarkDirty | Churn::MarkClean => {
+                    let d = matches!(op, Churn::MarkDirty);
+                    let got = if d {
+                        sut.mark_dirty(a)
+                    } else {
+                        sut.mark_clean(a)
+                    };
+                    assert_eq!(got, model.set_dirty(a, d), "{op:?} {a:?}");
+                    if check_lru {
+                        assert_eq!(got, lru.set_dirty(k, d));
+                    }
+                }
+                Churn::Remove => {
+                    let got = sut.remove(a);
+                    assert_eq!(got, model.remove(a), "remove {a:?}");
+                    if check_lru {
+                        assert_eq!(got, as_eviction(lru.remove(k)));
+                    }
+                }
+            }
+            sut.check_invariants();
+            assert_eq!(sut.len(), model.q.len());
+            assert!(
+                sut.iter_mru().eq(model.q.iter().map(|&(a, d, _)| (a, d))),
+                "chain order after {op:?} {a:?}"
+            );
+            let mut dirty: Vec<BlockAddr> = model.q.iter().filter(|e| e.1).map(|e| e.0).collect();
+            dirty.sort_unstable();
+            assert_eq!(sut.dirty_blocks(), dirty);
+        }
+
+        const POLICIES: [EvictionPolicy; 3] = [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Fifo,
+            EvictionPolicy::Clock,
+        ];
+
+        /// The key `u64::MAX`: every bit of the key is live.
+        fn corner() -> BlockAddr {
+            BlockAddr::new(FileId(u32::MAX), u32::MAX)
+        }
+
+        #[test]
+        fn every_capacity_to_64_churns_like_the_models() {
+            for policy in POLICIES {
+                for cap in 0..=64usize {
+                    let mut keys: Vec<BlockAddr> = (0..2 * cap as u32 + 2).map(addr).collect();
+                    keys.push(corner());
+                    let mut sut = BlockCache::with_policy(cap, policy);
+                    let mut model = PolicyModel {
+                        cap,
+                        policy,
+                        q: VecDeque::new(),
+                    };
+                    let mut lru = Model {
+                        cap,
+                        q: VecDeque::new(),
+                    };
+                    let mut state = cap as u64;
+                    for _ in 0..100 + 12 * cap {
+                        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                        let r = mix64(state);
+                        let k = (r % keys.len() as u64) as u32;
+                        let op = match (r >> 32) % 20 {
+                            0..=5 => Churn::Lookup,
+                            6..=12 => Churn::Insert(r >> 40 & 1 == 1),
+                            13..=14 => Churn::MarkDirty,
+                            15..=16 => Churn::MarkClean,
+                            _ => Churn::Remove,
+                        };
+                        churn_step(&mut sut, &mut model, &mut lru, &keys, k, op);
+                    }
+                    assert!(
+                        cap == 0 || sut.stats().evictions() > 0,
+                        "cap {cap} never filled"
+                    );
+                }
+            }
+        }
+
+        /// The first `n` blocks of `file` whose home slot in `c` is `home`.
+        fn keys_homed_at(c: &BlockCache, file: u32, home: usize, n: usize) -> Vec<BlockAddr> {
+            (0u32..)
+                .map(|b| BlockAddr::new(FileId(file), b))
+                .filter(|a| c.home(a.to_u64()) == home)
+                .take(n)
+                .collect()
+        }
+
+        fn churn_strategy() -> impl Strategy<Value = Churn> {
+            prop_oneof![
+                Just(Churn::Lookup),
+                any::<bool>().prop_map(Churn::Insert),
+                Just(Churn::MarkDirty),
+                Just(Churn::MarkClean),
+                Just(Churn::Remove),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn shared_home_runs_shift_back_across_the_table_end(
+                cap in 1usize..12,
+                policy in prop_oneof![
+                    Just(EvictionPolicy::Lru),
+                    Just(EvictionPolicy::Fifo),
+                    Just(EvictionPolicy::Clock),
+                ],
+                ops in proptest::collection::vec((0u32..10, churn_strategy()), 0..300),
+            ) {
+                let mut sut = BlockCache::with_policy(cap, policy);
+                // Six keys share the last slot as home, so their run wraps
+                // to slot 0; two start at slot 0 and one a slot before the
+                // end, so the runs interleave across the wrap.
+                let last = sut.mask;
+                let mut keys = keys_homed_at(&sut, 7, last, 6);
+                keys.extend(keys_homed_at(&sut, 8, 0, 2));
+                keys.extend(keys_homed_at(&sut, 9, last - 1, 1));
+                keys.push(corner());
+                let mut model = PolicyModel { cap, policy, q: VecDeque::new() };
+                let mut lru = Model { cap, q: VecDeque::new() };
+                for (k, op) in ops {
+                    churn_step(&mut sut, &mut model, &mut lru, &keys, k, op);
+                }
             }
         }
 

@@ -3,11 +3,12 @@
 //! The paper models every cache as "a single LRU chain of blocks" (§5).
 //! This crate provides:
 //!
-//! - [`LruList`] — a slab-backed intrusive doubly-linked LRU list with O(1)
-//!   touch/insert/evict, generic over the per-node payload.
 //! - [`BlockCache`] — a single-tier block cache with dirty tracking, used
 //!   for the RAM tier and the flash tier of the *naive* and *lookaside*
-//!   architectures.
+//!   architectures. One open-addressing table is both its index and its
+//!   LRU chain: each 16-byte slot is a chain node.
+//! - [`LruList`] — a slab-backed doubly-linked LRU list with O(1) touch,
+//!   the recency chain of [`UnifiedCache`]'s frames.
 //! - [`UnifiedCache`] — the *unified* architecture's cache: one LRU chain
 //!   over RAM and flash *frames*; a block is "placed into the least
 //!   recently used buffer, whether RAM or flash, and \[is\] never migrated"

@@ -1,7 +1,11 @@
-//! Slab-backed doubly-linked LRU list.
+//! Slab-backed doubly-linked LRU list: the recency chain of
+//! [`crate::UnifiedCache`]'s frames.
 //!
-//! All operations are O(1). Node handles ([`NodeId`]) stay valid until the
-//! node is removed; the slab recycles slots through a free list.
+//! The slab only grows: the unified cache seeds every frame once with
+//! [`LruList::push_back`] and then only reorders them, so there is no free
+//! list and no removal. Node handles ([`NodeId`]) stay valid for the
+//! list's life. All operations are O(1). ([`crate::BlockCache`] keeps its
+//! chain inside its hash table instead.)
 
 use core::fmt;
 
@@ -21,8 +25,7 @@ impl NodeId {
 struct Node<T> {
     prev: u32,
     next: u32,
-    /// `None` for free slots.
-    value: Option<T>,
+    value: T,
 }
 
 /// A doubly-linked list ordered most-recently-used first.
@@ -32,75 +35,37 @@ struct Node<T> {
 /// ```
 /// use fcache_cache::LruList;
 ///
-/// let mut l = LruList::new();
-/// let a = l.push_front("a");
-/// let _b = l.push_front("b");
-/// l.touch(a); // "a" becomes MRU
-/// assert_eq!(l.pop_back(), Some("b"));
-/// assert_eq!(l.pop_back(), Some("a"));
-/// assert_eq!(l.pop_back(), None);
+/// let mut l = LruList::with_capacity(2);
+/// let a = l.push_back("a");
+/// let b = l.push_back("b"); // "b" is the LRU end
+/// l.touch(b); // "b" becomes MRU
+/// assert_eq!(l.back(), Some(a));
+/// assert_eq!(l.iter().copied().collect::<Vec<_>>(), ["b", "a"]);
 /// ```
 pub struct LruList<T> {
     nodes: Vec<Node<T>>,
-    free: Vec<u32>,
     head: u32,
     tail: u32,
-    len: usize,
-}
-
-impl<T> Default for LruList<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T> LruList<T> {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
-    }
-
     /// Creates an empty list with room for `cap` nodes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             nodes: Vec::with_capacity(cap),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
-            len: 0,
         }
     }
 
-    /// Number of live nodes.
+    /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
-    /// True if no live nodes.
+    /// True if no nodes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn alloc(&mut self, value: T) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            let n = &mut self.nodes[idx as usize];
-            debug_assert!(n.value.is_none(), "free-list slot still occupied");
-            n.value = Some(value);
-            idx
-        } else {
-            self.nodes.push(Node {
-                prev: NIL,
-                next: NIL,
-                value: Some(value),
-            });
-            (self.nodes.len() - 1) as u32
-        }
+        self.nodes.is_empty()
     }
 
     fn link_front(&mut self, idx: u32) {
@@ -131,39 +96,35 @@ impl<T> LruList<T> {
         }
     }
 
-    /// Inserts a value at the MRU end; returns its handle.
-    pub fn push_front(&mut self, value: T) -> NodeId {
-        let idx = self.alloc(value);
-        self.link_front(idx);
-        self.len += 1;
-        NodeId(idx)
-    }
-
     /// Inserts a value at the LRU end; returns its handle.
     ///
     /// Used to seed a cache with frames that should be consumed first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds `u32::MAX` nodes (handles are
+    /// `u32`, and `u32::MAX` is the "no node" sentinel).
     pub fn push_back(&mut self, value: T) -> NodeId {
-        let idx = self.alloc(value);
-        // Link at tail.
-        self.nodes[idx as usize].next = NIL;
-        self.nodes[idx as usize].prev = self.tail;
+        let idx = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("LruList holds at most u32::MAX - 1 nodes");
+        self.nodes.push(Node {
+            prev: self.tail,
+            next: NIL,
+            value,
+        });
         if self.tail != NIL {
             self.nodes[self.tail as usize].next = idx;
         } else {
             self.head = idx;
         }
         self.tail = idx;
-        self.len += 1;
         NodeId(idx)
     }
 
     /// Moves a node to the MRU end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a live node.
     pub fn touch(&mut self, id: NodeId) {
-        assert!(self.nodes[id.index()].value.is_some(), "touch of dead node");
         if self.head == id.0 {
             return;
         }
@@ -171,75 +132,19 @@ impl<T> LruList<T> {
         self.link_front(id.0);
     }
 
-    /// Replaces the value of `id` (the usual caller passes the LRU tail)
-    /// and moves the node to the MRU end, returning the old value.
-    ///
-    /// Equivalent to `remove(id)` + `push_front(value)` — which always
-    /// recycles the same slot — but skips the free-list round trip and the
-    /// `Option` churn; this is the steady-state path of a full cache, where
-    /// every insert evicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a live node.
-    pub fn replace_to_front(&mut self, id: NodeId, value: T) -> T {
-        let old = self.nodes[id.index()]
-            .value
-            .replace(value)
-            .expect("replace_to_front of dead node");
-        if self.head != id.0 {
-            self.unlink(id.0);
-            self.link_front(id.0);
-        }
-        old
-    }
-
-    /// Removes and returns the LRU value.
-    pub fn pop_back(&mut self) -> Option<T> {
-        if self.tail == NIL {
-            return None;
-        }
-        let idx = self.tail;
-        self.remove(NodeId(idx))
-    }
-
     /// Handle of the LRU node, if any.
     pub fn back(&self) -> Option<NodeId> {
-        if self.tail == NIL {
-            None
-        } else {
-            Some(NodeId(self.tail))
-        }
-    }
-
-    /// Handle of the MRU node, if any.
-    pub fn front(&self) -> Option<NodeId> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(NodeId(self.head))
-        }
-    }
-
-    /// Removes a node, returning its value.
-    ///
-    /// Returns `None` if the node was already removed.
-    pub fn remove(&mut self, id: NodeId) -> Option<T> {
-        let value = self.nodes.get_mut(id.index())?.value.take()?;
-        self.unlink(id.0);
-        self.free.push(id.0);
-        self.len -= 1;
-        Some(value)
+        (self.tail != NIL).then_some(NodeId(self.tail))
     }
 
     /// Borrows a node's value.
     pub fn get(&self, id: NodeId) -> Option<&T> {
-        self.nodes.get(id.index())?.value.as_ref()
+        self.nodes.get(id.index()).map(|n| &n.value)
     }
 
     /// Mutably borrows a node's value.
     pub fn get_mut(&mut self, id: NodeId) -> Option<&mut T> {
-        self.nodes.get_mut(id.index())?.value.as_mut()
+        self.nodes.get_mut(id.index()).map(|n| &mut n.value)
     }
 
     /// Iterates values from MRU to LRU.
@@ -248,15 +153,6 @@ impl<T> LruList<T> {
             list: self,
             cur: self.head,
         }
-    }
-
-    /// Removes every node.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.len = 0;
     }
 }
 
@@ -281,7 +177,7 @@ impl<'a, T> Iterator for Iter<'a, T> {
         }
         let n = &self.list.nodes[self.cur as usize];
         self.cur = n.next;
-        n.value.as_ref()
+        Some(&n.value)
     }
 }
 
@@ -289,127 +185,70 @@ impl<'a, T> Iterator for Iter<'a, T> {
 mod tests {
     use super::*;
 
+    /// A list seeded with `values`, first value at the MRU end.
+    fn seeded(values: &[i32]) -> (LruList<i32>, Vec<NodeId>) {
+        let mut l = LruList::with_capacity(values.len());
+        let ids = values.iter().map(|&v| l.push_back(v)).collect();
+        (l, ids)
+    }
+
+    fn order(l: &LruList<i32>) -> Vec<i32> {
+        l.iter().copied().collect()
+    }
+
     #[test]
     fn push_touch_pop_order() {
-        let mut l = LruList::new();
-        let a = l.push_front(1);
-        let _b = l.push_front(2);
-        let _c = l.push_front(3);
-        l.touch(a);
-        assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![1, 3, 2]);
-        assert_eq!(l.pop_back(), Some(2));
-        assert_eq!(l.pop_back(), Some(3));
-        assert_eq!(l.pop_back(), Some(1));
-        assert!(l.is_empty());
+        let (mut l, ids) = seeded(&[3, 2, 1]);
+        l.touch(ids[2]);
+        assert_eq!(order(&l), vec![1, 3, 2]);
+        // The LRU end is the next to go: 2, then 3 once 2 is touched.
+        assert_eq!(l.get(l.back().unwrap()), Some(&2));
+        l.touch(ids[1]);
+        assert_eq!(l.get(l.back().unwrap()), Some(&3));
+        assert_eq!(l.len(), 3);
     }
 
     #[test]
     fn push_back_seeds_lru_end() {
-        let mut l = LruList::new();
-        l.push_front("mru");
-        l.push_back("lru");
-        assert_eq!(l.pop_back(), Some("lru"));
-        assert_eq!(l.pop_back(), Some("mru"));
-    }
-
-    #[test]
-    fn remove_middle() {
-        let mut l = LruList::new();
-        let _a = l.push_front(1);
-        let b = l.push_front(2);
-        let _c = l.push_front(3);
-        assert_eq!(l.remove(b), Some(2));
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![3, 1]);
-        // Double remove is a no-op.
-        assert_eq!(l.remove(b), None);
-    }
-
-    #[test]
-    fn slot_reuse_after_remove() {
-        let mut l = LruList::new();
-        let a = l.push_front(1);
-        l.remove(a);
-        let b = l.push_front(2);
-        // Slot is recycled.
-        assert_eq!(a.0, b.0);
-        assert_eq!(l.get(b), Some(&2));
-        assert_eq!(l.len(), 1);
+        let mut l = LruList::with_capacity(2);
+        l.push_back("mru");
+        let lru = l.push_back("lru");
+        assert_eq!(l.back(), Some(lru));
+        assert_eq!(l.iter().copied().collect::<Vec<_>>(), ["mru", "lru"]);
     }
 
     #[test]
     fn touch_head_is_noop() {
-        let mut l = LruList::new();
-        let _a = l.push_front(1);
-        let b = l.push_front(2);
-        l.touch(b);
-        assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![2, 1]);
+        let (mut l, ids) = seeded(&[2, 1]);
+        l.touch(ids[0]);
+        assert_eq!(order(&l), vec![2, 1]);
     }
 
     #[test]
     fn touch_tail_moves_to_front() {
-        let mut l = LruList::new();
-        let a = l.push_front(1);
-        let _b = l.push_front(2);
-        l.touch(a);
-        assert_eq!(l.front().unwrap(), a);
-        assert_eq!(l.get(l.back().unwrap()), Some(&2));
-    }
-
-    #[test]
-    fn replace_to_front_recycles_in_place() {
-        let mut l = LruList::new();
-        let a = l.push_front(1);
-        let b = l.push_front(2);
-        // Replace the tail: node keeps its handle, moves to MRU.
-        assert_eq!(l.replace_to_front(a, 10), 1);
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![10, 2]);
-        assert_eq!(l.front(), Some(a));
-        assert_eq!(l.back(), Some(b));
-        // Replacing the head keeps order.
-        assert_eq!(l.replace_to_front(a, 11), 10);
-        assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![11, 2]);
-        // Matches remove + push_front slot reuse.
-        let mut m = LruList::new();
-        let x = m.push_front(1);
-        m.push_front(2);
-        m.remove(x);
-        let y = m.push_front(3);
-        assert_eq!(x, y);
+        let (mut l, ids) = seeded(&[2, 1]);
+        l.touch(ids[1]);
+        assert_eq!(order(&l), vec![1, 2]);
+        assert_eq!(l.back(), Some(ids[0]));
     }
 
     #[test]
     fn get_mut_updates_value() {
-        let mut l = LruList::new();
-        let a = l.push_front(10);
-        *l.get_mut(a).unwrap() += 5;
-        assert_eq!(l.get(a), Some(&15));
+        let (mut l, ids) = seeded(&[10]);
+        *l.get_mut(ids[0]).unwrap() += 5;
+        assert_eq!(l.get(ids[0]), Some(&15));
     }
 
     #[test]
     fn single_element_edge_cases() {
-        let mut l = LruList::new();
-        assert_eq!(l.pop_back(), Option::<i32>::None);
-        assert!(l.front().is_none() && l.back().is_none());
-        let a = l.push_front(9);
-        assert_eq!(l.front(), Some(a));
+        let mut l = LruList::with_capacity(1);
+        assert!(l.is_empty() && l.back().is_none());
+        assert_eq!(l.iter().next(), None);
+        let a = l.push_back(9);
         assert_eq!(l.back(), Some(a));
         l.touch(a);
-        assert_eq!(l.pop_back(), Some(9));
-        assert!(l.is_empty());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut l = LruList::new();
-        l.push_front(1);
-        l.push_front(2);
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.pop_back(), Option::<i32>::None);
-        l.push_front(3);
-        assert_eq!(l.len(), 1);
+        assert_eq!(l.back(), Some(a));
+        assert_eq!(order(&l), vec![9]);
     }
 
     mod properties {
@@ -420,69 +259,39 @@ mod tests {
         /// Reference model: VecDeque front = MRU.
         #[derive(Debug, Clone)]
         enum Op {
-            Push,
+            PushBack,
             TouchNth(usize),
-            RemoveNth(usize),
-            PopBack,
         }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                Just(Op::Push),
-                (0usize..64).prop_map(Op::TouchNth),
-                (0usize..64).prop_map(Op::RemoveNth),
-                Just(Op::PopBack),
-            ]
+            prop_oneof![Just(Op::PushBack), (0usize..64).prop_map(Op::TouchNth),]
         }
 
         proptest! {
             #[test]
             fn matches_reference_model(ops in proptest::collection::vec(op_strategy(), 0..200)) {
-                let mut sut = LruList::new();
-                let mut ids: Vec<(u32, NodeId)> = Vec::new(); // value -> live node handle
+                let mut sut = LruList::with_capacity(0);
+                // Value `v` is the `v`-th pushed, so its handle is `ids[v]`.
+                let mut ids: Vec<NodeId> = Vec::new();
                 let mut model: VecDeque<u32> = VecDeque::new();
-                // Values are made unique so model order maps 1:1 onto nodes.
-                let mut next_val = 0u32;
 
                 for op in ops {
                     match op {
-                        Op::Push => {
-                            let v = next_val;
-                            next_val += 1;
-                            let id = sut.push_front(v);
-                            ids.push((v, id));
-                            model.push_front(v);
+                        Op::PushBack => {
+                            let v = ids.len() as u32;
+                            ids.push(sut.push_back(v));
+                            model.push_back(v);
                         }
                         Op::TouchNth(n) => {
                             if !model.is_empty() {
-                                let n = n % model.len();
-                                let v = model.remove(n).unwrap();
+                                let v = model.remove(n % model.len()).unwrap();
                                 model.push_front(v);
-                                // Find a matching live id for value v.
-                                let (_, id) = *ids.iter().find(|(val, id)| *val == v && sut.get(*id) == Some(&v)).unwrap();
-                                sut.touch(id);
-                            }
-                        }
-                        Op::RemoveNth(n) => {
-                            if !model.is_empty() {
-                                let n = n % model.len();
-                                let v = model.remove(n).unwrap();
-                                let pos = ids.iter().position(|(val, id)| *val == v && sut.get(*id) == Some(&v)).unwrap();
-                                let (_, id) = ids.remove(pos);
-                                prop_assert_eq!(sut.remove(id), Some(v));
-                            }
-                        }
-                        Op::PopBack => {
-                            let expect = model.pop_back();
-                            let got = sut.pop_back();
-                            prop_assert_eq!(got, expect);
-                            if let Some(v) = expect {
-                                let pos = ids.iter().position(|(val, id)| *val == v && sut.get(*id).is_none()).or_else(|| ids.iter().position(|(val, _)| *val == v));
-                                if let Some(p) = pos { ids.remove(p); }
+                                sut.touch(ids[v as usize]);
                             }
                         }
                     }
                     prop_assert_eq!(sut.len(), model.len());
+                    prop_assert_eq!(sut.back().and_then(|id| sut.get(id)), model.back());
                     prop_assert_eq!(sut.iter().copied().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
                 }
             }

@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use fcache_cache::EvictionPolicy;
+use fcache_cache::{BlockCache, EvictionPolicy};
 use fcache_des::SimTime;
 use fcache_device::{FlashModel, RamModel, SsdConfig};
 use fcache_filer::FilerConfig;
@@ -345,7 +345,11 @@ impl SimConfig {
             FlashTiming::Ssd(sc) => Some(base(sc)),
             FlashTiming::Flat => None,
         };
+        let oversized = |size: ByteSize| size.blocks() > BlockCache::MAX_CAPACITY as u64;
+        let slots = "needs more cache slots than 30-bit links address (at most 2^28 blocks, 1 TiB)";
         let rules = [
+            (oversized(self.ram_size), "ram_size", slots),
+            (oversized(self.flash_size), "flash_size", slots),
             (
                 !(0.0..=1.0).contains(&self.prefetch),
                 "prefetch",
@@ -444,7 +448,13 @@ mod tests {
         };
         let shard2 = || FaultPlan::parse("shard2:outage@1s-2s").unwrap();
         let (zero, us) = (Some(SimTime::ZERO), SimTime::from_micros);
+        let tib = |n: u64| ByteSize::gib(1024 * n);
         let rows = [
+            (
+                "ram_size",
+                with(|c| c.ram_size = ByteSize((1 << 40) + 4096)),
+            ),
+            ("flash_size", with(|c| c.flash_size = tib(2))),
             ("prefetch", with(|c| c.prefetch = 1.5)),
             ("prefetch", with(|c| c.prefetch = -0.1)),
             ("prefetch", with(|c| c.prefetch = f64::NAN)),
@@ -478,6 +488,7 @@ mod tests {
         }
         // The edges of each range are valid.
         for cfg in [
+            with(|c| (c.ram_size, c.flash_size) = (tib(1), tib(1))),
             with(|c| c.prefetch = 0.0),
             with(|c| c.prefetch = 1.0),
             with(|c| (c.shards, c.replicas, c.hedge) = (2, 2, Some(SimTime::from_nanos(1)))),
