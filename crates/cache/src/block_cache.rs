@@ -330,8 +330,8 @@ impl BlockCache {
         self.unlink(i);
         self.len -= 1;
         // Backward shift: walk the probe run after the hole and pull back
-        // every slot whose home does not lie strictly between the hole and
-        // it, so no probe ever crosses an empty slot before its key.
+        // every slot whose home lies cyclically at or before the hole, so
+        // no probe ever crosses an empty slot before its key.
         let mut hole = i as usize;
         let mut j = hole;
         loop {
